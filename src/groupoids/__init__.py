@@ -7,6 +7,7 @@ from .errors import (
     DocumentError,
     IsMonomorphism,
     PreconditionFailed,
+    UniverseError,
     UniverseMismatch,
     UnknownElement,
 )

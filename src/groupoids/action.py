@@ -19,7 +19,6 @@ from .errors import (
     UnknownElement,
 )
 from .relation import (
-    FinRel,
     Universe,
     compose,
     first_difference,
@@ -28,6 +27,7 @@ from .relation import (
     pair_name,
     product,
     product_universe,
+    triples_rel,
     unitor_left,
 )
 from .groupoid import Groupoid, SubgroupoidRef
@@ -42,10 +42,7 @@ class Action:
         self.groupoid = groupoid
         self.carrier = carrier
         self.triples = tuple(sorted(set(triples)))
-        source = product_universe(groupoid.elements, carrier)
-        self.rel = FinRel(
-            source, carrier, ((y, pair_name(g, x)) for y, g, x in self.triples)
-        )
+        self.rel = triples_rel(groupoid.elements, carrier, carrier, self.triples)
         self._check_axioms()
         self._derive()
 

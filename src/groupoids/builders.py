@@ -133,14 +133,15 @@ def symmetric_table(n: int, name=None) -> GroupTable:
 
 
 def subgroup_table(table: GroupTable, members, name=None) -> GroupTable:
-    ms = sorted(set(members))
+    member_set = set(members)
+    ms = sorted(member_set)
     mult = {}
     for a in ms:
         for b in ms:
             c = table.mult(a, b)
-            if c not in set(ms):
+            if c not in member_set:
                 raise PreconditionFailed(
-                    f"{sorted(ms)} is not closed in group {table.name!r}"
+                    f"{ms} is not closed in group {table.name!r}"
                 )
             mult[(a, b)] = c
     return GroupTable(name or f"{table.name}<{'+'.join(ms)}>", ms, mult)
@@ -200,7 +201,8 @@ def quotient_group_table(table: GroupTable, members, name=None):
 
 def group_table_of(groupoid: Groupoid, members, name=None) -> GroupTable:
     """Extract the group sitting on a single unit of a groupoid."""
-    ms = sorted(set(members))
+    member_set = set(members)
+    ms = sorted(member_set)
     units = {groupoid.e_left(g) for g in ms} | {groupoid.e_right(g) for g in ms}
     if len(units) != 1:
         raise PreconditionFailed(
@@ -210,7 +212,7 @@ def group_table_of(groupoid: Groupoid, members, name=None) -> GroupTable:
     for a in ms:
         for b in ms:
             c = groupoid.mult(a, b)
-            if c is None or c not in set(ms):
+            if c is None or c not in member_set:
                 raise PreconditionFailed(
                     f"members are not a subgroup of {groupoid.name!r}"
                 )

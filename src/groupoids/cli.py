@@ -31,7 +31,7 @@ from .builders import (
     transformation_groupoid,
     trivial_table,
 )
-from .errors import AlgebraError, DocumentError
+from .errors import AlgebraError, DocumentError, UniverseError
 from .groupoid import Groupoid, SubgroupoidRef, cartesian_product, disjoint_union
 from .relation import Universe
 
@@ -51,6 +51,20 @@ def _line_of(text, token):
         if needle in line:
             return i
     return None
+
+
+def _check_name(x, known, what, where, text, name):
+    """x itself when it is a string in known; a DocumentError otherwise."""
+    if not isinstance(x, str):
+        raise DocumentError(
+            f"{name}: {what} {json.dumps(x)} in {where} is not a string",
+            line=_line_of(text, x),
+        )
+    if x not in known:
+        raise DocumentError(
+            f"{name}: unknown {what} {x!r} in {where}", line=_line_of(text, x)
+        )
+    return x
 
 
 def _need(payload, key, types, where):
@@ -98,12 +112,7 @@ def groupoid_from_payload(payload, text) -> Groupoid:
     known = set(elements)
 
     def member(x, where):
-        if x not in known:
-            raise DocumentError(
-                f"{name}: unknown element {x!r} in {where}",
-                line=_line_of(text, x),
-            )
-        return x
+        return _check_name(x, known, "element", where, text, name)
 
     units = _need(payload, "units", list, name)
     for e in units:
@@ -149,14 +158,8 @@ def morphism_from_payload(payload, text, base):
         if not (isinstance(row, list) and len(row) == 2):
             raise DocumentError(f"{name}: graph rows must be [output, input]")
         d, g = row
-        if d not in target.elements:
-            raise DocumentError(
-                f"{name}: unknown element {d!r} in graph", line=_line_of(text, d)
-            )
-        if g not in source.elements:
-            raise DocumentError(
-                f"{name}: unknown element {g!r} in graph", line=_line_of(text, g)
-            )
+        _check_name(d, target.elements, "element", "graph", text, name)
+        _check_name(g, source.elements, "element", "graph", text, name)
         graph.append((d, g))
     return morphism_ops.Morphism(source, target, graph), name
 
@@ -167,6 +170,8 @@ def action_from_payload(payload, text, base):
         _need(payload, "groupoid", (str, dict), name), text, base
     )
     points = _need(payload, "carrier", list, name)
+    if not all(isinstance(x, str) for x in points):
+        raise DocumentError(f"{name}: carrier points must be strings")
     if len(set(points)) != len(points):
         raise DocumentError(f"{name}: duplicate carrier points")
     carrier = Universe(f"{name}.carrier", tuple(points))
@@ -177,15 +182,8 @@ def action_from_payload(payload, text, base):
             raise DocumentError(f"{name}: graph rows must be [output, element, input]")
         y, g, x = row
         for point in (y, x):
-            if point not in carrier:
-                raise DocumentError(
-                    f"{name}: unknown point {point!r} in graph",
-                    line=_line_of(text, point),
-                )
-        if g not in groupoid.elements:
-            raise DocumentError(
-                f"{name}: unknown element {g!r} in graph", line=_line_of(text, g)
-            )
+            _check_name(point, carrier, "point", "graph", text, name)
+        _check_name(g, groupoid.elements, "element", "graph", text, name)
         triples.append((y, g, x))
     return action_ops.Action(groupoid, carrier, triples), name
 
@@ -241,10 +239,14 @@ def _plural(n, word):
 def _table_from_token(token):
     """A group table from a spec like cyclic:4, symmetric:3, klein, trivial."""
     head, _, tail = token.partition(":")
-    if head == "cyclic":
-        return cyclic_table(int(tail))
-    if head == "symmetric":
-        return symmetric_table(int(tail))
+    if head in ("cyclic", "symmetric"):
+        try:
+            order = int(tail)
+        except ValueError:
+            raise DocumentError(
+                f"group order in {token!r} is not an integer"
+            ) from None
+        return cyclic_table(order) if head == "cyclic" else symmetric_table(order)
     if head == "klein":
         return klein_table()
     if head == "trivial":
@@ -277,6 +279,14 @@ def _load_action(path):
 
 
 def cmd_build(args) -> int:
+    try:
+        g = _build(args)
+    except UniverseError as err:
+        raise DocumentError(str(err)) from None
+    return emit(args, payload_of_groupoid(g))
+
+
+def _build(args) -> Groupoid:
     family = args.family
     if family == "pair":
         name = args.name or f"P{len(args.points)}"
@@ -304,7 +314,7 @@ def cmd_build(args) -> int:
         g = transformation_groupoid(
             _table_from_token(args.group), space, act, args.name
         )
-    return emit(args, payload_of_groupoid(g))
+    return g
 
 
 def cmd_validate(args) -> int:

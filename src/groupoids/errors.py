@@ -5,6 +5,10 @@ class AlgebraError(Exception):
     """Base class for every domain error raised by this package."""
 
 
+class UniverseError(AlgebraError, ValueError):
+    """A universe cannot be formed: duplicate or ambiguous element names."""
+
+
 class UniverseMismatch(AlgebraError):
     """Two universes were expected to coincide but do not."""
 

@@ -35,6 +35,7 @@ from .relation import (
     pair_name,
     product,
     product_universe,
+    triples_rel,
     unitor_left,
     unitor_right,
 )
@@ -79,23 +80,28 @@ class Groupoid:
                 if x not in self.elements:
                     raise UnknownElement(x, f"table of {self.name!r}")
 
+    # The three relations are read by index: every name in the table,
+    # the inverse map and the units was checked by _check_structure.
+
     @cached_property
     def m_rel(self) -> FinRel:
         u = self.elements
-        return FinRel(
-            product_universe(u, u),
-            u,
-            ((c, pair_name(a, b)) for c, a, b in self.table),
-        )
+        return triples_rel(u, u, u, self.table)
 
     @cached_property
     def s_rel(self) -> FinRel:
         u = self.elements
-        return FinRel(u, u, ((self.inverse[g], g) for g in u))
+        index, inverse = u.index, self.inverse
+        return FinRel._from_indices(
+            u, u, frozenset([(index[inverse[g]], i) for i, g in enumerate(u.names)])
+        )
 
     @cached_property
     def e_rel(self) -> FinRel:
-        return FinRel(ONE, self.elements, ((e, "1") for e in self.units))
+        index = self.elements.index
+        return FinRel._from_indices(
+            ONE, self.elements, frozenset([(index[e], 0) for e in self.units])
+        )
 
     def _check_relational_axioms(self):
         u = self.elements
@@ -404,15 +410,16 @@ class SubgroupoidRef(object):
 
     def __init__(self, parent: Groupoid, members):
         ms = frozenset(members)
-        for g in sorted(ms):
+        ordered = sorted(ms)
+        for g in ordered:
             if g not in parent.elements:
                 raise UnknownElement(g, f"elements of {parent.name!r}")
             if parent.inverse[g] not in ms:
                 raise PreconditionFailed(
                     f"not closed under inverse at {g!r} in {parent.name!r}"
                 )
-        for a in sorted(ms):
-            for b in sorted(ms):
+        for a in ordered:
+            for b in ordered:
                 c = parent.mult(a, b)
                 if c is not None and c not in ms:
                     raise PreconditionFailed(

@@ -11,7 +11,7 @@ import pytest
 
 from groupoids import cli
 from groupoids.action import classical_to_relational
-from groupoids.builders import cyclic_table, group_groupoid
+from groupoids.builders import cyclic_table, group_groupoid, pair_groupoid
 from groupoids.morphism import left_regular
 from groupoids.relation import Universe
 
@@ -365,6 +365,68 @@ def test_enum_exit_codes(capsys, tmp_path, z2_path, catalog):
 
     code, out, _ = run(capsys, ["enum", "bisections", z2_path])
     assert code == 0 and out.startswith("2 bisections\n")
+
+
+def _list_element_documents(tmp_path):
+    """Documents with a JSON list where an element name belongs."""
+    p3 = pair_groupoid(Universe("X3", ("1", "2", "3")), "L")
+    groupoid = cli.payload_of_groupoid(p3)
+    groupoid["compose"][0] = [["1,1"]] + groupoid["compose"][0][1:]
+    z2 = group_groupoid(cyclic_table(2))
+    morphism = cli.payload_of_morphism(left_regular(z2), "l")
+    morphism["graph"][0] = [["0,0"], "0"]
+    carrier = {
+        "kind": "action",
+        "name": "a",
+        "groupoid": cli.payload_of_groupoid(z2),
+        "carrier": [["p"], "q"],
+        "graph": [],
+    }
+    action = dict(carrier, carrier=["p", "q"], graph=[[["p"], "0", "p"]])
+    docs = {
+        "groupoid": groupoid,
+        "morphism": morphism,
+        "carrier": carrier,
+        "action": action,
+    }
+    return {
+        f"@{kind}": write(tmp_path, f"list-{kind}.json", cli.serialize(payload))
+        for kind, payload in docs.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "pair", "a", "a"],
+        ["build", "pair", "a", "a,a"],
+        ["build", "group", "cyclic:x"],
+        ["validate", "@groupoid"],
+        ["build", "bundle", "symmetric:3", "symmetric:"],
+        ["validate", "@morphism"],
+        ["validate", "@carrier"],
+        ["validate", "@action"],
+    ],
+    ids=[
+        "duplicate-point",
+        "ambiguous-pair-names",
+        "group-order-not-int",
+        "list-as-element",
+        "bundle-order-not-int",
+        "list-in-morphism-graph",
+        "list-in-action-carrier",
+        "list-in-action-graph",
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
+    docs = _list_element_documents(tmp_path)
+    argv = [docs.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    lines = err.splitlines()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_stdin_documents(capsys, monkeypatch, z2_path):

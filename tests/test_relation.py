@@ -3,14 +3,15 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
-from groupoids.errors import UniverseMismatch, UnknownElement
+from groupoids.errors import UniverseError, UniverseMismatch, UnknownElement
 from groupoids.relation import (
     FinRel,
     Universe,
     compose,
     domain,
+    first_difference,
     flip,
     identity,
     image,
@@ -20,6 +21,7 @@ from groupoids.relation import (
     product,
     product_universe,
     transpose,
+    triples_rel,
     unitor_left,
     unitor_right,
 )
@@ -186,3 +188,169 @@ def test_product_interchange(r, s, r1, s1):
     lhs = product(compose(s, r), compose(s1, r1))
     rhs = compose(product(s, s1), product(r, r1))
     assert lhs == rhs
+
+
+# -- the index kernel against string formulas --------------------------
+#
+# The kernel computes on integer indices and names pairs only on demand.
+# These tests restate each operation as a formula on name pairs and
+# require the kernel's `graph` to match it, on universes whose names
+# contain commas and characters that sort on either side of the comma.
+
+NAME_ATOMS = st.text(alphabet="ab!-", min_size=1, max_size=2)
+
+
+def ref_compose(s, r):
+    return {(z, x) for y, x in r for z, y1 in s if y1 == y}
+
+
+def ref_product(r, r1):
+    return {(pair_name(y, y1), pair_name(x, x1)) for y, x in r for y1, x1 in r1}
+
+
+def ref_transpose(r):
+    return {(x, y) for y, x in r}
+
+
+def sorted_graph(pairs):
+    return tuple(sorted(pairs))
+
+
+@st.composite
+def comma_universes(draw, label, commas=None):
+    """A universe whose names all carry the same number of commas."""
+    k = draw(st.integers(0, 2)) if commas is None else commas
+    names = st.lists(NAME_ATOMS, min_size=k + 1, max_size=k + 1).map(",".join)
+    return Universe(label, draw(st.sets(names, min_size=1, max_size=3)))
+
+
+@st.composite
+def mixed_universes(draw, label):
+    """A universe whose names carry any number of commas."""
+    names = st.lists(NAME_ATOMS, min_size=1, max_size=3).map(",".join)
+    return Universe(label, draw(st.sets(names, min_size=1, max_size=4)))
+
+
+def relations(draw, src, tgt):
+    cells = [(y, x) for y in tgt for x in src]
+    return FinRel(src, tgt, draw(st.sets(st.sampled_from(cells))))
+
+
+@st.composite
+def relation_chains(draw):
+    """Universes U0..U3 and relations r : U0 -> U1, s : U1 -> U2,
+    t : U2 -> U3."""
+    us = [draw(comma_universes(f"U{i}")) for i in range(4)]
+    r, s, t = (relations(draw, us[i], us[i + 1]) for i in range(3))
+    return us, r, s, t
+
+
+@seed(1311)
+@settings(max_examples=60, deadline=None)
+@given(relation_chains())
+def test_kernel_graphs_match_name_formulas(chain):
+    (u0, u1, u2, u3), r, s, t = chain
+    assert compose(s, r).graph == sorted_graph(ref_compose(s.graph, r.graph))
+    assert transpose(r).graph == sorted_graph(ref_transpose(r.graph))
+    assert product(r, s).graph == sorted_graph(ref_product(r.graph, s.graph))
+    nested = product(product(r, s), t)
+    assert nested.graph == sorted_graph(
+        ref_product(ref_product(r.graph, s.graph), t.graph)
+    )
+    assert product(r, product(s, t)).graph == nested.graph
+    rs = product(r, s)
+    swapped = compose(flip(u1, u2), rs)
+    assert swapped.graph == sorted_graph(
+        ref_compose(flip(u1, u2).graph, rs.graph)
+    )
+    assert flip(u0, u1).graph == sorted_graph(
+        (pair_name(y, x), pair_name(x, y)) for x in u0 for y in u1
+    )
+    assert unitor_left(u0).graph == sorted_graph((x, pair_name("1", x)) for x in u0)
+    assert unitor_right(u0).graph == sorted_graph((x, pair_name(x, "1")) for x in u0)
+    assert identity(u0).graph == sorted_graph((x, x) for x in u0)
+
+
+@seed(1311)
+@settings(max_examples=60, deadline=None)
+@given(relation_chains())
+def test_product_is_associative(chain):
+    _, r, s, t = chain
+    left = product(product(r, s), t)
+    right = product(r, product(s, t))
+    assert left == right
+    assert hash(left) == hash(right)
+    assert left.source == right.source and left.target == right.target
+
+
+@seed(1311)
+@settings(max_examples=60, deadline=None)
+@given(comma_universes("L"), mixed_universes("R"))
+def test_uniform_comma_counts_are_accepted(uniform, mixed):
+    for a, b in ((uniform, mixed), (mixed, uniform)):
+        p = product_universe(a, b)
+        assert "names" not in vars(p)  # the verdict built no joined names
+        assert len(p) == len(a) * len(b)
+        assert sorted(p.elements) == sorted(pair_name(x, y) for x in a for y in b)
+        assert len(set(p.elements)) == len(p)
+
+
+@seed(1311)
+@settings(max_examples=100, deadline=None)
+@given(mixed_universes("L"), mixed_universes("R"))
+def test_collision_verdict_matches_joined_names(a, b):
+    joined = [pair_name(x, y) for x in a for y in b]
+    if len(set(joined)) == len(joined):
+        assert sorted(product_universe(a, b).elements) == sorted(joined)
+    else:
+        with pytest.raises(UniverseError):
+            product_universe(a, b)
+
+
+def test_mixed_comma_collisions_raise_universe_error():
+    left = Universe("L", ("x", "x,y"))
+    right = Universe("R", ("y,z", "z"))
+    with pytest.raises(UniverseError) as err:
+        product_universe(left, right)
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(UniverseError):
+        Universe("U", ("a", "b", "a"))
+
+
+def test_plain_and_product_universes_equal_by_name():
+    # "a!,x" sorts before "a,x", so the product's index order differs
+    # from the sorted order the plain universe indexes by
+    left = Universe("L", ("a", "a!", "b,c"))
+    right = Universe("R", ("x!", "x", "y,z"))
+    prod = product_universe(left, right)
+    plain = Universe(prod.name, prod.elements)
+    assert list(prod.names) != list(plain.names)
+    assert prod == plain and plain == prod and hash(prod) == hash(plain)
+    assert identity(prod) == identity(plain)
+    assert hash(identity(prod)) == hash(identity(plain))
+
+    cells = [(y, x) for y in prod.elements for x in prod.elements][::5]
+    on_prod = FinRel(prod, prod, cells)
+    on_plain = FinRel(plain, plain, cells)
+    assert on_prod == on_plain and on_prod.graph == on_plain.graph
+    assert compose(on_prod, identity(plain)) == on_prod
+    assert compose(identity(prod), on_plain) == on_plain
+    assert compose(on_plain, on_prod).graph == sorted_graph(
+        ref_compose(on_plain.graph, on_prod.graph)
+    )
+    moved = FinRel(plain, plain, cells[1:])
+    assert first_difference(on_prod, moved) == min(set(cells) - set(cells[1:]))
+
+
+def test_triples_rel_matches_joined_name_pairs():
+    a = Universe("A", ("a", "a!", "b,c"))
+    b = Universe("B", ("x", "y,z"))
+    triples = [("x", "a", "y,z"), ("y,z", "b,c", "x"), ("x", "a!", "x")]
+    by_name = FinRel(
+        product_universe(a, b), b, ((z, pair_name(x, y)) for z, x, y in triples)
+    )
+    assert triples_rel(a, b, b, triples) == by_name
+    assert triples_rel(a, b, b, triples).graph == by_name.graph
+    with pytest.raises(UnknownElement) as err:
+        triples_rel(a, b, b, triples + [("x", "q", "x")])
+    assert err.value.element == pair_name("q", "x")
