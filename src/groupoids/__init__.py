@@ -47,7 +47,6 @@ from .morphism import (
     kernel,
     mono_witness,
     separating_pair,
-    validate_morphism,
 )
 from .bisection import (
     Bisection,
@@ -65,7 +64,6 @@ from .action import (
     induced_action,
     morphism_to_action,
     quotient_groupoid,
-    validate_action,
 )
 from .search import (
     EnumBudget,

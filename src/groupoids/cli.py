@@ -275,6 +275,15 @@ def _load_action(path):
     return action_from_payload(payload, text, base)
 
 
+def _argv_universe(name, points) -> Universe:
+    """A universe of points given on the command line; a duplicate point
+    is a usage error."""
+    try:
+        return Universe(name, tuple(points))
+    except UniverseError as err:
+        raise DocumentError(str(err)) from None
+
+
 # -- command handlers ---------------------------------------------------
 
 
@@ -494,7 +503,7 @@ def cmd_action(args) -> int:
         if op == "groupoid":
             return emit(args, payload_of_groupoid(action_ops.action_groupoid(a)))
         if op == "classify":
-            space = Universe("base", tuple(args.points))
+            space = _argv_universe("base", args.points)
             table = _table_from_token(args.group)
             fiber, fiber_act, psi = action_ops.classify_transitive_action(
                 space, table, a, args.basepoint
@@ -513,7 +522,7 @@ def cmd_action(args) -> int:
         return 0
     if op == "from-morphism":
         h, name = _load_morphism(args.path)
-        carrier = Universe(f"{name}.carrier", tuple(args.carrier))
+        carrier = _argv_universe(f"{name}.carrier", args.carrier)
         a = action_ops.morphism_to_action(h, carrier)
         return emit(args, payload_of_action(a, name))
     g = _load_groupoid(args.path)
@@ -549,7 +558,7 @@ def cmd_enum(args) -> int:
         return 0
     if args.what == "actions":
         g = _load_groupoid(args.source)
-        carrier = Universe("carrier", tuple(args.carrier))
+        carrier = _argv_universe("carrier", args.carrier)
         if args.direct:
             found = search_ops.enum_actions_direct(g, carrier)
         else:

@@ -5,11 +5,14 @@ Delta x Gamma and which satisfies
 
     h m = m' (h x h),   h s = s' h,   h e = e'
 
-as exact relation equalities.  Validation computes the derived data
-every theorem downstream consumes: the base map on units (here rho,
-mapping units of the target to units of the source), the domain (a
-union of transitive components), the image (a wide subgroupoid of the
-target), the per-unit fiber maps, and the kernel.
+as exact relation equalities.  These are the only checks.  One pass
+over the graph then reads off the derived data every theorem
+downstream consumes: the base map on units (here rho, mapping units of
+the target to units of the source), the domain, the image and the
+kernel; the per-unit fiber maps are computed on demand.  That the base
+map is unique, the domain a union of transitive components, the image
+a wide subgroupoid of the target and each fiber map single-valued are
+theorems of the axioms; the tests check them against an oracle.
 
 Monomorphisms are decided by the kernel criterion; failed candidates
 come with explicit cancellation witnesses built from the classical
@@ -75,60 +78,22 @@ class Morphism:
             raise AxiomViolation("he=e'", first_difference(lhs, tgt.e_rel))
 
     def _derive(self):
-        src, tgt = self.source, self.target
-        src_units = set(src.units)
-        tgt_units = set(tgt.units)
-        rho = {}
-        for f in tgt.units:
-            cands = [e for d, e in self.rel.graph if d == f and e in src_units]
-            if len(cands) != 1:
-                raise AxiomViolation("derived:base-map", f)
-            rho[f] = cands[0]
+        # one pass over the graph; the axioms make every derived law
+        # (unique base map, domain a union of components, wide image,
+        # single-valued fibers) a theorem, so none is re-checked here
+        src_units, tgt_units = self.source._unit_set, self.target._unit_set
+        rho, dom, image, moved = {}, set(), set(), set()
+        for d, g in self.rel.graph:
+            dom.add(g)
+            image.add(d)
+            if d not in tgt_units:
+                moved.add(g)
+            elif g in src_units:
+                rho[d] = g
         self.base_map = rho
-
-        dom = {e for _, e in self.rel.graph}
-        im_rho = set(rho.values())
-        expected = {g for g in src.elements if src.e_right(g) in im_rho}
-        if dom != expected:
-            raise AxiomViolation("derived:domain-components", min(dom ^ expected))
         self.domain_elements = frozenset(dom)
-
-        image = {d for d, _ in self.rel.graph}
-        if not tgt_units <= image:
-            raise AxiomViolation(
-                "derived:image-wide", min(tgt_units - image)
-            )
-        for d in image:
-            if tgt.inverse[d] not in image:
-                raise AxiomViolation("derived:image-wide", d)
-        for d1 in image:
-            for d2 in image:
-                c = tgt.mult(d1, d2)
-                if c is not None and c not in image:
-                    raise AxiomViolation("derived:image-wide", (d1, d2))
         self.image_elements = frozenset(image)
-
-        for f in tgt.units:
-            e = rho[f]
-            for g in src.elements:
-                if src.e_right(g) == e:
-                    hits = [
-                        d for d in self.rel.outputs(g) if tgt.e_right(d) == f
-                    ]
-                    if len(hits) != 1:
-                        raise AxiomViolation("derived:fiber-right", (f, g))
-                if src.e_left(g) == e:
-                    hits = [
-                        d for d in self.rel.outputs(g) if tgt.e_left(d) == f
-                    ]
-                    if len(hits) != 1:
-                        raise AxiomViolation("derived:fiber-left", (f, g))
-
-        self.kernel_members = frozenset(
-            g
-            for g in dom
-            if all(d in tgt_units for d in self.rel.outputs(g))
-        )
+        self.kernel_members = frozenset(dom - moved)
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,11 +111,6 @@ class Morphism:
             f"Morphism({self.source.name!r} -> {self.target.name!r}, "
             f"{len(self.rel.graph)} pairs)"
         )
-
-
-def validate_morphism(source: Groupoid, target: Groupoid, graph) -> Morphism:
-    """Build a morphism, raising AxiomViolation on the first bad law."""
-    return Morphism(source, target, graph)
 
 
 class Kernel:
@@ -229,30 +189,28 @@ def base_map(h: Morphism) -> dict:
     return dict(h.base_map)
 
 
-def fiber_map_right(h: Morphism, f) -> dict:
-    """Right-fiber map at the target unit f."""
-    if f not in set(h.target.units):
+def _fiber_map(h: Morphism, f, unit) -> dict:
+    """The map g -> h(g) on the source elements g with unit(g) = rho(f)
+    and h(g) with unit(h(g)) = f, where unit is Groupoid.e_left or
+    Groupoid.e_right."""
+    if f not in h.target._unit_set:
         raise PreconditionFailed(f"{f!r} is not a unit of {h.target.name!r}")
     e = h.base_map[f]
-    out = {}
-    for g in h.source.elements:
-        if h.source.e_right(g) == e:
-            hits = [d for d in h.outputs(g) if h.target.e_right(d) == f]
-            out[g] = hits[0]
-    return out
+    return {
+        g: d
+        for d, g in h.graph
+        if unit(h.source, g) == e and unit(h.target, d) == f
+    }
+
+
+def fiber_map_right(h: Morphism, f) -> dict:
+    """Right-fiber map at the target unit f."""
+    return _fiber_map(h, f, Groupoid.e_right)
 
 
 def fiber_map_left(h: Morphism, f) -> dict:
     """Left-fiber map at the target unit f."""
-    if f not in set(h.target.units):
-        raise PreconditionFailed(f"{f!r} is not a unit of {h.target.name!r}")
-    e = h.base_map[f]
-    out = {}
-    for g in h.source.elements:
-        if h.source.e_left(g) == e:
-            hits = [d for d in h.outputs(g) if h.target.e_left(d) == f]
-            out[g] = hits[0]
-    return out
+    return _fiber_map(h, f, Groupoid.e_left)
 
 
 def kernel(h: Morphism) -> Kernel:

@@ -1,6 +1,10 @@
 """Relational actions, coset spaces, quotients, and classification."""
 
+import itertools
+
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from oracles import action_violation, edit_rows
 
 from groupoids.action import (
     Action,
@@ -24,7 +28,6 @@ from groupoids.action import (
     quotient_groupoid,
     right_commuting_to_morphism,
     unit_action,
-    validate_action,
 )
 from groupoids.builders import (
     cyclic_table,
@@ -51,7 +54,7 @@ from groupoids.morphism import (
     wide_inclusion,
 )
 from groupoids.relation import Universe, pair_name
-from groupoids.search import find_groupoid_isomorphism
+from groupoids.search import enum_actions, find_groupoid_isomorphism
 
 Z2 = group_groupoid(cyclic_table(2))
 Z4 = group_groupoid(cyclic_table(4))
@@ -398,3 +401,49 @@ def test_functor_to_zm_rejects_broken_functors():
     broken[key] = min(others)
     with pytest.raises((PreconditionFailed, AxiomViolation)):
         functor_to_zm(phi, broken, left_regular(Z2).target)
+
+
+CARRIERS = [Universe("C", points) for points in ("p", "pq", "pqr")]
+
+
+@pytest.fixture(scope="module")
+def enumerated_actions(catalog):
+    """Every action of a catalog member on one to three points."""
+    return [
+        a for g in catalog.values() for c in CARRIERS for a in enum_actions(g, c)
+    ]
+
+
+def test_accepted_triples_satisfy_classical_laws(catalog, enumerated_actions):
+    for a in enumerated_actions:
+        assert action_violation(a) is None, a
+    # every triple set of the small members on one and two points
+    for key, carrier in itertools.product(("pt", "Z2", "S2", "P2"), CARRIERS[:2]):
+        g = catalog[key]
+        rows = list(itertools.product(carrier, g.elements, carrier))
+        if len(rows) > 8:
+            continue
+        for mask in range(2 ** len(rows)):
+            try:
+                a = Action(g, carrier, [r for i, r in enumerate(rows) if mask >> i & 1])
+            except AxiomViolation:
+                continue
+            assert action_violation(a) is None, a
+
+
+@seed(1311)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_triples_satisfy_classical_laws_when_accepted(
+    enumerated_actions, data
+):
+    a = data.draw(st.sampled_from(enumerated_actions))
+    points, names = a.carrier.names, a.groupoid.elements.names
+    triples = list(a.triples)
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit_rows(data.draw, triples, (points, names, points))
+    try:
+        mutant = Action(a.groupoid, a.carrier, triples)
+    except AxiomViolation:
+        return
+    assert action_violation(mutant) is None

@@ -395,6 +395,23 @@ def _list_element_documents(tmp_path):
     }
 
 
+def _valid_documents(tmp_path):
+    """A groupoid, a morphism and an action document on Z2."""
+    z2 = group_groupoid(cyclic_table(2))
+    pq = Universe("PQ", ("p", "q"))
+    swap = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+    action = classical_to_relational(z2, pq, {x: "0" for x in pq}, swap)
+    docs = {
+        "z2": cli.payload_of_groupoid(z2),
+        "l": cli.payload_of_morphism(left_regular(z2), "l"),
+        "swap": cli.payload_of_action(action, "swap"),
+    }
+    return {
+        f"@{key}": write(tmp_path, f"{key}.json", cli.serialize(payload))
+        for key, payload in docs.items()
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -406,6 +423,9 @@ def _list_element_documents(tmp_path):
         ["validate", "@morphism"],
         ["validate", "@carrier"],
         ["validate", "@action"],
+        ["enum", "actions", "@z2", "--carrier", "x", "x"],
+        ["action", "classify", "@swap", "--points", "b", "b", "--group", "cyclic:2"],
+        ["action", "from-morphism", "@l", "--carrier", "0", "0"],
     ],
     ids=[
         "duplicate-point",
@@ -416,10 +436,13 @@ def _list_element_documents(tmp_path):
         "list-in-morphism-graph",
         "list-in-action-carrier",
         "list-in-action-graph",
+        "duplicate-carrier-point",
+        "duplicate-classify-point",
+        "duplicate-from-morphism-point",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
-    docs = _list_element_documents(tmp_path)
+    docs = {**_list_element_documents(tmp_path), **_valid_documents(tmp_path)}
     argv = [docs.get(a, a) for a in argv]
     code, out, err = run(capsys, argv)
     lines = err.splitlines()

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from oracles import edit_rows, groupoid_violation
 
 from groupoids.builders import (
     cyclic_table,
@@ -122,28 +124,71 @@ def test_identity_involution_on_z4_isolates_inverse_law():
 
 
 def test_partial_operation_matches_axioms(catalog):
-    """The table, read as a partial operation, satisfies the elementwise laws."""
+    """The table, read as a partial operation, satisfies the classical laws."""
     for g in catalog.values():
-        mult = {}
+        assert groupoid_violation(g.elements, g.units, g.inverse, g.table) is None
+        assert set(g.composable()) == {(a, b) for _, a, b in g.table}
         for c, a, b in g.table:
-            assert (a, b) not in mult, "double-valued product"
-            mult[(a, b)] = c
+            assert g.mult(a, b) == c
         for a in g.elements:
-            for b in g.elements:
-                defined = (a, b) in mult
-                assert defined == (g.e_right(a) == g.e_left(b))
-        for a in g.elements:
-            assert mult[(g.e_left(a), a)] == a
-            assert mult[(a, g.e_right(a))] == a
-            assert mult[(g.inverse[a], a)] == g.e_right(a)
-            assert mult[(a, g.inverse[a])] == g.e_left(a)
-        for (a, b), c in mult.items():
-            assert g.inverse[c] == mult[(g.inverse[b], g.inverse[a])]
-        for a, b, c in itertools.product(g.elements, repeat=3):
-            ab, bc = mult.get((a, b)), mult.get((b, c))
-            left = mult.get((ab, c)) if ab is not None else None
-            right = mult.get((a, bc)) if bc is not None else None
-            assert left == right
+            assert g.e_left(a) == g.mult(a, g.inverse[a])
+            assert g.e_right(a) == g.mult(g.inverse[a], a)
+
+
+def _accepts(elements, units, inverse, table):
+    try:
+        Groupoid("M", elements, units, inverse, table)
+    except AxiomViolation:
+        return False
+    return True
+
+
+def _subsets(items):
+    return [c for n in range(len(items) + 1) for c in itertools.combinations(items, n)]
+
+
+@st.composite
+def mutated_tables(draw, catalog):
+    """A catalog groupoid's data after 1-3 random edits."""
+    g = catalog[draw(st.sampled_from(sorted(catalog)))]
+    names = g.elements.elements
+    units, inverse, table = set(g.units), dict(g.inverse), list(g.table)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("row", "inverse", "unit")))
+        if edit == "row":
+            edit_rows(draw, table, (names, names, names))
+        elif edit == "inverse":
+            inverse[draw(st.sampled_from(names))] = draw(st.sampled_from(names))
+        else:
+            units ^= {draw(st.sampled_from(names))}
+    return names, units, inverse, table
+
+
+@seed(1311)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_tables_accepted_iff_classical_laws_hold(catalog, data):
+    candidate = data.draw(mutated_tables(catalog))
+    verdict = groupoid_violation(*candidate)
+    assert _accepts(*candidate) == (verdict is None), verdict
+
+
+def test_every_structure_on_two_elements_accepted_iff_classical_laws_hold():
+    accepted = 0
+    for elements in ((), ("a",), ("a", "b")):
+        rows = list(itertools.product(elements, repeat=3))
+        for units, images, mask in itertools.product(
+            _subsets(elements),
+            itertools.product(elements, repeat=len(elements)),
+            range(2 ** len(rows)),
+        ):
+            inverse = dict(zip(elements, images))
+            table = [row for i, row in enumerate(rows) if mask >> i & 1]
+            verdict = groupoid_violation(elements, units, inverse, table)
+            assert _accepts(elements, units, inverse, table) == (verdict is None)
+            accepted += verdict is None
+    # the empty groupoid, pt, and on {a, b}: Z2 twice, two units once
+    assert accepted == 5
 
 
 def test_composable_pairs(catalog):

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from oracles import edit_rows, morphism_violation
 
 from groupoids.builders import (
     cyclic_table,
@@ -42,11 +44,10 @@ from groupoids.morphism import (
     to_orbit_pair,
     to_orbit_relation,
     union_projections,
-    validate_morphism,
     wide_inclusion,
 )
 from groupoids.relation import Universe, pair_name
-from groupoids.search import find_groupoid_isomorphism
+from groupoids.search import enum_morphisms, find_groupoid_isomorphism
 
 Z2 = group_groupoid(cyclic_table(2))
 Z4 = group_groupoid(cyclic_table(4))
@@ -65,17 +66,17 @@ def test_identity_morphism_is_diagonal():
 def test_set_groupoid_morphism_is_a_reversed_mapping():
     s3 = set_groupoid(Universe("T", ("a", "b", "c")))
     f = {"p": "a", "q": "a"}
-    h = validate_morphism(s3, S2, ((x, f[x]) for x in f))
+    h = Morphism(s3, S2, ((x, f[x]) for x in f))
     assert h.base_map == f
 
 
 def test_trivial_hom_valid_and_unit_collapse_invalid():
-    h = validate_morphism(Z2, Z2, (("0", "0"), ("0", "1")))
+    h = Morphism(Z2, Z2, (("0", "0"), ("0", "1")))
     assert kernel(h).members == frozenset(Z2.elements)
     with pytest.raises(AxiomViolation):
-        validate_morphism(Z2, Z2, (("1", "0"),))
+        Morphism(Z2, Z2, (("1", "0"),))
     with pytest.raises(AxiomViolation) as exc:
-        validate_morphism(Z2, Z2, ())
+        Morphism(Z2, Z2, ())
     assert exc.value.law == "he=e'"
 
 
@@ -86,7 +87,7 @@ def test_compose_identity_neutral():
 
 
 def test_compose_base_maps_chain():
-    h = validate_morphism(Z2, Z2, (("0", "0"), ("0", "1")))
+    h = Morphism(Z2, Z2, (("0", "0"), ("0", "1")))
     k = left_regular(Z2)
     kh = compose_morphisms(k, h)
     for f in kh.target.units:
@@ -124,7 +125,7 @@ def test_kernels_of_standard_morphisms():
     assert kernel(left_regular(Z2)).members == frozenset(Z2.units)
     assert kernel(to_orbit_pair(P2)).members == frozenset(P2.units)
     assert kernel(to_orbit_pair(Z4)).members == frozenset(Z4.elements)
-    trivial = validate_morphism(Z2, PT, (("0", "0"), ("0", "1")))
+    trivial = Morphism(Z2, PT, (("0", "0"), ("0", "1")))
     assert kernel(trivial).members == frozenset(Z2.elements)
 
 
@@ -307,7 +308,7 @@ def test_pairing_satisfies_projections():
     union, p1, p2 = union_projections(Z2, S2)
     paired = product_pairing(p1, p2)
     assert paired.source == union
-    h = validate_morphism(Z2, Z2, (("0", "0"), ("0", "1")))
+    h = Morphism(Z2, Z2, (("0", "0"), ("0", "1")))
     paired2 = product_pairing(identity_morphism(Z2), h)
     assert len(paired2.graph) == 4
 
@@ -373,8 +374,55 @@ def test_images_of_subgroupoids_are_subgroupoids():
     ]
     subsets = [frozenset(("0",)), frozenset(("0", "1"))]
     for graph in graphs:
-        h = validate_morphism(Z2, Z2, graph)
+        h = Morphism(Z2, Z2, graph)
         for members in subsets:
             image = frozenset(d for d, g in h.graph if g in members)
             ref = SubgroupoidRef(h.target, image)
             assert ref.members == image
+
+
+@pytest.fixture(scope="module")
+def enumerated_morphisms(catalog):
+    """Every morphism between catalog members of at most 40 pairs."""
+    return [
+        h
+        for a in catalog.values()
+        for b in catalog.values()
+        if len(a.elements) * len(b.elements) <= 40
+        for h in enum_morphisms(a, b)
+    ]
+
+
+def test_accepted_graphs_satisfy_classical_laws(catalog, enumerated_morphisms):
+    for h in enumerated_morphisms:
+        assert morphism_violation(h) is None, h
+    # every graph between the small members
+    small = [catalog[key] for key in ("pt", "Z2", "S2", "P2")]
+    for src, tgt in itertools.product(small, repeat=2):
+        pairs = list(itertools.product(tgt.elements, src.elements))
+        if len(pairs) > 8:
+            continue
+        for mask in range(2 ** len(pairs)):
+            graph = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            try:
+                h = Morphism(src, tgt, graph)
+            except AxiomViolation:
+                continue
+            assert morphism_violation(h) is None, h
+
+
+@seed(1311)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_graphs_satisfy_classical_laws_when_accepted(
+    enumerated_morphisms, data
+):
+    h = data.draw(st.sampled_from(enumerated_morphisms))
+    graph = list(h.graph)
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit_rows(data.draw, graph, (h.target.elements.names, h.source.elements.names))
+    try:
+        mutant = Morphism(h.source, h.target, graph)
+    except AxiomViolation:
+        return
+    assert morphism_violation(mutant) is None
