@@ -140,15 +140,13 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
     bisections = [Bisection(groupoid, m) for m in sorted(sets, key=sorted)]
     by_members = {b.members: b.label for b in bisections}
     mult = {}
-    for b1 in bisections:
-        for b2 in bisections:
-            prod = subset_mult(groupoid, b1.members, b2.members)
+    for m1, l1 in by_members.items():
+        for m2, l2 in by_members.items():
+            prod = subset_mult(groupoid, m1, m2)
             if prod not in by_members:
-                raise AxiomViolation("derived:bisection-closure", (b1.label, b2.label))
-            mult[(b1.label, b2.label)] = by_members[prod]
-    return GroupTable(
-        f"Bis({groupoid.name})", tuple(b.label for b in bisections), mult
-    )
+                raise AxiomViolation("derived:bisection-closure", (l1, l2))
+            mult[(l1, l2)] = by_members[prod]
+    return GroupTable._of_group(f"Bis({groupoid.name})", by_members.values(), mult)
 
 
 def act(bisection: Bisection, g):

@@ -1,11 +1,14 @@
 """Stock groupoid families and small group tables.
 
-Group tables are plain multiplication tables validated on
-construction.  The groupoid builders cover the structures used
-throughout the package: pair groupoids, set groupoids (units only),
-groups viewed as one-unit groupoids, bundles of groups, equivalence
-relations, the twisted product X x G x X, and transformation groupoids
-of a group action.
+Group tables are plain multiplication tables.  A raw table is checked
+once, as a one-unit groupoid; the tables built here from a group
+already at hand (cyclic, Klein, symmetric, subgroups, quotients,
+isotropy groups) are groups by construction and are not re-checked.
+The groupoid builders cover the structures used throughout the
+package: pair groupoids, set groupoids (units only), groups viewed as
+one-unit groupoids, bundles of groups, equivalence relations, the
+twisted product X x G x X, and transformation groupoids of a group
+action.
 
 Element naming is part of each builder's contract:
 
@@ -25,46 +28,45 @@ from .relation import Universe, pair_name, product_universe
 
 
 class GroupTable:
-    """A finite group given by its multiplication table."""
+    """A finite group given by its multiplication table.
+
+    The unit is the one idempotent, and inv[g] is the h with gh the unit.
+    The constructor checks raw data once, as a one-unit Groupoid, and
+    raises its AxiomViolation for a table that is not a group.  Tables
+    derived from a group already at hand come from _of_group unchecked.
+    """
 
     def __init__(self, name, elements, mult):
-        self.name = name
-        self.elements = tuple(sorted(set(elements)))
-        self._mult = dict(mult)
-        for a in self.elements:
-            for b in self.elements:
-                c = self._mult.get((a, b))
-                if c is None:
+        mult = dict(mult)
+        elements = sorted(set(elements))
+        square = {}
+        for a in elements:
+            for b in elements:
+                if (a, b) not in mult:
                     raise PreconditionFailed(
                         f"group {name!r}: product of {a!r} and {b!r} missing"
                     )
-                if c not in self.elements:
-                    raise UnknownElement(c, f"group {name!r}")
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    if self.mult(self.mult(a, b), c) != self.mult(a, self.mult(b, c)):
-                        raise PreconditionFailed(
-                            f"group {name!r}: not associative at ({a!r}, {b!r}, {c!r})"
-                        )
-        units = [
-            e
-            for e in self.elements
-            if all(self.mult(e, g) == g and self.mult(g, e) == g for g in self.elements)
-        ]
+                square[(a, b)] = mult[(a, b)]
+        self._read(name, elements, square)
+        triples = [(c, a, b) for (a, b), c in square.items()]
+        Groupoid(name, elements, [self.unit], self.inv, triples)
+
+    @classmethod
+    def _of_group(cls, name, elements, mult):
+        """A table on elements x elements known to be a group, unchecked."""
+        table = cls.__new__(cls)
+        table._read(name, elements, dict(mult))
+        return table
+
+    def _read(self, name, elements, mult):
+        self.name = name
+        self.elements = tuple(sorted(set(elements)))
+        self._mult = mult
+        units = [g for g in self.elements if mult[(g, g)] == g]
         if len(units) != 1:
-            raise PreconditionFailed(f"group {name!r}: no two-sided identity")
+            raise PreconditionFailed(f"group {name!r}: no unique idempotent")
         self.unit = units[0]
-        self.inv = {}
-        for g in self.elements:
-            candidates = [
-                h
-                for h in self.elements
-                if self.mult(g, h) == self.unit and self.mult(h, g) == self.unit
-            ]
-            if len(candidates) != 1:
-                raise PreconditionFailed(f"group {name!r}: {g!r} has no inverse")
-            self.inv[g] = candidates[0]
+        self.inv = {a: b for (a, b), c in mult.items() if c == self.unit}
 
     def mult(self, a, b):
         return self._mult[(a, b)]
@@ -95,7 +97,7 @@ def cyclic_table(n: int, name=None) -> GroupTable:
         raise PreconditionFailed("cyclic group order must be positive")
     elems = [str(i) for i in range(n)]
     mult = {(a, b): str((int(a) + int(b)) % n) for a in elems for b in elems}
-    return GroupTable(name or f"Z{n}", elems, mult)
+    return GroupTable._of_group(name or f"Z{n}", elems, mult)
 
 
 def trivial_table(name=None) -> GroupTable:
@@ -117,7 +119,7 @@ def klein_table(name=None) -> GroupTable:
                 mult[(x, y)] = "e"
             else:
                 mult[(x, y)] = other[(x, y)]
-    return GroupTable(name or "V4", elems, mult)
+    return GroupTable._of_group(name or "V4", elems, mult)
 
 
 def symmetric_table(n: int, name=None) -> GroupTable:
@@ -129,7 +131,7 @@ def symmetric_table(n: int, name=None) -> GroupTable:
     for a in perms:
         for b in perms:
             mult[(a, b)] = "".join(a[int(b[i]) - 1] for i in range(n))
-    return GroupTable(name or f"S{n}", perms, mult)
+    return GroupTable._of_group(name or f"S{n}", perms, mult)
 
 
 def subgroup_table(table: GroupTable, members, name=None) -> GroupTable:
@@ -144,24 +146,29 @@ def subgroup_table(table: GroupTable, members, name=None) -> GroupTable:
                     f"{ms} is not closed in group {table.name!r}"
                 )
             mult[(a, b)] = c
-    return GroupTable(name or f"{table.name}<{'+'.join(ms)}>", ms, mult)
+    return GroupTable._of_group(name or f"{table.name}<{'+'.join(ms)}>", ms, mult)
 
 
 def subgroups_of(table: GroupTable) -> tuple:
-    """All subgroups, as sorted tuples of elements."""
-    rest = [g for g in table.elements if g != table.unit]
-    found = []
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            ms = set(extra) | {table.unit}
-            closed = all(
-                table.mult(a, b) in ms and table.inv[a] in ms
-                for a in ms
-                for b in ms
-            )
-            if closed:
-                found.append(tuple(sorted(ms)))
-    return tuple(sorted(found, key=lambda t: (len(t), t)))
+    """All subgroups, as sorted tuples of elements.
+
+    From the trivial subgroup on, each one found is grown by one more
+    element and closed under the product; every subgroup ends such a
+    chain.
+    """
+    trivial = frozenset([table.unit])
+    found, todo = {trivial}, [trivial]
+    while todo:
+        sub = todo.pop()
+        for g in set(table.elements) - sub:
+            grown, more = None, sub | {g}
+            while more != grown:
+                grown = more
+                more = grown | {table.mult(a, b) for a in grown for b in grown}
+            if grown not in found:
+                found.add(grown)
+                todo.append(grown)
+    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
 
 
 def is_normal(table: GroupTable, members) -> bool:
@@ -180,7 +187,8 @@ def quotient_group_table(table: GroupTable, members, name=None):
     their sorted-least member in brackets.
     """
     ms = set(members)
-    if table.unit not in ms or not is_normal(table, ms):
+    closed = all(table.mult(a, b) in ms for a in ms for b in ms)
+    if table.unit not in ms or not closed or not is_normal(table, ms):
         raise PreconditionFailed(
             f"{sorted(ms)} is not a normal subgroup of {table.name!r}"
         )
@@ -193,7 +201,7 @@ def quotient_group_table(table: GroupTable, members, name=None):
         for a in table.elements
         for b in table.elements
     }
-    quotient = GroupTable(
+    quotient = GroupTable._of_group(
         name or f"{table.name}/{'+'.join(sorted(ms))}", set(proj.values()), mult
     )
     return quotient, proj
@@ -217,7 +225,7 @@ def group_table_of(groupoid: Groupoid, members, name=None) -> GroupTable:
                     f"members are not a subgroup of {groupoid.name!r}"
                 )
             mult[(a, b)] = c
-    return GroupTable(name or f"{groupoid.name}-group", ms, mult)
+    return GroupTable._of_group(name or f"{groupoid.name}-group", ms, mult)
 
 
 def check_group_action(table: GroupTable, space: Universe, act: dict) -> dict:

@@ -138,11 +138,7 @@ def groupoid_from_payload(payload, text) -> Groupoid:
 def resolve_groupoid(ref, text, base):
     """A groupoid named inline or by path inside another document."""
     if isinstance(ref, str):
-        path = ref if os.path.isabs(ref) or ref == "-" else os.path.join(base, ref)
-        payload, subtext, subbase = load_payload(path)
-        if payload.get("kind") != "groupoid":
-            raise DocumentError(f"{ref}: expected a groupoid document")
-        return groupoid_from_payload(payload, subtext)
+        return _load(ref, "groupoid", base)
     if isinstance(ref, dict):
         return groupoid_from_payload(ref, text)
     raise DocumentError("groupoid reference must be a path or an object")
@@ -254,25 +250,19 @@ def _table_from_token(token):
     raise DocumentError(f"unknown group family {token!r}")
 
 
-def _load_groupoid(path) -> Groupoid:
-    payload, text, _ = load_payload(path)
-    if payload.get("kind") != "groupoid":
-        raise DocumentError(f"{path}: expected a groupoid document")
-    return groupoid_from_payload(payload, text)
-
-
-def _load_morphism(path):
-    payload, text, base = load_payload(path)
-    if payload.get("kind") != "morphism":
-        raise DocumentError(f"{path}: expected a morphism document")
-    return morphism_from_payload(payload, text, base)
-
-
-def _load_action(path):
-    payload, text, base = load_payload(path)
-    if payload.get("kind") != "action":
-        raise DocumentError(f"{path}: expected an action document")
-    return action_from_payload(payload, text, base)
+def _load(path, kind, base=None):
+    """The structure in the document at path, which must be of this kind;
+    a morphism or action comes with its document name.  A relative path
+    is read from base when one is given."""
+    where = path if base is None or path == "-" else os.path.join(base, path)
+    payload, text, subbase = load_payload(where)
+    if payload["kind"] != kind:
+        article = "an" if kind == "action" else "a"
+        raise DocumentError(f"{path}: expected {article} {kind} document")
+    if kind == "groupoid":
+        return groupoid_from_payload(payload, text)
+    reader = morphism_from_payload if kind == "morphism" else action_from_payload
+    return reader(payload, text, subbase)
 
 
 def _argv_universe(name, points) -> Universe:
@@ -389,24 +379,24 @@ def cmd_info(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    g = _load_groupoid(args.path)
+    g = _load(args.path, "groupoid")
     return emit(args, payload_of_groupoid(g.restrict(args.units)))
 
 
 def cmd_union(args) -> int:
-    g1 = _load_groupoid(args.left)
-    g2 = _load_groupoid(args.right)
+    g1 = _load(args.left, "groupoid")
+    g2 = _load(args.right, "groupoid")
     return emit(args, payload_of_groupoid(disjoint_union(g1, g2)))
 
 
 def cmd_product(args) -> int:
-    g1 = _load_groupoid(args.left)
-    g2 = _load_groupoid(args.right)
+    g1 = _load(args.left, "groupoid")
+    g2 = _load(args.right, "groupoid")
     return emit(args, payload_of_groupoid(cartesian_product(g1, g2)))
 
 
 def cmd_decompose(args) -> int:
-    g = _load_groupoid(args.path)
+    g = _load(args.path, "groupoid")
     blocks = g.orbits()
     print(f"components: {len(blocks)}")
     for block in blocks:
@@ -423,11 +413,11 @@ def cmd_decompose(args) -> int:
 def cmd_morphism(args) -> int:
     op = args.op
     if op == "compose":
-        outer, oname = _load_morphism(args.outer)
-        inner, iname = _load_morphism(args.inner)
+        outer, oname = _load(args.outer, "morphism")
+        inner, iname = _load(args.inner, "morphism")
         composite = morphism_ops.compose_morphisms(outer, inner)
         return emit(args, payload_of_morphism(composite, f"{oname}.{iname}"))
-    h, name = _load_morphism(args.path)
+    h, name = _load(args.path, "morphism")
     if op == "validate":
         print(f"valid: morphism, {_plural(len(h.graph), 'pair')}")
         return 0
@@ -471,14 +461,18 @@ def cmd_morphism(args) -> int:
     return 0
 
 
+def _list_bisections(g) -> int:
+    found = bisection_ops.all_bisections(g)
+    print(_plural(len(found), "bisection"))
+    for b in found:
+        print(json.dumps(sorted(b.members)))
+    return 0
+
+
 def cmd_bisections(args) -> int:
-    g = _load_groupoid(args.path)
+    g = _load(args.path, "groupoid")
     if args.op == "list":
-        found = bisection_ops.all_bisections(g)
-        print(_plural(len(found), "bisection"))
-        for b in found:
-            print(json.dumps(sorted(b.members)))
-        return 0
+        return _list_bisections(g)
     if args.op == "group":
         table = bisection_ops.bisection_group(g)
         print(f"order {len(table)}")
@@ -493,7 +487,7 @@ def cmd_bisections(args) -> int:
 def cmd_action(args) -> int:
     op = args.op
     if op in ("validate", "to-morphism", "groupoid", "classify", "homogeneous"):
-        a, name = _load_action(args.path)
+        a, name = _load(args.path, "action")
         if op == "validate":
             print(f"valid: action, {_plural(len(a.triples), 'triple')}")
             return 0
@@ -521,18 +515,18 @@ def cmd_action(args) -> int:
             print(f"psi {x} -> {psi[x]}")
         return 0
     if op == "from-morphism":
-        h, name = _load_morphism(args.path)
+        h, name = _load(args.path, "morphism")
         carrier = _argv_universe(f"{name}.carrier", args.carrier)
         a = action_ops.morphism_to_action(h, carrier)
         return emit(args, payload_of_action(a, name))
-    g = _load_groupoid(args.path)
+    g = _load(args.path, "groupoid")
     if op == "coset":
         space = action_ops.coset_space(g, frozenset(args.members))
         return emit(args, payload_of_action(space.action, "coset"))
     if op == "quotient":
         quotient, _ = action_ops.quotient_groupoid(g, frozenset(args.members))
         return emit(args, payload_of_groupoid(quotient))
-    sub_action, _ = _load_action(args.action)
+    sub_action, _ = _load(args.action, "action")
     carrier, induced = action_ops.induced_action(
         g, frozenset(args.members), sub_action
     )
@@ -541,8 +535,8 @@ def cmd_action(args) -> int:
 
 def cmd_enum(args) -> int:
     if args.what == "morphisms":
-        src = _load_groupoid(args.source)
-        tgt = _load_groupoid(args.target)
+        src = _load(args.source, "groupoid")
+        tgt = _load(args.target, "groupoid")
         if args.naive:
             budget = search_ops.EnumBudget(
                 max_pairs=args.max_pairs,
@@ -557,7 +551,7 @@ def cmd_enum(args) -> int:
             print(json.dumps(sorted([d, g] for d, g in h.graph)))
         return 0
     if args.what == "actions":
-        g = _load_groupoid(args.source)
+        g = _load(args.source, "groupoid")
         carrier = _argv_universe("carrier", args.carrier)
         if args.direct:
             found = search_ops.enum_actions_direct(g, carrier)
@@ -567,12 +561,7 @@ def cmd_enum(args) -> int:
         for a in found:
             print(json.dumps(sorted([y, g_, x] for y, g_, x in a.triples)))
         return 0
-    g = _load_groupoid(args.source)
-    found = bisection_ops.all_bisections(g)
-    print(_plural(len(found), "bisection"))
-    for b in found:
-        print(json.dumps(sorted(b.members)))
-    return 0
+    return _list_bisections(_load(args.source, "groupoid"))
 
 
 # -- parser -------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Example-family constructors and group tables."""
 
 import pytest
+from oracles import groupoid_violation
 
+from groupoids.bisection import bisection_group
 from groupoids.builders import (
     GroupTable,
     check_group_action,
@@ -22,7 +24,7 @@ from groupoids.builders import (
     transformation_groupoid,
     trivial_table,
 )
-from groupoids.errors import PreconditionFailed
+from groupoids.errors import AxiomViolation, PreconditionFailed
 from groupoids.relation import Universe
 from groupoids.search import find_groupoid_isomorphism
 
@@ -46,6 +48,51 @@ def test_group_table_rejects_bad_data():
         )
 
 
+def test_group_table_checks_raw_tables_as_one_unit_groupoids():
+    # a.a = b.b = e, a.b = a, b.a = b: one idempotent and an inverse
+    # for every row, but (aa)b = b while a(ab) = e
+    rows = {("a", "a"): "e", ("b", "b"): "e", ("a", "b"): "a", ("b", "a"): "b"}
+    rows.update({(x, "e"): x for x in "eab"} | {("e", x): x for x in "eab"})
+    with pytest.raises(AxiomViolation) as err:
+        GroupTable("bad", "eab", rows)
+    assert err.value.law == "m(mxid)=m(idxm)"
+    with pytest.raises(PreconditionFailed):
+        GroupTable("short", "ea", {("e", "e"): "e", ("e", "a"): "a"})
+    z5 = cyclic_table(5)
+    rows = {(a, b): z5.mult(a, b) for a in z5.elements for b in z5.elements}
+    raw = GroupTable("Z5", z5.elements, rows)
+    assert raw == z5 and (raw.unit, raw.inv) == (z5.unit, z5.inv)
+
+
+def package_tables(catalog):
+    """Every kind of table the package derives from a group it holds,
+    each of order at most 24."""
+    tables = [cyclic_table(n) for n in range(1, 9)]
+    tables += [klein_table()] + [symmetric_table(n) for n in range(1, 5)]
+    s4 = symmetric_table(4)
+    tables += [subgroup_table(s4, members) for members in subgroups_of(s4)]
+    for group in (s4, cyclic_table(12)):
+        for members in subgroups_of(group):
+            if is_normal(group, members):
+                tables.append(quotient_group_table(group, members)[0])
+    for g in catalog.values():
+        tables += [group_table_of(g, g.isotropy(e).members) for e in g.units]
+    p4 = pair_groupoid(Universe("X4", ("1", "2", "3", "4")))
+    tables += [bisection_group(catalog["P3"]), bisection_group(p4)]
+    return tables
+
+
+def test_package_tables_are_groups(catalog):
+    tables = package_tables(catalog)
+    assert len(tables) == 13 + 30 + 4 + 6 + 20 + 2
+    for t in tables:
+        triples = [(t.mult(a, b), a, b) for a in t.elements for b in t.elements]
+        assert groupoid_violation(t.elements, [t.unit], t.inv, triples) is None, t.name
+        for g in t.elements:
+            assert t.mult(t.unit, g) == g == t.mult(g, t.unit), t.name
+            assert t.mult(g, t.inv[g]) == t.unit == t.mult(t.inv[g], g), t.name
+
+
 def test_subgroups_of_z4():
     subs = subgroups_of(cyclic_table(4))
     assert [set(s) for s in subs] == [{"0"}, {"0", "2"}, {"0", "1", "2", "3"}]
@@ -53,6 +100,12 @@ def test_subgroups_of_z4():
 
 def test_subgroups_of_s3():
     assert len(subgroups_of(symmetric_table(3))) == 6
+
+
+def test_subgroups_of_s4():
+    orders = [len(s) for s in subgroups_of(symmetric_table(4))]
+    counts = {n: orders.count(n) for n in sorted(set(orders))}
+    assert counts == {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
 
 
 def test_subgroup_and_quotient_tables():
@@ -71,6 +124,11 @@ def test_subgroup_and_quotient_tables():
     assert not is_normal(s3, two)
     with pytest.raises(PreconditionFailed):
         quotient_group_table(s3, two)
+    # holds the unit and is closed under conjugation, but not a subgroup
+    with pytest.raises(PreconditionFailed, match="not a normal subgroup"):
+        quotient_group_table(s3, ("123", "132", "213", "321"))
+    with pytest.raises(PreconditionFailed):
+        subgroup_table(s3, [])
 
 
 def test_check_group_action():

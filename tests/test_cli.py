@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from record_cli_golden import GOLDEN, replay
 
 from groupoids import cli
 from groupoids.action import classical_to_relational
@@ -459,6 +460,16 @@ def test_stdin_documents(capsys, monkeypatch, z2_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, _ = run(capsys, ["validate", "-"])
     assert code == 0 and out.startswith("valid")
+
+
+def test_cli_matches_golden(monkeypatch, tmp_path):
+    # the golden file is written by tests/record_cli_golden.py
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    commands = [(c["argv"], c["save"]) for c in golden["commands"]]
+    for got, want in zip(replay(golden["files"], commands), golden["commands"]):
+        assert got == want, " ".join(want["argv"])
 
 
 def check_console_script(launcher, tmp_path, env=None):
