@@ -134,7 +134,14 @@ def symmetric_table(n: int, name=None) -> GroupTable:
     return GroupTable._of_group(name or f"S{n}", perms, mult)
 
 
+def _check_members(table: GroupTable, members):
+    unknown = sorted(set(members) - set(table.elements))
+    if unknown:
+        raise UnknownElement(unknown[0], f"group {table.name!r}")
+
+
 def subgroup_table(table: GroupTable, members, name=None) -> GroupTable:
+    _check_members(table, members)
     member_set = set(members)
     ms = sorted(member_set)
     mult = {}
@@ -186,6 +193,7 @@ def quotient_group_table(table: GroupTable, members, name=None):
     Returns (quotient table, projection dict); cosets are named by
     their sorted-least member in brackets.
     """
+    _check_members(table, members)
     ms = set(members)
     closed = all(table.mult(a, b) in ms for a in ms for b in ms)
     if table.unit not in ms or not closed or not is_normal(table, ms):

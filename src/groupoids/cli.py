@@ -16,26 +16,15 @@ import sys
 
 from . import action as action_ops
 from . import bisection as bisection_ops
+from . import builders
 from . import morphism as morphism_ops
 from . import search as search_ops
-from .builders import (
-    cyclic_table,
-    equivalence_groupoid,
-    group_bundle,
-    group_groupoid,
-    klein_table,
-    pair_groupoid,
-    product_form,
-    set_groupoid,
-    symmetric_table,
-    transformation_groupoid,
-    trivial_table,
-)
 from .errors import AlgebraError, DocumentError, UniverseError
-from .groupoid import Groupoid, SubgroupoidRef, cartesian_product, disjoint_union
+from .groupoid import Groupoid, cartesian_product, disjoint_union
 from .relation import Universe
 
 KINDS = ("groupoid", "morphism", "action")
+TOO_DEEP = "document nested too deeply"
 
 
 # -- documents --------------------------------------------------------
@@ -54,7 +43,7 @@ def _line_of(text, token):
 
 
 def _check_name(x, known, what, where, text, name):
-    """x itself when it is a string in known; a DocumentError otherwise."""
+    """A DocumentError unless x is a string in known."""
     if not isinstance(x, str):
         raise DocumentError(
             f"{name}: {what} {json.dumps(x)} in {where} is not a string",
@@ -64,7 +53,6 @@ def _check_name(x, known, what, where, text, name):
         raise DocumentError(
             f"{name}: unknown {what} {x!r} in {where}", line=_line_of(text, x)
         )
-    return x
 
 
 def _need(payload, key, types, where):
@@ -76,27 +64,54 @@ def _need(payload, key, types, where):
     return value
 
 
+def _names(payload, key, what, name):
+    """The list under key: distinct strings, named what in errors."""
+    names = _need(payload, key, list, name)
+    if not all(isinstance(x, str) for x in names):
+        raise DocumentError(f"{name}: {what} must be strings")
+    if len(set(names)) != len(names):
+        raise DocumentError(f"{name}: duplicate {what}")
+    return names
+
+
+def _rows(payload, key, where, columns, text, name):
+    """The rows under key as tuples.  columns holds one (label, known
+    names, what) per column; each row is a list with one name of each."""
+    form = ", ".join(label for label, _, _ in columns)
+    rows = []
+    for row in _need(payload, key, list, name):
+        if not (isinstance(row, list) and len(row) == len(columns)):
+            raise DocumentError(f"{name}: {key} rows must be [{form}]")
+        for x, (_, known, what) in zip(row, columns):
+            _check_name(x, known, what, where, text, name)
+        rows.append(tuple(row))
+    return rows
+
+
 def load_payload(path):
     """Read a document; returns (payload, raw text, base directory)."""
-    if path == "-":
-        text = sys.stdin.read()
-        base = os.getcwd()
-    else:
-        try:
+    try:
+        if path == "-":
+            text, base = sys.stdin.read(), os.getcwd()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
-            raise DocumentError(f"cannot read {path!r}: {err.strerror}")
-        base = os.path.dirname(os.path.abspath(path))
+            base = os.path.dirname(os.path.abspath(path))
+    except OSError as err:
+        raise DocumentError(f"cannot read {path!r}: {err.strerror}")
+    except UnicodeDecodeError:
+        raise DocumentError(f"cannot read {path!r}: not UTF-8 text") from None
     try:
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise DocumentError("document must be a JSON object")
+        kind = payload.get("kind")
+        if kind not in KINDS:
+            raise DocumentError(f"unknown document kind {kind!r}")
     except json.JSONDecodeError as err:
         raise DocumentError(f"parse error: {err.msg}", line=err.lineno)
-    if not isinstance(payload, dict):
-        raise DocumentError("document must be a JSON object")
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise DocumentError(f"unknown document kind {kind!r}")
+    except RecursionError:
+        raise DocumentError(TOO_DEEP) from None
     return payload, text, base
 
 
@@ -104,41 +119,27 @@ def groupoid_from_payload(payload, text) -> Groupoid:
     name = payload.get("name", "G")
     if not isinstance(name, str):
         raise DocumentError("groupoid name must be a string")
-    elements = _need(payload, "elements", list, name)
-    if not all(isinstance(x, str) for x in elements):
-        raise DocumentError(f"{name}: elements must be strings")
-    if len(set(elements)) != len(elements):
-        raise DocumentError(f"{name}: duplicate elements")
+    elements = _names(payload, "elements", "elements", name)
     known = set(elements)
-
-    def member(x, where):
-        return _check_name(x, known, "element", where, text, name)
-
     units = _need(payload, "units", list, name)
     for e in units:
-        member(e, "units")
+        _check_name(e, known, "element", "units", text, name)
     inverse = _need(payload, "inverse", dict, name)
     for g, sg in inverse.items():
-        member(g, "inverse")
+        _check_name(g, known, "element", "inverse", text, name)
         if not isinstance(sg, str):
             raise DocumentError(f"{name}: inverse of {g!r} must be a string")
-        member(sg, "inverse")
-    compose_rows = _need(payload, "compose", list, name)
-    table = []
-    for row in compose_rows:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise DocumentError(f"{name}: compose rows must be [a, b, ab]")
-        a, b, ab = row
-        for x in (a, b, ab):
-            member(x, "compose table")
-        table.append((ab, a, b))
+        _check_name(sg, known, "element", "inverse", text, name)
+    columns = [(label, known, "element") for label in ("a", "b", "ab")]
+    rows = _rows(payload, "compose", "compose table", columns, text, name)
+    table = [(ab, a, b) for a, b, ab in rows]
     return Groupoid(name, Universe(name, tuple(elements)), units, inverse, table)
 
 
 def resolve_groupoid(ref, text, base):
     """A groupoid named inline or by path inside another document."""
     if isinstance(ref, str):
-        return _load(ref, "groupoid", base)
+        return _load(ref, "groupoid", base)[0]
     if isinstance(ref, dict):
         return groupoid_from_payload(ref, text)
     raise DocumentError("groupoid reference must be a path or an object")
@@ -148,15 +149,10 @@ def morphism_from_payload(payload, text, base):
     name = payload.get("name", "h")
     source = resolve_groupoid(_need(payload, "source", (str, dict), name), text, base)
     target = resolve_groupoid(_need(payload, "target", (str, dict), name), text, base)
-    rows = _need(payload, "graph", list, name)
-    graph = []
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == 2):
-            raise DocumentError(f"{name}: graph rows must be [output, input]")
-        d, g = row
-        _check_name(d, target.elements, "element", "graph", text, name)
-        _check_name(g, source.elements, "element", "graph", text, name)
-        graph.append((d, g))
+    columns = [
+        ("output", target.elements, "element"), ("input", source.elements, "element"),
+    ]
+    graph = _rows(payload, "graph", "graph", columns, text, name)
     return morphism_ops.Morphism(source, target, graph), name
 
 
@@ -165,23 +161,42 @@ def action_from_payload(payload, text, base):
     groupoid = resolve_groupoid(
         _need(payload, "groupoid", (str, dict), name), text, base
     )
-    points = _need(payload, "carrier", list, name)
-    if not all(isinstance(x, str) for x in points):
-        raise DocumentError(f"{name}: carrier points must be strings")
-    if len(set(points)) != len(points):
-        raise DocumentError(f"{name}: duplicate carrier points")
+    points = _names(payload, "carrier", "carrier points", name)
     carrier = Universe(f"{name}.carrier", tuple(points))
-    rows = _need(payload, "graph", list, name)
-    triples = []
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise DocumentError(f"{name}: graph rows must be [output, element, input]")
-        y, g, x = row
-        for point in (y, x):
-            _check_name(point, carrier, "point", "graph", text, name)
-        _check_name(g, groupoid.elements, "element", "graph", text, name)
-        triples.append((y, g, x))
+    element = ("element", groupoid.elements, "element")
+    columns = [("output", carrier, "point"), element, ("input", carrier, "point")]
+    triples = _rows(payload, "graph", "graph", columns, text, name)
     return action_ops.Action(groupoid, carrier, triples), name
+
+
+def _read(payload, text, base):
+    """(structure, document name) of a loaded document of any kind.  JSON
+    that parses just under the stack limit can overflow it here, when a
+    nested value is formatted into an error."""
+    try:
+        if payload["kind"] == "groupoid":
+            g = groupoid_from_payload(payload, text)
+            return g, g.name
+        if payload["kind"] == "morphism":
+            return morphism_from_payload(payload, text, base)
+        return action_from_payload(payload, text, base)
+    except RecursionError:
+        raise DocumentError(TOO_DEEP) from None
+
+
+def _load(path, kind, base=None):
+    """(structure, document name) at path, of this kind; relative to base if given."""
+    where = path if base is None or path == "-" else os.path.join(base, path)
+    payload, text, subbase = load_payload(where)
+    if payload["kind"] != kind:
+        article = "an" if kind == "action" else "a"
+        raise DocumentError(f"{path}: expected {article} {kind} document")
+    return _read(payload, text, subbase)
+
+
+def _wire(rows) -> list:
+    """Relation rows in their document form: lists, sorted."""
+    return sorted(list(row) for row in rows)
 
 
 def payload_of_groupoid(g: Groupoid) -> dict:
@@ -191,7 +206,7 @@ def payload_of_groupoid(g: Groupoid) -> dict:
         "elements": sorted(g.elements),
         "units": sorted(g.units),
         "inverse": {a: g.inverse[a] for a in sorted(g.elements)},
-        "compose": sorted([a, b, c] for (c, a, b) in g.table),
+        "compose": _wire((a, b, c) for (c, a, b) in g.table),
     }
 
 
@@ -201,7 +216,7 @@ def payload_of_morphism(h, name="h") -> dict:
         "name": name,
         "source": payload_of_groupoid(h.source),
         "target": payload_of_groupoid(h.target),
-        "graph": sorted([d, g] for (d, g) in h.graph),
+        "graph": _wire(h.graph),
     }
 
 
@@ -211,15 +226,18 @@ def payload_of_action(a, name="phi") -> dict:
         "name": name,
         "groupoid": payload_of_groupoid(a.groupoid),
         "carrier": sorted(a.carrier),
-        "graph": sorted([y, g, x] for (y, g, x) in a.triples),
+        "graph": _wire(a.triples),
     }
 
 
 def emit(args, payload) -> int:
     text = serialize(payload)
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise DocumentError(f"cannot write {args.output!r}: {err.strerror}")
     else:
         sys.stdout.write(text)
     return 0
@@ -232,6 +250,23 @@ def _plural(n, word):
     return f"{n} {word}" if n == 1 else f"{n} {word}s"
 
 
+def _print_rows(word, rows) -> int:
+    """A count line, then one JSON line per row."""
+    print(_plural(len(rows), word))
+    for row in rows:
+        print(json.dumps(row))
+    return 0
+
+
+def _valid_line(s) -> str:
+    if isinstance(s, Groupoid):
+        sizes = [(s.elements, "element"), (s.units, "unit"), (s.orbits(), "orbit")]
+        return "valid: " + ", ".join(_plural(len(x), word) for x, word in sizes)
+    if isinstance(s, morphism_ops.Morphism):
+        return f"valid: morphism, {_plural(len(s.graph), 'pair')}"
+    return f"valid: action, {_plural(len(s.triples), 'triple')}"
+
+
 def _table_from_token(token):
     """A group table from a spec like cyclic:4, symmetric:3, klein, trivial."""
     head, _, tail = token.partition(":")
@@ -242,34 +277,20 @@ def _table_from_token(token):
             raise DocumentError(
                 f"group order in {token!r} is not an integer"
             ) from None
-        return cyclic_table(order) if head == "cyclic" else symmetric_table(order)
+        if head == "cyclic":
+            return builders.cyclic_table(order)
+        return builders.symmetric_table(order)
     if head == "klein":
-        return klein_table()
+        return builders.klein_table()
     if head == "trivial":
-        return trivial_table()
+        return builders.trivial_table()
     raise DocumentError(f"unknown group family {token!r}")
 
 
-def _load(path, kind, base=None):
-    """The structure in the document at path, which must be of this kind;
-    a morphism or action comes with its document name.  A relative path
-    is read from base when one is given."""
-    where = path if base is None or path == "-" else os.path.join(base, path)
-    payload, text, subbase = load_payload(where)
-    if payload["kind"] != kind:
-        article = "an" if kind == "action" else "a"
-        raise DocumentError(f"{path}: expected {article} {kind} document")
-    if kind == "groupoid":
-        return groupoid_from_payload(payload, text)
-    reader = morphism_from_payload if kind == "morphism" else action_from_payload
-    return reader(payload, text, subbase)
-
-
-def _argv_universe(name, points) -> Universe:
-    """A universe of points given on the command line; a duplicate point
-    is a usage error."""
+def _argv(make, *args):
+    """make(*args) on command-line names, where a UniverseError is a usage error."""
     try:
-        return Universe(name, tuple(points))
+        return make(*args)
     except UniverseError as err:
         raise DocumentError(str(err)) from None
 
@@ -278,125 +299,95 @@ def _argv_universe(name, points) -> Universe:
 
 
 def cmd_build(args) -> int:
-    try:
-        g = _build(args)
-    except UniverseError as err:
-        raise DocumentError(str(err)) from None
-    return emit(args, payload_of_groupoid(g))
+    return emit(args, payload_of_groupoid(_argv(_build, args)))
 
 
 def _build(args) -> Groupoid:
     family = args.family
     if family == "pair":
         name = args.name or f"P{len(args.points)}"
-        g = pair_groupoid(Universe(name, tuple(args.points)), name)
-    elif family == "set":
+        return builders.pair_groupoid(Universe(name, tuple(args.points)), name)
+    if family == "set":
         name = args.name or f"S{len(args.points)}"
-        g = set_groupoid(Universe(name, tuple(args.points)), name)
-    elif family == "group":
-        table = _table_from_token(args.group)
-        g = group_groupoid(table, args.name)
-    elif family == "bundle":
+        return builders.set_groupoid(Universe(name, tuple(args.points)), name)
+    if family == "group":
+        return builders.group_groupoid(_table_from_token(args.group), args.name)
+    if family == "bundle":
         tables = [_table_from_token(tok) for tok in args.groups]
-        g = group_bundle(tables, args.name)
-    elif family == "equiv":
+        return builders.group_bundle(tables, args.name)
+    if family == "equiv":
         blocks = [tuple(block.split(",")) for block in args.block]
         points = tuple(dict.fromkeys(x for block in blocks for x in block))
         name = args.name or f"E{len(points)}"
-        g = equivalence_groupoid(Universe(name, points), blocks, name)
-    elif family == "product-form":
+        return builders.equivalence_groupoid(Universe(name, points), blocks, name)
+    if family == "product-form":
         space = Universe(args.name or "base", tuple(args.points))
-        g = product_form(space, _table_from_token(args.group), args.name)
-    else:
-        space = Universe("space", tuple(args.points))
-        act = {(g_, x): y for g_, x, y in args.move}
-        g = transformation_groupoid(
-            _table_from_token(args.group), space, act, args.name
-        )
-    return g
+        return builders.product_form(space, _table_from_token(args.group), args.name)
+    space = Universe("space", tuple(args.points))
+    act = {(g, x): y for g, x, y in args.move}
+    table = _table_from_token(args.group)
+    return builders.transformation_groupoid(table, space, act, args.name)
 
 
 def cmd_validate(args) -> int:
     payload, text, base = load_payload(args.path)
-    kind = payload["kind"]
     try:
-        if kind == "groupoid":
-            g = groupoid_from_payload(payload, text)
-            print(
-                f"valid: {_plural(len(g.elements), 'element')}, "
-                f"{_plural(len(g.units), 'unit')}, "
-                f"{_plural(len(g.orbits()), 'orbit')}"
-            )
-        elif kind == "morphism":
-            h, _ = morphism_from_payload(payload, text, base)
-            print(f"valid: morphism, {_plural(len(h.graph), 'pair')}")
-        else:
-            a, _ = action_from_payload(payload, text, base)
-            print(f"valid: action, {_plural(len(a.triples), 'triple')}")
+        structure, _ = _read(payload, text, base)
     except DocumentError:
         raise
     except AlgebraError as err:
         print(f"invalid: {err}")
         return 1
+    print(_valid_line(structure))
     return 0
 
 
 def cmd_info(args) -> int:
-    payload, text, base = load_payload(args.path)
-    kind = payload["kind"]
-    if kind == "groupoid":
-        g = groupoid_from_payload(payload, text)
-        blocks = g.orbits()
-        print(f"name: {g.name}")
-        print(f"elements: {len(g.elements)}")
-        print(f"units: {len(g.units)}")
+    s, name = _read(*load_payload(args.path))
+    print(f"name: {name}")
+    if isinstance(s, Groupoid):
+        blocks = s.orbits()
+        print(f"elements: {len(s.elements)}")
+        print(f"units: {len(s.units)}")
         print(f"orbits: {len(blocks)}")
         print("orbit sizes:", " ".join(str(len(b)) for b in blocks))
         print(
             "isotropy orders:",
-            " ".join(str(len(g.isotropy(min(b)).members)) for b in blocks),
+            " ".join(str(len(s.isotropy(min(b)).members)) for b in blocks),
         )
         print("transitive:", "yes" if len(blocks) == 1 else "no")
-    elif kind == "morphism":
-        h, name = morphism_from_payload(payload, text, base)
-        print(f"name: {name}")
-        print(f"source: {h.source.name}")
-        print(f"target: {h.target.name}")
-        print(f"pairs: {len(h.graph)}")
-        print(f"domain: {len(h.domain_elements)} of {len(h.source.elements)}")
-        print(f"image: {len(h.image_elements)} of {len(h.target.elements)}")
-        print("mono:", "yes" if morphism_ops.is_mono(h) else "no")
-        print("surjective:", "yes" if morphism_ops.is_surjective(h) else "no")
-        print("kernel:", " ".join(sorted(h.kernel_members)))
+    elif isinstance(s, morphism_ops.Morphism):
+        print(f"source: {s.source.name}")
+        print(f"target: {s.target.name}")
+        print(f"pairs: {len(s.graph)}")
+        print(f"domain: {len(s.domain_elements)} of {len(s.source.elements)}")
+        print(f"image: {len(s.image_elements)} of {len(s.target.elements)}")
+        print("mono:", "yes" if morphism_ops.is_mono(s) else "no")
+        print("surjective:", "yes" if morphism_ops.is_surjective(s) else "no")
+        print("kernel:", " ".join(sorted(s.kernel_members)))
     else:
-        a, name = action_from_payload(payload, text, base)
-        print(f"name: {name}")
-        print(f"groupoid: {a.groupoid.name}")
-        print(f"carrier: {len(a.carrier)}")
-        print(f"triples: {len(a.triples)}")
-        print(f"domain pairs: {len(a.domain)}")
+        print(f"groupoid: {s.groupoid.name}")
+        print(f"carrier: {len(s.carrier)}")
+        print(f"triples: {len(s.triples)}")
+        print(f"domain pairs: {len(s.domain)}")
     return 0
 
 
 def cmd_restrict(args) -> int:
-    g = _load(args.path, "groupoid")
+    g, _ = _load(args.path, "groupoid")
     return emit(args, payload_of_groupoid(g.restrict(args.units)))
 
 
-def cmd_union(args) -> int:
-    g1 = _load(args.left, "groupoid")
-    g2 = _load(args.right, "groupoid")
-    return emit(args, payload_of_groupoid(disjoint_union(g1, g2)))
-
-
-def cmd_product(args) -> int:
-    g1 = _load(args.left, "groupoid")
-    g2 = _load(args.right, "groupoid")
-    return emit(args, payload_of_groupoid(cartesian_product(g1, g2)))
+def cmd_combine(args) -> int:
+    """The disjoint union or the cartesian product of two groupoids."""
+    left, _ = _load(args.left, "groupoid")
+    right, _ = _load(args.right, "groupoid")
+    combine = disjoint_union if args.command == "union" else cartesian_product
+    return emit(args, payload_of_groupoid(combine(left, right)))
 
 
 def cmd_decompose(args) -> int:
-    g = _load(args.path, "groupoid")
+    g, _ = _load(args.path, "groupoid")
     blocks = g.orbits()
     print(f"components: {len(blocks)}")
     for block in blocks:
@@ -419,7 +410,7 @@ def cmd_morphism(args) -> int:
         return emit(args, payload_of_morphism(composite, f"{oname}.{iname}"))
     h, name = _load(args.path, "morphism")
     if op == "validate":
-        print(f"valid: morphism, {_plural(len(h.graph), 'pair')}")
+        print(_valid_line(h))
         return 0
     if op == "kernel":
         for g in sorted(h.kernel_members):
@@ -444,8 +435,8 @@ def cmd_morphism(args) -> int:
             print("no witness found")
             return 1
         print(f"witness probe: {witness.probe.name}")
-        print("w1:", json.dumps(sorted([d, g] for d, g in witness.w1.graph)))
-        print("w2:", json.dumps(sorted([d, g] for d, g in witness.w2.graph)))
+        print("w1:", json.dumps(_wire(witness.w1.graph)))
+        print("w2:", json.dumps(_wire(witness.w2.graph)))
         return 0
     if op == "factor":
         epi, mono = morphism_ops.epi_mono_factorization(h)
@@ -463,14 +454,11 @@ def cmd_morphism(args) -> int:
 
 def _list_bisections(g) -> int:
     found = bisection_ops.all_bisections(g)
-    print(_plural(len(found), "bisection"))
-    for b in found:
-        print(json.dumps(sorted(b.members)))
-    return 0
+    return _print_rows("bisection", [sorted(b.members) for b in found])
 
 
 def cmd_bisections(args) -> int:
-    g = _load(args.path, "groupoid")
+    g, _ = _load(args.path, "groupoid")
     if args.op == "list":
         return _list_bisections(g)
     if args.op == "group":
@@ -486,40 +474,41 @@ def cmd_bisections(args) -> int:
 
 def cmd_action(args) -> int:
     op = args.op
-    if op in ("validate", "to-morphism", "groupoid", "classify", "homogeneous"):
+    if op == "from-morphism":
+        h, name = _load(args.path, "morphism")
+        carrier = _argv(Universe, f"{name}.carrier", tuple(args.carrier))
+        a = action_ops.morphism_to_action(h, carrier)
+        return emit(args, payload_of_action(a, name))
+    if op not in ("coset", "quotient", "induce"):
         a, name = _load(args.path, "action")
-        if op == "validate":
-            print(f"valid: action, {_plural(len(a.triples), 'triple')}")
-            return 0
-        if op == "to-morphism":
-            h = action_ops.action_to_pair_morphism(a)
-            return emit(args, payload_of_morphism(h, f"{name}.pairs"))
-        if op == "groupoid":
-            return emit(args, payload_of_groupoid(action_ops.action_groupoid(a)))
-        if op == "classify":
-            space = _argv_universe("base", args.points)
-            table = _table_from_token(args.group)
-            fiber, fiber_act, psi = action_ops.classify_transitive_action(
-                space, table, a, args.basepoint
-            )
-            print("fiber:", " ".join(sorted(fiber)))
-            for g, z in sorted(fiber_act):
-                print(f"{g} . {z} = {fiber_act[(g, z)]}")
-            for key in sorted(psi):
-                print(f"psi {key} -> {psi[key]}")
-            return 0
+    if op == "validate":
+        print(_valid_line(a))
+        return 0
+    if op == "to-morphism":
+        h = action_ops.action_to_pair_morphism(a)
+        return emit(args, payload_of_morphism(h, f"{name}.pairs"))
+    if op == "groupoid":
+        return emit(args, payload_of_groupoid(action_ops.action_groupoid(a)))
+    if op == "classify":
+        space = _argv(Universe, "base", tuple(args.points))
+        table = _table_from_token(args.group)
+        fiber, fiber_act, psi = action_ops.classify_transitive_action(
+            space, table, a, args.basepoint
+        )
+        print("fiber:", " ".join(sorted(fiber)))
+        for g, z in sorted(fiber_act):
+            print(f"{g} . {z} = {fiber_act[(g, z)]}")
+        for key in sorted(psi):
+            print(f"psi {key} -> {psi[key]}")
+        return 0
+    if op == "homogeneous":
         section = {e: x for e, x in args.fix}
         ref, psi = action_ops.homogeneous_identification(a, section)
         print("subgroupoid:", " ".join(sorted(ref.members)))
         for x in sorted(psi):
             print(f"psi {x} -> {psi[x]}")
         return 0
-    if op == "from-morphism":
-        h, name = _load(args.path, "morphism")
-        carrier = _argv_universe(f"{name}.carrier", args.carrier)
-        a = action_ops.morphism_to_action(h, carrier)
-        return emit(args, payload_of_action(a, name))
-    g = _load(args.path, "groupoid")
+    g, _ = _load(args.path, "groupoid")
     if op == "coset":
         space = action_ops.coset_space(g, frozenset(args.members))
         return emit(args, payload_of_action(space.action, "coset"))
@@ -527,16 +516,14 @@ def cmd_action(args) -> int:
         quotient, _ = action_ops.quotient_groupoid(g, frozenset(args.members))
         return emit(args, payload_of_groupoid(quotient))
     sub_action, _ = _load(args.action, "action")
-    carrier, induced = action_ops.induced_action(
-        g, frozenset(args.members), sub_action
-    )
+    _, induced = action_ops.induced_action(g, frozenset(args.members), sub_action)
     return emit(args, payload_of_action(induced, "induced"))
 
 
 def cmd_enum(args) -> int:
+    src, _ = _load(args.source, "groupoid")
     if args.what == "morphisms":
-        src = _load(args.source, "groupoid")
-        tgt = _load(args.target, "groupoid")
+        tgt, _ = _load(args.target, "groupoid")
         if args.naive:
             budget = search_ops.EnumBudget(
                 max_pairs=args.max_pairs,
@@ -546,29 +533,109 @@ def cmd_enum(args) -> int:
             found = search_ops.enum_morphisms_naive(src, tgt, budget)
         else:
             found = search_ops.enum_morphisms(src, tgt)
-        print(_plural(len(found), "morphism"))
-        for h in found:
-            print(json.dumps(sorted([d, g] for d, g in h.graph)))
-        return 0
+        return _print_rows("morphism", [_wire(h.graph) for h in found])
     if args.what == "actions":
-        g = _load(args.source, "groupoid")
-        carrier = _argv_universe("carrier", args.carrier)
+        carrier = _argv(Universe, "carrier", tuple(args.carrier))
         if args.direct:
-            found = search_ops.enum_actions_direct(g, carrier)
+            found = search_ops.enum_actions_direct(src, carrier)
         else:
-            found = search_ops.enum_actions(g, carrier)
-        print(_plural(len(found), "action"))
-        for a in found:
-            print(json.dumps(sorted([y, g_, x] for y, g_, x in a.triples)))
-        return 0
-    return _list_bisections(_load(args.source, "groupoid"))
+            found = search_ops.enum_actions(src, carrier)
+        return _print_rows("action", [_wire(a.triples) for a in found])
+    return _list_bisections(src)
 
 
 # -- parser -------------------------------------------------------------
 
 
-def _add_output(parser):
-    parser.add_argument("--output", help="write the resulting document here")
+def _arg(*flags, **options):
+    """One add_argument call: its flags and its keyword options."""
+    return flags, options
+
+
+PATH = _arg("path")
+POINTS = _arg("points", nargs="+")
+MEMBERS = _arg("members", nargs="+")
+GROUP = _arg("--group", required=True)
+NAME = _arg("--name")
+OUTPUT = _arg("--output", help="write the resulting document here")
+
+# group word -> (dest of its subcommand word, help)
+GROUPS = {
+    "build": ("family", "construct a groupoid document"),
+    "morphism": ("op", "operations on morphism documents"),
+    "bisections": ("op", "bisections of a groupoid"),
+    "action": ("op", "operations on action documents"),
+    "enum": ("what", "exhaustive enumeration"),
+}
+
+# (command words, handler, help of a top-level command, arguments in order)
+COMMANDS = [
+    (("build", "pair"), cmd_build, None, [POINTS, NAME, OUTPUT]),
+    (("build", "set"), cmd_build, None, [POINTS, NAME, OUTPUT]),
+    (("build", "group"), cmd_build, None, [
+        _arg("group", help="cyclic:N, symmetric:N, klein, or trivial"), NAME, OUTPUT,
+    ]),
+    (("build", "bundle"), cmd_build, None, [
+        _arg("groups", nargs="+", help="one group family token per fiber"),
+        NAME, OUTPUT,
+    ]),
+    (("build", "equiv"), cmd_build, None, [
+        _arg("--block", action="append", required=True,
+             help="comma-separated block, repeatable"), NAME, OUTPUT,
+    ]),
+    (("build", "product-form"), cmd_build, None, [POINTS, GROUP, NAME, OUTPUT]),
+    (("build", "transformation"), cmd_build, None, [
+        POINTS, GROUP, _arg("--move", action="append", nargs=3, required=True,
+                            metavar=("G", "X", "Y"), help="g moves x to y, repeatable"),
+        NAME, OUTPUT,
+    ]),
+    (("validate",), cmd_validate, "check a document against the axioms", [PATH]),
+    (("info",), cmd_info, "print a structural summary", [PATH]),
+    (("restrict",), cmd_restrict, "full subgroupoid over chosen units",
+     [PATH, _arg("units", nargs="+"), OUTPUT]),
+    (("union",), cmd_combine, "disjoint union of two groupoids",
+     [_arg("left"), _arg("right"), OUTPUT]),
+    (("product",), cmd_combine, "cartesian product of two groupoids",
+     [_arg("left"), _arg("right"), OUTPUT]),
+    (("decompose",), cmd_decompose, "units x isotropy x units form per component",
+     [PATH]),
+    (("morphism", "compose"), cmd_morphism, None,
+     [_arg("outer"), _arg("inner"), OUTPUT]),
+    *((("morphism", op), cmd_morphism, None, [PATH]) for op in (
+        "validate", "kernel", "mono", "surjective", "epi-witness",
+        "classify-into-group",
+    )),
+    (("morphism", "factor"), cmd_morphism, None, [PATH, OUTPUT]),
+    *((("bisections", op), cmd_bisections, None, [PATH]) for op in ("list", "group")),
+    (("bisections", "ad"), cmd_bisections, None, [PATH, MEMBERS, OUTPUT]),
+    (("action", "validate"), cmd_action, None, [PATH]),
+    (("action", "to-morphism"), cmd_action, None, [PATH, OUTPUT]),
+    (("action", "from-morphism"), cmd_action, None,
+     [PATH, _arg("--carrier", nargs="+", required=True), OUTPUT]),
+    (("action", "groupoid"), cmd_action, None, [PATH, OUTPUT]),
+    (("action", "coset"), cmd_action, None, [PATH, MEMBERS, OUTPUT]),
+    (("action", "quotient"), cmd_action, None, [PATH, MEMBERS, OUTPUT]),
+    (("action", "induce"), cmd_action, None,
+     [PATH, _arg("action"), _arg("--members", nargs="+", required=True), OUTPUT]),
+    (("action", "classify"), cmd_action, None, [
+        PATH, _arg("--points", nargs="+", required=True), GROUP, _arg("--basepoint"),
+    ]),
+    (("action", "homogeneous"), cmd_action, None, [
+        PATH, _arg("--fix", action="append", nargs=2, required=True,
+                   metavar=("UNIT", "POINT")),
+    ]),
+    (("enum", "morphisms"), cmd_enum, None, [
+        _arg("source"), _arg("target"), _arg("--naive", action="store_true"),
+        _arg("--max-pairs", type=int, default=20),
+        _arg("--max-candidates", type=int, default=2 ** 20),
+        _arg("--override", action="store_true"),
+    ]),
+    (("enum", "actions"), cmd_enum, None, [
+        _arg("source"), _arg("--carrier", nargs="+", required=True),
+        _arg("--direct", action="store_true"),
+    ]),
+    (("enum", "bisections"), cmd_enum, None, [_arg("source")]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,171 +644,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite groupoids as relations: build, validate, analyze.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    build = sub.add_parser("build", help="construct a groupoid document")
-    bsub = build.add_subparsers(dest="family", required=True)
-    for fam in ("pair", "set"):
-        fp = bsub.add_parser(fam)
-        fp.add_argument("points", nargs="+")
-        fp.add_argument("--name")
-        _add_output(fp)
-        fp.set_defaults(func=cmd_build)
-    fg = bsub.add_parser("group")
-    fg.add_argument("group", help="cyclic:N, symmetric:N, klein, or trivial")
-    fg.add_argument("--name")
-    _add_output(fg)
-    fg.set_defaults(func=cmd_build)
-    fb = bsub.add_parser("bundle")
-    fb.add_argument("groups", nargs="+", help="one group family token per fiber")
-    fb.add_argument("--name")
-    _add_output(fb)
-    fb.set_defaults(func=cmd_build)
-    fe = bsub.add_parser("equiv")
-    fe.add_argument("--block", action="append", required=True,
-                    help="comma-separated block, repeatable")
-    fe.add_argument("--name")
-    _add_output(fe)
-    fe.set_defaults(func=cmd_build)
-    ff = bsub.add_parser("product-form")
-    ff.add_argument("points", nargs="+")
-    ff.add_argument("--group", required=True)
-    ff.add_argument("--name")
-    _add_output(ff)
-    ff.set_defaults(func=cmd_build)
-    ft = bsub.add_parser("transformation")
-    ft.add_argument("points", nargs="+")
-    ft.add_argument("--group", required=True)
-    ft.add_argument("--move", action="append", nargs=3, required=True,
-                    metavar=("G", "X", "Y"), help="g moves x to y, repeatable")
-    ft.add_argument("--name")
-    _add_output(ft)
-    ft.set_defaults(func=cmd_build)
-
-    v = sub.add_parser("validate", help="check a document against the axioms")
-    v.add_argument("path")
-    v.set_defaults(func=cmd_validate)
-
-    i = sub.add_parser("info", help="print a structural summary")
-    i.add_argument("path")
-    i.set_defaults(func=cmd_info)
-
-    r = sub.add_parser("restrict", help="full subgroupoid over chosen units")
-    r.add_argument("path")
-    r.add_argument("units", nargs="+")
-    _add_output(r)
-    r.set_defaults(func=cmd_restrict)
-
-    u = sub.add_parser("union", help="disjoint union of two groupoids")
-    u.add_argument("left")
-    u.add_argument("right")
-    _add_output(u)
-    u.set_defaults(func=cmd_union)
-
-    x = sub.add_parser("product", help="cartesian product of two groupoids")
-    x.add_argument("left")
-    x.add_argument("right")
-    _add_output(x)
-    x.set_defaults(func=cmd_product)
-
-    d = sub.add_parser("decompose", help="units x isotropy x units form per component")
-    d.add_argument("path")
-    d.set_defaults(func=cmd_decompose)
-
-    m = sub.add_parser("morphism", help="operations on morphism documents")
-    msub = m.add_subparsers(dest="op", required=True)
-    mc = msub.add_parser("compose")
-    mc.add_argument("outer")
-    mc.add_argument("inner")
-    _add_output(mc)
-    mc.set_defaults(func=cmd_morphism)
-    for op in ("validate", "kernel", "mono", "surjective", "epi-witness",
-               "classify-into-group"):
-        mp = msub.add_parser(op)
-        mp.add_argument("path")
-        mp.set_defaults(func=cmd_morphism)
-    mf = msub.add_parser("factor")
-    mf.add_argument("path")
-    _add_output(mf)
-    mf.set_defaults(func=cmd_morphism)
-
-    bi = sub.add_parser("bisections", help="bisections of a groupoid")
-    bisub = bi.add_subparsers(dest="op", required=True)
-    for op in ("list", "group"):
-        bp = bisub.add_parser(op)
-        bp.add_argument("path")
-        bp.set_defaults(func=cmd_bisections)
-    ba = bisub.add_parser("ad")
-    ba.add_argument("path")
-    ba.add_argument("members", nargs="+")
-    _add_output(ba)
-    ba.set_defaults(func=cmd_bisections)
-
-    a = sub.add_parser("action", help="operations on action documents")
-    asub = a.add_subparsers(dest="op", required=True)
-    for op in ("validate",):
-        ap = asub.add_parser(op)
-        ap.add_argument("path")
-        ap.set_defaults(func=cmd_action)
-    at = asub.add_parser("to-morphism")
-    at.add_argument("path")
-    _add_output(at)
-    at.set_defaults(func=cmd_action)
-    af = asub.add_parser("from-morphism")
-    af.add_argument("path")
-    af.add_argument("--carrier", nargs="+", required=True)
-    _add_output(af)
-    af.set_defaults(func=cmd_action)
-    ag = asub.add_parser("groupoid")
-    ag.add_argument("path")
-    _add_output(ag)
-    ag.set_defaults(func=cmd_action)
-    ac = asub.add_parser("coset")
-    ac.add_argument("path")
-    ac.add_argument("members", nargs="+")
-    _add_output(ac)
-    ac.set_defaults(func=cmd_action)
-    aq = asub.add_parser("quotient")
-    aq.add_argument("path")
-    aq.add_argument("members", nargs="+")
-    _add_output(aq)
-    aq.set_defaults(func=cmd_action)
-    ai = asub.add_parser("induce")
-    ai.add_argument("path")
-    ai.add_argument("action")
-    ai.add_argument("--members", nargs="+", required=True)
-    _add_output(ai)
-    ai.set_defaults(func=cmd_action)
-    al = asub.add_parser("classify")
-    al.add_argument("path")
-    al.add_argument("--points", nargs="+", required=True)
-    al.add_argument("--group", required=True)
-    al.add_argument("--basepoint")
-    al.set_defaults(func=cmd_action)
-    ah = asub.add_parser("homogeneous")
-    ah.add_argument("path")
-    ah.add_argument("--fix", action="append", nargs=2, required=True,
-                    metavar=("UNIT", "POINT"))
-    ah.set_defaults(func=cmd_action)
-
-    e = sub.add_parser("enum", help="exhaustive enumeration")
-    esub = e.add_subparsers(dest="what", required=True)
-    em = esub.add_parser("morphisms")
-    em.add_argument("source")
-    em.add_argument("target")
-    em.add_argument("--naive", action="store_true")
-    em.add_argument("--max-pairs", type=int, default=20)
-    em.add_argument("--max-candidates", type=int, default=2 ** 20)
-    em.add_argument("--override", action="store_true")
-    em.set_defaults(func=cmd_enum)
-    ea = esub.add_parser("actions")
-    ea.add_argument("source")
-    ea.add_argument("--carrier", nargs="+", required=True)
-    ea.add_argument("--direct", action="store_true")
-    ea.set_defaults(func=cmd_enum)
-    eb = esub.add_parser("bisections")
-    eb.add_argument("source")
-    eb.set_defaults(func=cmd_enum)
-
+    groups = {}
+    for words, func, help_, arguments in COMMANDS:
+        if len(words) == 1:
+            leaf = sub.add_parser(words[0], help=help_)
+        else:
+            head, word = words
+            if head not in groups:
+                dest, group_help = GROUPS[head]
+                group = sub.add_parser(head, help=group_help)
+                groups[head] = group.add_subparsers(dest=dest, required=True)
+            leaf = groups[head].add_parser(word)
+        for flags, options in arguments:
+            leaf.add_argument(*flags, **options)
+        leaf.set_defaults(func=func)
     return parser
 
 

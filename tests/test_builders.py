@@ -24,7 +24,7 @@ from groupoids.builders import (
     transformation_groupoid,
     trivial_table,
 )
-from groupoids.errors import AxiomViolation, PreconditionFailed
+from groupoids.errors import AxiomViolation, PreconditionFailed, UnknownElement
 from groupoids.relation import Universe
 from groupoids.search import find_groupoid_isomorphism
 
@@ -129,6 +129,15 @@ def test_subgroup_and_quotient_tables():
         quotient_group_table(s3, ("123", "132", "213", "321"))
     with pytest.raises(PreconditionFailed):
         subgroup_table(s3, [])
+
+
+@pytest.mark.parametrize("build", [subgroup_table, quotient_group_table])
+def test_members_outside_the_table_raise_unknown_element(build):
+    z4 = cyclic_table(4)
+    z4._mult = {}  # any product taken before the check would raise KeyError
+    with pytest.raises(UnknownElement) as err:
+        build(z4, ["0", "9"])
+    assert err.value.element == "9"
 
 
 def test_check_group_action():

@@ -6,14 +6,21 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from record_cli_golden import GOLDEN, replay
+from hypothesis import given, seed, settings, strategies as st
+from record_cli_golden import GOLDEN, python_version, replay, run_one
 
 from groupoids import cli
 from groupoids.action import classical_to_relational
-from groupoids.builders import cyclic_table, group_groupoid, pair_groupoid
-from groupoids.morphism import left_regular
+from groupoids.builders import (
+    cyclic_table,
+    group_groupoid,
+    pair_groupoid,
+    set_groupoid,
+)
+from groupoids.morphism import identity_morphism, left_regular
 from groupoids.relation import Universe
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -413,6 +420,16 @@ def _valid_documents(tmp_path):
     }
 
 
+def _unreadable_documents(tmp_path):
+    """A document that is not UTF-8, one nested past the recursion limit,
+    and an --output path in a directory that does not exist."""
+    latin = tmp_path / "latin-1.json"
+    latin.write_bytes('{"kind": "groupoid", "name": "\u00e9"}'.encode("latin-1"))
+    deep = write(tmp_path, "deep.json", "[" * 100000)
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    return {"@latin-1": str(latin), "@deep": deep, "@missing-dir": missing}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -427,6 +444,10 @@ def _valid_documents(tmp_path):
         ["enum", "actions", "@z2", "--carrier", "x", "x"],
         ["action", "classify", "@swap", "--points", "b", "b", "--group", "cyclic:2"],
         ["action", "from-morphism", "@l", "--carrier", "0", "0"],
+        ["build", "group", "cyclic:2", "--output", "@missing-dir"],
+        ["build", "group", "cyclic:2", "--output", "."],
+        ["validate", "@latin-1"],
+        ["info", "@deep"],
     ],
     ids=[
         "duplicate-point",
@@ -440,10 +461,18 @@ def _valid_documents(tmp_path):
         "duplicate-carrier-point",
         "duplicate-classify-point",
         "duplicate-from-morphism-point",
+        "output-in-missing-directory",
+        "output-is-a-directory",
+        "document-not-utf-8",
+        "document-nested-too-deeply",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
-    docs = {**_list_element_documents(tmp_path), **_valid_documents(tmp_path)}
+    docs = {
+        **_list_element_documents(tmp_path),
+        **_valid_documents(tmp_path),
+        **_unreadable_documents(tmp_path),
+    }
     argv = [docs.get(a, a) for a in argv]
     code, out, err = run(capsys, argv)
     lines = err.splitlines()
@@ -451,6 +480,155 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     assert out == ""
     assert "Traceback" not in err
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_algorithm_recursion_is_not_a_nesting_error(tmp_path):
+    """`bisections list` recurses once per unit.  A set groupoid with more
+    units than the recursion limit overflows the stack there, in the
+    algorithm, and that must not be reported as a document nested too
+    deeply."""
+    g = set_groupoid(Universe("S", tuple(str(i) for i in range(200))), "S")
+    path = write(tmp_path, "set.json", cli.serialize(cli.payload_of_groupoid(g)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    # room to load the document, not to recurse once per unit
+    sys.setrecursionlimit(depth + 100)
+    try:
+        with pytest.raises(RecursionError):
+            cli.main(["bisections", "list", path])
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _fuzz_documents():
+    """Valid groupoid, morphism and action documents, all inline."""
+    z2 = group_groupoid(cyclic_table(2))
+    p2 = pair_groupoid(Universe("X2", ("x", "y")), "P2")
+    pq = Universe("PQ", ("p", "q"))
+    swap = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+    action = classical_to_relational(z2, pq, {x: "0" for x in pq}, swap)
+    payloads = [
+        cli.payload_of_groupoid(z2),
+        cli.payload_of_groupoid(p2),
+        cli.payload_of_morphism(left_regular(z2), "l"),
+        cli.payload_of_morphism(identity_morphism(p2), "id"),
+        cli.payload_of_action(action, "swap"),
+    ]
+    return [cli.serialize(payload) for payload in payloads]
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+WRONG_VALUES = [7, None, True, "zz", "", [], ["0"], {"a": "b"}]
+DEEP = "@@deep@@"
+
+
+def _locations(value, path=()):
+    """(path, value) of every value inside a JSON value, itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield path + (key,), inner
+        if isinstance(inner, (dict, list)):
+            yield from _locations(inner, path + (key,))
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _canonical_round_trip(text):
+    """serialize(payload_of_*(load(text))) for a valid document."""
+    payload = json.loads(text)
+    kind = payload["kind"]
+    if kind == "groupoid":
+        g = cli.groupoid_from_payload(payload, text)
+        return cli.serialize(cli.payload_of_groupoid(g))
+    if kind == "morphism":
+        h, name = cli.morphism_from_payload(payload, text, ".")
+        return cli.serialize(cli.payload_of_morphism(h, name))
+    a, name = cli.action_from_payload(payload, text, ".")
+    return cli.serialize(cli.payload_of_action(a, name))
+
+
+@st.composite
+def mutated_documents(draw):
+    """(original text, mutated bytes): one document changed in one way."""
+    text = draw(st.sampled_from(FUZZ_DOCUMENTS))
+    payload = json.loads(text)
+    places = list(_locations(payload))
+    how = draw(st.sampled_from(["drop", "retype", "name", "arity", "bytes", "deep"]))
+    if how == "bytes":
+        data = text.encode("utf-8")
+        at = draw(st.integers(0, len(data)))
+        return text, data[:at] + b"\xff\xfe" + data[at:]
+    if how == "drop":
+        places = [(p, v) for p, v in places if isinstance(_at(payload, p[:-1]), dict)]
+    elif how == "name":
+        places = [(p, v) for p, v in places if isinstance(v, str)]
+    elif how == "arity":
+        places = [(p, v) for p, v in places if isinstance(v, list)]
+    path, value = draw(st.sampled_from(places))
+    parent = _at(payload, path[:-1])
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "arity":
+        if value and draw(st.booleans()):
+            value.pop()
+        else:
+            value.append(draw(st.sampled_from(["0", "zz", 7])))
+    elif how == "deep":
+        parent[path[-1]] = DEEP
+    elif how == "name":  # an unknown or non-string name, or another known one
+        names = sorted({v for _, v in places if isinstance(v, str)})
+        parent[path[-1]] = draw(st.sampled_from(WRONG_VALUES + names))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(WRONG_VALUES))
+    mutated = cli.serialize(payload)
+    if how == "deep":
+        limit = sys.getrecursionlimit()
+        depth = draw(st.one_of(st.integers(limit - 150, limit + 50), st.just(10**5)))
+        mutated = mutated.replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+    return text, mutated.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def parser():
+    return cli.build_parser()
+
+
+@seed(1311)
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_documents())
+def test_mutated_documents_keep_the_exit_contract(fuzz_dir, parser, case):
+    original, mutated = case
+    assert _canonical_round_trip(original) == original
+    path = fuzz_dir / "doc.json"
+    path.write_bytes(mutated)
+    for command in ("validate", "info"):
+        # one parser for every run; building it is most of a run's time
+        with mock.patch.object(cli, "build_parser", lambda: parser):
+            code, out, err, usage = run_one([command, str(path)])
+        assert code in (0, 1, 2) and not usage
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+        if code == 0 or (command == "validate" and code == 1):
+            # validate reports a broken law on stdout
+            assert err == ""
+        else:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        if command == "validate" and code == 0:
+            canonical = _canonical_round_trip(mutated.decode("utf-8"))
+            assert _canonical_round_trip(canonical) == canonical
 
 
 def test_stdin_documents(capsys, monkeypatch, z2_path):
@@ -467,8 +645,12 @@ def test_cli_matches_golden(monkeypatch, tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    same_python = golden["python"] == python_version()
     commands = [(c["argv"], c["save"]) for c in golden["commands"]]
     for got, want in zip(replay(golden["files"], commands), golden["commands"]):
+        if want["usage"] and not same_python:
+            continue  # argparse's layout differs between Python versions
         assert got == want, " ".join(want["argv"])
 
 
