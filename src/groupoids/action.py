@@ -288,7 +288,7 @@ def action_groupoid(action: Action) -> Groupoid:
                         pair_name(gamma2, x),
                     )
                 )
-    return Groupoid(
+    return Groupoid._trusted(
         f"Act({g.name},{action.carrier.name})", elements, units, inverse, table
     )
 
@@ -452,7 +452,7 @@ def quotient_groupoid(groupoid: Groupoid, part):
         f"{groupoid.elements.name}/G",
         tuple(projection[block[0]] for block in classes),
     )
-    quotient = Groupoid(
+    quotient = Groupoid._trusted(
         f"{groupoid.name}/G", elements, units, inverse, table
     )
     pi = Morphism(

@@ -56,7 +56,8 @@ def is_bisection(groupoid: Groupoid, subset) -> bool:
         subset_mult(groupoid, inverted, members) == units
         and subset_mult(groupoid, members, inverted) == units
     )
-    assert by_fibers == by_products, "section and product tests disagree"
+    if by_fibers != by_products:
+        raise AxiomViolation("derived:bisection-products", min(members, default=None))
     return by_fibers
 
 

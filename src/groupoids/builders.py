@@ -1,14 +1,11 @@
 """Stock groupoid families and small group tables.
 
-Group tables are plain multiplication tables.  A raw table is checked
-once, as a one-unit groupoid; the tables built here from a group
-already at hand (cyclic, Klein, symmetric, subgroups, quotients,
-isotropy groups) are groups by construction and are not re-checked.
-The groupoid builders cover the structures used throughout the
-package: pair groupoids, set groupoids (units only), groups viewed as
-one-unit groupoids, bundles of groups, equivalence relations, the
-twisted product X x G x X, and transformation groupoids of a group
-action.
+Group tables are plain multiplication tables.  The groupoid builders
+cover the structures used throughout the package: pair groupoids, set
+groupoids (units only), groups viewed as one-unit groupoids, bundles
+of groups, equivalence relations, the twisted product X x G x X, and
+transformation groupoids of a group action.  A raw group table is
+checked once; all else here is built unchecked, as groupoid.py says.
 
 Element naming is part of each builder's contract:
 
@@ -272,12 +269,13 @@ def pair_groupoid(space: Universe, name=None) -> Groupoid:
         for y in space
         for z in space
     ]
-    return Groupoid(name or f"Pair({space.name})", elements, units, inverse, table)
+    label = name or f"Pair({space.name})"
+    return Groupoid._trusted(label, elements, units, inverse, table)
 
 
 def set_groupoid(space: Universe, name=None) -> Groupoid:
     """Units only; every element is its own inverse and unit."""
-    return Groupoid(
+    return Groupoid._trusted(
         name or f"Set({space.name})",
         space,
         space.elements,
@@ -288,7 +286,7 @@ def set_groupoid(space: Universe, name=None) -> Groupoid:
 
 def group_groupoid(table: GroupTable, name=None) -> Groupoid:
     """A group seen as a groupoid with one unit."""
-    return Groupoid(
+    return Groupoid._trusted(
         name or table.name,
         Universe(table.name, table.elements),
         [table.unit],
@@ -319,7 +317,7 @@ def group_bundle(tables, name=None) -> Groupoid:
     if len(set(elems)) != len(elems):
         raise PreconditionFailed("fibre tags collide")
     label = name or "+".join(t.name for t in tables)
-    return Groupoid(label, Universe(label, elems), units, inverse, triples)
+    return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)
 
 
 def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
@@ -355,7 +353,7 @@ def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
         inverse.update(
             {pair_name(x, y): pair_name(y, x) for x in b for y in b}
         )
-    return Groupoid(
+    return Groupoid._trusted(
         name or f"Equiv({space.name})", elements, units, inverse, triples
     )
 
@@ -385,7 +383,7 @@ def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
         for h in table.elements
     ]
     label = name or f"{space.name}|{table.name}|{space.name}"
-    return Groupoid(label, Universe(label, elems), units, inverse, triples)
+    return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)
 
 
 def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) -> Groupoid:
@@ -410,4 +408,4 @@ def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) 
                     (f"{table.mult(g, h)}:{x}", f"{g}:{act[(h, x)]}", f"{h}:{x}")
                 )
     label = name or f"{table.name}:{space.name}"
-    return Groupoid(label, Universe(label, elems), units, inverse, triples)
+    return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)

@@ -115,10 +115,15 @@ def load_payload(path):
     return payload, text, base
 
 
-def groupoid_from_payload(payload, text) -> Groupoid:
-    name = payload.get("name", "G")
+def _document_name(payload, kind, default):
+    name = payload.get("name", default)
     if not isinstance(name, str):
-        raise DocumentError("groupoid name must be a string")
+        raise DocumentError(f"{kind} name must be a string")
+    return name
+
+
+def groupoid_from_payload(payload, text) -> Groupoid:
+    name = _document_name(payload, "groupoid", "G")
     elements = _names(payload, "elements", "elements", name)
     known = set(elements)
     units = _need(payload, "units", list, name)
@@ -146,7 +151,7 @@ def resolve_groupoid(ref, text, base):
 
 
 def morphism_from_payload(payload, text, base):
-    name = payload.get("name", "h")
+    name = _document_name(payload, "morphism", "h")
     source = resolve_groupoid(_need(payload, "source", (str, dict), name), text, base)
     target = resolve_groupoid(_need(payload, "target", (str, dict), name), text, base)
     columns = [
@@ -157,7 +162,7 @@ def morphism_from_payload(payload, text, base):
 
 
 def action_from_payload(payload, text, base):
-    name = payload.get("name", "phi")
+    name = _document_name(payload, "action", "phi")
     groupoid = resolve_groupoid(
         _need(payload, "groupoid", (str, dict), name), text, base
     )

@@ -2,8 +2,8 @@
 
 A groupoid is a quadruple (elements, units, inverse, table).  The table
 is the graph of the multiplication relation m : G x G -> G and is kept
-as (product, left, right) triples, output first.  Construction runs the
-full validation pipeline: structural checks, then the relational axioms
+as (product, left, right) triples, output first.  Groupoid(...) checks
+that every name is an element, then the relational axioms
 
     m(m x id) = m(id x m)
     m(e x id) = m(id x e) = id
@@ -17,7 +17,10 @@ inverse laws, partial associativity) are theorems of the axioms, so
 the constructor reads the partial operation off the table without
 re-proving them; the tests check them against an independent oracle.
 A validation failure raises AxiomViolation carrying a stable law name
-and the first offending element in sorted order.
+and the first offending element in sorted order.  Only outside data is
+checked: documents, raw group tables, validate_groupoid and user calls.
+Groupoid._trusted builds the rest, checking only that pair names are
+unambiguous; the builder grid in tests/test_builders.py proves it.
 
 Equality of groupoids is structural and ignores the display name.
 """
@@ -46,6 +49,16 @@ from .relation import (
 
 class Groupoid:
     def __init__(self, name, elements, units, inverse, table):
+        self._read(name, elements, units, inverse, table, check=True)
+
+    @classmethod
+    def _trusted(cls, name, elements, units, inverse, table):
+        """A groupoid built from structures the package holds, unchecked."""
+        groupoid = cls.__new__(cls)
+        groupoid._read(name, elements, units, inverse, table, check=False)
+        return groupoid
+
+    def _read(self, name, elements, units, inverse, table, check):
         if not isinstance(elements, Universe):
             elements = Universe(str(name), elements)
         self.name = name
@@ -54,13 +67,12 @@ class Groupoid:
         self.inverse = dict(inverse)
         self.table = tuple(sorted(set(table)))
         self._unit_set = frozenset(self.units)
-        self._check_structure()
-        self._raw_mult = {}
-        for c, a, b in self.table:
-            self._raw_mult.setdefault((a, b), set()).add(c)
-        self._check_relational_axioms()
-        # the axioms make m single-valued, so each set has one product
-        self._mult = {k: c for k, (c,) in self._raw_mult.items()}
+        if check:
+            self._check_structure()
+            self._check_relational_axioms()
+        product_universe(elements, elements)  # raises on ambiguous pair names
+        # the axioms make m single-valued: one product per composable pair
+        self._mult = {(a, b): c for c, a, b in self.table}
         self._eL = {g: self._mult[(g, self.inverse[g])] for g in self.elements}
         self._eR = {g: self._mult[(self.inverse[g], g)] for g in self.elements}
 
@@ -83,8 +95,8 @@ class Groupoid:
                 if x not in self.elements:
                     raise UnknownElement(x, f"table of {self.name!r}")
 
-    # The three relations are read by index: every name in the table,
-    # the inverse map and the units was checked by _check_structure.
+    # The three relations are read by index: every name in the table, the
+    # inverse map and the units is an element, checked or by construction.
 
     @cached_property
     def m_rel(self) -> FinRel:
@@ -136,11 +148,12 @@ class Groupoid:
         if sm != msxs:
             raise AxiomViolation("sm=m.flip(sxs)", _first_difference(sm, msxs))
 
+        by_pair, index, n = m._by_index(), u.index, len(u)
         for g in u:
-            outs = self._raw_mult.get((self.inverse[g], g), set())
+            outs = by_pair.get(index[self.inverse[g]] * n + index[g], ())
             if not outs:
                 raise AxiomViolation("m(s(g),g)-in-units", g, "product undefined")
-            stray = sorted(outs - self._unit_set)
+            stray = sorted(set(map(u.name_of, outs)) - self._unit_set)
             if stray:
                 raise AxiomViolation(
                     "m(s(g),g)-in-units", g, f"{stray[0]!r} is not a unit"
@@ -238,13 +251,7 @@ class Groupoid:
         name = self.name
         if fs != self._unit_set:
             name = f"{self.name}|{'+'.join(sorted(fs))}"
-        return Groupoid(
-            name,
-            Universe(self.elements.name, members),
-            sorted(fs),
-            {g: self.inverse[g] for g in members},
-            [t for t in self.table if t[1] in members and t[2] in members],
-        )
+        return SubgroupoidRef(self, members).as_groupoid(name)
 
     def same_structure(self, other: "Groupoid") -> bool:
         """Equality of element names, units, inverse, and table.
@@ -392,13 +399,14 @@ class SubgroupoidRef(object):
 
     def as_groupoid(self, name=None) -> Groupoid:
         parent = self.parent
-        label = name or f"{parent.name}[{'+'.join(sorted(self.members))}]"
-        return Groupoid(
-            label,
+        if name is None:
+            name = f"{parent.name}[{'+'.join(sorted(self.members))}]"
+        return Groupoid._trusted(
+            name,
             Universe(parent.elements.name, self.members),
             self.units,
             {g: parent.inverse[g] for g in self.members},
-            [t for t in parent.table if t[0] in self.members and t[1] in self.members],
+            [t for t in parent.table if t[1] in self.members and t[2] in self.members],
         )
 
     def __eq__(self, other):
@@ -428,7 +436,7 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     inverse.update({right[g]: right[h] for g, h in g2.inverse.items()})
     table = [(left[c], left[a], left[b]) for c, a, b in g1.table]
     table += [(right[c], right[a], right[b]) for c, a, b in g2.table]
-    return Groupoid(f"{g1.name}+{g2.name}", elements, units, inverse, table)
+    return Groupoid._trusted(f"{g1.name}+{g2.name}", elements, units, inverse, table)
 
 
 def cartesian_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
@@ -449,4 +457,4 @@ def cartesian_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
         for a in u1
         for b in u2
     }
-    return Groupoid(f"{g1.name}x{g2.name}", pu, units, inverse, triples)
+    return Groupoid._trusted(f"{g1.name}x{g2.name}", pu, units, inverse, triples)

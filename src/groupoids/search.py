@@ -391,7 +391,8 @@ def check_cancellation(h: Morphism, side: str, probes=None, budget=None):
                 witness = CancellationWitness(
                     probe, w1, w2, "mono" if side == "left" else "epi"
                 )
-                assert witness.verify(h), "found pair fails verification"
+                if not witness.verify(h):
+                    raise AxiomViolation(f"derived:{witness.side}-witness", None)
                 return witness
     return None
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from groupoids import bisection
 from groupoids.bisection import (
     Bisection,
     act,
@@ -52,6 +53,14 @@ def test_units_form_a_bisection():
 def test_group_bisections_are_singletons():
     hits = [s for s in _subsets(Z2.elements) if is_bisection(Z2, s)]
     assert sorted(hits) == [frozenset(("0",)), frozenset(("1",))]
+
+
+def test_is_bisection_raises_when_its_two_tests_disagree(monkeypatch):
+    # the product test sees no products, so the units fail it alone
+    monkeypatch.setattr(bisection, "subset_mult", lambda *args: frozenset())
+    with pytest.raises(AxiomViolation) as err:
+        is_bisection(Z2, Z2.units)
+    assert err.value.law == "derived:bisection-products"
 
 
 def test_pair_groupoid_bisections_count_permutations():

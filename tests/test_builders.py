@@ -1,8 +1,17 @@
 """Example-family constructors and group tables."""
 
+import itertools
+
 import pytest
 from oracles import groupoid_violation
 
+from groupoids.action import (
+    action_groupoid,
+    conjugation_action,
+    left_mult_action,
+    quotient_groupoid,
+    unit_action,
+)
 from groupoids.bisection import bisection_group
 from groupoids.builders import (
     GroupTable,
@@ -24,7 +33,13 @@ from groupoids.builders import (
     transformation_groupoid,
     trivial_table,
 )
-from groupoids.errors import AxiomViolation, PreconditionFailed, UnknownElement
+from groupoids.errors import (
+    AxiomViolation,
+    PreconditionFailed,
+    UniverseError,
+    UnknownElement,
+)
+from groupoids.groupoid import Groupoid, cartesian_product, disjoint_union
 from groupoids.relation import Universe
 from groupoids.search import find_groupoid_isomorphism
 
@@ -91,6 +106,102 @@ def test_package_tables_are_groups(catalog):
         for g in t.elements:
             assert t.mult(t.unit, g) == g == t.mult(g, t.unit), t.name
             assert t.mult(g, t.inv[g]) == t.unit == t.mult(t.inv[g], g), t.name
+
+
+def _rotation(n):
+    """Z_n acting on the points 0..n-1 by addition."""
+    return {(str(g), str(x)): str((g + x) % n) for g in range(n) for x in range(n)}
+
+
+def builder_grid(catalog):
+    """Yield (label, groupoid) for every kind of groupoid the package
+    builds unchecked, over small inputs."""
+    for n in range(1, 6):
+        space = Universe(f"X{n}", [str(i) for i in range(1, n + 1)])
+        yield f"pair {n}", pair_groupoid(space)
+        yield f"set {n}", set_groupoid(space)
+        for size in range(1, n + 1):
+            blocks = [space.elements[i : i + size] for i in range(0, n, size)]
+            yield f"equiv {blocks}", equivalence_groupoid(space, blocks)
+    z1, z2, z3 = trivial_table(), cyclic_table(2), cyclic_table(3)
+    v4, s3 = klein_table(), symmetric_table(3)
+    # names with different numbers of commas whose pairs do not collide
+    mixed = Universe("M", ("a", "b,c"))
+    yield "pair mixed", pair_groupoid(mixed)
+    yield "set mixed", set_groupoid(mixed)
+    yield "equiv mixed", equivalence_groupoid(mixed, [["a"], ["b,c"]])
+    yield "product form mixed", product_form(mixed, z2)
+    tables = [cyclic_table(n) for n in range(1, 9)]
+    tables += [v4] + [symmetric_table(n) for n in range(1, 5)]
+    for t in tables:
+        yield f"group {t.name}", group_groupoid(t)
+    for fibres in ([z1], [z2, z1], [z3, z2, z1], [v4, s3], [s3, s3]):
+        yield f"bundle {len(fibres)}", group_bundle(fibres)
+    for n in range(1, 4):
+        space = Universe(f"B{n}", "xyz"[:n])
+        for t in (z1, z2, z3, v4, s3):
+            yield f"product form {n} {t.name}", product_form(space, t)
+    pq, three = Universe("PQ", "pq"), Universe("T", "123")
+    swap = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+    for i, (table, space, act) in enumerate((
+        (z2, pq, swap),
+        (z2, pq, {(g, x): x for g in z2.elements for x in pq}),
+        (z3, Universe("R3", "012"), _rotation(3)),
+        (cyclic_table(4), Universe("R4", "0123"), _rotation(4)),
+        (s3, three, {(g, x): g[int(x) - 1] for g in s3.elements for x in three}),
+    )):
+        label = f"transformation {i}: {table.name} on {len(space)}"
+        yield label, transformation_groupoid(table, space, act)
+    for key, g in catalog.items():
+        for k in range(len(g.units) + 1):
+            for units in itertools.combinations(g.units, k):
+                yield f"{key} restricted to {units}", g.restrict(units)
+        for e in g.units:
+            yield f"{key} isotropy at {e}", g.isotropy(e).as_groupoid()
+        for i, component in enumerate(g.transitive_components()):
+            yield f"{key} component {i}", component.as_groupoid()
+        for action in (left_mult_action, unit_action, conjugation_action):
+            label = f"{key} {action.__name__} groupoid"
+            yield label, action_groupoid(action(g))
+        yield f"{key} over its units", quotient_groupoid(g, g.units)[0]
+    small = ("pt", "Z2", "S2", "P2", "BD")
+    for left, right in itertools.combinations_with_replacement(small, 2):
+        g1, g2 = catalog[left], catalog[right]
+        yield f"{left}+{right}", disjoint_union(g1, g2)
+        yield f"{left}x{right}", cartesian_product(g1, g2)
+
+
+def test_unchecked_builds_pass_the_checked_constructor_and_the_oracle(catalog):
+    """Each groupoid the package builds unchecked, rebuilt by the checking
+    constructor, is the same groupoid and keeps every classical law."""
+    count = 0
+    for label, g in builder_grid(catalog):
+        count += 1
+        try:
+            checked = Groupoid(g.name, g.elements, g.units, g.inverse, g.table)
+        except AxiomViolation as err:
+            pytest.fail(f"{label}: {err}")
+        assert checked == g, label
+        for read_off in ("_mult", "_eL", "_eR"):
+            assert getattr(checked, read_off) == getattr(g, read_off), label
+        verdict = groupoid_violation(g.elements, g.units, g.inverse, g.table)
+        assert verdict is None, label
+    assert count == 10 + 15 + 4 + 13 + 5 + 15 + 5 + 44 + 20 + 14 + 33 + 11 + 30
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space: set_groupoid(space),
+        lambda space: equivalence_groupoid(space, [["a"], ["a,a"]]),
+        lambda space: product_form(space, trivial_table()),
+    ],
+    ids=["set", "equiv", "product-form"],
+)
+def test_unchecked_builds_refuse_ambiguous_pair_names(build):
+    """'a'+'a,a' and 'a,a'+'a' both join to 'a,a,a'."""
+    with pytest.raises(UniverseError, match="ambiguous pair names"):
+        build(Universe("X", ("a", "a,a")))
 
 
 def test_subgroups_of_z4():

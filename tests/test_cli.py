@@ -420,6 +420,18 @@ def _valid_documents(tmp_path):
     }
 
 
+def _int_name_documents(tmp_path):
+    """The valid morphism and action documents again, each with a number
+    for its name."""
+    valid, docs = _valid_documents(tmp_path), {}
+    for key in ("@l", "@swap"):
+        payload = json.loads(Path(valid[key]).read_text(encoding="utf-8"))
+        payload["name"] = 3
+        text = cli.serialize(payload)
+        docs[f"{key}-int-name"] = write(tmp_path, f"{key[1:]}-int-name.json", text)
+    return docs
+
+
 def _unreadable_documents(tmp_path):
     """A document that is not UTF-8, one nested past the recursion limit,
     and an --output path in a directory that does not exist."""
@@ -435,12 +447,16 @@ def _unreadable_documents(tmp_path):
     [
         ["build", "pair", "a", "a"],
         ["build", "pair", "a", "a,a"],
+        ["build", "set", "a", "a,a"],
+        ["build", "product-form", "a", "a,a", "--group", "trivial"],
         ["build", "group", "cyclic:x"],
         ["validate", "@groupoid"],
         ["build", "bundle", "symmetric:3", "symmetric:"],
         ["validate", "@morphism"],
         ["validate", "@carrier"],
         ["validate", "@action"],
+        ["validate", "@l-int-name"],
+        ["info", "@swap-int-name"],
         ["enum", "actions", "@z2", "--carrier", "x", "x"],
         ["action", "classify", "@swap", "--points", "b", "b", "--group", "cyclic:2"],
         ["action", "from-morphism", "@l", "--carrier", "0", "0"],
@@ -452,12 +468,16 @@ def _unreadable_documents(tmp_path):
     ids=[
         "duplicate-point",
         "ambiguous-pair-names",
+        "ambiguous-set-pair-names",
+        "ambiguous-product-form-pair-names",
         "group-order-not-int",
         "list-as-element",
         "bundle-order-not-int",
         "list-in-morphism-graph",
         "list-in-action-carrier",
         "list-in-action-graph",
+        "morphism-name-not-a-string",
+        "action-name-not-a-string",
         "duplicate-carrier-point",
         "duplicate-classify-point",
         "duplicate-from-morphism-point",
@@ -471,6 +491,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     docs = {
         **_list_element_documents(tmp_path),
         **_valid_documents(tmp_path),
+        **_int_name_documents(tmp_path),
         **_unreadable_documents(tmp_path),
     }
     argv = [docs.get(a, a) for a in argv]
@@ -631,6 +652,120 @@ def test_mutated_documents_keep_the_exit_contract(fuzz_dir, parser, case):
             assert _canonical_round_trip(canonical) == canonical
 
 
+# commands that answer on stdout, and exit 1 for a broken law or a no
+STDOUT_ANSWERS = {
+    ("validate",), ("morphism", "mono"), ("morphism", "surjective"),
+    ("morphism", "epi-witness"),
+}
+ARGV_DOCUMENTS = dict(zip(("z2", "p2", "l", "id", "swap"), FUZZ_DOCUMENTS))
+PATHS = [f"{key}.json" for key in ARGV_DOCUMENTS] + ["missing.json"]
+GROUP_TOKENS = ["trivial", "klein", "cyclic:2", "cyclic:3", "symmetric:2",
+                "symmetric:", "cyclic:x", "cyclic:0", "dihedral:3"]
+ELEMENT_NAMES = ["0", "1", "p", "q", "x", "y", "x,x", "x,y", "1,1", "[0]", "zz"]
+NUMBERS = ["-3", "0", "1", "2", "7", "30"]
+JUNK = ["", "-x", "--bogus", "{}"]
+ANY_VALUE = st.sampled_from(PATHS + GROUP_TOKENS + ELEMENT_NAMES + NUMBERS + JUNK)
+# the values an argument of COMMANDS takes, by its first flag; the rest
+# take element names
+VALUES = {
+    **dict.fromkeys(
+        ["path", "left", "right", "outer", "inner", "action", "source", "target"],
+        st.sampled_from(PATHS),
+    ),
+    **dict.fromkeys(["group", "groups", "--group"], st.sampled_from(GROUP_TOKENS)),
+    **dict.fromkeys(["--max-pairs", "--max-candidates"], st.sampled_from(NUMBERS)),
+}
+FLAGS = sorted(
+    {flags[0] for *_, args in cli.COMMANDS for flags, _ in args if flags[0][0] == "-"}
+)
+
+
+def _argument(draw, flag, options):
+    """Tokens for one argument of a COMMANDS row: values of its kind, one
+    in four replaced by any value.  An optional flag may be left out."""
+    if flag[0] == "-" and not options.get("required") and draw(st.booleans()):
+        return []
+    if options.get("action") == "store_true":
+        return [flag]
+    if flag == "--output":
+        return [flag, "out.json"]
+    nargs = options.get("nargs", 1)
+    low, high = (1, 3) if nargs == "+" else (nargs, nargs)
+    kind = VALUES.get(flag, st.sampled_from(ELEMENT_NAMES))
+    value = st.one_of(kind, kind, kind, ANY_VALUE)
+    values = draw(st.lists(value, min_size=low, max_size=high))
+    return [flag, *values] if flag[0] == "-" else values
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """(command words, argv): a row of COMMANDS with values drawn for its
+    arguments, then up to four more tokens: documents of each kind, a
+    missing path, flags alone, repeated or with an --output value, junk
+    and numbers.  Or only the first of the row's words."""
+    words, _, _, arguments = draw(st.sampled_from(cli.COMMANDS))
+    if draw(st.integers(0, 7)) == 0:
+        return words, list(words[:1])
+    argv = list(words)
+    for flags, options in arguments:
+        argv += _argument(draw, flags[0], options)
+    piece = st.one_of(
+        ANY_VALUE.map(lambda v: [v]),
+        st.sampled_from(FLAGS).map(lambda f: [f]),
+        st.sampled_from(FLAGS).map(lambda f: [f, f]),
+        st.just(["--output", "out.json"]),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3, 4]))):
+        argv += draw(piece)
+    return words, argv
+
+
+def _reset_argv_documents(work):
+    """Leave exactly the argv fuzz documents in work."""
+    for name in os.listdir(work):
+        os.remove(work / name)
+    for key, text in ARGV_DOCUMENTS.items():
+        write(work, f"{key}.json", text)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    _reset_argv_documents(work)
+    return work
+
+
+@seed(1311)
+@settings(max_examples=300, deadline=None)
+@given(case=fuzzed_argv())
+def test_fuzzed_argv_keeps_the_exit_contract(argv_dir, parser, case):
+    words, argv = case
+    # an --output may name any drawn token, so run where the documents
+    # are, and put them back as they were afterwards
+    start = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with mock.patch.object(cli, "build_parser", lambda: parser):
+            code, out, err, usage = run_one(argv)
+    finally:
+        os.chdir(start)
+        _reset_argv_documents(argv_dir)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if usage:
+        last = err.splitlines()[-1]
+        assert code == 2 and out == ""
+        assert last.startswith("groupoids") and ": error: " in last
+        return
+    if code == 2:
+        assert out == ""
+    if code == 0 or (code == 1 and words in STDOUT_ANSWERS and out):
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_stdin_documents(capsys, monkeypatch, z2_path):
     import io
 
@@ -640,12 +775,13 @@ def test_stdin_documents(capsys, monkeypatch, z2_path):
     assert code == 0 and out.startswith("valid")
 
 
-def test_cli_matches_golden(monkeypatch, tmp_path):
+def test_cli_matches_golden(monkeypatch, tmp_path, parser):
     # the golden file is written by tests/record_cli_golden.py
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     same_python = golden["python"] == python_version()
     commands = [(c["argv"], c["save"]) for c in golden["commands"]]
     for got, want in zip(replay(golden["files"], commands), golden["commands"]):

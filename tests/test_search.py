@@ -15,8 +15,9 @@ from groupoids.builders import (
     set_groupoid,
     trivial_table,
 )
-from groupoids.errors import BudgetExceeded, PreconditionFailed
+from groupoids.errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from groupoids.morphism import (
+    CancellationWitness,
     component_projection,
     compose_morphisms,
     identity_morphism,
@@ -138,6 +139,17 @@ def test_cancellation_verifies_on_z4():
     built = mono_witness(collapse)
     assert found is not None and found.verify(collapse)
     assert built.verify(collapse)
+
+
+def test_cancellation_raises_when_its_witness_fails_to_verify(monkeypatch):
+    monkeypatch.setattr(CancellationWitness, "verify", lambda self, h: False)
+    for side, h, law in (
+        ("left", to_orbit_pair(Z2), "derived:mono-witness"),
+        ("right", wide_inclusion(Z2, frozenset(Z2.units)), "derived:epi-witness"),
+    ):
+        with pytest.raises(AxiomViolation) as err:
+            check_cancellation(h, side)
+        assert err.value.law == law
 
 
 def test_cancellation_on_partial_domain():
