@@ -25,6 +25,7 @@ from .errors import (
 from .relation import (
     Universe,
     compose,
+    compose_product_differs,
     first_difference,
     identity,
     mapping_rel,
@@ -56,12 +57,16 @@ class Action:
         rhs = compose(self.rel, product(identity(g.elements), self.rel))
         if lhs != rhs:
             raise AxiomViolation(
-                "phi(mxid)=phi(idxphi)", first_difference(lhs, rhs)
+                "phi(mxid)=phi(idxphi)", lambda: first_difference(lhs, rhs)
             )
-        lhs = compose(self.rel, product(g.e_rel, identity(x)))
-        rhs = unitor_left(x)
-        if lhs != rhs:
-            raise AxiomViolation("phi(exid)=id", first_difference(lhs, rhs))
+        idx, unit = identity(x), unitor_left(x)
+        if compose_product_differs(unit, self.rel, g.e_rel, idx):
+            raise AxiomViolation(
+                "phi(exid)=id",
+                lambda: first_difference(
+                    compose(self.rel, product(g.e_rel, idx)), unit
+                ),
+            )
 
     def _derive(self):
         # one pass over the triples; base map, domain and single-valued
@@ -521,7 +526,7 @@ def homogeneous_identification(action: Action, section):
     rhs = compose(psi_rel, action.rel)
     if lhs != rhs:
         raise AxiomViolation(
-            "derived:homogeneous-intertwine", first_difference(lhs, rhs)
+            "derived:homogeneous-intertwine", lambda: first_difference(lhs, rhs)
         )
     return ref, psi
 
@@ -652,6 +657,6 @@ def classify_transitive_action(space: Universe, table: GroupTable, action: Actio
     rhs = compose(psi_rel, model.rel)
     if lhs != rhs:
         raise AxiomViolation(
-            "derived:classification-intertwine", first_difference(lhs, rhs)
+            "derived:classification-intertwine", lambda: first_difference(lhs, rhs)
         )
     return fiber, fiber_act, psi

@@ -670,7 +670,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as err:
+        # the reader has gone; send what is still buffered, and the
+        # flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        message = f"cannot write to standard output: {err.strerror}"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

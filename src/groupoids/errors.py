@@ -31,17 +31,34 @@ class UnknownElement(AlgebraError):
 
 
 class AxiomViolation(AlgebraError):
-    """A structural law failed; carries the law name and the first offender."""
+    """A structural law failed; carries the law name and the first offender.
+
+    The offender may be passed as a zero-argument callable, such as a
+    closure over first_difference.  It is then computed on first access
+    to `offender` or to the message, so a caller that only reads `law`
+    never pays for it; the value, the sorted-least offending pair, and
+    the message are the same as when it is passed eagerly.
+    """
 
     def __init__(self, law, offender=None, detail=""):
+        super().__init__(law)
         self.law = law
-        self.offender = offender
-        msg = f"axiom {law!r} violated"
-        if offender is not None:
-            msg += f" at {offender!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        self.detail = detail
+        self._offender = offender
+
+    @property
+    def offender(self):
+        if callable(self._offender):
+            self._offender = self._offender()
+        return self._offender
+
+    def __str__(self) -> str:
+        msg = f"axiom {self.law!r} violated"
+        if self.offender is not None:
+            msg += f" at {self.offender!r}"
+        if self.detail:
+            msg += f": {self.detail}"
+        return msg
 
 
 class PreconditionFailed(AlgebraError):

@@ -35,6 +35,7 @@ from .relation import (
     ONE,
     Universe,
     compose,
+    compose_product_differs,
     first_difference as _first_difference,
     flip,
     identity,
@@ -126,27 +127,32 @@ class Groupoid:
         lhs = compose(m, product(m, idu))
         rhs = compose(m, product(idu, m))
         if lhs != rhs:
-            raise AxiomViolation("m(mxid)=m(idxm)", _first_difference(lhs, rhs))
+            raise AxiomViolation(
+                "m(mxid)=m(idxm)", lambda: _first_difference(lhs, rhs)
+            )
 
-        left_unit = compose(m, product(e, idu))
-        if left_unit != unitor_left(u):
-            raise AxiomViolation(
-                "m(exid)=id", _first_difference(left_unit, unitor_left(u))
-            )
-        right_unit = compose(m, product(idu, e))
-        if right_unit != unitor_right(u):
-            raise AxiomViolation(
-                "m(idxe)=id", _first_difference(right_unit, unitor_right(u))
-            )
+        for law, unitor, r, r1 in (
+            ("m(exid)=id", unitor_left, e, idu),
+            ("m(idxe)=id", unitor_right, idu, e),
+        ):
+            if compose_product_differs(unitor(u), m, r, r1):
+                raise AxiomViolation(
+                    law,
+                    lambda: _first_difference(
+                        compose(m, product(r, r1)), unitor(u)
+                    ),
+                )
 
         ss = compose(s, s)
         if ss != idu:
-            raise AxiomViolation("s2=id", _first_difference(ss, idu))
+            raise AxiomViolation("s2=id", lambda: _first_difference(ss, idu))
 
         sm = compose(s, m)
         msxs = compose(m, compose(flip(u, u), product(s, s)))
         if sm != msxs:
-            raise AxiomViolation("sm=m.flip(sxs)", _first_difference(sm, msxs))
+            raise AxiomViolation(
+                "sm=m.flip(sxs)", lambda: _first_difference(sm, msxs)
+            )
 
         by_pair, index, n = m._by_index(), u.index, len(u)
         for g in u:
@@ -267,17 +273,10 @@ class Groupoid:
         )
 
     def is_subgroupoid(self, members) -> bool:
-        ms = set(members)
-        if not ms <= set(self.elements):
+        try:
+            SubgroupoidRef(self, members)
+        except (PreconditionFailed, UnknownElement):
             return False
-        for g in ms:
-            if self.inverse[g] not in ms:
-                return False
-        for a in ms:
-            for b in ms:
-                c = self._mult.get((a, b))
-                if c is not None and c not in ms:
-                    return False
         return True
 
     def is_wide(self, members) -> bool:
@@ -440,21 +439,18 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
 
 
 def cartesian_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
-    """Product groupoid; multiplication is computed relationally."""
-    u1, u2 = g1.elements, g2.elements
-    pu = product_universe(u1, u2)
-    shuffle = product(product(identity(u1), flip(u2, u1)), identity(u2))
-    m = compose(product(g1.m_rel, g2.m_rel), shuffle)
-    # decode pair inputs by matching against known element pairs
-    triples = []
-    for x in pu:
-        for y in pu:
-            for c in m.outputs(pair_name(x, y)):
-                triples.append((c, x, y))
+    """Product groupoid: (a1,a2)(b1,b2) = (a1 b1, a2 b2) where both
+    products are defined."""
+    pu = product_universe(g1.elements, g2.elements)
+    triples = [
+        (pair_name(c1, c2), pair_name(a1, a2), pair_name(b1, b2))
+        for c1, a1, b1 in g1.table
+        for c2, a2, b2 in g2.table
+    ]
     units = [pair_name(e1, e2) for e1 in g1.units for e2 in g2.units]
     inverse = {
         pair_name(a, b): pair_name(g1.inverse[a], g2.inverse[b])
-        for a in u1
-        for b in u2
+        for a in g1.elements
+        for b in g2.elements
     }
     return Groupoid._trusted(f"{g1.name}x{g2.name}", pu, units, inverse, triples)

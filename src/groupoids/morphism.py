@@ -42,6 +42,7 @@ from .relation import (
     FinRel,
     Universe,
     compose,
+    compose_product_differs,
     first_difference,
     pair_name,
     product,
@@ -65,17 +66,18 @@ class Morphism:
 
     def _check_axioms(self):
         src, tgt, h = self.source, self.target, self.rel
-        lhs = compose(h, src.m_rel)
-        rhs = compose(tgt.m_rel, product(h, h))
-        if lhs != rhs:
-            raise AxiomViolation("hm=m'(hxh)", first_difference(lhs, rhs))
-        lhs = compose(h, src.s_rel)
-        rhs = compose(tgt.s_rel, h)
-        if lhs != rhs:
-            raise AxiomViolation("hs=s'h", first_difference(lhs, rhs))
-        lhs = compose(h, src.e_rel)
-        if lhs != tgt.e_rel:
-            raise AxiomViolation("he=e'", first_difference(lhs, tgt.e_rel))
+        hm = compose(h, src.m_rel)
+        if compose_product_differs(hm, tgt.m_rel, h, h):
+            raise AxiomViolation(
+                "hm=m'(hxh)",
+                lambda: first_difference(hm, compose(tgt.m_rel, product(h, h))),
+            )
+        hs, sh = compose(h, src.s_rel), compose(tgt.s_rel, h)
+        if hs != sh:
+            raise AxiomViolation("hs=s'h", lambda: first_difference(hs, sh))
+        he = compose(h, src.e_rel)
+        if he != tgt.e_rel:
+            raise AxiomViolation("he=e'", lambda: first_difference(he, tgt.e_rel))
 
     def _derive(self):
         # one pass over the graph; the axioms make every derived law

@@ -67,6 +67,23 @@ def groupoid_violation(elements, units, inverse, table):
     return None
 
 
+def subgroupoid_loop(groupoid, members):
+    """Whether members is closed under inverse and multiplication, by
+    the direct loop over the members."""
+    ms = set(members)
+    if not ms <= set(groupoid.elements):
+        return False
+    for g in ms:
+        if groupoid.inverse[g] not in ms:
+            return False
+    for a in ms:
+        for b in ms:
+            c = groupoid.mult(a, b)
+            if c is not None and c not in ms:
+                return False
+    return True
+
+
 def morphism_violation(h):
     """First classical law a validated morphism breaks, or None.
 

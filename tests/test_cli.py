@@ -790,6 +790,31 @@ def test_cli_matches_golden(monkeypatch, tmp_path, parser):
         assert got == want, " ".join(want["argv"])
 
 
+def test_closed_stdout_exits_2_without_a_traceback(capsys, tmp_path):
+    # The reader stops after one line, as `| head -1` does.  The rows
+    # (2187 actions, about 260 kB) outgrow a pipe's buffer, so the
+    # command is still printing when the pipe closes.
+    doc = str(tmp_path / "s3.json")
+    assert run(capsys, ["build", "set", "a", "b", "c", "--output", doc])[0] == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    argv = ["enum", "actions", doc, "--carrier", *"1234567", "--direct"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "groupoids.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"2187 actions\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert stderr == b"error: cannot write to standard output: Broken pipe\n"
+
+
 def check_console_script(launcher, tmp_path, env=None):
     """Build Z2 to a file, then validate it by path and on stdin."""
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from oracles import edit_rows, groupoid_violation
+from oracles import edit_rows, groupoid_violation, subgroupoid_loop
 
 from groupoids.builders import (
     cyclic_table,
@@ -281,6 +281,19 @@ def test_subgroupoid_predicates(catalog):
     p2 = catalog["P2"]
     assert p2.is_subgroupoid(("x,x", "y,y"))
     assert not p2.is_wide(("x,x",))
+
+
+def test_is_subgroupoid_agrees_with_the_direct_loop(catalog):
+    verdicts = []
+    for g in catalog.values():
+        elements = sorted(g.elements)
+        for r in range(len(elements) + 1):
+            for subset in itertools.combinations(elements, r):
+                for members in (subset, subset + ("stray",)):
+                    verdict = g.is_subgroupoid(members)
+                    assert verdict == subgroupoid_loop(g, members), (g.name, members)
+                    verdicts.append(verdict)
+    assert len(verdicts) > 1000 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_orbit_relation(catalog):

@@ -10,6 +10,7 @@ from groupoids.relation import (
     FinRel,
     Universe,
     compose,
+    compose_product_differs,
     domain,
     first_difference,
     flip,
@@ -354,3 +355,67 @@ def test_triples_rel_matches_joined_name_pairs():
     with pytest.raises(UnknownElement) as err:
         triples_rel(a, b, b, triples + [("x", "q", "x")])
     assert err.value.element == pair_name("q", "x")
+
+
+# -- the fused check against the materialized composite ---------------
+
+
+# "a!" sorts before "a,": a plain universe over a product's names
+# indexes them in another order than the product does
+FUSED_NAMES = st.sets(st.sampled_from(("a", "a!", "b")), min_size=1)
+
+
+def masked_relation(draw, src, tgt):
+    """A relation drawn as one bit mask over its cells."""
+    cells = [(y, x) for y in tgt for x in src]
+    mask = draw(st.integers(0, 2 ** len(cells) - 1))
+    return FinRel(src, tgt, [c for i, c in enumerate(cells) if mask >> i & 1])
+
+
+@st.composite
+def fused_cases(draw):
+    """(lhs, s, r, r1, kind) with r : X -> Y, r1 : X1 -> Y1,
+    s : Y x Y1 -> Z and lhs : X x X1 -> Z.  kind says what lhs is:
+    s(r x r1) itself, that relation with exactly one row changed, or
+    any relation.  X1 may itself be a product, and lhs or s may be
+    re-read on a plain universe equal by name to its product source,
+    which indexes it differently (half of the cases)."""
+    x, x1, y, y1, z = (
+        Universe(n, draw(FUSED_NAMES)) for n in ("X", "X1", "Y", "Y1", "Z")
+    )
+    if draw(st.booleans()):
+        x1 = product_universe(x1, Universe("V", draw(FUSED_NAMES)))
+    r, r1 = masked_relation(draw, x, y), masked_relation(draw, x1, y1)
+    s = masked_relation(draw, product_universe(y, y1), z)
+    rhs = compose(s, product(r, r1))
+    kind = draw(st.sampled_from(("equal", "one row", "any")))
+    if kind == "any":
+        lhs = masked_relation(draw, rhs.source, z)
+    else:
+        graph = set(rhs.graph)
+        if kind == "one row":
+            row_in = draw(st.sampled_from(rhs.source.elements))
+            row = {w for w, v in graph if v == row_in}
+            outs = draw(st.sets(st.sampled_from(z.elements)))
+            if outs == row:
+                outs ^= {z.elements[0]}
+            graph = {(w, v) for w, v in graph if v != row_in}
+            graph |= {(w, row_in) for w in outs}
+        lhs = FinRel(rhs.source, z, graph)
+    plain = draw(st.sampled_from((None, None, "lhs", "s")))
+    if plain == "lhs":
+        lhs = FinRel(Universe(lhs.source.name, lhs.source.elements), z, lhs.graph)
+    elif plain == "s":
+        s = FinRel(Universe(s.source.name, s.source.elements), z, s.graph)
+    return lhs, s, r, r1, kind
+
+
+@seed(1311)
+@settings(max_examples=150, deadline=None)
+@given(fused_cases())
+def test_compose_product_differs_matches_the_composite(case):
+    lhs, s, r, r1, kind = case
+    differs = compose_product_differs(lhs, s, r, r1)
+    assert differs == (lhs != compose(s, product(r, r1)))
+    if kind != "any":
+        assert differs == (kind == "one row")

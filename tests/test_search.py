@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from groupoids import groupoid, morphism, relation
 from groupoids.action import quotient_groupoid
 from groupoids.builders import (
     cyclic_table,
@@ -69,6 +70,23 @@ def test_naive_budget():
     }
     with pytest.raises(PreconditionFailed):
         EnumBudget(max_pairs=0)
+
+
+def test_naive_rejections_compute_no_offender(monkeypatch):
+    # every P3 -> Z3 candidate fails hm=m'(hxh); the enumerator reads only
+    # the law, so no offender may be computed
+    calls = []
+
+    def counted(lhs, rhs):
+        calls.append((lhs, rhs))
+        return relation.first_difference(lhs, rhs)
+
+    monkeypatch.setattr(morphism, "first_difference", counted)
+    monkeypatch.setattr(groupoid, "_first_difference", counted)
+    p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
+    z3 = group_groupoid(cyclic_table(3))
+    assert enum_morphisms_naive(p3, z3, EnumBudget(override=True)) == []
+    assert calls == []
 
 
 def test_structured_agrees_with_naive():
