@@ -2,16 +2,17 @@
 
 An action of a groupoid on a set X is a relation from Γ×X to X
 subject to two exact equalities, mirroring how the groupoid itself is
-axiomatized.  These are the only checks.  One pass over the triples
-then reads off the classical picture: a base map rho on X, a domain
-{(γ,x): e_R(γ)=rho(x)}, and a single-valued partial map.  That rho
-is well defined, the domain is that fiber product and the map is
-single-valued and inverted by s are theorems of the axioms; the tests
-check them against an oracle.  On top of that the module builds
-action groupoids, coset spaces and quotient groupoids,
-homogeneous-space identification for transitive groupoids, induced
-actions along a subgroupoid, and the normal form of transitive
-actions.
+axiomatized.  These are the only checks, made only where the boundary
+policy in groupoid.py says; the actions the package builds come from
+Action._trusted.  One pass over the triples then reads off the
+classical picture: a base map rho on X, a domain {(γ,x): e_R(γ)=rho(x)},
+and a single-valued partial map.  That rho is well defined, the domain
+is that fiber product and the map is single-valued and inverted by s
+are theorems of the axioms; the tests check them against an oracle.  On
+top of that the module builds action groupoids, coset spaces and
+quotient groupoids, homogeneous-space identification for transitive
+groupoids, induced actions along a subgroupoid, and the normal form of
+transitive actions.
 """
 
 from __future__ import annotations
@@ -37,18 +38,35 @@ from .relation import (
 )
 from .groupoid import Groupoid, SubgroupoidRef
 from .builders import GroupTable, check_group_action, pair_groupoid, product_form
-from .morphism import Morphism, _as_member_set, fiber_map_right, to_orbit_pair
+from .morphism import (
+    Morphism,
+    _as_member_set,
+    compose_morphisms,
+    fiber_map_right,
+    to_orbit_pair,
+)
 
 
 class Action:
     """A validated relational action, stored as triples (y, g, x)."""
 
     def __init__(self, groupoid: Groupoid, carrier: Universe, triples):
+        self._read(groupoid, carrier, triples, check=True)
+
+    @classmethod
+    def _trusted(cls, groupoid: Groupoid, carrier: Universe, triples):
+        """An action built from structures the package holds, unchecked."""
+        action = cls.__new__(cls)
+        action._read(groupoid, carrier, triples, check=False)
+        return action
+
+    def _read(self, groupoid, carrier, triples, check):
         self.groupoid = groupoid
         self.carrier = carrier
         self.triples = tuple(sorted(set(triples)))
         self.rel = triples_rel(groupoid.elements, carrier, carrier, self.triples)
-        self._check_axioms()
+        if check:
+            self._check_axioms()
         self._derive()
 
     def _check_axioms(self):
@@ -124,7 +142,7 @@ class GammaSet:
 
 def left_mult_action(groupoid: Groupoid) -> Action:
     """The groupoid acting on itself by left multiplication."""
-    return Action(
+    return Action._trusted(
         groupoid, groupoid.elements, ((c, a, b) for c, a, b in groupoid.table)
     )
 
@@ -135,7 +153,7 @@ def unit_action(groupoid: Groupoid) -> Action:
     triples = (
         (groupoid.e_left(g), g, groupoid.e_right(g)) for g in groupoid.elements
     )
-    return Action(groupoid, carrier, triples)
+    return Action._trusted(groupoid, carrier, triples)
 
 
 def conjugation_action(groupoid: Groupoid) -> Action:
@@ -148,46 +166,18 @@ def conjugation_action(groupoid: Groupoid) -> Action:
             if groupoid.e_right(g) == groupoid.e_left(k):
                 moved = groupoid.mult(groupoid.mult(g, k), groupoid.inverse[g])
                 triples.append((moved, g, k))
-    return Action(groupoid, carrier, triples)
+    return Action._trusted(groupoid, carrier, triples)
 
 
 def classical_to_relational(groupoid: Groupoid, carrier: Universe, rho, act) -> Action:
-    """Validate base map plus partial action and re-express as triples."""
+    """Re-express a base map plus partial action as triples, checked as
+    an action whose base map is rho."""
     rho = dict(rho)
-    act = dict(act)
-    unit_set = set(groupoid.units)
+    action = Action(groupoid, carrier, ((y, g, x) for (g, x), y in dict(act).items()))
     for x in carrier:
-        if x not in rho:
-            raise PreconditionFailed(f"base map undefined at {x!r}")
-        if rho[x] not in unit_set:
-            raise PreconditionFailed(f"base map value {rho[x]!r} is not a unit")
-    expected = {
-        (g, x)
-        for g in groupoid.elements
-        for x in carrier
-        if groupoid.e_right(g) == rho[x]
-    }
-    if set(act) != expected:
-        raise PreconditionFailed(
-            f"action domain differs from the base-map fiber product at "
-            f"{min(set(act) ^ expected)!r}"
-        )
-    for (g, x), y in act.items():
-        if y not in carrier:
-            raise UnknownElement(y, carrier.name)
-    for x in carrier:
-        if act[(rho[x], x)] != x:
-            raise PreconditionFailed(f"unit law fails at {x!r}")
-    for g1 in groupoid.elements:
-        for (g2, x), y in act.items():
-            lhs = act.get((g1, y))
-            prod = groupoid.mult(g1, g2)
-            rhs = act.get((prod, x)) if prod is not None else None
-            if lhs != rhs:
-                raise PreconditionFailed(
-                    f"compatibility fails at ({g1!r}, {g2!r}, {x!r})"
-                )
-    return Action(groupoid, carrier, ((y, g, x) for (g, x), y in act.items()))
+        if rho.get(x) != action.base_map[x]:
+            raise PreconditionFailed(f"base map at {x!r} is not the action's")
+    return action
 
 
 def as_mapping(action: Action):
@@ -199,7 +189,7 @@ def action_to_pair_morphism(action: Action) -> Morphism:
     """The morphism into the pair groupoid over the carrier."""
     target = pair_groupoid(action.carrier)
     graph = [(pair_name(y, x), g) for y, g, x in action.triples]
-    return Morphism(action.groupoid, target, graph)
+    return Morphism._trusted(action.groupoid, target, graph)
 
 
 def morphism_to_action(h: Morphism, carrier: Universe) -> Action:
@@ -215,7 +205,7 @@ def morphism_to_action(h: Morphism, carrier: Universe) -> Action:
     for d, g in h.graph:
         x1, x2 = decode[d]
         triples.append((x1, g, x2))
-    return Action(h.source, carrier, triples)
+    return Action._trusted(h.source, carrier, triples)
 
 
 def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
@@ -224,7 +214,7 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
     if tuple(action.carrier) != tuple(delta.elements):
         raise UniverseMismatch(action.carrier, delta.elements, "carrier")
     if action.carrier != delta.elements:
-        action = Action(action.groupoid, delta.elements, action.triples)
+        action = Action._trusted(action.groupoid, delta.elements, action.triples)
     lhs = compose(
         action.rel, product(identity(action.groupoid.elements), delta.m_rel)
     )
@@ -251,7 +241,7 @@ def pullback_action(h: Morphism, space: GammaSet) -> GammaSet:
         for x in carrier:
             for y in rel.outputs(pair_name(g, x)):
                 triples.append((y, g, x))
-    return GammaSet(carrier, Action(h.source, carrier, triples))
+    return GammaSet(carrier, Action._trusted(h.source, carrier, triples))
 
 
 def is_equivariant(func, first: GammaSet, second: GammaSet) -> bool:
@@ -300,13 +290,8 @@ def action_groupoid(action: Action) -> Groupoid:
 
 def action_groupoid_functor(h: Morphism):
     """The unit action of a morphism plus its fiber-map functor."""
-    target_units = h.target.units_universe()
-    composite = Morphism(
-        h.source,
-        pair_groupoid(target_units),
-        compose(to_orbit_pair(h.target).rel, h.rel).graph,
-    )
-    phi = morphism_to_action(composite, target_units)
+    composite = compose_morphisms(to_orbit_pair(h.target), h)
+    phi = morphism_to_action(composite, h.target.units_universe())
     functor = {}
     for f in h.target.units:
         fiber = fiber_map_right(h, f)
@@ -412,7 +397,7 @@ def coset_space(groupoid: Groupoid, part) -> CosetSpace:
     triples = {
         (projection[c], a, projection[b]) for c, a, b in groupoid.table
     }
-    action = Action(groupoid, carrier, triples)
+    action = Action._trusted(groupoid, carrier, triples)
     return CosetSpace(groupoid, members, tuple(classes), projection, action)
 
 
@@ -460,7 +445,7 @@ def quotient_groupoid(groupoid: Groupoid, part):
     quotient = Groupoid._trusted(
         f"{groupoid.name}/G", elements, units, inverse, table
     )
-    pi = Morphism(
+    pi = Morphism._trusted(
         groupoid, quotient, ((projection[g], g) for g in groupoid.elements)
     )
     from .morphism import is_surjective
@@ -581,7 +566,7 @@ def induced_action(groupoid: Groupoid, part, action: Action):
                 triples.add(
                     (projection[(prod, x)], gamma1, projection[(gamma, x)])
                 )
-    return carrier, Action(groupoid, carrier, triples)
+    return carrier, Action._trusted(groupoid, carrier, triples)
 
 
 def product_form_action(space: Universe, table: GroupTable, carrier: Universe, act) -> Action:
@@ -602,7 +587,7 @@ def product_form_action(space: Universe, table: GroupTable, carrier: Universe, a
                         )
                     )
     product_carrier = product_universe(space, carrier)
-    return Action(groupoid, product_carrier, triples)
+    return Action._trusted(groupoid, product_carrier, triples)
 
 
 def classify_transitive_action(space: Universe, table: GroupTable, action: Action, z0=None):
@@ -651,7 +636,7 @@ def classify_transitive_action(space: Universe, table: GroupTable, action: Actio
         raise AxiomViolation("derived:classification-bijective", None)
 
     model = product_form_action(space, table, fiber, fiber_act)
-    model = Action(groupoid, model.carrier, model.triples)
+    model = Action._trusted(groupoid, model.carrier, model.triples)
     psi_rel = mapping_rel(model.carrier, action.carrier, psi)
     lhs = compose(action.rel, product(identity(groupoid.elements), psi_rel))
     rhs = compose(psi_rel, model.rel)

@@ -167,7 +167,7 @@ def ad(bisection: Bisection) -> Morphism:
         shifted = act(bisection, g)
         tail = bisection._by_right[groupoid.e_right(g)]
         graph.append((groupoid.mult(shifted, groupoid.inverse[tail]), g))
-    out = Morphism(groupoid, groupoid, graph)
+    out = Morphism._trusted(groupoid, groupoid, graph)
     if not is_mono(out):
         raise AxiomViolation("derived:ad-mono", bisection.label)
     return out

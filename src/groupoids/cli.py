@@ -19,7 +19,7 @@ from . import bisection as bisection_ops
 from . import builders
 from . import morphism as morphism_ops
 from . import search as search_ops
-from .errors import AlgebraError, DocumentError, UniverseError
+from .errors import AlgebraError, DocumentError, PreconditionFailed, UniverseError
 from .groupoid import Groupoid, cartesian_product, disjoint_union
 from .relation import Universe
 
@@ -244,7 +244,9 @@ def emit(args, payload) -> int:
         except OSError as err:
             raise DocumentError(f"cannot write {args.output!r}: {err.strerror}")
     else:
-        sys.stdout.write(text)
+        # one large write that a closed pipe cuts short can report no
+        # error; written line by line, the error reaches main
+        sys.stdout.writelines(text.splitlines(keepends=True))
     return 0
 
 
@@ -282,9 +284,8 @@ def _table_from_token(token):
             raise DocumentError(
                 f"group order in {token!r} is not an integer"
             ) from None
-        if head == "cyclic":
-            return builders.cyclic_table(order)
-        return builders.symmetric_table(order)
+        make = builders.cyclic_table if head == "cyclic" else builders.symmetric_table
+        return _argv(make, order, wrong=PreconditionFailed)
     if head == "klein":
         return builders.klein_table()
     if head == "trivial":
@@ -292,11 +293,11 @@ def _table_from_token(token):
     raise DocumentError(f"unknown group family {token!r}")
 
 
-def _argv(make, *args):
-    """make(*args) on command-line names, where a UniverseError is a usage error."""
+def _argv(make, *args, wrong=UniverseError):
+    """make(*args) on command-line values, where a `wrong` error is a usage error."""
     try:
         return make(*args)
-    except UniverseError as err:
+    except wrong as err:
         raise DocumentError(str(err)) from None
 
 
@@ -530,10 +531,9 @@ def cmd_enum(args) -> int:
     if args.what == "morphisms":
         tgt, _ = _load(args.target, "groupoid")
         if args.naive:
-            budget = search_ops.EnumBudget(
-                max_pairs=args.max_pairs,
-                max_candidates=args.max_candidates,
-                override=args.override,
+            budget = _argv(
+                search_ops.EnumBudget, args.max_pairs, args.max_candidates,
+                args.override, wrong=PreconditionFailed,
             )
             found = search_ops.enum_morphisms_naive(src, tgt, budget)
         else:

@@ -17,10 +17,18 @@ inverse laws, partial associativity) are theorems of the axioms, so
 the constructor reads the partial operation off the table without
 re-proving them; the tests check them against an independent oracle.
 A validation failure raises AxiomViolation carrying a stable law name
-and the first offending element in sorted order.  Only outside data is
-checked: documents, raw group tables, validate_groupoid and user calls.
-Groupoid._trusted builds the rest, checking only that pair names are
-unambiguous; the builder grid in tests/test_builders.py proves it.
+and the first offending element in sorted order.
+
+Boundary policy, for groupoids, morphisms and actions alike: the
+checking constructors Groupoid(...), Morphism(...) and Action(...) run
+only where data enters the package: documents, raw group tables,
+validate_groupoid, enumerator candidates, the classical data of
+classical_to_relational, functor_to_morphism and functor_to_zm, the
+output of right_commuting_to_morphism, and user calls.  What the package
+builds from structures it holds is valid by the paper's theorems and
+comes from the class's _trusted constructor, which skips the axioms
+(Groupoid._trusted still refuses ambiguous pair names).  The grids in
+tests/test_builders.py and tests/test_trusted.py prove those builds.
 
 Equality of groupoids is structural and ignores the display name.
 """

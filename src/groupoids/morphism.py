@@ -5,14 +5,16 @@ Delta x Gamma and which satisfies
 
     h m = m' (h x h),   h s = s' h,   h e = e'
 
-as exact relation equalities.  These are the only checks.  One pass
-over the graph then reads off the derived data every theorem
-downstream consumes: the base map on units (here rho, mapping units of
-the target to units of the source), the domain, the image and the
-kernel; the per-unit fiber maps are computed on demand.  That the base
-map is unique, the domain a union of transitive components, the image
-a wide subgroupoid of the target and each fiber map single-valued are
-theorems of the axioms; the tests check them against an oracle.
+as exact relation equalities.  These are the only checks, made only
+where the boundary policy in groupoid.py says; the morphisms the
+package builds come from Morphism._trusted.  One pass over the graph
+then reads off the derived data every theorem downstream consumes: the
+base map on units (here rho, mapping units of the target to units of
+the source), the domain, the image and the kernel; the per-unit fiber
+maps are computed on demand.  That the base map is unique, the domain a
+union of transitive components, the image a wide subgroupoid of the
+target and each fiber map single-valued are theorems of the axioms; the
+tests check them against an oracle.
 
 Monomorphisms are decided by the kernel criterion; failed candidates
 come with explicit cancellation witnesses built from the classical
@@ -51,10 +53,21 @@ from .relation import (
 
 class Morphism:
     def __init__(self, source: Groupoid, target: Groupoid, graph):
+        self._read(source, target, graph, check=True)
+
+    @classmethod
+    def _trusted(cls, source: Groupoid, target: Groupoid, graph):
+        """A morphism built from structures the package holds, unchecked."""
+        morphism = cls.__new__(cls)
+        morphism._read(source, target, graph, check=False)
+        return morphism
+
+    def _read(self, source, target, graph, check):
         self.source = source
         self.target = target
         self.rel = FinRel(source.elements, target.elements, graph)
-        self._check_axioms()
+        if check:
+            self._check_axioms()
         self._derive()
 
     @property
@@ -174,16 +187,16 @@ class CancellationWitness:
 
 
 def compose_morphisms(k: Morphism, h: Morphism) -> Morphism:
-    """The composite k after h; revalidated on construction."""
+    """The composite k after h."""
     if h.target != k.source:
         raise UniverseMismatch(
             h.target.elements, k.source.elements, "compose_morphisms"
         )
-    return Morphism(h.source, k.target, compose(k.rel, h.rel).graph)
+    return Morphism._trusted(h.source, k.target, compose(k.rel, h.rel).graph)
 
 
 def identity_morphism(groupoid: Groupoid) -> Morphism:
-    return Morphism(groupoid, groupoid, ((g, g) for g in groupoid.elements))
+    return Morphism._trusted(groupoid, groupoid, ((g, g) for g in groupoid.elements))
 
 
 def base_map(h: Morphism) -> dict:
@@ -242,15 +255,15 @@ def mono_witness(h: Morphism) -> CancellationWitness:
             probe = set_groupoid(src.units_universe())
             e0 = rest[0]
             f2 = {e: (e0 if e in set(missing) else e) for e in units}
-            w1 = Morphism(probe, src, ((e, e) for e in units))
-            w2 = Morphism(probe, src, ((e, f2[e]) for e in units))
+            w1 = Morphism._trusted(probe, src, ((e, e) for e in units))
+            w2 = Morphism._trusted(probe, src, ((e, f2[e]) for e in units))
         else:
             # the whole unit set is one missing orbit; any two distinct
             # constant probes compose with h to the empty relation
             fresh = Universe(f"{src.elements.name}.probe", ("p0", "p1"))
             probe = set_groupoid(fresh)
-            w1 = Morphism(probe, src, ((e, "p0") for e in units))
-            w2 = Morphism(probe, src, ((e, "p1") for e in units))
+            w1 = Morphism._trusted(probe, src, ((e, "p0") for e in units))
+            w2 = Morphism._trusted(probe, src, ((e, "p1") for e in units))
         witness = CancellationWitness(probe, w1, w2, "mono")
     else:
         gamma0 = min(h.kernel_members - set(units))
@@ -263,8 +276,8 @@ def mono_witness(h: Morphism) -> CancellationWitness:
         psi1 = [(e, k) for e in units for k in h0]
         psi2 = [(e, k) for e in units if e != e0 for k in h0]
         psi2 += [(k, k) for k in h0]
-        w1 = Morphism(probe, src, psi1)
-        w2 = Morphism(probe, src, psi2)
+        w1 = Morphism._trusted(probe, src, psi1)
+        w2 = Morphism._trusted(probe, src, psi2)
         witness = CancellationWitness(probe, w1, w2, "mono")
     if not witness.verify(h):
         raise AxiomViolation("derived:mono-witness", None, "composites differ")
@@ -275,7 +288,7 @@ def left_regular(groupoid: Groupoid) -> Morphism:
     """Left translations, as a morphism into the pair groupoid on Γ."""
     target = pair_groupoid(groupoid.elements)
     graph = [(pair_name(c, b), a) for c, a, b in groupoid.table]
-    return Morphism(groupoid, target, graph)
+    return Morphism._trusted(groupoid, target, graph)
 
 
 def _as_member_set(groupoid: Groupoid, part) -> frozenset:
@@ -298,7 +311,7 @@ def component_projection(groupoid: Groupoid, part) -> Morphism:
             f"{min(members ^ full)!r} breaks the transitive-component condition"
         )
     sub = SubgroupoidRef(groupoid, members).as_groupoid()
-    return Morphism(groupoid, sub, ((g, g) for g in members))
+    return Morphism._trusted(groupoid, sub, ((g, g) for g in members))
 
 
 def wide_inclusion(groupoid: Groupoid, part) -> Morphism:
@@ -308,33 +321,33 @@ def wide_inclusion(groupoid: Groupoid, part) -> Morphism:
     if not ref.is_wide:
         raise PreconditionFailed("subgroupoid is not wide")
     sub = ref.as_groupoid()
-    return Morphism(sub, groupoid, ((g, g) for g in members))
+    return Morphism._trusted(sub, groupoid, ((g, g) for g in members))
+
+
+def _unit_pairs(groupoid: Groupoid) -> list:
+    """The graph of γ ↦ (left unit, right unit)."""
+    return [
+        (pair_name(groupoid.e_left(g), groupoid.e_right(g)), g)
+        for g in groupoid.elements
+    ]
 
 
 def to_orbit_pair(groupoid: Groupoid) -> Morphism:
     """γ ↦ (left unit, right unit) into the pair groupoid on units."""
     target = pair_groupoid(groupoid.units_universe())
-    graph = [
-        (pair_name(groupoid.e_left(g), groupoid.e_right(g)), g)
-        for g in groupoid.elements
-    ]
-    return Morphism(groupoid, target, graph)
+    return Morphism._trusted(groupoid, target, _unit_pairs(groupoid))
 
 
 def to_orbit_relation(groupoid: Groupoid) -> Morphism:
     """Same unit-pair map, onto the orbit equivalence relation."""
     target = groupoid.orbit_relation()
-    graph = [
-        (pair_name(groupoid.e_left(g), groupoid.e_right(g)), g)
-        for g in groupoid.elements
-    ]
-    return Morphism(groupoid, target, graph)
+    return Morphism._trusted(groupoid, target, _unit_pairs(groupoid))
 
 
 def restrict_to_domain(h: Morphism) -> Morphism:
     """The same relation viewed from the full subgroupoid on D(h)."""
     sub = SubgroupoidRef(h.source, h.domain_elements).as_groupoid()
-    return Morphism(sub, h.target, h.graph)
+    return Morphism._trusted(sub, h.target, h.graph)
 
 
 def product_injections(g1: Groupoid, g2: Groupoid):
@@ -342,10 +355,10 @@ def product_injections(g1: Groupoid, g2: Groupoid):
     from .groupoid import cartesian_product
 
     prod = cartesian_product(g1, g2)
-    i1 = Morphism(
+    i1 = Morphism._trusted(
         g1, prod, ((pair_name(a, e2), a) for a in g1.elements for e2 in g2.units)
     )
-    i2 = Morphism(
+    i2 = Morphism._trusted(
         g2, prod, ((pair_name(e1, b), b) for b in g2.elements for e1 in g1.units)
     )
     return i1, i2
@@ -356,8 +369,8 @@ def union_projections(g1: Groupoid, g2: Groupoid):
     from .groupoid import disjoint_union
 
     union = disjoint_union(g1, g2)
-    p1 = Morphism(union, g1, ((g, f"L:{g}") for g in g1.elements))
-    p2 = Morphism(union, g2, ((g, f"R:{g}") for g in g2.elements))
+    p1 = Morphism._trusted(union, g1, ((g, f"L:{g}") for g in g1.elements))
+    p2 = Morphism._trusted(union, g2, ((g, f"R:{g}") for g in g2.elements))
     return union, p1, p2
 
 
@@ -368,7 +381,7 @@ def product_pairing(p1: Morphism, p2: Morphism) -> Morphism:
     union, q1, q2 = union_projections(p1.target, p2.target)
     graph = [(f"L:{d}", g) for d, g in p1.graph]
     graph += [(f"R:{d}", g) for d, g in p2.graph]
-    paired = Morphism(p1.source, union, graph)
+    paired = Morphism._trusted(p1.source, union, graph)
     if compose_morphisms(q1, paired) != p1 or compose_morphisms(q2, paired) != p2:
         raise AxiomViolation("derived:pairing-projections", None)
     return paired
@@ -382,19 +395,7 @@ def functor_to_morphism(source: Groupoid, target: Groupoid, mapping) -> Morphism
             raise PreconditionFailed(f"functor undefined at {g!r}")
         if mapping[g] not in target.elements:
             raise PreconditionFailed(f"functor value {mapping[g]!r} unknown")
-    for e in source.units:
-        if mapping[e] not in set(target.units):
-            raise PreconditionFailed(f"functor maps unit {e!r} to a non-unit")
-    for g in source.elements:
-        if mapping[source.inverse[g]] != target.inverse[mapping[g]]:
-            raise PreconditionFailed(f"functor breaks inverse at {g!r}")
-    for c, a, b in source.table:
-        if target.mult(mapping[a], mapping[b]) != mapping[c]:
-            raise PreconditionFailed(f"functor breaks product at ({a!r}, {b!r})")
-    unit_values = [mapping[e] for e in source.units]
-    if len(set(unit_values)) != len(unit_values) or set(unit_values) != set(
-        target.units
-    ):
+    if sorted(mapping[e] for e in source.units) != list(target.units):
         raise PreconditionFailed("functor is not a bijection on units")
     return Morphism(source, target, ((mapping[g], g) for g in source.elements))
 
@@ -407,7 +408,7 @@ def group_action_morphism(table, space: Universe, act) -> Morphism:
     graph = [
         (pair_name(act[(g, x)], x), g) for g in table.elements for x in space
     ]
-    return Morphism(src, tgt, graph)
+    return Morphism._trusted(src, tgt, graph)
 
 
 def has_unique_fixed_point_property(table, space: Universe, act) -> bool:
@@ -458,7 +459,9 @@ def quotient_by_kernel(h: Morphism):
         raise PreconditionFailed("morphism domain must be the whole groupoid")
     quotient, pi = quotient_groupoid(h.source, h.kernel_members)
     cls = {g: pi.outputs(g)[0] for g in h.source.elements}
-    reduced = Morphism(quotient, h.target, {(d, cls[g]) for d, g in h.graph})
+    reduced = Morphism._trusted(
+        quotient, h.target, {(d, cls[g]) for d, g in h.graph}
+    )
     if not is_mono(reduced):
         raise AxiomViolation("derived:kernel-quotient-mono", None)
     if compose_morphisms(reduced, pi) != h:
@@ -526,8 +529,8 @@ def separating_pair(groupoid: Groupoid, part):
         sub = sorted(set(iso) & members)
         ktable, proj = quotient_group_table(table, sub)
         probe = group_groupoid(ktable)
-        k1 = Morphism(groupoid, probe, ((ktable.unit, g) for g in iso))
-        k2 = Morphism(groupoid, probe, ((proj[g], g) for g in iso))
+        k1 = Morphism._trusted(groupoid, probe, ((ktable.unit, g) for g in iso))
+        k2 = Morphism._trusted(groupoid, probe, ((proj[g], g) for g in iso))
 
     if k1 == k2:
         raise AxiomViolation("derived:separating-distinct", gamma0)

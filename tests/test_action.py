@@ -120,6 +120,24 @@ def test_classical_rejects_non_action():
         classical_to_relational(Z2, PQ, {x: "0" for x in PQ}, broken)
 
 
+LM_RHO, LM_ACT = as_mapping(left_mult_action(P2))
+
+
+@pytest.mark.parametrize(
+    "groupoid, carrier, rho, act",
+    [
+        (Z2, PQ, {"p": "0", "q": "1"}, SWAP),
+        (Z2, PQ, {"p": "0"}, SWAP),
+        # a unit everywhere, but the wrong one over the points at 2,2
+        (P2, P2.elements, {x: "1,1" for x in LM_RHO}, LM_ACT),
+    ],
+    ids=["non-unit-value", "missing-point", "disagrees-with-act"],
+)
+def test_classical_to_relational_refuses_a_wrong_base_map(groupoid, carrier, rho, act):
+    with pytest.raises(PreconditionFailed):
+        classical_to_relational(groupoid, carrier, rho, act)
+
+
 def test_pair_morphism_round_trip():
     lm = left_mult_action(P2)
     h = action_to_pair_morphism(lm)

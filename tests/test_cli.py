@@ -450,6 +450,11 @@ def _unreadable_documents(tmp_path):
         ["build", "set", "a", "a,a"],
         ["build", "product-form", "a", "a,a", "--group", "trivial"],
         ["build", "group", "cyclic:x"],
+        ["build", "group", "cyclic:0"],
+        ["build", "group", "symmetric:0"],
+        ["build", "group", "symmetric:10"],
+        ["enum", "morphisms", "@z2", "@z2", "--naive", "--max-pairs", "0"],
+        ["enum", "morphisms", "@z2", "@z2", "--naive", "--max-candidates", "0"],
         ["validate", "@groupoid"],
         ["build", "bundle", "symmetric:3", "symmetric:"],
         ["validate", "@morphism"],
@@ -471,6 +476,11 @@ def _unreadable_documents(tmp_path):
         "ambiguous-set-pair-names",
         "ambiguous-product-form-pair-names",
         "group-order-not-int",
+        "cyclic-order-0",
+        "symmetric-order-0",
+        "symmetric-order-10",
+        "max-pairs-0",
+        "max-candidates-0",
         "list-as-element",
         "bundle-order-not-int",
         "list-in-morphism-graph",
@@ -790,29 +800,42 @@ def test_cli_matches_golden(monkeypatch, tmp_path, parser):
         assert got == want, " ".join(want["argv"])
 
 
-def test_closed_stdout_exits_2_without_a_traceback(capsys, tmp_path):
-    # The reader stops after one line, as `| head -1` does.  The rows
-    # (2187 actions, about 260 kB) outgrow a pipe's buffer, so the
-    # command is still printing when the pipe closes.
-    doc = str(tmp_path / "s3.json")
-    assert run(capsys, ["build", "set", "a", "b", "c", "--output", doc])[0] == 0
+BROKEN_PIPE = b"error: cannot write to standard output: Broken pipe\n"
+
+
+def _closed_after_first_line(argv):
+    """(first line, exit code, stderr) of a child groupoids process whose
+    reader closes its stdout after the first line, as `| head -1` does."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    argv = ["enum", "actions", doc, "--carrier", *"1234567", "--direct"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "groupoids.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.readline() == b"2187 actions\n"
+    first = proc.stdout.readline()
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == 2
-    assert stderr == b"error: cannot write to standard output: Broken pipe\n"
+    return first, proc.wait(), stderr
+
+
+def test_closed_stdout_exits_2_without_a_traceback(capsys, tmp_path):
+    # The rows (2187 actions, about 260 kB) outgrow a pipe's buffer, so
+    # the command is still printing when the pipe closes.
+    doc = str(tmp_path / "s3.json")
+    assert run(capsys, ["build", "set", "a", "b", "c", "--output", doc])[0] == 0
+    argv = ["enum", "actions", doc, "--carrier", *"1234567", "--direct"]
+    assert _closed_after_first_line(argv) == (b"2187 actions\n", 2, BROKEN_PIPE)
+
+
+def test_closed_stdout_cut_inside_a_document_exits_2():
+    # one document of about 1.5 MB, written by emit rather than row by row
+    argv = ["build", "pair", *(f"p{i}" for i in range(30))]
+    assert _closed_after_first_line(argv) == (b"{\n", 2, BROKEN_PIPE)
 
 
 def check_console_script(launcher, tmp_path, env=None):

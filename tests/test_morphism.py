@@ -14,6 +14,7 @@ from groupoids.builders import (
     symmetric_table,
 )
 from groupoids.errors import (
+    AlgebraError,
     AxiomViolation,
     IsMonomorphism,
     PreconditionFailed,
@@ -225,6 +226,27 @@ def test_functor_to_morphism_cases():
     assert is_surjective(ef)
     with pytest.raises(PreconditionFailed):
         functor_to_morphism(S2, PT, {g: "0" for g in S2.elements})
+
+
+Z3 = group_groupoid(cyclic_table(3))
+
+
+@pytest.mark.parametrize(
+    "source, target, mapping, error",
+    [
+        (Z2, Z2, {"0": "0"}, PreconditionFailed),
+        (Z2, Z2, {"0": "0", "1": "7"}, PreconditionFailed),
+        (P2, P2, {g: "1,1" for g in P2.elements}, PreconditionFailed),
+        # 1 + 1 = 2 goes to 0, but 3 + 3 = 2
+        (Z4, Z4, {"0": "0", "1": "3", "2": "0", "3": "1"}, AlgebraError),
+        # the inverse 2 of 1 goes to 1, not to the inverse 2 of 1
+        (Z3, Z3, {"0": "0", "1": "1", "2": "1"}, AlgebraError),
+    ],
+    ids=["partial", "unknown-value", "units-not-bijective", "product", "inverse"],
+)
+def test_functor_to_morphism_refuses_non_functors(source, target, mapping, error):
+    with pytest.raises(error):
+        functor_to_morphism(source, target, mapping)
 
 
 def test_group_action_morphism_cases():

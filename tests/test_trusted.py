@@ -1,0 +1,215 @@
+"""Every morphism and action the package builds unchecked.
+
+Morphism._trusted and Action._trusted skip the axioms, so each
+construction that uses them is run here over a fixed grid of groupoids.
+Every structure they make is recorded with the function that made it,
+rebuilt by the checking constructor and held to the classical oracles.
+"""
+
+import itertools
+import sys
+
+import pytest
+from oracles import action_violation, morphism_violation
+
+from groupoids.action import (
+    Action,
+    GammaSet,
+    action_to_pair_morphism,
+    classify_transitive_action,
+    conjugation_action,
+    coset_space,
+    induced_action,
+    left_mult_action,
+    morphism_to_action,
+    product_form_action,
+    pullback_action,
+    quotient_groupoid,
+    right_commuting_to_morphism,
+    unit_action,
+)
+from groupoids.bisection import ad, all_bisections
+from groupoids.builders import (
+    cyclic_table,
+    group_bundle,
+    group_groupoid,
+    klein_table,
+    pair_groupoid,
+    product_form,
+    set_groupoid,
+    symmetric_table,
+)
+from groupoids.errors import AxiomViolation
+from groupoids.morphism import (
+    Morphism,
+    component_projection,
+    compose_morphisms,
+    epi_mono_factorization,
+    group_action_morphism,
+    identity_morphism,
+    is_mono,
+    left_regular,
+    mono_witness,
+    product_injections,
+    product_pairing,
+    quotient_by_kernel,
+    restrict_to_domain,
+    separating_pair,
+    to_orbit_pair,
+    to_orbit_relation,
+    union_projections,
+    wide_inclusion,
+)
+from groupoids.relation import Universe
+
+# the functions that call Morphism._trusted or Action._trusted
+TRUSTED_SITES = {
+    "identity_morphism", "compose_morphisms", "left_regular", "to_orbit_pair",
+    "to_orbit_relation", "component_projection", "wide_inclusion",
+    "restrict_to_domain", "product_injections", "union_projections",
+    "product_pairing", "group_action_morphism", "quotient_by_kernel",
+    "mono_witness", "separating_pair", "ad", "quotient_groupoid",
+    "action_to_pair_morphism", "morphism_to_action", "left_mult_action",
+    "unit_action", "conjugation_action", "coset_space", "induced_action",
+    "pullback_action", "product_form_action", "right_commuting_to_morphism",
+    "classify_transitive_action",
+}
+
+
+def grid_groupoids(catalog):
+    """The catalog, pair groupoids on 1-4 points, Z1-Z6, V4, S3, three
+    bundles and four product forms."""
+    out = dict(catalog)
+    for n in range(1, 5):
+        out[f"P{n}"] = pair_groupoid(Universe(f"X{n}", "1234"[:n]))
+    tables = [cyclic_table(n) for n in range(1, 7)]
+    tables += [klein_table(), symmetric_table(3)]
+    for t in tables:
+        out[f"G {t.name}"] = group_groupoid(t)
+    z1, z2, z3 = cyclic_table(1), cyclic_table(2), cyclic_table(3)
+    for fibres in ([z2, z1], [z3, z2, z1], [symmetric_table(3), z2]):
+        out["bundle " + "+".join(t.name for t in fibres)] = group_bundle(fibres)
+    for n, t in ((2, z2), (2, z3), (3, z2), (2, symmetric_table(3))):
+        out[f"PF {n} {t.name}"] = product_form(Universe(f"B{n}", "xyz"[:n]), t)
+    return out
+
+
+def wide_parts(g):
+    """The units, the isotropy bundle and the whole groupoid, once each."""
+    parts = [frozenset(g.units), g.isotropy_bundle().members, frozenset(g.elements)]
+    return list(dict.fromkeys(parts))
+
+
+def run_grid(catalog):
+    """Call every construction that builds through _trusted, over the grid."""
+    groupoids = grid_groupoids(catalog)
+    empty = set_groupoid(Universe("none", ()))
+    for g in groupoids.values():
+        full = [identity_morphism(g), left_regular(g), to_orbit_pair(g)]
+        full.append(to_orbit_relation(g))
+        for h in full:
+            quotient_by_kernel(h)
+            if not is_mono(h):
+                mono_witness(h)
+        product_pairing(full[0], full[2])
+        compose_morphisms(full[1], full[0])
+        compose_morphisms(full[2], full[0])
+        if len(g.orbits()) == 1:
+            mono_witness(Morphism(g, empty, ()))
+        for component in g.transitive_components():
+            proj = component_projection(g, component)
+            restrict_to_domain(proj)
+            if proj.domain_elements != frozenset(g.elements):
+                mono_witness(proj)
+                epi_mono_factorization(proj)
+        for part in wide_parts(g):
+            wide_inclusion(g, part)
+            coset_space(g, part)
+            if len(g.elements) <= 8 and part != frozenset(g.elements):
+                separating_pair(g, part)
+        quotient_groupoid(g, g.isotropy_bundle().members)
+        for make in (left_mult_action, unit_action, conjugation_action):
+            a = make(g)
+            morphism_to_action(action_to_pair_morphism(a), a.carrier)
+        if len(g.elements) <= 8:
+            for b in all_bisections(g):
+                ad(b)
+        sub = g.isotropy_bundle().as_groupoid()
+        induced_action(g, sub.elements, left_mult_action(sub))
+        units = set_groupoid(g.units_universe())
+        induced_action(g, g.units, unit_action(units))
+    for key in catalog:
+        g = catalog[key]
+        for h in (identity_morphism(g), to_orbit_pair(g), to_orbit_relation(g)):
+            delta = h.target
+            lm = GammaSet(delta.elements, left_mult_action(delta))
+            pulled = pullback_action(h, lm).action
+            assert right_commuting_to_morphism(pulled, delta) == h
+            copy = Universe("copy", tuple(delta.elements))
+            relabelled = Action(pulled.groupoid, copy, pulled.triples)
+            assert right_commuting_to_morphism(relabelled, delta) == h
+    small = ("pt", "Z2", "S2", "P2", "BD")
+    for left, right in itertools.combinations_with_replacement(small, 2):
+        product_injections(catalog[left], catalog[right])
+        union_projections(catalog[left], catalog[right])
+    z2, z3, s3 = cyclic_table(2), cyclic_table(3), symmetric_table(3)
+    pq, three = Universe("PQ", "pq"), Universe("T", "123")
+    swap = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+    turn = {(g, x): str((int(g) + int(x)) % 3) for g in z3.elements for x in "012"}
+    permute = {(g, x): g[int(x) - 1] for g in s3.elements for x in three}
+    for table, space, act in (
+        (z2, pq, swap),
+        (z2, pq, {(g, x): x for g in z2.elements for x in pq}),
+        (z3, Universe("R3", "012"), turn),
+        (s3, three, permute),
+    ):
+        group_action_morphism(table, space, act)
+        for n in (1, 2):
+            base = Universe(f"E{n}", "xy"[:n])
+            model = product_form_action(base, table, space, act)
+            classify_transitive_action(base, table, model)
+
+
+def record_trusted(monkeypatch):
+    """Make Morphism._trusted and Action._trusted record each structure
+    with the name of the function that built it."""
+    built = {}
+    for cls in (Morphism, Action):
+        make = cls._trusted
+
+        def trusted(*args, make=make):
+            made = make(*args)
+            built.setdefault((sys._getframe(1).f_code.co_name, made), None)
+            return made
+
+        monkeypatch.setattr(cls, "_trusted", staticmethod(trusted))
+    return built
+
+
+def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
+    catalog, monkeypatch
+):
+    """Each morphism and action the package builds unchecked, rebuilt by
+    the checking constructor, is the same structure with the same derived
+    data, and keeps every classical law."""
+    built = record_trusted(monkeypatch)
+    run_grid(catalog)
+    assert {site for site, _ in built} == TRUSTED_SITES
+    for site, s in built:
+        try:
+            if isinstance(s, Morphism):
+                checked = Morphism(s.source, s.target, s.graph)
+                read_off = ("base_map", "domain_elements", "image_elements")
+                read_off += ("kernel_members",)
+                verdict = morphism_violation(s)
+            else:
+                checked = Action(s.groupoid, s.carrier, s.triples)
+                read_off = ("base_map", "domain", "_table")
+                verdict = action_violation(s)
+        except AxiomViolation as err:
+            pytest.fail(f"{site}: {s!r}: {err}")
+        assert checked == s, site
+        for name in read_off:
+            assert getattr(checked, name) == getattr(s, name), (site, name)
+        assert verdict is None, (site, s, verdict)
+    assert len(built) == 1268
