@@ -8,6 +8,8 @@ and for groups they are the singletons.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import (
     AxiomViolation,
     BudgetExceeded,
@@ -131,6 +133,56 @@ def all_bisections(groupoid: Groupoid) -> list:
     return [Bisection(groupoid, m) for m in sorted(sets, key=sorted)]
 
 
+class _Sections:
+    """A groupoid's bisections as sections over its right units.
+
+    A section is a tuple of element indices whose j-th entry is the
+    member with right unit units[j].  Each b in B composes with exactly
+    one member of A, the one whose right unit is b's left unit, and the
+    product keeps b's right unit, so
+
+        (A.B)[j] = A.(B[j])
+
+    where b -> A.b is the left translation by A, tabulated once per A.
+    A product then costs one lookup per unit, where subset_mult tries
+    all |A| x |B| member pairs.
+    """
+
+    def __init__(self, groupoid: Groupoid):
+        names, index = groupoid.elements.names, groupoid.elements.index
+        at = {e: j for j, e in enumerate(groupoid.units)}
+        self.index = index
+        self.right = [at[groupoid.e_right(g)] for g in names]
+        self.left = [at[groupoid.e_left(g)] for g in names]
+        self.rows = [{} for _ in names]  # rows[a][b] is the index of a.b
+        for c, a, b in groupoid.table:
+            self.rows[index[a]][index[b]] = index[c]
+
+    def of(self, members) -> tuple:
+        section = [None] * len(members)
+        for g in members:
+            i = self.index[g]
+            section[self.right[i]] = i
+        return tuple(section)
+
+    def table(self, bs: list):
+        """Row by row, A.B for A and B in bs: one iterator per A, in order.
+
+        A slot whose pair does not compose holds None.
+        """
+        columns = list(zip(*bs))
+        for a in bs:
+            if not columns:
+                yield repeat((), len(bs))
+                continue
+            a_rows = tuple(map(self.rows.__getitem__, a)).__getitem__
+            # translate[b] = A.b: the member of A on b's left unit, times b
+            translate = list(
+                map(dict.get, map(a_rows, self.left), range(len(self.left)))
+            )
+            yield zip(*[map(translate.__getitem__, c) for c in columns])
+
+
 def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
     """Cayley table of the bisections under subset multiplication."""
     sets = _enum_member_sets(groupoid, limit=guard)
@@ -138,16 +190,19 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
         raise BudgetExceeded(
             f"{groupoid.name!r} has {guard} or more bisections"
         )
-    bisections = [Bisection(groupoid, m) for m in sorted(sets, key=sorted)]
-    by_members = {b.members: b.label for b in bisections}
+    ordered = sorted(map(sorted, sets))
+    labels = ["{" + "+".join(m) + "}" for m in ordered]
+    sections = _Sections(groupoid)
+    bs = [sections.of(m) for m in ordered]
+    position = {b: k for k, b in enumerate(bs)}.get
     mult = {}
-    for m1, l1 in by_members.items():
-        for m2, l2 in by_members.items():
-            prod = subset_mult(groupoid, m1, m2)
-            if prod not in by_members:
-                raise AxiomViolation("derived:bisection-closure", (l1, l2))
-            mult[(l1, l2)] = by_members[prod]
-    return GroupTable._of_group(f"Bis({groupoid.name})", by_members.values(), mult)
+    for l1, products in zip(labels, sections.table(bs)):
+        row = list(map(position, products))
+        if None in row:
+            l2 = labels[row.index(None)]
+            raise AxiomViolation("derived:bisection-closure", (l1, l2))
+        mult.update(zip(zip(repeat(l1), labels), map(labels.__getitem__, row)))
+    return GroupTable._of_group(f"Bis({groupoid.name})", labels, mult)
 
 
 def act(bisection: Bisection, g):
@@ -184,13 +239,18 @@ def image_bisection(h: Morphism, bisection: Bisection) -> Bisection:
 def induced_hom(h: Morphism) -> dict:
     """Tabulated group homomorphism from source to target bisections."""
     source_bs = all_bisections(h.source)
-    by_members = {b.members: b for b in source_bs}
     hom = {b: image_bisection(h, b) for b in source_bs}
-    for b1 in source_bs:
-        for b2 in source_bs:
-            prod = subset_mult(h.source, b1.members, b2.members)
-            lhs = hom[by_members[prod]].members
-            rhs = subset_mult(h.target, hom[b1].members, hom[b2].members)
-            if lhs != rhs:
+    src, tgt = _Sections(h.source), _Sections(h.target)
+    bs = [src.of(b.members) for b in source_bs]
+    images = [tgt.of(hom[b].members) for b in source_bs]
+    position = {b: k for k, b in enumerate(bs)}.get
+    rows = zip(source_bs, src.table(bs), tgt.table(images))
+    for b1, products, image_products in rows:
+        for b2, k, rhs in zip(source_bs, map(position, products), image_products):
+            if k is None:
+                raise AxiomViolation(
+                    "derived:bisection-closure", (b1.label, b2.label)
+                )
+            if images[k] != rhs:
                 raise AxiomViolation("derived:induced-hom", (b1.label, b2.label))
     return hom

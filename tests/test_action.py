@@ -41,7 +41,12 @@ from groupoids.builders import (
     transformation_groupoid,
     trivial_table,
 )
-from groupoids.errors import AxiomViolation, PreconditionFailed, UniverseMismatch
+from groupoids.errors import (
+    AlgebraError,
+    AxiomViolation,
+    PreconditionFailed,
+    UniverseMismatch,
+)
 from groupoids.groupoid import SubgroupoidRef
 from groupoids.morphism import (
     compose_morphisms,
@@ -419,6 +424,32 @@ def test_functor_to_zm_rejects_broken_functors():
     broken[key] = min(others)
     with pytest.raises((PreconditionFailed, AxiomViolation)):
         functor_to_zm(phi, broken, left_regular(Z2).target)
+    # two units: swapping the values of 1 over its two points keeps the
+    # graph, but each value now starts at the wrong point
+    h = left_regular(Z2)
+    phi, functor = action_groupoid_functor(h)
+    swapped = dict(functor)
+    swapped[("1", "0,0")] = functor[("1", "1,1")]
+    swapped[("1", "1,1")] = functor[("1", "0,0")]
+    with pytest.raises(AlgebraError):
+        functor_to_zm(phi, swapped, h.target)
+    # the same domain under the trivial action: values end at the wrong point
+    trivial = Action(
+        Z2, phi.carrier, [(f, g, f) for g, f in sorted(phi.domain)]
+    )
+    assert trivial.domain == phi.domain
+    with pytest.raises(AlgebraError):
+        functor_to_zm(trivial, functor, h.target)
+    phi, functor = action_groupoid_functor(identity_morphism(Z4))
+    for changes in (
+        # 1 goes to 2, but its inverse 3 still goes to 3, not to 2
+        {"1": "2"},
+        # inverses hold (2 and 0 are their own), but 1 + 1 = 2 goes to 0
+        {"2": "0"},
+    ):
+        broken = {(g, f): changes.get(g, d) for (g, f), d in functor.items()}
+        with pytest.raises(AlgebraError):
+            functor_to_zm(phi, broken, Z4)
 
 
 CARRIERS = [Universe("C", points) for points in ("p", "pq", "pqr")]

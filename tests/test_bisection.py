@@ -24,6 +24,7 @@ from groupoids.builders import (
     symmetric_table,
 )
 from groupoids.errors import AxiomViolation, BudgetExceeded
+from groupoids.groupoid import Groupoid
 from groupoids.morphism import (
     compose_morphisms,
     identity_morphism,
@@ -88,6 +89,103 @@ def test_bisection_group_of_pair_groupoid_is_symmetric():
     assert len(table) == 6
     model = group_groupoid(symmetric_table(3))
     assert find_groupoid_isomorphism(group_groupoid(table), model) is not None
+
+
+def _subset_mult_table(g):
+    """The Cayley table of Bis(g), pair by pair through subset_mult."""
+    bs = all_bisections(g)
+    label_of = {b.members: b.label for b in bs}
+    return {
+        (b1.label, b2.label): label_of[subset_mult(g, b1.members, b2.members)]
+        for b1 in bs
+        for b2 in bs
+    }
+
+
+def test_bisection_group_matches_the_subset_mult_table(catalog):
+    pairs = [pair_groupoid(Universe(f"X{n}", "1234"[:n])) for n in range(1, 5)]
+    empty = set_groupoid(Universe("none", ()))
+    for g in pairs + list(catalog.values()) + [empty]:
+        assert all_bisections(g), g
+        expected = _subset_mult_table(g)
+        table = bisection_group(g)
+        assert set(table.elements) == {l1 for l1, _ in expected}, g
+        assert {(a, b): table.mult(a, b) for a, b in expected} == expected, g
+
+
+def test_induced_hom_matches_images_and_subset_mult():
+    for h in (left_regular(Z2), to_orbit_pair(Z4), identity_morphism(P3)):
+        src, tgt = h.source, h.target
+        image = {
+            b: frozenset(d for d, g in h.graph if g in b.members)
+            for b in all_bisections(src)
+        }
+        by_members = {b.members: b for b in image}
+        for b1, b2 in itertools.product(image, repeat=2):
+            prod = by_members[subset_mult(src, b1.members, b2.members)]
+            assert image[prod] == subset_mult(tgt, image[b1], image[b2])
+        assert {b: v.members for b, v in induced_hom(h).items()} == image
+
+
+def test_induced_hom_refuses_images_that_are_not_a_homomorphism(monkeypatch):
+    bs = all_bisections(P3)
+    moved = bs[1]  # not the units, so moved . moved != moved
+    monkeypatch.setattr(bisection, "image_bisection", lambda h, b: moved)
+    with pytest.raises(AxiomViolation) as err:
+        induced_hom(identity_morphism(P3))
+    assert err.value.law == "derived:induced-hom"
+    assert err.value.offender == (bs[0].label, bs[0].label)
+
+
+def _permutation(b):
+    """One-line word w of a bisection of Pn: the member "x,y" sets w(y) = x."""
+    word = {}
+    for g in b.members:
+        x, y = g.split(",")
+        word[int(y)] = x
+    return "".join(word[y] for y in sorted(word))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bisection_group_of_pn_is_the_symmetric_group(n):
+    # (x,y).(y,z) = (x,z), so A.B sends y to w_A(w_B(y)): the product
+    # a.b of symmetric_table, whose word is a[b(i) - 1] at i
+    pn = pair_groupoid(Universe(f"X{n}", "123456789"[:n]))
+    sym = symmetric_table(n)
+    table = bisection_group(pn)
+    perm = {b.label: _permutation(b) for b in all_bisections(pn)}
+    assert sorted(perm) == list(table.elements)
+    assert sorted(perm.values()) == list(sym.elements)
+    assert perm[table.unit] == sym.unit
+    for a, b in itertools.product(table.elements, repeat=2):
+        assert perm[table.mult(a, b)] == sym.mult(perm[a], perm[b])
+
+
+def test_bisection_closure_check_fires_on_a_corrupted_table():
+    # "1,2"."2,3" = "2,3" instead of "1,3": units, inverses and fibers
+    # are untouched, so both bisections below still exist
+    table = [
+        ("2,3", a, b) if (a, b) == ("1,2", "2,3") else (c, a, b)
+        for c, a, b in P3.table
+    ]
+    bad = Groupoid._trusted("P3*", P3.elements, P3.units, P3.inverse, table)
+    with pytest.raises(AxiomViolation) as err:
+        bisection_group(bad)
+    assert err.value.law == "derived:bisection-closure"
+    # the first pair, in member-set order, whose subset product is no
+    # bisection: the first A holding "1,2" times the first B holding "2,3"
+    bs = all_bisections(bad)
+    label_of = {b.members: b.label for b in bs}
+    first = next(
+        (b1.label, b2.label)
+        for b1 in bs
+        for b2 in bs
+        if subset_mult(bad, b1.members, b2.members) not in label_of
+    )
+    assert err.value.offender == first == ("{1,2+2,1+3,3}", "{1,1+2,3+3,2}")
+    with pytest.raises(AxiomViolation) as err:
+        induced_hom(identity_morphism(bad))
+    assert (err.value.law, err.value.offender) == ("derived:bisection-closure", first)
 
 
 def test_bisection_group_small_cases():
