@@ -154,9 +154,7 @@ class _Sections:
         self.index = index
         self.right = [at[groupoid.e_right(g)] for g in names]
         self.left = [at[groupoid.e_left(g)] for g in names]
-        self.rows = [{} for _ in names]  # rows[a][b] is the index of a.b
-        for c, a, b in groupoid.table:
-            self.rows[index[a]][index[b]] = index[c]
+        self.rows = groupoid._rows  # rows[a][b] is the index of a.b
 
     def of(self, members) -> tuple:
         section = [None] * len(members)

@@ -11,13 +11,54 @@ that every name is an element, then the relational axioms
     s m = m flip (s x s)
     for every g:  m(s(g), g) is nonempty and lands in the units.
 
-These are the only checks.  The category-style laws (single-valued
-multiplication, composability exactly on matching units, unit and
-inverse laws, partial associativity) are theorems of the axioms, so
-the constructor reads the partial operation off the table without
-re-proving them; the tests check them against an independent oracle.
-A validation failure raises AxiomViolation carrying a stable law name
-and the first offending element in sorted order.
+These are the only checks, run in this order.  The first that fails
+raises AxiomViolation with a stable law name and an offender: for a
+relation equality, the sorted-least (output, input) pair on which the
+two sides differ, computed on first access; for the last law, the
+least g that breaks it.  Single-valued multiplication, composability
+exactly on matching units and the unit and inverse laws are theorems
+of the axioms, so the constructor reads the partial operation off the
+table without re-proving them; the tests check them against an
+independent oracle.
+
+The two-sided laws are decided on m's index rows, without building a
+product relation on G x G x G.  Write x ~= y (Kleene equality) for
+"both are undefined, or both are defined and equal".
+
+m(m x id) = m(id x m).  m is single-valued exactly when it has as many
+pairs as composable inputs.  Then the law says (xy)z ~= x(yz) for all
+x, y and z, and it is decided by Light's associativity test (Clifford
+and Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2)
+extended to partial products.  Let Z be the set of z with
+(xy)z ~= x(yz) for all x and y.  For z1 and z2 in Z with z1z2 defined,
+and any x and y,
+
+    (xy)(z1z2) ~= ((xy)z1)z2     z2 in Z, at xy and z1
+               ~= (x(yz1))z2     z1 in Z, at x and y
+               ~= x((yz1)z2)     z2 in Z, at x and yz1
+               ~= x(y(z1z2))     z2 in Z, at y and z1
+
+where an undefined operand makes both sides undefined.  So z1z2 is in
+Z: Z is closed under defined products, and it is enough that Z holds a
+generating set.  The set is greedy: the least element not yet
+generated, then the closure under defined products, until every
+element is generated.  For each generator z, one pass over the
+composable (x, y) compares (xy)z with x(yz); where xy is undefined,
+x(yz) must be undefined too, so the x with x(yz) defined must be among
+the x with xy defined, one column inclusion per y.  The cost is
+O(|generators| |m|) on the row table `_rows`, the groupoid's one index
+form of its product.  When m is multi-valued, both sides are built as
+relations from m's rows over the composable triples only and compared
+exactly; no generating set is used.  The offender, in both cases, is
+read off those built sides.
+
+s m = m flip (s x s).  It is checked after s s = id, so s is a total
+involution, and the two sides are {(s(c), (a, b))} and
+{(c, (s(b), s(a)))} over the triples (c, a, b) of m: one O(|m|) pass
+each, with no s x s and no flip.
+
+The unit laws are one-sided, of the shape relation.py's fused check
+decides.
 
 Boundary policy, for groupoids, morphisms and actions alike: the
 checking constructors Groupoid(...), Morphism(...) and Action(...) run
@@ -41,11 +82,11 @@ from .errors import AxiomViolation, PreconditionFailed, UnknownElement
 from .relation import (
     FinRel,
     ONE,
+    ProductUniverse,
     Universe,
     compose,
     compose_product_differs,
     first_difference as _first_difference,
-    flip,
     identity,
     pair_name,
     product,
@@ -127,16 +168,35 @@ class Groupoid:
             ONE, self.elements, frozenset([(index[e], 0) for e in self.units])
         )
 
+    @cached_property
+    def _rows(self) -> list:
+        """rows[x][y] is the index of xy, for element indices x and y.
+
+        The one index form of the product, read where m is single-valued:
+        by the check once it has found m so, and by bisection.py.
+        """
+        index = self.elements.index
+        rows = [{} for _ in self.elements.names]
+        for c, a, b in self.table:
+            rows[index[a]][index[b]] = index[c]
+        return rows
+
     def _check_relational_axioms(self):
         u = self.elements
         m, s, e = self.m_rel, self.s_rel, self.e_rel
         idu = identity(u)
+        by_pair = m._by_index()
 
-        lhs = compose(m, product(m, idu))
-        rhs = compose(m, product(idu, m))
-        if lhs != rhs:
+        if len(by_pair) == len(m.pairs):  # one product per composable pair
+            associative = _light_test(self._rows)
+            sides = lambda: _assoc_sides(m)
+        else:
+            lhs, rhs = _assoc_sides(m)
+            associative = lhs == rhs
+            sides = lambda: (lhs, rhs)
+        if not associative:
             raise AxiomViolation(
-                "m(mxid)=m(idxm)", lambda: _first_difference(lhs, rhs)
+                "m(mxid)=m(idxm)", lambda: _first_difference(*sides())
             )
 
         for law, unitor, r, r1 in (
@@ -155,14 +215,24 @@ class Groupoid:
         if ss != idu:
             raise AxiomViolation("s2=id", lambda: _first_difference(ss, idu))
 
-        sm = compose(s, m)
-        msxs = compose(m, compose(flip(u, u), product(s, s)))
+        # s2=id holds, so s is a total involution: over the pairs
+        # (c, (a, b)) of m, s m is {(s(c), (a, b))} and m flip (s x s)
+        # is {(c, (s(b), s(a)))}
+        n, index = len(u), u.index
+        inv = [index[self.inverse[g]] for g in u.names]
+        sm = FinRel._from_indices(
+            m.source, u, frozenset([(inv[c], ab) for c, ab in m.pairs])
+        )
+        msxs = FinRel._from_indices(
+            m.source,
+            u,
+            frozenset([(c, inv[ab % n] * n + inv[ab // n]) for c, ab in m.pairs]),
+        )
         if sm != msxs:
             raise AxiomViolation(
                 "sm=m.flip(sxs)", lambda: _first_difference(sm, msxs)
             )
 
-        by_pair, index, n = m._by_index(), u.index, len(u)
         for g in u:
             outs = by_pair.get(index[self.inverse[g]] * n + index[g], ())
             if not outs:
@@ -366,6 +436,85 @@ class Groupoid:
             f"Groupoid({self.name!r}, {len(self.elements)} elements, "
             f"{len(self.units)} units)"
         )
+
+
+def _light_test(rows) -> bool:
+    """(xy)z ~= x(yz) for all x, y, z of the single-valued partial
+    product with row table `rows`, checked for z in a generating set
+    only (Light's test, as the module docstring says)."""
+    cols = [{} for _ in rows]  # cols[y][x] is the index of xy
+    for x, row in enumerate(rows):
+        for y, xy in row.items():
+            cols[y][x] = xy
+    for z in _generators(rows, cols):
+        right = [row.get(z) for row in rows]  # right[w] is wz or None
+        at = right.__getitem__
+        for x, row in enumerate(rows):
+            # (xy)z against x(yz) where xy is defined; get(None) is None
+            if list(map(at, row.values())) != list(map(row.get, map(at, row))):
+                return False
+        for y, yz in enumerate(right):
+            # where xy is undefined, x(yz) must be undefined too
+            if yz is not None and not cols[yz].keys() <= cols[y].keys():
+                return False
+    return True
+
+
+def _generators(rows, cols):
+    """Greedy generators: the least element not yet generated, each
+    yielded before the generated set is closed under defined products."""
+    generated = [False] * len(rows)
+    for g in range(len(rows)):
+        if generated[g]:
+            continue
+        yield g
+        generated[g] = True
+        frontier = [g]
+        while frontier:
+            a = frontier.pop()
+            for b, c in [*rows[a].items(), *cols[a].items()]:
+                if generated[b] and not generated[c]:
+                    generated[c] = True
+                    frontier.append(c)
+
+
+def _assoc_sides(m: FinRel) -> tuple:
+    """m(m x id) and m(id x m) on (u x u) x u -> u, built from m's rows
+    over the composable triples; exact for multi-valued m.  The triple
+    universe names its elements only for an offender, and never refuses
+    them."""
+    u, by_pair = m.target, m._by_index()
+    n = len(u)
+    rows, cols = [[] for _ in u.names], [[] for _ in u.names]
+    for xy, outs in by_pair.items():
+        x, y = divmod(xy, n)
+        rows[x].append((y, outs))
+        cols[y].append((x, outs))
+    # (x, y, z) has index (x * n + y) * n + z = xy * n + z = x * n * n + yz
+    lhs = frozenset(
+        [
+            (w, xy * n + z)
+            for xy, outs in by_pair.items()
+            for a in outs
+            for z, ws in rows[a]
+            for w in ws
+        ]
+    )
+    nn = n * n
+    rhs = frozenset(
+        [
+            (w, x * nn + yz)
+            for yz, outs in by_pair.items()
+            for b in outs
+            for x, ws in cols[b]
+            for w in ws
+        ]
+    )
+    triples = ProductUniverse(m.source, u)
+    return (
+        FinRel._from_indices(triples, u, lhs),
+        FinRel._from_indices(triples, u, rhs),
+    )
 
 
 def validate_groupoid(name, elements, units, inverse, table) -> Groupoid:

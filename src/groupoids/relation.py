@@ -36,7 +36,9 @@ stops at the first output that lhs lacks; when none is missing, the
 two relations are equal exactly when the outputs found number
 |lhs|.  When lhs, s, r and r1 do not share their index spaces (a
 universe equal by name but indexed differently), it falls back to
-lhs != compose(s, product(r, r1)).
+lhs != compose(s, product(r, r1)).  The two-sided groupoid laws,
+associativity and s m = m flip (s x s), have no side of this shape;
+the groupoid.py docstring says how they are decided.
 
 Collisions.  Component names may themselves contain commas (nested
 pairs do), so product_universe(a, b) refuses the product whenever two

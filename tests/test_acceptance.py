@@ -1,4 +1,4 @@
-"""Acceptance suite: thirteen numbered end-to-end criteria.
+"""Acceptance suite: fourteen numbered end-to-end criteria.
 
 Each test prints one pass/fail line (run with -s to see them) and
 enforces a wall-clock budget.  All checks are exact.
@@ -38,6 +38,7 @@ from groupoids.bisection import (
     subset_mult,
 )
 from groupoids.builders import (
+    GroupTable,
     check_group_action,
     cyclic_table,
     group_groupoid,
@@ -882,3 +883,21 @@ def test_criterion_13_cli_contract(catalog, capsys, tmp_path):
             assert code == 1, (group, "bad", code)
             code, _, _ = run_cli(capsys, malformed)
             assert code == 2, (group, "malformed", code)
+
+
+def test_criterion_14_two_sided_laws_at_scale():
+    # a raw order-120 table and a 144-element groupoid through the
+    # checking constructors; associativity once took 12.6 s and 0.68 s
+    points = "12345"
+    perms = ["".join(p) for p in itertools.permutations(points)]
+    mult = {
+        (a, b): "".join(a[int(b[i]) - 1] for i in range(5))
+        for a in perms
+        for b in perms
+    }
+    with criterion(14, "raw S5 group table", 2.0):
+        assert GroupTable("S5", perms, mult) == symmetric_table(5)
+    p12 = pair_groupoid(Universe("X", [f"p{i:02d}" for i in range(12)]))
+    data = (p12.name, tuple(p12.elements), p12.units, p12.inverse, p12.table)
+    with criterion(14, "P(12) validation", 1.0):
+        assert validate_groupoid(*data).same_structure(p12)

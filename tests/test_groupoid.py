@@ -21,7 +21,16 @@ from groupoids.groupoid import (
     disjoint_union,
     validate_groupoid,
 )
-from groupoids.relation import Universe
+from groupoids.relation import (
+    FinRel,
+    Universe,
+    compose,
+    first_difference,
+    flip,
+    identity,
+    product,
+    triples_rel,
+)
 from groupoids.search import find_groupoid_isomorphism
 
 Z2_ELEMENTS = ("0", "1")
@@ -56,6 +65,7 @@ def test_broken_involution_fails_s2():
     with pytest.raises(AxiomViolation) as err:
         Groupoid("Z2", elements, units, inverse, table)
     assert err.value.law == "s2=id"
+    assert err.value.offender == ("0", "1")
 
 
 def test_stray_unit_fails_left_unit_law():
@@ -106,6 +116,43 @@ def test_identity_involution_on_s3_isolates_antihomomorphism():
             s3.table,
         )
     assert err.value.law == "sm=m.flip(sxs)"
+    assert err.value.offender == ("132", "213,231")
+
+
+def test_associative_multivalued_table_fails_first_at_left_unit_law():
+    # every product is {a, b}: both sides of associativity are the full
+    # relation, so the first failure is the unit law
+    ab = ("a", "b")
+    table = [(c, x, y) for c in ab for x in ab for y in ab]
+    with pytest.raises(AxiomViolation) as err:
+        Groupoid("AB", ab, ("a",), {"a": "a", "b": "b"}, table)
+    assert err.value.law == "m(exid)=id"
+    assert err.value.offender == ("a", "1,b")
+
+
+@pytest.mark.parametrize(
+    "row, offender",
+    [
+        (("0", "1", "1"), ("0", "1,2,2")),
+        (("1", "1", "1"), ("0", "1,1,2")),
+        (("1", "0", "0"), ("0", "0,0,2")),
+    ],
+)
+def test_z3_with_an_inserted_row_fails_associativity(row, offender):
+    # the inserted row makes m multi-valued at one pair
+    z3 = group_groupoid(cyclic_table(3))
+    with pytest.raises(AxiomViolation) as err:
+        Groupoid("Z3", tuple(z3.elements), z3.units, z3.inverse, z3.table + (row,))
+    assert err.value.law == "m(mxid)=m(idxm)"
+    assert err.value.offender == offender
+
+
+def test_colliding_triple_names_do_not_refuse_a_groupoid():
+    # pairs of these names are unambiguous, but "a,b" + "c,d" and
+    # "a" + "b" + "c,d" are not; no law names a triple
+    names = ("a", "b", "c", "d", "a,b", "c,d")
+    g = Groupoid("G", names, names, {x: x for x in names}, [(x, x, x) for x in names])
+    assert g.units == tuple(sorted(names))
 
 
 def test_identity_involution_on_z4_isolates_inverse_law():
@@ -135,12 +182,16 @@ def test_partial_operation_matches_axioms(catalog):
             assert g.e_right(a) == g.mult(g.inverse[a], a)
 
 
-def _accepts(elements, units, inverse, table):
+def _rejection(elements, units, inverse, table):
     try:
         Groupoid("M", elements, units, inverse, table)
-    except AxiomViolation:
-        return False
-    return True
+    except AxiomViolation as err:
+        return err
+    return None
+
+
+def _accepts(elements, units, inverse, table):
+    return _rejection(elements, units, inverse, table) is None
 
 
 def _subsets(items):
@@ -189,6 +240,77 @@ def test_every_structure_on_two_elements_accepted_iff_classical_laws_hold():
             accepted += verdict is None
     # the empty groupoid, pt, and on {a, b}: Z2 twice, two units once
     assert accepted == 5
+
+
+@st.composite
+def partial_tables(draw):
+    """A random table on at most four elements: single-valued, or with
+    any set of products at each pair."""
+    elements = "abcd"[: draw(st.integers(0, 4))]
+    pairs = list(itertools.product(elements, repeat=2))
+    # one bit mask of products per pair; single-valued masks have at
+    # most one bit
+    if draw(st.booleans()):
+        masks = st.integers(0, 2 ** len(elements) - 1)
+    else:
+        masks = st.sampled_from([0] + [1 << i for i in range(len(elements))])
+    drawn = draw(st.lists(masks, min_size=len(pairs), max_size=len(pairs)))
+    table = [
+        (z, x, y)
+        for (x, y), mask in zip(pairs, drawn)
+        for i, z in enumerate(elements)
+        if mask >> i & 1
+    ]
+    return tuple(elements), table
+
+
+@seed(1311)
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_associativity_agrees_with_the_materialized_sides(data):
+    elements, table = data.draw(partial_tables())
+    u = Universe("M", elements)
+    m, idu = triples_rel(u, u, u, table), identity(u)
+    lhs, rhs = compose(m, product(m, idu)), compose(m, product(idu, m))
+    # associativity is the first law, whatever the units and inverse
+    err = _rejection(elements, (), {x: x for x in elements}, table)
+    rejected = err is not None and err.law == "m(mxid)=m(idxm)"
+    assert rejected == (lhs != rhs)
+    if rejected:
+        assert err.offender == first_difference(lhs, rhs)
+
+
+@st.composite
+def involuted_groupoids(draw, pool):
+    """A valid groupoid's table under a random total involution."""
+    g = draw(st.sampled_from(pool))
+    names = draw(st.permutations(g.elements.elements))
+    swaps = draw(st.integers(0, len(names) // 2))
+    inverse = {x: x for x in names}
+    for x, y in zip(names[: 2 * swaps : 2], names[1 : 2 * swaps : 2]):
+        inverse[x], inverse[y] = y, x
+    return tuple(g.elements), g.units, inverse, g.table
+
+
+@seed(1311)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_antihomomorphism_agrees_with_the_materialized_sides(catalog, data):
+    pool = sorted(catalog.values(), key=lambda g: g.name)
+    pool.append(group_groupoid(symmetric_table(3)))
+    elements, units, inverse, table = data.draw(involuted_groupoids(pool))
+    u = Universe("M", elements)
+    m = triples_rel(u, u, u, table)
+    s = FinRel(u, u, [(inverse[x], x) for x in elements])
+    sm = compose(s, m)
+    msxs = compose(m, compose(flip(u, u), product(s, s)))
+    # the table and units are a groupoid's and s is an involution, so
+    # every law before this one holds
+    err = _rejection(elements, units, inverse, table)
+    rejected = err is not None and err.law == "sm=m.flip(sxs)"
+    assert rejected == (sm != msxs)
+    if rejected:
+        assert err.offender == first_difference(sm, msxs)
 
 
 def test_composable_pairs(catalog):

@@ -8,15 +8,26 @@ the failed law as materialized relations.  The offender must be the
 sorted-least pair on which they differ, the message must be the one an
 eager offender gives, and the whole record is pinned by a digest taken
 when offenders were still computed eagerly.
+
+The two-sided laws m(mxid)=m(idxm) and sm=m.flip(sxs) are decided on
+index rows; their corpus compares each rejection with both sides built
+as the relation formulas read.
 """
 
 import hashlib
 import itertools
 import json
+import random
 
 from groupoids import search
 from groupoids.action import Action
-from groupoids.builders import cyclic_table, group_groupoid, pair_groupoid, set_groupoid
+from groupoids.builders import (
+    cyclic_table,
+    group_groupoid,
+    pair_groupoid,
+    set_groupoid,
+    symmetric_table,
+)
 from groupoids.errors import AxiomViolation
 from groupoids.groupoid import Groupoid
 from groupoids.morphism import Morphism
@@ -26,6 +37,7 @@ from groupoids.relation import (
     Universe,
     compose,
     first_difference,
+    flip,
     identity,
     product,
     triples_rel,
@@ -134,3 +146,112 @@ def test_lazy_offenders_match_the_materialized_difference(monkeypatch):
     }
     text = json.dumps(records, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "0343e292ad958614"
+
+
+# -- the two-sided laws, decided on index rows --------------------------
+
+TWO_SIDED = ("m(mxid)=m(idxm)", "sm=m.flip(sxs)")
+
+
+def small_structures():
+    """Every structure on at most two elements, as above."""
+    for elements in ((), ("a",), ("a", "b")):
+        rows = list(itertools.product(elements, repeat=3))
+        for units, images, mask in itertools.product(
+            _subsets(elements),
+            itertools.product(elements, repeat=len(elements)),
+            range(2 ** len(rows)),
+        ):
+            table = [row for i, row in enumerate(rows) if mask >> i & 1]
+            yield elements, units, dict(zip(elements, images)), table
+
+
+def row_mutations(g, rng, per_kind=100):
+    """g's data after one edit of each kind a build benchmark makes:
+    delete, insert or change a row, or change an inverse; at most
+    per_kind of each, picked by rng."""
+    names, rows = tuple(g.elements), list(g.table)
+    present = set(rows)
+    inserts = [r for r in itertools.product(names, repeat=3) if r not in present]
+    changes = [(r, c) for r in rows for c in names if c != r[0]]
+    inverses = [(x, y) for x in names for y in names if y != g.inverse[x]]
+    for row in rng.sample(rows, min(per_kind, len(rows))):
+        yield names, g.units, g.inverse, [r for r in rows if r != row]
+    for row in rng.sample(inserts, min(per_kind, len(inserts))):
+        yield names, g.units, g.inverse, rows + [row]
+    for row, c in rng.sample(changes, min(per_kind, len(changes))):
+        yield names, g.units, g.inverse, [r for r in rows if r != row] + [
+            (c,) + row[1:]
+        ]
+    for x, y in rng.sample(inverses, min(per_kind, len(inverses))):
+        yield names, g.units, {**g.inverse, x: y}, rows
+
+
+def involutions(names):
+    """Every involution of names, as a dict."""
+    if not names:
+        yield {}
+        return
+    head, rest = names[0], names[1:]
+    for s in involutions(rest):
+        yield {head: head, **s}
+    for i, partner in enumerate(rest):
+        for s in involutions(rest[:i] + rest[i + 1 :]):
+            yield {head: partner, partner: head, **s}
+
+
+def materialized_sides(law, elements, inverse, table):
+    """Both sides of a two-sided law, built as the relation formulas
+    read."""
+    u = Universe("G", elements)
+    m, idu = triples_rel(u, u, u, table), identity(u)
+    if law == "m(mxid)=m(idxm)":
+        return compose(m, product(m, idu)), compose(m, product(idu, m))
+    s = FinRel(u, u, [(inverse[x], x) for x in elements])
+    return compose(s, m), compose(m, compose(flip(u, u), product(s, s)))
+
+
+def test_two_sided_offenders_match_the_materialized_difference():
+    """Rejections at the two-sided laws, from the structures on at most
+    two elements, from row mutations of P4, Z6 and S3, and from every
+    involution on S3, report the offender and message of the
+    materialized sides."""
+    rng = random.Random(1311)
+    s3 = group_groupoid(symmetric_table(3))
+    corpora = {
+        "family": small_structures(),
+        "mutations": [
+            data
+            for g in (
+                pair_groupoid(Universe("X4", "1234")),
+                group_groupoid(cyclic_table(6)),
+                s3,
+            )
+            for data in row_mutations(g, rng)
+        ],
+        "involutions": [
+            (tuple(s3.elements), s3.units, s, s3.table)
+            for s in involutions(tuple(s3.elements))
+        ],
+    }
+    counts = {}
+    for corpus, structures in corpora.items():
+        for elements, units, inverse, table in structures:
+            try:
+                Groupoid("G", elements, units, inverse, table)
+            except AxiomViolation as err:
+                if err.law not in TWO_SIDED:
+                    continue
+                lhs, rhs = materialized_sides(err.law, elements, inverse, table)
+                offender = first_difference(lhs, rhs)
+                assert offender is not None
+                assert err.offender == offender
+                assert str(err) == str(AxiomViolation(err.law, offender))
+                key = f"{corpus} {err.law}"
+                counts[key] = counts.get(key, 0) + 1
+    assert counts == {
+        "family m(mxid)=m(idxm)": 3296,
+        "family sm=m.flip(sxs)": 8,
+        "mutations m(mxid)=m(idxm)": 736,
+        "involutions sm=m.flip(sxs)": 72,
+    }
