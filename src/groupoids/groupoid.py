@@ -173,13 +173,24 @@ class Groupoid:
         """rows[x][y] is the index of xy, for element indices x and y.
 
         The one index form of the product, read where m is single-valued:
-        by the check once it has found m so, and by bisection.py.
+        by the check once it has found m so, by Morphism's check of
+        hm=m'(hxh), and by bisection.py.
         """
         index = self.elements.index
         rows = [{} for _ in self.elements.names]
         for c, a, b in self.table:
             rows[index[a]][index[b]] = index[c]
         return rows
+
+    @cached_property
+    def _factor_counts(self) -> list:
+        """counts[z] is the number of pairs (x, y) with xy = z, read off
+        `_rows`; Morphism's check of hm=m'(hxh) reads it."""
+        counts = [0] * len(self._rows)
+        for row in self._rows:
+            for z in row.values():
+                counts[z] += 1
+        return counts
 
     def _check_relational_axioms(self):
         u = self.elements

@@ -7,14 +7,31 @@ Delta x Gamma and which satisfies
 
 as exact relation equalities.  These are the only checks, made only
 where the boundary policy in groupoid.py says; the morphisms the
-package builds come from Morphism._trusted.  One pass over the graph
-then reads off the derived data every theorem downstream consumes: the
-base map on units (here rho, mapping units of the target to units of
-the source), the domain, the image and the kernel; the per-unit fiber
-maps are computed on demand.  That the base map is unique, the domain a
-union of transitive components, the image a wide subgroupoid of the
-target and each fiber map single-valued are theorems of the axioms; the
-tests check them against an oracle.
+package builds come from Morphism._trusted.
+
+h m = m' (h x h) is decided on index rows, with neither side built.
+Both groupoids are valid, so m and m' are single-valued and read off
+their row tables `_rows`.  At an input pair (x, y) the right side's
+outputs are the defined products d1 d2 with d1 in h(x) and d2 in h(y);
+the left side's are h(xy), or none when xy is undefined.  One pass
+over the pairs of h's domain compares the two and stops at the first
+mismatch.  The right side has no pair outside dom h x dom h; the left
+side may, and it has |hm| pairs in all, where |hm| is the sum over
+the pairs (d, z) of h of the number of factorizations xy = z
+(Groupoid._factor_counts).  So when every compared pair matches, the
+sides are equal exactly when the outputs matched number |hm|.  This
+holds for any h, multi-valued or partial.  The offender is the
+sorted-least pair of the materialized sides' difference, built only
+when it is asked for.  h s = s' h and h e = e' are compared as built
+relations.
+
+One pass over the graph then reads off the derived data every theorem
+downstream consumes: the base map on units (here rho, mapping units of
+the target to units of the source), the domain, the image and the
+kernel; the per-unit fiber maps are computed on demand.  That the base
+map is unique, the domain a union of transitive components, the image
+a wide subgroupoid of the target and each fiber map single-valued are
+theorems of the axioms; the tests check them against an oracle.
 
 Monomorphisms are decided by the kernel criterion; failed candidates
 come with explicit cancellation witnesses built from the classical
@@ -44,11 +61,32 @@ from .relation import (
     FinRel,
     Universe,
     compose,
-    compose_product_differs,
     first_difference,
     pair_name,
     product,
 )
+
+
+def _hm_differs(h: FinRel, src: Groupoid, tgt: Groupoid) -> bool:
+    """hm != m'(hxh), on the index rows of h and of both products."""
+    rows = h._by_index()
+    srows, trows = src._rows, tgt._rows
+    matched = 0
+    for x, dxs in rows.items():
+        srow = srows[x]
+        drows = [trows[d] for d in dxs]
+        for y, dys in rows.items():
+            lhs = rows.get(srow.get(y), ())  # none where xy is undefined
+            rhs = set()
+            for drow in drows:
+                for d in dys:
+                    if d in drow:
+                        rhs.add(drow[d])
+            if len(rhs) != len(lhs) or not rhs.issuperset(lhs):
+                return True
+            matched += len(lhs)
+    counts = src._factor_counts
+    return matched != sum(len(ds) * counts[z] for z, ds in rows.items())
 
 
 class Morphism:
@@ -79,11 +117,12 @@ class Morphism:
 
     def _check_axioms(self):
         src, tgt, h = self.source, self.target, self.rel
-        hm = compose(h, src.m_rel)
-        if compose_product_differs(hm, tgt.m_rel, h, h):
+        if _hm_differs(h, src, tgt):
             raise AxiomViolation(
                 "hm=m'(hxh)",
-                lambda: first_difference(hm, compose(tgt.m_rel, product(h, h))),
+                lambda: first_difference(
+                    compose(h, src.m_rel), compose(tgt.m_rel, product(h, h))
+                ),
             )
         hs, sh = compose(h, src.s_rel), compose(tgt.s_rel, h)
         if hs != sh:

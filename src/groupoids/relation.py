@@ -27,7 +27,7 @@ equal relations: such relations are compared, and composed, through
 their names.
 
 Fused check.  compose_product_differs(lhs, s, r, r1) answers
-lhs != s(r x r1), the shape of the morphism, unit and action laws,
+lhs != s(r x r1), the shape of the groupoid and action unit laws,
 without building r x r1 or the composite.  It walks the input pairs
 (x, x1) of r and r1 row by row: the outputs of s(r x r1) at (x, x1)
 are the s-rows at the indices y * |Y1| + y1 for y in r(x) and y1 in
@@ -38,7 +38,9 @@ two relations are equal exactly when the outputs found number
 universe equal by name but indexed differently), it falls back to
 lhs != compose(s, product(r, r1)).  The two-sided groupoid laws,
 associativity and s m = m flip (s x s), have no side of this shape;
-the groupoid.py docstring says how they are decided.
+the groupoid.py docstring says how they are decided.  The morphism law
+h m = m' (h x h) has this shape, but morphism.py decides it on the two
+groupoids' row tables, without building h m.
 
 Collisions.  Component names may themselves contain commas (nested
 pairs do), so product_universe(a, b) refuses the product whenever two

@@ -2,7 +2,10 @@
 
 The two morphism enumerators are deliberately independent oracles.  The
 naive one walks a candidate lattice factored by the unit and involution
-laws and lets validation reject the rest.  The structured one rebuilds
+laws and lets validation reject the rest.  Each choice's share of the
+graph, its named pairs, is built once per call, and a candidate is the
+concatenation of its choices' shares; every candidate is still
+validated in full by Morphism(...).  The structured one rebuilds
 candidates from base maps and single-fiber data.  Tests require their
 outputs to agree.
 """
@@ -82,9 +85,12 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
         for g in sorted(source.elements)
         if g not in unit_set and not source.inverse[g] < g
     ]
-    rep_choices = []
+    # each choice's share of the graph, named once: the pairs (d, g) and
+    # (s'(d), s(g)) for each rep g and output set
+    rep_chunks = []
     for g in reps:
-        if source.inverse[g] == g:
+        sg = source.inverse[g]
+        if sg == g:
             blocks = sorted({tuple(sorted({d, target.inverse[d]})) for d in tgt_all})
             opts = [
                 tuple(sorted(itertools.chain.from_iterable(combo)))
@@ -92,26 +98,26 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             ]
         else:
             opts = list(_subsets(tgt_all))
-        rep_choices.append(sorted(opts))
+        chunks = []
+        for outs in sorted(opts):
+            chunk = [(d, g) for d in outs]
+            if sg != g:
+                chunk += [(target.inverse[d], sg) for d in outs]
+            chunks.append(chunk)
+        rep_chunks.append(chunks)
 
     found = []
     examined = 0
     for profile in _unit_profiles(src_units, target.units):
-        for combo in itertools.product(*rep_choices):
+        unit_pairs = [(d, e) for e, outs in profile.items() for d in outs]
+        for combo in itertools.product(*rep_chunks):
             examined += 1
             if examined > budget.max_candidates and not budget.override:
                 raise BudgetExceeded(
                     f"examined {examined} candidates, "
                     f"cap is {budget.max_candidates}"
                 )
-            graph = []
-            for e, outs in profile.items():
-                graph.extend((d, e) for d in outs)
-            for g, outs in zip(reps, combo):
-                graph.extend((d, g) for d in outs)
-                sg = source.inverse[g]
-                if sg != g:
-                    graph.extend((target.inverse[d], sg) for d in outs)
+            graph = list(itertools.chain(unit_pairs, *combo))
             try:
                 found.append(Morphism(source, target, graph))
             except AxiomViolation as err:
@@ -223,7 +229,9 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     orbit_blocks = source.orbits()
     tgt_units = sorted(target.units)
     found = []
-    for mask in range(1, 2 ** len(orbit_blocks)):
+    # mask 0 chooses no orbit: the empty graph, which is a morphism
+    # exactly when the target has no units
+    for mask in range(2 ** len(orbit_blocks)):
         chosen = [
             block
             for i, block in enumerate(orbit_blocks)
@@ -290,10 +298,15 @@ def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
 
     Independent of the morphism enumerators: candidates are classical
     (base map, partial evaluation) pairs checked against the unit and
-    compatibility laws, then re-expressed relationally.
+    compatibility laws, the latter over the composable pairs of the
+    groupoid's table only, then re-expressed relationally.
     """
     units = sorted(groupoid.units)
     points = sorted(carrier.elements)
+    # the left factors of each g2, as (g1, g1 g2): the composable pairs
+    left_factors = {g: [] for g in groupoid.elements}
+    for c, g1, g2 in groupoid.table:
+        left_factors[g2].append((g1, c))
     results = []
     for combo in itertools.product(units, repeat=len(points)):
         rho = dict(zip(points, combo))
@@ -315,18 +328,11 @@ def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
             continue
         for values in itertools.product(*cand):
             phi = dict(zip(slots, values))
-            good = True
-            for (g2, x), y in phi.items():
-                for g1 in groupoid.elements:
-                    prod = groupoid.mult(g1, g2)
-                    if prod is None:
-                        continue
-                    if phi[(g1, y)] != phi[(prod, x)]:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
+            if all(
+                phi[(g1, y)] == phi[(prod, x)]
+                for (g2, x), y in phi.items()
+                for g1, prod in left_factors[g2]
+            ):
                 results.append(
                     classical_to_relational(groupoid, carrier, rho, phi)
                 )

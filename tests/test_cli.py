@@ -375,6 +375,14 @@ def test_enum_exit_codes(capsys, tmp_path, z2_path, catalog):
     assert code == 0 and out.startswith("2 bisections\n")
 
 
+def test_enum_finds_the_empty_morphism_into_the_empty_groupoid(capsys, tmp_path):
+    p1 = groupoid_doc(tmp_path, pair_groupoid(Universe("X1", ("1",))), "p1.json")
+    e = groupoid_doc(tmp_path, set_groupoid(Universe("none", ())), "e.json")
+    for extra in ([], ["--naive"]):
+        code, out, _ = run(capsys, ["enum", "morphisms", p1, e, *extra])
+        assert code == 0 and out.startswith("1 morphism\n"), extra
+
+
 def _list_element_documents(tmp_path):
     """Documents with a JSON list where an element name belongs."""
     p3 = pair_groupoid(Universe("X3", ("1", "2", "3")), "L")

@@ -47,7 +47,14 @@ from groupoids.morphism import (
     union_projections,
     wide_inclusion,
 )
-from groupoids.relation import Universe, pair_name
+from groupoids.relation import (
+    FinRel,
+    Universe,
+    compose,
+    first_difference,
+    pair_name,
+    product,
+)
 from groupoids.search import enum_morphisms, find_groupoid_isomorphism
 
 Z2 = group_groupoid(cyclic_table(2))
@@ -448,3 +455,50 @@ def test_mutated_graphs_satisfy_classical_laws_when_accepted(
     except AxiomViolation:
         return
     assert morphism_violation(mutant) is None
+
+
+@pytest.fixture(scope="module")
+def small_morphisms(catalog):
+    """Catalog members of at most four elements and the empty groupoid,
+    with every morphism between each ordered pair."""
+    pool = [g for g in catalog.values() if len(g.elements) <= 4]
+    pool.append(set_groupoid(Universe("none", ())))
+    return pool, {(a, b): enum_morphisms(a, b) for a in pool for b in pool}
+
+
+@st.composite
+def graphs_between(draw, pool, morphisms):
+    """A random graph between two pool members: any set of pairs, so
+    empty, multi-valued and partial ones, or a morphism with up to two
+    pairs toggled."""
+    src, tgt = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    pairs = list(itertools.product(tgt.elements, src.elements))
+    found = morphisms[(src, tgt)]
+    if found and draw(st.booleans()):
+        graph = set(draw(st.sampled_from(found)).graph)
+        if pairs:
+            for p in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+                graph ^= {p}
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graph = {p for p, k in zip(pairs, keep) if k}
+    return src, tgt, sorted(graph)
+
+
+@seed(1311)
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_hm_law_agrees_with_the_materialized_sides(small_morphisms, data):
+    src, tgt, graph = data.draw(graphs_between(*small_morphisms))
+    h = FinRel(src.elements, tgt.elements, graph)
+    lhs, rhs = compose(h, src.m_rel), compose(tgt.m_rel, product(h, h))
+    try:
+        Morphism(src, tgt, graph)
+        err = None
+    except AxiomViolation as exc:
+        err = exc
+    # hm=m'(hxh) is the first law checked
+    rejected = err is not None and err.law == "hm=m'(hxh)"
+    assert rejected == (lhs != rhs)
+    if rejected:
+        assert err.offender == first_difference(lhs, rhs)

@@ -48,6 +48,7 @@ S2 = set_groupoid(Universe("pts", ("p", "q")))
 P2 = pair_groupoid(Universe("X2", ("1", "2")))
 EQ = equivalence_groupoid(Universe("E3", ("1", "2", "3")), (("1", "2"), ("3",)))
 BD = group_bundle([cyclic_table(2), trivial_table()])
+EMPTY = set_groupoid(Universe("none", ()))
 
 
 def test_pinned_morphism_counts():
@@ -89,8 +90,33 @@ def test_naive_rejections_compute_no_offender(monkeypatch):
     assert calls == []
 
 
+def test_naive_rejections_build_no_relation(monkeypatch):
+    # hm=m'(hxh) is read off index rows: a rejected candidate builds no
+    # composite, no product and no relation beyond its own graph
+    built = []
+    from_indices = relation.FinRel._from_indices.__func__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module in (morphism, relation):
+        monkeypatch.setattr(module, "compose", counted("compose", relation.compose))
+        monkeypatch.setattr(module, "product", counted("product", relation.product))
+    monkeypatch.setattr(
+        relation.FinRel, "_from_indices", classmethod(counted("index", from_indices))
+    )
+    p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
+    z3 = group_groupoid(cyclic_table(3))
+    assert enum_morphisms_naive(p3, z3, EnumBudget(override=True)) == []
+    assert built == []
+
+
 def test_structured_agrees_with_naive():
-    catalog = [Z1, Z2, Z4, V4, S2, P2, EQ, BD]
+    catalog = [Z1, Z2, Z4, V4, S2, P2, EQ, BD, EMPTY]
     checked = 0
     for src, tgt in itertools.product(catalog, repeat=2):
         try:
@@ -127,7 +153,10 @@ def test_right_fiber_determines_morphisms_from_transitive_sources():
 def test_action_enumerators_agree():
     x2 = Universe("two", ("x", "y"))
     x1 = Universe("one", ("x",))
-    for g, xs in [(Z2, x2), (S2, x2), (P2, x1), (Z4, x2), (P2, x2)]:
+    x0 = Universe("none", ())
+    cases = [(Z2, x2), (S2, x2), (P2, x1), (Z4, x2), (P2, x2)]
+    cases += [(g, x0) for g in (Z1, Z2, S2, P2, EMPTY)]
+    for g, xs in cases:
         via_morphisms = enum_actions(g, xs)
         direct = enum_actions_direct(g, xs)
         assert {a.triples for a in via_morphisms} == {
@@ -136,6 +165,8 @@ def test_action_enumerators_agree():
     assert len(enum_actions(Z2, x2)) == 2
     assert len(enum_actions(S2, x2)) == 4
     assert len(enum_actions(P2, x1)) == 0
+    # every groupoid acts on the empty carrier, in exactly one way
+    assert len(enum_actions(Z1, x0)) == len(enum_actions(EMPTY, x0)) == 1
 
 
 def test_cancellation_finds_nothing_for_monos():
