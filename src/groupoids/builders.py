@@ -236,6 +236,12 @@ def group_table_of(groupoid: Groupoid, members, name=None) -> GroupTable:
 def check_group_action(table: GroupTable, space: Universe, act: dict) -> dict:
     """Validate a left group action given as a dict (g, x) -> y."""
     act = dict(act)
+    group = set(table.elements)
+    for g, x in act:
+        if g not in group:
+            raise UnknownElement(g, f"group {table.name!r}")
+        if x not in space:
+            raise UnknownElement(x, f"action on {space.name!r}")
     for g in table.elements:
         for x in space:
             y = act.get((g, x))

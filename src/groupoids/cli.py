@@ -7,6 +7,13 @@ Serialization is canonical: sorted keys, sorted arrays, two-space
 indent, trailing newline.  Exit codes: 0 for success or a true answer,
 1 for well-formed input that fails validation or a false answer, 2 for
 usage, IO, or parse problems.
+
+A process loads only what its command uses: at module level this file
+imports the relation kernel and the groupoid, and each handler or
+loader imports the rest of the package it needs (the builders, the
+morphism, action, bisection or search module).  `build_parser`
+registers every subcommand, but a leaf adds its arguments only when
+argparse dispatches to it.
 """
 
 import argparse
@@ -14,11 +21,6 @@ import json
 import os
 import sys
 
-from . import action as action_ops
-from . import bisection as bisection_ops
-from . import builders
-from . import morphism as morphism_ops
-from . import search as search_ops
 from .errors import AlgebraError, DocumentError, PreconditionFailed, UniverseError
 from .groupoid import Groupoid, cartesian_product, disjoint_union
 from .relation import Universe
@@ -151,6 +153,8 @@ def resolve_groupoid(ref, text, base):
 
 
 def morphism_from_payload(payload, text, base):
+    from .morphism import Morphism
+
     name = _document_name(payload, "morphism", "h")
     source = resolve_groupoid(_need(payload, "source", (str, dict), name), text, base)
     target = resolve_groupoid(_need(payload, "target", (str, dict), name), text, base)
@@ -158,10 +162,12 @@ def morphism_from_payload(payload, text, base):
         ("output", target.elements, "element"), ("input", source.elements, "element"),
     ]
     graph = _rows(payload, "graph", "graph", columns, text, name)
-    return morphism_ops.Morphism(source, target, graph), name
+    return Morphism(source, target, graph), name
 
 
 def action_from_payload(payload, text, base):
+    from .action import Action
+
     name = _document_name(payload, "action", "phi")
     groupoid = resolve_groupoid(
         _need(payload, "groupoid", (str, dict), name), text, base
@@ -171,7 +177,7 @@ def action_from_payload(payload, text, base):
     element = ("element", groupoid.elements, "element")
     columns = [("output", carrier, "point"), element, ("input", carrier, "point")]
     triples = _rows(payload, "graph", "graph", columns, text, name)
-    return action_ops.Action(groupoid, carrier, triples), name
+    return Action(groupoid, carrier, triples), name
 
 
 def _read(payload, text, base):
@@ -269,13 +275,17 @@ def _valid_line(s) -> str:
     if isinstance(s, Groupoid):
         sizes = [(s.elements, "element"), (s.units, "unit"), (s.orbits(), "orbit")]
         return "valid: " + ", ".join(_plural(len(x), word) for x, word in sizes)
-    if isinstance(s, morphism_ops.Morphism):
+    from .morphism import Morphism  # loaded already: s is a morphism or an action
+
+    if isinstance(s, Morphism):
         return f"valid: morphism, {_plural(len(s.graph), 'pair')}"
     return f"valid: action, {_plural(len(s.triples), 'triple')}"
 
 
 def _table_from_token(token):
     """A group table from a spec like cyclic:4, symmetric:3, klein, trivial."""
+    from . import builders
+
     head, _, tail = token.partition(":")
     if head in ("cyclic", "symmetric"):
         try:
@@ -309,6 +319,8 @@ def cmd_build(args) -> int:
 
 
 def _build(args) -> Groupoid:
+    from . import builders
+
     family = args.family
     if family == "pair":
         name = args.name or f"P{len(args.points)}"
@@ -330,7 +342,12 @@ def _build(args) -> Groupoid:
         space = Universe(args.name or "base", tuple(args.points))
         return builders.product_form(space, _table_from_token(args.group), args.name)
     space = Universe("space", tuple(args.points))
-    act = {(g, x): y for g, x, y in args.move}
+    act = {}
+    for g, x, y in args.move:
+        if act.setdefault((g, x), y) != y:
+            raise DocumentError(
+                f"--move gives ({g!r}, {x!r}) two images, {act[g, x]!r} and {y!r}"
+            )
     table = _table_from_token(args.group)
     return builders.transformation_groupoid(table, space, act, args.name)
 
@@ -362,7 +379,10 @@ def cmd_info(args) -> int:
             " ".join(str(len(s.isotropy(min(b)).members)) for b in blocks),
         )
         print("transitive:", "yes" if len(blocks) == 1 else "no")
-    elif isinstance(s, morphism_ops.Morphism):
+        return 0
+    from . import morphism as morphism_ops  # loaded already with s
+
+    if isinstance(s, morphism_ops.Morphism):
         print(f"source: {s.source.name}")
         print(f"target: {s.target.name}")
         print(f"pairs: {len(s.graph)}")
@@ -408,6 +428,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_morphism(args) -> int:
+    from . import morphism as morphism_ops
+
     op = args.op
     if op == "compose":
         outer, oname = _load(args.outer, "morphism")
@@ -459,11 +481,15 @@ def cmd_morphism(args) -> int:
 
 
 def _list_bisections(g) -> int:
-    found = bisection_ops.all_bisections(g)
+    from .bisection import all_bisections
+
+    found = all_bisections(g)
     return _print_rows("bisection", [sorted(b.members) for b in found])
 
 
 def cmd_bisections(args) -> int:
+    from . import bisection as bisection_ops
+
     g, _ = _load(args.path, "groupoid")
     if args.op == "list":
         return _list_bisections(g)
@@ -479,6 +505,8 @@ def cmd_bisections(args) -> int:
 
 
 def cmd_action(args) -> int:
+    from . import action as action_ops
+
     op = args.op
     if op == "from-morphism":
         h, name = _load(args.path, "morphism")
@@ -527,6 +555,8 @@ def cmd_action(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from . import search as search_ops
+
     src, _ = _load(args.source, "groupoid")
     if args.what == "morphisms":
         tgt, _ = _load(args.target, "groupoid")
@@ -643,25 +673,39 @@ COMMANDS = [
 ]
 
 
+class _LeafParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It adds its arguments, (flags, options)
+    pairs of a COMMANDS row, when argparse first hands it argv, so a run
+    builds the arguments of its own command only."""
+
+    def __init__(self, *args, arguments=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flags, options in self._pending:
+            self.add_argument(*flags, **options)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoids",
         description="Finite groupoids as relations: build, validate, analyze.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LeafParser)
     groups = {}
     for words, func, help_, arguments in COMMANDS:
         if len(words) == 1:
-            leaf = sub.add_parser(words[0], help=help_)
+            leaf = sub.add_parser(words[0], help=help_, arguments=arguments)
         else:
             head, word = words
             if head not in groups:
                 dest, group_help = GROUPS[head]
                 group = sub.add_parser(head, help=group_help)
                 groups[head] = group.add_subparsers(dest=dest, required=True)
-            leaf = groups[head].add_parser(word)
-        for flags, options in arguments:
-            leaf.add_argument(*flags, **options)
+            leaf = groups[head].add_parser(word, arguments=arguments)
         leaf.set_defaults(func=func)
     return parser
 

@@ -370,21 +370,26 @@ def run_one(argv):
     return code, out.buffer.getvalue().decode("utf-8"), err.getvalue(), usage
 
 
-def _output_path(argv):
+def output_path(argv):
     return argv[argv.index("--output") + 1] if "--output" in argv else None
 
 
-def replay(files, commands):
-    """Run the commands in the current directory; yields one result dict
-    per command, in the golden file's format."""
+def write_files(files):
+    """Write the golden file's documents into the current directory."""
     for name, payload in files.items():
         with open(name, "w", encoding="utf-8") as fh:
             if isinstance(payload, str):
                 fh.write(payload)
             else:
                 json.dump(payload, fh)
+
+
+def replay(files, commands):
+    """Run the commands in the current directory; yields one result dict
+    per command, in the golden file's format."""
+    write_files(files)
     for argv, save in commands:
-        target = _output_path(argv)
+        target = output_path(argv)
         if target and os.path.exists(target):
             os.remove(target)
         code, out, err, usage = run_one(argv)

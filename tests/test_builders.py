@@ -261,6 +261,21 @@ def test_check_group_action():
         check_group_action(cyclic_table(2), space, broken)
 
 
+@pytest.mark.parametrize(
+    "key, element",
+    [(("9", "p"), "9"), (("1", "zz"), "zz")],
+    ids=["not-a-group-element", "not-a-point"],
+)
+def test_check_group_action_names_a_move_outside_g_times_x(key, element):
+    """A move at a pair outside G x X is named as itself, even when the
+    moves at G x X form an action."""
+    space = Universe("PQ", ("p", "q"))
+    swap = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+    with pytest.raises(UnknownElement) as err:
+        check_group_action(cyclic_table(2), space, {**swap, key: "p"})
+    assert err.value.element == element
+
+
 def test_pair_groupoid_shape():
     p3 = pair_groupoid(Universe("X", ("1", "2", "3")))
     assert len(p3.elements) == 9

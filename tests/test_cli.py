@@ -10,7 +10,14 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from record_cli_golden import GOLDEN, python_version, replay, run_one
+from record_cli_golden import (
+    GOLDEN,
+    output_path,
+    python_version,
+    replay,
+    run_one,
+    write_files,
+)
 
 from groupoids import cli
 from groupoids.action import classical_to_relational
@@ -24,6 +31,15 @@ from groupoids.morphism import identity_morphism, left_regular
 from groupoids.relation import Universe
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env():
+    """The environment of a child Python that imports groupoids from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def run(capsys, argv):
@@ -477,6 +493,8 @@ def _unreadable_documents(tmp_path):
         ["build", "group", "cyclic:2", "--output", "."],
         ["validate", "@latin-1"],
         ["info", "@deep"],
+        ["build", "transformation", "a", "--group", "trivial",
+         "--move", "0", "a", "zz", "--move", "0", "a", "a"],
     ],
     ids=[
         "duplicate-point",
@@ -503,6 +521,7 @@ def _unreadable_documents(tmp_path):
         "output-is-a-directory",
         "document-not-utf-8",
         "document-nested-too-deeply",
+        "move-with-two-images",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
@@ -808,21 +827,161 @@ def test_cli_matches_golden(monkeypatch, tmp_path, parser):
         assert got == want, " ".join(want["argv"])
 
 
+def test_help_and_usage_match_golden_on_a_fresh_parser(monkeypatch, tmp_path):
+    """Every --help and usage entry on its own build_parser(), whose leaves
+    have not been handed argv before."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    if golden["python"] != python_version():
+        pytest.skip("argparse's layout differs between Python versions")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    wanted = [c for c in golden["commands"] if c["usage"]]
+    commands = [(c["argv"], c["save"]) for c in wanted]
+    for got, want in zip(replay(golden["files"], commands), wanted):
+        assert got == want, " ".join(want["argv"])
+
+
+COLD_HELP_AND_USAGE = ["build transformation --help", "enum morphisms p3.json"]
+
+
+def test_cold_processes_match_golden(monkeypatch, tmp_path):
+    """The first golden entry of each command, a leaf's --help and a usage
+    error, each in a fresh `python -m groupoids.cli`.  In this process
+    every module is loaded already, so only a fresh one shows a handler
+    that misses an import."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    write_files(golden["files"])
+    # the documents that earlier commands save or write with --output
+    for c in golden["commands"]:
+        if c["save"]:
+            write(tmp_path, c["save"], c["stdout"])
+        if c["output"] is not None:
+            write(tmp_path, output_path(c["argv"]), c["output"])
+    chosen = []
+    for words, *_ in cli.COMMANDS:
+        chosen.append(next(
+            c for c in golden["commands"]
+            if tuple(c["argv"][:len(words)]) == words and not c["usage"]
+        ))
+    if golden["python"] == python_version():
+        help_and_usage = [
+            c for c in golden["commands"] if " ".join(c["argv"]) in COLD_HELP_AND_USAGE
+        ]
+        assert len(help_and_usage) == len(COLD_HELP_AND_USAGE)
+        chosen += help_and_usage
+    env = {**src_env(), "COLUMNS": "80"}
+    for want in chosen:
+        argv = want["argv"]
+        target = output_path(argv)
+        if target and os.path.exists(target):
+            os.remove(target)
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoids.cli", *argv],
+            capture_output=True, stdin=subprocess.DEVNULL, env=env,
+        )
+        written = None
+        if target and os.path.isfile(target):
+            written = Path(target).read_text(encoding="utf-8")
+        got = (proc.returncode, proc.stdout, proc.stderr, written)
+        assert got == (
+            want["exit"], want["stdout"].encode(), want["stderr"].encode(),
+            want["output"],
+        ), " ".join(argv)
+
+
+# print the exit code of the command in argv, then the groupoids modules loaded
+LOADED_MODULES = """
+import contextlib, io, sys
+from groupoids import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as stop:
+        code = stop.code
+print(code, *sorted(n for n in sys.modules if n.partition(".")[0] == "groupoids"))
+"""
+EVERY_COMMAND_LOADS = {"groupoids", "groupoids.cli", "groupoids.errors",
+                       "groupoids.relation", "groupoids.groupoid"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, more",
+    [
+        (["validate", "@p3"], 0, []),
+        (["build", "pair", "1", "2"], 0, ["builders"]),
+        (["enum", "morphisms", "@p3"], 2, []),
+        (["bisections", "group", "@p3"], 0, ["builders", "morphism", "bisection"]),
+        (["enum", "morphisms", "@p3", "@p3"], 0,
+         ["builders", "morphism", "action", "search"]),
+    ],
+    ids=["validate", "build-pair", "parse-error", "bisections-group", "enum-morphisms"],
+)
+def test_a_command_loads_only_its_own_modules(tmp_path, argv, code, more):
+    p3 = groupoid_doc(tmp_path, pair_groupoid(Universe("X", ("1", "2", "3")), "P3"))
+    argv = [p3 if a == "@p3" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True, text=True, env=src_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got_code, *loaded = proc.stdout.split()
+    assert int(got_code) == code
+    assert set(loaded) == EVERY_COMMAND_LOADS | {f"groupoids.{m}" for m in more}
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["action", "bisection", "builders", "cli", "errors", "groupoid", "morphism",
+     "relation", "search"],
+)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # the package no longer imports its modules in a fixed order, so a
+    # cycle between two of them would show here
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import groupoids.{module}"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# a bare import loads no submodule; a submodule, an export and the cli
+# then resolve on first access
+FRESH_IMPORT = """
+import sys
+import groupoids
+print(sorted(n for n in sys.modules if n.startswith("groupoids")))
+print(groupoids.search.enum_morphisms.__module__, groupoids.Groupoid.__module__)
+print(groupoids.cli.main.__module__)
+"""
+
+
+def test_submodules_resolve_after_a_bare_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT], capture_output=True, text=True,
+        env=src_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "['groupoids']",
+        "groupoids.search groupoids.groupoid",
+        "groupoids.cli",
+    ]
+
+
 BROKEN_PIPE = b"error: cannot write to standard output: Broken pipe\n"
 
 
 def _closed_after_first_line(argv):
     """(first line, exit code, stderr) of a child groupoids process whose
     reader closes its stdout after the first line, as `| head -1` does."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "groupoids.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=src_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -875,11 +1034,7 @@ def test_console_script(tmp_path):
         f"import sys; sys.argv[0] = 'groupoids'; "
         f"from {module} import {func}; sys.exit({func}())"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    check_console_script([sys.executable, "-c", code], tmp_path, env)
+    check_console_script([sys.executable, "-c", code], tmp_path, src_env())
 
 
 @pytest.mark.skipif(
