@@ -13,6 +13,21 @@ top of that the module builds action groupoids, coset spaces and
 quotient groupoids, homogeneous-space identification for transitive
 groupoids, induced actions along a subgroupoid, and the normal form of
 transitive actions.
+
+phi(m x id) = phi(id x phi) builds no relation on G x G x X.  For
+single-valued phi it says phi(gh, x) ~= phi(g, phi(h, x)) (~= as in
+groupoid.py), checked only for h among G's greedy generators: if it
+holds at every g and x for h1 and for h2, and h1h2 is defined, then
+
+    phi(g(h1h2), x) ~= phi((gh1)h2, x)              G is associative
+                    ~= phi(gh1, phi(h2, x))          h2, at gh1 and x
+                    ~= phi(g, phi(h1, phi(h2, x)))   h1, at g and phi(h2, x)
+                    ~= phi(g, phi(h1h2, x))          h2, at h1 and x
+
+so the h for which it holds are closed under defined products.  So is
+the set of d with phi(g, xd) ~= phi(g, x)d, right_commuting_to_morphism's
+law.  A multi-valued phi, and every offender, goes to relation.py's
+two_sided_difference.
 """
 
 from __future__ import annotations
@@ -34,9 +49,10 @@ from .relation import (
     product,
     product_universe,
     triples_rel,
+    two_sided_difference,
     unitor_left,
 )
-from .groupoid import Groupoid, SubgroupoidRef
+from .groupoid import Groupoid, SubgroupoidRef, _generators
 from .builders import GroupTable, check_group_action, pair_groupoid, product_form
 from .morphism import (
     Morphism,
@@ -70,13 +86,15 @@ class Action:
         self._derive()
 
     def _check_axioms(self):
-        g, x = self.groupoid, self.carrier
-        lhs = compose(self.rel, product(g.m_rel, identity(x)))
-        rhs = compose(self.rel, product(identity(g.elements), self.rel))
-        if lhs != rhs:
-            raise AxiomViolation(
-                "phi(mxid)=phi(idxphi)", lambda: first_difference(lhs, rhs)
-            )
+        g, x, rel = self.groupoid, self.carrier, self.rel
+        product_universe(g.m_rel.source, x)  # refuses ambiguous triple names
+        offender = lambda: two_sided_difference(rel, g.m_rel, rel, rel)
+        if len(rel._by_index()) != len(rel.pairs):  # multi-valued: decided by the scan
+            offender = offender()
+        elif _composes_on_generators(self):
+            offender = None
+        if offender is not None:
+            raise AxiomViolation("phi(mxid)=phi(idxphi)", offender)
         idx, unit = identity(x), unitor_left(x)
         if compose_product_differs(unit, self.rel, g.e_rel, idx):
             raise AxiomViolation(
@@ -85,6 +103,15 @@ class Action:
                     compose(self.rel, product(g.e_rel, idx)), unit
                 ),
             )
+
+    def _moves(self) -> list:
+        """moves[g][x] is the index of phi(g, x), for single-valued phi."""
+        n = len(self.carrier)
+        moves = [{} for _ in self.groupoid.elements.names]
+        for gx, (y,) in self.rel._by_index().items():
+            g, x = divmod(gx, n)
+            moves[g][x] = y
+        return moves
 
     def _derive(self):
         # one pass over the triples; base map, domain and single-valued
@@ -213,13 +240,10 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
     into a morphism onto that groupoid."""
     if tuple(action.carrier) != tuple(delta.elements):
         raise UniverseMismatch(action.carrier, delta.elements, "carrier")
-    if action.carrier != delta.elements:
+    if action.carrier.factors != delta.elements.factors:  # index as delta does
         action = Action._trusted(action.groupoid, delta.elements, action.triples)
-    lhs = compose(
-        action.rel, product(identity(action.groupoid.elements), delta.m_rel)
-    )
-    rhs = compose(delta.m_rel, product(action.rel, identity(delta.elements)))
-    if lhs != rhs:
+    product_universe(action.rel.source, delta.elements)  # refuses ambiguous names
+    if not _commutes_on_generators(action, delta):
         raise PreconditionFailed(
             "action does not commute with right multiplication"
         )
@@ -228,6 +252,31 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
         (action.apply(g, f), g) for g, f in action.domain if f in unit_set
     }
     return Morphism(action.groupoid, delta, graph)
+
+
+def _after(f: dict, g: dict) -> dict:
+    """The partial map f after g."""
+    return {x: f[y] for x, y in g.items() if y in f}
+
+
+def _composes_on_generators(action: Action) -> bool:
+    """phi(gh, x) ~= phi(g, phi(h, x)) for the generators h of G."""
+    moves, cols = action._moves(), action.groupoid._cols  # cols[h][g] is gh
+    return all(
+        _after(move, moves[h]) == (moves[cols[h][g]] if g in cols[h] else {})
+        for h in _generators(action.groupoid._rows, cols)
+        for g, move in enumerate(moves)
+    )
+
+
+def _commutes_on_generators(action: Action, delta: Groupoid) -> bool:
+    """phi(g, xd) ~= phi(g, x)d for the generators d of delta."""
+    moves, cols = action._moves(), delta._cols  # cols[d][x] is xd
+    return all(
+        _after(move, cols[d]) == _after(cols[d], move)
+        for d in _generators(delta._rows, cols)
+        for move in moves
+    )
 
 
 def pullback_action(h: Morphism, space: GammaSet) -> GammaSet:

@@ -46,11 +46,12 @@ element is generated.  For each generator z, one pass over the
 composable (x, y) compares (xy)z with x(yz); where xy is undefined,
 x(yz) must be undefined too, so the x with x(yz) defined must be among
 the x with xy defined, one column inclusion per y.  The cost is
-O(|generators| |m|) on the row table `_rows`, the groupoid's one index
-form of its product.  When m is multi-valued, both sides are built as
-relations from m's rows over the composable triples only and compared
-exactly; no generating set is used.  The offender, in both cases, is
-read off those built sides.
+O(|generators| |m|) on `_rows` and `_cols`, the product on indices by
+row and by column.  Otherwise relation.py's two_sided_difference
+decides the law: for each output w in name order it builds the two
+preimages of w as sets of triple indices.  The first w where they differ
+has the least output name, and the least input name of their symmetric
+difference completes the sorted-least pair, the offender in both cases.
 
 s m = m flip (s x s).  It is checked after s s = id, so s is a total
 involution, and the two sides are {(s(c), (a, b))} and
@@ -76,13 +77,13 @@ Equality of groupoids is structural and ignores the display name.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
 
 from .errors import AxiomViolation, PreconditionFailed, UnknownElement
 from .relation import (
     FinRel,
     ONE,
-    ProductUniverse,
     Universe,
     compose,
     compose_product_differs,
@@ -92,6 +93,7 @@ from .relation import (
     product,
     product_universe,
     triples_rel,
+    two_sided_difference,
     unitor_left,
     unitor_right,
 )
@@ -129,6 +131,11 @@ class Groupoid:
     # -- validation -------------------------------------------------
 
     def _check_structure(self):
+        names = self.elements.index.keys()
+        with suppress(TypeError):  # an unhashable name is left to the loops
+            rows = (self.units, *self.inverse.items(), *self.table)
+            if names <= self.inverse.keys() and names >= {x for r in rows for x in r}:
+                return
         for e in self.units:
             if e not in self.elements:
                 raise UnknownElement(e, f"units of {self.name!r}")
@@ -172,15 +179,24 @@ class Groupoid:
     def _rows(self) -> list:
         """rows[x][y] is the index of xy, for element indices x and y.
 
-        The one index form of the product, read where m is single-valued:
-        by the check once it has found m so, by Morphism's check of
-        hm=m'(hxh), and by bisection.py.
+        The index form of the product, read where m is single-valued: by
+        the check once it has found m so, by Morphism's check of
+        hm=m'(hxh), by action.py's checks and by bisection.py.
         """
         index = self.elements.index
         rows = [{} for _ in self.elements.names]
         for c, a, b in self.table:
             rows[index[a]][index[b]] = index[c]
         return rows
+
+    @cached_property
+    def _cols(self) -> list:
+        """cols[y][x] is the index of xy: `_rows` read by column."""
+        cols = [{} for _ in self._rows]
+        for x, row in enumerate(self._rows):
+            for y, xy in row.items():
+                cols[y][x] = xy
+        return cols
 
     @cached_property
     def _factor_counts(self) -> list:
@@ -198,17 +214,13 @@ class Groupoid:
         idu = identity(u)
         by_pair = m._by_index()
 
-        if len(by_pair) == len(m.pairs):  # one product per composable pair
-            associative = _light_test(self._rows)
-            sides = lambda: _assoc_sides(m)
-        else:
-            lhs, rhs = _assoc_sides(m)
-            associative = lhs == rhs
-            sides = lambda: (lhs, rhs)
-        if not associative:
-            raise AxiomViolation(
-                "m(mxid)=m(idxm)", lambda: _first_difference(*sides())
-            )
+        offender = lambda: two_sided_difference(m, m, m, m)
+        if len(by_pair) != len(m.pairs):  # multi-valued: decided by the scan
+            offender = offender()
+        elif _light_test(self._rows, self._cols):  # one product per pair
+            offender = None
+        if offender is not None:
+            raise AxiomViolation("m(mxid)=m(idxm)", offender)
 
         for law, unitor, r, r1 in (
             ("m(exid)=id", unitor_left, e, idu),
@@ -449,14 +461,10 @@ class Groupoid:
         )
 
 
-def _light_test(rows) -> bool:
+def _light_test(rows, cols) -> bool:
     """(xy)z ~= x(yz) for all x, y, z of the single-valued partial
-    product with row table `rows`, checked for z in a generating set
-    only (Light's test, as the module docstring says)."""
-    cols = [{} for _ in rows]  # cols[y][x] is the index of xy
-    for x, row in enumerate(rows):
-        for y, xy in row.items():
-            cols[y][x] = xy
+    product with tables `rows` and `cols`, checked for z in a generating
+    set only (Light's test, as the module docstring says)."""
     for z in _generators(rows, cols):
         right = [row.get(z) for row in rows]  # right[w] is wz or None
         at = right.__getitem__
@@ -487,45 +495,6 @@ def _generators(rows, cols):
                 if generated[b] and not generated[c]:
                     generated[c] = True
                     frontier.append(c)
-
-
-def _assoc_sides(m: FinRel) -> tuple:
-    """m(m x id) and m(id x m) on (u x u) x u -> u, built from m's rows
-    over the composable triples; exact for multi-valued m.  The triple
-    universe names its elements only for an offender, and never refuses
-    them."""
-    u, by_pair = m.target, m._by_index()
-    n = len(u)
-    rows, cols = [[] for _ in u.names], [[] for _ in u.names]
-    for xy, outs in by_pair.items():
-        x, y = divmod(xy, n)
-        rows[x].append((y, outs))
-        cols[y].append((x, outs))
-    # (x, y, z) has index (x * n + y) * n + z = xy * n + z = x * n * n + yz
-    lhs = frozenset(
-        [
-            (w, xy * n + z)
-            for xy, outs in by_pair.items()
-            for a in outs
-            for z, ws in rows[a]
-            for w in ws
-        ]
-    )
-    nn = n * n
-    rhs = frozenset(
-        [
-            (w, x * nn + yz)
-            for yz, outs in by_pair.items()
-            for b in outs
-            for x, ws in cols[b]
-            for w in ws
-        ]
-    )
-    triples = ProductUniverse(m.source, u)
-    return (
-        FinRel._from_indices(triples, u, lhs),
-        FinRel._from_indices(triples, u, rhs),
-    )
 
 
 def validate_groupoid(name, elements, units, inverse, table) -> Groupoid:

@@ -36,11 +36,11 @@ stops at the first output that lhs lacks; when none is missing, the
 two relations are equal exactly when the outputs found number
 |lhs|.  When lhs, s, r and r1 do not share their index spaces (a
 universe equal by name but indexed differently), it falls back to
-lhs != compose(s, product(r, r1)).  The two-sided groupoid laws,
-associativity and s m = m flip (s x s), have no side of this shape;
-the groupoid.py docstring says how they are decided.  The morphism law
-h m = m' (h x h) has this shape, but morphism.py decides it on the two
-groupoids' row tables, without building h m.
+lhs != compose(s, product(r, r1)).  The two-sided laws have no side of
+this shape: groupoid.py and action.py decide them on index rows, and
+two_sided_difference compares two sides a(b x id) and c(id x d).  The
+morphism law h m = m' (h x h) has this shape, but morphism.py decides
+it on the two groupoids' row tables, without building h m.
 
 Collisions.  Component names may themselves contain commas (nested
 pairs do), so product_universe(a, b) refuses the product whenever two
@@ -52,7 +52,7 @@ otherwise are the |a| * |b| joined names built and compared.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 from .errors import UniverseError, UniverseMismatch, UnknownElement
@@ -359,6 +359,28 @@ def compose_product_differs(lhs: FinRel, s: FinRel, r: FinRel, r1: FinRel) -> bo
                     return True
             found += len(outs)
     return found != len(pairs)
+
+
+def two_sided_difference(a: FinRel, b: FinRel, c: FinRel, d: FinRel):
+    """Sorted-least (output name, input name) pair on which a(b x id)
+    and c(id x d) differ, or None, by the preimage scan of the groupoid.py
+    docstring; exact for relations that share their index spaces."""
+    pre_a, pre_b, pre_c, pre_d = (transpose(r)._by_index() for r in (a, b, c, d))
+    nz, nyz, nq = len(a.source) // len(b.target), len(d.source), len(d.target)
+    for name in a.target.elements:
+        w = a.target.index[name]
+        left, right = set(), set()
+        for pz in pre_a.get(w, ()):
+            p, z = divmod(pz, nz)
+            left.update([xy * nz + z for xy in pre_b.get(p, ())])
+        for xq in pre_c.get(w, ()):
+            x, q = divmod(xq, nq)
+            right.update(map((x * nyz).__add__, pre_d.get(q, ())))
+        if left != right:
+            z_factors = a.source.factors[len(b.target.factors):]
+            inputs = reduce(ProductUniverse, b.source.factors + z_factors)
+            return name, min(map(inputs.name_of, left ^ right))
+    return None
 
 
 def transpose(r: FinRel) -> FinRel:

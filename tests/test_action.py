@@ -30,6 +30,7 @@ from groupoids.action import (
     unit_action,
 )
 from groupoids.builders import (
+    GroupTable,
     cyclic_table,
     equivalence_groupoid,
     group_bundle,
@@ -47,7 +48,7 @@ from groupoids.errors import (
     PreconditionFailed,
     UniverseMismatch,
 )
-from groupoids.groupoid import SubgroupoidRef
+from groupoids.groupoid import SubgroupoidRef, cartesian_product
 from groupoids.morphism import (
     compose_morphisms,
     identity_morphism,
@@ -58,7 +59,15 @@ from groupoids.morphism import (
     to_orbit_relation,
     wide_inclusion,
 )
-from groupoids.relation import Universe, pair_name
+from groupoids.relation import (
+    Universe,
+    compose,
+    first_difference,
+    identity,
+    pair_name,
+    product,
+    triples_rel,
+)
 from groupoids.search import enum_actions, find_groupoid_isomorphism
 
 Z2 = group_groupoid(cyclic_table(2))
@@ -496,3 +505,92 @@ def test_mutated_triples_satisfy_classical_laws_when_accepted(
     except AxiomViolation:
         return
     assert action_violation(mutant) is None
+
+
+# -- the two-sided action laws against the materialized sides -----------
+
+
+@st.composite
+def drawn_triples(draw, catalog):
+    """A catalog member on at most four elements, a carrier of zero to
+    three points (none, or the elements of a catalog member delta), and
+    a random triple set on them: a partial map half the time, any set of
+    triples otherwise."""
+    def members(size):
+        return sorted(k for k in catalog if len(catalog[k].elements) <= size)
+
+    g = catalog[draw(st.sampled_from(members(4)))]
+    key = draw(st.sampled_from([None, *members(3)]))
+    delta = catalog[key] if key else None
+    carrier = delta.elements if delta else Universe("E", ())
+    cells = list(itertools.product(g.elements, carrier))
+    if draw(st.booleans()):
+        images = st.sampled_from([None, *carrier])
+        drawn = draw(st.lists(images, min_size=len(cells), max_size=len(cells)))
+        triples = [(y, a, x) for (a, x), y in zip(cells, drawn) if y is not None]
+    else:
+        masks = st.integers(0, 2 ** len(carrier) - 1)
+        drawn = draw(st.lists(masks, min_size=len(cells), max_size=len(cells)))
+        triples = [
+            (y, a, x)
+            for (a, x), mask in zip(cells, drawn)
+            for i, y in enumerate(carrier)
+            if mask >> i & 1
+        ]
+    return g, delta, carrier, triples
+
+
+@seed(1311)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_action_laws_agree_with_the_materialized_sides(catalog, data):
+    """Action(...) rejects at phi(mxid)=phi(idxphi) exactly when the two
+    sides built as relations differ, with their sorted-least difference
+    as offender; right_commuting_to_morphism refuses exactly when
+    phi(id x m) and m(phi x id) differ.  The commuting law is decided for
+    any partial map phi, so every single-valued draw on a groupoid's
+    elements is handed to it as an unchecked action."""
+    g, delta, carrier, triples = data.draw(drawn_triples(catalog))
+    phi = triples_rel(g.elements, carrier, carrier, triples)
+    lhs = compose(phi, product(g.m_rel, identity(carrier)))
+    rhs = compose(phi, product(identity(g.elements), phi))
+    try:
+        Action(g, carrier, triples)
+        err = None
+    except AxiomViolation as caught:
+        err = caught
+    rejected = err is not None and err.law == "phi(mxid)=phi(idxphi)"
+    assert rejected == (lhs != rhs)
+    if rejected:
+        assert err.offender == first_difference(lhs, rhs)
+    if delta is None or len({(a, x) for _, a, x in triples}) != len(triples):
+        return
+    m = delta.m_rel
+    commutes = compose(phi, product(identity(g.elements), m)) == compose(
+        m, product(phi, identity(carrier))
+    )
+    try:
+        right_commuting_to_morphism(Action._trusted(g, carrier, triples), delta)
+        refused = False
+    except PreconditionFailed:
+        refused = True
+    except AxiomViolation:  # commutes, but the graph is no morphism
+        refused = False
+    assert refused == (not commutes)
+
+
+def test_right_commuting_reads_a_carrier_indexed_apart_from_delta():
+    """A carrier equal to delta's elements by name but indexed as a plain
+    universe, where delta's are a product's: a's and a+'s index order is
+    not their name order."""
+    names = {0: "a", 1: "a+", 2: "b", 3: "c"}
+    z4 = {
+        (names[x], names[y]): names[(x + y) % 4] for x in range(4) for y in range(4)
+    }
+    delta = cartesian_product(group_groupoid(GroupTable("Z4", names.values(), z4)), Z2)
+    plain = Universe(delta.elements.name, tuple(delta.elements))
+    assert plain == delta.elements and plain.names != tuple(delta.elements.names)
+    lm = left_mult_action(delta)
+    moved = Action._trusted(delta, plain, lm.triples)
+    assert right_commuting_to_morphism(moved, delta) == identity_morphism(delta)
+

@@ -498,3 +498,32 @@ def test_subgroupoid_ref_as_groupoid(catalog):
     sub = ref.as_groupoid()
     assert sorted(sub.elements) == ["0", "2"]
     assert sub.mult("2", "2") == "0"
+
+
+@pytest.mark.parametrize(
+    "units, inverse, table, error, message",
+    [
+        # several stray names: the units are named first, then a
+        # missing inverse, the inverse map, and the table, in its order
+        (["a", "z"], {"a": "a"}, [("y", "a", "a")], "UnknownElement",
+         "unknown element 'z' in units of 'G'"),
+        (["a"], {}, [("y", "a", "a")], "AxiomViolation",
+         "axiom 'inverse-total' violated at 'a'"),
+        (["a"], {"a": "a", "q": "a"}, [("y", "a", "a")], "UnknownElement",
+         "unknown element 'q' in inverse map of 'G'"),
+        (["a"], {"a": "a"}, [("a", "a", "a"), ("a", "x", "y")], "UnknownElement",
+         "unknown element 'x' in table of 'G'"),
+        # names the inclusion cannot hash or read are left to the loops
+        (["a"], {"a": "a", "q": ["a"]}, [], "UnknownElement",
+         "unknown element 'q' in inverse map of 'G'"),
+        (["a"], {"a": ["a"]}, [], "TypeError", "unhashable type: 'list'"),
+        (["a"], {"a": "a"}, [5], "TypeError", "cannot unpack non-iterable int object"),
+    ],
+)
+def test_structure_check_names_the_first_stray_entry(
+    units, inverse, table, error, message
+):
+    with pytest.raises(Exception) as err:
+        Groupoid("G", ["a"], units, inverse, table)
+    assert (type(err.value).__name__, str(err.value)) == (error, message)
+

@@ -20,7 +20,7 @@ import json
 import random
 
 from groupoids import search
-from groupoids.action import Action
+from groupoids.action import Action, left_mult_action
 from groupoids.builders import (
     cyclic_table,
     group_groupoid,
@@ -29,7 +29,7 @@ from groupoids.builders import (
     symmetric_table,
 )
 from groupoids.errors import AxiomViolation
-from groupoids.groupoid import Groupoid
+from groupoids.groupoid import Groupoid, cartesian_product
 from groupoids.morphism import Morphism
 from groupoids.relation import (
     ONE,
@@ -255,3 +255,101 @@ def test_two_sided_offenders_match_the_materialized_difference():
         "mutations m(mxid)=m(idxm)": 736,
         "involutions sm=m.flip(sxs)": 72,
     }
+
+
+# -- the preimage scan in name order, single- and multi-valued -----------
+
+
+def renamed(g):
+    """g with its elements renamed a, a+, a++, ...: "+" sorts below ",",
+    so the name order of g x g is not its index order."""
+    new = {x: "a" + "+" * i for i, x in enumerate(g.elements)}
+    return Groupoid(
+        g.name,
+        [new[x] for x in g.elements],
+        [new[e] for e in g.units],
+        {new[x]: new[y] for x, y in g.inverse.items()},
+        [tuple(new[x] for x in row) for row in g.table],
+    )
+
+
+def action_sides(g, carrier, triples):
+    """phi(m x id) and phi(id x phi), built as relations on plain
+    universes with the names of g's elements and of the carrier."""
+    u, x = Universe("G", tuple(g.elements)), Universe("X", tuple(carrier))
+    m, phi = triples_rel(u, u, u, g.table), triples_rel(u, x, x, triples)
+    return (
+        compose(phi, product(m, identity(x))),
+        compose(phi, product(identity(u), phi)),
+    )
+
+
+def test_two_sided_offenders_follow_name_order():
+    """Rejections at the two-sided laws report the sorted-least pair of
+    the materialized sides where a product's index order is not its name
+    order: row mutations (inserts make m multi-valued) of S3, Z6 and P4
+    renamed a, a+, ..., a checked Groupoid(...) and a checked Action(...)
+    over a cartesian_product universe of such groupoids, and every triple
+    set of Z2 and S2 on two points."""
+    rng = random.Random(1311)
+    small = [
+        renamed(g)
+        for g in (
+            group_groupoid(symmetric_table(3)),
+            group_groupoid(cyclic_table(6)),
+            pair_groupoid(Universe("X4", "1234")),
+        )
+    ]
+    product_g = cartesian_product(renamed(Z2), small[0])
+    assert list(product_g.elements.names) != sorted(product_g.elements.names)
+    counts = {}
+
+    def record(corpus, err, lhs, rhs):
+        offender = first_difference(lhs, rhs)
+        assert offender is not None
+        assert err.offender == offender
+        assert str(err) == str(AxiomViolation(err.law, offender))
+        key = f"{corpus} {err.law}"
+        counts[key] = counts.get(key, 0) + 1
+
+    for corpus, g in [("renamed", h) for h in small] + [("product", product_g)]:
+        for names, units, inverse, table in row_mutations(g, rng):
+            elements = g.elements if corpus == "product" else names
+            try:
+                Groupoid("G", elements, units, inverse, table)
+            except AxiomViolation as err:
+                if err.law in TWO_SIDED:
+                    sides = materialized_sides(err.law, names, inverse, table)
+                    record(corpus, err, *sides)
+    lm = left_mult_action(product_g)
+    cells = list(itertools.product(product_g.elements, product_g.elements))
+    for _ in range(300):
+        triples = list(lm.triples)
+        edit = rng.choice(("insert", "change"))
+        if edit == "change":
+            i = rng.randrange(len(triples))
+            triples[i] = (rng.choice(cells)[0],) + triples[i][1:]
+        else:
+            g, x = rng.choice(cells)
+            triples.append((rng.choice(cells)[0], g, x))
+        try:
+            Action(product_g, product_g.elements, triples)
+        except AxiomViolation as err:
+            if err.law == "phi(mxid)=phi(idxphi)":
+                sides = action_sides(product_g, product_g.elements, triples)
+                record("action", err, *sides)
+    for g in (Z2, S2):
+        cells = list(itertools.product(PQ, g.elements, PQ))
+        for triples in _subsets(cells):
+            try:
+                Action(g, PQ, triples)
+            except AxiomViolation as err:
+                if err.law == "phi(mxid)=phi(idxphi)":
+                    record("two points", err, *action_sides(g, PQ, triples))
+    assert counts == {
+        "renamed m(mxid)=m(idxm)": 736,
+        "product m(mxid)=m(idxm)": 300,
+        "action phi(mxid)=phi(idxphi)": 270,
+        "two points phi(mxid)=phi(idxphi)": 477,
+    }
+
