@@ -6,8 +6,20 @@ laws and lets validation reject the rest.  Each choice's share of the
 graph, its named pairs, is built once per call, and a candidate is the
 concatenation of its choices' shares; every candidate is still
 validated in full by Morphism(...).  The structured one rebuilds
-candidates from base maps and single-fiber data.  Tests require their
-outputs to agree.
+candidates from base maps and single-fiber data, forced on index rows.
+Tests require their outputs to agree.
+
+The two action enumerators are independent in the same way: one goes
+through morphisms into the pair groupoid, the other is classical and
+reads only the groupoid's table.  The classical one searches each base
+map's evaluation table depth first with forward checking (Haralick and
+Elliott, Artificial Intelligence 14, 1980).  A compatibility
+constraint phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last
+slot is set.  So no table that breaks a law survives, and no lawful
+table is cut, since a cut needs a constraint that already fails on set
+slots.  Slots are set in sorted order, each trying its values in
+order, so the results come in the order of the full product of slot
+values that an exhaustive filter would give.
 """
 
 import itertools
@@ -136,86 +148,166 @@ def _surjections(domain, codomain):
             yield dict(zip(domain, combo))
 
 
-def _fiber_assignments(source, target, rho, e0, fiber, F0):
-    """Consistent output tables on the right fiber over e0, keyed (g, f).
+class _FiberSearch:
+    """Consistent output tables on the right fiber over a unit e0 of the
+    source, for one base map at a time (`tables`).
 
     Forcing propagates products against the isotropy group at e0 and
     the matching inverse slots; every surviving table extends to a
-    candidate graph.
+    candidate graph.  What depends only on the fiber and the target is
+    read here once, on element indices: the fiber positions of products
+    g x with x in the isotropy group, of inverses, and the target's
+    inverses, left units and rows.
     """
-    iso = [g for g in fiber if source.e_left(g) == e0]
-    tgt_sorted = sorted(target.elements)
-    cands = {}
-    for g in fiber:
-        eL = source.e_left(g)
-        for f in F0:
-            if g == e0:
-                cands[(g, f)] = (f,)
-            else:
-                cands[(g, f)] = tuple(
-                    d
-                    for d in tgt_sorted
-                    if target.e_right(d) == f
-                    and rho[target.e_left(d)] == eL
-                )
-    slots = sorted(cands)
 
-    def force(asg):
-        changed = True
-        while changed:
-            changed = False
-            for x in iso:
-                for f in F0:
-                    dx = asg.get((x, f))
-                    if dx is None:
-                        continue
-                    f1 = target.e_left(dx)
-                    sx = source.inverse[x]
-                    want = target.inverse[dx]
-                    cur = asg.get((sx, f1))
-                    if cur is None:
-                        if want not in cands[(sx, f1)]:
-                            return None
-                        asg[(sx, f1)] = want
-                        changed = True
-                    elif cur != want:
-                        return None
-                    for g in fiber:
-                        gx = source.mult(g, x)
-                        dg = asg.get((g, f1))
-                        if dg is None:
-                            continue
-                        want2 = target.mult(dg, dx)
-                        cur2 = asg.get((gx, f))
-                        if cur2 is None:
-                            if want2 not in cands[(gx, f)]:
-                                return None
-                            asg[(gx, f)] = want2
-                            changed = True
-                        elif cur2 != want2:
-                            return None
-        return asg
-
-    results = []
-
-    def walk(asg, idx):
-        while idx < len(slots) and slots[idx] in asg:
-            idx += 1
-        if idx == len(slots):
-            results.append(dict(asg))
+    def __init__(self, source, target, e0, fiber):
+        self.e0, self.fiber = e0, fiber
+        if len(fiber) == 1:  # e0 alone: its one table is e0 -> f on F0
             return
-        slot = slots[idx]
-        for d in cands[slot]:
-            trial = dict(asg)
-            trial[slot] = d
-            forced = force(trial)
-            if forced is not None:
-                walk(forced, idx + 1)
+        s_index, t_index = source.elements.index, target.elements.index
+        self.t_index = t_index
+        self.t_names = target.elements.names
+        self.t_rows = target._rows
+        self.t_inv = [t_index[target.inverse[d]] for d in self.t_names]
+        self.t_left = [t_index[target.e_left(d)] for d in self.t_names]
+        # (index, left unit) of the targets from each unit, in name order
+        self.ending = {f: [] for f in target.units}
+        for d in sorted(target.elements):
+            self.ending[target.e_right(d)].append((t_index[d], target.e_left(d)))
+        fpos = {s_index[g]: i for i, g in enumerate(fiber)}
+        self.lefts = [source.e_left(g) for g in fiber]
+        self.iso = [i for i, eL in enumerate(self.lefts) if eL == e0]
+        self.inv_of = {
+            x: fpos[s_index[source.inverse[fiber[x]]]] for x in self.iso
+        }
+        # times[g][x] is the fiber position of g x, x in the isotropy group
+        s_rows = source._rows
+        self.times = [
+            {x: fpos[s_rows[s_index[g]][s_index[fiber[x]]]] for x in self.iso}
+            for g in fiber
+        ]
 
-    seed = force({(e0, f): f for f in F0})
-    if seed is not None:
-        walk(seed, 0)
-    return results
+    def tables(self, rho, F0):
+        """The tables for base map rho, keyed (g, f) for f in F0.
+
+        Slot (g, f) is numbered by the positions of g in the fiber and f
+        in `F0`, so slot order is sorted key order, and its value is a
+        target element index.  A newly set slot is pushed on a worklist
+        and, when popped, fires every forcing rule it is a premise of
+        whose other premise is set; the forced closure is the same in
+        any firing order, and so is a conflict.  The walk undoes its
+        trial values off a trail instead of copying the table.
+        """
+        if len(self.fiber) == 1:
+            return [{(self.e0, f): f for f in F0}]
+        t_index, t_names, t_rows = self.t_index, self.t_names, self.t_rows
+        t_inv, t_left = self.t_inv, self.t_left
+        iso, inv_of, times = self.iso, self.inv_of, self.times
+        nf = len(F0)
+        # the F0 position of each unit in F0; every value of an isotropy
+        # slot has its left unit there
+        f_at = {t_index[f]: i for i, f in enumerate(F0)}
+        units = [t_index[f] for f in F0]
+        # the values of (g, f): f itself for g = e0, else the d from f to
+        # a unit over e_L(g) in name order, found once per (e_L(g), f)
+        by_ends = {}
+        keys, cands, allowed = [], [], []
+        for g, eL in zip(self.fiber, self.lefts):
+            for f in F0:
+                if g == self.e0:
+                    opts = (t_index[f],)
+                    opt_set = frozenset(opts)
+                elif (eL, f) in by_ends:
+                    opts, opt_set = by_ends[(eL, f)]
+                else:
+                    opts = tuple(d for d, e in self.ending[f] if rho[e] == eL)
+                    opt_set = frozenset(opts)
+                    by_ends[(eL, f)] = opts, opt_set
+                keys.append((g, f))
+                cands.append(opts)
+                allowed.append(opt_set)
+        if not all(cands):  # a slot no value can fill, forced or tried
+            return []
+        n = len(keys)
+        asg = [-1] * n
+        trail, work = [], []
+
+        def put(s, d):
+            cur = asg[s]
+            if cur < 0:
+                if d not in allowed[s]:
+                    return False
+                asg[s] = d
+                trail.append(s)
+                work.append(s)
+                return True
+            return cur == d
+
+        def force():
+            while work:
+                s = work.pop()
+                g, f = divmod(s, nf)
+                d = asg[s]
+                if g in inv_of:  # g is in the isotropy group
+                    # (g, f) as (x, f): its inverse slot, and (g' x, f)
+                    # from every set (g', f1)
+                    f1 = f_at[t_left[d]]
+                    if not put(inv_of[g] * nf + f1, t_inv[d]):
+                        return False
+                    for g2, row in enumerate(times):
+                        dg = asg[g2 * nf + f1]
+                        if dg >= 0 and not put(row[g] * nf + f, t_rows[dg][d]):
+                            return False
+                # (g, f) as (g, f1): (g x, f2) from every set (x, f2) over f
+                row, unit = times[g], units[f]
+                for x in iso:
+                    for f2 in range(nf):
+                        dx = asg[x * nf + f2]
+                        if (
+                            dx >= 0
+                            and t_left[dx] == unit
+                            and not put(row[x] * nf + f2, t_rows[d][dx])
+                        ):
+                            return False
+            return True
+
+        def undo(mark):
+            for s in trail[mark:]:
+                asg[s] = -1
+            del trail[mark:]
+            work.clear()
+
+        def unset(idx):
+            while idx < n and asg[idx] >= 0:
+                idx += 1
+            return idx
+
+        e = self.fiber.index(self.e0)
+        for f, unit in enumerate(units):
+            put(e * nf + f, unit)
+        if not force():
+            return []
+        # the walk, depth first: each level is [its slot, the next value
+        # to try, the trail length on entry]; a plain loop, so no closure
+        # holds itself and the tables are freed when the call returns
+        results = []
+        levels = [[unset(0), 0, len(trail)]]
+        while levels:
+            level = levels[-1]
+            idx, i, mark = level
+            if idx == n:
+                results.append({k: t_names[d] for k, d in zip(keys, asg)})
+                levels.pop()
+                continue
+            undo(mark)
+            if i == len(cands[idx]):
+                levels.pop()
+                continue
+            level[1] = i + 1
+            put(idx, cands[idx][i])
+            if force():
+                levels.append([unset(idx + 1), 0, len(trail)])
+        return results
 
 
 def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
@@ -228,38 +320,41 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     """
     orbit_blocks = source.orbits()
     tgt_units = sorted(target.units)
+    # per orbit, on first use: its least unit e0, the members, a path
+    # from e0 to each unit, and the search on the right fiber over e0
+    shapes = {}
+
+    def shape(i):
+        if i not in shapes:
+            block = orbit_blocks[i]
+            e0 = min(block)
+            fiber = sorted(g for g in source.elements if source.e_right(g) == e0)
+            block_set = set(block)
+            members = sorted(
+                g for g in source.elements if source.e_right(g) in block_set
+            )
+            path = {
+                e: min(g for g in fiber if source.e_left(g) == e) for e in block
+            }
+            search = _FiberSearch(source, target, e0, fiber)
+            shapes[i] = e0, members, path, search
+        return shapes[i]
+
     found = []
     # mask 0 chooses no orbit: the empty graph, which is a morphism
     # exactly when the target has no units
     for mask in range(2 ** len(orbit_blocks)):
-        chosen = [
-            block
-            for i, block in enumerate(orbit_blocks)
-            if mask >> i & 1
-        ]
-        pool = sorted(itertools.chain.from_iterable(chosen))
+        chosen = [i for i in range(len(orbit_blocks)) if mask >> i & 1]
+        pool = sorted(itertools.chain.from_iterable(orbit_blocks[i] for i in chosen))
         for rho in _surjections(tgt_units, pool):
             comp = []
-            for block in chosen:
-                e0 = min(block)
-                fiber = sorted(
-                    g for g in source.elements if source.e_right(g) == e0
-                )
+            for i in chosen:
+                e0, members, path, search = shape(i)
                 F0 = sorted(f for f in tgt_units if rho[f] == e0)
-                opts = _fiber_assignments(source, target, rho, e0, fiber, F0)
+                opts = search.tables(rho, F0)
                 if not opts:
                     comp = None
                     break
-                block_set = set(block)
-                members = sorted(
-                    g
-                    for g in source.elements
-                    if source.e_right(g) in block_set
-                )
-                path = {
-                    e: min(g for g in fiber if source.e_left(g) == e)
-                    for e in block
-                }
                 comp.append((members, path, F0, opts))
             if comp is None:
                 continue
@@ -293,13 +388,103 @@ def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
     ]
 
 
+def _lawful_tables(slots, cand, left_factors):
+    """The value tuples of itertools.product(*cand), in its order, whose
+    table phi on `slots` keeps phi(g1, phi(g2, x)) = phi(g1 g2, x).
+
+    The constraint of (g2, x), a value y of it and a left factor g1 of
+    g2 reads: if phi(g2, x) = y, then phi(g1, y) = phi(g1 g2, x).  A
+    slot with one value, such as (rho(x), x), is set before the search.
+    Each constraint is filed under the last of its three slots to be
+    set, by the role that slot plays (g2, g1 or the product), and
+    tested when that slot is set: so every constraint of a full table
+    is tested, and a partial table is cut only when a constraint on its
+    set slots already fails, which no extension can mend.  Slots are
+    set depth first in order, each trying its values in order, which is
+    the product's order.
+
+    In a groupoid, a constraint filed under its product slot follows
+    from two filed under the other roles once the unit slots are set,
+    through phi(s(g1), phi(g1 g2, x)) = phi(g2, x) and phi(g1,
+    phi(s(g1), w)) = w.  So the product role changes no result, but it
+    cuts early: without it Z6 on four points takes seconds, not
+    milliseconds.
+    """
+    pos = {slot: k for k, slot in enumerate(slots)}
+    # a slot with one value keeps it and has rank -1; the others are free
+    val = [c[0] for c in cand]
+    free = [k for k, c in enumerate(cand) if len(c) > 1]
+    rank = [-1] * len(slots)
+    for k in free:
+        rank[k] = k
+    # as_g2[k][y]: (a, b) to agree once slot k holds y; as_g1[k] and
+    # as_prod[k]: (s, y, b) such that slot b agrees with k if s holds y
+    as_g2 = {k: {} for k in free}
+    as_g1 = {k: [] for k in free}
+    as_prod = {k: [] for k in free}
+    for s, (g2, x) in enumerate(slots):
+        for y in cand[s]:
+            for g1, c in left_factors[g2]:
+                a, b = pos[(g1, y)], pos[(c, x)]
+                if a == b:
+                    continue
+                last = max(rank[s], rank[a], rank[b])
+                if last < 0:  # every slot has one value
+                    if val[s] == y and val[a] != val[b]:
+                        return
+                elif rank[s] == last:
+                    as_g2[s].setdefault(y, []).append((a, b))
+                elif rank[a] == last:
+                    as_g1[a].append((s, y, b))
+                else:
+                    as_prod[b].append((s, y, a))
+
+    def fits(k, v):
+        for a, b in as_g2[k].get(v, ()):
+            if val[a] != val[b]:
+                return False
+        for checks in (as_g1[k], as_prod[k]):
+            for s, y, b in checks:
+                if val[s] == y and val[b] != v:
+                    return False
+        return True
+
+    # depth first over the free slots, in slot order
+    choice = [-1] * len(free)
+    level = 0
+    while level >= 0:
+        if level == len(free):
+            yield tuple(val)
+            level -= 1
+            continue
+        k = free[level]
+        opts = cand[k]
+        i = choice[level] + 1
+        while i < len(opts):
+            val[k] = opts[i]
+            if fits(k, opts[i]):
+                break
+            i += 1
+        if i < len(opts):
+            choice[level] = i
+            level += 1
+        else:
+            choice[level] = -1
+            level -= 1
+
+
 def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
     """Every action, by direct search over base maps and evaluation tables.
 
     Independent of the morphism enumerators: candidates are classical
     (base map, partial evaluation) pairs checked against the unit and
     compatibility laws, the latter over the composable pairs of the
-    groupoid's table only, then re-expressed relationally.
+    groupoid's table only, then re-expressed relationally.  For each
+    base map the evaluation table is searched depth first with forward
+    checking (`_lawful_tables`): a compatibility constraint is tested
+    once its last slot is set, so no table that breaks a law survives
+    and no lawful table is cut, and the results come in the
+    lexicographic slot order of the full product of slot values.
     """
     units = sorted(groupoid.units)
     points = sorted(carrier.elements)
@@ -326,16 +511,11 @@ def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
                 )
         if any(not c for c in cand):
             continue
-        for values in itertools.product(*cand):
+        for values in _lawful_tables(slots, cand, left_factors):
             phi = dict(zip(slots, values))
-            if all(
-                phi[(g1, y)] == phi[(prod, x)]
-                for (g2, x), y in phi.items()
-                for g1, prod in left_factors[g2]
-            ):
-                results.append(
-                    classical_to_relational(groupoid, carrier, rho, phi)
-                )
+            results.append(
+                classical_to_relational(groupoid, carrier, rho, phi)
+            )
     return results
 
 

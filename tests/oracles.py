@@ -5,13 +5,16 @@ The constructors of Groupoid, Morphism and Action check only the
 relational axioms.  The classical laws below are theorems of those
 axioms; these oracles check them directly, element by element, so the
 tests can show that no law goes unchecked.  Each oracle returns the
-name of the first law broken, or None when every law holds.
+name of the first law broken, or None when every law holds.  One more
+oracle, `actions_direct_reference`, is the exhaustive direct action
+enumerator, kept for the order its pruned successor must give.
 """
 
 import itertools
 
 from hypothesis import strategies as st
 
+from groupoids.action import classical_to_relational
 from groupoids.groupoid import Groupoid
 from groupoids.morphism import fiber_map_left, fiber_map_right
 
@@ -167,6 +170,50 @@ def action_violation(a):
         if moved.setdefault((gamma, x), y) != y or a.apply(gamma, x) != y:
             return "action-single-valued"
     return None
+
+
+def actions_direct_reference(groupoid, carrier):
+    """Every action of the groupoid on the carrier, in the order the
+    direct enumerator must keep: base maps in product order, and for
+    each one every full evaluation table in the product order of the
+    sorted slots, tested against the compatibility law after it is
+    built."""
+    units = sorted(groupoid.units)
+    points = sorted(carrier.elements)
+    # the left factors of each g2, as (g1, g1 g2): the composable pairs
+    left_factors = {g: [] for g in groupoid.elements}
+    for c, g1, g2 in groupoid.table:
+        left_factors[g2].append((g1, c))
+    results = []
+    for combo in itertools.product(units, repeat=len(points)):
+        rho = dict(zip(points, combo))
+        slots = sorted(
+            (g, x)
+            for g in groupoid.elements
+            for x in points
+            if groupoid.e_right(g) == rho[x]
+        )
+        cand = []
+        for g, x in slots:
+            if g == rho[x]:
+                cand.append((x,))
+            else:
+                cand.append(
+                    tuple(y for y in points if rho[y] == groupoid.e_left(g))
+                )
+        if any(not c for c in cand):
+            continue
+        for values in itertools.product(*cand):
+            phi = dict(zip(slots, values))
+            if all(
+                phi[(g1, y)] == phi[(prod, x)]
+                for (g2, x), y in phi.items()
+                for g1, prod in left_factors[g2]
+            ):
+                results.append(
+                    classical_to_relational(groupoid, carrier, rho, phi)
+                )
+    return results
 
 
 def edit_rows(draw, rows, alphabets):

@@ -1,4 +1,4 @@
-"""Acceptance suite: fourteen numbered end-to-end criteria.
+"""Acceptance suite: fifteen numbered end-to-end criteria.
 
 Each test prints one pass/fail line (run with -s to see them) and
 enforces a wall-clock budget.  All checks are exact.
@@ -937,3 +937,17 @@ def test_criterion_14_two_sided_laws_without_the_triple_relation():
     with criterion(14, "right_commuting_to_morphism on S5", 0.5):
         assert right_commuting_to_morphism(lm, s5) == identity_morphism(s5)
 
+
+def test_criterion_15_direct_actions_on_four_points(catalog):
+    # the direct enumerator once tried all 4^20 tables of S3 on four
+    # points and did not finish in ten minutes
+    s3 = group_groupoid(symmetric_table(3))
+    four = Universe("X4", ("a", "b", "c", "d"))
+    via_pairs = {a.triples for a in enum_actions(s3, four)}
+    with criterion(15, "S3 on four points, direct", 1.0):
+        direct = enum_actions_direct(s3, four)
+    assert len(direct) == len(via_pairs) == 34
+    assert {a.triples for a in direct} == via_pairs
+    with criterion(15, "P3 on four points, direct", 1.0):
+        assert enum_actions_direct(catalog["P3"], four) == []
+    assert enum_actions(catalog["P3"], four) == []

@@ -391,6 +391,19 @@ def test_enum_exit_codes(capsys, tmp_path, z2_path, catalog):
     assert code == 0 and out.startswith("2 bisections\n")
 
 
+def test_enum_actions_direct_on_four_points(capsys, tmp_path):
+    s3 = str(tmp_path / "s3.json")
+    assert run(capsys, ["build", "group", "symmetric:3", "--output", s3])[0] == 0
+    argv = ["enum", "actions", s3, "--carrier", "a", "b", "c", "d"]
+    code, via_pairs, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    code, direct, err = run(capsys, [*argv, "--direct"])
+    assert (code, err) == (0, "")
+    head, *rows = direct.splitlines()
+    assert head == "34 actions" and len(rows) == 34
+    assert sorted(direct.splitlines()) == sorted(via_pairs.splitlines())
+
+
 def test_enum_finds_the_empty_morphism_into_the_empty_groupoid(capsys, tmp_path):
     p1 = groupoid_doc(tmp_path, pair_groupoid(Universe("X1", ("1",))), "p1.json")
     e = groupoid_doc(tmp_path, set_groupoid(Universe("none", ())), "e.json")

@@ -1,10 +1,13 @@
 """Enumeration oracles and brute-force cross-checks."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from groupoids import groupoid, morphism, relation
+from oracles import actions_direct_reference
+from groupoids import groupoid, morphism, relation, search
 from groupoids.action import quotient_groupoid
 from groupoids.builders import (
     cyclic_table,
@@ -14,6 +17,7 @@ from groupoids.builders import (
     klein_table,
     pair_groupoid,
     set_groupoid,
+    symmetric_table,
     trivial_table,
 )
 from groupoids.errors import AxiomViolation, BudgetExceeded, PreconditionFailed
@@ -132,6 +136,15 @@ def test_structured_agrees_with_naive():
     assert checked >= 50
 
 
+def test_s4_endomorphisms_by_image_order():
+    # by kernel: S4 gives the trivial one; A4 the sign onto each of the 9
+    # subgroups of order 2; V4 gives S4/V4 = S3 onto each of the 4 point
+    # stabilizers in 6 ways; the trivial kernel the 24 automorphisms
+    s4 = group_groupoid(symmetric_table(4))
+    by_image = Counter(len(h.image_elements) for h in enum_morphisms(s4, s4))
+    assert by_image == {1: 1, 2: 9, 6: 24, 24: 24}
+
+
 def test_enumerated_morphisms_compose_within_the_set():
     ms = enum_morphisms(Z2, Z2)
     graphs = {h.graph for h in ms}
@@ -167,6 +180,81 @@ def test_action_enumerators_agree():
     assert len(enum_actions(P2, x1)) == 0
     # every groupoid acts on the empty carrier, in exactly one way
     assert len(enum_actions(Z1, x0)) == len(enum_actions(EMPTY, x0)) == 1
+
+
+def test_direct_actions_keep_the_reference_order(catalog):
+    # the same actions in the same order as the full product of slot
+    # values, filtered after each table is built
+    for g in catalog.values():
+        for n in range(4):
+            xs = Universe(f"W{n}", "uvw"[:n])
+            direct = [a.triples for a in enum_actions_direct(g, xs)]
+            reference = [a.triples for a in actions_direct_reference(g, xs)]
+            assert direct == reference, (g.name, xs.name)
+
+
+def test_lawful_tables_match_the_filtered_product():
+    # seeded constraint systems that need not come from a groupoid, so no
+    # constraint is implied by others: each one filed under each role
+    # must be tested for the result to match the filtered product
+    rng = random.Random(1980)
+    for _ in range(300):
+        names = rng.sample("abcd", rng.randint(1, 3))
+        points = sorted(rng.sample("uvw", rng.randint(1, 3)))
+        slots = sorted(itertools.product(names, points))
+        cand = [
+            tuple(sorted(rng.sample(points, rng.randint(1, len(points)))))
+            for _ in slots
+        ]
+        left_factors = {
+            g2: [
+                (rng.choice(names), rng.choice(names))
+                for _ in range(rng.randint(0, 2))
+            ]
+            for g2 in names
+        }
+        expected = [
+            values
+            for values in itertools.product(*cand)
+            if all(
+                phi[(g1, y)] == phi[(c, x)]
+                for phi in [dict(zip(slots, values))]
+                for (g2, x), y in phi.items()
+                for g1, c in left_factors[g2]
+            )
+        ]
+        got = list(search._lawful_tables(slots, cand, left_factors))
+        assert got == expected, (slots, cand, left_factors)
+
+
+def test_direct_actions_agree_on_four_points(catalog):
+    rng = random.Random(1311)
+    pool = [*"abcdefgh", "p0", "p1", "q", "z9"]
+    for g in catalog.values():
+        xs = Universe("X4", rng.sample(pool, 4))
+        direct = {a.triples for a in enum_actions_direct(g, xs)}
+        assert direct == {a.triples for a in enum_actions(g, xs)}, (
+            g.name,
+            xs.elements,
+        )
+
+
+def test_direct_actions_read_no_morphism(monkeypatch):
+    xs = Universe("W3", ("u", "v", "w"))
+    expected = [a.triples for a in actions_direct_reference(Z4, xs)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct enumerator reached the morphism side")
+
+    for module, name in (
+        (search, "enum_morphisms"),
+        (search, "pair_groupoid"),
+        (search, "morphism_to_action"),
+        (morphism, "Morphism"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert [a.triples for a in enum_actions_direct(Z4, xs)] == expected
+    assert len(expected) == 4
 
 
 def test_cancellation_finds_nothing_for_monos():
