@@ -28,6 +28,19 @@ so the h for which it holds are closed under defined products.  So is
 the set of d with phi(g, xd) ~= phi(g, x)d, right_commuting_to_morphism's
 law.  A multi-valued phi, and every offender, goes to relation.py's
 two_sided_difference.
+
+The constructions on actions are theorems of their checked inputs and
+are not re-checked; tests/test_derived.py checks each one over the
+Tier-1 grid against an independent oracle.  quotient_groupoid: for
+g' = gn with n in N, g s(n)s(g) is in N by normality, so s is well
+defined on classes, and pi is onto.  homogeneous_identification: gamma
+marks gamma p(e_R(gamma)), and gamma, gamma' mark one point exactly when
+s(gamma)gamma' fixes the section, so psi is a bijection onto the cosets,
+and psi(delta x) = [delta gamma] = delta psi(x).
+classify_transitive_action: fiber_act is the action restricted to the
+isotropy group at e0, e|1|e0 moves the fiber over e0 onto the fiber
+over e, and x|g|y = (x|1|e0)(e0|g|e0)(e0|1|y), so psi is an isomorphism
+from the standard action.
 """
 
 from __future__ import annotations
@@ -476,12 +489,10 @@ def quotient_groupoid(groupoid: Groupoid, part):
         (projection[c], projection[a], projection[b])
         for c, a, b in groupoid.table
     }
-    inverse = {}
-    for block in classes:
-        values = {projection[groupoid.inverse[gamma]] for gamma in block}
-        if len(values) != 1:
-            raise AxiomViolation("derived:quotient-inverse", block[0])
-        inverse[projection[block[0]]] = values.pop()
+    inverse = {
+        projection[block[0]]: projection[groupoid.inverse[block[0]]]
+        for block in classes
+    }
     units = sorted({projection[e] for e in groupoid.units})
     elements = Universe(
         f"{groupoid.elements.name}/G",
@@ -493,10 +504,6 @@ def quotient_groupoid(groupoid: Groupoid, part):
     pi = Morphism._trusted(
         groupoid, quotient, ((projection[g], g) for g in groupoid.elements)
     )
-    from .morphism import is_surjective
-
-    if not is_surjective(pi):
-        raise AxiomViolation("derived:quotient-projection", None)
     return quotient, pi
 
 
@@ -517,47 +524,24 @@ def homogeneous_identification(action: Action, section):
             raise UnknownElement(section[e], action.carrier.name)
         if action.base_map[section[e]] != e:
             raise PreconditionFailed(f"not a section of the base map at {e!r}")
-    reached = {
-        action.apply(gamma, section[groupoid.e_right(gamma)])
+    # the point each gamma marks: gamma p(e_R(gamma))
+    mark = {
+        gamma: action.apply(gamma, section[groupoid.e_right(gamma)])
         for gamma in groupoid.elements
     }
+    reached = set(mark.values())
     if reached != set(action.carrier):
         raise PreconditionFailed(
             f"section does not saturate the carrier; {min(set(action.carrier) - reached)!r} unreached"
         )
 
-    triple_set = set(action.triples)
-    wide = {
-        gamma
-        for gamma in groupoid.elements
-        if (
-            section[groupoid.e_left(gamma)],
-            gamma,
-            section[groupoid.e_right(gamma)],
-        )
-        in triple_set
-    }
+    wide = {g for g, x in mark.items() if x == section[groupoid.e_left(g)]}
     ref = SubgroupoidRef(groupoid, wide)
     space = coset_space(groupoid, wide)
-    psi = {}
-    for x in action.carrier:
-        markers = [
-            gamma
-            for gamma in groupoid.elements
-            if (x, gamma, section[groupoid.e_right(gamma)]) in triple_set
-        ]
-        psi[x] = space.projection[min(markers)]
-    if not len(set(psi.values())) == len(action.carrier) == len(space.classes):
-        raise AxiomViolation("derived:homogeneous-bijective", None)
-    psi_rel = mapping_rel(action.carrier, space.carrier, psi)
-    lhs = compose(
-        space.action.rel, product(identity(groupoid.elements), psi_rel)
-    )
-    rhs = compose(psi_rel, action.rel)
-    if lhs != rhs:
-        raise AxiomViolation(
-            "derived:homogeneous-intertwine", lambda: first_difference(lhs, rhs)
-        )
+    psi = {
+        x: space.projection[min(g for g, y in mark.items() if y == x)]
+        for x in action.carrier
+    }
     return ref, psi
 
 
@@ -642,51 +626,22 @@ def classify_transitive_action(space: Universe, table: GroupTable, action: Actio
         raise PreconditionFailed("empty carrier")
     if not action.groupoid.same_structure(product_form(space, table)):
         raise PreconditionFailed("action groupoid is not the given product form")
-    groupoid = action.groupoid
     if z0 is None:
         z0 = min(action.carrier.elements)
     elif z0 not in action.carrier:
         raise UnknownElement(z0, action.carrier.name)
-    unit_of = {e: f"{e}|{table.unit}|{e}" for e in space}
-    base_of = {unit_of[e]: e for e in space}
+    base_of = {f"{e}|{table.unit}|{e}": e for e in space}
     e0 = base_of[action.base_map[z0]]
-    fiber = Universe(
-        f"{action.carrier.name}@{e0}",
-        tuple(
-            sorted(
-                z for z in action.carrier if action.base_map[z] == unit_of[e0]
-            )
-        ),
-    )
+    over_e0 = [z for z in action.carrier if action.base_map[z] == action.base_map[z0]]
+    fiber = Universe(f"{action.carrier.name}@{e0}", tuple(sorted(over_e0)))
     fiber_act = {
         (g, z): action.apply(f"{e0}|{g}|{e0}", z)
         for g in table.elements
         for z in fiber
     }
-    fiber_act = check_group_action(table, fiber, fiber_act)
-
-    psi = {}
-    triple_set = set(action.triples)
-    for e in space:
-        for z in fiber:
-            hits = [
-                y
-                for y in action.carrier
-                if (y, f"{e}|{table.unit}|{e0}", z) in triple_set
-            ]
-            if len(hits) != 1:
-                raise AxiomViolation("derived:classification-bijective", (e, z))
-            psi[pair_name(e, z)] = hits[0]
-    if not len(set(psi.values())) == len(psi) == len(action.carrier):
-        raise AxiomViolation("derived:classification-bijective", None)
-
-    model = product_form_action(space, table, fiber, fiber_act)
-    model = Action._trusted(groupoid, model.carrier, model.triples)
-    psi_rel = mapping_rel(model.carrier, action.carrier, psi)
-    lhs = compose(action.rel, product(identity(groupoid.elements), psi_rel))
-    rhs = compose(psi_rel, model.rel)
-    if lhs != rhs:
-        raise AxiomViolation(
-            "derived:classification-intertwine", lambda: first_difference(lhs, rhs)
-        )
+    psi = {
+        pair_name(e, z): action.apply(f"{e}|{table.unit}|{e0}", z)
+        for e in space
+        for z in fiber
+    }
     return fiber, fiber_act, psi

@@ -71,6 +71,14 @@ builds from structures it holds is valid by the paper's theorems and
 comes from the class's _trusted constructor, which skips the axioms
 (Groupoid._trusted still refuses ambiguous pair names).  The grids in
 tests/test_builders.py and tests/test_trusted.py prove those builds.
+Derived constructions (kernels, quotients, cosets, factorizations,
+decompositions, Ad) are theorems of checked inputs, not re-checked bar
+the checks tests name (witnesses, bisection cross-checks); each module
+docstring gives the argument, and tests/test_derived.py checks each over
+the Tier-1 grid against an independent oracle.  decompose_transitive's
+phi sends x|g|y to an arrow from y to x, phi(x|g|y) phi(y|h|z) =
+s(p(x)) g p(y)s(p(y)) h p(z) = phi(x|gh|z), and gamma -> l|p(l) gamma
+s(p(r))|r (l, r its units) inverts it.
 
 Equality of groupoids is structural and ignores the display name.
 """
@@ -291,14 +299,6 @@ class Groupoid:
         """All composable pairs, sorted."""
         return tuple(sorted(self._mult))
 
-    @cached_property
-    def _orbit_of(self) -> dict:
-        seen = {}
-        for block in self.orbits():
-            for e in block:
-                seen[e] = block
-        return seen
-
     def orbits(self) -> tuple:
         """Partition of the units into orbits."""
         neighbours: dict = {e: set() for e in self.units}
@@ -396,48 +396,27 @@ class Groupoid:
         maps each product-form element name "x|g|y" to s(p(x)) g p(y)
         for the sorted-least section p of e_right with p(base) = base.
         """
-        from .builders import group_table_of, product_form
+        from .builders import group_table_of
 
         if len(self.orbits()) != 1:
             raise PreconditionFailed(f"{self.name!r} is not transitive")
         e0 = min(self.units) if base_unit is None else base_unit
         if e0 not in self._unit_set:
             raise UnknownElement(e0, f"units of {self.name!r}")
-        section = {}
+        p = {e0: e0}
         for y in self.units:
-            if y == e0:
-                section[y] = e0
-                continue
-            section[y] = min(
-                g for g in self.elements if self._eL[g] == e0 and self._eR[g] == y
-            )
+            if y != e0:
+                p[y] = min(
+                    g for g in self.elements if self._eL[g] == e0 and self._eR[g] == y
+                )
         g0 = group_table_of(self, self.isotropy(e0).members, f"{self.name}@{e0}")
         base = self.units_universe()
-        form = product_form(base, g0)
-        phi = {}
-        for x in self.units:
-            for g in g0.elements:
-                for y in self.units:
-                    value = self.mult(
-                        self.mult(self.inverse[section[x]], g), section[y]
-                    )
-                    phi[f"{x}|{g}|{y}"] = value
-        values = list(phi.values())
-        if sorted(values) != list(self.elements.elements):
-            raise AxiomViolation("derived:decomposition-bijective", e0)
-        for a in form.elements:
-            if phi[form.inv(a)] != self.inverse[phi[a]]:
-                raise AxiomViolation("derived:decomposition-inverse", a)
-            for b in form.elements:
-                c = form.mult(a, b)
-                image = self.mult(phi[a], phi[b])
-                if (c is None) != (image is None):
-                    raise AxiomViolation("derived:decomposition-domain", (a, b))
-                if c is not None and phi[c] != image:
-                    raise AxiomViolation("derived:decomposition-product", (a, b))
-        for e in form.units:
-            if phi[e] not in self._unit_set:
-                raise AxiomViolation("derived:decomposition-units", e)
+        phi = {
+            f"{x}|{g}|{y}": self.mult(self.mult(self.inverse[p[x]], g), p[y])
+            for x in self.units
+            for g in g0.elements
+            for y in self.units
+        }
         return base, g0, phi
 
     def __eq__(self, other) -> bool:

@@ -38,6 +38,25 @@ come with explicit cancellation witnesses built from the classical
 proof shapes.  Epimorphisms have no known finite decision procedure,
 so the API offers surjectivity, a constructive refutation for proper
 images (separating_pair) and a bounded witness search.
+
+The derived constructions are theorems about valid morphisms and are not
+re-checked, but a returned witness, a certificate, is verified; the grid
+in tests/test_derived.py checks each one against an independent oracle.
+Kernel: an output f of g is also one of both units of g, as s'(f)f = f,
+so both are rho(f); hs = s'h and hm = m'(hxh) keep all-unit outputs
+all-unit under inverse, product and conjugation.  classify_into_group:
+the domain, a union of components over e0, the one value of rho, is the
+isotropy group at e0, where h is single-valued.  quotient_by_kernel and
+epi_mono_factorization: s(g)g' in the kernel gives h(g') = h(g), so h
+factors through pi by a mono, and pi and the component projection are
+onto.  product_pairing: the union's projections read the tagged graphs
+back.  separating_pair: if some element outside is not an involution,
+gamma0 is the least such, and sigma swaps each member g with right unit
+e_L(gamma0) and g gamma0: it commutes with left translation by a member
+but not by gamma0.  Else gamma0, the least element outside, lies in an
+isotropy group whose orbit is one unit (arrows between units are not
+involutions, so lie inside), the members there form a normal subgroup,
+and k2 is its quotient map.
 """
 
 from __future__ import annotations
@@ -168,31 +187,11 @@ class Morphism:
 
 
 class Kernel:
-    """Kernel of a morphism, with its subgroupoid laws re-checked."""
+    """Kernel of a morphism: the domain elements sent only to units."""
 
     def __init__(self, morphism: Morphism):
         self.morphism = morphism
         self.members = morphism.kernel_members
-        src = morphism.source
-        units = set(src.units)
-        for e in morphism.domain_elements & units:
-            if e not in self.members:
-                raise AxiomViolation("derived:kernel-units", e)
-        for g in self.members:
-            if src.e_left(g) != src.e_right(g):
-                raise AxiomViolation("derived:kernel-isotropy", g)
-            if src.inverse[g] not in self.members:
-                raise AxiomViolation("derived:kernel-inverse", g)
-        for g1 in self.members:
-            for g2 in self.members:
-                c = src.mult(g1, g2)
-                if c is not None and c not in self.members:
-                    raise AxiomViolation("derived:kernel-product", (g1, g2))
-            for g2 in src.elements:
-                if src.mult(g2, g1) is not None:
-                    conj = src.mult(src.mult(g2, g1), src.inverse[g2])
-                    if conj not in self.members:
-                        raise AxiomViolation("derived:kernel-conjugation", (g2, g1))
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.members)} members)"
@@ -417,13 +416,11 @@ def product_pairing(p1: Morphism, p2: Morphism) -> Morphism:
     """The morphism into the disjoint union determined by p1 and p2."""
     if p1.source != p2.source:
         raise PreconditionFailed("pairing requires a common source")
-    union, q1, q2 = union_projections(p1.target, p2.target)
+    from .groupoid import disjoint_union
+
     graph = [(f"L:{d}", g) for d, g in p1.graph]
     graph += [(f"R:{d}", g) for d, g in p2.graph]
-    paired = Morphism._trusted(p1.source, union, graph)
-    if compose_morphisms(q1, paired) != p1 or compose_morphisms(q2, paired) != p2:
-        raise AxiomViolation("derived:pairing-projections", None)
-    return paired
+    return Morphism._trusted(p1.source, disjoint_union(p1.target, p2.target), graph)
 
 
 def functor_to_morphism(source: Groupoid, target: Groupoid, mapping) -> Morphism:
@@ -475,19 +472,9 @@ def classify_into_group(h: Morphism):
     """Present a morphism into a group as (one-point orbit, group hom)."""
     if len(h.target.units) != 1:
         raise PreconditionFailed(f"{h.target.name!r} is not a group")
-    f = h.target.units[0]
-    e0 = h.base_map[f]
+    e0 = h.base_map[h.target.units[0]]
     iso = h.source.isotropy(e0).members
-    hom = {}
-    for g in sorted(iso):
-        outs = h.outputs(g)
-        if len(outs) != 1:
-            raise AxiomViolation("derived:group-classification", g)
-        hom[g] = outs[0]
-    rebuilt = sorted((hom[g], g) for g in hom)
-    if tuple(rebuilt) != h.graph:
-        raise AxiomViolation("derived:group-classification", e0)
-    return e0, hom
+    return e0, {g: h.outputs(g)[0] for g in sorted(iso)}
 
 
 def quotient_by_kernel(h: Morphism):
@@ -501,10 +488,6 @@ def quotient_by_kernel(h: Morphism):
     reduced = Morphism._trusted(
         quotient, h.target, {(d, cls[g]) for d, g in h.graph}
     )
-    if not is_mono(reduced):
-        raise AxiomViolation("derived:kernel-quotient-mono", None)
-    if compose_morphisms(reduced, pi) != h:
-        raise AxiomViolation("derived:kernel-quotient-factor", None)
     return pi, reduced
 
 
@@ -517,12 +500,7 @@ def epi_mono_factorization(h: Morphism):
         proj = component_projection(h.source, h.domain_elements)
         inner = restrict_to_domain(h)
     pi, reduced = quotient_by_kernel(inner)
-    h1 = compose_morphisms(pi, proj)
-    if not is_surjective(h1):
-        raise AxiomViolation("derived:factorization-epi", None)
-    if compose_morphisms(reduced, h1) != h:
-        raise AxiomViolation("derived:factorization-composite", None)
-    return h1, reduced
+    return compose_morphisms(pi, proj), reduced
 
 
 def separating_pair(groupoid: Groupoid, part):
@@ -547,11 +525,9 @@ def separating_pair(groupoid: Groupoid, part):
         e0 = groupoid.e_left(gamma0)
         h_set = sorted(g for g in members if groupoid.e_right(g) == e0)
         sigma = {g: g for g in groupoid.elements}
-        for g in h_set:
+        for g in h_set:  # swap g and g gamma0
             sigma[g] = groupoid.mult(g, gamma0)
-        for g in h_set:
-            shifted = groupoid.mult(g, gamma0)
-            sigma[shifted] = groupoid.mult(shifted, groupoid.inverse[gamma0])
+            sigma[sigma[g]] = g
         probe = pair_groupoid(groupoid.elements)
         twist = Bisection(
             probe, {pair_name(sigma[g], g) for g in groupoid.elements}
@@ -561,8 +537,6 @@ def separating_pair(groupoid: Groupoid, part):
     else:
         gamma0 = min(outside)
         e0 = groupoid.e_right(gamma0)
-        if groupoid._orbit_of[e0] != (e0,):
-            raise AxiomViolation("derived:separating-orbit", e0)
         iso = sorted(groupoid.isotropy(e0).members)
         table = group_table_of(groupoid, iso, f"{groupoid.name}@{e0}")
         sub = sorted(set(iso) & members)
@@ -570,13 +544,6 @@ def separating_pair(groupoid: Groupoid, part):
         probe = group_groupoid(ktable)
         k1 = Morphism._trusted(groupoid, probe, ((ktable.unit, g) for g in iso))
         k2 = Morphism._trusted(groupoid, probe, ((proj[g], g) for g in iso))
-
-    if k1 == k2:
-        raise AxiomViolation("derived:separating-distinct", gamma0)
-    inside1 = {p for p in k1.graph if p[1] in members}
-    inside2 = {p for p in k2.graph if p[1] in members}
-    if inside1 != inside2:
-        raise AxiomViolation("derived:separating-agreement", gamma0)
     return probe, k1, k2
 
 

@@ -631,19 +631,24 @@ def find_groupoid_isomorphism(left: Groupoid, right: Groupoid):
                         stack.append((c, d))
         return True
 
-    def search(fwd, bwd):
+    if not order:
+        return {}
+    # depth first in a plain loop, so no closure holds itself; a level is a
+    # partial map, its least unmapped x and the images of x left to try
+    levels = [({}, {}, order[0], iter(sorted(right.elements)))]
+    while levels:
+        fwd0, bwd0, x, ys = levels[-1]
+        for y in ys:
+            if y in bwd0:
+                continue
+            fwd, bwd = dict(fwd0), dict(bwd0)
+            if push(fwd, bwd, x, y):
+                break
+        else:
+            levels.pop()
+            continue
         missing = [x for x in order if x not in fwd]
         if not missing:
-            return dict(fwd)
-        x = missing[0]
-        for y in sorted(right.elements):
-            if y in bwd:
-                continue
-            fwd2, bwd2 = dict(fwd), dict(bwd)
-            if push(fwd2, bwd2, x, y):
-                got = search(fwd2, bwd2)
-                if got is not None:
-                    return got
-        return None
-
-    return search({}, {})
+            return fwd
+        levels.append((fwd, bwd, missing[0], iter(sorted(right.elements))))
+    return None

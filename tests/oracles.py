@@ -5,9 +5,13 @@ The constructors of Groupoid, Morphism and Action check only the
 relational axioms.  The classical laws below are theorems of those
 axioms; these oracles check them directly, element by element, so the
 tests can show that no law goes unchecked.  Each oracle returns the
-name of the first law broken, or None when every law holds.  One more
-oracle, `actions_direct_reference`, is the exhaustive direct action
-enumerator, kept for the order its pruned successor must give.
+name of the first law broken, or None when every law holds.  The
+`*_violation` oracles after `action_violation` do the same for the
+derived constructions (kernels, quotients, factorizations, separating
+pairs, decompositions, homogeneous spaces, normal forms of actions and
+Ad), which the package does not re-check.  One more oracle,
+`actions_direct_reference`, is the exhaustive direct action enumerator,
+kept for the order its pruned successor must give.
 """
 
 import itertools
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 from groupoids.action import classical_to_relational
 from groupoids.groupoid import Groupoid
 from groupoids.morphism import fiber_map_left, fiber_map_right
+from groupoids.relation import pair_name
 
 
 def groupoid_violation(elements, units, inverse, table):
@@ -169,6 +174,253 @@ def action_violation(a):
             return "action-symmetry"
         if moved.setdefault((gamma, x), y) != y or a.apply(gamma, x) != y:
             return "action-single-valued"
+    return None
+
+
+def _outputs(h) -> dict:
+    """g -> the set of outputs of g, read off the graph of h."""
+    outputs = {}
+    for d, g in h.graph:
+        outputs.setdefault(g, set()).add(d)
+    return outputs
+
+
+def _kernel_of(h) -> set:
+    """The domain elements h sends only to units."""
+    units = set(h.target.units)
+    return {g for g, ds in _outputs(h).items() if ds <= units}
+
+
+def kernel_violation(h, members):
+    """First law the kernel `members` of h breaks, or None: the domain
+    elements sent only to units, holding the domain's units, inside the
+    isotropy bundle, closed under inverse and product, and normal."""
+    src = h.source
+    if set(members) != _kernel_of(h):
+        return "kernel-members"
+    if not {e for e in src.units if e in _outputs(h)} <= set(members):
+        return "kernel-units"
+    if any(src.e_left(g) != src.e_right(g) for g in members):
+        return "kernel-isotropy"
+    if not subgroupoid_loop(src, members):
+        return "kernel-subgroupoid"
+    for g in src.elements:
+        for k in members:
+            gk = src.mult(g, k)
+            if gk is not None and src.mult(gk, src.inverse[g]) not in members:
+                return "kernel-normal"
+    return None
+
+
+def group_classification_violation(h, e0, hom):
+    """First law the classification (e0, hom) of h, a morphism into a
+    group, breaks, or None: e0 is a unit alone in its orbit, hom is a
+    homomorphism on its isotropy group, keyed in name order, and the
+    graph of h is exactly hom's."""
+    src, tgt = h.source, h.target
+    if len(tgt.units) != 1 or e0 not in src.units:
+        return "group-base"
+    if any((src.e_left(g) == e0) != (src.e_right(g) == e0) for g in src.elements):
+        return "group-orbit"
+    iso = {g for g in src.elements if src.e_left(g) == e0 == src.e_right(g)}
+    if list(hom) != sorted(iso):
+        return "group-domain"
+    if set(h.graph) != {(d, g) for g, d in hom.items()}:
+        return "group-graph"
+    for a in iso:
+        for b in iso:
+            if hom[src.mult(a, b)] != tgt.mult(hom[a], hom[b]):
+                return "group-hom"
+    return None
+
+
+def factorization_violation(h, epi, mono):
+    """First law the factorization h = mono after epi breaks, or None:
+    the shapes match, epi is onto, mono's kernel is its source's units,
+    and the composite, joined pair by pair, is h."""
+    if (epi.source, epi.target, mono.target) != (h.source, mono.source, h.target):
+        return "factor-shape"
+    if {d for d, _ in epi.graph} != set(epi.target.elements):
+        return "factor-epi"
+    if _kernel_of(mono) != set(mono.source.units):
+        return "factor-mono"
+    outs = _outputs(mono)
+    composite = {(d2, g) for d1, g in epi.graph for d2 in outs.get(d1, ())}
+    if composite != set(h.graph):
+        return "factor-composite"
+    return None
+
+
+def pairing_violation(p1, p2, paired):
+    """First law the pairing of p1 and p2 breaks, or None: the tags "L:"
+    and "R:" split its graph into p1's and p2's."""
+    if paired.source != p1.source:
+        return "pairing-source"
+    parts = {"L": set(), "R": set()}
+    for d, g in paired.graph:
+        tag, _, name = d.partition(":")
+        if tag not in parts:
+            return "pairing-tags"
+        parts[tag].add((name, g))
+    if parts["L"] != set(p1.graph) or parts["R"] != set(p2.graph):
+        return "pairing-projections"
+    return None
+
+
+def separating_violation(groupoid, members, probe, k1, k2):
+    """First law a separating pair breaks, or None: k1 and k2 run from
+    the groupoid to the probe, agree on `members` and differ."""
+    for k in (k1, k2):
+        if (k.source, k.target) != (groupoid, probe):
+            return "separating-shape"
+    inside = [{(d, g) for d, g in k.graph if g in members} for k in (k1, k2)]
+    if inside[0] != inside[1]:
+        return "separating-agreement"
+    if set(k1.graph) == set(k2.graph):
+        return "separating-distinct"
+    return None
+
+
+def decomposition_violation(groupoid, base, table, phi):
+    """First law the decomposition phi of a transitive groupoid breaks,
+    or None: phi is a bijection from the names x|g|y onto the elements,
+    phi(x|g|y) runs from y to x, and phi(x|g|y) phi(y|h|z) =
+    phi(x|gh|z)."""
+    keys = [(x, g, y) for x in base for g in table.elements for y in base]
+    if set(phi) != {f"{x}|{g}|{y}" for x, g, y in keys}:
+        return "decomposition-names"
+    if sorted(phi.values()) != sorted(groupoid.elements):
+        return "decomposition-bijective"
+    for x, g, y in keys:
+        a = phi[f"{x}|{g}|{y}"]
+        if (groupoid.e_left(a), groupoid.e_right(a)) != (x, y):
+            return "decomposition-units"
+        for h in table.elements:
+            for z in base:
+                b, c = phi[f"{y}|{h}|{z}"], phi[f"{x}|{table.mult(g, h)}|{z}"]
+                if groupoid.mult(a, b) != c:
+                    return "decomposition-product"
+    return None
+
+
+def quotient_violation(groupoid, members, quotient, pi):
+    """First law the quotient by `members` breaks, or None: pi is a map
+    onto the quotient whose classes are the cosets s(a)b in members, the
+    quotient is a groupoid, and pi carries units, inverses and products
+    over."""
+    proj = {g: d for d, g in pi.graph}
+    if len(proj) != len(pi.graph) or set(proj) != set(groupoid.elements):
+        return "quotient-map"
+    if set(proj.values()) != set(quotient.elements):
+        return "quotient-onto"
+    for a in groupoid.elements:
+        for b in groupoid.elements:
+            coset = groupoid.mult(groupoid.inverse[a], b) in members
+            if (proj[a] == proj[b]) != coset:
+                return "quotient-classes"
+    q = quotient
+    if groupoid_violation(q.elements, q.units, q.inverse, q.table) is not None:
+        return "quotient-groupoid"
+    if set(q.units) != {proj[e] for e in groupoid.units}:
+        return "quotient-units"
+    if any(q.inverse[proj[g]] != proj[groupoid.inverse[g]] for g in groupoid.elements):
+        return "quotient-inverse"
+    if any(q.mult(proj[a], proj[b]) != proj[c] for c, a, b in groupoid.table):
+        return "quotient-product"
+    return None
+
+
+def homogeneous_violation(action, section, ref, psi):
+    """First law the identification (ref, psi) of a transitive action
+    breaks, or None: ref is the stabilizer of the section, and psi is a
+    bijection of the carrier onto the cosets of ref, named by their
+    least member in brackets, that carries the action to left
+    multiplication of cosets."""
+    g, triples = action.groupoid, set(action.triples)
+    stab = {
+        gamma
+        for gamma in g.elements
+        if (section[g.e_left(gamma)], gamma, section[g.e_right(gamma)]) in triples
+    }
+    if ref.members != stab:
+        return "homogeneous-stabilizer"
+    coset = {
+        a: {b for b in g.elements if g.mult(g.inverse[a], b) in stab}
+        for a in g.elements
+    }
+    label = {a: f"[{min(c)}]" for a, c in coset.items()}
+    if set(psi) != set(action.carrier):
+        return "homogeneous-domain"
+    if len(set(psi.values())) != len(psi) or set(psi.values()) != set(label.values()):
+        return "homogeneous-bijective"
+    for y, delta, x in triples:
+        for gamma in g.elements:
+            if label[gamma] == psi[x] and label.get(g.mult(delta, gamma)) != psi[y]:
+                return "homogeneous-intertwine"
+    return None
+
+
+def classification_violation(space, table, action, fiber, fiber_act, psi):
+    """First law the normal form (fiber, fiber_act, psi) of an action of
+    the product form space x table x space breaks, or None: fiber is
+    the points over one unit e0|1|e0, fiber_act is the group action
+    there of the e0|g|e0, and psi is a bijection of the pairs (e, z)
+    onto the carrier carrying the standard action (x|g|y)(y, z) =
+    (x, gz) to the action."""
+    triples = set(action.triples)
+    base = {
+        x: e for x in action.carrier for e in space
+        if (x, f"{e}|{table.unit}|{e}", x) in triples
+    }
+    if not fiber.names:
+        return "classification-fiber"
+    e0 = base[fiber.names[0]]
+    if list(fiber) != sorted(x for x, e in base.items() if e == e0):
+        return "classification-fiber"
+    if set(fiber_act) != {(g, z) for g in table.elements for z in fiber}:
+        return "classification-fiber-action"
+    for (g, z), y in fiber_act.items():
+        if (y, f"{e0}|{g}|{e0}", z) not in triples:
+            return "classification-fiber-action"
+    for z in fiber:
+        if fiber_act[(table.unit, z)] != z:
+            return "classification-fiber-action"
+        for g in table.elements:
+            for h in table.elements:
+                moved = fiber_act[(g, fiber_act[(h, z)])]
+                if moved != fiber_act[(table.mult(g, h), z)]:
+                    return "classification-fiber-action"
+    if set(psi) != {pair_name(e, z) for e in space for z in fiber}:
+        return "classification-domain"
+    if sorted(psi.values()) != sorted(action.carrier):
+        return "classification-bijective"
+    for x in space:
+        for y in space:
+            for (g, z), gz in fiber_act.items():
+                arrow = f"{x}|{g}|{y}"
+                if (psi[pair_name(x, gz)], arrow, psi[pair_name(y, z)]) not in triples:
+                    return "classification-intertwine"
+    return None
+
+
+def ad_violation(groupoid, members, h):
+    """First law Ad of the bisection `members` breaks, or None: h sends
+    each g to the one d with d b_r = b_l g, where b_l and b_r are the
+    members whose right units are g's left and right units, h is a
+    bijection, and its kernel is the units."""
+    by_right = {groupoid.e_right(b): b for b in members}
+    outputs = _outputs(h)
+    for g in groupoid.elements:
+        if len(outputs.get(g, ())) != 1:
+            return "ad-single-valued"
+        (d,) = outputs[g]
+        left = groupoid.mult(by_right[groupoid.e_left(g)], g)
+        if groupoid.mult(d, by_right[groupoid.e_right(g)]) != left:
+            return "ad-conjugation"
+    if sorted(d for d, _ in h.graph) != sorted(groupoid.elements):
+        return "ad-bijective"
+    if _kernel_of(h) != set(groupoid.units):
+        return "ad-mono"
     return None
 
 

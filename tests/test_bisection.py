@@ -1,5 +1,6 @@
 """Bisections, their group, and their conjugation morphisms."""
 
+import gc
 import itertools
 
 import pytest
@@ -318,3 +319,21 @@ def test_bisection_rejects_non_sections():
         Bisection(Z2, frozenset(("0", "1")))
     with pytest.raises(AxiomViolation):
         Bisection(P3, frozenset(("1,2",)))
+
+
+def test_bisection_enumeration_leaves_no_reference_cycle():
+    """The enumeration is a loop, not a closure that calls itself, so a
+    call leaves nothing for the cyclic collector."""
+    p4 = pair_groupoid(Universe("X4", "1234"))
+    bisection_group(p4)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(5):
+            bisection_group(p4)
+            all_bisections(p4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

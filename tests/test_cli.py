@@ -553,11 +553,20 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-def test_algorithm_recursion_is_not_a_nesting_error(tmp_path):
-    """`bisections list` recurses once per unit.  A set groupoid with more
-    units than the recursion limit overflows the stack there, in the
-    algorithm, and that must not be reported as a document nested too
-    deeply."""
+def test_algorithm_recursion_is_not_a_nesting_error(tmp_path, monkeypatch):
+    """A stack overflow in the algorithm, after the document has loaded,
+    must not be reported as a document nested too deeply.  The bisection
+    enumerator is a loop, so it is replaced here by one that recurses
+    once per unit, as it once did: with more units than the recursion
+    limit it overflows the stack."""
+    from groupoids import bisection
+
+    def recurse(groupoid, limit=None, depth=0):
+        if depth == len(groupoid.units):
+            return [frozenset(groupoid.units)]
+        return recurse(groupoid, limit, depth + 1)
+
+    monkeypatch.setattr(bisection, "_enum_member_sets", recurse)
     g = set_groupoid(Universe("S", tuple(str(i) for i in range(200))), "S")
     path = write(tmp_path, "set.json", cli.serialize(cli.payload_of_groupoid(g)))
     depth, frame = 0, sys._getframe()

@@ -1,5 +1,6 @@
 """Enumeration oracles and brute-force cross-checks."""
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -321,3 +322,19 @@ def test_isomorphism_search():
 def test_isomorphism_respects_structure_not_just_counts():
     s2 = set_groupoid(Universe("D", ("a", "b")))
     assert find_groupoid_isomorphism(Z2, s2) is None
+
+
+def test_isomorphism_search_leaves_no_reference_cycle():
+    """The search is a loop, not a closure that calls itself, so a call
+    leaves nothing for the cyclic collector."""
+    find_groupoid_isomorphism(EQ, EQ)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(100):
+            find_groupoid_isomorphism(EQ, EQ)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
