@@ -391,29 +391,6 @@ def functor_to_zm(phi: Action, functor, target: Groupoid) -> Morphism:
     return Morphism(gamma0, target, graph)
 
 
-def _class_partition(items, related):
-    """Partition under an equivalence given as a pairwise predicate."""
-    parent = {item: item for item in items}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ordered = sorted(items)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            if related(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    blocks = {}
-    for item in ordered:
-        blocks.setdefault(find(item), []).append(item)
-    return [tuple(block) for _, block in sorted(blocks.items())]
-
-
 class CosetSpace:
     """Classes of gamma1 ~ gamma2 iff s(gamma1)gamma2 lies in G."""
 
@@ -439,16 +416,17 @@ def coset_space(groupoid: Groupoid, part) -> CosetSpace:
     if not ref.is_wide:
         raise PreconditionFailed("coset space needs a wide subgroupoid")
 
-    def related(a, b):
-        prod = groupoid.mult(groupoid.inverse[a], b)
-        return prod is not None and prod in members
-
-    classes = _class_partition(groupoid.elements, related)
-    projection = {}
-    for block in classes:
-        label = f"[{block[0]}]"
-        for gamma in block:
-            projection[gamma] = label
+    # the class of a is aH = {ah : h in H composable}; in name order, the
+    # first element met of each class is its least
+    u, rows = groupoid.elements, groupoid._rows
+    inside = [u.index[h] for h in members]
+    classes, projection = [], {}
+    for a in u:
+        if a not in projection:
+            row = rows[u.index[a]]
+            block = tuple(sorted(u.names[row[h]] for h in inside if h in row))
+            classes.append(block)
+            projection.update(dict.fromkeys(block, f"[{a}]"))
     carrier = Universe(
         f"{groupoid.elements.name}/~", tuple(projection[b[0]] for b in classes)
     )
@@ -565,24 +543,22 @@ def induced_action(groupoid: Groupoid, part, action: Action):
         for x in action.carrier
         if groupoid.e_right(gamma) == action.base_map[x]
     )
-    triple_set = set(action.triples)
-
-    def related(a, b):
-        gamma, x = a
-        gamma1, x1 = b
-        for delta_el in members:
-            if groupoid.mult(gamma1, groupoid.inverse[delta_el]) == gamma and (
-                (x, delta_el, x1) in triple_set
-            ):
-                return True
-        return False
-
-    classes = _class_partition(pre_carrier, related)
-    projection = {}
-    for block in classes:
-        label = f"[{pair_name(*block[0])}]"
-        for item in block:
-            projection[item] = label
+    # the class of (gamma, x) is {(gamma s(delta), delta x) : delta in H
+    # with delta x defined}, and then gamma s(delta) is defined; in sorted
+    # order, the first item met of each class is its least
+    classes, projection = [], {}
+    for gamma, x in pre_carrier:
+        if (gamma, x) not in projection:
+            moved = ((delta, action.apply(delta, x)) for delta in members)
+            block = tuple(
+                sorted(
+                    (groupoid.mult(gamma, groupoid.inverse[delta]), y)
+                    for delta, y in moved
+                    if y is not None
+                )
+            )
+            classes.append(block)
+            projection.update(dict.fromkeys(block, f"[{pair_name(gamma, x)}]"))
     carrier = Universe(
         f"{groupoid.elements.name}*{action.carrier.name}.induced",
         tuple(projection[b[0]] for b in classes),

@@ -103,8 +103,8 @@ def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
     if not units:
         return [frozenset()]
     by_left = {e: [] for e in units}  # (member, right unit), by name
-    for g in sorted(groupoid.elements):
-        by_left[groupoid.e_left(g)].append((g, groupoid.e_right(g)))
+    for g, left, right in sorted(groupoid._named_ends()):
+        by_left[left].append((g, right))
     last = len(units) - 1
     found, chosen, taken, used = [], [], [], set()
     # a plain loop, so no closure holds itself: stack[i] iterates the pairs
@@ -141,32 +141,27 @@ def all_bisections(groupoid: Groupoid) -> list:
 class _Sections:
     """A groupoid's bisections as sections over its right units.
 
-    A section is a tuple of element indices whose j-th entry is the
-    member with right unit units[j].  Each b in B composes with exactly
-    one member of A, the one whose right unit is b's left unit, and the
+    A section is a tuple of element indices, one per unit, ordered by the
+    index of their right units.  Each b in B composes with exactly one
+    member of A, the one whose right unit is b's left unit, and the
     product keeps b's right unit, so
 
         (A.B)[j] = A.(B[j])
 
     where b -> A.b is the left translation by A, tabulated once per A.
     A product then costs one lookup per unit, where subset_mult tries
-    all |A| x |B| member pairs.
+    all |A| x |B| member pairs.  Everything is read off the groupoid's
+    index rows and unit lists.
     """
 
     def __init__(self, groupoid: Groupoid):
-        names, index = groupoid.elements.names, groupoid.elements.index
-        at = {e: j for j, e in enumerate(groupoid.units)}
-        self.index = index
-        self.right = [at[groupoid.e_right(g)] for g in names]
-        self.left = [at[groupoid.e_left(g)] for g in names]
+        self.index = groupoid.elements.index
+        self.left, self.right = groupoid._left, groupoid._right
         self.rows = groupoid._rows  # rows[a][b] is the index of a.b
 
     def of(self, members) -> tuple:
-        section = [None] * len(members)
-        for g in members:
-            i = self.index[g]
-            section[self.right[i]] = i
-        return tuple(section)
+        section = map(self.index.__getitem__, members)
+        return tuple(sorted(section, key=self.right.__getitem__))
 
     def table(self, bs: list):
         """Row by row, A.B for A and B in bs: one iterator per A, in order.
@@ -174,20 +169,27 @@ class _Sections:
         A slot whose pair does not compose holds None.
         """
         columns = list(zip(*bs))
+        ending = [None] * len(self.rows)
         for a in bs:
             if not columns:
                 yield repeat((), len(bs))
                 continue
-            a_rows = tuple(map(self.rows.__getitem__, a)).__getitem__
-            # translate[b] = A.b: the member of A on b's left unit, times b
+            # ending[e] is the row of the member of A with right unit e, and
+            # translate[b] = A.b, that member times b
+            for i in a:
+                ending[self.right[i]] = self.rows[i]
             translate = list(
-                map(dict.get, map(a_rows, self.left), range(len(self.left)))
+                map(dict.get, map(ending.__getitem__, self.left), range(len(self.left)))
             )
             yield zip(*[map(translate.__getitem__, c) for c in columns])
 
 
 def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
-    """Cayley table of the bisections under subset multiplication."""
+    """Cayley table of the bisections under subset multiplication.
+
+    The table is made on positions in the sorted member lists, and
+    GroupTable._of_group re-indexes it once into sorted label order.
+    """
     sets = _enum_member_sets(groupoid, limit=guard)
     if len(sets) >= guard:
         raise BudgetExceeded(
@@ -198,14 +200,14 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
     sections = _Sections(groupoid)
     bs = [sections.of(m) for m in ordered]
     position = {b: k for k, b in enumerate(bs)}.get
-    mult = {}
+    rows = []
     for l1, products in zip(labels, sections.table(bs)):
         row = list(map(position, products))
         if None in row:
             l2 = labels[row.index(None)]
             raise AxiomViolation("derived:bisection-closure", (l1, l2))
-        mult.update(zip(zip(repeat(l1), labels), map(labels.__getitem__, row)))
-    return GroupTable._of_group(f"Bis({groupoid.name})", labels, mult)
+        rows.append(row)
+    return GroupTable._of_group(f"Bis({groupoid.name})", labels, rows)
 
 
 def act(bisection: Bisection, g):

@@ -1,11 +1,14 @@
 """Stock groupoid families and small group tables.
 
-Group tables are plain multiplication tables.  The groupoid builders
-cover the structures used throughout the package: pair groupoids, set
-groupoids (units only), groups viewed as one-unit groupoids, bundles
-of groups, equivalence relations, the twisted product X x G x X, and
-transformation groupoids of a group action.  A raw group table is
-checked once; all else here is built unchecked, as groupoid.py says.
+A group table holds its product once, as index rows over its sorted
+labels.  Labels are read or made only at the boundary (the checked
+constructor, mult, unit and inv); subgroup, quotient and isotropy tables
+are made on rows.  The groupoid builders cover the structures used
+throughout the package: pair groupoids, set groupoids (units only),
+groups viewed as one-unit groupoids, bundles of groups, equivalence
+relations, the twisted product X x G x X, and transformation groupoids
+of a group action.  A raw group table is checked once; all else here is
+built unchecked, as groupoid.py says.
 
 Element naming is part of each builder's contract:
 
@@ -27,46 +30,78 @@ from .relation import Universe, pair_name, product_universe
 class GroupTable:
     """A finite group given by its multiplication table.
 
-    The unit is the one idempotent, and inv[g] is the h with gh the unit.
-    The constructor checks raw data once, as a one-unit Groupoid, and
-    raises its AxiomViolation for a table that is not a group.  Tables
-    derived from a group already at hand come from _of_group unchecked.
+    The table is held once, on indices: `elements` are the sorted labels
+    and rows[i][j] is the index of elements[i] elements[j].  The unit is
+    the one idempotent on the diagonal, and inv[g] is the h with gh the
+    unit, the place of the unit in g's row.  Labels are read or made only
+    at the boundary: the checked constructor, `mult`, `unit` and `inv`.
+    The constructor checks raw label data once, as a one-unit Groupoid,
+    and raises its AxiomViolation for a table that is not a group.
+    Tables derived from a group already at hand come from _of_group
+    unchecked.
     """
 
     def __init__(self, name, elements, mult):
         mult = dict(mult)
-        elements = sorted(set(elements))
-        square = {}
-        for a in elements:
-            for b in elements:
+        labels = sorted(set(elements))
+        for a in labels:
+            for b in labels:
                 if (a, b) not in mult:
                     raise PreconditionFailed(
                         f"group {name!r}: product of {a!r} and {b!r} missing"
                     )
-                square[(a, b)] = mult[(a, b)]
-        self._read(name, elements, square)
-        triples = [(c, a, b) for (a, b), c in square.items()]
-        Groupoid(name, elements, [self.unit], self.inv, triples)
+        # a product outside the labels is None here; the check refuses it
+        index = {g: i for i, g in enumerate(labels)}
+        self._read(
+            name, labels, [[index.get(mult[(a, b)]) for b in labels] for a in labels]
+        )
+        triples = [(mult[(a, b)], a, b) for a in labels for b in labels]
+        Groupoid(name, labels, [self.unit], self.inv, triples)
 
     @classmethod
-    def _of_group(cls, name, elements, mult):
-        """A table on elements x elements known to be a group, unchecked."""
+    def _of_group(cls, name, labels, rows):
+        """A group known to be one, unchecked: rows[i][j] is the position
+        in `labels` of labels[i] labels[j]."""
+        if labels != sorted(labels):  # re-index once, by label
+            order = sorted(range(len(labels)), key=labels.__getitem__)
+            at = [0] * len(order)
+            for new, old in enumerate(order):
+                at[old] = new
+            rows = [
+                list(map(at.__getitem__, map(rows[i].__getitem__, order)))
+                for i in order
+            ]
+            labels = [labels[i] for i in order]
         table = cls.__new__(cls)
-        table._read(name, elements, dict(mult))
+        table._read(name, labels, rows)
         return table
 
-    def _read(self, name, elements, mult):
+    def _read(self, name, labels, rows):
         self.name = name
-        self.elements = tuple(sorted(set(elements)))
-        self._mult = mult
-        units = [g for g in self.elements if mult[(g, g)] == g]
+        self.elements = tuple(labels)
+        self.rows = rows
+        self._index = dict(zip(labels, range(len(labels))))
+        units = [i for i, row in enumerate(rows) if row[i] == i]
         if len(units) != 1:
             raise PreconditionFailed(f"group {name!r}: no unique idempotent")
-        self.unit = units[0]
-        self.inv = {a: b for (a, b), c in mult.items() if c == self.unit}
+        unit = units[0]
+        self.unit = labels[unit]
+        # a raw row without the unit has no inverse; the check refuses it
+        self.inv = {
+            g: labels[row.index(unit)] for g, row in zip(labels, rows) if unit in row
+        }
 
     def mult(self, a, b):
-        return self._mult[(a, b)]
+        return self.elements[self.rows[self._index[a]][self._index[b]]]
+
+    def _products(self) -> list:
+        """(ab, a, b) for all labels a and b."""
+        names = self.elements
+        return [
+            (names[ab], a, b)
+            for a, row in zip(names, self.rows)
+            for b, ab in zip(names, row)
+        ]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -75,15 +110,11 @@ class GroupTable:
         return (
             isinstance(other, GroupTable)
             and self.elements == other.elements
-            and all(
-                self.mult(a, b) == other.mult(a, b)
-                for a in self.elements
-                for b in self.elements
-            )
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.elements, tuple(sorted(self._mult.items()))))
+        return hash((self.elements, tuple(map(tuple, self.rows))))
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name!r}, order {len(self)})"
@@ -92,9 +123,8 @@ class GroupTable:
 def cyclic_table(n: int, name=None) -> GroupTable:
     if n < 1:
         raise PreconditionFailed("cyclic group order must be positive")
-    elems = [str(i) for i in range(n)]
-    mult = {(a, b): str((int(a) + int(b)) % n) for a in elems for b in elems}
-    return GroupTable._of_group(name or f"Z{n}", elems, mult)
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    return GroupTable._of_group(name or f"Z{n}", [str(i) for i in range(n)], rows)
 
 
 def trivial_table(name=None) -> GroupTable:
@@ -102,21 +132,9 @@ def trivial_table(name=None) -> GroupTable:
 
 
 def klein_table(name=None) -> GroupTable:
-    elems = ["e", "a", "b", "c"]
-    other = {("a", "b"): "c", ("b", "a"): "c", ("a", "c"): "b",
-             ("c", "a"): "b", ("b", "c"): "a", ("c", "b"): "a"}
-    mult = {}
-    for x in elems:
-        for y in elems:
-            if x == "e":
-                mult[(x, y)] = y
-            elif y == "e":
-                mult[(x, y)] = x
-            elif x == y:
-                mult[(x, y)] = "e"
-            else:
-                mult[(x, y)] = other[(x, y)]
-    return GroupTable._of_group(name or "V4", elems, mult)
+    # e, a, b, c at 0, 1, 2, 3: the product is XOR, as on Z2 x Z2
+    rows = [[a ^ b for b in range(4)] for a in range(4)]
+    return GroupTable._of_group(name or "V4", ["e", "a", "b", "c"], rows)
 
 
 def symmetric_table(n: int, name=None) -> GroupTable:
@@ -124,11 +142,12 @@ def symmetric_table(n: int, name=None) -> GroupTable:
     if not 1 <= n <= 9:
         raise PreconditionFailed("symmetric group supported for 1 <= n <= 9")
     perms = ["".join(p) for p in itertools.permutations("123456789"[:n])]
-    mult = {}
-    for a in perms:
-        for b in perms:
-            mult[(a, b)] = "".join(a[int(b[i]) - 1] for i in range(n))
-    return GroupTable._of_group(name or f"S{n}", perms, mult)
+    index = {p: i for i, p in enumerate(perms)}
+    rows = [
+        [index["".join(a[int(b[i]) - 1] for i in range(n))] for b in perms]
+        for a in perms
+    ]
+    return GroupTable._of_group(name or f"S{n}", perms, rows)
 
 
 def _check_members(table: GroupTable, members):
@@ -139,18 +158,13 @@ def _check_members(table: GroupTable, members):
 
 def subgroup_table(table: GroupTable, members, name=None) -> GroupTable:
     _check_members(table, members)
-    member_set = set(members)
-    ms = sorted(member_set)
-    mult = {}
-    for a in ms:
-        for b in ms:
-            c = table.mult(a, b)
-            if c not in member_set:
-                raise PreconditionFailed(
-                    f"{ms} is not closed in group {table.name!r}"
-                )
-            mult[(a, b)] = c
-    return GroupTable._of_group(name or f"{table.name}<{'+'.join(ms)}>", ms, mult)
+    ms = sorted(set(members))
+    # rows on the members' positions in ms; a product outside them is None
+    at = {table._index[g]: k for k, g in enumerate(ms)}
+    rows = [list(map(at.get, map(table.rows[i].__getitem__, at))) for i in at]
+    if None in itertools.chain.from_iterable(rows):
+        raise PreconditionFailed(f"{ms} is not closed in group {table.name!r}")
+    return GroupTable._of_group(name or f"{table.name}<{'+'.join(ms)}>", ms, rows)
 
 
 def subgroups_of(table: GroupTable) -> tuple:
@@ -160,27 +174,29 @@ def subgroups_of(table: GroupTable) -> tuple:
     element and closed under the product; every subgroup ends such a
     chain.
     """
-    trivial = frozenset([table.unit])
+    rows = table.rows
+    trivial = frozenset([table._index[table.unit]])
     found, todo = {trivial}, [trivial]
     while todo:
         sub = todo.pop()
-        for g in set(table.elements) - sub:
+        for g in set(range(len(rows))) - sub:
             grown, more = None, sub | {g}
             while more != grown:
                 grown = more
-                more = grown | {table.mult(a, b) for a in grown for b in grown}
+                more = grown | {rows[a][b] for a in grown for b in grown}
             if grown not in found:
                 found.add(grown)
                 todo.append(grown)
-    return tuple(sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t)))
+    names = table.elements  # sorted, so index order is label order
+    subs = (tuple(map(names.__getitem__, sorted(s))) for s in found)
+    return tuple(sorted(subs, key=lambda t: (len(t), t)))
 
 
 def is_normal(table: GroupTable, members) -> bool:
-    ms = set(members)
+    """g N s(g) lies in N for every g: for a finite N, gN = Ng."""
+    rows, ms = table.rows, [table._index[h] for h in set(members)]
     return all(
-        table.mult(table.mult(g, h), table.inv[g]) in ms
-        for g in table.elements
-        for h in ms
+        {row[h] for h in ms} == {rows[h][g] for h in ms} for g, row in enumerate(rows)
     )
 
 
@@ -191,46 +207,44 @@ def quotient_group_table(table: GroupTable, members, name=None):
     their sorted-least member in brackets.
     """
     _check_members(table, members)
-    ms = set(members)
-    closed = all(table.mult(a, b) in ms for a in ms for b in ms)
-    if table.unit not in ms or not closed or not is_normal(table, ms):
+    rows, names, members = table.rows, table.elements, set(members)
+    ms = {table._index[h] for h in members}
+    closed = all(rows[a][b] in ms for a in ms for b in ms)
+    if table.unit not in members or not closed or not is_normal(table, members):
         raise PreconditionFailed(
-            f"{sorted(ms)} is not a normal subgroup of {table.name!r}"
+            f"{sorted(members)} is not a normal subgroup of {table.name!r}"
         )
-    proj = {}
-    for g in table.elements:
-        coset = {table.mult(g, h) for h in ms}
-        proj[g] = f"[{min(coset)}]"
-    mult = {
-        (proj[a], proj[b]): proj[table.mult(a, b)]
-        for a in table.elements
-        for b in table.elements
-    }
+    # in index order, which is label order, the first member met of each
+    # coset gN is its least
+    coset_of, reps = [None] * len(rows), []
+    for g, row in enumerate(rows):
+        if coset_of[g] is None:
+            for h in ms:
+                coset_of[row[h]] = len(reps)
+            reps.append(g)
+    labels = [f"[{names[g]}]" for g in reps]
+    proj = {g: labels[k] for g, k in zip(names, coset_of)}
+    quotient_rows = [[coset_of[rows[a][b]] for b in reps] for a in reps]
     quotient = GroupTable._of_group(
-        name or f"{table.name}/{'+'.join(sorted(ms))}", set(proj.values()), mult
+        name or f"{table.name}/{'+'.join(sorted(members))}", labels, quotient_rows
     )
     return quotient, proj
 
 
 def group_table_of(groupoid: Groupoid, members, name=None) -> GroupTable:
     """Extract the group sitting on a single unit of a groupoid."""
-    member_set = set(members)
-    ms = sorted(member_set)
+    ms = sorted(set(members))
     units = {groupoid.e_left(g) for g in ms} | {groupoid.e_right(g) for g in ms}
     if len(units) != 1:
         raise PreconditionFailed(
             f"members span several units of {groupoid.name!r}: {sorted(units)}"
         )
-    mult = {}
-    for a in ms:
-        for b in ms:
-            c = groupoid.mult(a, b)
-            if c is None or c not in member_set:
-                raise PreconditionFailed(
-                    f"members are not a subgroup of {groupoid.name!r}"
-                )
-            mult[(a, b)] = c
-    return GroupTable._of_group(name or f"{groupoid.name}-group", ms, mult)
+    # as in subgroup_table; an undefined product is None too
+    at = {groupoid._index[g]: k for k, g in enumerate(ms)}
+    rows = [list(map(at.get, map(groupoid._rows[i].get, at))) for i in at]
+    if None in itertools.chain.from_iterable(rows):
+        raise PreconditionFailed(f"members are not a subgroup of {groupoid.name!r}")
+    return GroupTable._of_group(name or f"{groupoid.name}-group", ms, rows)
 
 
 def check_group_action(table: GroupTable, space: Universe, act: dict) -> dict:
@@ -252,13 +266,12 @@ def check_group_action(table: GroupTable, space: Universe, act: dict) -> dict:
     for x in space:
         if act[(table.unit, x)] != x:
             raise PreconditionFailed(f"identity moves {x!r}")
-    for g in table.elements:
-        for h in table.elements:
-            for x in space:
-                if act[(g, act[(h, x)])] != act[(table.mult(g, h), x)]:
-                    raise PreconditionFailed(
-                        f"action not compatible at ({g!r}, {h!r}, {x!r})"
-                    )
+    for gh, g, h in table._products():
+        for x in space:
+            if act[(g, act[(h, x)])] != act[(gh, x)]:
+                raise PreconditionFailed(
+                    f"action not compatible at ({g!r}, {h!r}, {x!r})"
+                )
     return act
 
 
@@ -297,7 +310,7 @@ def group_groupoid(table: GroupTable, name=None) -> Groupoid:
         Universe(table.name, table.elements),
         [table.unit],
         dict(table.inv),
-        [(table.mult(a, b), a, b) for a in table.elements for b in table.elements],
+        table._products(),
     )
 
 
@@ -315,11 +328,7 @@ def group_bundle(tables, name=None) -> Groupoid:
         elems.extend(tag(g) for g in t.elements)
         units.append(tag(t.unit))
         inverse.update({tag(g): tag(h) for g, h in t.inv.items()})
-        triples.extend(
-            (tag(t.mult(a, b)), tag(a), tag(b))
-            for a in t.elements
-            for b in t.elements
-        )
+        triples.extend((tag(ab), tag(a), tag(b)) for ab, a, b in t._products())
     if len(set(elems)) != len(elems):
         raise PreconditionFailed("fibre tags collide")
     label = name or "+".join(t.name for t in tables)
@@ -380,13 +389,13 @@ def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
         for g in table.elements
         for y in space
     }
+    products = table._products()
     triples = [
-        (f"{x}|{table.mult(g, h)}|{z}", f"{x}|{g}|{y}", f"{y}|{h}|{z}")
+        (f"{x}|{gh}|{z}", f"{x}|{g}|{y}", f"{y}|{h}|{z}")
         for x in space
         for y in space
         for z in space
-        for g in table.elements
-        for h in table.elements
+        for gh, g, h in products
     ]
     label = name or f"{space.name}|{table.name}|{space.name}"
     return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)
@@ -406,12 +415,10 @@ def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) 
         for g in table.elements
         for x in space
     }
-    triples = []
-    for g in table.elements:
-        for h in table.elements:
-            for x in space:
-                triples.append(
-                    (f"{table.mult(g, h)}:{x}", f"{g}:{act[(h, x)]}", f"{h}:{x}")
-                )
+    triples = [
+        (f"{gh}:{x}", f"{g}:{act[(h, x)]}", f"{h}:{x}")
+        for gh, g, h in table._products()
+        for x in space
+    ]
     label = name or f"{table.name}:{space.name}"
     return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)

@@ -21,6 +21,13 @@ of the axioms, so the constructor reads the partial operation off the
 table without re-proving them; the tests check them against an
 independent oracle.
 
+The product is held once, on indices: the constructor builds `_rows`,
+with `_rows[x][y]` the index of xy, and the index lists `_inv`, `_left`
+and `_right` of s, e_L and e_R.  `_cols` and `_factor_counts` are lazy
+views of it; the laws and the other modules read it.  Names appear only
+at the boundary: the data read in, and mult, inv, e_left, e_right and
+composable, which translate.
+
 The two-sided laws are decided on m's index rows, without building a
 product relation on G x G x G.  Write x ~= y (Kleene equality) for
 "both are undefined, or both are defined and equal".
@@ -129,12 +136,21 @@ class Groupoid:
         self._unit_set = frozenset(self.units)
         if check:
             self._check_structure()
+        # the one index form of the product, built once: rows[x][y] is the
+        # index of xy.  Every name in the table and the inverse map is an
+        # element, checked or by construction.
+        self._index, self._names = index, names = elements.index, elements.names
+        self._rows = rows = [{} for _ in names]
+        for c, a, b in self.table:
+            rows[index[a]][index[b]] = index[c]
+        self._inv = inv = [index[self.inverse[g]] for g in names]
+        if check:
             self._check_relational_axioms()
         product_universe(elements, elements)  # raises on ambiguous pair names
-        # the axioms make m single-valued: one product per composable pair
-        self._mult = {(a, b): c for c, a, b in self.table}
-        self._eL = {g: self._mult[(g, self.inverse[g])] for g in self.elements}
-        self._eR = {g: self._mult[(self.inverse[g], g)] for g in self.elements}
+        # the axioms make m single-valued, with g s(g) = e_L(g) and
+        # s(g) g = e_R(g)
+        self._left = [row[j] for row, j in zip(rows, inv)]
+        self._right = [rows[j][i] for i, j in enumerate(inv)]
 
     # -- validation -------------------------------------------------
 
@@ -171,10 +187,7 @@ class Groupoid:
     @cached_property
     def s_rel(self) -> FinRel:
         u = self.elements
-        index, inverse = u.index, self.inverse
-        return FinRel._from_indices(
-            u, u, frozenset([(index[inverse[g]], i) for i, g in enumerate(u.names)])
-        )
+        return FinRel._from_indices(u, u, frozenset(zip(self._inv, range(len(u)))))
 
     @cached_property
     def e_rel(self) -> FinRel:
@@ -182,20 +195,6 @@ class Groupoid:
         return FinRel._from_indices(
             ONE, self.elements, frozenset([(index[e], 0) for e in self.units])
         )
-
-    @cached_property
-    def _rows(self) -> list:
-        """rows[x][y] is the index of xy, for element indices x and y.
-
-        The index form of the product, read where m is single-valued: by
-        the check once it has found m so, by Morphism's check of
-        hm=m'(hxh), by action.py's checks and by bisection.py.
-        """
-        index = self.elements.index
-        rows = [{} for _ in self.elements.names]
-        for c, a, b in self.table:
-            rows[index[a]][index[b]] = index[c]
-        return rows
 
     @cached_property
     def _cols(self) -> list:
@@ -220,10 +219,10 @@ class Groupoid:
         u = self.elements
         m, s, e = self.m_rel, self.s_rel, self.e_rel
         idu = identity(u)
-        by_pair = m._by_index()
 
         offender = lambda: two_sided_difference(m, m, m, m)
-        if len(by_pair) != len(m.pairs):  # multi-valued: decided by the scan
+        # m is multi-valued when it has more pairs than composable inputs
+        if sum(map(len, self._rows)) != len(m.pairs):  # decided by the scan
             offender = offender()
         elif _light_test(self._rows, self._cols):  # one product per pair
             offender = None
@@ -249,8 +248,7 @@ class Groupoid:
         # s2=id holds, so s is a total involution: over the pairs
         # (c, (a, b)) of m, s m is {(s(c), (a, b))} and m flip (s x s)
         # is {(c, (s(b), s(a)))}
-        n, index = len(u), u.index
-        inv = [index[self.inverse[g]] for g in u.names]
+        n, index, inv = len(u), u.index, self._inv
         sm = FinRel._from_indices(
             m.source, u, frozenset([(inv[c], ab) for c, ab in m.pairs])
         )
@@ -264,8 +262,10 @@ class Groupoid:
                 "sm=m.flip(sxs)", lambda: _first_difference(sm, msxs)
             )
 
+        by_pair = m._by_index()
         for g in u:
-            outs = by_pair.get(index[self.inverse[g]] * n + index[g], ())
+            i = index[g]
+            outs = by_pair.get(inv[i] * n + i, ())
             if not outs:
                 raise AxiomViolation("m(s(g),g)-in-units", g, "product undefined")
             stray = sorted(set(map(u.name_of, outs)) - self._unit_set)
@@ -278,33 +278,42 @@ class Groupoid:
 
     def mult(self, a, b):
         """Product of a and b, or None when not composable."""
-        return self._mult.get((a, b))
+        i = self._index.get(a)
+        ab = None if i is None else self._rows[i].get(self._index.get(b))
+        return None if ab is None else self._names[ab]
+
+    def _index_of(self, g) -> int:
+        i = self._index.get(g)
+        if i is None:
+            raise UnknownElement(g, self.name)
+        return i
 
     def inv(self, g):
-        if g not in self.elements:
-            raise UnknownElement(g, self.name)
-        return self.inverse[g]
+        return self._names[self._inv[self._index_of(g)]]
 
     def e_left(self, g):
-        if g not in self.elements:
-            raise UnknownElement(g, self.name)
-        return self._eL[g]
+        return self._names[self._left[self._index_of(g)]]
 
     def e_right(self, g):
-        if g not in self.elements:
-            raise UnknownElement(g, self.name)
-        return self._eR[g]
+        return self._names[self._right[self._index_of(g)]]
+
+    def _named_ends(self):
+        """(g, e_L(g), e_R(g)) by name, for every element g."""
+        at = self._names.__getitem__
+        return zip(self._names, map(at, self._left), map(at, self._right))
 
     def composable(self) -> tuple:
         """All composable pairs, sorted."""
-        return tuple(sorted(self._mult))
+        names = self._names
+        pairs = ((names[a], names[b]) for a, row in enumerate(self._rows) for b in row)
+        return tuple(sorted(pairs))
 
     def orbits(self) -> tuple:
         """Partition of the units into orbits."""
         neighbours: dict = {e: set() for e in self.units}
-        for g in self.elements:
-            neighbours[self._eL[g]].add(self._eR[g])
-            neighbours[self._eR[g]].add(self._eL[g])
+        for _, left, right in self._named_ends():
+            neighbours[left].add(right)
+            neighbours[right].add(left)
         remaining = set(self.units)
         blocks = []
         while remaining:
@@ -324,18 +333,18 @@ class Groupoid:
         """The group of elements with both units equal to e."""
         if e not in self._unit_set:
             raise UnknownElement(e, f"units of {self.name!r}")
-        members = {g for g in self.elements if self._eL[g] == e and self._eR[g] == e}
+        members = {g for g, left, right in self._named_ends() if left == e == right}
         return SubgroupoidRef(self, members)
 
     def isotropy_bundle(self) -> "SubgroupoidRef":
-        members = {g for g in self.elements if self._eL[g] == self._eR[g]}
+        members = {g for g, left, right in self._named_ends() if left == right}
         return SubgroupoidRef(self, members)
 
     def transitive_components(self) -> tuple:
         out = []
         for block in self.orbits():
             blockset = set(block)
-            members = {g for g in self.elements if self._eR[g] in blockset}
+            members = {g for g, _, right in self._named_ends() if right in blockset}
             out.append(SubgroupoidRef(self, members))
         return tuple(out)
 
@@ -353,7 +362,7 @@ class Groupoid:
                 f"restrict: {stray[0]!r} is not a unit of {self.name!r}"
             )
         members = {
-            g for g in self.elements if self._eL[g] in fs and self._eR[g] in fs
+            g for g, left, right in self._named_ends() if left in fs and right in fs
         }
         name = self.name
         if fs != self._unit_set:
@@ -407,7 +416,9 @@ class Groupoid:
         for y in self.units:
             if y != e0:
                 p[y] = min(
-                    g for g in self.elements if self._eL[g] == e0 and self._eR[g] == y
+                    g
+                    for g, left, right in self._named_ends()
+                    if left == e0 and right == y
                 )
         g0 = group_table_of(self, self.isotropy(e0).members, f"{self.name}@{e0}")
         base = self.units_universe()
@@ -494,13 +505,16 @@ class SubgroupoidRef(object):
                 raise PreconditionFailed(
                     f"not closed under inverse at {g!r} in {parent.name!r}"
                 )
+        index, names = parent._index, parent._names
+        inside = {index[g] for g in ordered}
+        allowed = inside | {None}  # None where the pair does not compose
         for a in ordered:
-            for b in ordered:
-                c = parent.mult(a, b)
-                if c is not None and c not in ms:
-                    raise PreconditionFailed(
-                        f"not closed under multiplication at ({a!r}, {b!r})"
-                    )
+            row = parent._rows[index[a]]
+            if not allowed.issuperset(map(row.get, inside)):
+                b = min(names[b] for b in inside if row.get(b) not in allowed)
+                raise PreconditionFailed(
+                    f"not closed under multiplication at ({a!r}, {b!r})"
+                )
         self.parent = parent
         self.members = ms
 

@@ -154,10 +154,10 @@ class _FiberSearch:
 
     Forcing propagates products against the isotropy group at e0 and
     the matching inverse slots; every surviving table extends to a
-    candidate graph.  What depends only on the fiber and the target is
-    read here once, on element indices: the fiber positions of products
-    g x with x in the isotropy group, of inverses, and the target's
-    inverses, left units and rows.
+    candidate graph.  What depends only on the fiber is read here once,
+    on element indices: the fiber positions of products g x with x in
+    the isotropy group, and of inverses.  The target's rows, inverses
+    and left units are its own index lists.
     """
 
     def __init__(self, source, target, e0, fiber):
@@ -167,19 +167,15 @@ class _FiberSearch:
         s_index, t_index = source.elements.index, target.elements.index
         self.t_index = t_index
         self.t_names = target.elements.names
-        self.t_rows = target._rows
-        self.t_inv = [t_index[target.inverse[d]] for d in self.t_names]
-        self.t_left = [t_index[target.e_left(d)] for d in self.t_names]
+        self.t_rows, self.t_inv, self.t_left = target._rows, target._inv, target._left
         # (index, left unit) of the targets from each unit, in name order
         self.ending = {f: [] for f in target.units}
-        for d in sorted(target.elements):
-            self.ending[target.e_right(d)].append((t_index[d], target.e_left(d)))
+        for d, left, right in sorted(target._named_ends()):
+            self.ending[right].append((t_index[d], left))
         fpos = {s_index[g]: i for i, g in enumerate(fiber)}
         self.lefts = [source.e_left(g) for g in fiber]
         self.iso = [i for i, eL in enumerate(self.lefts) if eL == e0]
-        self.inv_of = {
-            x: fpos[s_index[source.inverse[fiber[x]]]] for x in self.iso
-        }
+        self.inv_of = {x: fpos[source._inv[s_index[fiber[x]]]] for x in self.iso}
         # times[g][x] is the fiber position of g x, x in the isotropy group
         s_rows = source._rows
         self.times = [

@@ -951,3 +951,13 @@ def test_criterion_15_direct_actions_on_four_points(catalog):
     with criterion(15, "P3 on four points, direct", 1.0):
         assert enum_actions_direct(catalog["P3"], four) == []
     assert enum_actions(catalog["P3"], four) == []
+
+
+def test_criterion_16_bisection_group_on_index_rows():
+    # Bis(P6) once stored its Cayley table under 518,400 label-pair keys
+    # and scanned them for inverses, in 0.42-0.72 s
+    p6 = pair_groupoid(Universe("X6", ("1", "2", "3", "4", "5", "6")))
+    with criterion(16, "Bis(P6)", 0.5):
+        bis = bisection_group(p6)
+    assert len(bis) == 720
+    assert bis.unit == Bisection(p6, p6.units).label

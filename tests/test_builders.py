@@ -52,6 +52,10 @@ def test_stock_tables():
     z4 = cyclic_table(4)
     assert z4.mult("1", "3") == "0"
     assert z4.inv["3"] == "1"
+    # V4 on the labels of Z4: the same labels, another table
+    v4, at = klein_table(), {g: str(i) for i, g in enumerate("eabc")}
+    relabelled = {(at[a], at[b]): at[v4.mult(a, b)] for a in at for b in at}
+    assert GroupTable("V4", "0123", relabelled) != z4
 
 
 def test_group_table_rejects_bad_data():
@@ -77,6 +81,49 @@ def test_group_table_checks_raw_tables_as_one_unit_groupoids():
     rows = {(a, b): z5.mult(a, b) for a in z5.elements for b in z5.elements}
     raw = GroupTable("Z5", z5.elements, rows)
     assert raw == z5 and (raw.unit, raw.inv) == (z5.unit, z5.inv)
+
+
+@pytest.mark.parametrize(
+    "pair, product, error, fields",
+    [
+        (("1", "1"), "9", UnknownElement, {"element": "9"}),
+        # 1.2 = 1 leaves the row of 1 without the unit: 1 has no inverse
+        (("1", "2"), "1", AxiomViolation, {"law": "inverse-total", "offender": "1"}),
+        (
+            ("1", "1"),
+            "0",
+            AxiomViolation,
+            {"law": "m(mxid)=m(idxm)", "offender": ("0", "1,2,2")},
+        ),
+        (
+            ("0", "0"),
+            "1",
+            PreconditionFailed,
+            {"args": ("group 'Z3': no unique idempotent",)},
+        ),
+    ],
+    ids=["outside-labels", "row-without-unit", "unit-twice-in-row", "no-idempotent"],
+)
+def test_raw_tables_with_one_entry_changed_are_refused(pair, product, error, fields):
+    z3 = cyclic_table(3)
+    mult = {(a, b): z3.mult(a, b) for a in z3.elements for b in z3.elements}
+    mult[pair] = product
+    with pytest.raises(error) as err:
+        GroupTable("Z3", z3.elements, mult)
+    assert {key: getattr(err.value, key) for key in fields} == fields
+
+
+def test_bisection_labels_sort_otherwise_than_their_member_lists():
+    # the member lists sort [a!,a a,a!] before [a!,a! a,a], the labels
+    # {a!,a!+a,a} before {a!,a+a,a!}: the table is re-indexed by label
+    bis = bisection_group(pair_groupoid(Universe("Y", ("a", "a!"))))
+    swap, unit = "{a!,a+a,a!}", "{a!,a!+a,a}"
+    assert bis.elements == (unit, swap)
+    assert bis.unit == unit
+    assert bis.inv == {unit: unit, swap: swap}
+    assert [bis.mult(a, b) for a in bis.elements for b in bis.elements] == [
+        unit, swap, swap, unit
+    ]
 
 
 def package_tables(catalog):
@@ -106,6 +153,9 @@ def test_package_tables_are_groups(catalog):
         for g in t.elements:
             assert t.mult(t.unit, g) == g == t.mult(g, t.unit), t.name
             assert t.mult(g, t.inv[g]) == t.unit == t.mult(t.inv[g], g), t.name
+        raw = {(a, b): t.mult(a, b) for a in t.elements for b in t.elements}
+        checked = GroupTable(t.name, t.elements, raw)
+        assert checked == t and hash(checked) == hash(t), t.name
 
 
 def _rotation(n):
@@ -182,7 +232,7 @@ def test_unchecked_builds_pass_the_checked_constructor_and_the_oracle(catalog):
         except AxiomViolation as err:
             pytest.fail(f"{label}: {err}")
         assert checked == g, label
-        for read_off in ("_mult", "_eL", "_eR"):
+        for read_off in ("_rows", "_inv", "_left", "_right"):
             assert getattr(checked, read_off) == getattr(g, read_off), label
         verdict = groupoid_violation(g.elements, g.units, g.inverse, g.table)
         assert verdict is None, label
@@ -245,7 +295,7 @@ def test_subgroup_and_quotient_tables():
 @pytest.mark.parametrize("build", [subgroup_table, quotient_group_table])
 def test_members_outside_the_table_raise_unknown_element(build):
     z4 = cyclic_table(4)
-    z4._mult = {}  # any product taken before the check would raise KeyError
+    z4.rows = []  # any product taken before the check would raise IndexError
     with pytest.raises(UnknownElement) as err:
         build(z4, ["0", "9"])
     assert err.value.element == "9"
