@@ -444,7 +444,7 @@ def quotient_groupoid(groupoid: Groupoid, part):
     ref = SubgroupoidRef(groupoid, members)
     if not ref.is_wide:
         raise PreconditionFailed("quotient needs a wide subgroupoid")
-    for g in members:
+    for g in sorted(members):
         if groupoid.e_left(g) != groupoid.e_right(g):
             raise PreconditionFailed(
                 f"{g!r} is outside the isotropy bundle"

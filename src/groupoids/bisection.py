@@ -77,7 +77,9 @@ class Bisection:
                 raise UnknownElement(g, groupoid.name)
         if not _is_section(groupoid, self.members):
             raise AxiomViolation("bisection-section", min(self.members, default=None))
-        self._by_right = {groupoid.e_right(g): g for g in self.members}
+        # the member over each right unit, on indices
+        index, right = groupoid._index, groupoid._right
+        self._by_right = {right[index[g]]: index[g] for g in self.members}
 
     @property
     def label(self) -> str:
@@ -215,18 +217,23 @@ def act(bisection: Bisection, g):
     groupoid = bisection.groupoid
     if g not in groupoid.elements:
         raise UnknownElement(g, groupoid.name)
-    mover = bisection._by_right[groupoid.e_left(g)]
-    return groupoid.mult(mover, g)
+    i = groupoid._index[g]
+    mover = bisection._by_right[groupoid._left[i]]
+    return groupoid._names[groupoid._rows[mover][i]]
 
 
 def ad(bisection: Bisection) -> Morphism:
     """Conjugation by a bisection, as a morphism of the groupoid."""
     groupoid = bisection.groupoid
-    graph = []
-    for g in groupoid.elements:
-        shifted = act(bisection, g)
-        tail = bisection._by_right[groupoid.e_right(g)]
-        graph.append((groupoid.mult(shifted, groupoid.inverse[tail]), g))
+    names, rows, inv = groupoid._names, groupoid._rows, groupoid._inv
+    by_right = bisection._by_right
+    # g -> b_l g s(b_r), with b_l and b_r over e_L(g) and e_R(g)
+    graph = [
+        (names[rows[rows[by_right[left]][i]][inv[by_right[right]]]], g)
+        for i, (g, left, right) in enumerate(
+            zip(names, groupoid._left, groupoid._right)
+        )
+    ]
     return Morphism._trusted(groupoid, groupoid, graph)
 
 

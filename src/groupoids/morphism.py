@@ -86,9 +86,13 @@ from .relation import (
 )
 
 
-def _hm_differs(h: FinRel, src: Groupoid, tgt: Groupoid) -> bool:
-    """hm != m'(hxh), on the index rows of h and of both products."""
-    rows = h._by_index()
+def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid) -> bool:
+    """hm != m'(hxh), on the index rows of h and of both products.
+
+    `rows` maps each input index of h's domain to its output indices,
+    as FinRel._by_index gives them: no input with an empty list, and no
+    output twice in one list.
+    """
     srows, trows = src._rows, tgt._rows
     matched = 0
     for x, dxs in rows.items():
@@ -136,7 +140,7 @@ class Morphism:
 
     def _check_axioms(self):
         src, tgt, h = self.source, self.target, self.rel
-        if _hm_differs(h, src, tgt):
+        if _hm_differs(h._by_index(), src, tgt):
             raise AxiomViolation(
                 "hm=m'(hxh)",
                 lambda: first_difference(

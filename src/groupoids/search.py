@@ -2,12 +2,15 @@
 
 The two morphism enumerators are deliberately independent oracles.  The
 naive one walks a candidate lattice factored by the unit and involution
-laws and lets validation reject the rest.  Each choice's share of the
-graph, its named pairs, is built once per call, and a candidate is the
-concatenation of its choices' shares; every candidate is still
-validated in full by Morphism(...).  The structured one rebuilds
-candidates from base maps and single-fiber data, forced on index rows.
-Tests require their outputs to agree.
+laws and decides every candidate by the law left, hm = m'(hxh).  Each
+choice's share of the graph is built once per call, as named pairs and
+as index rows; the choices' inputs are disjoint, so a candidate's rows
+are its choices' rows merged.  The law is decided on those rows by
+morphism._hm_differs, the function Morphism(...) decides it with, and
+only a survivor is joined into a named graph and validated in full by
+Morphism(...).  The structured one rebuilds candidates from base maps
+and single-fiber data, forced on index rows.  Tests require their
+outputs to agree.
 
 The two action enumerators are independent in the same way: one goes
 through morphisms into the pair groupoid, the other is classical and
@@ -35,7 +38,7 @@ from .builders import (
 )
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
-from .morphism import CancellationWitness, Morphism, compose_morphisms
+from .morphism import CancellationWitness, Morphism, _hm_differs, compose_morphisms
 from .relation import Universe
 
 
@@ -80,7 +83,10 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     Candidates range over all graphs satisfying the unit law (unit
     inputs emit exactly the target units collectively) and the
     involution law (the output set of s(g) is the s-image of the output
-    set of g); each one is then validated in full.
+    set of g).  Every one is decided by hm = m'(hxh) on its index rows,
+    with the function Morphism(...) uses, so a refused candidate builds
+    no relation, morphism or exception; each survivor is validated in
+    full by Morphism(...).
     """
     budget = budget or EnumBudget()
     pairs = len(target.elements) * len(source.elements)
@@ -91,14 +97,16 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     src_units = sorted(source.units)
     unit_set = set(src_units)
     tgt_all = sorted(target.elements)
+    s_index, t_index = source.elements.index, target.elements.index
 
     reps = [
         g
         for g in sorted(source.elements)
         if g not in unit_set and not source.inverse[g] < g
     ]
-    # each choice's share of the graph, named once: the pairs (d, g) and
-    # (s'(d), s(g)) for each rep g and output set
+    # each choice's share of the graph, built once: the pairs (d, g) and
+    # (s'(d), s(g)) for each rep g and output set, by name and as index
+    # rows (input -> outputs, no input without outputs)
     rep_chunks = []
     for g in reps:
         sg = source.inverse[g]
@@ -113,15 +121,24 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
         chunks = []
         for outs in sorted(opts):
             chunk = [(d, g) for d in outs]
+            rows = {s_index[g]: [t_index[d] for d in outs]} if outs else {}
             if sg != g:
-                chunk += [(target.inverse[d], sg) for d in outs]
-            chunks.append(chunk)
+                back = [target.inverse[d] for d in outs]
+                chunk += [(d, sg) for d in back]
+                if outs:
+                    rows[s_index[sg]] = [t_index[d] for d in back]
+            chunks.append((chunk, rows))
         rep_chunks.append(chunks)
 
     found = []
     examined = 0
     for profile in _unit_profiles(src_units, target.units):
         unit_pairs = [(d, e) for e, outs in profile.items() for d in outs]
+        unit_rows = {
+            s_index[e]: [t_index[d] for d in outs]
+            for e, outs in profile.items()
+            if outs
+        }
         for combo in itertools.product(*rep_chunks):
             examined += 1
             if examined > budget.max_candidates and not budget.override:
@@ -129,7 +146,13 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
                     f"examined {examined} candidates, "
                     f"cap is {budget.max_candidates}"
                 )
-            graph = list(itertools.chain(unit_pairs, *combo))
+            # the choices' inputs are disjoint, so their rows just merge
+            rows = dict(unit_rows)
+            for _, fragment in combo:
+                rows.update(fragment)
+            if _hm_differs(rows, source, target):
+                continue
+            graph = list(itertools.chain(unit_pairs, *(pairs for pairs, _ in combo)))
             try:
                 found.append(Morphism(source, target, graph))
             except AxiomViolation as err:

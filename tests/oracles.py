@@ -9,9 +9,11 @@ name of the first law broken, or None when every law holds.  The
 `*_violation` oracles after `action_violation` do the same for the
 derived constructions (kernels, quotients, factorizations, separating
 pairs, decompositions, homogeneous spaces, normal forms of actions and
-Ad), which the package does not re-check.  One more oracle,
-`actions_direct_reference`, is the exhaustive direct action enumerator,
-kept for the order its pruned successor must give.
+Ad), which the package does not re-check.  Two more oracles are
+references for the search: `actions_direct_reference`, the exhaustive
+direct action enumerator, kept for the order its pruned successor must
+give, and `naive_candidates`, the candidates of the naive morphism
+enumerator in its order, for a filter that checks every one.
 """
 
 import itertools
@@ -466,6 +468,51 @@ def actions_direct_reference(groupoid, carrier):
                     classical_to_relational(groupoid, carrier, rho, phi)
                 )
     return results
+
+
+def naive_candidates(source, target):
+    """Every candidate graph of the naive morphism enumerator, in its
+    order, rebuilt here from the lattice's definition.
+
+    Unit profiles come first: each unit input of the source emits a
+    subset of the target units, and together they emit them all.  For
+    each profile the candidates run over the product of the choices of
+    the representatives g (the non-units with g <= s(g), in name
+    order): an output set for g, with s(g) sent to its s'-image, or,
+    for an involution g, a union of the sets {d, s'(d)}.  Each g's
+    output sets are tried in sorted order."""
+
+    def subsets(items):
+        items = sorted(items)
+        return [
+            c for r in range(len(items) + 1) for c in itertools.combinations(items, r)
+        ]
+
+    tgt, tgt_units = sorted(target.elements), sorted(target.units)
+    s_inv, t_inv = source.inverse, target.inverse
+    choices = []
+    for g in sorted(source.elements):
+        if g in source.units or s_inv[g] < g:
+            continue
+        if s_inv[g] == g:
+            blocks = {tuple(sorted({d, t_inv[d]})) for d in tgt}
+            opts = [tuple(sorted(itertools.chain(*c))) for c in subsets(blocks)]
+        else:
+            opts = subsets(tgt)
+        choices.append(
+            [
+                [(d, g) for d in outs]
+                + ([(t_inv[d], s_inv[g]) for d in outs] if s_inv[g] != g else [])
+                for outs in sorted(opts)
+            ]
+        )
+    units = sorted(source.units)
+    for combo in itertools.product(subsets(tgt_units), repeat=len(units)):
+        if set(itertools.chain(*combo)) != set(tgt_units):
+            continue
+        unit_pairs = [(d, e) for e, outs in zip(units, combo) for d in outs]
+        for picks in itertools.product(*choices):
+            yield list(itertools.chain(unit_pairs, *picks))
 
 
 def edit_rows(draw, rows, alphabets):

@@ -271,6 +271,12 @@ def test_quotient_preconditions():
         quotient_groupoid(s3, frozenset(two))
 
 
+def test_quotient_names_the_least_offender_outside_the_bundle():
+    with pytest.raises(PreconditionFailed) as info:
+        quotient_groupoid(P3, frozenset(P3.elements))
+    assert str(info.value) == "'1,2' is outside the isotropy bundle"
+
+
 def test_homogeneous_left_multiplication():
     lm = left_mult_action(Z4)
     ref, psi = homogeneous_identification(lm, {"0": "0"})

@@ -325,6 +325,22 @@ def test_action_exit_codes(capsys, tmp_path, catalog):
     assert run(capsys, ["action", "validate", shallow])[0] == 2
 
 
+def test_action_quotient_names_one_offender_in_every_process(tmp_path, catalog):
+    # the members form a set; the offender named must not follow its
+    # hash order, which changes with PYTHONHASHSEED
+    p3 = catalog["P3"]
+    doc = groupoid_doc(tmp_path, p3, "p3.json")
+    for hash_seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoids.cli", "action", "quotient", doc,
+             *p3.elements],
+            capture_output=True, text=True,
+            env={**src_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: '1,2' is outside the isotropy bundle\n"
+
+
 def test_action_document_pipeline(capsys, tmp_path, catalog):
     z4 = groupoid_doc(tmp_path, catalog["Z4"], "z4.json")
     code, out, _ = run(capsys, ["action", "quotient", z4, "0", "2"])

@@ -18,7 +18,9 @@ import hashlib
 import itertools
 import json
 import random
+from contextlib import suppress
 
+from oracles import naive_candidates
 from groupoids import search
 from groupoids.action import Action, left_mult_action
 from groupoids.builders import (
@@ -44,7 +46,7 @@ from groupoids.relation import (
     unitor_left,
     unitor_right,
 )
-from groupoids.search import EnumBudget, enum_morphisms, enum_morphisms_naive
+from groupoids.search import enum_morphisms
 
 P3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
 Z3 = group_groupoid(cyclic_table(3))
@@ -84,7 +86,13 @@ def groupoid_rejections():
 
 
 def morphism_rejections(monkeypatch):
-    """Every candidate both enumerators reject on P3 -> Z3 and Z3 -> Z3."""
+    """Every candidate both enumerators reject on P3 -> Z3 and Z3 -> Z3.
+
+    The naive enumerator refuses on index rows and builds no Morphism
+    for a refused candidate, so its candidates come, in its order, from
+    the reference lattice `naive_candidates`, each through the checked
+    constructor here.
+    """
     rejected = []
 
     def recorded(source, target, graph):
@@ -97,7 +105,9 @@ def morphism_rejections(monkeypatch):
 
     monkeypatch.setattr(search, "Morphism", recorded)
     for source, target in ((P3, Z3), (Z3, Z3)):
-        enum_morphisms_naive(source, target, EnumBudget(override=True))
+        for graph in naive_candidates(source, target):
+            with suppress(AxiomViolation):
+                recorded(source, target, graph)
         enum_morphisms(source, target)
     monkeypatch.undo()
     for err, source, target, graph in rejected:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import actions_direct_reference
+from oracles import actions_direct_reference, naive_candidates
 from groupoids import groupoid, morphism, relation, search
 from groupoids.action import quotient_groupoid
 from groupoids.builders import (
@@ -24,6 +24,7 @@ from groupoids.builders import (
 from groupoids.errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from groupoids.morphism import (
     CancellationWitness,
+    Morphism,
     component_projection,
     compose_morphisms,
     identity_morphism,
@@ -118,6 +119,63 @@ def test_naive_rejections_build_no_relation(monkeypatch):
     z3 = group_groupoid(cyclic_table(3))
     assert enum_morphisms_naive(p3, z3, EnumBudget(override=True)) == []
     assert built == []
+
+
+def _naive_filter(source, target):
+    # the naive enumerator's definition: every candidate through the
+    # checked constructor, the survivors in canonical order
+    found = []
+    for graph in naive_candidates(source, target):
+        try:
+            found.append(Morphism(source, target, graph))
+        except AxiomViolation as err:
+            assert err.law == "hm=m'(hxh)"
+    found.sort(key=lambda h: sorted(h.graph))
+    return found
+
+
+def test_naive_agrees_with_a_filter_over_every_candidate(catalog):
+    z3 = group_groupoid(cyclic_table(3))
+    members = catalog.values()
+    cases = [(src, tgt, None) for src in members for tgt in members]
+    override = EnumBudget(override=True)
+    cases += [(catalog["P3"], z3, override), (z3, z3, override)]
+    checked = 0
+    for src, tgt, budget in cases:
+        try:
+            naive = enum_morphisms_naive(src, tgt, budget)
+        except BudgetExceeded:
+            continue
+        expected = [h.graph for h in _naive_filter(src, tgt)]
+        assert [h.graph for h in naive] == expected, (src.name, tgt.name)
+        checked += 1
+    assert checked == 94
+
+
+def test_naive_builds_morphisms_only_for_survivors(monkeypatch):
+    # a refused candidate is decided on index rows: it reaches neither
+    # Morphism(...) nor the public FinRel constructor
+    built = Counter()
+
+    def counted(cls, name):
+        init = cls.__init__
+
+        def wrapper(self, *args):
+            built[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    counted(morphism.Morphism, "Morphism")
+    counted(relation.FinRel, "FinRel")
+    p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
+    z3 = group_groupoid(cyclic_table(3))
+    built.clear()
+    assert enum_morphisms_naive(p3, z3, EnumBudget(override=True)) == []
+    assert built == Counter()
+    found = enum_morphisms_naive(z3, z3, EnumBudget(override=True))
+    assert len(found) == 3
+    assert built == Counter(Morphism=3, FinRel=3)
 
 
 def test_structured_agrees_with_naive():
