@@ -409,13 +409,10 @@ class CosetSpace:
         return f"CosetSpace({self.groupoid.name!r}, {len(self.classes)} classes)"
 
 
-def coset_space(groupoid: Groupoid, part) -> CosetSpace:
-    """Quotient of a groupoid by a wide subgroupoid, with its action."""
-    members = _as_member_set(groupoid, part)
-    ref = SubgroupoidRef(groupoid, members)
-    if not ref.is_wide:
-        raise PreconditionFailed("coset space needs a wide subgroupoid")
-
+def _cosets(groupoid: Groupoid, members) -> tuple:
+    """The classes aH of a wide subgroupoid H, each a sorted tuple, in the
+    order of their least elements, and the map from each element to the
+    label of its class."""
     # the class of a is aH = {ah : h in H composable}; in name order, the
     # first element met of each class is its least
     u, rows = groupoid.elements, groupoid._rows
@@ -427,6 +424,16 @@ def coset_space(groupoid: Groupoid, part) -> CosetSpace:
             block = tuple(sorted(u.names[row[h]] for h in inside if h in row))
             classes.append(block)
             projection.update(dict.fromkeys(block, f"[{a}]"))
+    return tuple(classes), projection
+
+
+def coset_space(groupoid: Groupoid, part) -> CosetSpace:
+    """Quotient of a groupoid by a wide subgroupoid, with its action."""
+    members = _as_member_set(groupoid, part)
+    ref = SubgroupoidRef(groupoid, members)
+    if not ref.is_wide:
+        raise PreconditionFailed("coset space needs a wide subgroupoid")
+    classes, projection = _cosets(groupoid, members)
     carrier = Universe(
         f"{groupoid.elements.name}/~", tuple(projection[b[0]] for b in classes)
     )
@@ -434,7 +441,7 @@ def coset_space(groupoid: Groupoid, part) -> CosetSpace:
         (projection[c], a, projection[b]) for c, a, b in groupoid.table
     }
     action = Action._trusted(groupoid, carrier, triples)
-    return CosetSpace(groupoid, members, tuple(classes), projection, action)
+    return CosetSpace(groupoid, members, classes, projection, action)
 
 
 def quotient_groupoid(groupoid: Groupoid, part):
@@ -459,10 +466,13 @@ def quotient_groupoid(groupoid: Groupoid, part):
                     raise PreconditionFailed(
                         f"subgroup is not normal at unit {e!r}"
                     )
+    return _quotient(groupoid, members)
 
-    space = coset_space(groupoid, members)
-    projection = space.projection
-    classes = space.classes
+
+def _quotient(groupoid: Groupoid, members):
+    """quotient_groupoid on members it need not check: a wide subgroupoid
+    of the isotropy bundle, normal at every unit, such as a kernel."""
+    classes, projection = _cosets(groupoid, members)
     table = {
         (projection[c], projection[a], projection[b])
         for c, a, b in groupoid.table

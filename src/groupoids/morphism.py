@@ -9,21 +9,26 @@ as exact relation equalities.  These are the only checks, made only
 where the boundary policy in groupoid.py says; the morphisms the
 package builds come from Morphism._trusted.
 
-h m = m' (h x h) is decided on index rows, with neither side built.
-Both groupoids are valid, so m and m' are single-valued and read off
-their row tables `_rows`.  At an input pair (x, y) the right side's
-outputs are the defined products d1 d2 with d1 in h(x) and d2 in h(y);
-the left side's are h(xy), or none when xy is undefined.  One pass
-over the pairs of h's domain compares the two and stops at the first
-mismatch.  The right side has no pair outside dom h x dom h; the left
-side may, and it has |hm| pairs in all, where |hm| is the sum over
-the pairs (d, z) of h of the number of factorizations xy = z
+h m = m' (h x h) is decided on mask rows, with neither side built.
+Each output set of h is an int, bit d set for target index d, so h is
+a dict from input index to a nonzero mask.  Both groupoids are valid,
+so m and m' are single-valued and read off their row tables `_rows`.
+At an input pair (x, y) the right side's outputs are the defined
+products d1 d2 with d1 in h(x) and d2 in h(y); the left side's are
+h(xy), or none when xy is undefined.  The right side depends only on
+the two masks and the target, so a memo keyed by the pair of masks
+holds it; it is a product table of the target, never a verdict, and
+the naive enumerator keeps one per call for all its candidates.  One
+pass over the pairs of h's domain compares the two masks and stops at
+the first mismatch.  The right side has no pair outside dom h x dom
+h; the left side may, and it has |hm| pairs in all, where |hm| is the
+sum over the pairs (d, z) of h of the number of factorizations xy = z
 (Groupoid._factor_counts).  So when every compared pair matches, the
-sides are equal exactly when the outputs matched number |hm|.  This
-holds for any h, multi-valued or partial.  The offender is the
-sorted-least pair of the materialized sides' difference, built only
-when it is asked for.  h s = s' h and h e = e' are compared as built
-relations.
+sides are equal exactly when the outputs matched, the set bits,
+number |hm|.  This holds for any h, multi-valued or partial.  The
+offender is the sorted-least pair of the materialized sides'
+difference, built only when it is asked for.  h s = s' h and h e = e'
+are compared as built relations.
 
 One pass over the graph then reads off the derived data every theorem
 downstream consumes: the base map on units (here rho, mapping units of
@@ -46,17 +51,21 @@ Kernel: an output f of g is also one of both units of g, as s'(f)f = f,
 so both are rho(f); hs = s'h and hm = m'(hxh) keep all-unit outputs
 all-unit under inverse, product and conjugation.  classify_into_group:
 the domain, a union of components over e0, the one value of rho, is the
-isotropy group at e0, where h is single-valued.  quotient_by_kernel and
-epi_mono_factorization: s(g)g' in the kernel gives h(g') = h(g), so h
-factors through pi by a mono, and pi and the component projection are
-onto.  product_pairing: the union's projections read the tagged graphs
-back.  separating_pair: if some element outside is not an involution,
-gamma0 is the least such, and sigma swaps each member g with right unit
-e_L(gamma0) and g gamma0: it commutes with left translation by a member
-but not by gamma0.  Else gamma0, the least element outside, lies in an
-isotropy group whose orbit is one unit (arrows between units are not
-involutions, so lie inside), the members there form a normal subgroup,
-and k2 is its quotient map.
+isotropy group at e0, where h is single-valued.  quotient_by_kernel: on
+a full domain he = e' puts every unit in the kernel, so by the Kernel
+argument it is a wide normal subgroupoid of the isotropy bundle, and
+the quotient is built without quotient_groupoid's checks of that.
+quotient_by_kernel and epi_mono_factorization: s(g)g' in the kernel
+gives h(g') = h(g), so h factors through pi by a mono, and pi and the
+component projection are onto.  product_pairing: the union's
+projections read the tagged graphs back.  separating_pair: if some
+element outside is not an involution, gamma0 is the least such, and
+sigma swaps each member g with right unit e_L(gamma0) and g gamma0: it
+commutes with left translation by a member but not by gamma0.  Else
+gamma0, the least element outside, lies in an isotropy group whose
+orbit is one unit (arrows between units are not involutions, so lie
+inside), the members there form a normal subgroup, and k2 is its
+quotient map.
 """
 
 from __future__ import annotations
@@ -86,30 +95,54 @@ from .relation import (
 )
 
 
-def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid) -> bool:
-    """hm != m'(hxh), on the index rows of h and of both products.
+def _mask_product(mx: int, my: int, trows: list) -> int:
+    """The mask of the defined products d1 d2, d1 in mx and d2 in my.
 
-    `rows` maps each input index of h's domain to its output indices,
-    as FinRel._by_index gives them: no input with an empty list, and no
-    output twice in one list.
+    Only set bits are visited, lowest first, so two one-output masks
+    cost one lookup in the target's rows.
+    """
+    out = 0
+    while mx:
+        low = mx & -mx
+        drow = trows[low.bit_length() - 1]
+        rest = my
+        while rest:
+            bit = rest & -rest
+            d = drow.get(bit.bit_length() - 1)
+            if d is not None:
+                out |= 1 << d
+            rest ^= bit
+        mx ^= low
+    return out
+
+
+def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid, memo=None) -> bool:
+    """hm != m'(hxh), on mask rows of h and the index rows of both products.
+
+    `rows` maps each input index of h's domain to the bit mask of its
+    output indices (bit d for target index d), with no zero mask.
+    `memo` maps mx << |tgt| | my to the mask of the defined products
+    d1 d2, d1 in mx and d2 in my: products in the target only, so one
+    memo serves every h into the same target.
     """
     srows, trows = src._rows, tgt._rows
+    shift = len(trows)
+    if memo is None:
+        memo = {}
     matched = 0
-    for x, dxs in rows.items():
+    for x, mx in rows.items():
         srow = srows[x]
-        drows = [trows[d] for d in dxs]
-        for y, dys in rows.items():
-            lhs = rows.get(srow.get(y), ())  # none where xy is undefined
-            rhs = set()
-            for drow in drows:
-                for d in dys:
-                    if d in drow:
-                        rhs.add(drow[d])
-            if len(rhs) != len(lhs) or not rhs.issuperset(lhs):
+        high = mx << shift
+        for y, my in rows.items():
+            rhs = memo.get(high | my)
+            if rhs is None:
+                rhs = memo[high | my] = _mask_product(mx, my, trows)
+            # the left side is h(xy), none where xy is undefined
+            if rows.get(srow.get(y), 0) != rhs:
                 return True
-            matched += len(lhs)
+            matched += rhs.bit_count()
     counts = src._factor_counts
-    return matched != sum(len(ds) * counts[z] for z, ds in rows.items())
+    return matched != sum(m.bit_count() * counts[z] for z, m in rows.items())
 
 
 class Morphism:
@@ -140,7 +173,8 @@ class Morphism:
 
     def _check_axioms(self):
         src, tgt, h = self.source, self.target, self.rel
-        if _hm_differs(h._by_index(), src, tgt):
+        rows = {x: sum(1 << d for d in ds) for x, ds in h._by_index().items()}
+        if _hm_differs(rows, src, tgt):
             raise AxiomViolation(
                 "hm=m'(hxh)",
                 lambda: first_difference(
@@ -483,11 +517,13 @@ def classify_into_group(h: Morphism):
 
 def quotient_by_kernel(h: Morphism):
     """Factor a full-domain morphism through its kernel quotient."""
-    from .action import quotient_groupoid
+    from .action import _quotient
 
     if h.domain_elements != frozenset(h.source.elements):
         raise PreconditionFailed("morphism domain must be the whole groupoid")
-    quotient, pi = quotient_groupoid(h.source, h.kernel_members)
+    # a wide normal subgroupoid of the isotropy bundle, by the module
+    # docstring's argument, so quotient_groupoid's checks are not re-run
+    quotient, pi = _quotient(h.source, h.kernel_members)
     cls = {g: pi.outputs(g)[0] for g in h.source.elements}
     reduced = Morphism._trusted(
         quotient, h.target, {(d, cls[g]) for d, g in h.graph}

@@ -4,13 +4,15 @@ The two morphism enumerators are deliberately independent oracles.  The
 naive one walks a candidate lattice factored by the unit and involution
 laws and decides every candidate by the law left, hm = m'(hxh).  Each
 choice's share of the graph is built once per call, as named pairs and
-as index rows; the choices' inputs are disjoint, so a candidate's rows
-are its choices' rows merged.  The law is decided on those rows by
-morphism._hm_differs, the function Morphism(...) decides it with, and
-only a survivor is joined into a named graph and validated in full by
-Morphism(...).  The structured one rebuilds candidates from base maps
-and single-fiber data, forced on index rows.  Tests require their
-outputs to agree.
+as mask rows (input index -> bit mask of output indices); the choices'
+inputs are disjoint, so a candidate's rows are its choices' rows
+merged.  The law is decided on those rows by morphism._hm_differs, the
+function Morphism(...) decides it with, against one memo per call of
+the target's products of output masks, so every candidate is examined
+and none is pruned.  Only a survivor is joined into a named graph and
+validated in full by Morphism(...).  The structured one rebuilds
+candidates from base maps and single-fiber data, forced on index rows.
+Tests require their outputs to agree.
 
 The two action enumerators are independent in the same way: one goes
 through morphisms into the pair groupoid, the other is classical and
@@ -83,7 +85,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     Candidates range over all graphs satisfying the unit law (unit
     inputs emit exactly the target units collectively) and the
     involution law (the output set of s(g) is the s-image of the output
-    set of g).  Every one is decided by hm = m'(hxh) on its index rows,
+    set of g).  Every one is decided by hm = m'(hxh) on its mask rows,
     with the function Morphism(...) uses, so a refused candidate builds
     no relation, morphism or exception; each survivor is validated in
     full by Morphism(...).
@@ -99,14 +101,17 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     tgt_all = sorted(target.elements)
     s_index, t_index = source.elements.index, target.elements.index
 
+    def mask(outs):
+        return sum(1 << t_index[d] for d in outs)
+
     reps = [
         g
         for g in sorted(source.elements)
         if g not in unit_set and not source.inverse[g] < g
     ]
     # each choice's share of the graph, built once: the pairs (d, g) and
-    # (s'(d), s(g)) for each rep g and output set, by name and as index
-    # rows (input -> outputs, no input without outputs)
+    # (s'(d), s(g)) for each rep g and output set, by name and as mask
+    # rows (input -> bit mask of outputs, no zero mask)
     rep_chunks = []
     for g in reps:
         sg = source.inverse[g]
@@ -121,24 +126,21 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
         chunks = []
         for outs in sorted(opts):
             chunk = [(d, g) for d in outs]
-            rows = {s_index[g]: [t_index[d] for d in outs]} if outs else {}
+            rows = {s_index[g]: mask(outs)} if outs else {}
             if sg != g:
                 back = [target.inverse[d] for d in outs]
                 chunk += [(d, sg) for d in back]
                 if outs:
-                    rows[s_index[sg]] = [t_index[d] for d in back]
+                    rows[s_index[sg]] = mask(back)
             chunks.append((chunk, rows))
         rep_chunks.append(chunks)
 
     found = []
     examined = 0
+    memo = {}  # products of output masks in the target, shared by candidates
     for profile in _unit_profiles(src_units, target.units):
         unit_pairs = [(d, e) for e, outs in profile.items() for d in outs]
-        unit_rows = {
-            s_index[e]: [t_index[d] for d in outs]
-            for e, outs in profile.items()
-            if outs
-        }
+        unit_rows = {s_index[e]: mask(outs) for e, outs in profile.items() if outs}
         for combo in itertools.product(*rep_chunks):
             examined += 1
             if examined > budget.max_candidates and not budget.override:
@@ -150,7 +152,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             rows = dict(unit_rows)
             for _, fragment in combo:
                 rows.update(fragment)
-            if _hm_differs(rows, source, target):
+            if _hm_differs(rows, source, target, memo):
                 continue
             graph = list(itertools.chain(unit_pairs, *(pairs for pairs, _ in combo)))
             try:
@@ -540,7 +542,18 @@ def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
 
 def proof_probes(groupoid: Groupoid) -> list:
     """Probe groupoids shaped like the cancellation arguments: set
-    groupoids on orbit markers and subgroups of marker isotropy groups."""
+    groupoids on orbit markers and subgroups of marker isotropy groups.
+
+    They are built on first use and kept on the groupoid, as its lazy
+    index views are; each call returns a fresh list of them."""
+    try:
+        probes = groupoid._probes
+    except AttributeError:
+        probes = groupoid._probes = tuple(_build_probes(groupoid))
+    return list(probes)
+
+
+def _build_probes(groupoid: Groupoid) -> list:
     markers = sorted(min(block) for block in groupoid.orbits())
     probes = []
     subsets = [c for c in _subsets(markers) if c]

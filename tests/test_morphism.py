@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from oracles import edit_rows, morphism_violation
+from oracles import edit_rows, morphism_violation, naive_candidates
 
 from groupoids.builders import (
     cyclic_table,
@@ -23,6 +23,7 @@ from groupoids.errors import (
 from groupoids.groupoid import SubgroupoidRef, disjoint_union
 from groupoids.morphism import (
     Morphism,
+    _hm_differs,
     classify_into_group,
     component_projection,
     compose_morphisms,
@@ -55,7 +56,7 @@ from groupoids.relation import (
     pair_name,
     product,
 )
-from groupoids.search import enum_morphisms, find_groupoid_isomorphism
+from groupoids.search import EnumBudget, enum_morphisms, find_groupoid_isomorphism
 
 Z2 = group_groupoid(cyclic_table(2))
 Z4 = group_groupoid(cyclic_table(4))
@@ -502,3 +503,38 @@ def test_hm_law_agrees_with_the_materialized_sides(small_morphisms, data):
     assert rejected == (lhs != rhs)
     if rejected:
         assert err.offender == first_difference(lhs, rhs)
+
+
+def test_mask_kernel_agrees_with_the_materialized_sides_on_every_naive_candidate(
+    catalog,
+):
+    """_hm_differs on mask rows, against the built sides of hm = m'(hxh),
+    on every candidate of the naive enumerator: the 92 catalog pairs
+    within the default budget, and P3 -> Z3 over it.  Each pair's
+    candidates share one memo, as they do in the enumerator; each is
+    also decided with a memo of its own."""
+    z3 = group_groupoid(cyclic_table(3))
+    cap = EnumBudget().max_pairs
+    members = catalog.values()
+    cases = [
+        (src, tgt)
+        for src in members
+        for tgt in members
+        if len(src.elements) * len(tgt.elements) <= cap
+    ]
+    cases.append((catalog["P3"], z3))
+    checked = refused = 0
+    for src, tgt in cases:
+        memo = {}
+        for graph in naive_candidates(src, tgt):
+            h = FinRel(src.elements, tgt.elements, graph)
+            rows = {}
+            for d, x in h.pairs:
+                rows[x] = rows.get(x, 0) | 1 << d
+            differs = compose(h, src.m_rel) != compose(tgt.m_rel, product(h, h))
+            assert _hm_differs(rows, src, tgt, memo) == differs, (src.name, tgt.name)
+            assert _hm_differs(rows, src, tgt) == differs, (src.name, tgt.name)
+            checked += 1
+            refused += differs
+    # 208 candidates keep hm = m'(hxh); Morphism(...) then decides the rest
+    assert (len(cases), checked, checked - refused) == (93, 24656 + 3584, 208)

@@ -348,6 +348,33 @@ def test_cancellation_raises_when_its_witness_fails_to_verify(monkeypatch):
         assert err.value.law == law
 
 
+def test_cancellation_builds_the_probes_once_per_groupoid(monkeypatch):
+    # the probes are built on a groupoid's first hunt and kept on it; each
+    # hunt finds the witness a freshly built probe list gives
+    bundle = group_bundle([cyclic_table(2), trivial_table()])
+    collapse = to_orbit_pair(bundle)
+    fresh = search._build_probes(bundle)
+    expected = check_cancellation(collapse, "left", probes=fresh)
+    built = Counter()
+    for name in ("set_groupoid", "group_groupoid"):
+
+        def counted(*args, make=getattr(search, name), name=name):
+            built[name] += 1
+            return make(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    first = check_cancellation(collapse, "left")
+    once = Counter(built)
+    second = check_cancellation(collapse, "left")
+    assert built == once and sum(once.values()) == len(fresh)
+    for found in (first, second):
+        assert (found.probe, found.w1, found.w2) == (
+            expected.probe, expected.w1, expected.w2
+        )
+    probes = search.proof_probes(bundle)
+    assert probes == fresh and probes is not search.proof_probes(bundle)
+
+
 def test_cancellation_on_partial_domain():
     members = frozenset(g for g in BD.elements if g.startswith("0:"))
     proj = component_projection(BD, members)
