@@ -14,20 +14,14 @@ quotient groupoids, homogeneous-space identification for transitive
 groupoids, induced actions along a subgroupoid, and the normal form of
 transitive actions.
 
-phi(m x id) = phi(id x phi) builds no relation on G x G x X.  For
-single-valued phi it says phi(gh, x) ~= phi(g, phi(h, x)) (~= as in
-groupoid.py), checked only for h among G's greedy generators: if it
-holds at every g and x for h1 and for h2, and h1h2 is defined, then
-
-    phi(g(h1h2), x) ~= phi((gh1)h2, x)              G is associative
-                    ~= phi(gh1, phi(h2, x))          h2, at gh1 and x
-                    ~= phi(g, phi(h1, phi(h2, x)))   h1, at g and phi(h2, x)
-                    ~= phi(g, phi(h1h2, x))          h2, at h1 and x
-
-so the h for which it holds are closed under defined products.  So is
-the set of d with phi(g, xd) ~= phi(g, x)d, right_commuting_to_morphism's
-law.  A multi-valued phi, and every offender, goes to relation.py's
-two_sided_difference.
+phi(m x id) = phi(id x phi) builds no relation on G x G x X.  It is
+decided by groupoid.py's _check_composition, the function that decides
+associativity, which is this law for G acting on itself; groupoid.py's
+docstring gives the argument.  By the same argument the d with
+phi(g, xd) ~= phi(g, x)d (~= as there) are closed under defined
+products, so right_commuting_to_morphism checks its law only for the
+greedy generators d of delta.  phi(e x id) = id is compared as it
+reads, with phi(e x id) built.
 
 The constructions on actions are theorems of their checked inputs and
 are not re-checked; tests/test_derived.py checks each one over the
@@ -54,7 +48,6 @@ from .errors import (
 from .relation import (
     Universe,
     compose,
-    compose_product_differs,
     first_difference,
     identity,
     mapping_rel,
@@ -62,10 +55,9 @@ from .relation import (
     product,
     product_universe,
     triples_rel,
-    two_sided_difference,
     unitor_left,
 )
-from .groupoid import Groupoid, SubgroupoidRef, _generators
+from .groupoid import Groupoid, SubgroupoidRef, _after, _check_composition, _generators
 from .builders import GroupTable, check_group_action, pair_groupoid, product_form
 from .morphism import (
     Morphism,
@@ -101,20 +93,11 @@ class Action:
     def _check_axioms(self):
         g, x, rel = self.groupoid, self.carrier, self.rel
         product_universe(g.m_rel.source, x)  # refuses ambiguous triple names
-        offender = lambda: two_sided_difference(rel, g.m_rel, rel, rel)
-        if len(rel._by_index()) != len(rel.pairs):  # multi-valued: decided by the scan
-            offender = offender()
-        elif _composes_on_generators(self):
-            offender = None
-        if offender is not None:
-            raise AxiomViolation("phi(mxid)=phi(idxphi)", offender)
-        idx, unit = identity(x), unitor_left(x)
-        if compose_product_differs(unit, self.rel, g.e_rel, idx):
+        _check_composition("phi(mxid)=phi(idxphi)", rel, g, self._moves)
+        lhs, unit = compose(rel, product(g.e_rel, identity(x))), unitor_left(x)
+        if lhs != unit:
             raise AxiomViolation(
-                "phi(exid)=id",
-                lambda: first_difference(
-                    compose(self.rel, product(g.e_rel, idx)), unit
-                ),
+                "phi(exid)=id", lambda: first_difference(lhs, unit)
             )
 
     def _moves(self) -> list:
@@ -265,21 +248,6 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
         (action.apply(g, f), g) for g, f in action.domain if f in unit_set
     }
     return Morphism(action.groupoid, delta, graph)
-
-
-def _after(f: dict, g: dict) -> dict:
-    """The partial map f after g."""
-    return {x: f[y] for x, y in g.items() if y in f}
-
-
-def _composes_on_generators(action: Action) -> bool:
-    """phi(gh, x) ~= phi(g, phi(h, x)) for the generators h of G."""
-    moves, cols = action._moves(), action.groupoid._cols  # cols[h][g] is gh
-    return all(
-        _after(move, moves[h]) == (moves[cols[h][g]] if g in cols[h] else {})
-        for h in _generators(action.groupoid._rows, cols)
-        for g, move in enumerate(moves)
-    )
 
 
 def _commutes_on_generators(action: Action, delta: Groupoid) -> bool:

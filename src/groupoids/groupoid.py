@@ -28,45 +28,51 @@ views of it; the laws and the other modules read it.  Names appear only
 at the boundary: the data read in, and mult, inv, e_left, e_right and
 composable, which translate.
 
-The two-sided laws are decided on m's index rows, without building a
-product relation on G x G x G.  Write x ~= y (Kleene equality) for
-"both are undefined, or both are defined and equal".
+The two-sided laws are decided on index rows, without building a
+relation on G x G x G.  Write x ~= y (Kleene equality) for "both are
+undefined, or both are defined and equal".
 
-m(m x id) = m(id x m).  m is single-valued exactly when it has as many
-pairs as composable inputs.  Then the law says (xy)z ~= x(yz) for all
-x, y and z, and it is decided by Light's associativity test (Clifford
-and Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2)
-extended to partial products.  Let Z be the set of z with
-(xy)z ~= x(yz) for all x and y.  For z1 and z2 in Z with z1z2 defined,
-and any x and y,
+m(m x id) = m(id x m).  G acts on itself by left multiplication, and
+with phi = m, X = G, this law is the composition law
+phi(m x id) = phi(id x phi) of an action phi : G x X -> X, so one
+function, _check_composition, decides both; its move rows
+moves[g][x], the index of phi(g, x), are `_rows` here.  phi is
+single-valued exactly when it has as many pairs as inputs.  Then the
+law says phi(gh, x) ~= phi(g, phi(h, x)) for all g, h and x.  Let H
+be the set of h for which this holds at every g and x.  For h1 and h2
+in H with h1h2 defined, and any g and x,
 
-    (xy)(z1z2) ~= ((xy)z1)z2     z2 in Z, at xy and z1
-               ~= (x(yz1))z2     z1 in Z, at x and y
-               ~= x((yz1)z2)     z2 in Z, at x and yz1
-               ~= x(y(z1z2))     z2 in Z, at y and z1
+    phi(g(h1h2), x) ~= phi((gh1)h2, x)
+                    ~= phi(gh1, phi(h2, x))          h2, at gh1 and x
+                    ~= phi(g, phi(h1, phi(h2, x)))   h1, at g and phi(h2, x)
+                    ~= phi(g, phi(h1h2, x))          h2, at h1 and x
 
-where an undefined operand makes both sides undefined.  So z1z2 is in
-Z: Z is closed under defined products, and it is enough that Z holds a
-generating set.  The set is greedy: the least element not yet
-generated, then the closure under defined products, until every
-element is generated.  For each generator z, one pass over the
-composable (x, y) compares (xy)z with x(yz); where xy is undefined,
-x(yz) must be undefined too, so the x with x(yz) defined must be among
-the x with xy defined, one column inclusion per y.  The cost is
-O(|generators| |m|) on `_rows` and `_cols`, the product on indices by
-row and by column.  Otherwise relation.py's two_sided_difference
-decides the law: for each output w in name order it builds the two
-preimages of w as sets of triple indices.  The first w where they differ
-has the least output name, and the least input name of their symmetric
-difference completes the sorted-least pair, the offender in both cases.
+where an undefined operand makes both sides undefined.  The first
+step needs g(h1h2) ~= (gh1)h2.  For G acting on itself that is the
+hypothesis for h1 at g and x := h2, so the argument does not assume
+the associativity it decides; on any other set, G is a checked
+groupoid.  So h1h2 is in H: H is closed under defined products, and
+it is enough that H holds a generating set of G; for phi = m this is
+Light's associativity test (Clifford and Preston, The Algebraic Theory
+of Semigroups I, 1961, section 1.2).  The set is greedy: the least
+element not yet generated, then the closure under defined products,
+until every element is generated.  For each generator h and each g,
+phi(g, -) after phi(h, -), a partial map on X, must equal phi(gh, -),
+or be empty where gh is undefined: one dict comparison on the move
+rows.  A multi-valued phi is decided by relation.py's
+two_sided_difference: for each output w in name order it builds the
+two preimages of w as sets of triple indices.  The first w where they
+differ has the least output name, and the least input name of their
+symmetric difference completes the sorted-least pair, the offender in
+both cases.
 
 s m = m flip (s x s).  It is checked after s s = id, so s is a total
 involution, and the two sides are {(s(c), (a, b))} and
 {(c, (s(b), s(a)))} over the triples (c, a, b) of m: one O(|m|) pass
 each, with no s x s and no flip.
 
-The unit laws are one-sided, of the shape relation.py's fused check
-decides.
+The unit laws m(e x id) = id and m(id x e) = id are one-sided and are
+compared as they read, with m(e x id) and m(id x e) built.
 
 Boundary policy, for groupoids, morphisms and actions alike: the
 checking constructors Groupoid(...), Morphism(...) and Action(...) run
@@ -101,7 +107,6 @@ from .relation import (
     ONE,
     Universe,
     compose,
-    compose_product_differs,
     first_difference as _first_difference,
     identity,
     pair_name,
@@ -220,26 +225,15 @@ class Groupoid:
         m, s, e = self.m_rel, self.s_rel, self.e_rel
         idu = identity(u)
 
-        offender = lambda: two_sided_difference(m, m, m, m)
-        # m is multi-valued when it has more pairs than composable inputs
-        if sum(map(len, self._rows)) != len(m.pairs):  # decided by the scan
-            offender = offender()
-        elif _light_test(self._rows, self._cols):  # one product per pair
-            offender = None
-        if offender is not None:
-            raise AxiomViolation("m(mxid)=m(idxm)", offender)
+        _check_composition("m(mxid)=m(idxm)", m, self, lambda: self._rows)
 
         for law, unitor, r, r1 in (
             ("m(exid)=id", unitor_left, e, idu),
             ("m(idxe)=id", unitor_right, idu, e),
         ):
-            if compose_product_differs(unitor(u), m, r, r1):
-                raise AxiomViolation(
-                    law,
-                    lambda: _first_difference(
-                        compose(m, product(r, r1)), unitor(u)
-                    ),
-                )
+            lhs, rhs = compose(m, product(r, r1)), unitor(u)
+            if lhs != rhs:
+                raise AxiomViolation(law, lambda: _first_difference(lhs, rhs))
 
         ss = compose(s, s)
         if ss != idu:
@@ -451,22 +445,38 @@ class Groupoid:
         )
 
 
-def _light_test(rows, cols) -> bool:
-    """(xy)z ~= x(yz) for all x, y, z of the single-valued partial
-    product with tables `rows` and `cols`, checked for z in a generating
-    set only (Light's test, as the module docstring says)."""
-    for z in _generators(rows, cols):
-        right = [row.get(z) for row in rows]  # right[w] is wz or None
-        at = right.__getitem__
-        for x, row in enumerate(rows):
-            # (xy)z against x(yz) where xy is defined; get(None) is None
-            if list(map(at, row.values())) != list(map(row.get, map(at, row))):
-                return False
-        for y, yz in enumerate(right):
-            # where xy is undefined, x(yz) must be undefined too
-            if yz is not None and not cols[yz].keys() <= cols[y].keys():
-                return False
-    return True
+def _check_composition(law, phi: FinRel, groupoid: Groupoid, moves):
+    """Raise AxiomViolation(law) unless phi(m x id) = phi(id x phi), where
+    phi : G x X -> X and m is the product of G, `groupoid`.
+
+    A multi-valued phi is decided by two_sided_difference; a
+    single-valued one by the generator test of the module docstring, on
+    the move rows moves() returns, moves()[g][x] the index of phi(g, x).
+    The offender is computed on first access.
+    """
+    offender = lambda: two_sided_difference(phi, groupoid.m_rel, phi, phi)
+    if len(phi._by_index()) != len(phi.pairs):  # multi-valued: decided by the scan
+        offender = offender()
+    elif _composes_on_generators(moves(), groupoid):
+        offender = None
+    if offender is not None:
+        raise AxiomViolation(law, offender)
+
+
+def _after(f: dict, g: dict) -> dict:
+    """The partial map f after g."""
+    return {x: f[y] for x, y in g.items() if y in f}
+
+
+def _composes_on_generators(moves, groupoid: Groupoid) -> bool:
+    """phi(gh, x) ~= phi(g, phi(h, x)) for the generators h of G, on
+    the move rows of phi."""
+    cols = groupoid._cols  # cols[h][g] is gh
+    return all(
+        _after(move, moves[h]) == (moves[cols[h][g]] if g in cols[h] else {})
+        for h in _generators(groupoid._rows, cols)
+        for g, move in enumerate(moves)
+    )
 
 
 def _generators(rows, cols):

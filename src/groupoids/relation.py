@@ -26,22 +26,6 @@ universe and a product with the same name and elements) still give
 equal relations: such relations are compared, and composed, through
 their names.
 
-Fused check.  compose_product_differs(lhs, s, r, r1) answers
-lhs != s(r x r1), the shape of the groupoid and action unit laws,
-without building r x r1 or the composite.  It walks the input pairs
-(x, x1) of r and r1 row by row: the outputs of s(r x r1) at (x, x1)
-are the s-rows at the indices y * |Y1| + y1 for y in r(x) and y1 in
-r1(x1), and each must be a pair of lhs at input x * |X1| + x1.  It
-stops at the first output that lhs lacks; when none is missing, the
-two relations are equal exactly when the outputs found number
-|lhs|.  When lhs, s, r and r1 do not share their index spaces (a
-universe equal by name but indexed differently), it falls back to
-lhs != compose(s, product(r, r1)).  The two-sided laws have no side of
-this shape: groupoid.py and action.py decide them on index rows, and
-two_sided_difference compares two sides a(b x id) and c(id x d).  The
-morphism law h m = m' (h x h) has this shape, but morphism.py decides
-it on the two groupoids' row tables, without building h m.
-
 Collisions.  Component names may themselves contain commas (nested
 pairs do), so product_universe(a, b) refuses the product whenever two
 distinct pairs (x, y) would join to the same name.  When every name of
@@ -330,35 +314,6 @@ def compose(s: FinRel, r: FinRel) -> FinRel:
     by_index = s._by_index()
     pairs = frozenset([(z, x) for y, x in r.pairs for z in by_index.get(y, ())])
     return FinRel._from_indices(r.source, s.target, pairs)
-
-
-def compose_product_differs(lhs: FinRel, s: FinRel, r: FinRel, r1: FinRel) -> bool:
-    """lhs != compose(s, product(r, r1)), row by row, stopping at the
-    first output of the right side that lhs lacks."""
-    if not (
-        lhs.source.factors == r.source.factors + r1.source.factors
-        and s.source.factors == r.target.factors + r1.target.factors
-        and _same_space(lhs.target, s.target)
-    ):
-        return lhs != compose(s, product(r, r1))
-    pairs, srows = lhs.pairs, s._by_index()
-    rows1 = r1._by_index().items()
-    n1, m1 = len(r1.target), len(r1.source)
-    found = 0
-    for x, ys in r._by_index().items():
-        bases = [y * n1 for y in ys]
-        shift = x * m1
-        for x1, ys1 in rows1:
-            outs = set()
-            for base in bases:
-                for y1 in ys1:
-                    outs.update(srows.get(base + y1, ()))
-            key = shift + x1
-            for z in outs:
-                if (z, key) not in pairs:
-                    return True
-            found += len(outs)
-    return found != len(pairs)
 
 
 def two_sided_difference(a: FinRel, b: FinRel, c: FinRel, d: FinRel):

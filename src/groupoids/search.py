@@ -3,16 +3,16 @@
 The two morphism enumerators are deliberately independent oracles.  The
 naive one walks a candidate lattice factored by the unit and involution
 laws and decides every candidate by the law left, hm = m'(hxh).  Each
-choice's share of the graph is built once per call, as named pairs and
-as mask rows (input index -> bit mask of output indices); the choices'
-inputs are disjoint, so a candidate's rows are its choices' rows
-merged.  The law is decided on those rows by morphism._hm_differs, the
-function Morphism(...) decides it with, against one memo per call of
-the target's products of output masks, so every candidate is examined
-and none is pruned.  Only a survivor is joined into a named graph and
-validated in full by Morphism(...).  The structured one rebuilds
-candidates from base maps and single-fiber data, forced on index rows.
-Tests require their outputs to agree.
+choice's share of the graph is built once per call as mask rows (input
+index -> bit mask of output indices); the choices' inputs are disjoint,
+so a candidate's rows are its choices' rows merged.  The law is decided
+on those rows by morphism._hm_differs, the function Morphism(...)
+decides it with, against one memo per call of the target's products of
+output masks, so every candidate is examined and none is pruned.  Only
+a survivor's rows are read back into named pairs, through the index
+order of `elements.names`, and validated in full by Morphism(...).  The
+structured one rebuilds candidates from base maps and single-fiber
+data, forced on index rows.  Tests require their outputs to agree.
 
 The two action enumerators are independent in the same way: one goes
 through morphisms into the pair groupoid, the other is classical and
@@ -100,6 +100,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     unit_set = set(src_units)
     tgt_all = sorted(target.elements)
     s_index, t_index = source.elements.index, target.elements.index
+    s_names, t_names = source.elements.names, target.elements.names
 
     def mask(outs):
         return sum(1 << t_index[d] for d in outs)
@@ -109,9 +110,9 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
         for g in sorted(source.elements)
         if g not in unit_set and not source.inverse[g] < g
     ]
-    # each choice's share of the graph, built once: the pairs (d, g) and
-    # (s'(d), s(g)) for each rep g and output set, by name and as mask
-    # rows (input -> bit mask of outputs, no zero mask)
+    # each choice's share of the graph, built once as mask rows (input
+    # -> bit mask of outputs, no zero mask): g and, unless g is an
+    # involution, s(g) sent to the s'-image of g's outputs
     rep_chunks = []
     for g in reps:
         sg = source.inverse[g]
@@ -125,21 +126,16 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             opts = list(_subsets(tgt_all))
         chunks = []
         for outs in sorted(opts):
-            chunk = [(d, g) for d in outs]
             rows = {s_index[g]: mask(outs)} if outs else {}
-            if sg != g:
-                back = [target.inverse[d] for d in outs]
-                chunk += [(d, sg) for d in back]
-                if outs:
-                    rows[s_index[sg]] = mask(back)
-            chunks.append((chunk, rows))
+            if sg != g and outs:
+                rows[s_index[sg]] = mask(target.inverse[d] for d in outs)
+            chunks.append(rows)
         rep_chunks.append(chunks)
 
     found = []
     examined = 0
     memo = {}  # products of output masks in the target, shared by candidates
     for profile in _unit_profiles(src_units, target.units):
-        unit_pairs = [(d, e) for e, outs in profile.items() for d in outs]
         unit_rows = {s_index[e]: mask(outs) for e, outs in profile.items() if outs}
         for combo in itertools.product(*rep_chunks):
             examined += 1
@@ -150,16 +146,17 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
                 )
             # the choices' inputs are disjoint, so their rows just merge
             rows = dict(unit_rows)
-            for _, fragment in combo:
+            for fragment in combo:
                 rows.update(fragment)
             if _hm_differs(rows, source, target, memo):
                 continue
-            graph = list(itertools.chain(unit_pairs, *(pairs for pairs, _ in combo)))
-            try:
-                found.append(Morphism(source, target, graph))
-            except AxiomViolation as err:
-                if err.law != "hm=m'(hxh)":
-                    raise
+            graph = [
+                (t_names[d], s_names[x])
+                for x, mx in rows.items()
+                for d in range(len(t_names))
+                if mx >> d & 1
+            ]
+            found.append(Morphism(source, target, graph))
     found.sort(key=lambda h: sorted(h.graph))
     return found
 

@@ -48,7 +48,8 @@ from groupoids.errors import (
     PreconditionFailed,
     UniverseMismatch,
 )
-from groupoids.groupoid import SubgroupoidRef, cartesian_product
+from groupoids import action as action_module, groupoid as groupoid_module
+from groupoids.groupoid import Groupoid, SubgroupoidRef, cartesian_product
 from groupoids.morphism import (
     compose_morphisms,
     identity_morphism,
@@ -583,6 +584,27 @@ def test_action_laws_agree_with_the_materialized_sides(catalog, data):
     except AxiomViolation:  # commutes, but the graph is no morphism
         refused = False
     assert refused == (not commutes)
+
+
+def test_one_function_decides_both_composition_laws(monkeypatch):
+    """Associativity is the composition law of G acting on itself: a
+    checked Groupoid(...) and a checked Action(...) each decide their
+    law through the same function, once."""
+    check = groupoid_module._check_composition
+    assert action_module._check_composition is check
+    laws = []
+
+    def counted(law, *args):
+        laws.append(law)
+        return check(law, *args)
+
+    for module in (groupoid_module, action_module):
+        monkeypatch.setattr(module, "_check_composition", counted)
+    s3 = group_groupoid(symmetric_table(3))
+    g = Groupoid("S3", s3.elements, s3.units, s3.inverse, s3.table)
+    assert laws == ["m(mxid)=m(idxm)"]
+    Action(g, g.elements, s3.table)
+    assert laws == ["m(mxid)=m(idxm)", "phi(mxid)=phi(idxphi)"]
 
 
 def test_right_commuting_reads_a_carrier_indexed_apart_from_delta():

@@ -1,6 +1,7 @@
 """Groupoid validation, named axiom failures, and structural queries."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -17,6 +18,7 @@ from groupoids.errors import AxiomViolation, PreconditionFailed
 from groupoids.groupoid import (
     Groupoid,
     SubgroupoidRef,
+    _generators,
     cartesian_product,
     disjoint_union,
     validate_groupoid,
@@ -278,6 +280,56 @@ def test_associativity_agrees_with_the_materialized_sides(data):
     assert rejected == (lhs != rhs)
     if rejected:
         assert err.offender == first_difference(lhs, rhs)
+
+
+def one_product_edits(g, rng, per_kind):
+    """g's table after one single-valued edit of one product: a defined
+    product changed to another element or deleted, or a product set on
+    a pair that does not compose; at most per_kind of each, picked by
+    rng."""
+    names, rows = tuple(g.elements), list(g.table)
+    composable = {(a, b) for _, a, b in rows}
+    changes = [(r, c) for r in rows for c in names if c != r[0]]
+    inserts = [
+        (c, a, b)
+        for a, b in itertools.product(names, repeat=2)
+        if (a, b) not in composable
+        for c in names
+    ]
+    for row, c in rng.sample(changes, min(per_kind, len(changes))):
+        yield [r for r in rows if r != row] + [(c,) + row[1:]]
+    for row in rng.sample(rows, min(per_kind, len(rows))):
+        yield [r for r in rows if r != row]
+    for row in rng.sample(inserts, min(per_kind, len(inserts))):
+        yield rows + [row]
+
+
+def test_associativity_on_few_generators_agrees_with_the_materialized_sides():
+    """Tables larger than the catalog's, whose greedy generators are few,
+    after one single-valued edit of one product: rejected at
+    m(mxid)=m(idxm) exactly when the materialized sides differ."""
+    rng = random.Random(1311)
+    checked = rejected = 0
+    for g, generators in (
+        (group_groupoid(cyclic_table(12)), 2),
+        (group_groupoid(symmetric_table(4)), 4),
+        (pair_groupoid(Universe("X4", "abcd")), 7),
+    ):
+        assert len(list(_generators(g._rows, g._cols))) == generators
+        u = g.elements
+        idu = identity(u)
+        for table in one_product_edits(g, rng, per_kind=8):
+            m = triples_rel(u, u, u, table)
+            lhs, rhs = compose(m, product(m, idu)), compose(m, product(idu, m))
+            err = _rejection(tuple(u), g.units, g.inverse, table)
+            at_law = err is not None and err.law == "m(mxid)=m(idxm)"
+            assert at_law == (lhs != rhs)
+            if at_law:
+                assert err.offender == first_difference(lhs, rhs)
+            checked += 1
+            rejected += at_law
+    assert checked == 56  # the groups have no pair that does not compose
+    assert rejected > 0
 
 
 @st.composite

@@ -1,5 +1,5 @@
-"""The laws checked by compose_product_differs report lazily the law,
-offender and message the materialized comparison reports.
+"""The unit laws and hm=m'(hxh) report lazily the law, offender and
+message the materialized comparison reports.
 
 Each corpus below runs an exhaustive family of small inputs through
 the checked constructors, keeps the rejections at m(exid)=id,
