@@ -8,7 +8,12 @@ throughout the package: pair groupoids, set groupoids (units only),
 groups viewed as one-unit groupoids, bundles of groups, equivalence
 relations, the twisted product X x G x X, and transformation groupoids
 of a group action.  A raw group table is checked once; all else here is
-built unchecked, as groupoid.py says.
+built unchecked, as groupoid.py says.  Each groupoid builder computes its
+index rows by arithmetic on positions, such as x * |X| + y for the pair
+(x, y), and hands them to Groupoid._of_rows, through _placed when its
+positions are not the universe's index order.  Only the element names
+are made: the product triples and the inverse map are named when
+`table` or `inverse` is read.
 
 Element naming is part of each builder's contract:
 
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionFailed, UnknownElement
-from .groupoid import Groupoid
+from .groupoid import Groupoid, _placed
 from .relation import Universe, pair_name, product_universe
 
 
@@ -93,15 +98,6 @@ class GroupTable:
 
     def mult(self, a, b):
         return self.elements[self.rows[self._index[a]][self._index[b]]]
-
-    def _products(self) -> list:
-        """(ab, a, b) for all labels a and b."""
-        names = self.elements
-        return [
-            (names[ab], a, b)
-            for a, row in zip(names, self.rows)
-            for b, ab in zip(names, row)
-        ]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -266,51 +262,54 @@ def check_group_action(table: GroupTable, space: Universe, act: dict) -> dict:
     for x in space:
         if act[(table.unit, x)] != x:
             raise PreconditionFailed(f"identity moves {x!r}")
-    for gh, g, h in table._products():
-        for x in space:
-            if act[(g, act[(h, x)])] != act[(gh, x)]:
-                raise PreconditionFailed(
-                    f"action not compatible at ({g!r}, {h!r}, {x!r})"
-                )
+    names = table.elements
+    for g, row in zip(names, table.rows):
+        for h, gh in zip(names, row):
+            for x in space:
+                if act[(g, act[(h, x)])] != act[(names[gh], x)]:
+                    raise PreconditionFailed(
+                        f"action not compatible at ({g!r}, {h!r}, {x!r})"
+                    )
     return act
 
 
 def pair_groupoid(space: Universe, name=None) -> Groupoid:
     """All ordered pairs of points; (x,y) composes with (y,z) to (x,z)."""
-    elements = product_universe(space, space)
-    units = [pair_name(x, x) for x in space]
-    inverse = {
-        pair_name(x, y): pair_name(y, x) for x in space for y in space
-    }
-    table = [
-        (pair_name(x, z), pair_name(x, y), pair_name(y, z))
-        for x in space
-        for y in space
-        for z in space
+    # the pair (x, y) of point indices has index x * n + y
+    n = len(space)
+    rows = [
+        {y * n + z: x * n + z for z in range(n)} for x in range(n) for y in range(n)
     ]
+    inv = [y * n + x for x in range(n) for y in range(n)]
+    units = [x * n + x for x in range(n)]
     label = name or f"Pair({space.name})"
-    return Groupoid._trusted(label, elements, units, inverse, table)
+    return Groupoid._of_rows(label, product_universe(space, space), units, inv, rows)
 
 
 def set_groupoid(space: Universe, name=None) -> Groupoid:
     """Units only; every element is its own inverse and unit."""
-    return Groupoid._trusted(
-        name or f"Set({space.name})",
-        space,
-        space.elements,
-        {x: x for x in space},
-        [(x, x, x) for x in space],
+    n = len(space)
+    rows = [{x: x} for x in range(n)]
+    return Groupoid._of_rows(
+        name or f"Set({space.name})", space, range(n), list(range(n)), rows
     )
+
+
+def _inverses(table: GroupTable) -> list:
+    """inv[g] is the index of the inverse of g, on the table's indices."""
+    return [table._index[table.inv[g]] for g in table.elements]
 
 
 def group_groupoid(table: GroupTable, name=None) -> Groupoid:
     """A group seen as a groupoid with one unit."""
-    return Groupoid._trusted(
+    # the labels are sorted, so the universe indexes them as the table does
+    rows = [dict(enumerate(row)) for row in table.rows]
+    return Groupoid._of_rows(
         name or table.name,
         Universe(table.name, table.elements),
-        [table.unit],
-        dict(table.inv),
-        table._products(),
+        [table._index[table.unit]],
+        _inverses(table),
+        rows,
     )
 
 
@@ -319,20 +318,20 @@ def group_bundle(tables, name=None) -> Groupoid:
     tables = list(tables)
     if not tables:
         raise PreconditionFailed("group bundle needs at least one fibre")
-    elems = []
-    units = []
-    inverse = {}
-    triples = []
+    # fibre i takes the positions from its offset on, in table order
+    labels, units, inv, rows = [], [], [], []
     for i, t in enumerate(tables):
-        tag = lambda g, i=i: f"{i}:{g}"
-        elems.extend(tag(g) for g in t.elements)
-        units.append(tag(t.unit))
-        inverse.update({tag(g): tag(h) for g, h in t.inv.items()})
-        triples.extend((tag(ab), tag(a), tag(b)) for ab, a, b in t._products())
-    if len(set(elems)) != len(elems):
+        offset = len(labels)
+        labels.extend(f"{i}:{g}" for g in t.elements)
+        units.append(offset + t._index[t.unit])
+        inv.extend(offset + j for j in _inverses(t))
+        rows.extend(
+            {offset + b: offset + c for b, c in enumerate(row)} for row in t.rows
+        )
+    if len(set(labels)) != len(labels):
         raise PreconditionFailed("fibre tags collide")
     label = name or "+".join(t.name for t in tables)
-    return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)
+    return _placed(label, Universe(label, labels), labels, units, inv, rows)
 
 
 def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
@@ -351,26 +350,21 @@ def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
     if seen != set(space.elements):
         missing = min(set(space.elements) - seen)
         raise PreconditionFailed(f"{missing!r} belongs to no class")
-    elems = []
-    triples = []
+    # a class of k points takes k * k positions from its offset on, the
+    # pair of its x-th and y-th points at offset + x * k + y
+    labels, units, inv, rows = [], [], [], []
     for b in blocks:
-        elems.extend(pair_name(x, y) for x in b for y in b)
-        triples.extend(
-            (pair_name(x, z), pair_name(x, y), pair_name(y, z))
-            for x in b
-            for y in b
-            for z in b
+        offset, k = len(labels), len(b)
+        labels.extend(pair_name(x, y) for x in b for y in b)
+        units.extend(offset + x * k + x for x in range(k))
+        inv.extend(offset + y * k + x for x in range(k) for y in range(k))
+        rows.extend(
+            {offset + y * k + z: offset + x * k + z for z in range(k)}
+            for x in range(k)
+            for y in range(k)
         )
-    elements = Universe(f"{space.name}*{space.name}", elems)
-    units = [pair_name(x, x) for x in space]
-    inverse = {}
-    for b in blocks:
-        inverse.update(
-            {pair_name(x, y): pair_name(y, x) for x in b for y in b}
-        )
-    return Groupoid._trusted(
-        name or f"Equiv({space.name})", elements, units, inverse, triples
-    )
+    elements = Universe(f"{space.name}*{space.name}", labels)
+    return _placed(name or f"Equiv({space.name})", elements, labels, units, inv, rows)
 
 
 def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
@@ -382,43 +376,45 @@ def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
         raise PreconditionFailed(
             f"ambiguous names in product form over {space.name!r}"
         )
-    units = [f"{x}|{table.unit}|{x}" for x in space]
-    inverse = {
-        f"{x}|{g}|{y}": f"{y}|{table.inv[g]}|{x}"
-        for x in space
-        for g in table.elements
-        for y in space
-    }
-    products = table._products()
-    triples = [
-        (f"{x}|{gh}|{z}", f"{x}|{g}|{y}", f"{y}|{h}|{z}")
-        for x in space
-        for y in space
-        for z in space
-        for gh, g, h in products
+    # x|g|y is at position (x * |G| + g) * |X| + y, on point and group indices
+    n, ng = len(space), len(table)
+    at = lambda x, g, y: (x * ng + g) * n + y
+    group_inv = _inverses(table)
+    units = [at(x, table._index[table.unit], x) for x in range(n)]
+    positions = [(x, g, y) for x in range(n) for g in range(ng) for y in range(n)]
+    inv = [at(y, group_inv[g], x) for x, g, y in positions]
+    rows = [
+        {
+            at(y, h, z): at(x, gh, z)
+            for h, gh in enumerate(table.rows[g])
+            for z in range(n)
+        }
+        for x, g, y in positions
     ]
     label = name or f"{space.name}|{table.name}|{space.name}"
-    return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)
+    return _placed(label, Universe(label, elems), elems, units, inv, rows)
 
 
 def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) -> Groupoid:
     """The groupoid G x X of a group action; "g:x" runs from x to gx."""
     act = check_group_action(table, space, act)
-    elems = [f"{g}:{x}" for g in table.elements for x in space]
+    points = space.names
+    elems = [f"{g}:{x}" for g in table.elements for x in points]
     if len(set(elems)) != len(elems):
         raise PreconditionFailed(
             f"ambiguous names in transformation groupoid over {space.name!r}"
         )
-    units = [f"{table.unit}:{x}" for x in space]
-    inverse = {
-        f"{g}:{x}": f"{table.inv[g]}:{act[(g, x)]}"
-        for g in table.elements
-        for x in space
-    }
-    triples = [
-        (f"{gh}:{x}", f"{g}:{act[(h, x)]}", f"{h}:{x}")
-        for gh, g, h in table._products()
-        for x in space
-    ]
+    # g:x is at position g * |X| + x, on group and point indices, and
+    # (g:hx)(h:x) = gh:x
+    n, index = len(space), space.index
+    moved = [[index[act[(g, x)]] for x in points] for g in table.elements]
+    group_inv = _inverses(table)
+    units = [table._index[table.unit] * n + x for x in range(n)]
+    inv = [group_inv[g] * n + moved[g][x] for g in range(len(table)) for x in range(n)]
+    rows = [{} for _ in elems]
+    for h, to in enumerate(moved):
+        for x, hx in enumerate(to):
+            for g, gh in enumerate(table.rows):
+                rows[g * n + hx][h * n + x] = gh[h] * n + x
     label = name or f"{table.name}:{space.name}"
-    return Groupoid._trusted(label, Universe(label, elems), units, inverse, triples)
+    return _placed(label, Universe(label, elems), elems, units, inv, rows)

@@ -21,12 +21,15 @@ of the axioms, so the constructor reads the partial operation off the
 table without re-proving them; the tests check them against an
 independent oracle.
 
-The product is held once, on indices: the constructor builds `_rows`,
-with `_rows[x][y]` the index of xy, and the index lists `_inv`, `_left`
-and `_right` of s, e_L and e_R.  `_cols` and `_factor_counts` are lazy
-views of it; the laws and the other modules read it.  Names appear only
-at the boundary: the data read in, and mult, inv, e_left, e_right and
-composable, which translate.
+The product is held once, on indices: `_rows`, with `_rows[x][y]` the
+index of xy, and the index lists `_inv`, `_left` and `_right` of s, e_L
+and e_R.  Rows go in: the builders hand them to Groupoid._of_rows, the
+one unchecked set-up, which _trusted reaches by one indexing pass over
+named triples.  Names come out on first read: `table` and `inverse` are
+views of `_rows` and `_inv`, but for the checked constructor, whose
+laws read the triples and the map it was given.  Names appear only at
+the boundary: the data read in, those views, and mult, inv, e_left,
+e_right and composable, which translate.
 
 The two-sided laws are decided on index rows, without building a
 relation on G x G x G.  Write x ~= y (Kleene equality) for "both are
@@ -67,9 +70,9 @@ symmetric difference completes the sorted-least pair, the offender in
 both cases.
 
 s m = m flip (s x s).  It is checked after s s = id, so s is a total
-involution, and the two sides are {(s(c), (a, b))} and
-{(c, (s(b), s(a)))} over the triples (c, a, b) of m: one O(|m|) pass
-each, with no s x s and no flip.
+involution, and the law says s(xy) ~= s(y)s(x) as sets of outputs at
+every pair (x, y): one pass over m's defined pairs, with no s x s, no
+flip and neither side built; the offender builds them, as index pairs.
 
 The unit laws m(e x id) = id and m(id x e) = id are one-sided and are
 compared as they read, with m(e x id) and m(id x e) built.
@@ -81,9 +84,10 @@ validate_groupoid, enumerator candidates, the classical data of
 classical_to_relational, functor_to_morphism and functor_to_zm, the
 output of right_commuting_to_morphism, and user calls.  What the package
 builds from structures it holds is valid by the paper's theorems and
-comes from the class's _trusted constructor, which skips the axioms
-(Groupoid._trusted still refuses ambiguous pair names).  The grids in
-tests/test_builders.py and tests/test_trusted.py prove those builds.
+comes from the class's _trusted constructor, or Groupoid._of_rows,
+which skip the axioms (a groupoid still refuses ambiguous pair names).
+The grids in tests/test_builders.py and tests/test_trusted.py prove
+those builds.
 Derived constructions (kernels, quotients, cosets, factorizations,
 decompositions, Ad) are theorems of checked inputs, not re-checked bar
 the checks tests name (witnesses, bisection cross-checks); each module
@@ -93,7 +97,8 @@ phi sends x|g|y to an arrow from y to x, phi(x|g|y) phi(y|h|z) =
 s(p(x)) g p(y)s(p(y)) h p(z) = phi(x|gh|z), and gamma -> l|p(l) gamma
 s(p(r))|r (l, r its units) inverts it.
 
-Equality of groupoids is structural and ignores the display name.
+Equality of groupoids is structural and ignores the display name; it
+is decided on index rows.
 """
 
 from __future__ import annotations
@@ -109,7 +114,6 @@ from .relation import (
     compose,
     first_difference as _first_difference,
     identity,
-    pair_name,
     product,
     product_universe,
     triples_rel,
@@ -121,41 +125,70 @@ from .relation import (
 
 class Groupoid:
     def __init__(self, name, elements, units, inverse, table):
-        self._read(name, elements, units, inverse, table, check=True)
-
-    @classmethod
-    def _trusted(cls, name, elements, units, inverse, table):
-        """A groupoid built from structures the package holds, unchecked."""
-        groupoid = cls.__new__(cls)
-        groupoid._read(name, elements, units, inverse, table, check=False)
-        return groupoid
-
-    def _read(self, name, elements, units, inverse, table, check):
         if not isinstance(elements, Universe):
             elements = Universe(str(name), elements)
         self.name = name
         self.elements = elements
         self.units = tuple(sorted(set(units)))
+        self._unit_set = frozenset(self.units)
+        # the checks read the data as given, so it is kept by name
         self.inverse = dict(inverse)
         self.table = tuple(sorted(set(table)))
+        self._check_structure()
+        self._inv, self._rows = _index_pass(elements, self.inverse, self.table)
+        self.m_rel = triples_rel(elements, elements, elements, self.table)
+        self._check_relational_axioms()
+        units = list(map(elements.index.__getitem__, self.units))
+        self._setup(name, elements, units, self._inv, self._rows)
+
+    @classmethod
+    def _trusted(cls, name, elements, units, inverse, table):
+        """A groupoid built from named structures the package holds,
+        unchecked."""
+        if not isinstance(elements, Universe):
+            elements = Universe(str(name), elements)
+        inv, rows = _index_pass(elements, inverse, table)
+        units = list(map(elements.index.__getitem__, set(units)))
+        return cls._of_rows(name, elements, units, inv, rows)
+
+    @classmethod
+    def _of_rows(cls, name, elements: Universe, units, inv, rows):
+        """A groupoid built on index rows, unchecked: units, inv and rows
+        are on the indices of `elements`, inv[x] the index of s(x) and
+        rows[x][y] that of xy."""
+        groupoid = cls.__new__(cls)
+        groupoid._setup(name, elements, units, inv, rows)
+        return groupoid
+
+    def _setup(self, name, elements, units, inv, rows):
+        self.name = name
+        self.elements = elements
+        self._index, self._names = elements.index, elements.names
+        self.units = tuple(sorted(map(self._names.__getitem__, units)))
         self._unit_set = frozenset(self.units)
-        if check:
-            self._check_structure()
-        # the one index form of the product, built once: rows[x][y] is the
-        # index of xy.  Every name in the table and the inverse map is an
-        # element, checked or by construction.
-        self._index, self._names = index, names = elements.index, elements.names
-        self._rows = rows = [{} for _ in names]
-        for c, a, b in self.table:
-            rows[index[a]][index[b]] = index[c]
-        self._inv = inv = [index[self.inverse[g]] for g in names]
-        if check:
-            self._check_relational_axioms()
+        self._inv, self._rows = inv, rows
         product_universe(elements, elements)  # raises on ambiguous pair names
         # the axioms make m single-valued, with g s(g) = e_L(g) and
         # s(g) g = e_R(g)
         self._left = [row[j] for row, j in zip(rows, inv)]
         self._right = [rows[j][i] for i, j in enumerate(inv)]
+
+    @cached_property
+    def table(self) -> tuple:
+        """The (xy, x, y) triples of the product by name, sorted."""
+        names = self._names
+        return tuple(
+            sorted(
+                (names[c], names[a], names[b])
+                for a, row in enumerate(self._rows)
+                for b, c in row.items()
+            )
+        )
+
+    @cached_property
+    def inverse(self) -> dict:
+        names = self._names
+        return dict(zip(names, map(names.__getitem__, self._inv)))
 
     # -- validation -------------------------------------------------
 
@@ -183,11 +216,16 @@ class Groupoid:
 
     # The three relations are read by index: every name in the table, the
     # inverse map and the units is an element, checked or by construction.
+    # The checked constructor reads m off the triples it was given, which
+    # may be multi-valued; otherwise m is read off `_rows`.
 
     @cached_property
     def m_rel(self) -> FinRel:
-        u = self.elements
-        return triples_rel(u, u, u, self.table)
+        u, n = self.elements, len(self._rows)
+        pairs = [
+            (c, a * n + b) for a, row in enumerate(self._rows) for b, c in row.items()
+        ]
+        return FinRel._from_indices(product_universe(u, u), u, frozenset(pairs))
 
     @cached_property
     def s_rel(self) -> FinRel:
@@ -239,22 +277,9 @@ class Groupoid:
         if ss != idu:
             raise AxiomViolation("s2=id", lambda: _first_difference(ss, idu))
 
-        # s2=id holds, so s is a total involution: over the pairs
-        # (c, (a, b)) of m, s m is {(s(c), (a, b))} and m flip (s x s)
-        # is {(c, (s(b), s(a)))}
         n, index, inv = len(u), u.index, self._inv
-        sm = FinRel._from_indices(
-            m.source, u, frozenset([(inv[c], ab) for c, ab in m.pairs])
-        )
-        msxs = FinRel._from_indices(
-            m.source,
-            u,
-            frozenset([(c, inv[ab % n] * n + inv[ab // n]) for c, ab in m.pairs]),
-        )
-        if sm != msxs:
-            raise AxiomViolation(
-                "sm=m.flip(sxs)", lambda: _first_difference(sm, msxs)
-            )
+        if not _reverses(m, inv):
+            raise AxiomViolation("sm=m.flip(sxs)", lambda: _flip_offender(m, inv))
 
         by_pair = m._by_index()
         for g in u:
@@ -367,14 +392,16 @@ class Groupoid:
         """Equality of element names, units, inverse, and table.
 
         Ignores display and universe names, so groupoids read back from
-        documents compare equal to freshly built ones.
+        documents compare equal to freshly built ones.  Decided on index
+        rows, moved onto the other's indices.
         """
-        return (
-            set(self.elements) == set(other.elements)
-            and self._unit_set == set(other.units)
-            and self.inverse == other.inverse
-            and set(self.table) == set(other.table)
-        )
+        at = list(map(other._index.get, self._names))
+        if len(at) != len(other._names) or None in at:
+            return False
+        if self._unit_set != other._unit_set:
+            return False
+        inv, rows = _moved(at, self._inv, self._rows)
+        return inv == other._inv and rows == other._rows
 
     def is_subgroupoid(self, members) -> bool:
         try:
@@ -425,24 +452,74 @@ class Groupoid:
         return base, g0, phi
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Groupoid)
             and self.elements == other.elements
-            and self.units == other.units
-            and self.inverse == other.inverse
-            and self.table == other.table
+            and self.same_structure(other)
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.elements, self.units, tuple(sorted(self.inverse.items())), self.table)
-        )
+        return hash((self.elements, self.units, sum(map(len, self._rows))))
 
     def __repr__(self) -> str:
         return (
             f"Groupoid({self.name!r}, {len(self.elements)} elements, "
             f"{len(self.units)} units)"
         )
+
+
+def _index_pass(elements: Universe, inverse, table):
+    """(inv, rows) of a named inverse map and product table: inv[x] is
+    the index of s(x) and rows[x][y] that of xy."""
+    index = elements.index
+    rows = [{} for _ in index]
+    for c, a, b in table:
+        rows[index[a]][index[b]] = index[c]
+    return [index[inverse[g]] for g in elements.names], rows
+
+
+def _moved(at, inv, rows):
+    """inv and rows moved onto other indices, index k to at[k]."""
+    if at == list(range(len(at))):
+        return inv, rows
+    moved_inv, moved_rows = [None] * len(at), [None] * len(at)
+    for k, j, row in zip(at, inv, rows):
+        moved_inv[k] = at[j]
+        moved_rows[k] = {at[b]: at[c] for b, c in row.items()}
+    return moved_inv, moved_rows
+
+
+def _flip_offender(m: FinRel, inv):
+    """The offender of sm=m.flip(sxs): over the pairs (c, (a, b)) of m,
+    s m is {(s(c), (a, b))} and m flip (s x s) is {(c, (s(b), s(a)))}."""
+    n = len(inv)
+    sm = [(inv[c], ab) for c, ab in m.pairs]
+    msxs = [(c, inv[ab % n] * n + inv[ab // n]) for c, ab in m.pairs]
+    return _first_difference(
+        FinRel._from_indices(m.source, m.target, frozenset(sm)),
+        FinRel._from_indices(m.source, m.target, frozenset(msxs)),
+    )
+
+
+def _reverses(m: FinRel, inv) -> bool:
+    """s(xy) ~= s(y)s(x) for every pair (x, y), as sets of outputs, in
+    one pass over the defined pairs x * n + y of m.
+
+    s is a total involution, so (x, y) -> (s(y), s(x)) is a bijection of
+    pairs, and an undefined pair whose flip is defined is caught at the
+    flip: the defined pairs are enough."""
+    by_pair, n = m._by_index(), len(inv)
+    for xy, outs in by_pair.items():
+        x, y = divmod(xy, n)
+        flipped = by_pair.get(inv[y] * n + inv[x], ())
+        if len(outs) != len(flipped):
+            return False
+        if len(outs) == 1:
+            if inv[outs[0]] != flipped[0]:
+                return False
+        elif set(map(inv.__getitem__, outs)) != set(flipped):
+            return False
+    return True
 
 
 def _check_composition(law, phi: FinRel, groupoid: Groupoid, moves):
@@ -540,13 +617,16 @@ class SubgroupoidRef(object):
         parent = self.parent
         if name is None:
             name = f"{parent.name}[{'+'.join(sorted(self.members))}]"
-        return Groupoid._trusted(
-            name,
-            Universe(parent.elements.name, self.members),
-            self.units,
-            {g: parent.inverse[g] for g in self.members},
-            [t for t in parent.table if t[1] in self.members and t[2] in self.members],
-        )
+        elements = Universe(parent.elements.name, self.members)
+        # at[i] is the index in `elements` of the parent's element i; the
+        # members are closed under products and inverses
+        at = {parent._index[g]: k for k, g in enumerate(elements.names)}
+        rows = [
+            {at[b]: at[c] for b, c in parent._rows[i].items() if b in at} for i in at
+        ]
+        inv = [at[parent._inv[i]] for i in at]
+        units = [at[parent._index[e]] for e in self.units]
+        return Groupoid._of_rows(name, elements, units, inv, rows)
 
     def __eq__(self, other):
         return (
@@ -562,35 +642,45 @@ class SubgroupoidRef(object):
         return f"SubgroupoidRef({self.parent.name!r}, {len(self.members)} members)"
 
 
+def _placed(name, elements: Universe, labels, units, inv, rows) -> Groupoid:
+    """The groupoid on `elements` given on positions in `labels`, a list
+    of its names: units, inv and rows as for Groupoid._of_rows, with
+    position k standing for labels[k].  They are moved once onto the
+    universe's indices."""
+    at = list(map(elements.index.__getitem__, labels))
+    inv, rows = _moved(at, inv, rows)
+    return Groupoid._of_rows(name, elements, [at[e] for e in units], inv, rows)
+
+
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Disjoint union; elements are tagged "L:x" and "R:y"."""
-    left = {g: f"L:{g}" for g in g1.elements}
-    right = {g: f"R:{g}" for g in g2.elements}
-    elements = Universe(
-        f"{g1.elements.name}+{g2.elements.name}",
-        list(left.values()) + list(right.values()),
-    )
-    units = [left[e] for e in g1.units] + [right[e] for e in g2.units]
-    inverse = {left[g]: left[h] for g, h in g1.inverse.items()}
-    inverse.update({right[g]: right[h] for g, h in g2.inverse.items()})
-    table = [(left[c], left[a], left[b]) for c, a, b in g1.table]
-    table += [(right[c], right[a], right[b]) for c, a, b in g2.table]
-    return Groupoid._trusted(f"{g1.name}+{g2.name}", elements, units, inverse, table)
+    # g2's element of index i is at position |g1| + i
+    n = len(g1._rows)
+    labels = [f"L:{g}" for g in g1._names] + [f"R:{g}" for g in g2._names]
+    units = [g1._index[e] for e in g1.units]
+    units += [n + g2._index[e] for e in g2.units]
+    inv = g1._inv + [n + j for j in g2._inv]
+    rows = [dict(row) for row in g1._rows]
+    rows += [{n + b: n + c for b, c in row.items()} for row in g2._rows]
+    elements = Universe(f"{g1.elements.name}+{g2.elements.name}", labels)
+    return _placed(f"{g1.name}+{g2.name}", elements, labels, units, inv, rows)
 
 
 def cartesian_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Product groupoid: (a1,a2)(b1,b2) = (a1 b1, a2 b2) where both
     products are defined."""
-    pu = product_universe(g1.elements, g2.elements)
-    triples = [
-        (pair_name(c1, c2), pair_name(a1, a2), pair_name(b1, b2))
-        for c1, a1, b1 in g1.table
-        for c2, a2, b2 in g2.table
+    # the pair (a1, a2) has index a1 * |g2| + a2
+    n = len(g2._rows)
+    rows = [
+        {
+            b1 * n + b2: c1 * n + c2
+            for b1, c1 in row1.items()
+            for b2, c2 in row2.items()
+        }
+        for row1 in g1._rows
+        for row2 in g2._rows
     ]
-    units = [pair_name(e1, e2) for e1 in g1.units for e2 in g2.units]
-    inverse = {
-        pair_name(a, b): pair_name(g1.inverse[a], g2.inverse[b])
-        for a in g1.elements
-        for b in g2.elements
-    }
-    return Groupoid._trusted(f"{g1.name}x{g2.name}", pu, units, inverse, triples)
+    inv = [i1 * n + i2 for i1 in g1._inv for i2 in g2._inv]
+    units = [g1._index[e1] * n + g2._index[e2] for e1 in g1.units for e2 in g2.units]
+    pu = product_universe(g1.elements, g2.elements)
+    return Groupoid._of_rows(f"{g1.name}x{g2.name}", pu, units, inv, rows)

@@ -568,11 +568,11 @@ def separating_pair(groupoid: Groupoid, part):
         for g in h_set:  # swap g and g gamma0
             sigma[g] = groupoid.mult(g, gamma0)
             sigma[sigma[g]] = g
-        probe = pair_groupoid(groupoid.elements)
+        k1 = left_regular(groupoid)
+        probe = k1.target  # the pair groupoid on the elements, built once
         twist = Bisection(
             probe, {pair_name(sigma[g], g) for g in groupoid.elements}
         )
-        k1 = left_regular(groupoid)
         k2 = compose_morphisms(ad(twist), k1)
     else:
         gamma0 = min(outside)

@@ -39,6 +39,7 @@ from groupoids.errors import (
     UniverseError,
     UnknownElement,
 )
+from groupoids import morphism
 from groupoids.groupoid import Groupoid, cartesian_product, disjoint_union
 from groupoids.relation import Universe
 from groupoids.search import find_groupoid_isomorphism
@@ -237,6 +238,47 @@ def test_unchecked_builds_pass_the_checked_constructor_and_the_oracle(catalog):
         verdict = groupoid_violation(g.elements, g.units, g.inverse, g.table)
         assert verdict is None, label
     assert count == 10 + 15 + 4 + 13 + 5 + 15 + 5 + 44 + 20 + 14 + 33 + 11 + 30
+
+
+def test_builds_name_their_triples_only_when_read(catalog):
+    """A groupoid the package builds holds its product on index rows: it
+    names neither its triples nor its inverse map until one is read."""
+    z2, z6, s3 = cyclic_table(2), cyclic_table(6), symmetric_table(3)
+    space, pq = Universe("X4", "abcd"), Universe("PQ", "pq")
+    swap = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+    pf = catalog["PF"]
+    built = {
+        "pair": pair_groupoid(space),
+        "set": set_groupoid(space),
+        "group": group_groupoid(symmetric_table(4)),
+        "bundle": group_bundle([z6, s3, trivial_table()]),
+        "equivalence": equivalence_groupoid(space, [["a", "c"], ["b", "d"]]),
+        "product form": product_form(Universe("B3", "xyz"), s3),
+        "transformation": transformation_groupoid(z2, pq, swap),
+        "cartesian product": cartesian_product(catalog["P2"], catalog["BD"]),
+        "disjoint union": disjoint_union(catalog["P2"], catalog["BD"]),
+        "restriction": pf.restrict(["x|0|x"]),
+        "component": catalog["BD"].transitive_components()[0].as_groupoid(),
+    }
+    for label, g in built.items():
+        g.orbits()
+        assert "table" not in vars(g) and "inverse" not in vars(g), label
+
+
+def test_separating_pair_builds_one_pair_groupoid(catalog, monkeypatch):
+    """The pair groupoid on PF's elements is both the probe and the
+    target of the left translations, built once and never named."""
+    pf, make, calls = catalog["PF"], morphism.pair_groupoid, []
+
+    def counted(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(morphism, "pair_groupoid", counted)
+    probe, k1, k2 = morphism.separating_pair(pf, pf.units)
+    assert len(calls) == 1
+    assert probe is k1.target is k2.target
+    assert "table" not in vars(probe)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from groupoids.builders import (
     group_groupoid,
     pair_groupoid,
     set_groupoid,
+    subgroups_of,
     symmetric_table,
 )
 from groupoids.errors import AxiomViolation, PreconditionFailed
@@ -363,6 +364,73 @@ def test_antihomomorphism_agrees_with_the_materialized_sides(catalog, data):
     assert rejected == (sm != msxs)
     if rejected:
         assert err.offender == first_difference(sm, msxs)
+
+
+def double_coset_data(table, sub):
+    """The double cosets HgH of a subgroup H, named by their least
+    members: a multi-valued product HxH.HyH = {HxhyH : h in H} that
+    keeps associativity and the unit laws, with unit H and inverse
+    HgH -> Hs(g)H."""
+    rep = {
+        g: min(table.mult(table.mult(h1, g), h2) for h1 in sub for h2 in sub)
+        for g in table.elements
+    }
+    names = sorted(set(rep.values()))
+    products = {
+        (rep[table.mult(table.mult(x, h), y)], x, y)
+        for x in names
+        for y in names
+        for h in sub
+    }
+    return names, [rep[table.unit]], {x: rep[table.inv[x]] for x in names}, products
+
+
+def involutions(names, rng):
+    """Every total involution of names when there are at most four of
+    them, else five picked by rng."""
+    if len(names) <= 4:
+        perms = itertools.permutations(names)
+        maps = (dict(zip(names, p)) for p in perms)
+        return [s for s in maps if all(s[s[x]] == x for x in names)]
+    out = []
+    for _ in range(5):
+        inverse, shuffled = {x: x for x in names}, rng.sample(names, len(names))
+        k = rng.randint(0, len(names) // 2)
+        for x, y in zip(shuffled[: 2 * k : 2], shuffled[1 : 2 * k : 2]):
+            inverse[x], inverse[y] = y, x
+        out.append(inverse)
+    return out
+
+
+def test_antihomomorphism_on_multivalued_tables_agrees_with_the_materialized_sides():
+    """The double coset tables of S4 by its subgroups of order 1 to 4,
+    under their own inverse and other total involutions: every law
+    before sm=m.flip(sxs) holds, and the table is multi-valued unless
+    the subgroup is normal.  Rejected at that law exactly when the
+    materialized sides differ, with their sorted-least difference as
+    offender."""
+    rng = random.Random(1311)
+    s4 = symmetric_table(4)
+    seen = set()
+    for sub in subgroups_of(s4):
+        if len(sub) > 4:
+            continue
+        names, units, inverse, table = double_coset_data(s4, sub)
+        u = Universe("M", names)
+        m = triples_rel(u, u, u, table)
+        multi = len(m.pairs) != len(m._by_index())
+        for involution in [inverse, *involutions(names, rng)]:
+            s = FinRel(u, u, [(involution[x], x) for x in names])
+            sm = compose(s, m)
+            msxs = compose(m, compose(flip(u, u), product(s, s)))
+            err = _rejection(names, units, involution, table)
+            assert err is None or err.law in ("sm=m.flip(sxs)", "m(s(g),g)-in-units")
+            rejected = err is not None and err.law == "sm=m.flip(sxs)"
+            assert rejected == (sm != msxs)
+            if rejected:
+                assert err.offender == first_difference(sm, msxs)
+            seen.add((multi, rejected))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_composable_pairs(catalog):
