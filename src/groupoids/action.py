@@ -57,7 +57,14 @@ from .relation import (
     triples_rel,
     unitor_left,
 )
-from .groupoid import Groupoid, SubgroupoidRef, _after, _check_composition, _generators
+from .groupoid import (
+    Groupoid,
+    SubgroupoidRef,
+    _after,
+    _check_composition,
+    _generators,
+    _placed,
+)
 from .builders import GroupTable, check_group_action, pair_groupoid, product_form
 from .morphism import (
     Morphism,
@@ -93,18 +100,21 @@ class Action:
     def _check_axioms(self):
         g, x, rel = self.groupoid, self.carrier, self.rel
         product_universe(g.m_rel.source, x)  # refuses ambiguous triple names
-        _check_composition("phi(mxid)=phi(idxphi)", rel, g, self._moves)
+        _check_composition("phi(mxid)=phi(idxphi)", lambda: rel, g, self._moves())
         lhs, unit = compose(rel, product(g.e_rel, identity(x))), unitor_left(x)
         if lhs != unit:
             raise AxiomViolation(
                 "phi(exid)=id", lambda: first_difference(lhs, unit)
             )
 
-    def _moves(self) -> list:
-        """moves[g][x] is the index of phi(g, x), for single-valued phi."""
-        n = len(self.carrier)
+    def _moves(self):
+        """moves[g][x] is the index of phi(g, x), or None when phi is
+        multi-valued."""
+        n, by_pair = len(self.carrier), self.rel._by_index()
+        if len(by_pair) != len(self.rel.pairs):
+            return None
         moves = [{} for _ in self.groupoid.elements.names]
-        for gx, (y,) in self.rel._by_index().items():
+        for gx, (y,) in by_pair.items():
             g, x = divmod(gx, n)
             moves[g][x] = y
         return moves
@@ -291,31 +301,20 @@ def action_groupoid(action: Action) -> Groupoid:
     """The groupoid of moves (g, x) with multiplication over matching x."""
     g, rho = action.groupoid, action.base_map
     members = sorted(action.domain)
-    elements = Universe(
-        f"{g.elements.name}*{action.carrier.name}",
-        tuple(pair_name(gamma, x) for gamma, x in members),
-    )
-    units = [pair_name(rho[x], x) for x in action.carrier]
-    inverse = {
-        pair_name(gamma, x): pair_name(g.inverse[gamma], action.apply(gamma, x))
-        for gamma, x in members
-    }
-    table = []
-    for gamma2, x in members:
+    labels = [pair_name(gamma, x) for gamma, x in members]
+    elements = Universe(f"{g.elements.name}*{action.carrier.name}", labels)
+    # position k is the move members[k]; (g1, g2 x)(g2, x) = (g1 g2, x)
+    at = {move: k for k, move in enumerate(members)}
+    names, cols = g._names, g._cols  # cols[b][a] is the index of ab
+    units = [at[(rho[x], x)] for x in action.carrier]
+    inv = [at[(g.inverse[gamma], action.apply(gamma, x))] for gamma, x in members]
+    rows = [{} for _ in members]
+    for k, (gamma2, x) in enumerate(members):
         moved = action.apply(gamma2, x)
-        for gamma1 in g.elements:
-            prod = g.mult(gamma1, gamma2)
-            if prod is not None:
-                table.append(
-                    (
-                        pair_name(prod, x),
-                        pair_name(gamma1, moved),
-                        pair_name(gamma2, x),
-                    )
-                )
-    return Groupoid._trusted(
-        f"Act({g.name},{action.carrier.name})", elements, units, inverse, table
-    )
+        for gamma1, prod in cols[g._index[gamma2]].items():
+            rows[at[(names[gamma1], moved)]][k] = at[(names[prod], x)]
+    name = f"Act({g.name},{action.carrier.name})"
+    return _placed(name, elements, labels, units, inv, rows)
 
 
 def action_groupoid_functor(h: Morphism):
@@ -441,22 +440,20 @@ def _quotient(groupoid: Groupoid, members):
     """quotient_groupoid on members it need not check: a wide subgroupoid
     of the isotropy bundle, normal at every unit, such as a kernel."""
     classes, projection = _cosets(groupoid, members)
-    table = {
-        (projection[c], projection[a], projection[b])
-        for c, a, b in groupoid.table
-    }
-    inverse = {
-        projection[block[0]]: projection[groupoid.inverse[block[0]]]
-        for block in classes
-    }
-    units = sorted({projection[e] for e in groupoid.units})
-    elements = Universe(
-        f"{groupoid.elements.name}/G",
-        tuple(projection[block[0]] for block in classes),
-    )
-    quotient = Groupoid._trusted(
-        f"{groupoid.name}/G", elements, units, inverse, table
-    )
+    # position k is the class classes[k]; at[i] is the class of element i,
+    # and the products and inverses of a class's elements fall in one class
+    index, at = groupoid._index, [0] * len(groupoid._rows)
+    for k, block in enumerate(classes):
+        for g in block:
+            at[index[g]] = k
+    rows, class_of = [{} for _ in classes], at.__getitem__
+    for i, row in enumerate(groupoid._rows):
+        rows[at[i]].update(zip(map(class_of, row), map(class_of, row.values())))
+    inv = [at[groupoid._inv[index[block[0]]]] for block in classes]
+    units = {at[index[e]] for e in groupoid.units}
+    labels = [projection[block[0]] for block in classes]
+    elements = Universe(f"{groupoid.elements.name}/G", labels)
+    quotient = _placed(f"{groupoid.name}/G", elements, labels, units, inv, rows)
     pi = Morphism._trusted(
         groupoid, quotient, ((projection[g], g) for g in groupoid.elements)
     )

@@ -1,9 +1,9 @@
 """Finite groupoids presented by relational data.
 
 A groupoid is a quadruple (elements, units, inverse, table).  The table
-is the graph of the multiplication relation m : G x G -> G and is kept
-as (product, left, right) triples, output first.  Groupoid(...) checks
-that every name is an element, then the relational axioms
+is the graph of the multiplication relation m : G x G -> G, given and
+read as (product, left, right) triples, output first.  Groupoid(...)
+checks that every name is an element, then the relational axioms
 
     m(m x id) = m(id x m)
     m(e x id) = m(id x e) = id
@@ -25,13 +25,19 @@ The product is held once, on indices: `_rows`, with `_rows[x][y]` the
 index of xy, and the index lists `_inv`, `_left` and `_right` of s, e_L
 and e_R.  Rows go in: the builders hand them to Groupoid._of_rows, the
 one unchecked set-up, which _trusted reaches by one indexing pass over
-named triples.  Names come out on first read: `table` and `inverse` are
-views of `_rows` and `_inv`, but for the checked constructor, whose
-laws read the triples and the map it was given.  Names appear only at
-the boundary: the data read in, those views, and mult, inv, e_left,
-e_right and composable, which translate.
+named triples.  The checked constructor makes the same pass, and m is
+single-valued exactly when the rows hold as many products as there are
+triples; it keeps the relation of the triples only when they are not.
+Names come out on first read: `table` and `inverse` are views of
+`_rows` and `_inv`, for every groupoid, as every accepted m is
+single-valued.  Names appear only at the boundary: the data read in,
+those views, and mult, inv, e_left, e_right and composable, which
+translate.
 
-The two-sided laws are decided on index rows, without building a
+For a single-valued m every law is decided on index rows, without
+building a relation; a multi-valued m, which no row can hold, is
+decided on relations.  Either way the offender comes from the law's
+relations, built on first access.  The two-sided laws never build a
 relation on G x G x G.  Write x ~= y (Kleene equality) for "both are
 undefined, or both are defined and equal".
 
@@ -61,21 +67,25 @@ of Semigroups I, 1961, section 1.2).  The set is greedy: the least
 element not yet generated, then the closure under defined products,
 until every element is generated.  For each generator h and each g,
 phi(g, -) after phi(h, -), a partial map on X, must equal phi(gh, -),
-or be empty where gh is undefined: one dict comparison on the move
-rows.  A multi-valued phi is decided by relation.py's
-two_sided_difference: for each output w in name order it builds the
-two preimages of w as sets of triple indices.  The first w where they
+or be empty where gh is undefined: a comparison of two lists read off
+the move rows, or a disjointness test.  A multi-valued phi is decided
+by relation.py's two_sided_difference: for each output w in name order
+it builds the two preimages of w as sets of triple indices.  The first w where they
 differ has the least output name, and the least input name of their
 symmetric difference completes the sorted-least pair, the offender in
 both cases.
 
 s m = m flip (s x s).  It is checked after s s = id, so s is a total
-involution, and the law says s(xy) ~= s(y)s(x) as sets of outputs at
-every pair (x, y): one pass over m's defined pairs, with no s x s, no
-flip and neither side built; the offender builds them, as index pairs.
+involution, and the law says s(xy) ~= s(y)s(x) at every pair (x, y):
+for a single-valued m, one pass over the rows, with no s x s, no flip
+and neither side built.  A multi-valued m compares the two sides, built
+as index pairs, which also give the offender.
 
-The unit laws m(e x id) = id and m(id x e) = id are one-sided and are
-compared as they read, with m(e x id) and m(id x e) built.
+The unit laws m(e x id) = id and m(id x e) = id are one-sided.  For a
+single-valued m they say that every entry of the rows m(e, -), or of
+the columns m(-, e), over the units e is a fixed point, and that those
+entries cover G; a multi-valued m compares them as they read, with
+m(e x id) and m(id x e) built.  s s = id reads `_inv`, whatever m is.
 
 Boundary policy, for groupoids, morphisms and actions alike: the
 checking constructors Groupoid(...), Morphism(...) and Action(...) run
@@ -103,6 +113,7 @@ is decided on index rows.
 
 from __future__ import annotations
 
+import operator
 from contextlib import suppress
 from functools import cached_property
 
@@ -131,13 +142,15 @@ class Groupoid:
         self.elements = elements
         self.units = tuple(sorted(set(units)))
         self._unit_set = frozenset(self.units)
-        # the checks read the data as given, so it is kept by name
-        self.inverse = dict(inverse)
-        self.table = tuple(sorted(set(table)))
-        self._check_structure()
-        self._inv, self._rows = _index_pass(elements, self.inverse, self.table)
-        self.m_rel = triples_rel(elements, elements, elements, self.table)
-        self._check_relational_axioms()
+        # the data is read once, onto indices; only a multi-valued m,
+        # which rows cannot hold, is kept as the relation of its triples
+        inverse, triples = dict(inverse), set(table)
+        self._check_structure(inverse, triples)
+        self._inv, self._rows = _index_pass(elements, inverse, triples)
+        single = sum(map(len, self._rows)) == len(triples)
+        if not single:
+            self.m_rel = triples_rel(elements, elements, elements, triples)
+        self._check_relational_axioms(single)
         units = list(map(elements.index.__getitem__, self.units))
         self._setup(name, elements, units, self._inv, self._rows)
 
@@ -192,32 +205,33 @@ class Groupoid:
 
     # -- validation -------------------------------------------------
 
-    def _check_structure(self):
+    def _check_structure(self, inverse, triples):
         names = self.elements.index.keys()
         with suppress(TypeError):  # an unhashable name is left to the loops
-            rows = (self.units, *self.inverse.items(), *self.table)
-            if names <= self.inverse.keys() and names >= {x for r in rows for x in r}:
+            rows = (self.units, *inverse.items(), *triples)
+            if names <= inverse.keys() and names >= {x for r in rows for x in r}:
                 return
+        table = sorted(triples)  # the first stray entry in table order
         for e in self.units:
             if e not in self.elements:
                 raise UnknownElement(e, f"units of {self.name!r}")
         for g in self.elements:
-            if g not in self.inverse:
+            if g not in inverse:
                 raise AxiomViolation("inverse-total", g)
-        for g, h in self.inverse.items():
+        for g, h in inverse.items():
             if g not in self.elements:
                 raise UnknownElement(g, f"inverse map of {self.name!r}")
             if h not in self.elements:
                 raise UnknownElement(h, f"inverse map of {self.name!r}")
-        for c, a, b in self.table:
+        for c, a, b in table:
             for x in (c, a, b):
                 if x not in self.elements:
                     raise UnknownElement(x, f"table of {self.name!r}")
 
     # The three relations are read by index: every name in the table, the
     # inverse map and the units is an element, checked or by construction.
-    # The checked constructor reads m off the triples it was given, which
-    # may be multi-valued; otherwise m is read off `_rows`.
+    # m is read off `_rows`, but for a multi-valued m given to the checked
+    # constructor, which keeps the relation of the triples it was given.
 
     @cached_property
     def m_rel(self) -> FinRel:
@@ -258,39 +272,59 @@ class Groupoid:
                 counts[z] += 1
         return counts
 
-    def _check_relational_axioms(self):
-        u = self.elements
-        m, s, e = self.m_rel, self.s_rel, self.e_rel
-        idu = identity(u)
+    def _check_relational_axioms(self, single):
+        """The laws after the structure check, in order.  On a
+        single-valued m each is decided on index rows; a multi-valued m
+        is decided on the relations of each law, which also give every
+        offender, on first access."""
+        u, rows, inv = self.elements, self._rows, self._inv
+        n, m = len(rows), lambda: self.m_rel
+        e, idu = lambda: self.e_rel, lambda: identity(u)
+        units = list(map(u.index.__getitem__, self.units))
+        _check_composition("m(mxid)=m(idxm)", m, self, rows if single else None)
 
-        _check_composition("m(mxid)=m(idxm)", m, self, lambda: self._rows)
-
-        for law, unitor, r, r1 in (
-            ("m(exid)=id", unitor_left, e, idu),
-            ("m(idxe)=id", unitor_right, idu, e),
+        # (law, its test on rows or None, its two sides as relations)
+        for law, on_rows, sides in (
+            (
+                "m(exid)=id",
+                single and (lambda: _fixes(map(rows.__getitem__, units), n)),
+                lambda: (compose(m(), product(e(), idu())), unitor_left(u)),
+            ),
+            (
+                "m(idxe)=id",
+                single and (lambda: _fixes(map(self._cols.__getitem__, units), n)),
+                lambda: (compose(m(), product(idu(), e())), unitor_right(u)),
+            ),
+            (
+                "s2=id",  # s is a map, so its rows decide it whatever m is
+                lambda: list(map(inv.__getitem__, inv)) == list(range(n)),
+                lambda: (compose(self.s_rel, self.s_rel), idu()),
+            ),
+            (
+                "sm=m.flip(sxs)",
+                single and (lambda: _reverses(rows, self._cols, inv)),
+                lambda: _flip_sides(m(), inv),
+            ),
         ):
-            lhs, rhs = compose(m, product(r, r1)), unitor(u)
-            if lhs != rhs:
-                raise AxiomViolation(law, lambda: _first_difference(lhs, rhs))
+            if not (on_rows() if on_rows else operator.eq(*sides())):
+                raise AxiomViolation(law, lambda: _first_difference(*sides()))
 
-        ss = compose(s, s)
-        if ss != idu:
-            raise AxiomViolation("s2=id", lambda: _first_difference(ss, idu))
-
-        n, index, inv = len(u), u.index, self._inv
-        if not _reverses(m, inv):
-            raise AxiomViolation("sm=m.flip(sxs)", lambda: _flip_offender(m, inv))
-
-        by_pair = m._by_index()
+        if single:
+            outs = lambda i: [rows[inv[i]][i]] if i in rows[inv[i]] else ()
+        else:
+            by_pair = self.m_rel._by_index()
+            outs = lambda i: by_pair.get(inv[i] * n + i, ())
+        unit_set = set(units)
         for g in u:
-            i = index[g]
-            outs = by_pair.get(inv[i] * n + i, ())
-            if not outs:
+            i = u.index[g]
+            products = outs(i)
+            if not products:
                 raise AxiomViolation("m(s(g),g)-in-units", g, "product undefined")
-            stray = sorted(set(map(u.name_of, outs)) - self._unit_set)
+            stray = [c for c in products if c not in unit_set]
             if stray:
+                least = min(map(u.name_of, stray))
                 raise AxiomViolation(
-                    "m(s(g),g)-in-units", g, f"{stray[0]!r} is not a unit"
+                    "m(s(g),g)-in-units", g, f"{least!r} is not a unit"
                 )
 
     # -- basic queries ----------------------------------------------
@@ -489,52 +523,58 @@ def _moved(at, inv, rows):
     return moved_inv, moved_rows
 
 
-def _flip_offender(m: FinRel, inv):
-    """The offender of sm=m.flip(sxs): over the pairs (c, (a, b)) of m,
+def _fixes(lines, n) -> bool:
+    """Every entry of the dicts `lines` is a fixed point, and their keys
+    cover range(n): for the rows m(e, -) or columns m(-, e) of the units
+    e of a single-valued m, m(e x id) = id or m(id x e) = id."""
+    covered = set()
+    for line in lines:
+        if list(line) != list(line.values()):
+            return False
+        covered.update(line)
+    return len(covered) == n
+
+
+def _reverses(rows, cols, inv) -> bool:
+    """s(xy) ~= s(y)s(x) at every pair (x, y) of single-valued rows,
+    with cols[y][x] = xy.
+
+    s is a total involution, so (x, y) -> (s(y), s(x)) is a bijection of
+    pairs, and an undefined pair whose flip is defined is caught at the
+    flip: the defined pairs are enough."""
+    at = inv.__getitem__
+    return all(
+        list(map(cols[inv[x]].get, map(at, row))) == list(map(at, row.values()))
+        for x, row in enumerate(rows)
+    )
+
+
+def _flip_sides(m: FinRel, inv):
+    """The two sides of sm=m.flip(sxs): over the pairs (c, (a, b)) of m,
     s m is {(s(c), (a, b))} and m flip (s x s) is {(c, (s(b), s(a)))}."""
     n = len(inv)
     sm = [(inv[c], ab) for c, ab in m.pairs]
     msxs = [(c, inv[ab % n] * n + inv[ab // n]) for c, ab in m.pairs]
-    return _first_difference(
+    return (
         FinRel._from_indices(m.source, m.target, frozenset(sm)),
         FinRel._from_indices(m.source, m.target, frozenset(msxs)),
     )
 
 
-def _reverses(m: FinRel, inv) -> bool:
-    """s(xy) ~= s(y)s(x) for every pair (x, y), as sets of outputs, in
-    one pass over the defined pairs x * n + y of m.
-
-    s is a total involution, so (x, y) -> (s(y), s(x)) is a bijection of
-    pairs, and an undefined pair whose flip is defined is caught at the
-    flip: the defined pairs are enough."""
-    by_pair, n = m._by_index(), len(inv)
-    for xy, outs in by_pair.items():
-        x, y = divmod(xy, n)
-        flipped = by_pair.get(inv[y] * n + inv[x], ())
-        if len(outs) != len(flipped):
-            return False
-        if len(outs) == 1:
-            if inv[outs[0]] != flipped[0]:
-                return False
-        elif set(map(inv.__getitem__, outs)) != set(flipped):
-            return False
-    return True
-
-
-def _check_composition(law, phi: FinRel, groupoid: Groupoid, moves):
+def _check_composition(law, phi, groupoid: Groupoid, moves):
     """Raise AxiomViolation(law) unless phi(m x id) = phi(id x phi), where
     phi : G x X -> X and m is the product of G, `groupoid`.
 
-    A multi-valued phi is decided by two_sided_difference; a
-    single-valued one by the generator test of the module docstring, on
-    the move rows moves() returns, moves()[g][x] the index of phi(g, x).
-    The offender is computed on first access.
+    phi() is the relation.  A single-valued phi is decided by the
+    generator test of the module docstring on its move rows `moves`,
+    moves[g][x] the index of phi(g, x); a multi-valued one, for which
+    moves is None, by two_sided_difference.  The offender is computed on
+    first access.
     """
-    offender = lambda: two_sided_difference(phi, groupoid.m_rel, phi, phi)
-    if len(phi._by_index()) != len(phi.pairs):  # multi-valued: decided by the scan
+    offender = lambda: two_sided_difference(phi(), groupoid.m_rel, phi(), phi())
+    if moves is None:  # multi-valued: decided by the scan
         offender = offender()
-    elif _composes_on_generators(moves(), groupoid):
+    elif _composes_on_generators(moves, groupoid):
         offender = None
     if offender is not None:
         raise AxiomViolation(law, offender)
@@ -547,13 +587,26 @@ def _after(f: dict, g: dict) -> dict:
 
 def _composes_on_generators(moves, groupoid: Groupoid) -> bool:
     """phi(gh, x) ~= phi(g, phi(h, x)) for the generators h of G, on
-    the move rows of phi."""
+    the move rows of phi: where gh is defined, phi(g, -) after phi(h, -)
+    agrees with phi(gh, -) on the x that h moves, and phi(gh, -) moves no
+    other x; where it is not, phi(g, -) moves none of h's outputs."""
     cols = groupoid._cols  # cols[h][g] is gh
-    return all(
-        _after(move, moves[h]) == (moves[cols[h][g]] if g in cols[h] else {})
-        for h in _generators(groupoid._rows, cols)
-        for g, move in enumerate(moves)
-    )
+    for h in _generators(groupoid._rows, cols):
+        move_h, col = moves[h], cols[h]
+        outs = list(move_h.values())
+        for g, move in enumerate(moves):
+            gh = col.get(g)
+            if gh is None:
+                if not move.keys().isdisjoint(outs):
+                    return False
+            else:
+                row = moves[gh]
+                if not (
+                    row.keys() <= move_h.keys()
+                    and list(map(move.get, outs)) == list(map(row.get, move_h))
+                ):
+                    return False
+    return True
 
 
 def _generators(rows, cols):

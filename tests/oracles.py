@@ -23,7 +23,20 @@ from hypothesis import strategies as st
 from groupoids.action import classical_to_relational
 from groupoids.groupoid import Groupoid
 from groupoids.morphism import fiber_map_left, fiber_map_right
-from groupoids.relation import pair_name
+from groupoids.relation import (
+    ONE,
+    FinRel,
+    Universe,
+    compose,
+    first_difference,
+    flip,
+    identity,
+    pair_name,
+    product,
+    triples_rel,
+    unitor_left,
+    unitor_right,
+)
 
 
 def groupoid_violation(elements, units, inverse, table):
@@ -74,6 +87,49 @@ def groupoid_violation(elements, units, inverse, table):
         right = mult.get((a, bc)) if bc is not None else None
         if left != right:
             return "associativity"
+    return None
+
+
+def relational_verdict(elements, units, inverse, table):
+    """(law, offender, detail) of the first relational axiom the data
+    breaks, in the checked constructor's order, or None when all hold.
+
+    Every name must be an element and the inverse map total.  Each law
+    is decided as it reads, on relations built in full: m from the
+    triples, s from the inverse map, e from the units, and both sides
+    of each equality by compose, product and flip.  The offender of an
+    equality is the sorted-least pair on which its sides differ, with no
+    detail; that of the last law is the least g, with the detail the
+    constructor gives.
+    """
+    u = Universe("G", elements)
+    m, idu = triples_rel(u, u, u, table), identity(u)
+    s = FinRel(u, u, [(inverse[x], x) for x in u])
+    e = FinRel(ONE, u, [(x, "1") for x in units])
+    sides = {  # each law's two sides, built when it is reached
+        "m(mxid)=m(idxm)": lambda: (
+            compose(m, product(m, idu)),
+            compose(m, product(idu, m)),
+        ),
+        "m(exid)=id": lambda: (compose(m, product(e, idu)), unitor_left(u)),
+        "m(idxe)=id": lambda: (compose(m, product(idu, e)), unitor_right(u)),
+        "s2=id": lambda: (compose(s, s), idu),
+        "sm=m.flip(sxs)": lambda: (
+            compose(s, m),
+            compose(m, compose(flip(u, u), product(s, s))),
+        ),
+    }
+    for law, built in sides.items():
+        offender = first_difference(*built())
+        if offender is not None:
+            return law, offender, ""
+    for g in u:
+        products = m.outputs(pair_name(inverse[g], g))
+        if not products:
+            return "m(s(g),g)-in-units", g, "product undefined"
+        stray = sorted(set(products) - set(units))
+        if stray:
+            return "m(s(g),g)-in-units", g, f"{stray[0]!r} is not a unit"
     return None
 
 

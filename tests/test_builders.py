@@ -240,6 +240,52 @@ def test_unchecked_builds_pass_the_checked_constructor_and_the_oracle(catalog):
     assert count == 10 + 15 + 4 + 13 + 5 + 15 + 5 + 44 + 20 + 14 + 33 + 11 + 30
 
 
+def _s3_permutations():
+    """S3 from its raw permutations of 1, 2, 3 in one-line notation, each
+    with its action on the points; gh moves x to g(h(x))."""
+    perms = ["".join(p) for p in itertools.permutations("123")]
+    moves = {g: dict(zip("123", g)) for g in perms}
+
+    def mult(g, h):
+        return "".join(moves[g][moves[h][x]] for x in "123")
+
+    inv = {g: next(h for h in perms if mult(g, h) == "123") for g in perms}
+    return perms, moves, mult, inv
+
+
+def test_product_form_and_transformation_groupoid_of_s3_match_the_oracle():
+    """The product form X x S3 x X multiplies (x|g|y)(y|h|z) = x|gh|z,
+    and the transformation groupoid of S3 on 1, 2, 3 multiplies
+    (g:h(x))(h:x) = gh:x, with gh read off S3's raw permutations: the
+    tables, units and inverse maps are the ones these formulas name."""
+    perms, moves, mult, inv = _s3_permutations()
+    s3 = symmetric_table(3)
+    space = Universe("B2", "xy")
+    pf = product_form(space, s3)
+    assert set(pf.table) == {
+        (f"{x}|{mult(g, h)}|{z}", f"{x}|{g}|{y}", f"{y}|{h}|{z}")
+        for x, y, z in itertools.product(space, repeat=3)
+        for g, h in itertools.product(perms, repeat=2)
+    }
+    assert pf.units == tuple(sorted(f"{x}|123|{x}" for x in space))
+    assert pf.inverse == {
+        f"{x}|{g}|{y}": f"{y}|{inv[g]}|{x}"
+        for x, y in itertools.product(space, repeat=2)
+        for g in perms
+    }
+    act = {(g, x): moves[g][x] for g in perms for x in "123"}
+    tg = transformation_groupoid(s3, Universe("T", "123"), act)
+    assert set(tg.table) == {
+        (f"{mult(g, h)}:{x}", f"{g}:{moves[h][x]}", f"{h}:{x}")
+        for g, h in itertools.product(perms, repeat=2)
+        for x in "123"
+    }
+    assert tg.units == tuple(f"123:{x}" for x in "123")
+    assert tg.inverse == {
+        f"{g}:{x}": f"{inv[g]}:{moves[g][x]}" for g in perms for x in "123"
+    }
+
+
 def test_builds_name_their_triples_only_when_read(catalog):
     """A groupoid the package builds holds its product on index rows: it
     names neither its triples nor its inverse map until one is read."""
@@ -263,6 +309,20 @@ def test_builds_name_their_triples_only_when_read(catalog):
     for label, g in built.items():
         g.orbits()
         assert "table" not in vars(g) and "inverse" not in vars(g), label
+
+
+def test_quotients_and_action_groupoids_build_on_rows():
+    """A quotient by the isotropy bundle, a quotient by a kernel and the
+    groupoid of the unit action are built from their parent's rows: no
+    triple of the parent or of the result is named."""
+    g = product_form(Universe("B3", "xyz"), symmetric_table(3))
+    built = {
+        "quotient": quotient_groupoid(g, g.isotropy_bundle().members)[0],
+        "kernel quotient": morphism.quotient_by_kernel(morphism.to_orbit_pair(g))[0],
+        "action groupoid": action_groupoid(unit_action(g)),
+    }
+    for label, q in built.items():
+        assert "table" not in vars(g) and "table" not in vars(q), label
 
 
 def test_separating_pair_builds_one_pair_groupoid(catalog, monkeypatch):

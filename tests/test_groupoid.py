@@ -1,20 +1,31 @@
 """Groupoid validation, named axiom failures, and structural queries."""
 
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from oracles import edit_rows, groupoid_violation, subgroupoid_loop
+from oracles import (
+    edit_rows,
+    groupoid_violation,
+    relational_verdict,
+    subgroupoid_loop,
+)
 
+from groupoids import groupoid as groupoid_module
 from groupoids.builders import (
+    GroupTable,
     cyclic_table,
+    group_bundle,
     group_groupoid,
     pair_groupoid,
+    product_form,
     set_groupoid,
     subgroups_of,
     symmetric_table,
 )
+from groupoids.cli import groupoid_from_payload, payload_of_groupoid
 from groupoids.errors import AxiomViolation, PreconditionFailed
 from groupoids.groupoid import (
     Groupoid,
@@ -431,6 +442,117 @@ def test_antihomomorphism_on_multivalued_tables_agrees_with_the_materialized_sid
                 assert err.offender == first_difference(sm, msxs)
             seen.add((multi, rejected))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def single_row_mutations(g):
+    """g's raw data after one edit: each row of its table deleted, or
+    changed to another product, each triple not in it inserted, and each
+    inverse changed to another element."""
+    elements, units, inverse = tuple(g.elements), g.units, g.inverse
+    table = list(g.table)
+    for row in table:
+        rest = [r for r in table if r != row]
+        yield elements, units, inverse, rest
+        for c in elements:
+            if c != row[0]:
+                yield elements, units, inverse, rest + [(c,) + row[1:]]
+    present = set(table)
+    for row in itertools.product(elements, repeat=3):
+        if row not in present:
+            yield elements, units, inverse, table + [row]
+    for x, sx in inverse.items():
+        for y in elements:
+            if y != sx:
+                yield elements, units, {**inverse, x: y}, table
+
+
+def _verdict(elements, units, inverse, table):
+    """(law, offender, detail) of the checked constructor, or None."""
+    err = _rejection(elements, units, inverse, table)
+    return None if err is None else (err.law, err.offender, err.detail)
+
+
+def test_checked_constructor_agrees_with_the_relational_reference():
+    """Every single-row mutation of P4 and S3, a seeded sample of those of
+    the product form over S3, S4 and a bundle, every structure on at most
+    two elements, and the double coset tables of S4 under their inverse
+    and other involutions: the checked constructor rejects at the law,
+    offender and detail that deciding each law on relations built in
+    full gives, or accepts as it does.  Every law is reached, and a
+    multi-valued table reaches the last two."""
+    rng = random.Random(1311)
+    s3 = symmetric_table(3)
+    grid = []
+    for g in (pair_groupoid(Universe("X4", "1234")), group_groupoid(s3)):
+        grid += single_row_mutations(g)
+    for g, k in (
+        (product_form(Universe("B2", "xy"), s3), 60),
+        (group_groupoid(symmetric_table(4)), 20),
+        (group_bundle([cyclic_table(4), s3, cyclic_table(2)]), 120),
+    ):
+        grid += rng.sample(list(single_row_mutations(g)), k)
+    for elements in ((), ("a",), ("a", "b")):
+        rows = list(itertools.product(elements, repeat=3))
+        for units, images, mask in itertools.product(
+            _subsets(elements),
+            itertools.product(elements, repeat=len(elements)),
+            range(2 ** len(rows)),
+        ):
+            table = [row for i, row in enumerate(rows) if mask >> i & 1]
+            grid.append((elements, units, dict(zip(elements, images)), table))
+    s4 = symmetric_table(4)
+    for sub in subgroups_of(s4):
+        if len(sub) <= 4:
+            names, units, inverse, table = double_coset_data(s4, sub)
+            grid += [
+                (names, units, involution, table)
+                for involution in [inverse, *involutions(names, rng)]
+            ]
+    seen = set()
+    for elements, units, inverse, table in grid:
+        verdict = relational_verdict(elements, units, inverse, table)
+        assert _verdict(elements, units, inverse, table) == verdict, (
+            elements, units, inverse, table
+        )
+        multi = len({(a, b) for _, a, b in table}) < len(set(table))
+        seen.add((multi, verdict and verdict[0]))
+    assert {law for _, law in seen} == {
+        None, "m(mxid)=m(idxm)", "m(exid)=id", "m(idxe)=id", "s2=id",
+        "sm=m.flip(sxs)", "m(s(g),g)-in-units",
+    }
+    multi_laws = {law for multi, law in seen if multi}
+    assert {"sm=m.flip(sxs)", "m(s(g),g)-in-units"} <= multi_laws
+    assert None not in multi_laws
+
+
+def test_a_single_valued_table_is_checked_without_a_relation(monkeypatch):
+    """A valid P6 document and a raw S4 table are checked on index rows:
+    no triple relation, composite, product or index-pair relation is
+    built.  A Z3 table with an inserted row is multi-valued, and its
+    laws are decided on the relation of its triples."""
+    p6 = payload_of_groupoid(pair_groupoid(Universe("X6", "123456"), "P6"))
+    s4 = symmetric_table(4)
+    s4_raw = {(a, b): s4.mult(a, b) for a in s4.elements for b in s4.elements}
+    z3 = group_groupoid(cyclic_table(3))
+    calls = []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    for name in ("triples_rel", "compose", "product"):
+        wrapped = counted(name, getattr(groupoid_module, name))
+        monkeypatch.setattr(groupoid_module, name, wrapped)
+    from_indices = counted("_from_indices", FinRel._from_indices)
+    monkeypatch.setattr(FinRel, "_from_indices", staticmethod(from_indices))
+    g = groupoid_from_payload(p6, json.dumps(p6))
+    GroupTable("S4", s4.elements, s4_raw)
+    assert calls == []
+    assert len(g.table) == 6**3 and g.inverse["1,2"] == "2,1"
+    inserted = z3.table + (("0", "1", "1"),)
+    with pytest.raises(AxiomViolation) as err:
+        Groupoid("Z3", tuple(z3.elements), z3.units, z3.inverse, inserted)
+    assert err.value.law == "m(mxid)=m(idxm)"
+    assert calls[0] == "triples_rel"
 
 
 def test_composable_pairs(catalog):
