@@ -24,10 +24,9 @@ independent oracle.
 The product is held once, on indices: `_rows`, with `_rows[x][y]` the
 index of xy, and the index lists `_inv`, `_left` and `_right` of s, e_L
 and e_R.  Rows go in: the builders hand them to Groupoid._of_rows, the
-one unchecked set-up, which _trusted reaches by one indexing pass over
-named triples.  The checked constructor makes the same pass, and m is
-single-valued exactly when the rows hold as many products as there are
-triples; it keeps the relation of the triples only when they are not.
+one unchecked set-up.  The checked constructor indexes named triples
+in one pass, and m is single-valued exactly when the rows hold as many
+products as there are triples; only then is no relation of them kept.
 Names come out on first read: `table` and `inverse` are views of
 `_rows` and `_inv`, for every groupoid, as every accepted m is
 single-valued.  Names appear only at the boundary: the data read in,
@@ -92,7 +91,8 @@ checking constructors Groupoid(...), Morphism(...) and Action(...) run
 only where data enters the package: documents, raw group tables,
 validate_groupoid, enumerator candidates, the classical data of
 classical_to_relational, functor_to_morphism and functor_to_zm, the
-output of right_commuting_to_morphism, and user calls.  What the package
+output of right_commuting_to_morphism, and user calls (enumerator
+candidates through Morphism._of_rows, on mask rows).  What the package
 builds from structures it holds is valid by the paper's theorems and
 comes from the class's _trusted constructor, or Groupoid._of_rows,
 which skip the axioms (a groupoid still refuses ambiguous pair names).
@@ -153,16 +153,6 @@ class Groupoid:
         self._check_relational_axioms(single)
         units = list(map(elements.index.__getitem__, self.units))
         self._setup(name, elements, units, self._inv, self._rows)
-
-    @classmethod
-    def _trusted(cls, name, elements, units, inverse, table):
-        """A groupoid built from named structures the package holds,
-        unchecked."""
-        if not isinstance(elements, Universe):
-            elements = Universe(str(name), elements)
-        inv, rows = _index_pass(elements, inverse, table)
-        units = list(map(elements.index.__getitem__, set(units)))
-        return cls._of_rows(name, elements, units, inv, rows)
 
     @classmethod
     def _of_rows(cls, name, elements: Universe, units, inv, rows):
@@ -252,6 +242,10 @@ class Groupoid:
         return FinRel._from_indices(
             ONE, self.elements, frozenset([(index[e], 0) for e in self.units])
         )
+
+    @cached_property
+    def _unit_mask(self) -> int:
+        return sum(1 << self._index[e] for e in self.units)
 
     @cached_property
     def _cols(self) -> list:

@@ -9,7 +9,8 @@ as exact relation equalities.  These are the only checks, made only
 where the boundary policy in groupoid.py says; the morphisms the
 package builds come from Morphism._trusted.
 
-h m = m' (h x h) is decided on mask rows, with neither side built.
+The laws are decided on mask rows, with no side built: Morphism(...)
+indexes its graph into them, and Morphism._of_rows is given them.
 Each output set of h is an int, bit d set for target index d, so h is
 a dict from input index to a nonzero mask.  Both groupoids are valid,
 so m and m' are single-valued and read off their row tables `_rows`.
@@ -18,17 +19,18 @@ products d1 d2 with d1 in h(x) and d2 in h(y); the left side's are
 h(xy), or none when xy is undefined.  The right side depends only on
 the two masks and the target, so a memo keyed by the pair of masks
 holds it; it is a product table of the target, never a verdict, and
-the naive enumerator keeps one per call for all its candidates.  One
+each enumerator keeps one per call for all its candidates.  One
 pass over the pairs of h's domain compares the two masks and stops at
 the first mismatch.  The right side has no pair outside dom h x dom
 h; the left side may, and it has |hm| pairs in all, where |hm| is the
 sum over the pairs (d, z) of h of the number of factorizations xy = z
 (Groupoid._factor_counts).  So when every compared pair matches, the
 sides are equal exactly when the outputs matched, the set bits,
-number |hm|.  This holds for any h, multi-valued or partial.  The
-offender is the sorted-least pair of the materialized sides'
-difference, built only when it is asked for.  h s = s' h and h e = e'
-are compared as built relations.
+number |hm|.  This holds for any h, multi-valued or partial.  h s = s' h
+says h(s(x)) = s'(h(x)), compared over dom h: off it both are empty, or
+s(x) is in it and fails.  h e = e' says the units' masks OR to the
+target's unit mask.  An offender, the sorted-least pair where a law's
+sides differ, is built from the rows only when it is asked for.
 
 One pass over the graph then reads off the derived data every theorem
 downstream consumes: the base map on units (here rho, mapping units of
@@ -116,19 +118,28 @@ def _mask_product(mx: int, my: int, trows: list) -> int:
     return out
 
 
-def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid, memo=None) -> bool:
-    """hm != m'(hxh), on mask rows of h and the index rows of both products.
+def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None, first=()):
+    """The first input pair (x, y) where hm and m'(hxh) differ, () if
+    only their sizes do, or None, on mask rows of h and both products.
 
     `rows` maps each input index of h's domain to the bit mask of its
     output indices (bit d for target index d), with no zero mask.
     `memo` maps mx << |tgt| | my to the mask of the defined products
     d1 d2, d1 in mx and d2 in my: products in the target only, so one
-    memo serves every h into the same target.
+    memo serves every h into the same target.  The pair `first` is
+    compared before the pass; a mismatch there refutes as the pass would.
     """
     srows, trows = src._rows, tgt._rows
     shift = len(trows)
     if memo is None:
         memo = {}
+    if first and first[0] in rows and first[1] in rows:
+        x, y = first
+        key = rows[x] << shift | rows[y]
+        if key not in memo:
+            memo[key] = _mask_product(rows[x], rows[y], trows)
+        if rows.get(srows[x].get(y), 0) != memo[key]:
+            return first
     matched = 0
     for x, mx in rows.items():
         srow = srows[x]
@@ -139,30 +150,72 @@ def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid, memo=None) -> bool:
                 rhs = memo[high | my] = _mask_product(mx, my, trows)
             # the left side is h(xy), none where xy is undefined
             if rows.get(srow.get(y), 0) != rhs:
-                return True
+                return x, y
             matched += rhs.bit_count()
     counts = src._factor_counts
-    return matched != sum(m.bit_count() * counts[z] for z, m in rows.items())
+    total = sum(m.bit_count() * counts[z] for z, m in rows.items())
+    return None if matched == total else ()
+
+
+def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid, memo=None) -> bool:
+    return _hm_refutation(rows, src, tgt, memo) is not None
+
+
+def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict, memo=None):
+    """Raise at the first of hm=m'(hxh), hs=s'h and he=e' that h, given
+    by its mask rows, breaks; the offender is built on first access."""
+    if _hm_differs(rows, src, tgt, memo):
+        law = "hm=m'(hxh)"
+    else:
+        law, he, t_inv = "he=e'", 0, tgt._inv
+        for x, mx in rows.items():
+            image, rest = 0, mx  # the s'-image of h(x), which h(s(x)) must be
+            while rest:
+                low = rest & -rest
+                image |= 1 << t_inv[low.bit_length() - 1]
+                rest ^= low
+            if rows.get(src._inv[x], 0) != image:
+                law = "hs=s'h"
+                break
+            if src._unit_mask >> x & 1:
+                he |= mx
+    if law == "he=e'" and he == tgt._unit_mask:
+        return
+
+    def sides(h):
+        if law == "hm=m'(hxh)":
+            return compose(h, src.m_rel), compose(tgt.m_rel, product(h, h))
+        if law == "hs=s'h":
+            return compose(h, src.s_rel), compose(tgt.s_rel, h)
+        return compose(h, src.e_rel), tgt.e_rel
+
+    raise AxiomViolation(law, lambda: first_difference(*sides(_rows_rel(src, tgt, rows))))
+
+
+def _rows_rel(src: Groupoid, tgt: Groupoid, rows: dict) -> FinRel:
+    n = len(tgt.elements)
+    pairs = [(d, x) for x, mx in rows.items() for d in range(n) if mx >> d & 1]
+    return FinRel._from_indices(src.elements, tgt.elements, frozenset(pairs))
 
 
 class Morphism:
     def __init__(self, source: Groupoid, target: Groupoid, graph):
-        self._read(source, target, graph, check=True)
+        rel = FinRel(source.elements, target.elements, graph)
+        rows = {x: sum(1 << d for d in ds) for x, ds in rel._by_index().items()}
+        _check_laws(source, target, rows)
+        self._setup(source, target, rel)
 
     @classmethod
     def _trusted(cls, source: Groupoid, target: Groupoid, graph):
         """A morphism built from structures the package holds, unchecked."""
-        morphism = cls.__new__(cls)
-        morphism._read(source, target, graph, check=False)
-        return morphism
+        rel = FinRel(source.elements, target.elements, graph)
+        return cls.__new__(cls)._setup(source, target, rel)
 
-    def _read(self, source, target, graph, check):
-        self.source = source
-        self.target = target
-        self.rel = FinRel(source.elements, target.elements, graph)
-        if check:
-            self._check_axioms()
-        self._derive()
+    @classmethod
+    def _of_rows(cls, source: Groupoid, target: Groupoid, rows: dict, memo=None):
+        """The morphism with mask rows `rows`, checked against `memo`."""
+        _check_laws(source, target, rows, memo)
+        return cls.__new__(cls)._setup(source, target, _rows_rel(source, target, rows))
 
     @property
     def graph(self) -> tuple:
@@ -171,28 +224,12 @@ class Morphism:
     def outputs(self, gamma) -> tuple:
         return self.rel.outputs(gamma)
 
-    def _check_axioms(self):
-        src, tgt, h = self.source, self.target, self.rel
-        rows = {x: sum(1 << d for d in ds) for x, ds in h._by_index().items()}
-        if _hm_differs(rows, src, tgt):
-            raise AxiomViolation(
-                "hm=m'(hxh)",
-                lambda: first_difference(
-                    compose(h, src.m_rel), compose(tgt.m_rel, product(h, h))
-                ),
-            )
-        hs, sh = compose(h, src.s_rel), compose(tgt.s_rel, h)
-        if hs != sh:
-            raise AxiomViolation("hs=s'h", lambda: first_difference(hs, sh))
-        he = compose(h, src.e_rel)
-        if he != tgt.e_rel:
-            raise AxiomViolation("he=e'", lambda: first_difference(he, tgt.e_rel))
-
-    def _derive(self):
+    def _setup(self, source, target, rel):
+        self.source, self.target, self.rel = source, target, rel
         # one pass over the graph; the axioms make every derived law
         # (unique base map, domain a union of components, wide image,
         # single-valued fibers) a theorem, so none is re-checked here
-        src_units, tgt_units = self.source._unit_set, self.target._unit_set
+        src_units, tgt_units = source._unit_set, target._unit_set
         rho, dom, image, moved = {}, set(), set(), set()
         for d, g in self.rel.graph:
             dom.add(g)
@@ -205,6 +242,7 @@ class Morphism:
         self.domain_elements = frozenset(dom)
         self.image_elements = frozenset(image)
         self.kernel_members = frozenset(dom - moved)
+        return self
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,13 +6,16 @@ laws and decides every candidate by the law left, hm = m'(hxh).  Each
 choice's share of the graph is built once per call as mask rows (input
 index -> bit mask of output indices); the choices' inputs are disjoint,
 so a candidate's rows are its choices' rows merged.  The law is decided
-on those rows by morphism._hm_differs, the function Morphism(...)
-decides it with, against one memo per call of the target's products of
-output masks, so every candidate is examined and none is pruned.  Only
-a survivor's rows are read back into named pairs, through the index
-order of `elements.names`, and validated in full by Morphism(...).  The
-structured one rebuilds candidates from base maps and single-fiber
-data, forced on index rows.  Tests require their outputs to agree.
+on those rows by morphism._hm_refutation, as Morphism(...) decides it,
+against one memo per call of the target's products of output masks.
+The pair (x, y) that refuted the last candidate is compared first;
+consecutive candidates differ in their last choices, so it mostly
+refutes again.  This orders a candidate's comparisons and prunes none:
+every candidate is examined and decided.  Only a survivor's rows are
+named, and validated in full by Morphism(...).  The structured one
+rebuilds candidates as mask rows from base maps and single-fiber data,
+forced on index rows, each decided by Morphism._of_rows against one
+memo per call.  Tests require their outputs to agree.
 
 The two action enumerators are independent in the same way: one goes
 through morphisms into the pair groupoid, the other is classical and
@@ -40,7 +43,8 @@ from .builders import (
 )
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
-from .morphism import CancellationWitness, Morphism, _hm_differs, compose_morphisms
+from .morphism import CancellationWitness, Morphism, compose_morphisms
+from .morphism import _hm_refutation, _rows_rel
 from .relation import Universe
 
 
@@ -100,7 +104,6 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     unit_set = set(src_units)
     tgt_all = sorted(target.elements)
     s_index, t_index = source.elements.index, target.elements.index
-    s_names, t_names = source.elements.names, target.elements.names
 
     def mask(outs):
         return sum(1 << t_index[d] for d in outs)
@@ -135,6 +138,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     found = []
     examined = 0
     memo = {}  # products of output masks in the target, shared by candidates
+    refuted = None  # the pair that refuted the last candidate
     for profile in _unit_profiles(src_units, target.units):
         unit_rows = {s_index[e]: mask(outs) for e, outs in profile.items() if outs}
         for combo in itertools.product(*rep_chunks):
@@ -148,14 +152,10 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             rows = dict(unit_rows)
             for fragment in combo:
                 rows.update(fragment)
-            if _hm_differs(rows, source, target, memo):
+            refuted = _hm_refutation(rows, source, target, memo, refuted)
+            if refuted is not None:
                 continue
-            graph = [
-                (t_names[d], s_names[x])
-                for x, mx in rows.items()
-                for d in range(len(t_names))
-                if mx >> d & 1
-            ]
+            graph = _rows_rel(source, target, rows).graph
             found.append(Morphism(source, target, graph))
     found.sort(key=lambda h: sorted(h.graph))
     return found
@@ -184,11 +184,10 @@ class _FiberSearch:
 
     def __init__(self, source, target, e0, fiber):
         self.e0, self.fiber = e0, fiber
+        self.t_index = t_index = target.elements.index
         if len(fiber) == 1:  # e0 alone: its one table is e0 -> f on F0
             return
-        s_index, t_index = source.elements.index, target.elements.index
-        self.t_index = t_index
-        self.t_names = target.elements.names
+        s_index = source.elements.index
         self.t_rows, self.t_inv, self.t_left = target._rows, target._inv, target._left
         # (index, left unit) of the targets from each unit, in name order
         self.ending = {f: [] for f in target.units}
@@ -206,19 +205,19 @@ class _FiberSearch:
         ]
 
     def tables(self, rho, F0):
-        """The tables for base map rho, keyed (g, f) for f in F0.
+        """The tables for base map rho, on the slots (g, f) for f in F0.
 
-        Slot (g, f) is numbered by the positions of g in the fiber and f
-        in `F0`, so slot order is sorted key order, and its value is a
-        target element index.  A newly set slot is pushed on a worklist
-        and, when popped, fires every forcing rule it is a premise of
-        whose other premise is set; the forced closure is the same in
-        any firing order, and so is a conflict.  The walk undoes its
-        trial values off a trail instead of copying the table.
+        A table is a list of target element indices.  Slot (g, f) is
+        numbered g * len(F0) + f by the positions of g in the fiber and f
+        in `F0`, so slot order is sorted key order.  A newly set slot is
+        pushed on a worklist and, when popped, fires every forcing rule
+        it is a premise of whose other premise is set; the forced closure
+        is the same in any firing order, and so is a conflict.  The walk
+        undoes its trial values off a trail instead of copying the table.
         """
         if len(self.fiber) == 1:
-            return [{(self.e0, f): f for f in F0}]
-        t_index, t_names, t_rows = self.t_index, self.t_names, self.t_rows
+            return [[self.t_index[f] for f in F0]]
+        t_index, t_rows = self.t_index, self.t_rows
         t_inv, t_left = self.t_inv, self.t_left
         iso, inv_of, times = self.iso, self.inv_of, self.times
         nf = len(F0)
@@ -229,7 +228,7 @@ class _FiberSearch:
         # the values of (g, f): f itself for g = e0, else the d from f to
         # a unit over e_L(g) in name order, found once per (e_L(g), f)
         by_ends = {}
-        keys, cands, allowed = [], [], []
+        cands, allowed = [], []
         for g, eL in zip(self.fiber, self.lefts):
             for f in F0:
                 if g == self.e0:
@@ -241,12 +240,11 @@ class _FiberSearch:
                     opts = tuple(d for d, e in self.ending[f] if rho[e] == eL)
                     opt_set = frozenset(opts)
                     by_ends[(eL, f)] = opts, opt_set
-                keys.append((g, f))
                 cands.append(opts)
                 allowed.append(opt_set)
         if not all(cands):  # a slot no value can fill, forced or tried
             return []
-        n = len(keys)
+        n = len(cands)
         asg = [-1] * n
         trail, work = [], []
 
@@ -314,7 +312,7 @@ class _FiberSearch:
             level = levels[-1]
             idx, i, mark = level
             if idx == n:
-                results.append({k: t_names[d] for k, d in zip(keys, asg)})
+                results.append(asg[:])
                 levels.pop()
                 continue
             undo(mark)
@@ -333,32 +331,35 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
 
     Candidates are built from a choice of source orbits, a base map
     onto their units, and one output table per component on the right
-    fiber over the least unit; each reconstruction is validated in
-    full before being kept.
+    fiber over the least unit.  A member g, with g2 the path to e_R(g)
+    and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the table's
+    units.  Morphism._of_rows decides each reconstruction, with one memo
+    per call of the target's products of output masks.
     """
     orbit_blocks = source.orbits()
     tgt_units = sorted(target.units)
-    # per orbit, on first use: its least unit e0, the members, a path
-    # from e0 to each unit, and the search on the right fiber over e0
+    t_rows, t_inv = target._rows, target._inv
+    # per orbit, on first use: its least unit e0, each member's index
+    # with the fiber positions of g1 and g2, and the fiber search over e0
     shapes = {}
 
     def shape(i):
         if i not in shapes:
-            block = orbit_blocks[i]
-            e0 = min(block)
+            e0 = min(orbit_blocks[i])
             fiber = sorted(g for g in source.elements if source.e_right(g) == e0)
-            block_set = set(block)
-            members = sorted(
-                g for g in source.elements if source.e_right(g) in block_set
-            )
-            path = {
-                e: min(g for g in fiber if source.e_left(g) == e) for e in block
-            }
+            pos = {g: p for p, g in enumerate(fiber)}
+            path = {source.e_left(g): g for g in reversed(fiber)}  # least per unit
+            members = [
+                (source._index[g], pos[source.mult(g, path[e])], pos[path[e]])
+                for g, _, e in source._named_ends()
+                if e in path
+            ]
             search = _FiberSearch(source, target, e0, fiber)
-            shapes[i] = e0, members, path, search
+            shapes[i] = e0, members, search
         return shapes[i]
 
     found = []
+    memo = {}  # products of output masks in the target, shared by candidates
     # mask 0 chooses no orbit: the empty graph, which is a morphism
     # exactly when the target has no units
     for mask in range(2 ** len(orbit_blocks)):
@@ -367,29 +368,26 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
         for rho in _surjections(tgt_units, pool):
             comp = []
             for i in chosen:
-                e0, members, path, search = shape(i)
+                e0, members, search = shape(i)
                 F0 = sorted(f for f in tgt_units if rho[f] == e0)
                 opts = search.tables(rho, F0)
                 if not opts:
                     comp = None
                     break
-                comp.append((members, path, F0, opts))
+                comp.append((members, len(F0), opts))
             if comp is None:
                 continue
-            for combo in itertools.product(*[c[3] for c in comp]):
-                graph = set()
-                for (members, path, F0, _), table in zip(comp, combo):
-                    for g in members:
-                        g2 = path[source.e_right(g)]
-                        g1 = source.mult(g, g2)
-                        for f in F0:
-                            d1 = table[(g1, f)]
-                            d2 = table[(g2, f)]
-                            graph.add(
-                                (target.mult(d1, target.inverse[d2]), g)
-                            )
+            for combo in itertools.product(*[c[2] for c in comp]):
+                rows = {}
+                for (members, nf, _), table in zip(comp, combo):
+                    for x, p1, p2 in members:
+                        mx = 0
+                        for f in range(nf):
+                            d1, d2 = table[p1 * nf + f], table[p2 * nf + f]
+                            mx |= 1 << t_rows[d1][t_inv[d2]]
+                        rows[x] = mx
                 try:
-                    found.append(Morphism(source, target, graph))
+                    found.append(Morphism._of_rows(source, target, rows, memo))
                 except AxiomViolation:
                     continue
     found.sort(key=lambda h: sorted(h.graph))

@@ -14,6 +14,9 @@ references for the search: `actions_direct_reference`, the exhaustive
 direct action enumerator, kept for the order its pruned successor must
 give, and `naive_candidates`, the candidates of the naive morphism
 enumerator in its order, for a filter that checks every one.
+`relational_verdict` and `morphism_relational_verdict` decide the
+relational axioms of a groupoid and of a morphism on relations built in
+full, as references for the checked constructors' verdicts.
 """
 
 import itertools
@@ -130,6 +133,31 @@ def relational_verdict(elements, units, inverse, table):
         stray = sorted(set(products) - set(units))
         if stray:
             return "m(s(g),g)-in-units", g, f"{stray[0]!r} is not a unit"
+    return None
+
+
+def morphism_relational_verdict(source, target, graph):
+    """(law, offender) of the first morphism law the graph breaks, in
+    the checked constructor's order, or None when all hold.
+
+    Each law is decided as it reads, on relations built in full: h from
+    the graph and both sides of hm = m'(hxh), hs = s'h and he = e' by
+    compose and product.  The offender is the sorted-least pair on
+    which the sides differ.
+    """
+    h = FinRel(source.elements, target.elements, graph)
+    sides = {  # each law's two sides, built when it is reached
+        "hm=m'(hxh)": lambda: (
+            compose(h, source.m_rel),
+            compose(target.m_rel, product(h, h)),
+        ),
+        "hs=s'h": lambda: (compose(h, source.s_rel), compose(target.s_rel, h)),
+        "he=e'": lambda: (compose(h, source.e_rel), target.e_rel),
+    }
+    for law, built in sides.items():
+        offender = first_difference(*built())
+        if offender is not None:
+            return law, offender
     return None
 
 

@@ -165,11 +165,11 @@ def test_bisection_group_of_pn_is_the_symmetric_group(n):
 def test_bisection_closure_check_fires_on_a_corrupted_table():
     # "1,2"."2,3" = "2,3" instead of "1,3": units, inverses and fibers
     # are untouched, so both bisections below still exist
-    table = [
-        ("2,3", a, b) if (a, b) == ("1,2", "2,3") else (c, a, b)
-        for c, a, b in P3.table
-    ]
-    bad = Groupoid._trusted("P3*", P3.elements, P3.units, P3.inverse, table)
+    index = P3.elements.index
+    rows = [dict(row) for row in P3._rows]
+    rows[index["1,2"]][index["2,3"]] = index["2,3"]
+    units = [index[e] for e in P3.units]
+    bad = Groupoid._of_rows("P3*", P3.elements, units, list(P3._inv), rows)
     with pytest.raises(AxiomViolation) as err:
         bisection_group(bad)
     assert err.value.law == "derived:bisection-closure"

@@ -1,11 +1,19 @@
 """Morphisms as relations: axioms, kernels, witnesses, factorizations."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from oracles import edit_rows, morphism_violation, naive_candidates
+from oracles import (
+    edit_rows,
+    morphism_relational_verdict,
+    morphism_violation,
+    naive_candidates,
+)
 
+from groupoids import morphism as morphism_module
 from groupoids.builders import (
     cyclic_table,
     group_groupoid,
@@ -538,3 +546,96 @@ def test_mask_kernel_agrees_with_the_materialized_sides_on_every_naive_candidate
             refused += differs
     # 208 candidates keep hm = m'(hxh); Morphism(...) then decides the rest
     assert (len(cases), checked, checked - refused) == (93, 24656 + 3584, 208)
+
+
+def _mask_rows(source, target, graph):
+    s_index, t_index = source.elements.index, target.elements.index
+    rows = {}
+    for d, x in graph:
+        rows[s_index[x]] = rows.get(s_index[x], 0) | 1 << t_index[d]
+    return rows
+
+
+def _checked_verdicts(source, target, graph, memo):
+    """(law, offender), or None, from Morphism(...) and from
+    Morphism._of_rows on the graph's mask rows; an accepted morphism
+    must hold the graph's relation."""
+    verdicts = []
+    for build in (
+        lambda: Morphism(source, target, graph),
+        lambda: Morphism._of_rows(
+            source, target, _mask_rows(source, target, graph), memo
+        ),
+    ):
+        try:
+            h = build()
+        except AxiomViolation as err:
+            assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
+            verdicts.append((err.law, err.offender))
+        else:
+            assert h.graph == tuple(sorted(set(graph)))
+            verdicts.append(None)
+    return verdicts
+
+
+def test_checked_morphisms_agree_with_the_relational_reference(catalog):
+    """Every candidate of the naive enumerator on the catalog pairs
+    within its default budget, and seeded subsets of target x source
+    on the pairs with at most 12 cells (every subset up to 8 cells):
+    Morphism(...) and Morphism._of_rows reject at the law and offender
+    that deciding each law on relations built in full gives, or accept
+    as it does.  Every law is reached."""
+    rng = random.Random(1311)
+    cap = EnumBudget().max_pairs
+    members = list(catalog.values())
+    seen = Counter()
+    for src, tgt in itertools.product(members, repeat=2):
+        cells = [(d, g) for d in tgt.elements for g in src.elements]
+        grid = []
+        if len(cells) <= cap:
+            grid += naive_candidates(src, tgt)
+        if len(cells) <= 12:
+            masks = rng.sample(range(2 ** len(cells)), min(2 ** len(cells), 256))
+            grid += [[c for i, c in enumerate(cells) if m >> i & 1] for m in masks]
+        memo = {}
+        for graph in grid:
+            verdict = morphism_relational_verdict(src, tgt, graph)
+            assert _checked_verdicts(src, tgt, graph, memo) == [verdict] * 2, (
+                src.name, tgt.name, graph
+            )
+            seen[verdict and verdict[0]] += 1
+    assert set(seen) == {None, "hm=m'(hxh)", "hs=s'h", "he=e'"}
+
+
+def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog):
+    """The three laws are decided on mask rows: a valid graph through
+    Morphism(...) or Morphism._of_rows makes no compose or product call;
+    a refused one makes them only when its offender is read."""
+    calls = []
+
+    def counted(name, function):
+        return lambda *args: calls.append(name) or function(*args)
+
+    for name in ("compose", "product"):
+        monkeypatch.setattr(
+            morphism_module, name, counted(name, getattr(morphism_module, name))
+        )
+    s4 = group_groupoid(symmetric_table(4))
+    cases = [(g, g, identity_morphism(g).graph) for g in catalog.values()]
+    for g in catalog.values():
+        regular = left_regular(g)
+        cases.append((g, regular.target, regular.graph))
+    cases.append((s4, s4, identity_morphism(s4).graph))
+    for src, tgt, graph in cases:
+        Morphism(src, tgt, graph)
+    assert calls == []
+    for src, tgt, graph in cases:
+        Morphism._of_rows(src, tgt, _mask_rows(src, tgt, graph))
+    assert calls == []
+    z2 = catalog["Z2"]
+    with pytest.raises(AxiomViolation) as err:
+        Morphism(z2, z2, ())
+    assert err.value.law == "he=e'"
+    assert calls == []
+    assert err.value.offender == ("0", "1")
+    assert calls == ["compose"]

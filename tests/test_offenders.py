@@ -7,7 +7,9 @@ m(idxe)=id, hm=m'(hxh) and phi(exid)=id, and rebuilds both sides of
 the failed law as materialized relations.  The offender must be the
 sorted-least pair on which they differ, the message must be the one an
 eager offender gives, and the whole record is pinned by a digest taken
-when offenders were still computed eagerly.
+when offenders were still computed eagerly.  The reconstructions the
+structured morphism enumerator refuses over the catalog are compared
+with the relational reference of the morphism laws.
 
 The two-sided laws m(mxid)=m(idxm) and sm=m.flip(sxs) are decided on
 index rows; their corpus compares each rejection with both sides built
@@ -18,10 +20,8 @@ import hashlib
 import itertools
 import json
 import random
-from contextlib import suppress
 
-from oracles import naive_candidates
-from groupoids import search
+from oracles import morphism_relational_verdict, naive_candidates
 from groupoids.action import Action, left_mult_action
 from groupoids.builders import (
     cyclic_table,
@@ -85,31 +85,23 @@ def groupoid_rejections():
                     yield err, compose(m, product(idu, e)), unitor_right(u)
 
 
-def morphism_rejections(monkeypatch):
-    """Every candidate both enumerators reject on P3 -> Z3 and Z3 -> Z3.
+def morphism_rejections():
+    """Every candidate the naive enumerator rejects on P3 -> Z3 and
+    Z3 -> Z3.
 
     The naive enumerator refuses on index rows and builds no Morphism
     for a refused candidate, so its candidates come, in its order, from
     the reference lattice `naive_candidates`, each through the checked
-    constructor here.
+    constructor here.  The structured enumerator refuses none of its
+    reconstructions on these pairs; its refusals are the next corpus.
     """
     rejected = []
-
-    def recorded(source, target, graph):
-        graph = list(graph)
-        try:
-            return Morphism(source, target, graph)
-        except AxiomViolation as err:
-            rejected.append((err, source, target, graph))
-            raise
-
-    monkeypatch.setattr(search, "Morphism", recorded)
     for source, target in ((P3, Z3), (Z3, Z3)):
         for graph in naive_candidates(source, target):
-            with suppress(AxiomViolation):
-                recorded(source, target, graph)
-        enum_morphisms(source, target)
-    monkeypatch.undo()
+            try:
+                Morphism(source, target, graph)
+            except AxiomViolation as err:
+                rejected.append((err, source, target, graph))
     for err, source, target, graph in rejected:
         assert err.law == "hm=m'(hxh)"
         h = FinRel(source.elements, target.elements, graph)
@@ -132,11 +124,11 @@ def action_rejections():
                 yield err, lhs, unitor_left(PQ)
 
 
-def test_lazy_offenders_match_the_materialized_difference(monkeypatch):
+def test_lazy_offenders_match_the_materialized_difference():
     records = []
     for corpus in (
         groupoid_rejections(),
-        morphism_rejections(monkeypatch),
+        morphism_rejections(),
         action_rejections(),
     ):
         for err, lhs, rhs in corpus:
@@ -156,6 +148,43 @@ def test_lazy_offenders_match_the_materialized_difference(monkeypatch):
     }
     text = json.dumps(records, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "0343e292ad958614"
+
+
+def test_refused_reconstructions_report_the_materialized_difference(
+    monkeypatch, catalog
+):
+    """Every reconstruction the structured enumerator refuses over the
+    catalog's 121 ordered pairs, recorded at its checked entry
+    Morphism._of_rows, reports the law and offender of deciding each
+    law on relations built in full, and its message."""
+    rejected = []
+    of_rows = Morphism._of_rows.__func__
+
+    def recorded(cls, source, target, rows, memo=None):
+        try:
+            return of_rows(cls, source, target, rows, memo)
+        except AxiomViolation as err:
+            rejected.append((err, source, target, dict(rows)))
+            raise
+
+    monkeypatch.setattr(Morphism, "_of_rows", classmethod(recorded))
+    for source, target in itertools.product(catalog.values(), repeat=2):
+        enum_morphisms(source, target)
+    monkeypatch.undo()
+    counts = {}
+    for err, source, target, rows in rejected:
+        names = target.elements.names
+        graph = [
+            (names[d], source.elements.names[x])
+            for x, mx in rows.items()
+            for d in range(len(names))
+            if mx >> d & 1
+        ]
+        verdict = morphism_relational_verdict(source, target, graph)
+        assert (err.law, err.offender) == verdict
+        assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
+        counts[err.law] = counts.get(err.law, 0) + 1
+    assert counts == {"he=e'": 32, "hm=m'(hxh)": 15}
 
 
 # -- the two-sided laws, decided on index rows --------------------------

@@ -79,6 +79,18 @@ def test_naive_budget():
         EnumBudget(max_pairs=0)
 
 
+def test_naive_examines_every_candidate_whatever_pair_it_compares_first():
+    # the pair that refuted the last candidate is compared first: that
+    # orders the comparisons and prunes nothing, so each of the 3,584
+    # P3 -> Z3 candidates is still counted against the budget
+    p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
+    z3 = group_groupoid(cyclic_table(3))
+    with pytest.raises(BudgetExceeded):
+        enum_morphisms_naive(p3, z3, EnumBudget(max_pairs=27, max_candidates=3583))
+    budget = EnumBudget(max_pairs=27, max_candidates=3584)
+    assert enum_morphisms_naive(p3, z3, budget) == []
+
+
 def test_naive_rejections_compute_no_offender(monkeypatch):
     # every P3 -> Z3 candidate fails hm=m'(hxh); the enumerator reads only
     # the law, so no offender may be computed
