@@ -1,27 +1,27 @@
 """Groupoid actions as relations, with the constructions they carry.
 
-An action of a groupoid on a set X is a relation from Γ×X to X
-subject to two exact equalities, mirroring how the groupoid itself is
-axiomatized.  These are the only checks, made only where the boundary
-policy in groupoid.py says; the actions the package builds come from
-Action._trusted.  One pass over the triples then reads off the
-classical picture: a base map rho on X, a domain {(γ,x): e_R(γ)=rho(x)},
-and a single-valued partial map.  That rho is well defined, the domain
-is that fiber product and the map is single-valued and inverted by s
-are theorems of the axioms; the tests check them against an oracle.  On
-top of that the module builds action groupoids, coset spaces and
-quotient groupoids, homogeneous-space identification for transitive
-groupoids, induced actions along a subgroupoid, and the normal form of
-transitive actions.
-
-phi(m x id) = phi(id x phi) builds no relation on G x G x X.  It is
-decided by groupoid.py's _check_composition, the function that decides
-associativity, which is this law for G acting on itself; groupoid.py's
-docstring gives the argument.  By the same argument the d with
-phi(g, xd) ~= phi(g, x)d (~= as there) are closed under defined
-products, so right_commuting_to_morphism checks its law only for the
-greedy generators d of delta.  phi(e x id) = id is compared as it
-reads, with phi(e x id) built.
+An action of a groupoid on a set X is a relation phi : Γ×X -> X with
+the two exact equalities that Γ's product has when Γ acts on itself:
+phi(m x id) = phi(id x phi) and phi(e x id) = id, the only checks, made
+where the boundary policy in groupoid.py says.  An action is held as
+move rows, `_moves[g][x]` the index of phi(g, x), as a groupoid holds
+its `_rows`, the move rows of left multiplication.  Builders hand rows
+to Action._of_rows, the one unchecked set-up.  Action(...) indexes its
+triples in one pass; when the rows hold every triple, phi is
+single-valued and groupoid.py's _check_composition decides both laws
+on the rows, with no relation built, and otherwise on the relation of
+the triples.  One pass over the rows names the triples and reads off
+the classical picture: a base map rho on X, a domain
+{(γ,x): e_R(γ)=rho(x)}, and a single-valued partial map.  That rho is
+well defined, the domain is that fiber product and the map is
+single-valued and inverted by s are theorems of the axioms; the tests
+check them against an oracle.  `rel` is built on first read.  On top of
+that the module builds action groupoids (groupoid.py's _semidirect),
+coset spaces and quotient groupoids, homogeneous-space identification
+for transitive groupoids, induced actions along a subgroupoid, and the
+normal form of transitive actions.  By groupoid.py's argument, the d
+with phi(g, xd) ~= phi(g, x)d are closed under defined products, so
+right_commuting_to_morphism checks its law only for the generators d.
 
 The constructions on actions are theorems of their checked inputs and
 are not re-checked; tests/test_derived.py checks each one over the
@@ -39,23 +39,19 @@ from the standard action.
 
 from __future__ import annotations
 
-from .errors import (
-    AxiomViolation,
-    PreconditionFailed,
-    UniverseMismatch,
-    UnknownElement,
-)
+from functools import cached_property
+
+from .errors import PreconditionFailed, UniverseMismatch, UnknownElement
 from .relation import (
+    FinRel,
     Universe,
     compose,
-    first_difference,
     identity,
     mapping_rel,
     pair_name,
     product,
     product_universe,
     triples_rel,
-    unitor_left,
 )
 from .groupoid import (
     Groupoid,
@@ -63,7 +59,9 @@ from .groupoid import (
     _after,
     _check_composition,
     _generators,
+    _index_pass,
     _placed,
+    _semidirect,
 )
 from .builders import GroupTable, check_group_action, pair_groupoid, product_form
 from .morphism import (
@@ -76,61 +74,56 @@ from .morphism import (
 
 
 class Action:
-    """A validated relational action, stored as triples (y, g, x)."""
+    """A validated relational action, held as its move rows."""
 
     def __init__(self, groupoid: Groupoid, carrier: Universe, triples):
-        self._read(groupoid, carrier, triples, check=True)
+        u = groupoid.elements
+        product_universe(u, carrier)  # refuses ambiguous pair names
+        triples = set(triples)
+        try:
+            moves, single = _index_pass(u, carrier, triples)
+        except KeyError:  # triples_rel names the stray name, or reads pair names
+            n, names = len(carrier), carrier.names
+            pairs = triples_rel(u, carrier, carrier, triples).pairs
+            triples = {(names[y], u.names[gx // n], names[gx % n]) for y, gx in pairs}
+            moves, single = _index_pass(u, carrier, triples)
+        product_universe(product_universe(u, u), carrier)  # and triple names
+        self.groupoid, self.carrier, self._moves = groupoid, carrier, moves
+        if not single:  # rows cannot hold phi: it is the relation of its triples
+            self.rel = triples_rel(u, carrier, carrier, triples)
+        laws, phi = ("phi(mxid)=phi(idxphi)", "phi(exid)=id"), lambda: self.rel
+        _check_composition(laws, phi, groupoid, carrier, moves if single else None)
+        self._setup()
 
     @classmethod
-    def _trusted(cls, groupoid: Groupoid, carrier: Universe, triples):
-        """An action built from structures the package holds, unchecked."""
+    def _of_rows(cls, groupoid: Groupoid, carrier: Universe, moves):
+        """The action with move rows `moves`, unchecked."""
+        product_universe(groupoid.elements, carrier)  # refuses ambiguous pair names
         action = cls.__new__(cls)
-        action._read(groupoid, carrier, triples, check=False)
+        action.groupoid, action.carrier, action._moves = groupoid, carrier, moves
+        action._setup()
         return action
 
-    def _read(self, groupoid, carrier, triples, check):
-        self.groupoid = groupoid
-        self.carrier = carrier
-        self.triples = tuple(sorted(set(triples)))
-        self.rel = triples_rel(groupoid.elements, carrier, carrier, self.triples)
-        if check:
-            self._check_axioms()
-        self._derive()
-
-    def _check_axioms(self):
-        g, x, rel = self.groupoid, self.carrier, self.rel
-        product_universe(g.m_rel.source, x)  # refuses ambiguous triple names
-        _check_composition("phi(mxid)=phi(idxphi)", lambda: rel, g, self._moves())
-        lhs, unit = compose(rel, product(g.e_rel, identity(x))), unitor_left(x)
-        if lhs != unit:
-            raise AxiomViolation(
-                "phi(exid)=id", lambda: first_difference(lhs, unit)
-            )
-
-    def _moves(self):
-        """moves[g][x] is the index of phi(g, x), or None when phi is
-        multi-valued."""
-        n, by_pair = len(self.carrier), self.rel._by_index()
-        if len(by_pair) != len(self.rel.pairs):
-            return None
-        moves = [{} for _ in self.groupoid.elements.names]
-        for gx, (y,) in by_pair.items():
-            g, x = divmod(gx, n)
-            moves[g][x] = y
-        return moves
-
-    def _derive(self):
-        # one pass over the triples; base map, domain and single-valued
+    def _setup(self):
+        # one pass over the rows; base map, domain and single-valued
         # partial map are theorems of the axioms and are not re-checked
-        unit_set = self.groupoid._unit_set
-        rho, table = {}, {}
-        for y, gamma, point in self.triples:
-            table[(gamma, point)] = y
+        names, points = self.groupoid._names, self.carrier.names
+        unit_set, rho, table = self.groupoid._unit_set, {}, {}
+        for gamma, row in zip(names, self._moves):
+            for x, y in row.items():
+                table[(gamma, points[x])] = points[y]
             if gamma in unit_set:
-                rho[point] = gamma
-        self.base_map = rho
-        self.domain = frozenset(table)
-        self._table = table
+                rho.update(dict.fromkeys(map(points.__getitem__, row), gamma))
+        self.triples = tuple(sorted([(y, g, x) for (g, x), y in table.items()]))
+        self.base_map, self.domain, self._table = rho, frozenset(table), table
+
+    @cached_property
+    def rel(self) -> FinRel:
+        """phi as the relation G x X -> X, built from the rows."""
+        n, moves = len(self.carrier), enumerate(self._moves)
+        pairs = frozenset([(y, g * n + x) for g, row in moves for x, y in row.items()])
+        source = product_universe(self.groupoid.elements, self.carrier)
+        return FinRel._from_indices(source, self.carrier, pairs)
 
     def apply(self, gamma, point):
         """The moved point, or None outside the domain."""
@@ -175,31 +168,29 @@ class GammaSet:
 
 def left_mult_action(groupoid: Groupoid) -> Action:
     """The groupoid acting on itself by left multiplication."""
-    return Action._trusted(
-        groupoid, groupoid.elements, ((c, a, b) for c, a, b in groupoid.table)
-    )
+    return Action._of_rows(groupoid, groupoid.elements, groupoid._rows)
 
 
 def unit_action(groupoid: Groupoid) -> Action:
     """The action on units moving e_R(g) to e_L(g)."""
     carrier = groupoid.units_universe()
-    triples = (
-        (groupoid.e_left(g), g, groupoid.e_right(g)) for g in groupoid.elements
-    )
-    return Action._trusted(groupoid, carrier, triples)
+    point = {groupoid._index[e]: k for k, e in enumerate(carrier.names)}
+    moves = [{point[r]: point[l]} for l, r in zip(groupoid._left, groupoid._right)]
+    return Action._of_rows(groupoid, carrier, moves)
 
 
 def conjugation_action(groupoid: Groupoid) -> Action:
     """The action on the isotropy bundle by conjugation."""
     bundle = sorted(groupoid.isotropy_bundle().members)
     carrier = Universe(f"{groupoid.elements.name}.iso", bundle)
-    triples = []
-    for g in groupoid.elements:
-        for k in bundle:
-            if groupoid.e_right(g) == groupoid.e_left(k):
-                moved = groupoid.mult(groupoid.mult(g, k), groupoid.inverse[g])
-                triples.append((moved, g, k))
-    return Action._trusted(groupoid, carrier, triples)
+    # g moves k to g k s(g) where gk is defined
+    point = {groupoid._index[k]: j for j, k in enumerate(carrier.names)}
+    rows, inv = groupoid._rows, groupoid._inv
+    moves = [
+        {point[k]: point[rows[row[k]][inv[g]]] for k in point if k in row}
+        for g, row in enumerate(rows)
+    ]
+    return Action._of_rows(groupoid, carrier, moves)
 
 
 def classical_to_relational(groupoid: Groupoid, carrier: Universe, rho, act) -> Action:
@@ -231,14 +222,15 @@ def morphism_to_action(h: Morphism, carrier: Universe) -> Action:
         raise PreconditionFailed(
             f"{h.target.name!r} is not the pair groupoid over {carrier.name!r}"
         )
-    decode = {
-        pair_name(x1, x2): (x1, x2) for x1 in carrier for x2 in carrier
-    }
-    triples = []
-    for d, g in h.graph:
+    # the target's index of x1,x2 -> (x1, x2), on carrier indices
+    at, n = h.target._index, len(carrier)
+    pairs = product_universe(carrier, carrier).names  # x1,x2 at x1 * n + x2
+    decode = {at[d]: divmod(k, n) for k, d in enumerate(pairs)}
+    moves = [{} for _ in h.source._rows]
+    for d, g in h.rel.pairs:
         x1, x2 = decode[d]
-        triples.append((x1, g, x2))
-    return Action._trusted(h.source, carrier, triples)
+        moves[g][x2] = x1
+    return Action._of_rows(h.source, carrier, moves)
 
 
 def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
@@ -247,8 +239,11 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
     if tuple(action.carrier) != tuple(delta.elements):
         raise UniverseMismatch(action.carrier, delta.elements, "carrier")
     if action.carrier.factors != delta.elements.factors:  # index as delta does
-        action = Action._trusted(action.groupoid, delta.elements, action.triples)
-    product_universe(action.rel.source, delta.elements)  # refuses ambiguous names
+        to = list(map(delta._index.__getitem__, action.carrier.names))
+        moves = [{to[x]: to[y] for x, y in row.items()} for row in action._moves]
+        action = Action._of_rows(action.groupoid, delta.elements, moves)
+    source = product_universe(action.groupoid.elements, delta.elements)
+    product_universe(source, delta.elements)  # refuses ambiguous names
     if not _commutes_on_generators(action, delta):
         raise PreconditionFailed(
             "action does not commute with right multiplication"
@@ -262,7 +257,7 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
 
 def _commutes_on_generators(action: Action, delta: Groupoid) -> bool:
     """phi(g, xd) ~= phi(g, x)d for the generators d of delta."""
-    moves, cols = action._moves(), delta._cols  # cols[d][x] is xd
+    moves, cols = action._moves, delta._cols  # cols[d][x] is xd
     return all(
         _after(move, cols[d]) == _after(cols[d], move)
         for d in _generators(delta._rows, cols)
@@ -274,14 +269,13 @@ def pullback_action(h: Morphism, space: GammaSet) -> GammaSet:
     """Precompose an action with a morphism into its groupoid."""
     if space.action.groupoid != h.target:
         raise PreconditionFailed("the action does not belong to the target")
-    carrier = space.carrier
-    rel = compose(space.action.rel, product(h.rel, identity(carrier)))
-    triples = []
-    for g in h.source.elements:
-        for x in carrier:
-            for y in rel.outputs(pair_name(g, x)):
-                triples.append((y, g, x))
-    return GammaSet(carrier, Action._trusted(h.source, carrier, triples))
+    # g moves x as each d that h relates it to does
+    at, phi = space.action.groupoid._index, space.action._moves
+    to = list(map(at.__getitem__, h.rel.target.names))
+    moves = [{} for _ in h.source._rows]
+    for d, g in h.rel.pairs:
+        moves[g].update(phi[to[d]])
+    return GammaSet(space.carrier, Action._of_rows(h.source, space.carrier, moves))
 
 
 def is_equivariant(func, first: GammaSet, second: GammaSet) -> bool:
@@ -299,22 +293,9 @@ def is_equivariant(func, first: GammaSet, second: GammaSet) -> bool:
 
 def action_groupoid(action: Action) -> Groupoid:
     """The groupoid of moves (g, x) with multiplication over matching x."""
-    g, rho = action.groupoid, action.base_map
-    members = sorted(action.domain)
-    labels = [pair_name(gamma, x) for gamma, x in members]
-    elements = Universe(f"{g.elements.name}*{action.carrier.name}", labels)
-    # position k is the move members[k]; (g1, g2 x)(g2, x) = (g1 g2, x)
-    at = {move: k for k, move in enumerate(members)}
-    names, cols = g._names, g._cols  # cols[b][a] is the index of ab
-    units = [at[(rho[x], x)] for x in action.carrier]
-    inv = [at[(g.inverse[gamma], action.apply(gamma, x))] for gamma, x in members]
-    rows = [{} for _ in members]
-    for k, (gamma2, x) in enumerate(members):
-        moved = action.apply(gamma2, x)
-        for gamma1, prod in cols[g._index[gamma2]].items():
-            rows[at[(names[gamma1], moved)]][k] = at[(names[prod], x)]
-    name = f"Act({g.name},{action.carrier.name})"
-    return _placed(name, elements, labels, units, inv, rows)
+    g, x = action.groupoid, action.carrier
+    name, elements_name = f"Act({g.name},{x.name})", f"{g.elements.name}*{x.name}"
+    return _semidirect(name, elements_name, g, x, action._moves, pair_name)
 
 
 def action_groupoid_functor(h: Morphism):
@@ -404,10 +385,10 @@ def coset_space(groupoid: Groupoid, part) -> CosetSpace:
     carrier = Universe(
         f"{groupoid.elements.name}/~", tuple(projection[b[0]] for b in classes)
     )
-    triples = {
-        (projection[c], a, projection[b]) for c, a, b in groupoid.table
-    }
-    action = Action._trusted(groupoid, carrier, triples)
+    # a moves the class of b to that of ab
+    at = [carrier.index[projection[g]] for g in groupoid._names]
+    moves = [{at[b]: at[c] for b, c in row.items()} for row in groupoid._rows]
+    action = Action._of_rows(groupoid, carrier, moves)
     return CosetSpace(groupoid, members, classes, projection, action)
 
 
@@ -538,15 +519,14 @@ def induced_action(groupoid: Groupoid, part, action: Action):
         f"{groupoid.elements.name}*{action.carrier.name}.induced",
         tuple(projection[b[0]] for b in classes),
     )
-    triples = set()
+    # gamma1 moves the class of (gamma, x) to that of (gamma1 gamma, x)
+    at, names, cols = carrier.index, groupoid._names, groupoid._cols
+    moves = [{} for _ in names]
     for gamma, x in pre_carrier:
-        for gamma1 in groupoid.elements:
-            prod = groupoid.mult(gamma1, gamma)
-            if prod is not None:
-                triples.add(
-                    (projection[(prod, x)], gamma1, projection[(gamma, x)])
-                )
-    return carrier, Action._trusted(groupoid, carrier, triples)
+        k = at[projection[(gamma, x)]]
+        for gamma1, prod in cols[groupoid._index[gamma]].items():
+            moves[gamma1][k] = at[projection[(names[prod], x)]]
+    return carrier, Action._of_rows(groupoid, carrier, moves)
 
 
 def product_form_action(space: Universe, table: GroupTable, carrier: Universe, act) -> Action:
@@ -554,20 +534,18 @@ def product_form_action(space: Universe, table: GroupTable, carrier: Universe, a
     group action on a fiber."""
     act = check_group_action(table, carrier, act)
     groupoid = product_form(space, table)
-    triples = []
+    product_carrier = product_universe(space, carrier)
+    # e1|g|e2 moves (e2, z) to (e1, gz), at e2 * |Z| + z and e1 * |Z| + gz
+    at, point, n = space.index, carrier.index, len(carrier)
+    moves = [None] * len(groupoid._rows)
     for e1 in space:
         for e2 in space:
             for g in table.elements:
-                for z in carrier:
-                    triples.append(
-                        (
-                            pair_name(e1, act[(g, z)]),
-                            f"{e1}|{g}|{e2}",
-                            pair_name(e2, z),
-                        )
-                    )
-    product_carrier = product_universe(space, carrier)
-    return Action._trusted(groupoid, product_carrier, triples)
+                moves[groupoid._index[f"{e1}|{g}|{e2}"]] = {
+                    at[e2] * n + point[z]: at[e1] * n + point[act[(g, z)]]
+                    for z in carrier
+                }
+    return Action._of_rows(groupoid, product_carrier, moves)
 
 
 def classify_transitive_action(space: Universe, table: GroupTable, action: Action, z0=None):

@@ -11,7 +11,9 @@ of a group action.  A raw group table is checked once; all else here is
 built unchecked, as groupoid.py says.  Each groupoid builder computes its
 index rows by arithmetic on positions, such as x * |X| + y for the pair
 (x, y), and hands them to Groupoid._of_rows, through _placed when its
-positions are not the universe's index order.  Only the element names
+positions are not the universe's index order; a transformation groupoid
+is built from its action's move rows by groupoid.py's _semidirect, as
+action.py's action_groupoid is.  Only the element names
 are made: the product triples and the inverse map are named when
 `table` or `inverse` is read.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionFailed, UnknownElement
-from .groupoid import Groupoid, _placed
+from .groupoid import Groupoid, _placed, _semidirect
 from .relation import Universe, pair_name, product_universe
 
 
@@ -404,17 +406,10 @@ def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) 
         raise PreconditionFailed(
             f"ambiguous names in transformation groupoid over {space.name!r}"
         )
-    # g:x is at position g * |X| + x, on group and point indices, and
-    # (g:hx)(h:x) = gh:x
-    n, index = len(space), space.index
-    moved = [[index[act[(g, x)]] for x in points] for g in table.elements]
-    group_inv = _inverses(table)
-    units = [table._index[table.unit] * n + x for x in range(n)]
-    inv = [group_inv[g] * n + moved[g][x] for g in range(len(table)) for x in range(n)]
-    rows = [{} for _ in elems]
-    for h, to in enumerate(moved):
-        for x, hx in enumerate(to):
-            for g, gh in enumerate(table.rows):
-                rows[g * n + hx][h * n + x] = gh[h] * n + x
-    label = name or f"{table.name}:{space.name}"
-    return _placed(label, Universe(label, elems), elems, units, inv, rows)
+    # the moves of the action: g:x runs from x to gx, and (g:hx)(h:x) = gh:x
+    index, label = space.index, name or f"{table.name}:{space.name}"
+    moves = [
+        {x: index[act[(g, p)]] for x, p in enumerate(points)} for g in table.elements
+    ]
+    group = group_groupoid(table)
+    return _semidirect(label, label, group, space, moves, lambda g, x: f"{g}:{x}")

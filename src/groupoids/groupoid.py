@@ -80,11 +80,12 @@ for a single-valued m, one pass over the rows, with no s x s, no flip
 and neither side built.  A multi-valued m compares the two sides, built
 as index pairs, which also give the offender.
 
-The unit laws m(e x id) = id and m(id x e) = id are one-sided.  For a
-single-valued m they say that every entry of the rows m(e, -), or of
-the columns m(-, e), over the units e is a fixed point, and that those
-entries cover G; a multi-valued m compares them as they read, with
-m(e x id) and m(id x e) built.  s s = id reads `_inv`, whatever m is.
+The unit laws m(e x id) = id and m(id x e) = id are one-sided; the
+first is phi(e x id) = id for G acting on itself, which
+_check_composition decides.  For a single-valued phi or m they say
+that every entry of the rows phi(e, -), or of the columns m(-, e), over
+the units e is a fixed point and that those entries cover X; a
+multi-valued one compares the sides, built.  s s = id reads `_inv`.
 
 Boundary policy, for groupoids, morphisms and actions alike: the
 checking constructors Groupoid(...), Morphism(...) and Action(...) run
@@ -94,8 +95,9 @@ classical_to_relational, functor_to_morphism and functor_to_zm, the
 output of right_commuting_to_morphism, and user calls (enumerator
 candidates through Morphism._of_rows, on mask rows).  What the package
 builds from structures it holds is valid by the paper's theorems and
-comes from the class's _trusted constructor, or Groupoid._of_rows,
-which skip the axioms (a groupoid still refuses ambiguous pair names).
+comes from Morphism._trusted, or from Groupoid._of_rows and
+Action._of_rows on index rows, which skip the axioms (they still
+refuse ambiguous pair names).
 The grids in tests/test_builders.py and tests/test_trusted.py prove
 those builds.
 Derived constructions (kernels, quotients, cosets, factorizations,
@@ -146,8 +148,8 @@ class Groupoid:
         # which rows cannot hold, is kept as the relation of its triples
         inverse, triples = dict(inverse), set(table)
         self._check_structure(inverse, triples)
-        self._inv, self._rows = _index_pass(elements, inverse, triples)
-        single = sum(map(len, self._rows)) == len(triples)
+        self._inv = [elements.index[inverse[g]] for g in elements.names]
+        self._rows, single = _index_pass(elements, elements, triples)
         if not single:
             self.m_rel = triples_rel(elements, elements, elements, triples)
         self._check_relational_axioms(single)
@@ -275,15 +277,11 @@ class Groupoid:
         n, m = len(rows), lambda: self.m_rel
         e, idu = lambda: self.e_rel, lambda: identity(u)
         units = list(map(u.index.__getitem__, self.units))
-        _check_composition("m(mxid)=m(idxm)", m, self, rows if single else None)
+        laws = ("m(mxid)=m(idxm)", "m(exid)=id")
+        _check_composition(laws, m, self, u, rows if single else None)
 
         # (law, its test on rows or None, its two sides as relations)
         for law, on_rows, sides in (
-            (
-                "m(exid)=id",
-                single and (lambda: _fixes(map(rows.__getitem__, units), n)),
-                lambda: (compose(m(), product(e(), idu())), unitor_left(u)),
-            ),
             (
                 "m(idxe)=id",
                 single and (lambda: _fixes(map(self._cols.__getitem__, units), n)),
@@ -496,14 +494,15 @@ class Groupoid:
         )
 
 
-def _index_pass(elements: Universe, inverse, table):
-    """(inv, rows) of a named inverse map and product table: inv[x] is
-    the index of s(x) and rows[x][y] that of xy."""
-    index = elements.index
-    rows = [{} for _ in index]
-    for c, a, b in table:
-        rows[index[a]][index[b]] = index[c]
-    return [index[inverse[g]] for g in elements.names], rows
+def _index_pass(acting: Universe, on: Universe, triples: set):
+    """(rows, single) of a set of named triples (z, a, x), a in `acting`
+    and x, z in `on`: rows[a][x] is the index of z, and single is True
+    when the rows hold every triple, as a single-valued relation's do."""
+    a_index, x_index = acting.index, on.index
+    rows = [{} for _ in a_index]
+    for z, a, x in triples:
+        rows[a_index[a]][x_index[x]] = x_index[z]
+    return rows, sum(map(len, rows)) == len(triples)
 
 
 def _moved(at, inv, rows):
@@ -519,8 +518,9 @@ def _moved(at, inv, rows):
 
 def _fixes(lines, n) -> bool:
     """Every entry of the dicts `lines` is a fixed point, and their keys
-    cover range(n): for the rows m(e, -) or columns m(-, e) of the units
-    e of a single-valued m, m(e x id) = id or m(id x e) = id."""
+    cover range(n): for the move rows phi(e, -) of the units e of a
+    single-valued phi, phi(e x id) = id, and for the columns m(-, e) of
+    a single-valued m, m(id x e) = id."""
     covered = set()
     for line in lines:
         if list(line) != list(line.values()):
@@ -555,23 +555,34 @@ def _flip_sides(m: FinRel, inv):
     )
 
 
-def _check_composition(law, phi, groupoid: Groupoid, moves):
-    """Raise AxiomViolation(law) unless phi(m x id) = phi(id x phi), where
-    phi : G x X -> X and m is the product of G, `groupoid`.
+def _check_composition(laws, phi, groupoid: Groupoid, carrier: Universe, moves):
+    """Raise AxiomViolation, under its name in `laws`, at the first of
+    phi(m x id) = phi(id x phi) and phi(e x id) = id that fails, where
+    phi : G x X -> X, X is `carrier` and G is `groupoid`.
 
-    phi() is the relation.  A single-valued phi is decided by the
-    generator test of the module docstring on its move rows `moves`,
-    moves[g][x] the index of phi(g, x); a multi-valued one, for which
-    moves is None, by two_sided_difference.  The offender is computed on
+    phi() is the relation.  A single-valued phi is decided on its move
+    rows `moves`, moves[g][x] the index of phi(g, x), by the generator
+    test of the module docstring and _fixes; a multi-valued one, for
+    which moves is None, on relations.  The offender is computed on
     first access.
     """
+    composition, unit = laws
     offender = lambda: two_sided_difference(phi(), groupoid.m_rel, phi(), phi())
     if moves is None:  # multi-valued: decided by the scan
         offender = offender()
     elif _composes_on_generators(moves, groupoid):
         offender = None
     if offender is not None:
-        raise AxiomViolation(law, offender)
+        raise AxiomViolation(composition, offender)
+    e_x_id = lambda: product(groupoid.e_rel, identity(carrier))
+    sides = lambda: (compose(phi(), e_x_id()), unitor_left(carrier))
+    if moves is None:
+        holds = operator.eq(*sides())
+    else:
+        units = map(groupoid.elements.index.__getitem__, groupoid.units)
+        holds = _fixes(map(moves.__getitem__, units), len(carrier))
+    if not holds:
+        raise AxiomViolation(unit, lambda: _first_difference(*sides()))
 
 
 def _after(f: dict, g: dict) -> dict:
@@ -697,6 +708,27 @@ def _placed(name, elements: Universe, labels, units, inv, rows) -> Groupoid:
     at = list(map(elements.index.__getitem__, labels))
     inv, rows = _moved(at, inv, rows)
     return Groupoid._of_rows(name, elements, [at[e] for e in units], inv, rows)
+
+
+def _semidirect(name, elements_name, groupoid, carrier: Universe, moves, label):
+    """G x| X for an action of G on X, `carrier`, with move rows `moves`:
+    the (g, x) with phi(g, x) defined, named label(g, x), from x to
+    phi(g, x), with (g1, phi(g2, x))(g2, x) = (g1 g2, x)."""
+    # positions run over the moves g by g; at[g][x] is that of (g, x)
+    at, labels, names = [], [], carrier.names
+    for g, row in zip(groupoid._names, moves):
+        at.append(dict(zip(row, range(len(labels), len(labels) + len(row)))))
+        labels.extend(label(g, names[x]) for x in row)
+    units = [k for e in groupoid.units for k in at[groupoid._index[e]].values()]
+    inv = [at[groupoid._inv[g]][y] for g, row in enumerate(moves) for y in row.values()]
+    rows, cols = [{} for _ in labels], groupoid._cols  # cols[b][a] is ab
+    for g2, row in enumerate(moves):
+        for x, y in row.items():
+            k = at[g2][x]
+            for g1, g1g2 in cols[g2].items():
+                rows[at[g1][y]][k] = at[g1g2][x]
+    elements = Universe(elements_name, labels)
+    return _placed(name, elements, labels, units, inv, rows)
 
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:

@@ -157,14 +157,10 @@ def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None, first=()
     return None if matched == total else ()
 
 
-def _hm_differs(rows: dict, src: Groupoid, tgt: Groupoid, memo=None) -> bool:
-    return _hm_refutation(rows, src, tgt, memo) is not None
-
-
 def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict, memo=None):
     """Raise at the first of hm=m'(hxh), hs=s'h and he=e' that h, given
     by its mask rows, breaks; the offender is built on first access."""
-    if _hm_differs(rows, src, tgt, memo):
+    if _hm_refutation(rows, src, tgt, memo) is not None:
         law = "hm=m'(hxh)"
     else:
         law, he, t_inv = "he=e'", 0, tgt._inv

@@ -375,10 +375,6 @@ def is_mapping(r: FinRel) -> bool:
     )
 
 
-def apply(r: FinRel, x: str) -> tuple:
-    return r.outputs(x)
-
-
 def identity(universe: Universe) -> FinRel:
     return FinRel._from_indices(
         universe, universe, frozenset([(i, i) for i in range(len(universe))])

@@ -48,8 +48,12 @@ from groupoids.errors import (
     PreconditionFailed,
     UniverseMismatch,
 )
-from groupoids import action as action_module, groupoid as groupoid_module
-from groupoids.groupoid import Groupoid, SubgroupoidRef, cartesian_product
+from groupoids import (
+    action as action_module,
+    groupoid as groupoid_module,
+    relation as relation_module,
+)
+from groupoids.groupoid import Groupoid, SubgroupoidRef, _index_pass, cartesian_product
 from groupoids.morphism import (
     compose_morphisms,
     identity_morphism,
@@ -68,6 +72,7 @@ from groupoids.relation import (
     pair_name,
     product,
     triples_rel,
+    unitor_left,
 )
 from groupoids.search import enum_actions, find_groupoid_isomorphism
 
@@ -552,15 +557,19 @@ def drawn_triples(draw, catalog):
 @given(data=st.data())
 def test_action_laws_agree_with_the_materialized_sides(catalog, data):
     """Action(...) rejects at phi(mxid)=phi(idxphi) exactly when the two
-    sides built as relations differ, with their sorted-least difference
-    as offender; right_commuting_to_morphism refuses exactly when
-    phi(id x m) and m(phi x id) differ.  The commuting law is decided for
-    any partial map phi, so every single-valued draw on a groupoid's
-    elements is handed to it as an unchecked action."""
+    sides built as relations differ, and otherwise at phi(exid)=id
+    exactly when that law's two sides differ, with the sorted-least
+    difference of the sides as offender; right_commuting_to_morphism
+    refuses exactly when phi(id x m) and m(phi x id) differ.  The
+    commuting law is decided for any partial map phi, so every
+    single-valued draw on a groupoid's elements is handed to it as an
+    unchecked action."""
     g, delta, carrier, triples = data.draw(drawn_triples(catalog))
     phi = triples_rel(g.elements, carrier, carrier, triples)
     lhs = compose(phi, product(g.m_rel, identity(carrier)))
     rhs = compose(phi, product(identity(g.elements), phi))
+    unit_lhs = compose(phi, product(g.e_rel, identity(carrier)))
+    unit_rhs = unitor_left(carrier)
     try:
         Action(g, carrier, triples)
         err = None
@@ -570,6 +579,12 @@ def test_action_laws_agree_with_the_materialized_sides(catalog, data):
     assert rejected == (lhs != rhs)
     if rejected:
         assert err.offender == first_difference(lhs, rhs)
+        return
+    unit_rejected = err is not None and err.law == "phi(exid)=id"
+    assert unit_rejected == (unit_lhs != unit_rhs)
+    if unit_rejected:
+        assert err.offender == first_difference(unit_lhs, unit_rhs)
+    assert err is None or unit_rejected
     if delta is None or len({(a, x) for _, a, x in triples}) != len(triples):
         return
     m = delta.m_rel
@@ -577,7 +592,8 @@ def test_action_laws_agree_with_the_materialized_sides(catalog, data):
         m, product(phi, identity(carrier))
     )
     try:
-        right_commuting_to_morphism(Action._trusted(g, carrier, triples), delta)
+        moves, _ = _index_pass(g.elements, carrier, set(triples))
+        right_commuting_to_morphism(Action._of_rows(g, carrier, moves), delta)
         refused = False
     except PreconditionFailed:
         refused = True
@@ -587,24 +603,63 @@ def test_action_laws_agree_with_the_materialized_sides(catalog, data):
 
 
 def test_one_function_decides_both_composition_laws(monkeypatch):
-    """Associativity is the composition law of G acting on itself: a
-    checked Groupoid(...) and a checked Action(...) each decide their
-    law through the same function, once."""
+    """Associativity and m(exid)=id are the two laws of G acting on
+    itself: a checked Groupoid(...) and a checked Action(...) each decide
+    their composition and unit laws through the same function, once."""
     check = groupoid_module._check_composition
     assert action_module._check_composition is check
     laws = []
 
-    def counted(law, *args):
-        laws.append(law)
-        return check(law, *args)
+    def counted(names, *args):
+        laws.extend(names)
+        return check(names, *args)
 
     for module in (groupoid_module, action_module):
         monkeypatch.setattr(module, "_check_composition", counted)
     s3 = group_groupoid(symmetric_table(3))
     g = Groupoid("S3", s3.elements, s3.units, s3.inverse, s3.table)
-    assert laws == ["m(mxid)=m(idxm)"]
+    assert laws == ["m(mxid)=m(idxm)", "m(exid)=id"]
     Action(g, g.elements, s3.table)
-    assert laws == ["m(mxid)=m(idxm)", "phi(mxid)=phi(idxphi)"]
+    assert laws[2:] == ["phi(mxid)=phi(idxphi)", "phi(exid)=id"]
+
+
+def test_a_checked_action_that_holds_composes_no_relation(catalog, monkeypatch):
+    """Both action laws of a valid action are decided on its move rows:
+    left multiplication of every catalog member and of S4, given as
+    triples to the checked constructor, makes no compose or product
+    call."""
+    calls = []
+
+    def counted(make):
+        def call(*args):
+            calls.append(make.__name__)
+            return make(*args)
+
+        return call
+
+    for name in ("compose", "product"):
+        wrapped = counted(getattr(relation_module, name))
+        for module in (groupoid_module, action_module, relation_module):
+            monkeypatch.setattr(module, name, wrapped)
+    for g in [*catalog.values(), group_groupoid(symmetric_table(4))]:
+        Action(g, g.elements, g.table)
+    assert calls == []
+
+
+def test_stock_actions_name_no_triple_of_their_groupoid():
+    """Left multiplication, coset spaces, the unit action and
+    conjugation are built from the groupoid's rows, so none of them
+    names its product triples."""
+    g = product_form(Universe("B3", "xyz"), symmetric_table(3))
+    builds = {
+        "left_mult_action": left_mult_action,
+        "coset_space": lambda g: coset_space(g, g.isotropy_bundle().members),
+        "unit_action": unit_action,
+        "conjugation_action": conjugation_action,
+    }
+    for label, build in builds.items():
+        build(g)
+        assert "table" not in vars(g), label
 
 
 def test_right_commuting_reads_a_carrier_indexed_apart_from_delta():
@@ -619,6 +674,7 @@ def test_right_commuting_reads_a_carrier_indexed_apart_from_delta():
     plain = Universe(delta.elements.name, tuple(delta.elements))
     assert plain == delta.elements and plain.names != tuple(delta.elements.names)
     lm = left_mult_action(delta)
-    moved = Action._trusted(delta, plain, lm.triples)
+    moves, _ = _index_pass(delta.elements, plain, set(lm.triples))
+    moved = Action._of_rows(delta, plain, moves)
     assert right_commuting_to_morphism(moved, delta) == identity_morphism(delta)
 

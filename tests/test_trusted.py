@@ -1,6 +1,6 @@
 """Every morphism and action the package builds unchecked.
 
-Morphism._trusted and Action._trusted skip the axioms, so each
+Morphism._trusted and Action._of_rows skip the axioms, so each
 construction that uses them is run here over a fixed grid of groupoids.
 Every structure they make is recorded with the function that made it,
 rebuilt by the checking constructor and held to the classical oracles.
@@ -62,7 +62,7 @@ from groupoids.morphism import (
 )
 from groupoids.relation import Universe
 
-# the functions that call Morphism._trusted or Action._trusted
+# the functions that call Morphism._trusted or Action._of_rows
 TRUSTED_SITES = {
     "identity_morphism", "compose_morphisms", "left_regular", "to_orbit_pair",
     "to_orbit_relation", "component_projection", "wide_inclusion",
@@ -100,7 +100,7 @@ def wide_parts(g):
 
 
 def run_grid(catalog):
-    """Call every construction that builds through _trusted, over the grid."""
+    """Call every construction that builds unchecked, over the grid."""
     groupoids = grid_groupoids(catalog)
     empty = set_groupoid(Universe("none", ()))
     for g in groupoids.values():
@@ -170,18 +170,18 @@ def run_grid(catalog):
 
 
 def record_trusted(monkeypatch):
-    """Make Morphism._trusted and Action._trusted record each structure
+    """Make Morphism._trusted and Action._of_rows record each structure
     with the name of the function that built it."""
     built = {}
-    for cls in (Morphism, Action):
-        make = cls._trusted
+    for cls, entry in ((Morphism, "_trusted"), (Action, "_of_rows")):
+        make = getattr(cls, entry)
 
         def trusted(*args, make=make):
             made = make(*args)
             built.setdefault((sys._getframe(1).f_code.co_name, made), None)
             return made
 
-        monkeypatch.setattr(cls, "_trusted", staticmethod(trusted))
+        monkeypatch.setattr(cls, entry, staticmethod(trusted))
     return built
 
 
