@@ -63,10 +63,20 @@ from .groupoid import (
     _placed,
     _semidirect,
 )
-from .builders import GroupTable, check_group_action, pair_groupoid, product_form
+from .builders import (
+    GroupTable,
+    _group_moves,
+    group_groupoid,
+    pair_groupoid,
+    product_form,
+)
 from .morphism import (
     Morphism,
     _as_member_set,
+    _bits,
+    _index_map,
+    _moved_rows,
+    _pair_rows,
     compose_morphisms,
     fiber_map_right,
     to_orbit_pair,
@@ -114,8 +124,12 @@ class Action:
                 table[(gamma, points[x])] = points[y]
             if gamma in unit_set:
                 rho.update(dict.fromkeys(map(points.__getitem__, row), gamma))
-        self.triples = tuple(sorted([(y, g, x) for (g, x), y in table.items()]))
         self.base_map, self.domain, self._table = rho, frozenset(table), table
+
+    @cached_property
+    def triples(self) -> tuple:
+        """The (phi(g, x), g, x) triples by name, sorted."""
+        return tuple(sorted([(y, g, x) for (g, x), y in self._table.items()]))
 
     @cached_property
     def rel(self) -> FinRel:
@@ -130,20 +144,26 @@ class Action:
         return self._table.get((gamma, point))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Action)
-            and self.groupoid == other.groupoid
-            and self.carrier == other.carrier
-            and self.triples == other.triples
-        )
+        """Decided on the move rows, moved onto the other's indices."""
+        if not isinstance(other, Action):
+            return False
+        if (self.groupoid, self.carrier) != (other.groupoid, other.carrier):
+            return False
+        moves, at = self._moves, _index_map(self.carrier, other.carrier)
+        back = _index_map(other.groupoid.elements, self.groupoid.elements)
+        if back is not None:
+            moves = list(map(moves.__getitem__, back))
+        if at is not None:
+            moves = [{at[x]: at[y] for x, y in row.items()} for row in moves]
+        return moves == other._moves
 
     def __hash__(self) -> int:
-        return hash((self.groupoid, self.carrier, self.triples))
+        return hash((self.groupoid, self.carrier, self.domain))
 
     def __repr__(self) -> str:
         return (
             f"Action({self.groupoid.name!r} on {self.carrier.name!r}, "
-            f"{len(self.triples)} triples)"
+            f"{len(self._table)} triples)"
         )
 
 
@@ -211,9 +231,8 @@ def as_mapping(action: Action):
 
 def action_to_pair_morphism(action: Action) -> Morphism:
     """The morphism into the pair groupoid over the carrier."""
-    target = pair_groupoid(action.carrier)
-    graph = [(pair_name(y, x), g) for y, g, x in action.triples]
-    return Morphism._trusted(action.groupoid, target, graph)
+    rows = _pair_rows(action._moves, len(action.carrier))
+    return Morphism._of_rows(action.groupoid, pair_groupoid(action.carrier), rows)
 
 
 def morphism_to_action(h: Morphism, carrier: Universe) -> Action:
@@ -222,14 +241,12 @@ def morphism_to_action(h: Morphism, carrier: Universe) -> Action:
         raise PreconditionFailed(
             f"{h.target.name!r} is not the pair groupoid over {carrier.name!r}"
         )
-    # the target's index of x1,x2 -> (x1, x2), on carrier indices
-    at, n = h.target._index, len(carrier)
-    pairs = product_universe(carrier, carrier).names  # x1,x2 at x1 * n + x2
-    decode = {at[d]: divmod(k, n) for k, d in enumerate(pairs)}
-    moves = [{} for _ in h.source._rows]
-    for d, g in h.rel.pairs:
-        x1, x2 = decode[d]
-        moves[g][x2] = x1
+    # h's outputs onto the pair indices x1 * n + x2 of (x1, x2)
+    at = _index_map(h.target.elements, product_universe(carrier, carrier))
+    moves, n = [{} for _ in h.source._rows], len(carrier)
+    for g, mg in _moved_rows(h._rows, None, at).items():
+        for d in _bits(mg):
+            moves[g][d % n] = d // n
     return Action._of_rows(h.source, carrier, moves)
 
 
@@ -270,11 +287,11 @@ def pullback_action(h: Morphism, space: GammaSet) -> GammaSet:
     if space.action.groupoid != h.target:
         raise PreconditionFailed("the action does not belong to the target")
     # g moves x as each d that h relates it to does
-    at, phi = space.action.groupoid._index, space.action._moves
-    to = list(map(at.__getitem__, h.rel.target.names))
+    at = _index_map(h.target.elements, space.action.groupoid.elements)
     moves = [{} for _ in h.source._rows]
-    for d, g in h.rel.pairs:
-        moves[g].update(phi[to[d]])
+    for g, mg in _moved_rows(h._rows, None, at).items():
+        for d in _bits(mg):
+            moves[g].update(space.action._moves[d])
     return GammaSet(space.carrier, Action._of_rows(h.source, space.carrier, moves))
 
 
@@ -435,10 +452,9 @@ def _quotient(groupoid: Groupoid, members):
     labels = [projection[block[0]] for block in classes]
     elements = Universe(f"{groupoid.elements.name}/G", labels)
     quotient = _placed(f"{groupoid.name}/G", elements, labels, units, inv, rows)
-    pi = Morphism._trusted(
-        groupoid, quotient, ((projection[g], g) for g in groupoid.elements)
-    )
-    return quotient, pi
+    to = [quotient._index[label] for label in labels]  # the index of class k
+    pi = {i: 1 << to[k] for i, k in enumerate(at)}
+    return quotient, Morphism._of_rows(groupoid, quotient, pi)
 
 
 def homogeneous_identification(action: Action, section):
@@ -532,18 +548,17 @@ def induced_action(groupoid: Groupoid, part, action: Action):
 def product_form_action(space: Universe, table: GroupTable, carrier: Universe, act) -> Action:
     """The standard action of a product-form groupoid built from a
     group action on a fiber."""
-    act = check_group_action(table, carrier, act)
+    fiber = _group_moves(group_groupoid(table), carrier, act)
     groupoid = product_form(space, table)
     product_carrier = product_universe(space, carrier)
     # e1|g|e2 moves (e2, z) to (e1, gz), at e2 * |Z| + z and e1 * |Z| + gz
-    at, point, n = space.index, carrier.index, len(carrier)
+    at, n = space.index, len(carrier)
     moves = [None] * len(groupoid._rows)
     for e1 in space:
         for e2 in space:
-            for g in table.elements:
+            for g, row in zip(table.elements, fiber):
                 moves[groupoid._index[f"{e1}|{g}|{e2}"]] = {
-                    at[e2] * n + point[z]: at[e1] * n + point[act[(g, z)]]
-                    for z in carrier
+                    at[e2] * n + z: at[e1] * n + gz for z, gz in row.items()
                 }
     return Action._of_rows(groupoid, product_carrier, moves)
 

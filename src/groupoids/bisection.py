@@ -23,7 +23,7 @@ from .errors import (
 )
 from .builders import GroupTable
 from .groupoid import Groupoid
-from .morphism import Morphism
+from .morphism import Morphism, _bits
 
 
 def subset_mult(groupoid: Groupoid, a, b) -> frozenset:
@@ -225,24 +225,24 @@ def act(bisection: Bisection, g):
 def ad(bisection: Bisection) -> Morphism:
     """Conjugation by a bisection, as a morphism of the groupoid."""
     groupoid = bisection.groupoid
-    names, rows, inv = groupoid._names, groupoid._rows, groupoid._inv
+    rows, inv = groupoid._rows, groupoid._inv
     by_right = bisection._by_right
     # g -> b_l g s(b_r), with b_l and b_r over e_L(g) and e_R(g)
-    graph = [
-        (names[rows[rows[by_right[left]][i]][inv[by_right[right]]]], g)
-        for i, (g, left, right) in enumerate(
-            zip(names, groupoid._left, groupoid._right)
-        )
-    ]
-    return Morphism._trusted(groupoid, groupoid, graph)
+    moved = {
+        i: 1 << rows[rows[by_right[left]][i]][inv[by_right[right]]]
+        for i, (left, right) in enumerate(zip(groupoid._left, groupoid._right))
+    }
+    return Morphism._of_rows(groupoid, groupoid, moved)
 
 
 def image_bisection(h: Morphism, bisection: Bisection) -> Bisection:
     """The image of a bisection under a morphism."""
     if bisection.groupoid != h.source:
         raise PreconditionFailed("bisection lives on a different groupoid")
-    members = {d for d, g in h.graph if g in bisection.members}
-    return Bisection(h.target, members)
+    at, image = h.source._index, 0
+    for g in bisection.members:
+        image |= h._rows.get(at[g], 0)
+    return Bisection(h.target, map(h.target._names.__getitem__, _bits(image)))
 
 
 def induced_hom(h: Morphism) -> dict:

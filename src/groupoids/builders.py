@@ -30,7 +30,13 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionFailed, UnknownElement
-from .groupoid import Groupoid, _placed, _semidirect
+from .groupoid import (
+    Groupoid,
+    _composes_on_generators,
+    _fixes,
+    _placed,
+    _semidirect,
+)
 from .relation import Universe, pair_name, product_universe
 
 
@@ -248,31 +254,51 @@ def group_table_of(groupoid: Groupoid, members, name=None) -> GroupTable:
 def check_group_action(table: GroupTable, space: Universe, act: dict) -> dict:
     """Validate a left group action given as a dict (g, x) -> y."""
     act = dict(act)
-    group = set(table.elements)
+    _group_moves(group_groupoid(table), space, act)
+    return act
+
+
+def _group_moves(group: Groupoid, space: Universe, act) -> list:
+    """The move rows of an action of a group, given as the groupoid of
+    its table and as (g, x) -> y, checked: moves[g][x] is the index of
+    gx, on the group's and space's indices.
+
+    The identity and composition laws are decided on the rows as
+    groupoid.py decides an action's; only a refused law is scanned for
+    the first point, or (g, h, x), where it fails.
+    """
+    act = dict(act)
     for g, x in act:
-        if g not in group:
-            raise UnknownElement(g, f"group {table.name!r}")
+        if g not in group.elements:
+            raise UnknownElement(g, f"group {group.name!r}")
         if x not in space:
             raise UnknownElement(x, f"action on {space.name!r}")
-    for g in table.elements:
-        for x in space:
+    points, moves = [(x, space.index[x]) for x in space], []
+    for g in group._names:
+        moves.append({})
+        for x, i in points:
             y = act.get((g, x))
             if y is None:
                 raise PreconditionFailed(f"action undefined at ({g!r}, {x!r})")
             if y not in space:
                 raise UnknownElement(y, f"action on {space.name!r}")
-    for x in space:
-        if act[(table.unit, x)] != x:
-            raise PreconditionFailed(f"identity moves {x!r}")
-    names = table.elements
-    for g, row in zip(names, table.rows):
-        for h, gh in zip(names, row):
-            for x in space:
-                if act[(g, act[(h, x)])] != act[(names[gh], x)]:
-                    raise PreconditionFailed(
-                        f"action not compatible at ({g!r}, {h!r}, {x!r})"
-                    )
-    return act
+            moves[-1][i] = space.index[y]
+    unit = moves[group._index[group.units[0]]]
+    if not _fixes([unit], len(space)):
+        x = next(x for x, i in points if unit[i] != i)
+        raise PreconditionFailed(f"identity moves {x!r}")
+    if not _composes_on_generators(moves, group):
+        names, rows = group._names, group._rows
+        g, h, x = next(
+            (g, h, x)
+            for g, h in itertools.product(range(len(names)), repeat=2)
+            for x, i in points
+            if moves[g][moves[h][i]] != moves[rows[g][h]][i]
+        )
+        raise PreconditionFailed(
+            f"action not compatible at ({names[g]!r}, {names[h]!r}, {x!r})"
+        )
+    return moves
 
 
 def pair_groupoid(space: Universe, name=None) -> Groupoid:
@@ -399,17 +425,13 @@ def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
 
 def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) -> Groupoid:
     """The groupoid G x X of a group action; "g:x" runs from x to gx."""
-    act = check_group_action(table, space, act)
-    points = space.names
-    elems = [f"{g}:{x}" for g in table.elements for x in points]
+    group = group_groupoid(table)
+    moves = _group_moves(group, space, act)
+    elems = [f"{g}:{x}" for g in table.elements for x in space.names]
     if len(set(elems)) != len(elems):
         raise PreconditionFailed(
             f"ambiguous names in transformation groupoid over {space.name!r}"
         )
-    # the moves of the action: g:x runs from x to gx, and (g:hx)(h:x) = gh:x
-    index, label = space.index, name or f"{table.name}:{space.name}"
-    moves = [
-        {x: index[act[(g, p)]] for x, p in enumerate(points)} for g in table.elements
-    ]
-    group = group_groupoid(table)
+    # g:x runs from x to gx, and (g:hx)(h:x) = gh:x
+    label = name or f"{table.name}:{space.name}"
     return _semidirect(label, label, group, space, moves, lambda g, x: f"{g}:{x}")

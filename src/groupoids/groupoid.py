@@ -92,13 +92,13 @@ checking constructors Groupoid(...), Morphism(...) and Action(...) run
 only where data enters the package: documents, raw group tables,
 validate_groupoid, enumerator candidates, the classical data of
 classical_to_relational, functor_to_morphism and functor_to_zm, the
-output of right_commuting_to_morphism, and user calls (enumerator
-candidates through Morphism._of_rows, on mask rows).  What the package
-builds from structures it holds is valid by the paper's theorems and
-comes from Morphism._trusted, or from Groupoid._of_rows and
-Action._of_rows on index rows, which skip the axioms (they still
-refuse ambiguous pair names).
-The grids in tests/test_builders.py and tests/test_trusted.py prove
+output of right_commuting_to_morphism, and user calls (the structured
+enumerator's candidates through Morphism._checked, on mask rows).
+What the package builds from structures it holds is valid by the
+paper's theorems and comes from the unchecked entries on rows,
+Groupoid._of_rows, Morphism._of_rows and Action._of_rows, which skip
+the axioms (the first and last still refuse ambiguous pair names).
+Grids in the tests of the builders and of every unchecked build prove
 those builds.
 Derived constructions (kernels, quotients, cosets, factorizations,
 decompositions, Ad) are theorems of checked inputs, not re-checked bar

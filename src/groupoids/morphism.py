@@ -6,45 +6,52 @@ Delta x Gamma and which satisfies
     h m = m' (h x h),   h s = s' h,   h e = e'
 
 as exact relation equalities.  These are the only checks, made only
-where the boundary policy in groupoid.py says; the morphisms the
-package builds come from Morphism._trusted.
+where the boundary policy in groupoid.py says.
 
-The laws are decided on mask rows, with no side built: Morphism(...)
-indexes its graph into them, and Morphism._of_rows is given them.
-Each output set of h is an int, bit d set for target index d, so h is
-a dict from input index to a nonzero mask.  Both groupoids are valid,
-so m and m' are single-valued and read off their row tables `_rows`.
+A morphism is held as its mask rows: each output set of h is an int,
+bit d set for target index d, and `_rows` maps each input index of
+h's domain to a nonzero mask.  Morphism._of_rows is the one unchecked
+set-up; every morphism the package builds computes its rows by index
+arithmetic and comes from it.  The checked entries decide the laws on
+the rows first: Morphism(...) indexes a named graph into them, and
+Morphism._checked, the structured enumerator's entry, is given them.
+One pass over the rows then reads off the base map on units (here
+rho, mapping units of the target to units of the source), the domain,
+the image and the kernel, the inputs whose mask lies inside the
+target's unit mask.  `rel`, `graph` and `outputs` are named on first
+read, but Morphism(...) keeps the relation it read.  k after h sends x to the OR of k's masks over the output bits of
+h(x).  Equality is decided on the rows, moved onto the other's indices
+where two equal groupoids index their names apart; the hash reads named
+data only, so no index order enters it.
+
+The laws are decided on the rows, with no side built.  Both groupoids
+are valid, so m and m' are single-valued and read off their `_rows`.
 At an input pair (x, y) the right side's outputs are the defined
 products d1 d2 with d1 in h(x) and d2 in h(y); the left side's are
 h(xy), or none when xy is undefined.  The right side depends only on
 the two masks and the target, so a memo keyed by the pair of masks
 holds it; it is a product table of the target, never a verdict, and
-each enumerator keeps one per call for all its candidates.  One
-pass over the pairs of h's domain compares the two masks and stops at
-the first mismatch.  The right side has no pair outside dom h x dom
-h; the left side may, and it has |hm| pairs in all, where |hm| is the
-sum over the pairs (d, z) of h of the number of factorizations xy = z
+each enumerator keeps one per call for all its candidates.  One pass
+over the pairs of h's domain compares the two masks and stops at the
+first mismatch.  The right side has no pair outside dom h x dom h; the
+left side may, and it has |hm| pairs in all, where |hm| is the sum over
+the pairs (d, z) of h of the number of factorizations xy = z
 (Groupoid._factor_counts).  So when every compared pair matches, the
-sides are equal exactly when the outputs matched, the set bits,
-number |hm|.  This holds for any h, multi-valued or partial.  h s = s' h
-says h(s(x)) = s'(h(x)), compared over dom h: off it both are empty, or
-s(x) is in it and fails.  h e = e' says the units' masks OR to the
-target's unit mask.  An offender, the sorted-least pair where a law's
-sides differ, is built from the rows only when it is asked for.
+sides are equal exactly when the outputs matched, the set bits, number
+|hm|.  This holds for any h, multi-valued or partial.  h s = s' h says
+h(s(x)) = s'(h(x)), compared over dom h: off it both are empty, or s(x)
+is in it and fails.  h e = e' says the units' masks OR to the target's
+unit mask.  An offender, the sorted-least pair where a law's sides
+differ, is built from the rows only when it is asked for.
 
-One pass over the graph then reads off the derived data every theorem
-downstream consumes: the base map on units (here rho, mapping units of
-the target to units of the source), the domain, the image and the
-kernel; the per-unit fiber maps are computed on demand.  That the base
-map is unique, the domain a union of transitive components, the image
-a wide subgroupoid of the target and each fiber map single-valued are
-theorems of the axioms; the tests check them against an oracle.
-
-Monomorphisms are decided by the kernel criterion; failed candidates
-come with explicit cancellation witnesses built from the classical
-proof shapes.  Epimorphisms have no known finite decision procedure,
-so the API offers surjectivity, a constructive refutation for proper
-images (separating_pair) and a bounded witness search.
+That the base map is unique, the domain a union of transitive
+components, the image a wide subgroupoid of the target and each fiber
+map single-valued are theorems of the axioms; the tests check them
+against an oracle.  Monomorphisms are decided by the kernel criterion;
+failed candidates come with explicit cancellation witnesses built from
+the classical proof shapes.  Epimorphisms have no known finite decision
+procedure, so the API offers surjectivity, a constructive refutation
+for proper images (separating_pair) and a bounded witness search.
 
 The derived constructions are theorems about valid morphisms and are not
 re-checked, but a returned witness, a certificate, is verified; the grid
@@ -72,15 +79,17 @@ quotient map.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     AxiomViolation,
     IsMonomorphism,
     PreconditionFailed,
     UniverseMismatch,
 )
-from .groupoid import Groupoid, SubgroupoidRef
+from .groupoid import Groupoid, SubgroupoidRef, cartesian_product, disjoint_union
 from .builders import (
-    check_group_action,
+    _group_moves,
     group_groupoid,
     group_table_of,
     pair_groupoid,
@@ -90,6 +99,7 @@ from .builders import (
 from .relation import (
     FinRel,
     Universe,
+    _same_space,
     compose,
     first_difference,
     pair_name,
@@ -194,24 +204,68 @@ def _rows_rel(src: Groupoid, tgt: Groupoid, rows: dict) -> FinRel:
     return FinRel._from_indices(src.elements, tgt.elements, frozenset(pairs))
 
 
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _index_map(u: Universe, v: Universe):
+    """None when u and v give every name the same index, else the list
+    taking each index of u to the index of the same name in v."""
+    return None if _same_space(u, v) else list(map(v.index.__getitem__, u.names))
+
+
+def _moved_rows(rows: dict, at_in=None, at_out=None) -> dict:
+    """Mask rows with input x moved to at_in[x] and output bit d to
+    at_out[d]; None keeps that side's indices."""
+    if at_out is not None:
+        rows = {x: sum(1 << at_out[d] for d in _bits(mx)) for x, mx in rows.items()}
+    return rows if at_in is None else {at_in[x]: mx for x, mx in rows.items()}
+
+
 class Morphism:
     def __init__(self, source: Groupoid, target: Groupoid, graph):
-        rel = FinRel(source.elements, target.elements, graph)
-        rows = {x: sum(1 << d for d in ds) for x, ds in rel._by_index().items()}
+        self.rel = FinRel(source.elements, target.elements, graph)
+        rows = {x: sum(1 << d for d in ds) for x, ds in self.rel._by_index().items()}
         _check_laws(source, target, rows)
-        self._setup(source, target, rel)
+        self._setup(source, target, rows)
 
     @classmethod
-    def _trusted(cls, source: Groupoid, target: Groupoid, graph):
-        """A morphism built from structures the package holds, unchecked."""
-        rel = FinRel(source.elements, target.elements, graph)
-        return cls.__new__(cls)._setup(source, target, rel)
+    def _of_rows(cls, source: Groupoid, target: Groupoid, rows: dict):
+        """The morphism with mask rows `rows`, unchecked; no mask is 0."""
+        return cls.__new__(cls)._setup(source, target, rows)
 
     @classmethod
-    def _of_rows(cls, source: Groupoid, target: Groupoid, rows: dict, memo=None):
+    def _checked(cls, source: Groupoid, target: Groupoid, rows: dict, memo=None):
         """The morphism with mask rows `rows`, checked against `memo`."""
         _check_laws(source, target, rows, memo)
-        return cls.__new__(cls)._setup(source, target, _rows_rel(source, target, rows))
+        return cls.__new__(cls)._setup(source, target, rows)
+
+    def _setup(self, source, target, rows):
+        # one pass over the rows; the axioms make every derived law
+        # (unique base map, domain a union of components, wide image,
+        # single-valued fibers) a theorem, so none is re-checked here
+        self.source, self.target, self._rows = source, target, rows
+        s_names, t_names, image, kernel = source._names, target._names, 0, []
+        self.base_map = {}
+        for x, mx in rows.items():
+            image |= mx
+            if mx & target._unit_mask == mx:
+                kernel.append(s_names[x])
+                if source._unit_mask >> x & 1:
+                    units = map(t_names.__getitem__, _bits(mx))
+                    self.base_map.update(dict.fromkeys(units, s_names[x]))
+        self.domain_elements = frozenset(map(s_names.__getitem__, rows))
+        self.image_elements = frozenset(map(t_names.__getitem__, _bits(image)))
+        self.kernel_members = frozenset(kernel)
+        return self
+
+    @cached_property
+    def rel(self) -> FinRel:
+        return _rows_rel(self.source, self.target, self._rows)
 
     @property
     def graph(self) -> tuple:
@@ -220,42 +274,23 @@ class Morphism:
     def outputs(self, gamma) -> tuple:
         return self.rel.outputs(gamma)
 
-    def _setup(self, source, target, rel):
-        self.source, self.target, self.rel = source, target, rel
-        # one pass over the graph; the axioms make every derived law
-        # (unique base map, domain a union of components, wide image,
-        # single-valued fibers) a theorem, so none is re-checked here
-        src_units, tgt_units = source._unit_set, target._unit_set
-        rho, dom, image, moved = {}, set(), set(), set()
-        for d, g in self.rel.graph:
-            dom.add(g)
-            image.add(d)
-            if d not in tgt_units:
-                moved.add(g)
-            elif g in src_units:
-                rho[d] = g
-        self.base_map = rho
-        self.domain_elements = frozenset(dom)
-        self.image_elements = frozenset(image)
-        self.kernel_members = frozenset(dom - moved)
-        return self
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.rel == other.rel
-        )
+        if not isinstance(other, Morphism):
+            return False
+        if (self.source, self.target) != (other.source, other.target):
+            return False
+        at_in = _index_map(self.source.elements, other.source.elements)
+        at_out = _index_map(self.target.elements, other.target.elements)
+        return _moved_rows(self._rows, at_in, at_out) == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.rel.source, self.rel.target, self.rel.graph))
+        # named data only, so no index order enters it
+        named = (self.image_elements, self.kernel_members)
+        return hash((self.source, self.target, named))
 
     def __repr__(self) -> str:
-        return (
-            f"Morphism({self.source.name!r} -> {self.target.name!r}, "
-            f"{len(self.rel.graph)} pairs)"
-        )
+        pairs = sum(mx.bit_count() for mx in self._rows.values())
+        return f"Morphism({self.source.name!r} -> {self.target.name!r}, {pairs} pairs)"
 
 
 class Kernel:
@@ -297,16 +332,27 @@ class CancellationWitness:
 
 
 def compose_morphisms(k: Morphism, h: Morphism) -> Morphism:
-    """The composite k after h."""
+    """The composite k after h: x goes to the OR of k's masks over the
+    output bits of h(x)."""
     if h.target != k.source:
         raise UniverseMismatch(
             h.target.elements, k.source.elements, "compose_morphisms"
         )
-    return Morphism._trusted(h.source, k.target, compose(k.rel, h.rel).graph)
+    # k's inputs onto h's output indices, which may differ for equal names
+    k_rows = _moved_rows(k._rows, _index_map(k.source.elements, h.target.elements))
+    rows = {}
+    for x, mx in h._rows.items():
+        out = 0
+        for d in _bits(mx):
+            out |= k_rows.get(d, 0)
+        if out:
+            rows[x] = out
+    return Morphism._of_rows(h.source, k.target, rows)
 
 
 def identity_morphism(groupoid: Groupoid) -> Morphism:
-    return Morphism._trusted(groupoid, groupoid, ((g, g) for g in groupoid.elements))
+    rows = {x: 1 << x for x in range(len(groupoid._rows))}
+    return Morphism._of_rows(groupoid, groupoid, rows)
 
 
 def base_map(h: Morphism) -> dict:
@@ -314,28 +360,27 @@ def base_map(h: Morphism) -> dict:
     return dict(h.base_map)
 
 
-def _fiber_map(h: Morphism, f, unit) -> dict:
+def _fiber_map(h: Morphism, f, ends: str) -> dict:
     """The map g -> h(g) on the source elements g with unit(g) = rho(f)
-    and h(g) with unit(h(g)) = f, where unit is Groupoid.e_left or
-    Groupoid.e_right."""
+    and h(g) with unit(h(g)) = f, where `ends` names the index list of
+    that unit, "_left" or "_right"."""
     if f not in h.target._unit_set:
         raise PreconditionFailed(f"{f!r} is not a unit of {h.target.name!r}")
-    e = h.base_map[f]
-    return {
-        g: d
-        for d, g in h.graph
-        if unit(h.source, g) == e and unit(h.target, d) == f
-    }
+    src, tgt = h.source, h.target
+    e, at_f = src._index[h.base_map[f]], tgt._index[f]
+    s_ends, t_ends = getattr(src, ends), getattr(tgt, ends)
+    pairs = ((x, d) for x, mx in h._rows.items() if s_ends[x] == e for d in _bits(mx))
+    return {src._names[x]: tgt._names[d] for x, d in pairs if t_ends[d] == at_f}
 
 
 def fiber_map_right(h: Morphism, f) -> dict:
     """Right-fiber map at the target unit f."""
-    return _fiber_map(h, f, Groupoid.e_right)
+    return _fiber_map(h, f, "_right")
 
 
 def fiber_map_left(h: Morphism, f) -> dict:
     """Left-fiber map at the target unit f."""
-    return _fiber_map(h, f, Groupoid.e_left)
+    return _fiber_map(h, f, "_left")
 
 
 def kernel(h: Morphism) -> Kernel:
@@ -356,25 +401,24 @@ def mono_witness(h: Morphism) -> CancellationWitness:
     if is_mono(h):
         raise IsMonomorphism(f"{h!r} is a monomorphism")
     src = h.source
-    units = tuple(src.units)
+    units, index, all_units = tuple(src.units), src._index, src._unit_mask
     if h.domain_elements != frozenset(src.elements):
         covered = {src.e_right(g) for g in h.domain_elements}
         missing = next(o for o in src.orbits() if o[0] not in covered)
         rest = sorted(set(units) - set(missing))
         if rest:
+            # w1 includes the units; w2 sends the missing ones from rest[0]
             probe = set_groupoid(src.units_universe())
-            e0 = rest[0]
-            f2 = {e: (e0 if e in set(missing) else e) for e in units}
-            w1 = Morphism._trusted(probe, src, ((e, e) for e in units))
-            w2 = Morphism._trusted(probe, src, ((e, f2[e]) for e in units))
+            at = probe._index
+            rows1 = {at[e]: 1 << index[e] for e in units}
+            rows2 = {at[e]: 1 << index[e] for e in rest}
+            rows2[at[rest[0]]] |= sum(1 << index[e] for e in missing)
         else:
             # the whole unit set is one missing orbit; any two distinct
             # constant probes compose with h to the empty relation
             fresh = Universe(f"{src.elements.name}.probe", ("p0", "p1"))
             probe = set_groupoid(fresh)
-            w1 = Morphism._trusted(probe, src, ((e, "p0") for e in units))
-            w2 = Morphism._trusted(probe, src, ((e, "p1") for e in units))
-        witness = CancellationWitness(probe, w1, w2, "mono")
+            rows1, rows2 = {0: all_units}, {1: all_units}
     else:
         gamma0 = min(h.kernel_members - set(units))
         e0 = src.e_left(gamma0)
@@ -383,12 +427,12 @@ def mono_witness(h: Morphism) -> CancellationWitness:
         probe = group_groupoid(
             group_table_of(src, h0, f"{src.name}.ker@{e0}")
         )
-        psi1 = [(e, k) for e in units for k in h0]
-        psi2 = [(e, k) for e in units if e != e0 for k in h0]
-        psi2 += [(k, k) for k in h0]
-        w1 = Morphism._trusted(probe, src, psi1)
-        w2 = Morphism._trusted(probe, src, psi2)
-        witness = CancellationWitness(probe, w1, w2, "mono")
+        # w1 sends each k of h0 to every unit, w2 to k and the units but e0
+        at, others = probe._index, all_units & ~(1 << index[e0])
+        rows1 = {at[k]: all_units for k in h0}
+        rows2 = {at[k]: others | 1 << index[k] for k in h0}
+    w1, w2 = Morphism._of_rows(probe, src, rows1), Morphism._of_rows(probe, src, rows2)
+    witness = CancellationWitness(probe, w1, w2, "mono")
     if not witness.verify(h):
         raise AxiomViolation("derived:mono-witness", None, "composites differ")
     return witness
@@ -396,9 +440,13 @@ def mono_witness(h: Morphism) -> CancellationWitness:
 
 def left_regular(groupoid: Groupoid) -> Morphism:
     """Left translations, as a morphism into the pair groupoid on Γ."""
-    target = pair_groupoid(groupoid.elements)
-    graph = [(pair_name(c, b), a) for c, a, b in groupoid.table]
-    return Morphism._trusted(groupoid, target, graph)
+    # a goes to each (ab, b), at ab * n + b in the pair groupoid
+    n = len(groupoid._rows)
+    rows = {
+        a: sum(1 << (ab * n + b) for b, ab in row.items())
+        for a, row in enumerate(groupoid._rows)
+    }
+    return Morphism._of_rows(groupoid, pair_groupoid(groupoid.elements), rows)
 
 
 def _as_member_set(groupoid: Groupoid, part) -> frozenset:
@@ -421,7 +469,8 @@ def component_projection(groupoid: Groupoid, part) -> Morphism:
             f"{min(members ^ full)!r} breaks the transitive-component condition"
         )
     sub = SubgroupoidRef(groupoid, members).as_groupoid()
-    return Morphism._trusted(groupoid, sub, ((g, g) for g in members))
+    rows = {groupoid._index[g]: 1 << y for y, g in enumerate(sub._names)}
+    return Morphism._of_rows(groupoid, sub, rows)
 
 
 def wide_inclusion(groupoid: Groupoid, part) -> Morphism:
@@ -431,56 +480,59 @@ def wide_inclusion(groupoid: Groupoid, part) -> Morphism:
     if not ref.is_wide:
         raise PreconditionFailed("subgroupoid is not wide")
     sub = ref.as_groupoid()
-    return Morphism._trusted(sub, groupoid, ((g, g) for g in members))
+    rows = {x: 1 << groupoid._index[g] for x, g in enumerate(sub._names)}
+    return Morphism._of_rows(sub, groupoid, rows)
 
 
-def _unit_pairs(groupoid: Groupoid) -> list:
-    """The graph of γ ↦ (left unit, right unit)."""
-    return [
-        (pair_name(groupoid.e_left(g), groupoid.e_right(g)), g)
-        for g in groupoid.elements
-    ]
+def _unit_pairs(groupoid: Groupoid, target: Groupoid) -> dict:
+    """The mask rows of γ ↦ (left unit, right unit) into a groupoid on
+    pairs of units, whose index of a pair is read off its name."""
+    at, names = target._index, groupoid._names
+    ends = enumerate(zip(groupoid._left, groupoid._right))
+    return {g: 1 << at[pair_name(names[l], names[r])] for g, (l, r) in ends}
 
 
 def to_orbit_pair(groupoid: Groupoid) -> Morphism:
     """γ ↦ (left unit, right unit) into the pair groupoid on units."""
     target = pair_groupoid(groupoid.units_universe())
-    return Morphism._trusted(groupoid, target, _unit_pairs(groupoid))
+    return Morphism._of_rows(groupoid, target, _unit_pairs(groupoid, target))
 
 
 def to_orbit_relation(groupoid: Groupoid) -> Morphism:
     """Same unit-pair map, onto the orbit equivalence relation."""
     target = groupoid.orbit_relation()
-    return Morphism._trusted(groupoid, target, _unit_pairs(groupoid))
+    return Morphism._of_rows(groupoid, target, _unit_pairs(groupoid, target))
 
 
 def restrict_to_domain(h: Morphism) -> Morphism:
     """The same relation viewed from the full subgroupoid on D(h)."""
     sub = SubgroupoidRef(h.source, h.domain_elements).as_groupoid()
-    return Morphism._trusted(sub, h.target, h.graph)
+    at = list(map(sub._index.get, h.source._names))  # None off the domain
+    return Morphism._of_rows(sub, h.target, _moved_rows(h._rows, at))
 
 
 def product_injections(g1: Groupoid, g2: Groupoid):
     """The two canonical morphisms into the cartesian product."""
-    from .groupoid import cartesian_product
+    # the pair (a, b) has index a * |g2| + b in the product
+    prod, n, units1 = cartesian_product(g1, g2), len(g2._rows), g1._unit_mask
+    i1 = {a: g2._unit_mask << a * n for a in range(len(g1._rows)) if g2.units}
+    i2 = {b: sum(1 << (e * n + b) for e in _bits(units1)) for b in range(n) if units1}
+    return Morphism._of_rows(g1, prod, i1), Morphism._of_rows(g2, prod, i2)
 
-    prod = cartesian_product(g1, g2)
-    i1 = Morphism._trusted(
-        g1, prod, ((pair_name(a, e2), a) for a in g1.elements for e2 in g2.units)
-    )
-    i2 = Morphism._trusted(
-        g2, prod, ((pair_name(e1, b), b) for b in g2.elements for e1 in g1.units)
-    )
-    return i1, i2
+
+def _tags(union: Groupoid, g1: Groupoid, g2: Groupoid):
+    """The index in the disjoint union of each element of g1, as L:g,
+    and of each element of g2, as R:g."""
+    at = union._index
+    return [at[f"L:{g}"] for g in g1._names], [at[f"R:{g}"] for g in g2._names]
 
 
 def union_projections(g1: Groupoid, g2: Groupoid):
     """Disjoint union with its two projection morphisms."""
-    from .groupoid import disjoint_union
-
     union = disjoint_union(g1, g2)
-    p1 = Morphism._trusted(union, g1, ((g, f"L:{g}") for g in g1.elements))
-    p2 = Morphism._trusted(union, g2, ((g, f"R:{g}") for g in g2.elements))
+    left, right = _tags(union, g1, g2)
+    p1 = Morphism._of_rows(union, g1, {x: 1 << g for g, x in enumerate(left)})
+    p2 = Morphism._of_rows(union, g2, {x: 1 << g for g, x in enumerate(right)})
     return union, p1, p2
 
 
@@ -488,11 +540,13 @@ def product_pairing(p1: Morphism, p2: Morphism) -> Morphism:
     """The morphism into the disjoint union determined by p1 and p2."""
     if p1.source != p2.source:
         raise PreconditionFailed("pairing requires a common source")
-    from .groupoid import disjoint_union
-
-    graph = [(f"L:{d}", g) for d, g in p1.graph]
-    graph += [(f"R:{d}", g) for d, g in p2.graph]
-    return Morphism._trusted(p1.source, disjoint_union(p1.target, p2.target), graph)
+    union = disjoint_union(p1.target, p2.target)
+    left, right = _tags(union, p1.target, p2.target)
+    rows = _moved_rows(p1._rows, None, left)
+    at = _index_map(p2.source.elements, p1.source.elements)
+    for x, mx in _moved_rows(p2._rows, at, right).items():
+        rows[x] = rows.get(x, 0) | mx
+    return Morphism._of_rows(p1.source, union, rows)
 
 
 def functor_to_morphism(source: Groupoid, target: Groupoid, mapping) -> Morphism:
@@ -508,15 +562,21 @@ def functor_to_morphism(source: Groupoid, target: Groupoid, mapping) -> Morphism
     return Morphism(source, target, ((mapping[g], g) for g in source.elements))
 
 
+def _pair_rows(moves: list, n: int) -> dict:
+    """The mask rows of g ↦ {(gx, x)}, for move rows moves[g][x] on n
+    points, into their pair groupoid, where (y, x) is at y * n + x."""
+    return {
+        g: sum(1 << (y * n + x) for x, y in row.items())
+        for g, row in enumerate(moves)
+        if row
+    }
+
+
 def group_action_morphism(table, space: Universe, act) -> Morphism:
     """The morphism into the pair groupoid defined by a group action."""
-    act = check_group_action(table, space, act)
-    src = group_groupoid(table)
-    tgt = pair_groupoid(space)
-    graph = [
-        (pair_name(act[(g, x)], x), g) for g in table.elements for x in space
-    ]
-    return Morphism._trusted(src, tgt, graph)
+    group = group_groupoid(table)
+    rows = _pair_rows(_group_moves(group, space, act), len(space))
+    return Morphism._of_rows(group, pair_groupoid(space), rows)
 
 
 def has_unique_fixed_point_property(table, space: Universe, act) -> bool:
@@ -525,19 +585,11 @@ def has_unique_fixed_point_property(table, space: Universe, act) -> bool:
     This is a sufficient condition for the associated morphism into
     the pair groupoid to be an epimorphism.
     """
-    act = check_group_action(table, space, act)
-    x0 = min(space.elements) if len(space) else None
-    if x0 is not None:
-        orbit = {act[(g, x0)] for g in table.elements}
-        if orbit != set(space.elements):
-            return False
-    for x in space:
-        if not any(
-            {y for y in space if act[(g, y)] == y} == {x}
-            for g in table.elements
-        ):
-            return False
-    return True
+    moves, n = _group_moves(group_groupoid(table), space, act), len(space)
+    if n and len({row[0] for row in moves}) < n:  # the orbit of point 0
+        return False
+    fixed = ([x for x, y in row.items() if x == y] for row in moves)
+    return len({f[0] for f in fixed if len(f) == 1}) == n
 
 
 def classify_into_group(h: Morphism):
@@ -546,7 +598,8 @@ def classify_into_group(h: Morphism):
         raise PreconditionFailed(f"{h.target.name!r} is not a group")
     e0 = h.base_map[h.target.units[0]]
     iso = h.source.isotropy(e0).members
-    return e0, {g: h.outputs(g)[0] for g in sorted(iso)}
+    at, names = h.source._index, h.target._names
+    return e0, {g: names[next(_bits(h._rows[at[g]]))] for g in sorted(iso)}
 
 
 def quotient_by_kernel(h: Morphism):
@@ -558,11 +611,12 @@ def quotient_by_kernel(h: Morphism):
     # a wide normal subgroupoid of the isotropy bundle, by the module
     # docstring's argument, so quotient_groupoid's checks are not re-run
     quotient, pi = _quotient(h.source, h.kernel_members)
-    cls = {g: pi.outputs(g)[0] for g in h.source.elements}
-    reduced = Morphism._trusted(
-        quotient, h.target, {(d, cls[g]) for d, g in h.graph}
-    )
-    return pi, reduced
+    # the class of x has its one bit in pi's row of x
+    rows = {}
+    for x, mx in h._rows.items():
+        k = next(_bits(pi._rows[x]))
+        rows[k] = rows.get(k, 0) | mx
+    return pi, Morphism._of_rows(quotient, h.target, rows)
 
 
 def epi_mono_factorization(h: Morphism):
@@ -616,8 +670,11 @@ def separating_pair(groupoid: Groupoid, part):
         sub = sorted(set(iso) & members)
         ktable, proj = quotient_group_table(table, sub)
         probe = group_groupoid(ktable)
-        k1 = Morphism._trusted(groupoid, probe, ((ktable.unit, g) for g in iso))
-        k2 = Morphism._trusted(groupoid, probe, ((proj[g], g) for g in iso))
+        at, to = groupoid._index, probe._index
+        rows1 = {at[g]: probe._unit_mask for g in iso}
+        rows2 = {at[g]: 1 << to[proj[g]] for g in iso}
+        k1 = Morphism._of_rows(groupoid, probe, rows1)
+        k2 = Morphism._of_rows(groupoid, probe, rows2)
     return probe, k1, k2
 
 

@@ -12,10 +12,11 @@ The pair (x, y) that refuted the last candidate is compared first;
 consecutive candidates differ in their last choices, so it mostly
 refutes again.  This orders a candidate's comparisons and prunes none:
 every candidate is examined and decided.  Only a survivor's rows are
-named, and validated in full by Morphism(...).  The structured one
-rebuilds candidates as mask rows from base maps and single-fiber data,
-forced on index rows, each decided by Morphism._of_rows against one
-memo per call.  Tests require their outputs to agree.
+named, and validated in full by Morphism(...), from the names.  The
+structured one rebuilds candidates as mask rows from base maps and
+single-fiber data, forced on index rows, each decided by
+Morphism._checked against one memo per call and held as those rows.
+Tests require their outputs to agree.
 
 The two action enumerators are independent in the same way: one goes
 through morphisms into the pair groupoid, the other is classical and
@@ -387,7 +388,7 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
                             mx |= 1 << t_rows[d1][t_inv[d2]]
                         rows[x] = mx
                 try:
-                    found.append(Morphism._of_rows(source, target, rows, memo))
+                    found.append(Morphism._checked(source, target, rows, memo))
                 except AxiomViolation:
                     continue
     found.sort(key=lambda h: sorted(h.graph))

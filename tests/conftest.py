@@ -3,6 +3,7 @@
 import pytest
 
 from groupoids.builders import (
+    GroupTable,
     cyclic_table,
     equivalence_groupoid,
     group_bundle,
@@ -14,6 +15,7 @@ from groupoids.builders import (
     transformation_groupoid,
     trivial_table,
 )
+from groupoids.groupoid import Groupoid, cartesian_product
 from groupoids.relation import Universe
 
 SWAP = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
@@ -46,3 +48,21 @@ def build_catalog() -> dict:
 @pytest.fixture(scope="session")
 def catalog() -> dict:
     return build_catalog()
+
+
+@pytest.fixture(scope="session")
+def apart_indexed():
+    """Z4 x Z2 on a product universe, whose index order is not its name
+    order ("a+" sorts before "a", once joined as "a+,0" and "a,0"), and
+    the same groupoid checked on a plain universe of its names: equal,
+    but indexed apart."""
+    names = {0: "a", 1: "a+", 2: "b", 3: "c"}
+    z4 = {
+        (names[x], names[y]): names[(x + y) % 4] for x in range(4) for y in range(4)
+    }
+    z4 = group_groupoid(GroupTable("Z4", names.values(), z4))
+    delta = cartesian_product(z4, group_groupoid(cyclic_table(2)))
+    plain = Universe(delta.elements.name, tuple(delta.elements))
+    copy = Groupoid(delta.name, plain, delta.units, delta.inverse, delta.table)
+    assert copy == delta and plain.names != tuple(delta.elements.names)
+    return delta, copy

@@ -649,7 +649,7 @@ def test_a_checked_action_that_holds_composes_no_relation(catalog, monkeypatch):
 def test_stock_actions_name_no_triple_of_their_groupoid():
     """Left multiplication, coset spaces, the unit action and
     conjugation are built from the groupoid's rows, so none of them
-    names its product triples."""
+    names its product triples, nor its own until they are read."""
     g = product_form(Universe("B3", "xyz"), symmetric_table(3))
     builds = {
         "left_mult_action": left_mult_action,
@@ -658,8 +658,26 @@ def test_stock_actions_name_no_triple_of_their_groupoid():
         "conjugation_action": conjugation_action,
     }
     for label, build in builds.items():
-        build(g)
-        assert "table" not in vars(g), label
+        action = build(g)
+        action = getattr(action, "action", action)  # a coset space's
+        assert "table" not in vars(g) and "triples" not in vars(action), label
+        assert action.triples == Action(g, action.carrier, action.triples).triples
+
+
+def test_actions_on_structures_indexed_apart_compare_and_hash_equal(apart_indexed):
+    """Left multiplication, on a groupoid and carrier whose product
+    universe indexes them out of name order, equals the same action
+    checked on their copy on a plain universe, and hashes equal."""
+    delta, copy = apart_indexed
+    moved = left_mult_action(delta)
+    for h in (moved, Action(delta, delta.elements, delta.table)):
+        checked = Action(copy, copy.elements, delta.table)
+        assert h._moves != checked._moves  # the rows are on different indices
+        assert h == checked and checked == h and hash(h) == hash(checked)
+    # g moves x to x s(g): another action of the group on itself
+    names = copy.elements
+    twisted = [(copy.mult(x, copy.inv(g)), g, x) for g in names for x in names]
+    assert Action(copy, names, twisted) != moved
 
 
 def test_right_commuting_reads_a_carrier_indexed_apart_from_delta():

@@ -413,6 +413,37 @@ def test_check_group_action():
         check_group_action(cyclic_table(2), space, broken)
 
 
+def test_check_group_action_reports_the_first_fault_in_scan_order():
+    """Acts that break the identity and composition laws at several
+    points: the undefined or unknown moves come first, then the identity
+    law at its least point, then the composition law at the first
+    (g, h, x) of the scan over g, then h, then x, with these messages."""
+    z3, s3 = cyclic_table(3), symmetric_table(3)
+    turn = {(g, x): str((int(g) + int(x)) % 3) for g in z3.elements for x in "012"}
+    both = {**turn, ("0", "1"): "2", ("0", "2"): "1", ("1", "1"): "1"}
+    gaps = {k: v for k, v in both.items() if k != ("1", "0")}
+    shifts = {**turn, **{(g, x): str((int(x) + 1) % 3) for g in "12" for x in "012"}}
+    permute = {(g, x): g[int(x) - 1] for g in s3.elements for x in "123"}
+    inverse = {(g, x): str(g.index(x) + 1) for g in s3.elements for x in "123"}
+    swapped = {**permute, ("231", "1"): "1", ("231", "3"): "2", ("312", "2"): "2"}
+    r3, t = Universe("R3", "012"), Universe("T", "123")
+    cases = [
+        (z3, r3, {**gaps, ("2", "2"): "9"}, "action undefined at ('1', '0')"),
+        (z3, r3, {**both, ("2", "2"): "9"}, "unknown element '9' in action on 'R3'"),
+        (z3, r3, both, "identity moves '1'"),
+        (z3, r3, shifts, "action not compatible at ('1', '1', '0')"),
+        (s3, t, inverse, "action not compatible at ('132', '213', '1')"),
+        (s3, t, swapped, "action not compatible at ('132', '213', '2')"),
+    ]
+    for table, space, act, message in cases:
+        with pytest.raises((PreconditionFailed, UnknownElement)) as err:
+            check_group_action(table, space, act)
+        assert str(err.value) == message
+        fault = UnknownElement if message.startswith("unknown") else PreconditionFailed
+        assert type(err.value) is fault
+    assert check_group_action(s3, t, permute) == permute
+
+
 @pytest.mark.parametrize(
     "key, element",
     [(("9", "p"), "9"), (("1", "zz"), "zz")],

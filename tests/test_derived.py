@@ -42,8 +42,10 @@ from groupoids.action import (
 from groupoids.bisection import ad, all_bisections
 from groupoids.builders import cyclic_table, product_form, symmetric_table
 from groupoids.morphism import (
+    Morphism,
     classify_into_group,
     component_projection,
+    compose_morphisms,
     epi_mono_factorization,
     identity_morphism,
     kernel,
@@ -54,7 +56,7 @@ from groupoids.morphism import (
     to_orbit_pair,
     to_orbit_relation,
 )
-from groupoids.relation import Universe
+from groupoids.relation import Universe, compose
 from groupoids.search import enum_morphisms
 
 # the derived-data checks the tests name: the witness verifications and
@@ -104,6 +106,26 @@ def test_kernels_and_factorizations_match_the_oracle(morphisms):
             assert factorization_violation(h, *quotient_by_kernel(h)) is None, h
         assert factorization_violation(h, *epi_mono_factorization(h)) is None, h
     assert groups >= 100
+
+
+def test_composites_are_the_relational_composites(morphisms, apart_indexed):
+    """compose_morphisms, an OR of mask rows, gives compose(k.rel, h.rel)
+    for every composable pair of the morphisms above, and for pairs whose
+    middle groupoid is given once on a product universe and once on a
+    plain one, which index the same names apart."""
+    by_source = {}
+    for k in morphisms:
+        by_source.setdefault(k.source, []).append(k)
+    pairs = [(k, h) for h in morphisms for k in by_source.get(h.target, ())]
+    delta, copy = apart_indexed
+    for middle, other in ((delta, copy), (copy, delta)):
+        # h ends on one indexing of the middle, k starts on the other
+        inversion = Morphism(other, middle, middle.inverse.items())
+        for k in (identity_morphism(other), left_regular(other), to_orbit_pair(other)):
+            pairs += [(k, h) for h in (identity_morphism(middle), inversion)]
+    assert len(pairs) == 11199 + 12
+    for k, h in pairs:
+        assert compose_morphisms(k, h).rel == compose(k.rel, h.rel), (k, h)
 
 
 def test_product_pairing_matches_the_oracle(grid):

@@ -28,6 +28,7 @@ from groupoids.errors import (
     PreconditionFailed,
     UniverseMismatch,
 )
+from groupoids.bisection import ad, all_bisections
 from groupoids.groupoid import SubgroupoidRef, disjoint_union
 from groupoids.morphism import (
     Morphism,
@@ -217,6 +218,12 @@ def test_product_injection_shape():
     i1, i2 = product_injections(Z2, Z2)
     assert len(i1.graph) == 2 and len(i2.graph) == 2
     assert is_mono(i1) and is_mono(i2)
+    # with the empty groupoid as a factor the product is empty, and so is
+    # each injection's domain
+    empty = set_groupoid(Universe("none", ()))
+    for pair in ((Z2, empty), (empty, Z2)):
+        for h in product_injections(*pair):
+            assert h.graph == () and h.domain_elements == frozenset(), h
 
 
 def test_restrict_to_domain_gives_full_domain():
@@ -560,12 +567,12 @@ def _mask_rows(source, target, graph):
 
 def _checked_verdicts(source, target, graph, memo):
     """(law, offender), or None, from Morphism(...) and from
-    Morphism._of_rows on the graph's mask rows; an accepted morphism
+    Morphism._checked on the graph's mask rows; an accepted morphism
     must hold the graph's relation."""
     verdicts = []
     for build in (
         lambda: Morphism(source, target, graph),
-        lambda: Morphism._of_rows(
+        lambda: Morphism._checked(
             source, target, _mask_rows(source, target, graph), memo
         ),
     ):
@@ -584,7 +591,7 @@ def test_checked_morphisms_agree_with_the_relational_reference(catalog):
     """Every candidate of the naive enumerator on the catalog pairs
     within its default budget, and seeded subsets of target x source
     on the pairs with at most 12 cells (every subset up to 8 cells):
-    Morphism(...) and Morphism._of_rows reject at the law and offender
+    Morphism(...) and Morphism._checked reject at the law and offender
     that deciding each law on relations built in full gives, or accept
     as it does.  Every law is reached."""
     rng = random.Random(1311)
@@ -609,9 +616,44 @@ def test_checked_morphisms_agree_with_the_relational_reference(catalog):
     assert set(seen) == {None, "hm=m'(hxh)", "hs=s'h", "he=e'"}
 
 
+def test_built_morphisms_name_their_graph_only_when_read(catalog):
+    """identity_morphism, left_regular, compose_morphisms and ad hold a
+    morphism as its mask rows: rel and graph are not in vars(h) until
+    one of them is read."""
+    g = catalog["PF"]
+    twist = next(b for b in all_bisections(g) if b.members != frozenset(g.units))
+    built = {
+        "identity_morphism": identity_morphism(g),
+        "left_regular": left_regular(g),
+        "compose_morphisms": compose_morphisms(left_regular(g), ad(twist)),
+        "ad": ad(twist),
+    }
+    for label, h in built.items():
+        assert not {"rel", "graph"} & set(vars(h)), label
+        assert h.graph == tuple(sorted(h.rel.graph)) and "rel" in vars(h), label
+
+
+def test_morphisms_on_groupoids_indexed_apart_compare_and_hash_equal(apart_indexed):
+    """The same morphism, once on a groupoid whose product universe
+    indexes its elements out of name order and once on its copy on a
+    plain universe, is equal and hashes equal, whichever side is built
+    from rows and whichever from a named graph."""
+    delta, copy = apart_indexed
+    inversion, regular = list(delta.inverse.items()), left_regular(delta)
+    cases = [
+        (regular, Morphism(copy, regular.target, regular.graph)),
+        (Morphism(delta, delta, inversion), Morphism(copy, copy, inversion)),
+        (Morphism(delta, copy, inversion), Morphism(copy, delta, inversion)),
+    ]
+    for h, other in cases:
+        assert h._rows != other._rows  # the rows are on different indices
+        assert h == other and other == h and hash(h) == hash(other)
+    assert cases[1][1] != identity_morphism(delta) != cases[2][1]
+
+
 def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog):
     """The three laws are decided on mask rows: a valid graph through
-    Morphism(...) or Morphism._of_rows makes no compose or product call;
+    Morphism(...) or Morphism._checked makes no compose or product call;
     a refused one makes them only when its offender is read."""
     calls = []
 
@@ -632,7 +674,7 @@ def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog
         Morphism(src, tgt, graph)
     assert calls == []
     for src, tgt, graph in cases:
-        Morphism._of_rows(src, tgt, _mask_rows(src, tgt, graph))
+        Morphism._checked(src, tgt, _mask_rows(src, tgt, graph))
     assert calls == []
     z2 = catalog["Z2"]
     with pytest.raises(AxiomViolation) as err:

@@ -155,19 +155,19 @@ def test_refused_reconstructions_report_the_materialized_difference(
 ):
     """Every reconstruction the structured enumerator refuses over the
     catalog's 121 ordered pairs, recorded at its checked entry
-    Morphism._of_rows, reports the law and offender of deciding each
+    Morphism._checked, reports the law and offender of deciding each
     law on relations built in full, and its message."""
     rejected = []
-    of_rows = Morphism._of_rows.__func__
+    checked = Morphism._checked.__func__
 
     def recorded(cls, source, target, rows, memo=None):
         try:
-            return of_rows(cls, source, target, rows, memo)
+            return checked(cls, source, target, rows, memo)
         except AxiomViolation as err:
             rejected.append((err, source, target, dict(rows)))
             raise
 
-    monkeypatch.setattr(Morphism, "_of_rows", classmethod(recorded))
+    monkeypatch.setattr(Morphism, "_checked", classmethod(recorded))
     for source, target in itertools.product(catalog.values(), repeat=2):
         enum_morphisms(source, target)
     monkeypatch.undo()

@@ -1,9 +1,12 @@
 """Every morphism and action the package builds unchecked.
 
-Morphism._trusted and Action._of_rows skip the axioms, so each
-construction that uses them is run here over a fixed grid of groupoids.
-Every structure they make is recorded with the function that made it,
-rebuilt by the checking constructor and held to the classical oracles.
+Morphism._of_rows and Action._of_rows, the unchecked entries, skip the
+axioms, so each construction that uses them is run here over a fixed
+grid of groupoids.  Every structure they make is recorded with the
+function that made it, rebuilt by the checking constructor and held to
+the classical oracles.  The checked entries, Morphism(...) and
+Morphism._checked, do not pass through Morphism._of_rows, so only
+unchecked builds are recorded.
 """
 
 import itertools
@@ -62,7 +65,7 @@ from groupoids.morphism import (
 )
 from groupoids.relation import Universe
 
-# the functions that call Morphism._trusted or Action._of_rows
+# the functions that call Morphism._of_rows or Action._of_rows
 TRUSTED_SITES = {
     "identity_morphism", "compose_morphisms", "left_regular", "to_orbit_pair",
     "to_orbit_relation", "component_projection", "wide_inclusion",
@@ -170,18 +173,18 @@ def run_grid(catalog):
 
 
 def record_trusted(monkeypatch):
-    """Make Morphism._trusted and Action._of_rows record each structure
+    """Make Morphism._of_rows and Action._of_rows record each structure
     with the name of the function that built it."""
     built = {}
-    for cls, entry in ((Morphism, "_trusted"), (Action, "_of_rows")):
-        make = getattr(cls, entry)
+    for cls in (Morphism, Action):
+        make = cls._of_rows
 
         def trusted(*args, make=make):
             made = make(*args)
             built.setdefault((sys._getframe(1).f_code.co_name, made), None)
             return made
 
-        monkeypatch.setattr(cls, entry, staticmethod(trusted))
+        monkeypatch.setattr(cls, "_of_rows", staticmethod(trusted))
     return built
 
 
