@@ -45,6 +45,7 @@ from .errors import PreconditionFailed, UniverseMismatch, UnknownElement
 from .relation import (
     FinRel,
     Universe,
+    _index_map,
     compose,
     identity,
     mapping_rel,
@@ -66,6 +67,7 @@ from .groupoid import (
 from .builders import (
     GroupTable,
     _group_moves,
+    _normal,
     group_groupoid,
     pair_groupoid,
     product_form,
@@ -74,7 +76,6 @@ from .morphism import (
     Morphism,
     _as_member_set,
     _bits,
-    _index_map,
     _moved_rows,
     _pair_rows,
     compose_morphisms,
@@ -87,32 +88,34 @@ class Action:
     """A validated relational action, held as its move rows."""
 
     def __init__(self, groupoid: Groupoid, carrier: Universe, triples):
-        u = groupoid.elements
-        product_universe(u, carrier)  # refuses ambiguous pair names
-        triples = set(triples)
+        self._hold(groupoid, carrier, None)
+        u, triples = groupoid.elements, set(triples)
         try:
-            moves, single = _index_pass(u, carrier, triples)
-        except KeyError:  # triples_rel names the stray name, or reads pair names
-            n, names = len(carrier), carrier.names
-            pairs = triples_rel(u, carrier, carrier, triples).pairs
-            triples = {(names[y], u.names[gx // n], names[gx % n]) for y, gx in pairs}
-            moves, single = _index_pass(u, carrier, triples)
+            self._moves, single = _index_pass(u, carrier, triples)
+        except KeyError:  # the first stray name, in sorted triple order
+            for triple in sorted(triples):
+                for z, space in zip(triple, (carrier, u, carrier)):
+                    if z not in space:
+                        raise UnknownElement(z, f"universe {space.name!r}") from None
         product_universe(product_universe(u, u), carrier)  # and triple names
-        self.groupoid, self.carrier, self._moves = groupoid, carrier, moves
         if not single:  # rows cannot hold phi: it is the relation of its triples
             self.rel = triples_rel(u, carrier, carrier, triples)
         laws, phi = ("phi(mxid)=phi(idxphi)", "phi(exid)=id"), lambda: self.rel
-        _check_composition(laws, phi, groupoid, carrier, moves if single else None)
+        moves = self._moves if single else None
+        _check_composition(laws, phi, groupoid, carrier, moves)
         self._setup()
 
     @classmethod
     def _of_rows(cls, groupoid: Groupoid, carrier: Universe, moves):
         """The action with move rows `moves`, unchecked."""
-        product_universe(groupoid.elements, carrier)  # refuses ambiguous pair names
-        action = cls.__new__(cls)
-        action.groupoid, action.carrier, action._moves = groupoid, carrier, moves
-        action._setup()
-        return action
+        return cls.__new__(cls)._hold(groupoid, carrier, moves)._setup()
+
+    def _hold(self, groupoid: Groupoid, carrier: Universe, moves):
+        """Hold groupoid, carrier and move rows, refusing ambiguous pair
+        names."""
+        product_universe(groupoid.elements, carrier)
+        self.groupoid, self.carrier, self._moves = groupoid, carrier, moves
+        return self
 
     def _setup(self):
         # one pass over the rows; base map, domain and single-valued
@@ -125,6 +128,7 @@ class Action:
             if gamma in unit_set:
                 rho.update(dict.fromkeys(map(points.__getitem__, row), gamma))
         self.base_map, self.domain, self._table = rho, frozenset(table), table
+        return self
 
     @cached_property
     def triples(self) -> tuple:
@@ -255,8 +259,8 @@ def right_commuting_to_morphism(action: Action, delta: Groupoid) -> Morphism:
     into a morphism onto that groupoid."""
     if tuple(action.carrier) != tuple(delta.elements):
         raise UniverseMismatch(action.carrier, delta.elements, "carrier")
-    if action.carrier.factors != delta.elements.factors:  # index as delta does
-        to = list(map(delta._index.__getitem__, action.carrier.names))
+    to = _index_map(action.carrier, delta.elements)
+    if to is not None:  # index as delta does
         moves = [{to[x]: to[y] for x, y in row.items()} for row in action._moves]
         action = Action._of_rows(action.groupoid, delta.elements, moves)
     source = product_universe(action.groupoid.elements, delta.elements)
@@ -418,19 +422,15 @@ def quotient_groupoid(groupoid: Groupoid, part):
         raise PreconditionFailed("quotient needs a wide subgroupoid")
     for g in sorted(members):
         if groupoid.e_left(g) != groupoid.e_right(g):
-            raise PreconditionFailed(
-                f"{g!r} is outside the isotropy bundle"
-            )
-    for e in groupoid.units:
-        fiber = groupoid.isotropy(e).members
-        sub = fiber & members
-        for g in fiber:
-            for n in sub:
-                conj = groupoid.mult(groupoid.mult(g, n), groupoid.inverse[g])
-                if conj not in sub:
-                    raise PreconditionFailed(
-                        f"subgroup is not normal at unit {e!r}"
-                    )
+            raise PreconditionFailed(f"{g!r} is outside the isotropy bundle")
+    fibers = {e: [] for e in groupoid.units}  # the isotropy groups, on indices
+    for g, (left, right) in enumerate(zip(groupoid._left, groupoid._right)):
+        if left == right:
+            fibers[groupoid._names[left]].append(g)
+    inside = set(map(groupoid._index.__getitem__, members))
+    for e, fiber in fibers.items():
+        if not _normal(groupoid._rows, fiber, inside.intersection(fiber)):
+            raise PreconditionFailed(f"subgroup is not normal at unit {e!r}")
     return _quotient(groupoid, members)
 
 
@@ -450,7 +450,7 @@ def _quotient(groupoid: Groupoid, members):
     inv = [at[groupoid._inv[index[block[0]]]] for block in classes]
     units = {at[index[e]] for e in groupoid.units}
     labels = [projection[block[0]] for block in classes]
-    elements = Universe(f"{groupoid.elements.name}/G", labels)
+    elements = f"{groupoid.elements.name}/G"
     quotient = _placed(f"{groupoid.name}/G", elements, labels, units, inv, rows)
     to = [quotient._index[label] for label in labels]  # the index of class k
     pi = {i: 1 << to[k] for i, k in enumerate(at)}

@@ -198,10 +198,12 @@ def subgroups_of(table: GroupTable) -> tuple:
 
 def is_normal(table: GroupTable, members) -> bool:
     """g N s(g) lies in N for every g: for a finite N, gN = Ng."""
-    rows, ms = table.rows, [table._index[h] for h in set(members)]
-    return all(
-        {row[h] for h in ms} == {rows[h][g] for h in ms} for g, row in enumerate(rows)
-    )
+    return _normal(table.rows, range(len(table)), {table._index[h] for h in members})
+
+
+def _normal(rows, group, sub) -> bool:
+    """gN = Ng for every g in `group`, N = `sub`, rows[g][h] that of gh."""
+    return all({rows[g][h] for h in sub} == {rows[h][g] for h in sub} for g in group)
 
 
 def quotient_group_table(table: GroupTable, members, name=None):
@@ -359,7 +361,7 @@ def group_bundle(tables, name=None) -> Groupoid:
     if len(set(labels)) != len(labels):
         raise PreconditionFailed("fibre tags collide")
     label = name or "+".join(t.name for t in tables)
-    return _placed(label, Universe(label, labels), labels, units, inv, rows)
+    return _placed(label, label, labels, units, inv, rows)
 
 
 def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
@@ -391,7 +393,7 @@ def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
             for x in range(k)
             for y in range(k)
         )
-    elements = Universe(f"{space.name}*{space.name}", labels)
+    elements = f"{space.name}*{space.name}"
     return _placed(name or f"Equiv({space.name})", elements, labels, units, inv, rows)
 
 
@@ -420,7 +422,7 @@ def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
         for x, g, y in positions
     ]
     label = name or f"{space.name}|{table.name}|{space.name}"
-    return _placed(label, Universe(label, elems), elems, units, inv, rows)
+    return _placed(label, label, elems, units, inv, rows)
 
 
 def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) -> Groupoid:

@@ -68,11 +68,12 @@ until every element is generated.  For each generator h and each g,
 phi(g, -) after phi(h, -), a partial map on X, must equal phi(gh, -),
 or be empty where gh is undefined: a comparison of two lists read off
 the move rows, or a disjointness test.  A multi-valued phi is decided
-by relation.py's two_sided_difference: for each output w in name order
-it builds the two preimages of w as sets of triple indices.  The first w where they
-differ has the least output name, and the least input name of their
-symmetric difference completes the sorted-least pair, the offender in
-both cases.
+by relation.py's two_sided_difference(phi, m): for each output w in
+name order, one pass over the phi-preimages (g, x) of w gives both
+preimages of w as sets of triple indices, the (g1, g2, x) with g1g2 = g
+and the (g, h, y) with phi(h, y) = x.  The first w where they differ
+has the least output name, and the least input name of their symmetric
+difference completes the sorted-least pair, the offender in both cases.
 
 s m = m flip (s x s).  It is checked after s s = id, so s is a total
 involution, and the law says s(xy) ~= s(y)s(x) at every pair (x, y):
@@ -567,7 +568,7 @@ def _check_composition(laws, phi, groupoid: Groupoid, carrier: Universe, moves):
     first access.
     """
     composition, unit = laws
-    offender = lambda: two_sided_difference(phi(), groupoid.m_rel, phi(), phi())
+    offender = lambda: two_sided_difference(phi(), groupoid.m_rel)
     if moves is None:  # multi-valued: decided by the scan
         offender = offender()
     elif _composes_on_generators(moves, groupoid):
@@ -700,11 +701,11 @@ class SubgroupoidRef(object):
         return f"SubgroupoidRef({self.parent.name!r}, {len(self.members)} members)"
 
 
-def _placed(name, elements: Universe, labels, units, inv, rows) -> Groupoid:
-    """The groupoid on `elements` given on positions in `labels`, a list
-    of its names: units, inv and rows as for Groupoid._of_rows, with
-    position k standing for labels[k].  They are moved once onto the
-    universe's indices."""
+def _placed(name, universe_name, labels, units, inv, rows) -> Groupoid:
+    """The groupoid on Universe(universe_name, labels), given on
+    positions: units, inv and rows as for Groupoid._of_rows, position k
+    standing for labels[k], moved once onto the universe's indices."""
+    elements = Universe(universe_name, labels)
     at = list(map(elements.index.__getitem__, labels))
     inv, rows = _moved(at, inv, rows)
     return Groupoid._of_rows(name, elements, [at[e] for e in units], inv, rows)
@@ -727,8 +728,7 @@ def _semidirect(name, elements_name, groupoid, carrier: Universe, moves, label):
             k = at[g2][x]
             for g1, g1g2 in cols[g2].items():
                 rows[at[g1][y]][k] = at[g1g2][x]
-    elements = Universe(elements_name, labels)
-    return _placed(name, elements, labels, units, inv, rows)
+    return _placed(name, elements_name, labels, units, inv, rows)
 
 
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
@@ -741,7 +741,7 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     inv = g1._inv + [n + j for j in g2._inv]
     rows = [dict(row) for row in g1._rows]
     rows += [{n + b: n + c for b, c in row.items()} for row in g2._rows]
-    elements = Universe(f"{g1.elements.name}+{g2.elements.name}", labels)
+    elements = f"{g1.elements.name}+{g2.elements.name}"
     return _placed(f"{g1.name}+{g2.name}", elements, labels, units, inv, rows)
 
 

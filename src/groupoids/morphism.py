@@ -19,10 +19,11 @@ One pass over the rows then reads off the base map on units (here
 rho, mapping units of the target to units of the source), the domain,
 the image and the kernel, the inputs whose mask lies inside the
 target's unit mask.  `rel`, `graph` and `outputs` are named on first
-read, but Morphism(...) keeps the relation it read.  k after h sends x to the OR of k's masks over the output bits of
-h(x).  Equality is decided on the rows, moved onto the other's indices
-where two equal groupoids index their names apart; the hash reads named
-data only, so no index order enters it.
+read, but Morphism(...) keeps the relation it read.  k after h sends x
+to the OR of k's masks over the output bits of h(x).  Equality is
+decided on the rows, moved onto the other's indices through
+relation.py's _index_map where two equal groupoids index their names
+apart; the hash reads named data only, so no index order enters it.
 
 The laws are decided on the rows, with no side built.  Both groupoids
 are valid, so m and m' are single-valued and read off their `_rows`.
@@ -99,7 +100,7 @@ from .builders import (
 from .relation import (
     FinRel,
     Universe,
-    _same_space,
+    _index_map,
     compose,
     first_difference,
     pair_name,
@@ -210,12 +211,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _index_map(u: Universe, v: Universe):
-    """None when u and v give every name the same index, else the list
-    taking each index of u to the index of the same name in v."""
-    return None if _same_space(u, v) else list(map(v.index.__getitem__, u.names))
 
 
 def _moved_rows(rows: dict, at_in=None, at_out=None) -> dict:

@@ -23,8 +23,8 @@ are made at the boundary: the public FinRel constructor reads
 first_difference names only the pairs on which two relations differ.
 Two universes that are equal by name but index differently (a plain
 universe and a product with the same name and elements) still give
-equal relations: such relations are compared, and composed, through
-their names.
+equal relations: equality, compose and first_difference move pairs
+through _index_map, the one index map, which other modules import.
 
 Collisions.  Component names may themselves contain commas (nested
 pairs do), so product_universe(a, b) refuses the product whenever two
@@ -149,9 +149,13 @@ class ProductUniverse(Universe):
     __hash__ = Universe.__hash__
 
 
-def _same_space(u: Universe, v: Universe) -> bool:
-    """True when u and v are equal and give every name the same index."""
-    return u is v or u.factors == v.factors
+def _index_map(u: Universe, v: Universe):
+    """None when u and v are one index space (the same factors), else
+    the list taking each index of u to the index of the same name in v,
+    which must hold every name of u."""
+    if u is v or u.factors == v.factors:
+        return None
+    return list(map(v.index.__getitem__, u.names))
 
 
 def _namer(universe: Universe, lookups: int):
@@ -260,18 +264,11 @@ class FinRel:
         return self._by_input.get(x, ())
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FinRel):
-            return False
-        if _same_space(self.source, other.source) and _same_space(
-            self.target, other.target
-        ):
-            return self.pairs == other.pairs
         return (
-            self.source == other.source
+            isinstance(other, FinRel)
+            and self.source == other.source
             and self.target == other.target
-            and self.graph == other.graph
+            and _pairs_on(self, other) == other.pairs
         )
 
     def __hash__(self) -> int:
@@ -300,40 +297,42 @@ def triples_rel(a: Universe, b: Universe, target: Universe, triples) -> FinRel:
     return FinRel._from_indices(source, target, pairs)
 
 
+def _pairs_on(r: FinRel, onto: FinRel) -> frozenset:
+    """r's pairs on the indices of onto's equal universes."""
+    at_out, at_in = _index_map(r.target, onto.target), _index_map(r.source, onto.source)
+    if at_out is at_in is None:
+        return r.pairs
+    at_out, at_in = at_out or range(len(r.target)), at_in or range(len(r.source))
+    return frozenset([(at_out[y], at_in[x]) for y, x in r.pairs])
+
+
 def compose(s: FinRel, r: FinRel) -> FinRel:
     """Relational composition s after r."""
-    mid = r.target
-    if not _same_space(mid, s.source):
-        if mid != s.source:
-            raise UniverseMismatch(mid, s.source, "compose")
-        # equal by name, indexed differently: re-index s through names
-        moved = [mid.index[y] for y in s.source.names]
-        s = FinRel._from_indices(
-            mid, s.target, frozenset([(z, moved[y]) for z, y in s.pairs])
-        )
+    if r.target != s.source:
+        raise UniverseMismatch(r.target, s.source, "compose")
     by_index = s._by_index()
+    at = _index_map(r.target, s.source)  # r's outputs onto s's inputs
+    if at is not None:
+        by_index = {y: by_index.get(j, ()) for y, j in enumerate(at)}
     pairs = frozenset([(z, x) for y, x in r.pairs for z in by_index.get(y, ())])
     return FinRel._from_indices(r.source, s.target, pairs)
 
 
-def two_sided_difference(a: FinRel, b: FinRel, c: FinRel, d: FinRel):
-    """Sorted-least (output name, input name) pair on which a(b x id)
-    and c(id x d) differ, or None, by the preimage scan of the groupoid.py
+def two_sided_difference(phi: FinRel, m: FinRel):
+    """Sorted-least (output name, input name) pair on which phi(m x id)
+    and phi(id x phi) differ, or None, for phi : G x X -> X and the
+    product m : G x G -> G, by the preimage scan of the groupoid.py
     docstring; exact for relations that share their index spaces."""
-    pre_a, pre_b, pre_c, pre_d = (transpose(r)._by_index() for r in (a, b, c, d))
-    nz, nyz, nq = len(a.source) // len(b.target), len(d.source), len(d.target)
-    for name in a.target.elements:
-        w = a.target.index[name]
+    pre_phi, pre_m = transpose(phi)._by_index(), transpose(m)._by_index()
+    nx, ngx = len(phi.target), len(phi.source)
+    for name in phi.target.elements:
         left, right = set(), set()
-        for pz in pre_a.get(w, ()):
-            p, z = divmod(pz, nz)
-            left.update([xy * nz + z for xy in pre_b.get(p, ())])
-        for xq in pre_c.get(w, ()):
-            x, q = divmod(xq, nq)
-            right.update(map((x * nyz).__add__, pre_d.get(q, ())))
+        for gx in pre_phi.get(phi.target.index[name], ()):
+            g, x = divmod(gx, nx)
+            left.update([gh * nx + x for gh in pre_m.get(g, ())])
+            right.update(map((g * ngx).__add__, pre_phi.get(x, ())))
         if left != right:
-            z_factors = a.source.factors[len(b.target.factors):]
-            inputs = reduce(ProductUniverse, b.source.factors + z_factors)
+            inputs = reduce(ProductUniverse, m.source.factors + phi.target.factors)
             return name, min(map(inputs.name_of, left ^ right))
     return None
 
@@ -412,12 +411,12 @@ def mapping_rel(source: Universe, target: Universe, func) -> FinRel:
 
 def first_difference(lhs: FinRel, rhs: FinRel):
     """Sorted-least pair on which two relations disagree, or None."""
-    if _same_space(lhs.source, rhs.source) and _same_space(lhs.target, rhs.target):
-        diff = lhs.pairs ^ rhs.pairs
-        if not diff:
-            return None
-        out = _namer(lhs.target, len(diff))
-        inp = _namer(lhs.source, len(diff))
-        return min((out(y), inp(x)) for y, x in diff)
-    diff = set(lhs.graph) ^ set(rhs.graph)
-    return min(diff) if diff else None
+    for u, v in ((lhs.source, rhs.source), (lhs.target, rhs.target)):
+        if u != v:
+            raise UniverseMismatch(u, v, "first_difference")
+    diff = _pairs_on(lhs, rhs) ^ rhs.pairs
+    if not diff:
+        return None
+    out = _namer(rhs.target, len(diff))
+    inp = _namer(rhs.source, len(diff))
+    return min((out(y), inp(x)) for y, x in diff)

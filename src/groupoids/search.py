@@ -334,7 +334,7 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     onto their units, and one output table per component on the right
     fiber over the least unit.  A member g, with g2 the path to e_R(g)
     and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the table's
-    units.  Morphism._of_rows decides each reconstruction, with one memo
+    units.  Morphism._checked decides each reconstruction, with one memo
     per call of the target's products of output masks.
     """
     orbit_blocks = source.orbits()

@@ -47,6 +47,7 @@ from groupoids.errors import (
     AxiomViolation,
     PreconditionFailed,
     UniverseMismatch,
+    UnknownElement,
 )
 from groupoids import (
     action as action_module,
@@ -101,6 +102,25 @@ def test_stock_actions_validate():
         )
         unit_action(g)
         conjugation_action(g)
+
+
+def test_action_refuses_the_first_stray_name_of_its_triples():
+    """A name outside its universe is refused as itself, in sorted
+    triple order: "a" and "b,c" are not read as the element "a,b" and
+    the point "c", though they join to the same pair name."""
+    g = group_groupoid(GroupTable("G", ["a,b"], {("a,b", "a,b"): "a,b"}))
+    x = Universe("X", ("c",))
+    assert Action(g, x, [("c", "a,b", "c")]).triples == (("c", "a,b", "c"),)
+    for triples, stray, where in (
+        ([("c", "a", "b,c")], "a", "G"),
+        ([("c", "zz", "c")], "zz", "G"),
+        ([("c", "a,b", "c"), ("c", "a,b", "d"), ("b", "zz", "c")], "b", "X"),
+        ([("c", "a,b", "c"), ("c", "a,b", "d")], "d", "X"),
+    ):
+        with pytest.raises(UnknownElement) as err:
+            Action(g, x, triples)
+        assert err.value.element == stray
+        assert str(err.value) == f"unknown element {stray!r} in universe {where!r}"
 
 
 def test_action_axiom_failures():

@@ -22,6 +22,7 @@ from groupoids.relation import (
     product_universe,
     transpose,
     triples_rel,
+    two_sided_difference,
     unitor_left,
     unitor_right,
 )
@@ -82,6 +83,14 @@ def test_compose_requires_matching_universes():
     r = rel(A, B, [("c", "a")])
     with pytest.raises(UniverseMismatch):
         compose(r, r)
+
+
+def test_first_difference_requires_matching_universes():
+    r = rel(A, B, [("c", "a")])
+    for other in (rel(A, C, [("e", "a")]), rel(C, B, [("c", "e")])):
+        with pytest.raises(UniverseMismatch) as err:
+            first_difference(r, other)
+        assert "universe mismatch in first_difference" in str(err.value)
 
 
 def test_transpose_swaps_and_involutes():
@@ -419,3 +428,41 @@ def test_compose_product_differs_matches_the_composite(case):
     assert differs == (first_difference(lhs, rhs) is not None)
     if kind != "any":
         assert differs == (kind == "one row")
+
+
+# -- the two-sided scan against the composites it decides -----------
+
+
+@st.composite
+def scan_cases(draw):
+    """(phi, m) with m : G x G -> G any relation and phi : G x X -> X
+    single- or multi-valued, where X is G itself (and phi may be m) or
+    a separate carrier.  Names with "a!" index a product out of name
+    order."""
+    g = Universe("G", draw(FUSED_NAMES))
+    m = masked_relation(draw, product_universe(g, g), g)
+    on_itself = draw(st.booleans())
+    x = g if on_itself else Universe("X", draw(FUSED_NAMES))
+    gx = product_universe(g, x)
+    kinds = ("single", "multi", "m") if on_itself else ("single", "multi")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "m":
+        phi = m
+    elif kind == "single":  # each input to at most one output
+        n = len(gx)
+        outs = draw(st.lists(st.sampled_from((None, *x)), min_size=n, max_size=n))
+        phi = FinRel(gx, x, [(y, v) for v, y in zip(gx.elements, outs) if y])
+    else:
+        phi = masked_relation(draw, gx, x)
+    return phi, m
+
+
+@seed(1311)
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_two_sided_scan_is_the_first_difference_of_its_composites(case):
+    phi, m = case
+    g, x = m.target, phi.target
+    lhs = compose(phi, product(m, identity(x)))
+    rhs = compose(phi, product(identity(g), phi))
+    assert two_sided_difference(phi, m) == first_difference(lhs, rhs)
