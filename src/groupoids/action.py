@@ -45,7 +45,9 @@ from .errors import PreconditionFailed, UniverseMismatch, UnknownElement
 from .relation import (
     FinRel,
     Universe,
+    _bits,
     _index_map,
+    _moved_rows,
     compose,
     identity,
     mapping_rel,
@@ -75,8 +77,6 @@ from .builders import (
 from .morphism import (
     Morphism,
     _as_member_set,
-    _bits,
-    _moved_rows,
     _pair_rows,
     compose_morphisms,
     fiber_map_right,
@@ -139,9 +139,9 @@ class Action:
     def rel(self) -> FinRel:
         """phi as the relation G x X -> X, built from the rows."""
         n, moves = len(self.carrier), enumerate(self._moves)
-        pairs = frozenset([(y, g * n + x) for g, row in moves for x, y in row.items()])
+        rows = {g * n + x: 1 << y for g, row in moves for x, y in row.items()}
         source = product_universe(self.groupoid.elements, self.carrier)
-        return FinRel._from_indices(source, self.carrier, pairs)
+        return FinRel._of_rows(source, self.carrier, rows)
 
     def apply(self, gamma, point):
         """The moved point, or None outside the domain."""

@@ -23,7 +23,8 @@ from .errors import (
 )
 from .builders import GroupTable
 from .groupoid import Groupoid
-from .morphism import Morphism, _bits
+from .morphism import Morphism
+from .relation import _bits
 
 
 def subset_mult(groupoid: Groupoid, a, b) -> frozenset:
@@ -173,9 +174,6 @@ class _Sections:
         columns = list(zip(*bs))
         ending = [None] * len(self.rows)
         for a in bs:
-            if not columns:
-                yield repeat((), len(bs))
-                continue
             # ending[e] is the row of the member of A with right unit e, and
             # translate[b] = A.b, that member times b
             for i in a:
@@ -183,7 +181,9 @@ class _Sections:
             translate = list(
                 map(dict.get, map(ending.__getitem__, self.left), range(len(self.left)))
             )
-            yield zip(*[map(translate.__getitem__, c) for c in columns])
+            products = zip(*[map(translate.__getitem__, c) for c in columns])
+            # with no units, the one bisection is empty and so is its square
+            yield products if columns else repeat((), len(bs))
 
 
 def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:

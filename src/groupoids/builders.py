@@ -358,8 +358,6 @@ def group_bundle(tables, name=None) -> Groupoid:
         rows.extend(
             {offset + b: offset + c for b, c in enumerate(row)} for row in t.rows
         )
-    if len(set(labels)) != len(labels):
-        raise PreconditionFailed("fibre tags collide")
     label = name or "+".join(t.name for t in tables)
     return _placed(label, label, labels, units, inv, rows)
 

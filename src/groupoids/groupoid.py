@@ -79,7 +79,7 @@ s m = m flip (s x s).  It is checked after s s = id, so s is a total
 involution, and the law says s(xy) ~= s(y)s(x) at every pair (x, y):
 for a single-valued m, one pass over the rows, with no s x s, no flip
 and neither side built.  A multi-valued m compares the two sides, built
-as index pairs, which also give the offender.
+as mask rows moved from m's, which also give the offender.
 
 The unit laws m(e x id) = id and m(id x e) = id are one-sided; the
 first is phi(e x id) = id for G acting on itself, which
@@ -125,6 +125,8 @@ from .relation import (
     FinRel,
     ONE,
     Universe,
+    _bits,
+    _moved_rows,
     compose,
     first_difference as _first_difference,
     identity,
@@ -229,26 +231,24 @@ class Groupoid:
     @cached_property
     def m_rel(self) -> FinRel:
         u, n = self.elements, len(self._rows)
-        pairs = [
-            (c, a * n + b) for a, row in enumerate(self._rows) for b, c in row.items()
-        ]
-        return FinRel._from_indices(product_universe(u, u), u, frozenset(pairs))
+        rows = {
+            a * n + b: 1 << c for a, row in enumerate(self._rows) for b, c in row.items()
+        }
+        return FinRel._of_rows(product_universe(u, u), u, rows)
 
     @cached_property
     def s_rel(self) -> FinRel:
         u = self.elements
-        return FinRel._from_indices(u, u, frozenset(zip(self._inv, range(len(u)))))
+        return FinRel._of_rows(u, u, {x: 1 << y for x, y in enumerate(self._inv)})
 
     @cached_property
     def e_rel(self) -> FinRel:
-        index = self.elements.index
-        return FinRel._from_indices(
-            ONE, self.elements, frozenset([(index[e], 0) for e in self.units])
-        )
+        units = self._unit_mask
+        return FinRel._of_rows(ONE, self.elements, {0: units} if units else {})
 
     @cached_property
     def _unit_mask(self) -> int:
-        return sum(1 << self._index[e] for e in self.units)
+        return sum(1 << self.elements.index[e] for e in self.units)
 
     @cached_property
     def _cols(self) -> list:
@@ -302,20 +302,18 @@ class Groupoid:
             if not (on_rows() if on_rows else operator.eq(*sides())):
                 raise AxiomViolation(law, lambda: _first_difference(*sides()))
 
+        # the mask of the products s(g)g
         if single:
-            outs = lambda i: [rows[inv[i]][i]] if i in rows[inv[i]] else ()
+            outs = lambda i: 1 << rows[inv[i]][i] if i in rows[inv[i]] else 0
         else:
-            by_pair = self.m_rel._by_index()
-            outs = lambda i: by_pair.get(inv[i] * n + i, ())
-        unit_set = set(units)
+            outs = lambda i: self.m_rel._rows.get(inv[i] * n + i, 0)
         for g in u:
-            i = u.index[g]
-            products = outs(i)
+            products = outs(u.index[g])
             if not products:
                 raise AxiomViolation("m(s(g),g)-in-units", g, "product undefined")
-            stray = [c for c in products if c not in unit_set]
+            stray = products & ~self._unit_mask
             if stray:
-                least = min(map(u.name_of, stray))
+                least = min(map(u.name_of, _bits(stray)))
                 raise AxiomViolation(
                     "m(s(g),g)-in-units", g, f"{least!r} is not a unit"
                 )
@@ -545,14 +543,13 @@ def _reverses(rows, cols, inv) -> bool:
 
 
 def _flip_sides(m: FinRel, inv):
-    """The two sides of sm=m.flip(sxs): over the pairs (c, (a, b)) of m,
-    s m is {(s(c), (a, b))} and m flip (s x s) is {(c, (s(b), s(a)))}."""
+    """The two sides of sm=m.flip(sxs), on the rows of m: s m moves each
+    output c to s(c), and m flip (s x s) each input (a, b) to (s(b), s(a))."""
     n = len(inv)
-    sm = [(inv[c], ab) for c, ab in m.pairs]
-    msxs = [(c, inv[ab % n] * n + inv[ab // n]) for c, ab in m.pairs]
+    flipped = [inv[ab % n] * n + inv[ab // n] for ab in range(n * n)]
     return (
-        FinRel._from_indices(m.source, m.target, frozenset(sm)),
-        FinRel._from_indices(m.source, m.target, frozenset(msxs)),
+        FinRel._of_rows(m.source, m.target, _moved_rows(m._rows, None, inv)),
+        FinRel._of_rows(m.source, m.target, _moved_rows(m._rows, flipped)),
     )
 
 

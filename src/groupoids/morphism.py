@@ -8,22 +8,24 @@ Delta x Gamma and which satisfies
 as exact relation equalities.  These are the only checks, made only
 where the boundary policy in groupoid.py says.
 
-A morphism is held as its mask rows: each output set of h is an int,
-bit d set for target index d, and `_rows` maps each input index of
-h's domain to a nonzero mask.  Morphism._of_rows is the one unchecked
-set-up; every morphism the package builds computes its rows by index
-arithmetic and comes from it.  The checked entries decide the laws on
-the rows first: Morphism(...) indexes a named graph into them, and
+A morphism is held as its mask rows, which are its relation's rows:
+`_rows` maps each input index of h's domain to the nonzero int mask of
+its outputs, bit d for target index d, the one index form of a FinRel.
+Morphism._of_rows is the one unchecked set-up; every morphism the
+package builds computes its rows by index arithmetic and comes from it.
+The checked entries decide the laws on the rows first: Morphism(...)
+parses a named graph into a FinRel and holds its rows, and
 Morphism._checked, the structured enumerator's entry, is given them.
 One pass over the rows then reads off the base map on units (here
 rho, mapping units of the target to units of the source), the domain,
 the image and the kernel, the inputs whose mask lies inside the
-target's unit mask.  `rel`, `graph` and `outputs` are named on first
-read, but Morphism(...) keeps the relation it read.  k after h sends x
-to the OR of k's masks over the output bits of h(x).  Equality is
-decided on the rows, moved onto the other's indices through
-relation.py's _index_map where two equal groupoids index their names
-apart; the hash reads named data only, so no index order enters it.
+target's unit mask.  `rel` is the FinRel over the same rows, made on
+first read, and `graph` and `outputs` read it.  Composition and
+equality go through relation.py: k after h is relation.compose of
+their relations, and two morphisms are equal when their groupoids and
+their relations are, which FinRel decides also where two equal
+groupoids index their names apart.  The hash reads named data only,
+so no index order enters it.
 
 The laws are decided on the rows, with no side built.  Both groupoids
 are valid, so m and m' are single-valued and read off their `_rows`.
@@ -100,7 +102,9 @@ from .builders import (
 from .relation import (
     FinRel,
     Universe,
+    _bits,
     _index_map,
+    _moved_rows,
     compose,
     first_difference,
     pair_name,
@@ -189,44 +193,22 @@ def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict, memo=None):
     if law == "he=e'" and he == tgt._unit_mask:
         return
 
-    def sides(h):
+    def sides():
+        h = FinRel._of_rows(src.elements, tgt.elements, rows)
         if law == "hm=m'(hxh)":
             return compose(h, src.m_rel), compose(tgt.m_rel, product(h, h))
         if law == "hs=s'h":
             return compose(h, src.s_rel), compose(tgt.s_rel, h)
         return compose(h, src.e_rel), tgt.e_rel
 
-    raise AxiomViolation(law, lambda: first_difference(*sides(_rows_rel(src, tgt, rows))))
-
-
-def _rows_rel(src: Groupoid, tgt: Groupoid, rows: dict) -> FinRel:
-    n = len(tgt.elements)
-    pairs = [(d, x) for x, mx in rows.items() for d in range(n) if mx >> d & 1]
-    return FinRel._from_indices(src.elements, tgt.elements, frozenset(pairs))
-
-
-def _bits(mask: int):
-    """The indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _moved_rows(rows: dict, at_in=None, at_out=None) -> dict:
-    """Mask rows with input x moved to at_in[x] and output bit d to
-    at_out[d]; None keeps that side's indices."""
-    if at_out is not None:
-        rows = {x: sum(1 << at_out[d] for d in _bits(mx)) for x, mx in rows.items()}
-    return rows if at_in is None else {at_in[x]: mx for x, mx in rows.items()}
+    raise AxiomViolation(law, lambda: first_difference(*sides()))
 
 
 class Morphism:
     def __init__(self, source: Groupoid, target: Groupoid, graph):
         self.rel = FinRel(source.elements, target.elements, graph)
-        rows = {x: sum(1 << d for d in ds) for x, ds in self.rel._by_index().items()}
-        _check_laws(source, target, rows)
-        self._setup(source, target, rows)
+        _check_laws(source, target, self.rel._rows)
+        self._setup(source, target, self.rel._rows)
 
     @classmethod
     def _of_rows(cls, source: Groupoid, target: Groupoid, rows: dict):
@@ -260,7 +242,7 @@ class Morphism:
 
     @cached_property
     def rel(self) -> FinRel:
-        return _rows_rel(self.source, self.target, self._rows)
+        return FinRel._of_rows(self.source.elements, self.target.elements, self._rows)
 
     @property
     def graph(self) -> tuple:
@@ -270,13 +252,11 @@ class Morphism:
         return self.rel.outputs(gamma)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Morphism):
-            return False
-        if (self.source, self.target) != (other.source, other.target):
-            return False
-        at_in = _index_map(self.source.elements, other.source.elements)
-        at_out = _index_map(self.target.elements, other.target.elements)
-        return _moved_rows(self._rows, at_in, at_out) == other._rows
+        return (
+            isinstance(other, Morphism)
+            and (self.source, self.target) == (other.source, other.target)
+            and self.rel == other.rel
+        )
 
     def __hash__(self) -> int:
         # named data only, so no index order enters it
@@ -327,22 +307,12 @@ class CancellationWitness:
 
 
 def compose_morphisms(k: Morphism, h: Morphism) -> Morphism:
-    """The composite k after h: x goes to the OR of k's masks over the
-    output bits of h(x)."""
+    """The composite k after h, the relational composite of their rows."""
     if h.target != k.source:
         raise UniverseMismatch(
             h.target.elements, k.source.elements, "compose_morphisms"
         )
-    # k's inputs onto h's output indices, which may differ for equal names
-    k_rows = _moved_rows(k._rows, _index_map(k.source.elements, h.target.elements))
-    rows = {}
-    for x, mx in h._rows.items():
-        out = 0
-        for d in _bits(mx):
-            out |= k_rows.get(d, 0)
-        if out:
-            rows[x] = out
-    return Morphism._of_rows(h.source, k.target, rows)
+    return Morphism._of_rows(h.source, k.target, compose(k.rel, h.rel)._rows)
 
 
 def identity_morphism(groupoid: Groupoid) -> Morphism:

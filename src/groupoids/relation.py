@@ -10,20 +10,24 @@ ProductUniverse over the flattened list of its plain factors, indexed
 in mixed radix: (x1, ..., xk) has index (...(i1 * n2 + i2) * n3 + ...)
 * nk + ik.  So (A x B) x C and A x (B x C) are one index space, and
 the pair (x, y) of A x B has index x * |B| + y whatever A and B are.
-A FinRel stores a frozenset of (output index, input index) pairs;
-compose, product, transpose, identity, flip and the unitors work on
-those integers alone and never look at a name.
+A FinRel holds its mask rows, the one index form of a relation in the
+package: `_rows` maps each input index to the nonzero int mask of its
+output indices, bit j for output index j.  compose, product,
+transpose, identity, flip, the unitors, domain, image and is_mapping
+work on those integers alone and never look at a name; morphisms hold
+these rows as their relation, and _bits and _moved_rows, which read
+and move them, live here.
 
 Names.  Pair universes name their elements by joining the component
 names with a comma.  A product builds its names, its sorted `elements`
 and its name -> index dict only when one of them is asked for.  Names
 are made at the boundary: the public FinRel constructor reads
-(output, input) name pairs and checks them against its universes;
-`graph` names a relation's pairs, sorted, on first use; and
-first_difference names only the pairs on which two relations differ.
+(output, input) name pairs into rows and checks them against its
+universes; `pairs` and `graph` are made from the rows on first read;
+and first_difference names only the pairs of the rows that differ.
 Two universes that are equal by name but index differently (a plain
 universe and a product with the same name and elements) still give
-equal relations: equality, compose and first_difference move pairs
+equal relations: equality, compose and first_difference move rows
 through _index_map, the one index map, which other modules import.
 
 Collisions.  Component names may themselves contain commas (nested
@@ -36,6 +40,7 @@ otherwise are the |a| * |b| joined names built and compared.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property, reduce
 from typing import Iterable
 
@@ -187,20 +192,24 @@ def product_universe(a: Universe, b: Universe) -> Universe:
 
 
 class FinRel:
-    """Relation between two finite universes.
+    """Relation between two finite universes, held as its mask rows.
 
-    `pairs` holds (output, input) index pairs: (j, i) present means the
-    input with index i is related to the output with index j.  `graph`
-    holds the same pairs as sorted (output name, input name) tuples.
+    `_rows` maps each input index to the nonzero int mask of its output
+    indices: bit j of _rows[i] set means the input with index i is
+    related to the output with index j.  `pairs`, the (output, input)
+    index pairs, and `graph`, the same pairs as sorted (output name,
+    input name) tuples, are made from the rows on first read.
     """
 
     def __init__(self, source: Universe, target: Universe, graph):
-        names = set(graph)
-        src, tgt = source.index, target.index
+        graph = tuple(graph)
+        src, tgt, rows = source.index, target.index, {}
         try:
-            pairs = frozenset([(tgt[y], src[x]) for y, x in names])
+            for y, x in graph:
+                i = src[x]
+                rows[i] = rows.get(i, 0) | 1 << tgt[y]
         except KeyError:
-            for y, x in sorted(names):
+            for y, x in sorted(graph):
                 if x not in source:
                     raise UnknownElement(
                         x, f"source universe {source.name!r}"
@@ -210,75 +219,77 @@ class FinRel:
                         y, f"target universe {target.name!r}"
                     ) from None
             raise
-        self.source = source
-        self.target = target
-        self.pairs = pairs
-        self._names = names
-        self._index_cache = None
+        self.source, self.target, self._rows = source, target, rows
 
     @classmethod
-    def _from_indices(cls, source: Universe, target: Universe, pairs: frozenset):
-        """The relation with these index pairs, which must lie in range;
-        nothing is checked."""
+    def _of_rows(cls, source: Universe, target: Universe, rows: dict):
+        """The relation with mask rows `rows`, which must be nonzero and
+        in range; nothing is checked."""
         rel = cls.__new__(cls)
-        rel.source = source
-        rel.target = target
-        rel.pairs = pairs
-        rel._names = None
-        rel._index_cache = None
+        rel.source, rel.target, rel._rows = source, target, rows
         return rel
 
     @cached_property
-    def graph(self) -> tuple:
-        names = self._names
-        if names is None:
-            out = _namer(self.target, len(self.pairs))
-            inp = _namer(self.source, len(self.pairs))
-            names = [(out(y), inp(x)) for y, x in self.pairs]
-        return tuple(sorted(names))
-
-    def _by_index(self) -> dict:
-        """input index -> list of output indices, built on first use."""
-        by_index = self._index_cache
-        if by_index is None:
-            by_index = {}
-            for y, x in self.pairs:
-                if x in by_index:
-                    by_index[x].append(y)
-                else:
-                    by_index[x] = [y]
-            self._index_cache = by_index
-        return by_index
+    def pairs(self) -> frozenset:
+        return frozenset([(y, x) for x, mx in self._rows.items() for y in _bits(mx)])
 
     @cached_property
-    def _by_input(self) -> dict:
-        index: dict = {}
-        for y, x in self.graph:
-            index.setdefault(x, []).append(y)
-        return {x: tuple(ys) for x, ys in index.items()}
+    def graph(self) -> tuple:
+        pairs = self.pairs
+        out = _namer(self.target, len(pairs))
+        inp = _namer(self.source, len(pairs))
+        return tuple(sorted([(out(y), inp(x)) for y, x in pairs]))
 
     def outputs(self, x: str):
         """All elements related to the input x."""
         if x not in self.source:
             raise UnknownElement(x, f"source universe {self.source.name!r}")
-        return self._by_input.get(x, ())
+        mask = self._rows.get(self.source.index[x], 0)
+        return tuple(sorted(map(self.target.name_of, _bits(mask))))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FinRel)
-            and self.source == other.source
-            and self.target == other.target
-            and _pairs_on(self, other) == other.pairs
-        )
+        if not isinstance(other, FinRel):
+            return False
+        u, v = (self.source, self.target), (other.source, other.target)
+        return u == v and _moved_rows(self._rows, *map(_index_map, u, v)) == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, len(self.pairs)))
+        # the number of inputs, which no index order changes
+        return hash((self.source, self.target, len(self._rows)))
 
     def __repr__(self) -> str:
+        size = sum(mx.bit_count() for mx in self._rows.values())
         return (
             f"FinRel({self.source.name!r} -> {self.target.name!r}, "
-            f"{len(self.pairs)} pairs)"
+            f"{size} pairs)"
         )
+
+
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _moved_rows(rows: dict, at_in=None, at_out=None) -> dict:
+    """Mask rows with input x moved to at_in[x] and output bit d to
+    at_out[d]; None keeps that side's indices."""
+    if at_out is not None:
+        rows = {x: sum(1 << at_out[d] for d in _bits(mx)) for x, mx in rows.items()}
+    return rows if at_in is None else {at_in[x]: mx for x, mx in rows.items()}
+
+
+def _preimages(r: FinRel) -> dict:
+    """output index -> the list of input indices related to it."""
+    pre = defaultdict(list)
+    for x, mx in r._rows.items():
+        while mx:  # highest bit first: one shift per output, no negation
+            y = mx.bit_length() - 1
+            pre[y].append(x)
+            mx ^= 1 << y
+    return pre
 
 
 def triples_rel(a: Universe, b: Universe, target: Universe, triples) -> FinRel:
@@ -288,42 +299,43 @@ def triples_rel(a: Universe, b: Universe, target: Universe, triples) -> FinRel:
     joined pair names."""
     source = product_universe(a, b)
     a_index, b_index, t_index, n = a.index, b.index, target.index, len(b)
+    rows: dict = {}
     try:
-        pairs = frozenset(
-            [(t_index[z], a_index[x] * n + b_index[y]) for z, x, y in triples]
-        )
+        for z, x, y in triples:
+            i = a_index[x] * n + b_index[y]
+            rows[i] = rows.get(i, 0) | 1 << t_index[z]
     except KeyError:
         return FinRel(source, target, ((z, pair_name(x, y)) for z, x, y in triples))
-    return FinRel._from_indices(source, target, pairs)
-
-
-def _pairs_on(r: FinRel, onto: FinRel) -> frozenset:
-    """r's pairs on the indices of onto's equal universes."""
-    at_out, at_in = _index_map(r.target, onto.target), _index_map(r.source, onto.source)
-    if at_out is at_in is None:
-        return r.pairs
-    at_out, at_in = at_out or range(len(r.target)), at_in or range(len(r.source))
-    return frozenset([(at_out[y], at_in[x]) for y, x in r.pairs])
+    return FinRel._of_rows(source, target, rows)
 
 
 def compose(s: FinRel, r: FinRel) -> FinRel:
-    """Relational composition s after r."""
+    """Relational composition s after r: x goes to the OR of s's masks
+    over the output bits of r(x)."""
     if r.target != s.source:
         raise UniverseMismatch(r.target, s.source, "compose")
-    by_index = s._by_index()
-    at = _index_map(r.target, s.source)  # r's outputs onto s's inputs
-    if at is not None:
-        by_index = {y: by_index.get(j, ()) for y, j in enumerate(at)}
-    pairs = frozenset([(z, x) for y, x in r.pairs for z in by_index.get(y, ())])
-    return FinRel._from_indices(r.source, s.target, pairs)
+    # s's inputs onto r's output indices, which may differ for equal names
+    s_rows = _moved_rows(s._rows, _index_map(s.source, r.target))
+    rows = {}
+    for x, mx in r._rows.items():
+        out = 0
+        while mx:
+            low = mx & -mx
+            out |= s_rows.get(low.bit_length() - 1, 0)
+            mx ^= low
+        if out:
+            rows[x] = out
+    return FinRel._of_rows(r.source, s.target, rows)
 
 
 def two_sided_difference(phi: FinRel, m: FinRel):
     """Sorted-least (output name, input name) pair on which phi(m x id)
     and phi(id x phi) differ, or None, for phi : G x X -> X and the
     product m : G x G -> G, by the preimage scan of the groupoid.py
-    docstring; exact for relations that share their index spaces."""
-    pre_phi, pre_m = transpose(phi)._by_index(), transpose(m)._by_index()
+    docstring, with the preimage lists of phi and m read off their rows;
+    exact for relations that share their index spaces."""
+    pre_phi = _preimages(phi)
+    pre_m = pre_phi if m is phi else _preimages(m)
     nx, ngx = len(phi.target), len(phi.source)
     for name in phi.target.elements:
         left, right = set(), set()
@@ -338,46 +350,43 @@ def two_sided_difference(phi: FinRel, m: FinRel):
 
 
 def transpose(r: FinRel) -> FinRel:
-    return FinRel._from_indices(
-        r.target, r.source, frozenset([(x, y) for y, x in r.pairs])
-    )
+    rows = {y: sum(1 << x for x in xs) for y, xs in _preimages(r).items()}
+    return FinRel._of_rows(r.target, r.source, rows)
 
 
 def product(r: FinRel, r1: FinRel) -> FinRel:
-    """Componentwise product relation X x X1 -> Y x Y1."""
+    """Componentwise product relation X x X1 -> Y x Y1: (x, x1) has
+    index x * |X1| + x1, and its mask holds r1(x1) shifted to each block
+    y * |Y1| of an output y of x."""
     src = product_universe(r.source, r1.source)
     tgt = product_universe(r.target, r1.target)
-    ns, nt = len(r1.source), len(r1.target)
-    pairs1 = r1.pairs
-    shifted = [(y * nt, x * ns) for y, x in r.pairs]
-    pairs = frozenset(
-        [(y + y1, x + x1) for y, x in shifted for y1, x1 in pairs1]
-    )
-    return FinRel._from_indices(src, tgt, pairs)
+    ns, nt, rows = len(r1.source), len(r1.target), {}
+    for x, mx in r._rows.items():
+        spread = sum(1 << y * nt for y in _bits(mx))
+        for x1, m1 in r1._rows.items():
+            rows[x * ns + x1] = m1 * spread  # the blocks do not overlap
+    return FinRel._of_rows(src, tgt, rows)
 
 
 def domain(r: FinRel) -> tuple:
-    name = r.source.name_of
-    return tuple(sorted(name(x) for x in {x for _, x in r.pairs}))
+    return tuple(sorted(map(r.source.name_of, r._rows)))
 
 
 def image(r: FinRel) -> tuple:
-    name = r.target.name_of
-    return tuple(sorted(name(y) for y in {y for y, _ in r.pairs}))
+    mask = reduce(int.__or__, r._rows.values(), 0)
+    return tuple(sorted(map(r.target.name_of, _bits(mask))))
 
 
 def is_mapping(r: FinRel) -> bool:
     """True when every source element has exactly one output."""
-    by_index = r._by_index()
-    return len(by_index) == len(r.source) and all(
-        len(ys) == 1 for ys in by_index.values()
+    return len(r._rows) == len(r.source) and all(
+        mx & (mx - 1) == 0 for mx in r._rows.values()
     )
 
 
 def identity(universe: Universe) -> FinRel:
-    return FinRel._from_indices(
-        universe, universe, frozenset([(i, i) for i in range(len(universe))])
-    )
+    rows = {i: 1 << i for i in range(len(universe))}
+    return FinRel._of_rows(universe, universe, rows)
 
 
 def flip(a: Universe, b: Universe) -> FinRel:
@@ -385,20 +394,20 @@ def flip(a: Universe, b: Universe) -> FinRel:
     src = product_universe(a, b)
     tgt = product_universe(b, a)
     na, nb = len(a), len(b)
-    pairs = frozenset([(y * na + x, x * nb + y) for x in range(na) for y in range(nb)])
-    return FinRel._from_indices(src, tgt, pairs)
+    rows = {x * nb + y: 1 << (y * na + x) for x in range(na) for y in range(nb)}
+    return FinRel._of_rows(src, tgt, rows)
 
 
 def unitor_left(universe: Universe) -> FinRel:
     """The canonical bijection 1 x X -> X."""
     src = product_universe(ONE, universe)
-    return FinRel._from_indices(src, universe, identity(universe).pairs)
+    return FinRel._of_rows(src, universe, identity(universe)._rows)
 
 
 def unitor_right(universe: Universe) -> FinRel:
     """The canonical bijection X x 1 -> X."""
     src = product_universe(universe, ONE)
-    return FinRel._from_indices(src, universe, identity(universe).pairs)
+    return FinRel._of_rows(src, universe, identity(universe)._rows)
 
 
 def mapping_rel(source: Universe, target: Universe, func) -> FinRel:
@@ -411,12 +420,19 @@ def mapping_rel(source: Universe, target: Universe, func) -> FinRel:
 
 def first_difference(lhs: FinRel, rhs: FinRel):
     """Sorted-least pair on which two relations disagree, or None."""
-    for u, v in ((lhs.source, rhs.source), (lhs.target, rhs.target)):
-        if u != v:
-            raise UniverseMismatch(u, v, "first_difference")
-    diff = _pairs_on(lhs, rhs) ^ rhs.pairs
-    if not diff:
+    u, v = (lhs.source, lhs.target), (rhs.source, rhs.target)
+    for a, b in zip(u, v):
+        if a != b:
+            raise UniverseMismatch(a, b, "first_difference")
+    rows, other = _moved_rows(lhs._rows, *map(_index_map, u, v)), rhs._rows
+    if rows == other:
         return None
+    diff = [
+        (y, x)
+        for x in rows.keys() | other.keys()
+        if rows.get(x) != other.get(x)
+        for y in _bits(rows.get(x, 0) ^ other.get(x, 0))
+    ]
     out = _namer(rhs.target, len(diff))
     inp = _namer(rhs.source, len(diff))
     return min((out(y), inp(x)) for y, x in diff)

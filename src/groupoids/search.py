@@ -45,8 +45,8 @@ from .builders import (
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
 from .morphism import CancellationWitness, Morphism, compose_morphisms
-from .morphism import _hm_refutation, _rows_rel
-from .relation import Universe
+from .morphism import _hm_refutation
+from .relation import FinRel, Universe
 
 
 class EnumBudget:
@@ -156,7 +156,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             refuted = _hm_refutation(rows, source, target, memo, refuted)
             if refuted is not None:
                 continue
-            graph = _rows_rel(source, target, rows).graph
+            graph = FinRel._of_rows(source.elements, target.elements, rows).graph
             found.append(Morphism(source, target, graph))
     found.sort(key=lambda h: sorted(h.graph))
     return found

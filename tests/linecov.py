@@ -6,7 +6,8 @@ the standard library only (no coverage package).
 runs the suite in this process under a sys.settrace line tracer that
 records only frames of src/groupoids, and prints, per module, each
 statement no test ran (its first line and source), then each module's
-count of code lines: lines outside docstrings, comments and blank lines.
+count of code lines: lines outside docstrings, comments and blank lines,
+and the total of all lines, as `wc -l src/groupoids/*.py` counts them.
 The tracer is re-armed before each test, because Hypothesis replaces an
 installed tracer with its own and drops it.  Extra arguments go to
 pytest; with none, the whole suite under tests/ runs.  The file is not a
@@ -14,7 +15,7 @@ test module, so the suite does not collect it.
 
     python tests/linecov.py --count
 
-prints only the code line counts, without running anything.
+prints only the line counts, without running anything.
 """
 
 from __future__ import annotations
@@ -146,12 +147,14 @@ def run(args: list) -> int:
 
 
 def report_counts():
-    total = 0
+    total = lines = 0
     for path in sorted(PACKAGE.glob("*.py")):
         n = code_lines(path)
         total += n
+        lines += len(path.read_text().splitlines())
         print(f"{n:6d} {path.name}")
     print(f"{total:6d} code lines outside docstrings, comments and blank lines")
+    print(f"{lines:6d} lines in all, as wc -l counts them")
 
 
 if __name__ == "__main__":

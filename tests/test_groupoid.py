@@ -37,6 +37,7 @@ from groupoids.groupoid import (
 )
 from groupoids.relation import (
     FinRel,
+    ONE,
     Universe,
     compose,
     first_difference,
@@ -429,7 +430,7 @@ def test_antihomomorphism_on_multivalued_tables_agrees_with_the_materialized_sid
         names, units, inverse, table = double_coset_data(s4, sub)
         u = Universe("M", names)
         m = triples_rel(u, u, u, table)
-        multi = len(m.pairs) != len(m._by_index())
+        multi = len(m.pairs) != len(m._rows)
         for involution in [inverse, *involutions(names, rng)]:
             s = FinRel(u, u, [(involution[x], x) for x in names])
             sm = compose(s, m)
@@ -525,6 +526,38 @@ def test_checked_constructor_agrees_with_the_relational_reference():
     assert None not in multi_laws
 
 
+def test_a_multi_valued_unit_law_reads_s_g_times_g():
+    """The double cosets of S4 by {1234, 3214}, with s swapping 1243 and
+    1324 and fixing the rest, pass every law before the last.  Their
+    m(s(g), g) and m(g, s(g)) hold different strays at g = 1243, and the
+    constructor reports the first, as the relational reference does."""
+    names, units, _, table = double_coset_data(symmetric_table(4), ["1234", "3214"])
+    involution = {**{x: x for x in names}, "1243": "1324", "1324": "1243"}
+    verdict = ("m(s(g),g)-in-units", "1243", "'1342' is not a unit")
+    assert relational_verdict(names, units, involution, table) == verdict
+    assert _verdict(names, units, involution, table) == verdict
+
+
+def test_structure_relations_equal_the_relations_of_their_names():
+    """m_rel, s_rel and e_rel, built on mask rows, equal the relations
+    read by name from the table, the inverse map and the units, and hold
+    no zero mask, the empty groupoid's included."""
+    for g in (
+        set_groupoid(Universe("E", ())),
+        group_groupoid(cyclic_table(3)),
+        pair_groupoid(Universe("X2", ("a", "b"))),
+        product_form(Universe("B2", "xy"), symmetric_table(3)),
+    ):
+        u = g.elements
+        named = (
+            triples_rel(u, u, u, g.table),
+            FinRel(u, u, [(g.inverse[x], x) for x in u]),
+            FinRel(ONE, u, [(e, "1") for e in g.units]),
+        )
+        for built, by_name in zip((g.m_rel, g.s_rel, g.e_rel), named):
+            assert built == by_name and 0 not in built._rows.values()
+
+
 def test_a_single_valued_table_is_checked_without_a_relation(monkeypatch):
     """A valid P6 document and a raw S4 table are checked on index rows:
     no triple relation, composite, product or index-pair relation is
@@ -542,8 +575,8 @@ def test_a_single_valued_table_is_checked_without_a_relation(monkeypatch):
     for name in ("triples_rel", "compose", "product"):
         wrapped = counted(name, getattr(groupoid_module, name))
         monkeypatch.setattr(groupoid_module, name, wrapped)
-    from_indices = counted("_from_indices", FinRel._from_indices)
-    monkeypatch.setattr(FinRel, "_from_indices", staticmethod(from_indices))
+    of_rows = counted("_of_rows", FinRel._of_rows)
+    monkeypatch.setattr(FinRel, "_of_rows", staticmethod(of_rows))
     g = groupoid_from_payload(p6, json.dumps(p6))
     GroupTable("S4", s4.elements, s4_raw)
     assert calls == []

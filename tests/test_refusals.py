@@ -3,18 +3,24 @@
 Each refusal below is a precondition of a public call, held to its
 exception type and its exact message in one table.  The last tests
 cover the answers that are no refusal: `Morphism.outputs`, equality
-against a non-instance, `same_structure` across different unit sets,
-and the bisection and isomorphism searches on the empty groupoid.
+against a non-instance and across groupoids or carriers, GammaSet's
+equality and hash, `same_structure` across different unit sets, and
+the bisection and isomorphism searches on the empty groupoid.
 tests/linecov.py lists the statements that no test runs.
 """
 
 import pytest
 
 from groupoids.action import (
+    Action,
     GammaSet,
     coset_space,
+    functor_to_zm,
+    homogeneous_identification,
+    induced_action,
     is_equivariant,
     left_mult_action,
+    pullback_action,
     quotient_groupoid,
     unit_action,
 )
@@ -31,9 +37,11 @@ from groupoids.builders import (
     subgroup_table,
 )
 from groupoids.errors import PreconditionFailed, UnknownElement
+from groupoids.groupoid import SubgroupoidRef
 from groupoids.morphism import (
     CancellationWitness,
     Morphism,
+    component_projection,
     fiber_map_left,
     identity_morphism,
     product_pairing,
@@ -73,6 +81,28 @@ def _equivariance_across_groupoids():
 def _image_of_a_foreign_bisection():
     (bisection,) = [b for b in all_bisections(Z4) if b.members == {"0"}]
     return image_bisection(identity_morphism(Z2), bisection)
+
+
+def fixed_points(groupoid, carrier):
+    """The action of a one-unit groupoid fixing every point."""
+    triples = [(x, g, x) for g in groupoid.elements for x in carrier]
+    return Action(groupoid, carrier, triples)
+
+
+def _pullback_into_another_groupoid():
+    space = GammaSet(Z4.elements, left_mult_action(Z4))
+    return pullback_action(identity_morphism(Z2), space)
+
+
+def _functor_value_outside_the_target():
+    phi = left_mult_action(Z2)
+    return functor_to_zm(phi, dict.fromkeys(phi.domain, "zz"), Z2)
+
+
+def _induced_by_an_action_over_one_unit():
+    units = SubgroupoidRef(P2, {"x,x", "y,y"})
+    action = Action(units.as_groupoid(), Universe("Q", ("q",)), [("q", "x,x", "q")])
+    return induced_action(P2, units, action)
 
 
 REFUSALS = [
@@ -169,6 +199,54 @@ REFUSALS = [
         "'1' is not a unit of 'Z2'",
     ),
     (
+        "GammaSet, another carrier",
+        lambda: GammaSet(N, left_mult_action(Z2)),
+        PreconditionFailed,
+        "carrier does not match the action",
+    ),
+    (
+        "pullback_action, a morphism into another groupoid",
+        _pullback_into_another_groupoid,
+        PreconditionFailed,
+        "the action does not belong to the target",
+    ),
+    (
+        "functor_to_zm, domain differs",
+        lambda: functor_to_zm(left_mult_action(Z2), {}, Z2),
+        PreconditionFailed,
+        "functor domain differs from the action groupoid",
+    ),
+    (
+        "functor_to_zm, value outside the target",
+        _functor_value_outside_the_target,
+        UnknownElement,
+        "unknown element 'zz' in Z2",
+    ),
+    (
+        "homogeneous_identification, section does not saturate",
+        lambda: homogeneous_identification(fixed_points(Z2, N), {"0": "1"}),
+        PreconditionFailed,
+        "section does not saturate the carrier; '2' unreached",
+    ),
+    (
+        "induced_action, base map not onto",
+        _induced_by_an_action_over_one_unit,
+        PreconditionFailed,
+        "base map is not onto the subgroupoid units",
+    ),
+    (
+        "component_projection, not a union of components",
+        lambda: component_projection(P2, ONE_UNIT),
+        PreconditionFailed,
+        "'y,x' breaks the transitive-component condition",
+    ),
+    (
+        "coset_space, a subgroupoid of another groupoid",
+        lambda: coset_space(Z2, SubgroupoidRef(Z4, {"0"})),
+        PreconditionFailed,
+        "subgroupoid belongs to another groupoid",
+    ),
+    (
         "check_cancellation, unknown side",
         lambda: check_cancellation(identity_morphism(Z2), "up"),
         PreconditionFailed,
@@ -200,6 +278,26 @@ def test_structures_differ_from_non_instances():
     for value in values:
         others = [v for v in (*values, "value", None) if v is not value]
         assert not any(value == other for other in others)
+
+
+def test_structures_on_other_groupoids_or_carriers_differ():
+    assert identity_morphism(Z2) != identity_morphism(Z4)
+    assert Morphism(Z2, Z2, [("0", "0"), ("0", "1")]) != Morphism(
+        Z2, Z4, [("0", "0"), ("0", "1")]
+    )
+    assert left_mult_action(Z2) != left_mult_action(Z4)
+    assert unit_action(Z2) == fixed_points(Z2, Z2.units_universe())
+    assert fixed_points(Z2, N) != fixed_points(Z2, Universe("M", ("1", "2")))
+    assert left_mult_action(Z2) != fixed_points(Z2, Z2.elements)
+
+
+def test_gamma_sets_compare_and_hash_by_their_action():
+    space = GammaSet(Z2.elements, left_mult_action(Z2))
+    same = GammaSet(Z2.elements, Action(Z2, Z2.elements, Z2.table))
+    assert space == same and hash(space) == hash(same)
+    assert space != GammaSet(Z2.elements, fixed_points(Z2, Z2.elements))
+    assert space != GammaSet(Z4.elements, left_mult_action(Z4))
+    assert space != left_mult_action(Z2) and space != "space"
 
 
 def test_same_structure_needs_the_same_units():

@@ -466,3 +466,97 @@ def test_two_sided_scan_is_the_first_difference_of_its_composites(case):
     lhs = compose(phi, product(m, identity(x)))
     rhs = compose(phi, product(identity(g), phi))
     assert two_sided_difference(phi, m) == first_difference(lhs, rhs)
+
+
+# -- the row invariant: every mask nonzero and in range ---------------
+#
+# A FinRel holds one nonzero mask of output indices per related input,
+# and == compares those dicts, so a stray zero mask or a bit out of
+# range would make two equal relations unequal.
+
+
+def assert_rows_hold(r):
+    """No zero mask, no input or output bit out of range, `pairs` is
+    `graph` moved onto indices, and domain, image and is_mapping read
+    the graph."""
+    for x, mx in r._rows.items():
+        assert 0 <= x < len(r.source) and 0 < mx < 1 << len(r.target)
+    named = {(r.target.index[y], r.source.index[x]) for y, x in r.graph}
+    assert r.pairs == named
+    assert domain(r) == tuple(sorted({x for _, x in r.graph}))
+    assert image(r) == tuple(sorted({y for y, _ in r.graph}))
+    inputs = [x for _, x in r.graph]
+    assert is_mapping(r) == (sorted(inputs) == sorted(r.source.elements))
+
+
+def assert_equal_hash_equal(relations):
+    for r, s in itertools.product(relations, repeat=2):
+        if r == s:
+            assert hash(r) == hash(s)
+
+
+def kernel_results(u0, u1, r, s):
+    """The kernel applied to r : U0 -> U1 and s : U1 -> U2."""
+    rs = product(r, s)
+    return [
+        r,
+        compose(s, r),
+        compose(transpose(s), s),
+        compose(identity(u1), r),
+        transpose(r),
+        transpose(transpose(r)),
+        rs,
+        product(s, r),
+        compose(flip(u1, s.target), rs),
+        compose(transpose(rs), rs),
+        identity(u0),
+        flip(u0, u1),
+        unitor_left(u0),
+        unitor_right(u0),
+    ]
+
+
+@seed(1311)
+@settings(max_examples=60, deadline=None)
+@given(relation_chains())
+def test_kernel_results_keep_the_row_invariant(chain):
+    (u0, u1, _, _), r, s, t = chain
+    results = kernel_results(u0, u1, r, s) + [compose(t, compose(s, r))]
+    for result in results:
+        assert_rows_hold(result)
+    assert compose(identity(u1), r) == r and transpose(transpose(r)) == r
+    assert_equal_hash_equal(results)
+
+
+@st.composite
+def multi_valued_products(draw):
+    """m : G x G -> G read from triples by triples_rel, where "a!" indexes
+    the product out of name order, and m re-read on a plain universe
+    with the product's name and elements."""
+    g = Universe("G", draw(FUSED_NAMES))
+    cells = [(z, x, y) for z in g for x in g for y in g]
+    m = triples_rel(g, g, g, draw(st.sets(st.sampled_from(cells))))
+    plain = FinRel(Universe(m.source.name, m.source.elements), g, m.graph)
+    return g, m, plain
+
+
+@seed(1311)
+@settings(max_examples=100, deadline=None)
+@given(multi_valued_products())
+def test_multi_valued_relations_keep_the_row_invariant(case):
+    g, m, plain = case
+    gg = m.source
+    assert m == plain and plain == m and hash(m) == hash(plain)
+    results = [
+        *kernel_results(g, gg, transpose(m), m),
+        *kernel_results(g, plain.source, transpose(plain), m),
+        *kernel_results(g, gg, transpose(m), plain),
+        product(plain, m),
+    ]
+    for result in results:
+        assert_rows_hold(result)
+    assert compose(m, identity(plain.source)) == m
+    assert compose(plain, identity(gg)) == plain
+    assert compose(plain, transpose(m)) == compose(m, transpose(plain))
+    assert first_difference(m, plain) is None and first_difference(plain, m) is None
+    assert_equal_hash_equal(results)

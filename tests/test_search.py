@@ -112,7 +112,7 @@ def test_naive_rejections_build_no_relation(monkeypatch):
     # hm=m'(hxh) is read off index rows: a rejected candidate builds no
     # composite, no product and no relation beyond its own graph
     built = []
-    from_indices = relation.FinRel._from_indices.__func__
+    of_rows = relation.FinRel._of_rows.__func__
 
     def counted(name, fn):
         def wrapper(*args):
@@ -125,7 +125,7 @@ def test_naive_rejections_build_no_relation(monkeypatch):
         monkeypatch.setattr(module, "compose", counted("compose", relation.compose))
         monkeypatch.setattr(module, "product", counted("product", relation.product))
     monkeypatch.setattr(
-        relation.FinRel, "_from_indices", classmethod(counted("index", from_indices))
+        relation.FinRel, "_of_rows", classmethod(counted("index", of_rows))
     )
     p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
     z3 = group_groupoid(cyclic_table(3))
