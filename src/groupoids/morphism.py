@@ -133,7 +133,7 @@ def _mask_product(mx: int, my: int, trows: list) -> int:
     return out
 
 
-def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None, first=()):
+def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None):
     """The first input pair (x, y) where hm and m'(hxh) differ, () if
     only their sizes do, or None, on mask rows of h and both products.
 
@@ -141,20 +141,12 @@ def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None, first=()
     output indices (bit d for target index d), with no zero mask.
     `memo` maps mx << |tgt| | my to the mask of the defined products
     d1 d2, d1 in mx and d2 in my: products in the target only, so one
-    memo serves every h into the same target.  The pair `first` is
-    compared before the pass; a mismatch there refutes as the pass would.
+    memo serves every h into the same target.
     """
     srows, trows = src._rows, tgt._rows
     shift = len(trows)
     if memo is None:
         memo = {}
-    if first and first[0] in rows and first[1] in rows:
-        x, y = first
-        key = rows[x] << shift | rows[y]
-        if key not in memo:
-            memo[key] = _mask_product(rows[x], rows[y], trows)
-        if rows.get(srows[x].get(y), 0) != memo[key]:
-            return first
     matched = 0
     for x, mx in rows.items():
         srow = srows[x]

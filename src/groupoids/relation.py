@@ -218,7 +218,6 @@ class FinRel:
                     raise UnknownElement(
                         y, f"target universe {target.name!r}"
                     ) from None
-            raise
         self.source, self.target, self._rows = source, target, rows
 
     @classmethod

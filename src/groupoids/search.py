@@ -2,19 +2,23 @@
 
 The two morphism enumerators are deliberately independent oracles.  The
 naive one walks a candidate lattice factored by the unit and involution
-laws and decides every candidate by the law left, hm = m'(hxh).  Each
-choice's share of the graph is built once per call as mask rows (input
-index -> bit mask of output indices); the choices' inputs are disjoint,
-so a candidate's rows are its choices' rows merged.  The law is decided
-on those rows by morphism._hm_refutation, as Morphism(...) decides it,
-against one memo per call of the target's products of output masks.
-The pair (x, y) that refuted the last candidate is compared first;
-consecutive candidates differ in their last choices, so it mostly
-refutes again.  This orders a candidate's comparisons and prunes none:
-every candidate is examined and decided.  Only a survivor's rows are
-named, and validated in full by Morphism(...), from the names.  The
-structured one rebuilds candidates as mask rows from base maps and
-single-fiber data, forced on index rows, each decided by
+laws, depth first over its choices (the unit profile, then one choice
+per involution class), and filters it by the law left, hm = m'(hxh).
+Each choice's share of the graph is built once per call as mask rows
+(input index -> bit mask of output indices); the choices' inputs are
+disjoint, so a node's rows are its choice's merged over its parent's.
+The pair (x, y) is fixed by the choice that sets the last of x, y and
+xy.  After each choice but the last, the pairs it fixes are compared as
+morphism._hm_refutation compares them, and one that fails refutes every
+candidate below the node, however the later choices are made:
+chronological backtracking.  So every candidate is counted against the
+budget, and each one is either refuted by a pair its prefix fixes or
+reaches its leaf, where the law is decided in full by
+morphism._hm_refutation, as Morphism(...) decides it.  Both share one
+memo per call of the target's products of output masks.  Only a
+survivor's rows are named, and validated in full by Morphism(...), from
+the names.  The structured one rebuilds candidates as mask rows from
+base maps and single-fiber data, forced on index rows, each decided by
 Morphism._checked against one memo per call and held as those rows.
 Tests require their outputs to agree.
 
@@ -32,6 +36,9 @@ values that an exhaustive filter would give.
 """
 
 import itertools
+import math
+from functools import reduce
+from operator import or_
 
 from .action import classical_to_relational, morphism_to_action
 from .builders import (
@@ -45,7 +52,7 @@ from .builders import (
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
 from .morphism import CancellationWitness, Morphism, compose_morphisms
-from .morphism import _hm_refutation
+from .morphism import _hm_refutation, _mask_product
 from .relation import FinRel, Universe
 
 
@@ -72,28 +79,18 @@ def _subsets(items):
         yield from itertools.combinations(items, r)
 
 
-def _unit_profiles(src_units, tgt_units):
-    """Output sets for unit inputs: units only, covering the target units."""
-    tgt = sorted(tgt_units)
-    options = list(_subsets(tgt))
-    for combo in itertools.product(options, repeat=len(src_units)):
-        covered = set()
-        for chunk in combo:
-            covered.update(chunk)
-        if covered == set(tgt):
-            yield dict(zip(src_units, combo))
-
-
 def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> list:
     """Every morphism from source to target, by filtered exhaustion.
 
     Candidates range over all graphs satisfying the unit law (unit
     inputs emit exactly the target units collectively) and the
     involution law (the output set of s(g) is the s-image of the output
-    set of g).  Every one is decided by hm = m'(hxh) on its mask rows,
-    with the function Morphism(...) uses, so a refused candidate builds
-    no relation, morphism or exception; each survivor is validated in
-    full by Morphism(...).
+    set of g).  All of them count against `max_candidates`, checked
+    before the walk.  Each is refuted on mask rows by a pair (x, y) that
+    a prefix of its choices fixes, or decided at its leaf by hm =
+    m'(hxh) with the function Morphism(...) uses; so a refused candidate
+    builds no relation, morphism or exception, and each survivor is
+    validated in full by Morphism(...).
     """
     budget = budget or EnumBudget()
     pairs = len(target.elements) * len(source.elements)
@@ -102,7 +99,6 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             f"candidate graphs over {pairs} pairs, cap is {budget.max_pairs}"
         )
     src_units = sorted(source.units)
-    unit_set = set(src_units)
     tgt_all = sorted(target.elements)
     s_index, t_index = source.elements.index, target.elements.index
 
@@ -112,7 +108,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     reps = [
         g
         for g in sorted(source.elements)
-        if g not in unit_set and not source.inverse[g] < g
+        if g not in source._unit_set and not source.inverse[g] < g
     ]
     # each choice's share of the graph, built once as mask rows (input
     # -> bit mask of outputs, no zero mask): g and, unless g is an
@@ -136,28 +132,76 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
             chunks.append(rows)
         rep_chunks.append(chunks)
 
+    # level 0 chooses a unit profile: each source unit emits a subset of
+    # the target units, and together they emit them all; level k >= 1
+    # chooses the outputs of reps[k-1]
+    unit_masks = [mask(outs) for outs in _subsets(target.units)]
+    every, unit_idx = unit_masks[-1], [s_index[e] for e in src_units]
+    if not budget.override:
+        # |profiles| x prod |chunks| candidates: at most 2^(u t) profiles
+        # for u source and t target units, counted exactly (by
+        # inclusion-exclusion) only when that bound is over the cap
+        cap, u, t = budget.max_candidates, len(unit_idx), len(target.units)
+        per_profile = math.prod(map(len, rep_chunks))
+        if per_profile << u * t > cap and per_profile * sum(
+            (-1) ** j * math.comb(t, j) << (t - j) * u for j in range(t + 1)
+        ) > cap:
+            raise BudgetExceeded(f"examined {cap + 1} candidates, cap is {cap}")
+    profiles = (
+        {i: m for i, m in zip(unit_idx, combo) if m}
+        for combo in itertools.product(unit_masks, repeat=len(unit_idx))
+        if reduce(or_, combo, 0) == every
+    )
+    # the plan: the pair (x, y) is compared at the level that sets the
+    # last of x, y and xy; the last level's pairs are left to the leaves
+    last = len(reps)
+    plan = [[] for _ in range(last)]
+    if reps:
+        srows, s_inv = source._rows, source._inv
+        depth = [0] * len(srows)
+        for k, g in enumerate(reps, 1):
+            i = s_index[g]
+            depth[i] = depth[s_inv[i]] = k
+        early = [x for x, d in enumerate(depth) if d < last]
+        for x in early:
+            srow, dx = srows[x], depth[x]
+            for y in early:
+                z = srow.get(y)
+                d = max(dx, depth[y], 0 if z is None else depth[z])
+                if d < last:
+                    plan[d].append((x, y, z))
+
     found = []
-    examined = 0
     memo = {}  # products of output masks in the target, shared by candidates
-    refuted = None  # the pair that refuted the last candidate
-    for profile in _unit_profiles(src_units, target.units):
-        unit_rows = {s_index[e]: mask(outs) for e, outs in profile.items() if outs}
-        for combo in itertools.product(*rep_chunks):
-            examined += 1
-            if examined > budget.max_candidates and not budget.override:
-                raise BudgetExceeded(
-                    f"examined {examined} candidates, "
-                    f"cap is {budget.max_candidates}"
-                )
-            # the choices' inputs are disjoint, so their rows just merge
-            rows = dict(unit_rows)
-            for fragment in combo:
-                rows.update(fragment)
-            refuted = _hm_refutation(rows, source, target, memo, refuted)
-            if refuted is not None:
-                continue
-            graph = FinRel._of_rows(source.elements, target.elements, rows).graph
-            found.append(Morphism(source, target, graph))
+    trows, shift = target._rows, len(target._rows)
+    options = [profiles] + rep_chunks
+    # depth first; a node's rows are its choice's over its parent's, and
+    # a node whose pairs fail on them has no candidate below it visited
+    walk = [(iter(options[0]), {})]
+    while walk:
+        chunks, above = walk[-1]
+        chunk = next(chunks, None)
+        if chunk is None:
+            walk.pop()
+            continue
+        k = len(walk) - 1
+        rows = {**chunk, **above}
+        if k == last:  # a candidate, decided in full
+            if _hm_refutation(rows, source, target, memo) is None:
+                graph = FinRel._of_rows(source.elements, target.elements, rows).graph
+                found.append(Morphism(source, target, graph))
+            continue
+        for x, y, z in plan[k]:
+            mx, my = rows.get(x), rows.get(y)
+            if mx and my:
+                key = mx << shift | my
+                rhs = memo.get(key)
+                if rhs is None:
+                    rhs = memo[key] = _mask_product(mx, my, trows)
+                if rows.get(z, 0) != rhs:
+                    break
+        else:
+            walk.append((iter(options[k + 1]), rows))
     found.sort(key=lambda h: sorted(h.graph))
     return found
 

@@ -80,15 +80,81 @@ def test_naive_budget():
 
 
 def test_naive_examines_every_candidate_whatever_pair_it_compares_first():
-    # the pair that refuted the last candidate is compared first: that
-    # orders the comparisons and prunes nothing, so each of the 3,584
-    # P3 -> Z3 candidates is still counted against the budget
+    # a pair that a prefix of the choices fixes refutes the whole subtree
+    # below it, and each of the 3,584 P3 -> Z3 candidates in such a
+    # subtree is still counted against the budget
     p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
     z3 = group_groupoid(cyclic_table(3))
     with pytest.raises(BudgetExceeded):
         enum_morphisms_naive(p3, z3, EnumBudget(max_pairs=27, max_candidates=3583))
     budget = EnumBudget(max_pairs=27, max_candidates=3584)
     assert enum_morphisms_naive(p3, z3, budget) == []
+
+
+def _refuted_before(source, target, graph, late):
+    # True when a pair (x, y) with outputs at x and y, and with x, y and xy
+    # (where defined) outside `late`, has h(xy) != h(x)h(y)
+    outs = {}
+    for d, g in graph:
+        if g not in late:
+            outs.setdefault(g, set()).add(d)
+    for x, y in itertools.product(outs, repeat=2):
+        xy = source.mult(x, y)
+        if xy not in late:
+            products = {target.mult(d1, d2) for d1 in outs[x] for d2 in outs[y]}
+            if outs.get(xy, set()) != products - {None}:
+                return True
+    return False
+
+
+def test_naive_decides_only_the_candidates_no_prefix_refutes(monkeypatch):
+    # a candidate reaches hm=m'(hxh) in full only when no pair fixed before
+    # its last choice refutes it; every one still counts against the budget
+    p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
+    z3 = group_groupoid(cyclic_table(3))
+    leaves = []
+
+    def counted(rows, *args):
+        leaves.append(rows)
+        return morphism._hm_refutation(rows, *args)
+
+    monkeypatch.setattr(search, "_hm_refutation", counted)
+    assert enum_morphisms_naive(p3, z3, EnumBudget(override=True)) == []
+    # the last choice sets 2,3 and 3,2, in 8 ways after each prefix
+    late = ("2,3", "3,2")
+    prefixes = {
+        frozenset((d, g) for d, g in graph if g not in late)
+        for graph in naive_candidates(p3, z3)
+    }
+    reached = 8 * sum(not _refuted_before(p3, z3, p, late) for p in prefixes)
+    assert len(leaves) == reached < 3584 // 10
+    with pytest.raises(BudgetExceeded) as err:
+        enum_morphisms_naive(p3, z3, EnumBudget(max_pairs=27, max_candidates=3583))
+    assert str(err.value) == "examined 3584 candidates, cap is 3583"
+    budget = EnumBudget(max_pairs=27, max_candidates=3584)
+    assert enum_morphisms_naive(p3, z3, budget) == []
+
+
+def test_naive_agrees_with_a_filter_beyond_the_catalog():
+    # Z5 and Z6 fix the pair (1, 1) only at the choice of 2 = 1 + 1, which
+    # comes after the choice of 1; the unit profiles run over 1 to 3
+    # source and 1 to 3 target units, and the budget counts every candidate
+    z5 = group_groupoid(cyclic_table(5))
+    z6 = group_groupoid(cyclic_table(6))
+    bundle = group_bundle([cyclic_table(3), cyclic_table(2)])
+    pts2 = set_groupoid(Universe("T2", ("a", "b")))
+    pts3 = set_groupoid(Universe("T3", ("a", "b", "c")))
+    cases = [(z5, z5), (z6, Z2), (bundle, P2), (pts3, S2), (pts2, pts3)]
+    for src, tgt in cases:
+        expected = [h.graph for h in _naive_filter(src, tgt)]
+        n = sum(1 for _ in naive_candidates(src, tgt))
+        over = EnumBudget(max_pairs=30, max_candidates=n - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            enum_morphisms_naive(src, tgt, over)
+        assert str(err.value) == f"examined {n} candidates, cap is {n - 1}"
+        budget = EnumBudget(max_pairs=30, max_candidates=n)
+        found = [h.graph for h in enum_morphisms_naive(src, tgt, budget)]
+        assert expected and found == expected, (src.name, tgt.name)
 
 
 def test_naive_rejections_compute_no_offender(monkeypatch):
