@@ -245,6 +245,12 @@ def morphism_to_action(h: Morphism, carrier: Universe) -> Action:
         raise PreconditionFailed(
             f"{h.target.name!r} is not the pair groupoid over {carrier.name!r}"
         )
+    return _pair_action(h, carrier)
+
+
+def _pair_action(h: Morphism, carrier: Universe) -> Action:
+    """The action read off a morphism into the pair groupoid over the
+    carrier, which is not checked."""
     # h's outputs onto the pair indices x1 * n + x2 of (x1, x2)
     at = _index_map(h.target.elements, product_universe(carrier, carrier))
     moves, n = [{} for _ in h.source._rows], len(carrier)

@@ -16,16 +16,18 @@ package builds computes its rows by index arithmetic and comes from it.
 The checked entries decide the laws on the rows first: Morphism(...)
 parses a named graph into a FinRel and holds its rows, and
 Morphism._checked, the structured enumerator's entry, is given them.
-One pass over the rows then reads off the base map on units (here
+A morphism names nothing until it is read.  On the first read of any
+of them, one pass over the rows names the base map on units (here
 rho, mapping units of the target to units of the source), the domain,
 the image and the kernel, the inputs whose mask lies inside the
 target's unit mask.  `rel` is the FinRel over the same rows, made on
 first read, and `graph` and `outputs` read it.  Composition and
-equality go through relation.py: k after h is relation.compose of
-their relations, and two morphisms are equal when their groupoids and
-their relations are, which FinRel decides also where two equal
-groupoids index their names apart.  The hash reads named data only,
-so no index order enters it.
+equality work on the rows with relation.py's own kernels: k after h
+is _composed_rows of their rows, as in relation.compose, and two
+morphisms are equal when their groupoids are and _equal_rows, FinRel's
+equality, holds of their rows, also where two equal groupoids index
+their names apart.  The hash reads the number of inputs, which no
+index order changes and which needs no name.
 
 The laws are decided on the rows, with no side built.  Both groupoids
 are valid, so m and m' are single-valued and read off their `_rows`.
@@ -103,6 +105,8 @@ from .relation import (
     FinRel,
     Universe,
     _bits,
+    _composed_rows,
+    _equal_rows,
     _index_map,
     _moved_rows,
     compose,
@@ -196,6 +200,39 @@ def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict, memo=None):
     raise AxiomViolation(law, lambda: first_difference(*sides()))
 
 
+class _View:
+    """The base map, the domain, the image or the kernel of a morphism.
+
+    The first read of any of the four names them all in one pass over the
+    rows and stores them on the morphism, where they then shadow these
+    non-data descriptors.  The axioms make every derived law (unique base
+    map, domain a union of components, wide image, single-valued fibers)
+    a theorem, so none is re-checked here.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, h, owner=None):
+        if h is None:
+            return self
+        s_names, t_names, units = h.source._names, h.target._names, h.target._unit_mask
+        image, kernel, base = 0, [], {}
+        for x, mx in h._rows.items():
+            image |= mx
+            if mx & units == mx:
+                kernel.append(s_names[x])
+                if h.source._unit_mask >> x & 1:
+                    for d in _bits(mx):
+                        base[t_names[d]] = s_names[x]
+        views = vars(h)
+        views["base_map"] = base
+        views["domain_elements"] = frozenset(map(s_names.__getitem__, h._rows))
+        views["image_elements"] = frozenset(map(t_names.__getitem__, _bits(image)))
+        views["kernel_members"] = frozenset(kernel)
+        return views[self.name]
+
+
 class Morphism:
     def __init__(self, source: Groupoid, target: Groupoid, graph):
         self.rel = FinRel(source.elements, target.elements, graph)
@@ -214,23 +251,15 @@ class Morphism:
         return cls.__new__(cls)._setup(source, target, rows)
 
     def _setup(self, source, target, rows):
-        # one pass over the rows; the axioms make every derived law
-        # (unique base map, domain a union of components, wide image,
-        # single-valued fibers) a theorem, so none is re-checked here
+        # a morphism is held as its rows alone; nothing is named here
         self.source, self.target, self._rows = source, target, rows
-        s_names, t_names, image, kernel = source._names, target._names, 0, []
-        self.base_map = {}
-        for x, mx in rows.items():
-            image |= mx
-            if mx & target._unit_mask == mx:
-                kernel.append(s_names[x])
-                if source._unit_mask >> x & 1:
-                    units = map(t_names.__getitem__, _bits(mx))
-                    self.base_map.update(dict.fromkeys(units, s_names[x]))
-        self.domain_elements = frozenset(map(s_names.__getitem__, rows))
-        self.image_elements = frozenset(map(t_names.__getitem__, _bits(image)))
-        self.kernel_members = frozenset(kernel)
         return self
+
+    # named together, in one pass over the rows, on the first read of any
+    base_map = _View()
+    domain_elements = _View()
+    image_elements = _View()
+    kernel_members = _View()
 
     @cached_property
     def rel(self) -> FinRel:
@@ -244,16 +273,17 @@ class Morphism:
         return self.rel.outputs(gamma)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and (self.source, self.target) == (other.source, other.target)
-            and self.rel == other.rel
+        if not isinstance(other, Morphism):
+            return False
+        u = self.source.elements, self.target.elements
+        v = other.source.elements, other.target.elements
+        return (self.source, self.target) == (other.source, other.target) and (
+            _equal_rows(self._rows, u, other._rows, v)
         )
 
     def __hash__(self) -> int:
-        # named data only, so no index order enters it
-        named = (self.image_elements, self.kernel_members)
-        return hash((self.source, self.target, named))
+        # the number of inputs, which no index order changes
+        return hash((self.source, self.target, len(self._rows)))
 
     def __repr__(self) -> str:
         pairs = sum(mx.bit_count() for mx in self._rows.values())
@@ -304,7 +334,9 @@ def compose_morphisms(k: Morphism, h: Morphism) -> Morphism:
         raise UniverseMismatch(
             h.target.elements, k.source.elements, "compose_morphisms"
         )
-    return Morphism._of_rows(h.source, k.target, compose(k.rel, h.rel)._rows)
+    # k's inputs onto h's output indices, which may differ for equal names
+    at = _index_map(k.source.elements, h.target.elements)
+    return Morphism._of_rows(h.source, k.target, _composed_rows(k._rows, h._rows, at))
 
 
 def identity_morphism(groupoid: Groupoid) -> Morphism:
@@ -346,7 +378,7 @@ def kernel(h: Morphism) -> Kernel:
 
 def is_mono(h: Morphism) -> bool:
     """Monomorphism test: the kernel is exactly the source units."""
-    return h.kernel_members == frozenset(h.source.units)
+    return h.kernel_members == h.source._unit_set
 
 
 def is_surjective(h: Morphism) -> bool:

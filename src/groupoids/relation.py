@@ -16,7 +16,9 @@ output indices, bit j for output index j.  compose, product,
 transpose, identity, flip, the unitors, domain, image and is_mapping
 work on those integers alone and never look at a name; morphisms hold
 these rows as their relation, and _bits and _moved_rows, which read
-and move them, live here.
+and move them, live here, as do _composed_rows and _equal_rows, the
+row kernels of compose and of equality, with which morphisms compose
+and compare.
 
 Names.  Pair universes name their elements by joining the component
 names with a comma.  A product builds its names, its sorted `elements`
@@ -250,7 +252,7 @@ class FinRel:
         if not isinstance(other, FinRel):
             return False
         u, v = (self.source, self.target), (other.source, other.target)
-        return u == v and _moved_rows(self._rows, *map(_index_map, u, v)) == other._rows
+        return _equal_rows(self._rows, u, other._rows, v)
 
     def __hash__(self) -> int:
         # the number of inputs, which no index order changes
@@ -278,6 +280,29 @@ def _moved_rows(rows: dict, at_in=None, at_out=None) -> dict:
     if at_out is not None:
         rows = {x: sum(1 << at_out[d] for d in _bits(mx)) for x, mx in rows.items()}
     return rows if at_in is None else {at_in[x]: mx for x, mx in rows.items()}
+
+
+def _equal_rows(rows: dict, u: tuple, other: dict, v: tuple) -> bool:
+    """Whether mask rows `rows` on the (source, target) universes u equal
+    `other` on v: the universes are equal by name, and `rows` moved
+    onto v's indices are `other`."""
+    return u == v and _moved_rows(rows, *map(_index_map, u, v)) == other
+
+
+def _composed_rows(s_rows: dict, r_rows: dict, at) -> dict:
+    """The mask rows of s after r: x goes to the OR of s's masks over
+    the output bits of r(x), with s's inputs first moved by `at` onto
+    r's output indices (None when they are one index space)."""
+    s_rows, rows = _moved_rows(s_rows, at), {}
+    for x, mx in r_rows.items():
+        out = 0
+        while mx:
+            low = mx & -mx
+            out |= s_rows.get(low.bit_length() - 1, 0)
+            mx ^= low
+        if out:
+            rows[x] = out
+    return rows
 
 
 def _preimages(r: FinRel) -> dict:
@@ -314,16 +339,7 @@ def compose(s: FinRel, r: FinRel) -> FinRel:
     if r.target != s.source:
         raise UniverseMismatch(r.target, s.source, "compose")
     # s's inputs onto r's output indices, which may differ for equal names
-    s_rows = _moved_rows(s._rows, _index_map(s.source, r.target))
-    rows = {}
-    for x, mx in r._rows.items():
-        out = 0
-        while mx:
-            low = mx & -mx
-            out |= s_rows.get(low.bit_length() - 1, 0)
-            mx ^= low
-        if out:
-            rows[x] = out
+    rows = _composed_rows(s._rows, r._rows, _index_map(s.source, r.target))
     return FinRel._of_rows(r.source, s.target, rows)
 
 

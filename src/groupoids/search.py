@@ -5,8 +5,9 @@ naive one walks a candidate lattice factored by the unit and involution
 laws, depth first over its choices (the unit profile, then one choice
 per involution class), and filters it by the law left, hm = m'(hxh).
 Each choice's share of the graph is built once per call as mask rows
-(input index -> bit mask of output indices); the choices' inputs are
-disjoint, so a node's rows are its choice's merged over its parent's.
+(input index -> bit mask of output indices), on indices alone; the
+choices' inputs are disjoint, so a node's rows are its choice's merged
+over its parent's.
 The pair (x, y) is fixed by the choice that sets the last of x, y and
 xy.  After each choice but the last, the pairs it fixes are compared as
 morphism._hm_refutation compares them, and one that fails refutes every
@@ -20,12 +21,19 @@ survivor's rows are named, and validated in full by Morphism(...), from
 the names.  The structured one rebuilds candidates as mask rows from
 base maps and single-fiber data, forced on index rows, each decided by
 Morphism._checked against one memo per call and held as those rows.
-Tests require their outputs to agree.
+Tests require their outputs to agree.  Both return their morphisms in
+the order of sorted(h.graph), with no name built: the sort key is the
+sorted (target rank, source rank) pairs of the rows, where an index's
+rank is its name's place in sorted order.  Ranks order as the names
+do; indices need not, on a product universe whose index order is not
+its name order.
 
 The two action enumerators are independent in the same way: one goes
-through morphisms into the pair groupoid, the other is classical and
-reads only the groupoid's table.  The classical one searches each base
-map's evaluation table depth first with forward checking (Haralick and
+through morphisms into the pair groupoid, read back as actions by
+action._pair_action, since each is into pair_groupoid(carrier) as
+morphism_to_action requires; the other is classical and reads only the
+groupoid's table.  The classical one searches each base map's
+evaluation table depth first with forward checking (Haralick and
 Elliott, Artificial Intelligence 14, 1980).  A compatibility
 constraint phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last
 slot is set.  So no table that breaks a law survives, and no lawful
@@ -40,7 +48,10 @@ import math
 from functools import reduce
 from operator import or_
 
-from .action import classical_to_relational, morphism_to_action
+# enum_actions reads through _pair_action; morphism_to_action, its checked
+# public form, stays bound here, where callers have patched it
+from .action import _pair_action, classical_to_relational
+from .action import morphism_to_action  # noqa: F401
 from .builders import (
     group_groupoid,
     group_table_of,
@@ -53,7 +64,7 @@ from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
 from .morphism import CancellationWitness, Morphism, compose_morphisms
 from .morphism import _hm_refutation, _mask_product
-from .relation import FinRel, Universe
+from .relation import FinRel, Universe, _bits
 
 
 class EnumBudget:
@@ -98,45 +109,31 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
         raise BudgetExceeded(
             f"candidate graphs over {pairs} pairs, cap is {budget.max_pairs}"
         )
-    src_units = sorted(source.units)
-    tgt_all = sorted(target.elements)
-    s_index, t_index = source.elements.index, target.elements.index
-
-    def mask(outs):
-        return sum(1 << t_index[d] for d in outs)
-
-    reps = [
-        g
-        for g in sorted(source.elements)
-        if g not in source._unit_set and not source.inverse[g] < g
+    srows, s_inv, t_inv = source._rows, source._inv, target._inv
+    # one non-unit input of each class {x, s(x)}
+    reps = [x for x, y in enumerate(s_inv) if x <= y and not source._unit_mask >> x & 1]
+    # the mask of the s'-images of each output mask m, from that of m
+    # without its low bit; built once per call, and only if a choice reads it
+    image = [0]
+    for m in range(1, 1 << len(t_inv) if reps else 1):
+        low = m & -m
+        image.append(image[m ^ low] | 1 << t_inv[low.bit_length() - 1])
+    # each choice's share of the graph as mask rows (input -> bit mask of
+    # outputs, no zero mask): an involution x sent to an s'-closed mask,
+    # else x sent to any mask and s(x) to its s'-image
+    closed = [m for m, im in enumerate(image) if m == im]
+    rep_chunks = [
+        [{x: m} if m else {} for m in closed]
+        if x == s_inv[x]
+        else [{x: m, s_inv[x]: im} if m else {} for m, im in enumerate(image)]
+        for x in reps
     ]
-    # each choice's share of the graph, built once as mask rows (input
-    # -> bit mask of outputs, no zero mask): g and, unless g is an
-    # involution, s(g) sent to the s'-image of g's outputs
-    rep_chunks = []
-    for g in reps:
-        sg = source.inverse[g]
-        if sg == g:
-            blocks = sorted({tuple(sorted({d, target.inverse[d]})) for d in tgt_all})
-            opts = [
-                tuple(sorted(itertools.chain.from_iterable(combo)))
-                for combo in _subsets(blocks)
-            ]
-        else:
-            opts = list(_subsets(tgt_all))
-        chunks = []
-        for outs in sorted(opts):
-            rows = {s_index[g]: mask(outs)} if outs else {}
-            if sg != g and outs:
-                rows[s_index[sg]] = mask(target.inverse[d] for d in outs)
-            chunks.append(rows)
-        rep_chunks.append(chunks)
 
     # level 0 chooses a unit profile: each source unit emits a subset of
     # the target units, and together they emit them all; level k >= 1
     # chooses the outputs of reps[k-1]
-    unit_masks = [mask(outs) for outs in _subsets(target.units)]
-    every, unit_idx = unit_masks[-1], [s_index[e] for e in src_units]
+    every, unit_idx = target._unit_mask, list(_bits(source._unit_mask))
+    unit_masks = [sum(c) for c in _subsets(1 << d for d in _bits(every))]
     if not budget.override:
         # |profiles| x prod |chunks| candidates: at most 2^(u t) profiles
         # for u source and t target units, counted exactly (by
@@ -157,11 +154,9 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     last = len(reps)
     plan = [[] for _ in range(last)]
     if reps:
-        srows, s_inv = source._rows, source._inv
         depth = [0] * len(srows)
-        for k, g in enumerate(reps, 1):
-            i = s_index[g]
-            depth[i] = depth[s_inv[i]] = k
+        for k, x in enumerate(reps, 1):
+            depth[x] = depth[s_inv[x]] = k
         early = [x for x, d in enumerate(depth) if d < last]
         for x in early:
             srow, dx = srows[x], depth[x]
@@ -202,8 +197,29 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
                     break
         else:
             walk.append((iter(options[k + 1]), rows))
-    found.sort(key=lambda h: sorted(h.graph))
+    return _name_sorted(found, source, target)
+
+
+def _name_sorted(found: list, source: Groupoid, target: Groupoid) -> list:
+    """The morphisms `found` in the order sorted(h.graph) gives, by a key
+    read off their rows: the sorted pairs (target rank, source rank),
+    each as the int t * |source| + s, which orders as the pair does."""
+    if len(found) > 1:
+        t_rank, s_rank = _ranks(target.elements), _ranks(source.elements)
+        ns = len(s_rank)
+
+        def key(h):
+            pairs = ((x, d) for x, mx in h._rows.items() for d in _bits(mx))
+            return sorted([t_rank[d] * ns + s_rank[x] for x, d in pairs])
+
+        found.sort(key=key)
     return found
+
+
+def _ranks(universe: Universe) -> list:
+    """The rank of each index: its name's place in sorted order."""
+    rank = {name: r for r, name in enumerate(universe.elements)}
+    return list(map(rank.__getitem__, universe.names))
 
 
 def _surjections(domain, codomain):
@@ -435,18 +451,16 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
                     found.append(Morphism._checked(source, target, rows, memo))
                 except AxiomViolation:
                     continue
-    found.sort(key=lambda h: sorted(h.graph))
-    return found
+    return _name_sorted(found, source, target)
 
 
 def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
     """Every action of the groupoid on the carrier, through the
     correspondence with morphisms into the pair groupoid."""
+    # each h is into pair_groupoid(carrier), the precondition of
+    # morphism_to_action, which is not proved again
     pairs = pair_groupoid(carrier)
-    return [
-        morphism_to_action(h, carrier)
-        for h in enum_morphisms(groupoid, pairs)
-    ]
+    return [_pair_action(h, carrier) for h in enum_morphisms(groupoid, pairs)]
 
 
 def _lawful_tables(slots, cand, left_factors):

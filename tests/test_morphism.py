@@ -683,3 +683,44 @@ def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog
     assert calls == []
     assert err.value.offender == ("0", "1")
     assert calls == ["compose"]
+
+
+VIEWS = ("base_map", "domain_elements", "image_elements", "kernel_members")
+
+
+def test_a_morphism_names_its_views_only_when_one_is_read(catalog):
+    """A morphism built from rows holds only its groupoids and rows until
+    a view is read, also after it is hashed, compared and composed; the
+    first read names all four views in one pass, with their values."""
+    pf, bd = catalog["PF"], catalog["BD"]
+    proj = component_projection(bd, {"0:0", "0:1"})
+    cases = [
+        (
+            compose_morphisms(to_orbit_pair(pf), identity_morphism(pf)),
+            to_orbit_pair(pf),
+            {"x|0|x,x|0|x": "x|0|x", "y|0|y,y|0|y": "y|0|y"},
+            set(pf.elements),
+            {"x|0|x,x|0|x", "x|0|x,y|0|y", "y|0|y,x|0|x", "y|0|y,y|0|y"},
+            {"x|0|x", "x|1|x", "y|0|y", "y|1|y"},
+        ),
+        (
+            compose_morphisms(to_orbit_pair(proj.target), proj),
+            compose_morphisms(to_orbit_pair(proj.target), proj),
+            {"0:0,0:0": "0:0"},
+            {"0:0", "0:1"},
+            {"0:0,0:0"},
+            {"0:0", "0:1"},
+        ),
+    ]
+    for name in VIEWS:  # read on the class, a view is its descriptor
+        assert getattr(Morphism, name).name == name
+    for h, k, *values in cases:
+        assert set(vars(h)) == {"source", "target", "_rows"}
+        assert h == k and hash(h) == hash(k)
+        compose_morphisms(h, identity_morphism(h.source))
+        compose_morphisms(identity_morphism(h.target), h)
+        assert set(vars(h)) == {"source", "target", "_rows"}
+        assert h.kernel_members == frozenset(values[3])
+        assert set(VIEWS) <= set(vars(h))
+        for name, value in zip(VIEWS, values):
+            assert getattr(h, name) == value, name

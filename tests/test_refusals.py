@@ -5,7 +5,8 @@ exception type and its exact message in one table.  The last tests
 cover the answers that are no refusal: `Morphism.outputs`, equality
 against a non-instance and across groupoids or carriers, GammaSet's
 equality and hash, `same_structure` across different unit sets, and
-the bisection and isomorphism searches on the empty groupoid.
+the bisection and isomorphism searches on the empty groupoid, the cap
+of the cancellation hunt, and groupoids of unequal orbit shapes.
 tests/linecov.py lists the statements that no test runs.
 """
 
@@ -36,7 +37,7 @@ from groupoids.builders import (
     set_groupoid,
     subgroup_table,
 )
-from groupoids.errors import PreconditionFailed, UnknownElement
+from groupoids.errors import BudgetExceeded, PreconditionFailed, UnknownElement
 from groupoids.groupoid import SubgroupoidRef
 from groupoids.morphism import (
     CancellationWitness,
@@ -48,7 +49,7 @@ from groupoids.morphism import (
     wide_inclusion,
 )
 from groupoids.relation import Universe, identity
-from groupoids.search import check_cancellation, find_groupoid_isomorphism
+from groupoids.search import EnumBudget, check_cancellation, find_groupoid_isomorphism
 
 Z2 = group_groupoid(cyclic_table(2))
 Z4 = group_groupoid(cyclic_table(4))
@@ -317,3 +318,23 @@ def test_searches_on_the_empty_groupoid():
     assert len(table) == 1 and table.mult(table.unit, table.unit) == table.unit
     assert find_groupoid_isomorphism(EMPTY, EMPTY) == {}
     assert find_groupoid_isomorphism(EMPTY, Z2) is None
+
+
+def test_a_cancellation_hunt_stops_past_its_cap():
+    """The identity of Z4 is mono, so the hunt finds no witness and counts
+    every pair it examines; past max_candidates it refuses."""
+    cap = EnumBudget(max_candidates=1)
+    with pytest.raises(BudgetExceeded) as err:
+        check_cancellation(identity_morphism(Z4), "left", budget=cap)
+    assert type(err.value) is BudgetExceeded
+    assert str(err.value) == "examined 2 witness pairs, cap is 1"
+
+
+def test_groupoids_of_unequal_orbit_shapes_are_not_isomorphic():
+    """Z3 + Z1 and P2 have 4 elements and 2 units each, but one orbit
+    of two units against two of one."""
+    bundle = group_bundle([cyclic_table(3), cyclic_table(1)])
+    assert len(bundle.elements) == len(P2.elements) == 4
+    assert len(bundle.units) == len(P2.units) == 2
+    assert find_groupoid_isomorphism(bundle, P2) is None
+    assert find_groupoid_isomorphism(P2, bundle) is None

@@ -501,3 +501,26 @@ def test_isomorphism_search_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+# the pair groupoid on W indexes "a+,a" after "a,a", but sorts it before
+W = pair_groupoid(Universe("W", ("a", "a+", "b")))
+
+
+def test_enumerators_return_morphisms_in_name_order(catalog, apart_indexed):
+    """Both enumerators return their morphisms as sorted(h.graph) orders
+    them: from the small catalog members into P2, P3 and the pair
+    groupoid on W, and from Z2 into a groupoid indexed out of name
+    order, where an order by index differs."""
+    assert W.elements.names != sorted(W.elements.names)
+    small = [g for g in catalog.values() if len(g.elements) <= 5]
+    cases = [(g, t) for g in small for t in (catalog["P2"], catalog["P3"], W)]
+    cases.append((catalog["Z2"], apart_indexed[0]))
+    budget, by_index = EnumBudget(max_pairs=45), 0
+    for source, target in cases:
+        structured = enum_morphisms(source, target)
+        assert structured == enum_morphisms_naive(source, target, budget)
+        assert structured == sorted(structured, key=lambda h: sorted(h.graph))
+        indexed = sorted(structured, key=lambda h: sorted(h.rel.pairs))
+        by_index += indexed != structured
+    assert by_index >= 2

@@ -64,6 +64,7 @@ from groupoids.morphism import (
     wide_inclusion,
 )
 from groupoids.relation import Universe
+from groupoids.search import enum_actions
 
 # the functions that call Morphism._of_rows or Action._of_rows
 TRUSTED_SITES = {
@@ -72,10 +73,14 @@ TRUSTED_SITES = {
     "restrict_to_domain", "product_injections", "union_projections",
     "product_pairing", "group_action_morphism", "quotient_by_kernel",
     "mono_witness", "separating_pair", "ad", "_quotient",
-    "action_to_pair_morphism", "morphism_to_action", "left_mult_action",
+    "action_to_pair_morphism", "_pair_action", "left_mult_action",
     "unit_action", "conjugation_action", "coset_space", "induced_action",
     "pullback_action", "product_form_action", "right_commuting_to_morphism",
 }
+
+
+# enum_actions's carriers; pairs on "a+" and "a" index out of name order
+CARRIERS = (Universe("C1", "a"), Universe("C2", ("a", "a+")), Universe("C3", "abc"))
 
 
 def grid_groupoids(catalog):
@@ -133,6 +138,8 @@ def run_grid(catalog):
         for make in (left_mult_action, unit_action, conjugation_action):
             a = make(g)
             morphism_to_action(action_to_pair_morphism(a), a.carrier)
+        for carrier in CARRIERS[: 3 if len(g.elements) <= 8 else 2]:
+            enum_actions(g, carrier)
         if len(g.elements) <= 8:
             for b in all_bisections(g):
                 ad(b)
@@ -214,4 +221,4 @@ def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
         for name in read_off:
             assert getattr(checked, name) == getattr(s, name), (site, name)
         assert verdict is None, (site, s, verdict)
-    assert len(built) == 1135
+    assert len(built) == 1364
