@@ -16,6 +16,9 @@ package builds computes its rows by index arithmetic and comes from it.
 The checked entries decide the laws on the rows first: Morphism(...)
 parses a named graph into a FinRel and holds its rows, and
 Morphism._checked, the structured enumerator's entry, is given them.
+_checked still decides every reconstruction that enumerator makes,
+though the constraints it searches under leave it none to refuse on
+the grids the tests run.
 A morphism names nothing until it is read.  On the first read of any
 of them, one pass over the rows names the base map on units (here
 rho, mapping units of the target to units of the source), the domain,

@@ -21,6 +21,12 @@ survivor's rows are named, and validated in full by Morphism(...), from
 the names.  The structured one rebuilds candidates as mask rows from
 base maps and single-fiber data, forced on index rows, each decided by
 Morphism._checked against one memo per call and held as those rows.
+It tries only base maps and tables that keep facts (a) and (b) of
+enum_morphisms, which every morphism keeps.  What it reads of one
+groupoid alone is kept on that groupoid on first use (_kept), as
+proof_probes keeps the probes: a source's orbit shapes (each orbit's
+units and least unit, its members' fiber positions and the source's
+half of its _FiberSearch) and a target's arrows by right unit.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no name built: the sort key is the
 sorted (target rank, source rank) pairs of the rows, where an index's
@@ -48,10 +54,7 @@ import math
 from functools import reduce
 from operator import or_
 
-# enum_actions reads through _pair_action; morphism_to_action, its checked
-# public form, stays bound here, where callers have patched it
 from .action import _pair_action, classical_to_relational
-from .action import morphism_to_action  # noqa: F401
 from .builders import (
     group_groupoid,
     group_table_of,
@@ -233,28 +236,23 @@ def _surjections(domain, codomain):
 
 class _FiberSearch:
     """Consistent output tables on the right fiber over a unit e0 of the
-    source, for one base map at a time (`tables`).
+    source, for one target and base map at a time (`tables`).
 
     Forcing propagates products against the isotropy group at e0 and
     the matching inverse slots; every surviving table extends to a
-    candidate graph.  What depends only on the fiber is read here once,
+    candidate graph.  What depends only on the source is read here once,
     on element indices: the fiber positions of products g x with x in
-    the isotropy group, and of inverses.  The target's rows, inverses
-    and left units are its own index lists.
+    the isotropy group, and of inverses.  The target's rows, inverses,
+    left units and arrows by right unit (`_ending`) are read per call.
     """
 
-    def __init__(self, source, target, e0, fiber):
-        self.e0, self.fiber = e0, fiber
-        self.t_index = t_index = target.elements.index
+    def __init__(self, source, e0, fiber):
+        self.fiber = fiber
         if len(fiber) == 1:  # e0 alone: its one table is e0 -> f on F0
             return
         s_index = source.elements.index
-        self.t_rows, self.t_inv, self.t_left = target._rows, target._inv, target._left
-        # (index, left unit) of the targets from each unit, in name order
-        self.ending = {f: [] for f in target.units}
-        for d, left, right in sorted(target._named_ends()):
-            self.ending[right].append((t_index[d], left))
         fpos = {s_index[g]: i for i, g in enumerate(fiber)}
+        self.at_e0 = fiber.index(e0)
         self.lefts = [source.e_left(g) for g in fiber]
         self.iso = [i for i, eL in enumerate(self.lefts) if eL == e0]
         self.inv_of = {x: fpos[source._inv[s_index[fiber[x]]]] for x in self.iso}
@@ -265,8 +263,9 @@ class _FiberSearch:
             for g in fiber
         ]
 
-    def tables(self, rho, F0):
-        """The tables for base map rho, on the slots (g, f) for f in F0.
+    def tables(self, target, rho, F0):
+        """The tables into target for base map rho, on the slots (g, f)
+        for f in F0.
 
         A table is a list of target element indices.  Slot (g, f) is
         numbered g * len(F0) + f by the positions of g in the fiber and f
@@ -275,11 +274,20 @@ class _FiberSearch:
         it is a premise of whose other premise is set; the forced closure
         is the same in any firing order, and so is a conflict.  The walk
         undoes its trial values off a trail instead of copying the table.
+
+        A slot takes no value whose left unit its row already holds,
+        tried or forced: fact (b) of enum_morphisms.  That is the one
+        check `put` makes on a free slot, since a forced value is always
+        one of its slot's options: it runs from f to a unit over e_L(g),
+        and the slots of e0, whose one option is f itself, are set
+        before anything is forced.  Those unit values force only
+        themselves, so the first force cannot fail.
         """
+        t_index = target.elements.index
         if len(self.fiber) == 1:
-            return [[self.t_index[f] for f in F0]]
-        t_index, t_rows = self.t_index, self.t_rows
-        t_inv, t_left = self.t_inv, self.t_left
+            return [[t_index[f] for f in F0]]
+        ending = _kept(target, "_ending", _ending)
+        t_rows, t_inv, t_left = target._rows, target._inv, target._left
         iso, inv_of, times = self.iso, self.inv_of, self.times
         nf = len(F0)
         # the F0 position of each unit in F0; every value of an isotropy
@@ -289,20 +297,18 @@ class _FiberSearch:
         # the values of (g, f): f itself for g = e0, else the d from f to
         # a unit over e_L(g) in name order, found once per (e_L(g), f)
         by_ends = {}
-        cands, allowed = [], []
-        for g, eL in zip(self.fiber, self.lefts):
+        cands = []
+        for g, eL in enumerate(self.lefts):
             for f in F0:
-                if g == self.e0:
+                if g == self.at_e0:
                     opts = (t_index[f],)
-                    opt_set = frozenset(opts)
-                elif (eL, f) in by_ends:
-                    opts, opt_set = by_ends[(eL, f)]
                 else:
-                    opts = tuple(d for d, e in self.ending[f] if rho[e] == eL)
-                    opt_set = frozenset(opts)
-                    by_ends[(eL, f)] = opts, opt_set
+                    opts = by_ends.get((eL, f))
+                    if opts is None:
+                        opts = by_ends[(eL, f)] = tuple(
+                            d for d, e in ending[f] if rho[e] == eL
+                        )
                 cands.append(opts)
-                allowed.append(opt_set)
         if not all(cands):  # a slot no value can fill, forced or tried
             return []
         n = len(cands)
@@ -311,14 +317,17 @@ class _FiberSearch:
 
         def put(s, d):
             cur = asg[s]
-            if cur < 0:
-                if d not in allowed[s]:
-                    return False
-                asg[s] = d
-                trail.append(s)
-                work.append(s)
-                return True
-            return cur == d
+            if cur >= 0:
+                return cur == d
+            if nf > 1:  # (b): no left unit twice in the row of s
+                row, left = s - s % nf, t_left[d]
+                for v in asg[row : row + nf]:
+                    if v >= 0 and t_left[v] == left:
+                        return False
+            asg[s] = d
+            trail.append(s)
+            work.append(s)
+            return True
 
         def force():
             while work:
@@ -359,11 +368,9 @@ class _FiberSearch:
                 idx += 1
             return idx
 
-        e = self.fiber.index(self.e0)
         for f, unit in enumerate(units):
-            put(e * nf + f, unit)
-        if not force():
-            return []
+            put(self.at_e0 * nf + f, unit)
+        force()
         # the walk, depth first: each level is [its slot, the next value
         # to try, the trail length on entry]; a plain loop, so no closure
         # holds itself and the tables are freed when the call returns
@@ -381,8 +388,7 @@ class _FiberSearch:
                 levels.pop()
                 continue
             level[1] = i + 1
-            put(idx, cands[idx][i])
-            if force():
+            if put(idx, cands[idx][i]) and force():
                 levels.append([unset(idx + 1), 0, len(trail)])
         return results
 
@@ -396,62 +402,95 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the table's
     units.  Morphism._checked decides each reconstruction, with one memo
     per call of the target's products of output masks.
+
+    A morphism h is an action of its domain on the target units over
+    the base map, its moment map: g moves the fiber over e_R(g) one to
+    one onto the fiber over e_L(g), each unit f to the left unit of the
+    output of g from f.  So no morphism breaks either of
+      (a) the base map's fibers have equal size over the units of one
+          orbit, since a path joins any two of them;
+      (b) the outputs of one g from the units of a fiber have distinct
+          left units, since g moves the fiber one to one;
+    and a base map that breaks (a) is skipped before any table is built,
+    while (b) cuts each table search (_FiberSearch.tables).  Candidates
+    that keep both are all morphisms on the catalog and wider grids.
     """
-    orbit_blocks = source.orbits()
-    tgt_units = sorted(target.units)
+    shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
+    tgt_units = target.units  # sorted
     t_rows, t_inv = target._rows, target._inv
-    # per orbit, on first use: its least unit e0, each member's index
-    # with the fiber positions of g1 and g2, and the fiber search over e0
-    shapes = {}
-
-    def shape(i):
-        if i not in shapes:
-            e0 = min(orbit_blocks[i])
-            fiber = sorted(g for g in source.elements if source.e_right(g) == e0)
-            pos = {g: p for p, g in enumerate(fiber)}
-            path = {source.e_left(g): g for g in reversed(fiber)}  # least per unit
-            members = [
-                (source._index[g], pos[source.mult(g, path[e])], pos[path[e]])
-                for g, _, e in source._named_ends()
-                if e in path
-            ]
-            search = _FiberSearch(source, target, e0, fiber)
-            shapes[i] = e0, members, search
-        return shapes[i]
-
     found = []
     memo = {}  # products of output masks in the target, shared by candidates
     # mask 0 chooses no orbit: the empty graph, which is a morphism
     # exactly when the target has no units
-    for mask in range(2 ** len(orbit_blocks)):
-        chosen = [i for i in range(len(orbit_blocks)) if mask >> i & 1]
-        pool = sorted(itertools.chain.from_iterable(orbit_blocks[i] for i in chosen))
+    for mask in range(2 ** len(shapes)):
+        chosen = [shape for i, shape in enumerate(shapes) if mask >> i & 1]
+        pool = sorted(itertools.chain.from_iterable(c[0] for c in chosen))
         for rho in _surjections(tgt_units, pool):
+            over = {e: [] for e in pool}  # each fiber of rho, sorted
+            for f in tgt_units:
+                over[rho[f]].append(f)
+            if any(len(over[e]) != len(over[e0]) for b, e0, *_ in chosen for e in b):
+                continue  # (a)
             comp = []
-            for i in chosen:
-                e0, members, search = shape(i)
-                F0 = sorted(f for f in tgt_units if rho[f] == e0)
-                opts = search.tables(rho, F0)
+            for _, e0, members, search in chosen:
+                opts = search.tables(target, rho, over[e0])
                 if not opts:
-                    comp = None
                     break
-                comp.append((members, len(F0), opts))
-            if comp is None:
-                continue
-            for combo in itertools.product(*[c[2] for c in comp]):
-                rows = {}
-                for (members, nf, _), table in zip(comp, combo):
-                    for x, p1, p2 in members:
-                        mx = 0
-                        for f in range(nf):
-                            d1, d2 = table[p1 * nf + f], table[p2 * nf + f]
-                            mx |= 1 << t_rows[d1][t_inv[d2]]
-                        rows[x] = mx
-                try:
-                    found.append(Morphism._checked(source, target, rows, memo))
-                except AxiomViolation:
-                    continue
+                comp.append((members, len(over[e0]), opts))
+            else:
+                for combo in itertools.product(*[c[2] for c in comp]):
+                    rows = {}
+                    for (members, nf, _), table in zip(comp, combo):
+                        for x, p1, p2 in members:
+                            mx = 0
+                            for f in range(nf):
+                                d1, d2 = table[p1 * nf + f], table[p2 * nf + f]
+                                mx |= 1 << t_rows[d1][t_inv[d2]]
+                            rows[x] = mx
+                    try:
+                        found.append(Morphism._checked(source, target, rows, memo))
+                    except AxiomViolation:
+                        continue
     return _name_sorted(found, source, target)
+
+
+def _kept(groupoid: Groupoid, name: str, build):
+    """The groupoid's attribute `name`, built by build(groupoid) on first
+    use and kept on the groupoid, as its lazy index views are."""
+    try:
+        return getattr(groupoid, name)
+    except AttributeError:
+        value = build(groupoid)
+        setattr(groupoid, name, value)
+        return value
+
+
+def _orbit_shapes(source: Groupoid) -> tuple:
+    """Per orbit of the source, in orbits() order: its units, its least
+    unit e0, each member's index with the fiber positions of g1 and g2,
+    and the source's half of the fiber search over e0."""
+    shapes = []
+    for block in source.orbits():
+        e0 = block[0]
+        fiber = sorted(g for g, _, e in source._named_ends() if e == e0)
+        pos = {g: p for p, g in enumerate(fiber)}
+        path = {source.e_left(g): g for g in reversed(fiber)}  # least per unit
+        members = [
+            (source._index[g], pos[source.mult(g, path[e])], pos[path[e]])
+            for g, _, e in source._named_ends()
+            if e in path
+        ]
+        shapes.append((block, e0, members, _FiberSearch(source, e0, fiber)))
+    return tuple(shapes)
+
+
+def _ending(target: Groupoid) -> dict:
+    """(index, left unit) of the target's arrows from each unit, in name
+    order."""
+    ending = {f: [] for f in target.units}
+    for d, left, right in sorted(target._named_ends()):
+        ending[right].append((target._index[d], left))
+    return ending
 
 
 def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
@@ -600,11 +639,7 @@ def proof_probes(groupoid: Groupoid) -> list:
 
     They are built on first use and kept on the groupoid, as its lazy
     index views are; each call returns a fresh list of them."""
-    try:
-        probes = groupoid._probes
-    except AttributeError:
-        probes = groupoid._probes = tuple(_build_probes(groupoid))
-    return list(probes)
+    return list(_kept(groupoid, "_probes", lambda g: tuple(_build_probes(g))))
 
 
 def _build_probes(groupoid: Groupoid) -> list:

@@ -7,9 +7,10 @@ m(idxe)=id, hm=m'(hxh) and phi(exid)=id, and rebuilds both sides of
 the failed law as materialized relations.  The offender must be the
 sorted-least pair on which they differ, the message must be the one an
 eager offender gives, and the whole record is pinned by a digest taken
-when offenders were still computed eagerly.  The reconstructions the
-structured morphism enumerator refuses over the catalog are compared
-with the relational reference of the morphism laws.
+when offenders were still computed eagerly.  The structured morphism
+enumerator's checked entry, given rows one bit away from each morphism
+that enumerator returns over the catalog, is compared with the
+relational reference of the morphism laws.
 
 The two-sided laws m(mxid)=m(idxm) and sm=m.flip(sxs) are decided on
 index rows; their corpus compares each rejection with both sides built
@@ -20,6 +21,8 @@ import hashlib
 import itertools
 import json
 import random
+
+import pytest
 
 from oracles import morphism_relational_verdict, naive_candidates
 from groupoids.action import Action, left_mult_action
@@ -93,7 +96,8 @@ def morphism_rejections():
     for a refused candidate, so its candidates come, in its order, from
     the reference lattice `naive_candidates`, each through the checked
     constructor here.  The structured enumerator refuses none of its
-    reconstructions on these pairs; its refusals are the next corpus.
+    reconstructions; the next corpus gives its checked entry refused
+    rows directly.
     """
     rejected = []
     for source, target in ((P3, Z3), (Z3, Z3)):
@@ -153,10 +157,12 @@ def test_lazy_offenders_match_the_materialized_difference():
 def test_refused_reconstructions_report_the_materialized_difference(
     monkeypatch, catalog
 ):
-    """Every reconstruction the structured enumerator refuses over the
-    catalog's 121 ordered pairs, recorded at its checked entry
-    Morphism._checked, reports the law and offender of deciding each
-    law on relations built in full, and its message."""
+    """The structured enumerator's checked entry, Morphism._checked,
+    refuses no reconstruction over the catalog's 121 ordered pairs.
+    Given the rows one bit away from each morphism it returns, on the
+    pairs with |G||G'| <= 24, it refuses every one, and reports the law
+    and offender of deciding each law on relations built in full, and
+    its message."""
     rejected = []
     checked = Morphism._checked.__func__
 
@@ -168,8 +174,22 @@ def test_refused_reconstructions_report_the_materialized_difference(
             raise
 
     monkeypatch.setattr(Morphism, "_checked", classmethod(recorded))
-    for source, target in itertools.product(catalog.values(), repeat=2):
-        enum_morphisms(source, target)
+    found = [
+        (source, target, enum_morphisms(source, target))
+        for source, target in itertools.product(catalog.values(), repeat=2)
+    ]
+    assert rejected == []
+    for source, target, morphisms in found:
+        if len(source.elements) * len(target.elements) > 24:
+            continue
+        for h, x, d in itertools.product(
+            morphisms, range(len(source.elements)), range(len(target.elements))
+        ):
+            rows = {**h._rows, x: h._rows.get(x, 0) ^ 1 << d}
+            if not rows[x]:
+                del rows[x]
+            with pytest.raises(AxiomViolation):
+                Morphism._checked(source, target, rows)
     monkeypatch.undo()
     counts = {}
     for err, source, target, rows in rejected:
@@ -184,7 +204,7 @@ def test_refused_reconstructions_report_the_materialized_difference(
         assert (err.law, err.offender) == verdict
         assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
         counts[err.law] = counts.get(err.law, 0) + 1
-    assert counts == {"he=e'": 32, "hm=m'(hxh)": 15}
+    assert counts == {"he=e'": 217, "hm=m'(hxh)": 2443, "hs=s'h": 80}
 
 
 # -- the two-sided laws, decided on index rows --------------------------

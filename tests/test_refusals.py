@@ -6,7 +6,9 @@ cover the answers that are no refusal: `Morphism.outputs`, equality
 against a non-instance and across groupoids or carriers, GammaSet's
 equality and hash, `same_structure` across different unit sets, and
 the bisection and isomorphism searches on the empty groupoid, the cap
-of the cancellation hunt, and groupoids of unequal orbit shapes.
+of the cancellation hunt, groupoids of unequal orbit shapes, a group
+whose generators no isomorphism can match, and an intransitive action
+refused the unique fixed point property.
 tests/linecov.py lists the statements that no test runs.
 """
 
@@ -33,9 +35,13 @@ from groupoids.builders import (
     group_bundle,
     group_groupoid,
     group_table_of,
+    klein_table,
     pair_groupoid,
+    product_form,
     set_groupoid,
     subgroup_table,
+    symmetric_table,
+    transformation_groupoid,
 )
 from groupoids.errors import BudgetExceeded, PreconditionFailed, UnknownElement
 from groupoids.groupoid import SubgroupoidRef
@@ -44,6 +50,7 @@ from groupoids.morphism import (
     Morphism,
     component_projection,
     fiber_map_left,
+    has_unique_fixed_point_property,
     identity_morphism,
     product_pairing,
     wide_inclusion,
@@ -104,6 +111,17 @@ def _induced_by_an_action_over_one_unit():
     units = SubgroupoidRef(P2, {"x,x", "y,y"})
     action = Action(units.as_groupoid(), Universe("Q", ("q",)), [("q", "x,x", "q")])
     return induced_action(P2, units, action)
+
+
+def _transformations_of_a_colon_named_group():
+    # "e:a" acting on "x" and "e" on "a:x" are both named "e:a:x"
+    table = GroupTable("G", ["e", "e:a"], {
+        ("e", "e"): "e", ("e", "e:a"): "e:a", ("e:a", "e"): "e:a", ("e:a", "e:a"): "e",
+    })
+    space = Universe("X", ("x", "a:x"))
+    return transformation_groupoid(
+        table, space, {(g, x): x for g in table.elements for x in space}
+    )
 
 
 REFUSALS = [
@@ -248,6 +266,19 @@ REFUSALS = [
         "subgroupoid belongs to another groupoid",
     ),
     (
+        "product_form, ambiguous names",
+        # x|g|y for x = "0", y = "0|0" and for x = "0|0", y = "0" are one name
+        lambda: product_form(Universe("X", ("0", "0|0")), cyclic_table(2)),
+        PreconditionFailed,
+        "ambiguous names in product form over 'X'",
+    ),
+    (
+        "transformation_groupoid, ambiguous names",
+        _transformations_of_a_colon_named_group,
+        PreconditionFailed,
+        "ambiguous names in transformation groupoid over 'X'",
+    ),
+    (
         "check_cancellation, unknown side",
         lambda: check_cancellation(identity_morphism(Z2), "up"),
         PreconditionFailed,
@@ -338,3 +369,32 @@ def test_groupoids_of_unequal_orbit_shapes_are_not_isomorphic():
     assert len(bundle.units) == len(P2.units) == 2
     assert find_groupoid_isomorphism(bundle, P2) is None
     assert find_groupoid_isomorphism(P2, bundle) is None
+
+
+def test_a_push_that_contradicts_its_own_map_refuses_the_branch():
+    """Every element of V4 is its own inverse and Z4's generators are
+    not: mapping one to "1" forces its inverse to "3", against the "1"
+    it already has, so no branch survives."""
+    assert find_groupoid_isomorphism(group_groupoid(klein_table()), Z4) is None
+
+
+def test_an_intransitive_action_lacks_the_unique_fixed_point_property():
+    """S4 on its 4 points and on the 3 ways to pair them off.  A 3-cycle
+    fixes one point and no pairing, a 4-cycle one pairing and no point,
+    so every point is the unique fixed point of some element; but the
+    orbit of point "1" misses the pairings."""
+    s4 = symmetric_table(4)
+    pairings = ("12|34", "13|24", "14|23")
+
+    def move(g, x):
+        if x not in pairings:
+            return g[int(x) - 1]
+        halves = {"".join(sorted(g[int(i) - 1] for i in half)) for half in x.split("|")}
+        return next(p for p in pairings if set(p.split("|")) == halves)
+
+    space = Universe("Y", ("1", "2", "3", "4", *pairings))
+    act = {(g, x): move(g, x) for g in s4.elements for x in space}
+    assert has_unique_fixed_point_property(s4, space, act) is False
+    natural = Universe("N4", ("1", "2", "3", "4"))
+    on_points = {(g, x): y for (g, x), y in act.items() if x in natural}
+    assert has_unique_fixed_point_property(s4, natural, on_points) is True

@@ -17,6 +17,7 @@ from groupoids.builders import (
     group_groupoid,
     klein_table,
     pair_groupoid,
+    product_form,
     set_groupoid,
     symmetric_table,
     trivial_table,
@@ -273,6 +274,144 @@ def test_structured_agrees_with_naive():
     assert checked >= 50
 
 
+def _grid(catalog):
+    """The catalog with Z3, S3, P4, X x S3 x X on two points and the
+    bundle Z2 + Z3: 16 groupoids."""
+    grid = dict(catalog)
+    grid["Z3"] = group_groupoid(cyclic_table(3))
+    grid["S3"] = group_groupoid(symmetric_table(3))
+    grid["P4"] = pair_groupoid(Universe("X4", ("1", "2", "3", "4")))
+    grid["XS3X"] = product_form(Universe("B2", ("x", "y")), symmetric_table(3))
+    grid["Z2+Z3"] = group_bundle([cyclic_table(2), cyclic_table(3)])
+    return grid
+
+
+def test_structured_candidates_are_all_morphisms(catalog, monkeypatch):
+    """Facts (a) and (b) of enum_morphisms leave Morphism._checked no
+    reconstruction to refuse, on the catalog and on the 16-groupoid grid
+    (every pair with |G||G'| <= 600); the results agree with the naive
+    enumerator's wherever it runs within its default budget."""
+    decided, refused = [], []
+
+    def counted(cls, source, target, rows, memo=None):
+        decided.append(rows)
+        try:
+            return checked(source, target, rows, memo)
+        except AxiomViolation as err:
+            refused.append((source.name, target.name, err.law))
+            raise
+
+    checked = Morphism._checked
+    monkeypatch.setattr(Morphism, "_checked", classmethod(counted))
+    grid = _grid(catalog)
+    found, by_naive = Counter(), 0
+    for (a, source), (b, target) in itertools.product(grid.items(), repeat=2):
+        if len(source.elements) * len(target.elements) > 600:
+            continue
+        structured = enum_morphisms(source, target)
+        found["grid"] += len(structured)
+        found["catalog"] += len(structured) * (a in catalog and b in catalog)
+        try:
+            naive = enum_morphisms_naive(source, target)
+        except BudgetExceeded:
+            continue
+        assert structured == naive, (a, b)
+        by_naive += 1
+    assert refused == []
+    assert found == {"grid": 1572, "catalog": 324} and len(decided) == 1572
+    assert by_naive == 141
+
+
+def test_a_refused_reconstruction_is_left_out(monkeypatch):
+    """Morphism._checked decides every reconstruction, and one it refuses
+    is left out of the results, which keep their order."""
+    expected = enum_morphisms(Z4, Z4)
+    refused = expected[1]
+    checked = Morphism._checked
+
+    def refusing(cls, source, target, rows, memo=None):
+        h = checked(source, target, rows, memo)
+        if h == refused:
+            raise AxiomViolation("hm=m'(hxh)", None)
+        return h
+
+    monkeypatch.setattr(Morphism, "_checked", classmethod(refusing))
+    assert enum_morphisms(Z4, Z4) == expected[:1] + expected[2:]
+    assert len(expected) == 4
+
+
+def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_indexed):
+    """A groupoid's orbit shapes and its arrows by right unit are read on
+    its first enumeration and kept on it: later calls, as source or as
+    target, recompute neither.  Groupoids indexed apart keep their own
+    and give equal results."""
+    fresh = [
+        pair_groupoid(Universe("X3", ("1", "2", "3"))),
+        group_bundle([cyclic_table(2), trivial_table()]),
+        pair_groupoid(Universe("X2", ("1", "2"))),
+    ]
+    built = Counter()
+    for owner, name in (
+        (groupoid.Groupoid, "orbits"),
+        (search, "_FiberSearch"),
+        (search, "_ending"),
+    ):
+
+        def counted(*args, made=getattr(owner, name), name=name):
+            built[name] += 1
+            return made(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def every_pair(groupoids):
+        return [enum_morphisms(s, t) for s, t in itertools.product(groupoids, repeat=2)]
+
+    first, once = every_pair(fresh), {"orbits": 3, "_FiberSearch": 4, "_ending": 3}
+    assert built == once
+    assert every_pair(fresh) == first and built == once
+    # (delta, delta), (delta, copy), (copy, delta) and (copy, copy)
+    apart = every_pair(apart_indexed)
+    counts = Counter(built)
+    assert every_pair(apart_indexed) == apart and built == counts
+    assert all(r == apart[0] for r in apart) and len(apart[0]) > 1
+
+
+def test_fiber_tables_give_each_unit_of_a_row_one_arrow():
+    """Fact (b) as a constraint of the table search: the tables of P2
+    into P4 over a base map with two units over each unit, and of S3
+    into P2 over its one base map, are exactly the restrictions of the
+    morphisms to the right fiber, and no row of them sends two units of
+    F0 to one left unit.  The constraint refuses tried values on both,
+    and on S3 -> P2 a forced one as well."""
+    p4 = pair_groupoid(Universe("X4", ("1", "2", "3", "4")))
+    s3 = group_groupoid(symmetric_table(3))
+    for source, target, rho in (
+        (P2, p4, {"1,1": "1,1", "2,2": "1,1", "3,3": "2,2", "4,4": "2,2"}),
+        (s3, P2, dict.fromkeys(P2.units, s3.units[0])),
+    ):
+        ((_, e0, _, fiber_search),) = search._orbit_shapes(source)
+        F0 = sorted(f for f in target.units if rho[f] == e0)
+        tables = fiber_search.tables(target, rho, F0)
+        names, nf = target.elements.names, len(F0)
+        rows = {
+            tuple(tuple(names[d] for d in table[g : g + nf]) for g in range(0, len(table), nf))
+            for table in tables
+        }
+        for row in itertools.chain.from_iterable(rows):
+            assert len({target.e_left(d) for d in row}) == nf
+        fiber = fiber_search.fiber
+        restrictions = {
+            tuple(
+                tuple(next(d for d in h.outputs(g) if target.e_right(d) == f) for f in F0)
+                for g in fiber
+            )
+            for h in enum_morphisms(source, target)
+            if h.base_map == rho
+        }
+        assert len(tables) == len(rows) == len(restrictions) > 1
+        assert rows == restrictions
+
+
 def test_s4_endomorphisms_by_image_order():
     # by kernel: S4 gives the trivial one; A4 the sign onto each of the 9
     # subgroups of order 2; V4 gives S4/V4 = S3 onto each of the 4 point
@@ -386,7 +525,7 @@ def test_direct_actions_read_no_morphism(monkeypatch):
     for module, name in (
         (search, "enum_morphisms"),
         (search, "pair_groupoid"),
-        (search, "morphism_to_action"),
+        (search, "_pair_action"),
         (morphism, "Morphism"),
     ):
         monkeypatch.setattr(module, name, refuse)
