@@ -13,12 +13,10 @@ A morphism is held as its mask rows, which are its relation's rows:
 its outputs, bit d for target index d, the one index form of a FinRel.
 Morphism._of_rows is the one unchecked set-up; every morphism the
 package builds computes its rows by index arithmetic and comes from it.
-The checked entries decide the laws on the rows first: Morphism(...)
-parses a named graph into a FinRel and holds its rows, and
-Morphism._checked, the structured enumerator's entry, is given them.
-_checked still decides every reconstruction that enumerator makes,
-though the constraints it searches under leave it none to refuse on
-the grids the tests run.
+The structured enumerator's reconstructions come from it too: they are
+morphisms by the argument in enum_morphisms.  The checked entry,
+Morphism(...), parses a named graph into a FinRel, decides the laws on
+its rows and holds them.
 A morphism names nothing until it is read.  On the first read of any
 of them, one pass over the rows names the base map on units (here
 rho, mapping units of the target to units of the source), the domain,
@@ -39,10 +37,10 @@ products d1 d2 with d1 in h(x) and d2 in h(y); the left side's are
 h(xy), or none when xy is undefined.  The right side depends only on
 the two masks and the target, so a memo keyed by the pair of masks
 holds it; it is a product table of the target, never a verdict, and
-each enumerator keeps one per call for all its candidates.  One pass
-over the pairs of h's domain compares the two masks and stops at the
-first mismatch.  The right side has no pair outside dom h x dom h; the
-left side may, and it has |hm| pairs in all, where |hm| is the sum over
+the naive enumerator keeps one per call for all its candidates.  One
+pass over the pairs of h's domain compares the two masks and stops at
+the first mismatch.  The right side has no pair outside dom h x dom h;
+the left side may, and it has |hm| pairs in all, where |hm| is the sum over
 the pairs (d, z) of h of the number of factorizations xy = z
 (Groupoid._factor_counts).  So when every compared pair matches, the
 sides are equal exactly when the outputs matched, the set bits, number
@@ -171,10 +169,10 @@ def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None):
     return None if matched == total else ()
 
 
-def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict, memo=None):
+def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict):
     """Raise at the first of hm=m'(hxh), hs=s'h and he=e' that h, given
     by its mask rows, breaks; the offender is built on first access."""
-    if _hm_refutation(rows, src, tgt, memo) is not None:
+    if _hm_refutation(rows, src, tgt) is not None:
         law = "hm=m'(hxh)"
     else:
         law, he, t_inv = "he=e'", 0, tgt._inv
@@ -245,12 +243,6 @@ class Morphism:
     @classmethod
     def _of_rows(cls, source: Groupoid, target: Groupoid, rows: dict):
         """The morphism with mask rows `rows`, unchecked; no mask is 0."""
-        return cls.__new__(cls)._setup(source, target, rows)
-
-    @classmethod
-    def _checked(cls, source: Groupoid, target: Groupoid, rows: dict, memo=None):
-        """The morphism with mask rows `rows`, checked against `memo`."""
-        _check_laws(source, target, rows, memo)
         return cls.__new__(cls)._setup(source, target, rows)
 
     def _setup(self, source, target, rows):

@@ -18,15 +18,16 @@ reaches its leaf, where the law is decided in full by
 morphism._hm_refutation, as Morphism(...) decides it.  Both share one
 memo per call of the target's products of output masks.  Only a
 survivor's rows are named, and validated in full by Morphism(...), from
-the names.  The structured one rebuilds candidates as mask rows from
-base maps and single-fiber data, forced on index rows, each decided by
-Morphism._checked against one memo per call and held as those rows.
-It tries only base maps and tables that keep facts (a) and (b) of
-enum_morphisms, which every morphism keeps.  What it reads of one
-groupoid alone is kept on that groupoid on first use (_kept), as
-proof_probes keeps the probes: a source's orbit shapes (each orbit's
-units and least unit, its members' fiber positions and the source's
-half of its _FiberSearch) and a target's arrows by right unit.
+the names.  The structured one builds morphisms as mask rows from base
+maps and single-fiber tables, forced on index rows, and holds them
+unchecked (Morphism._of_rows).  It tries only base maps and tables that
+keep facts (a) and (b) of enum_morphisms, which every morphism keeps,
+and each table that keeps them is a morphism's, as argued there.  What
+it reads of one groupoid alone is kept on that groupoid on first use
+(_kept), as proof_probes keeps the probes: a source's orbit shapes
+(each orbit's units and least unit, its members' fiber positions and
+the source's half of its _FiberSearch) and a target's arrows by right
+unit.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no name built: the sort key is the
 sorted (target rank, source rank) pairs of the rows, where an index's
@@ -238,12 +239,15 @@ class _FiberSearch:
     """Consistent output tables on the right fiber over a unit e0 of the
     source, for one target and base map at a time (`tables`).
 
-    Forcing propagates products against the isotropy group at e0 and
-    the matching inverse slots; every surviving table extends to a
-    candidate graph.  What depends only on the source is read here once,
-    on element indices: the fiber positions of products g x with x in
-    the isotropy group, and of inverses.  The target's rows, inverses,
-    left units and arrows by right unit (`_ending`) are read per call.
+    Forcing propagates products against the isotropy group at e0; every
+    surviving table extends to a morphism (enum_morphisms).  Inverses
+    need no rule of their own: for x in the isotropy group, the slot
+    (x^-1 x, f) is the unit slot (e0, f), preset to f, so once (x, f)
+    and (x^-1, e_L T(x, f)) are both set the product rule holds the
+    second to the inverse of the first.  What depends only on the source
+    is read here once, on element indices: the fiber positions of
+    products g x with x in the isotropy group.  The target's rows, left
+    units and arrows by right unit (`_ending`) are read per call.
     """
 
     def __init__(self, source, e0, fiber):
@@ -255,7 +259,6 @@ class _FiberSearch:
         self.at_e0 = fiber.index(e0)
         self.lefts = [source.e_left(g) for g in fiber]
         self.iso = [i for i, eL in enumerate(self.lefts) if eL == e0]
-        self.inv_of = {x: fpos[source._inv[s_index[fiber[x]]]] for x in self.iso}
         # times[g][x] is the fiber position of g x, x in the isotropy group
         s_rows = source._rows
         self.times = [
@@ -287,8 +290,8 @@ class _FiberSearch:
         if len(self.fiber) == 1:
             return [[t_index[f] for f in F0]]
         ending = _kept(target, "_ending", _ending)
-        t_rows, t_inv, t_left = target._rows, target._inv, target._left
-        iso, inv_of, times = self.iso, self.inv_of, self.times
+        t_rows, t_left = target._rows, target._left
+        lefts, e0, iso, times = self.lefts, self.fiber[self.at_e0], self.iso, self.times
         nf = len(F0)
         # the F0 position of each unit in F0; every value of an isotropy
         # slot has its left unit there
@@ -334,12 +337,9 @@ class _FiberSearch:
                 s = work.pop()
                 g, f = divmod(s, nf)
                 d = asg[s]
-                if g in inv_of:  # g is in the isotropy group
-                    # (g, f) as (x, f): its inverse slot, and (g' x, f)
-                    # from every set (g', f1)
+                if lefts[g] == e0:  # g is in the isotropy group
+                    # (g, f) as (x, f): (g' x, f) from every set (g', f1)
                     f1 = f_at[t_left[d]]
-                    if not put(inv_of[g] * nf + f1, t_inv[d]):
-                        return False
                     for g2, row in enumerate(times):
                         dg = asg[g2 * nf + f1]
                         if dg >= 0 and not put(row[g] * nf + f, t_rows[dg][d]):
@@ -400,8 +400,7 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     onto their units, and one output table per component on the right
     fiber over the least unit.  A member g, with g2 the path to e_R(g)
     and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the table's
-    units.  Morphism._checked decides each reconstruction, with one memo
-    per call of the target's products of output masks.
+    units, and the rows are held unchecked (Morphism._of_rows).
 
     A morphism h is an action of its domain on the target units over
     the base map, its moment map: g moves the fiber over e_R(g) one to
@@ -412,14 +411,22 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
       (b) the outputs of one g from the units of a fiber have distinct
           left units, since g moves the fiber one to one;
     and a base map that breaks (a) is skipped before any table is built,
-    while (b) cuts each table search (_FiberSearch.tables).  Candidates
-    that keep both are all morphisms on the catalog and wider grids.
+    while (b) cuts each table search (_FiberSearch.tables).
+
+    Conversely, every table that keeps both is a morphism's, so no
+    reconstruction is checked.  The forcing rule gives T(g x, f) =
+    T(g, e_L T(x, f)) T(x, f) for x in the isotropy group at e0, and
+    the unit slots give T(e0, f) = f; so the isotropy part of a complete
+    table is an action of that group on F0, x taking f to e_L T(x, f)
+    along T(x, f).  By (b) each path's row T(p, -) is one to one on F0,
+    and by (a) it is onto the fiber over its end.  So the table extends
+    along the paths to an action of the whole component on the units
+    over its orbit, whose morphism the rows are.
     """
     shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
     tgt_units = target.units  # sorted
     t_rows, t_inv = target._rows, target._inv
     found = []
-    memo = {}  # products of output masks in the target, shared by candidates
     # mask 0 chooses no orbit: the empty graph, which is a morphism
     # exactly when the target has no units
     for mask in range(2 ** len(shapes)):
@@ -447,10 +454,7 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
                                 d1, d2 = table[p1 * nf + f], table[p2 * nf + f]
                                 mx |= 1 << t_rows[d1][t_inv[d2]]
                             rows[x] = mx
-                    try:
-                        found.append(Morphism._checked(source, target, rows, memo))
-                    except AxiomViolation:
-                        continue
+                    found.append(Morphism._of_rows(source, target, rows))
     return _name_sorted(found, source, target)
 
 

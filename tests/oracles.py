@@ -17,6 +17,10 @@ enumerator in its order, for a filter that checks every one.
 `relational_verdict` and `morphism_relational_verdict` decide the
 relational axioms of a groupoid and of a morphism on relations built in
 full, as references for the checked constructors' verdicts.
+`generated_groupoids` draws the inputs of the generated oracle grids:
+every finite groupoid is, up to isomorphism, a disjoint union of
+components X x G x X, so a few (|X|, G) pairs, a relabelling and an
+index order give every small groupoid and every presentation of it.
 """
 
 import itertools
@@ -24,7 +28,8 @@ import itertools
 from hypothesis import strategies as st
 
 from groupoids.action import classical_to_relational
-from groupoids.groupoid import Groupoid
+from groupoids.builders import cyclic_table, klein_table, product_form, symmetric_table
+from groupoids.groupoid import Groupoid, disjoint_union, validate_groupoid
 from groupoids.morphism import fiber_map_left, fiber_map_right
 from groupoids.relation import (
     ONE,
@@ -36,6 +41,7 @@ from groupoids.relation import (
     identity,
     pair_name,
     product,
+    product_universe,
     triples_rel,
     unitor_left,
     unitor_right,
@@ -614,3 +620,52 @@ def edit_rows(draw, rows, alphabets):
         row = list(rows[i])
         row[j] = draw(st.sampled_from(alphabets[j]))
         rows[i] = tuple(row)
+
+
+SMALL_GROUPS = [cyclic_table(n) for n in range(1, 7)]
+SMALL_GROUPS += [klein_table(), symmetric_table(3)]
+
+
+@st.composite
+def generated_groupoids(draw, max_size=18):
+    """A groupoid made of 1-3 components X x G x X, with |X| <= 3, G
+    among Z1-Z6, V4 and S3 and at most `max_size` elements in all.
+
+    Its elements are renamed by a drawn bijection, and it is built
+    through validate_groupoid.  About half land on a product universe
+    of the names with a one-point factor, whose index order is not its
+    name order: "0+,0" sorts before "0,0", as in the apart_indexed
+    fixture."""
+    parts, size = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [
+            (n, t) for n in (1, 2, 3) for t in SMALL_GROUPS
+            if size + n * n * len(t) <= max_size
+        ]
+        if not fits:
+            break
+        n, table = draw(st.sampled_from(fits))
+        parts.append(product_form(Universe(f"X{n}", "xyz"[:n]), table))
+        size += n * n * len(table)
+    whole = parts[0]
+    for part in parts[1:]:
+        whole = disjoint_union(whole, part)
+    labels = Universe("L", [f"{i // 2}{'+' * (i % 2)}" for i in range(size)])
+    if draw(st.booleans()):
+        universe = product_universe(labels, Universe("R", ("0",)))
+    else:
+        universe = labels
+    rename = dict(zip(whole.elements, draw(st.permutations(universe.names))))
+    return renamed(whole, rename, universe, f"gen({'+'.join(p.name for p in parts)})")
+
+
+def renamed(groupoid, rename, elements, name):
+    """The groupoid with each element g named rename[g], on `elements`,
+    built through validate_groupoid."""
+    return validate_groupoid(
+        name,
+        elements,
+        [rename[e] for e in groupoid.units],
+        {rename[g]: rename[h] for g, h in groupoid.inverse.items()},
+        [tuple(map(rename.__getitem__, row)) for row in groupoid.table],
+    )

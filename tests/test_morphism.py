@@ -557,43 +557,25 @@ def test_mask_kernel_agrees_with_the_materialized_sides_on_every_naive_candidate
     assert (len(cases), checked, checked - refused) == (93, 24656 + 3584, 208)
 
 
-def _mask_rows(source, target, graph):
-    s_index, t_index = source.elements.index, target.elements.index
-    rows = {}
-    for d, x in graph:
-        rows[s_index[x]] = rows.get(s_index[x], 0) | 1 << t_index[d]
-    return rows
-
-
-def _checked_verdicts(source, target, graph, memo):
-    """(law, offender), or None, from Morphism(...) and from
-    Morphism._checked on the graph's mask rows; an accepted morphism
-    must hold the graph's relation."""
-    verdicts = []
-    for build in (
-        lambda: Morphism(source, target, graph),
-        lambda: Morphism._checked(
-            source, target, _mask_rows(source, target, graph), memo
-        ),
-    ):
-        try:
-            h = build()
-        except AxiomViolation as err:
-            assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
-            verdicts.append((err.law, err.offender))
-        else:
-            assert h.graph == tuple(sorted(set(graph)))
-            verdicts.append(None)
-    return verdicts
+def _checked_verdict(source, target, graph):
+    """(law, offender), or None, from Morphism(...); an accepted
+    morphism must hold the graph's relation."""
+    try:
+        h = Morphism(source, target, graph)
+    except AxiomViolation as err:
+        assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
+        return err.law, err.offender
+    assert h.graph == tuple(sorted(set(graph)))
+    return None
 
 
 def test_checked_morphisms_agree_with_the_relational_reference(catalog):
     """Every candidate of the naive enumerator on the catalog pairs
     within its default budget, and seeded subsets of target x source
     on the pairs with at most 12 cells (every subset up to 8 cells):
-    Morphism(...) and Morphism._checked reject at the law and offender
-    that deciding each law on relations built in full gives, or accept
-    as it does.  Every law is reached."""
+    Morphism(...) rejects at the law and offender that deciding each law
+    on relations built in full gives, or accepts as it does.  Every law
+    is reached."""
     rng = random.Random(1311)
     cap = EnumBudget().max_pairs
     members = list(catalog.values())
@@ -606,10 +588,9 @@ def test_checked_morphisms_agree_with_the_relational_reference(catalog):
         if len(cells) <= 12:
             masks = rng.sample(range(2 ** len(cells)), min(2 ** len(cells), 256))
             grid += [[c for i, c in enumerate(cells) if m >> i & 1] for m in masks]
-        memo = {}
         for graph in grid:
             verdict = morphism_relational_verdict(src, tgt, graph)
-            assert _checked_verdicts(src, tgt, graph, memo) == [verdict] * 2, (
+            assert _checked_verdict(src, tgt, graph) == verdict, (
                 src.name, tgt.name, graph
             )
             seen[verdict and verdict[0]] += 1
@@ -653,8 +634,8 @@ def test_morphisms_on_groupoids_indexed_apart_compare_and_hash_equal(apart_index
 
 def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog):
     """The three laws are decided on mask rows: a valid graph through
-    Morphism(...) or Morphism._checked makes no compose or product call;
-    a refused one makes them only when its offender is read."""
+    Morphism(...) makes no compose or product call; a refused one makes
+    them only when its offender is read."""
     calls = []
 
     def counted(name, function):
@@ -672,9 +653,6 @@ def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog
     cases.append((s4, s4, identity_morphism(s4).graph))
     for src, tgt, graph in cases:
         Morphism(src, tgt, graph)
-    assert calls == []
-    for src, tgt, graph in cases:
-        Morphism._checked(src, tgt, _mask_rows(src, tgt, graph))
     assert calls == []
     z2 = catalog["Z2"]
     with pytest.raises(AxiomViolation) as err:

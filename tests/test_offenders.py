@@ -154,56 +154,34 @@ def test_lazy_offenders_match_the_materialized_difference():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "0343e292ad958614"
 
 
-def test_refused_reconstructions_report_the_materialized_difference(
-    monkeypatch, catalog
-):
-    """The structured enumerator's checked entry, Morphism._checked,
-    refuses no reconstruction over the catalog's 121 ordered pairs.
-    Given the rows one bit away from each morphism it returns, on the
-    pairs with |G||G'| <= 24, it refuses every one, and reports the law
-    and offender of deciding each law on relations built in full, and
-    its message."""
-    rejected = []
-    checked = Morphism._checked.__func__
-
-    def recorded(cls, source, target, rows, memo=None):
-        try:
-            return checked(cls, source, target, rows, memo)
-        except AxiomViolation as err:
-            rejected.append((err, source, target, dict(rows)))
-            raise
-
-    monkeypatch.setattr(Morphism, "_checked", classmethod(recorded))
-    found = [
-        (source, target, enum_morphisms(source, target))
-        for source, target in itertools.product(catalog.values(), repeat=2)
-    ]
-    assert rejected == []
-    for source, target, morphisms in found:
+def test_refused_reconstructions_report_the_materialized_difference(catalog):
+    """The graphs one pair away from each morphism enum_morphisms
+    returns, on the catalog pairs with |G||G'| <= 24, given to
+    Morphism(...): it refuses every one, and reports the law and
+    offender of deciding each law on relations built in full, and its
+    message."""
+    counts = {}
+    for source, target in itertools.product(catalog.values(), repeat=2):
         if len(source.elements) * len(target.elements) > 24:
             continue
+        s_names, t_names = source.elements.names, target.elements.names
         for h, x, d in itertools.product(
-            morphisms, range(len(source.elements)), range(len(target.elements))
+            enum_morphisms(source, target), range(len(s_names)), range(len(t_names))
         ):
             rows = {**h._rows, x: h._rows.get(x, 0) ^ 1 << d}
-            if not rows[x]:
-                del rows[x]
-            with pytest.raises(AxiomViolation):
-                Morphism._checked(source, target, rows)
-    monkeypatch.undo()
-    counts = {}
-    for err, source, target, rows in rejected:
-        names = target.elements.names
-        graph = [
-            (names[d], source.elements.names[x])
-            for x, mx in rows.items()
-            for d in range(len(names))
-            if mx >> d & 1
-        ]
-        verdict = morphism_relational_verdict(source, target, graph)
-        assert (err.law, err.offender) == verdict
-        assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
-        counts[err.law] = counts.get(err.law, 0) + 1
+            graph = [
+                (t_names[d], s_names[x])
+                for x, mx in rows.items()
+                for d in range(len(t_names))
+                if mx >> d & 1
+            ]
+            with pytest.raises(AxiomViolation) as caught:
+                Morphism(source, target, graph)
+            err = caught.value
+            verdict = morphism_relational_verdict(source, target, graph)
+            assert (err.law, err.offender) == verdict
+            assert str(err) == f"axiom {err.law!r} violated at {err.offender!r}"
+            counts[err.law] = counts.get(err.law, 0) + 1
     assert counts == {"he=e'": 217, "hm=m'(hxh)": 2443, "hs=s'h": 80}
 
 

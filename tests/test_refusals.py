@@ -2,7 +2,8 @@
 
 Each refusal below is a precondition of a public call, held to its
 exception type and its exact message in one table.  The last tests
-cover the answers that are no refusal: `Morphism.outputs`, equality
+cover the answers that are no refusal: `EnumBudget`'s repr,
+`Morphism.outputs`, equality
 against a non-instance and across groupoids or carriers, GammaSet's
 equality and hash, `same_structure` across different unit sets, and
 the bisection and isomorphism searches on the empty groupoid, the cap
@@ -27,7 +28,13 @@ from groupoids.action import (
     quotient_groupoid,
     unit_action,
 )
-from groupoids.bisection import all_bisections, bisection_group, image_bisection
+from groupoids.bisection import (
+    act,
+    all_bisections,
+    bisection_group,
+    image_bisection,
+    is_bisection,
+)
 from groupoids.builders import (
     GroupTable,
     cyclic_table,
@@ -44,7 +51,7 @@ from groupoids.builders import (
     transformation_groupoid,
 )
 from groupoids.errors import BudgetExceeded, PreconditionFailed, UnknownElement
-from groupoids.groupoid import SubgroupoidRef
+from groupoids.groupoid import Groupoid, SubgroupoidRef
 from groupoids.morphism import (
     CancellationWitness,
     Morphism,
@@ -279,6 +286,42 @@ REFUSALS = [
         "ambiguous names in transformation groupoid over 'X'",
     ),
     (
+        "Groupoid, an inverse outside the elements",
+        lambda: Groupoid("G", ("e",), ("e",), {"e": "zz"}, [("e", "e", "e")]),
+        UnknownElement,
+        "unknown element 'zz' in inverse map of 'G'",
+    ),
+    (
+        "Groupoid.inv, unknown element",
+        lambda: Z2.inv("zz"),
+        UnknownElement,
+        "unknown element 'zz' in Z2",
+    ),
+    (
+        "Groupoid.isotropy, not a unit",
+        lambda: Z2.isotropy("1"),
+        UnknownElement,
+        "unknown element '1' in units of 'Z2'",
+    ),
+    (
+        "decompose_transitive, base unit not a unit",
+        lambda: P2.decompose_transitive(base_unit="x,y"),
+        UnknownElement,
+        "unknown element 'x,y' in units of 'P2'",
+    ),
+    (
+        "is_bisection, unknown element",
+        lambda: is_bisection(Z2, {"0", "zz"}),
+        UnknownElement,
+        "unknown element 'zz' in Z2",
+    ),
+    (
+        "act, unknown element",
+        lambda: act(all_bisections(Z2)[0], "zz"),
+        UnknownElement,
+        "unknown element 'zz' in Z2",
+    ),
+    (
         "check_cancellation, unknown side",
         lambda: check_cancellation(identity_morphism(Z2), "up"),
         PreconditionFailed,
@@ -297,6 +340,15 @@ def test_public_refusals_name_their_cause(call, error, message):
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_an_enumeration_budget_shows_its_caps():
+    assert repr(EnumBudget()) == (
+        "EnumBudget(max_pairs=20, max_candidates=1048576, override=False)"
+    )
+    assert repr(EnumBudget(max_pairs=45, override=True)) == (
+        "EnumBudget(max_pairs=45, max_candidates=1048576, override=True)"
+    )
 
 
 def test_outputs_reads_the_morphism_at_one_input():

@@ -6,8 +6,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings
 
-from oracles import actions_direct_reference, naive_candidates
+from oracles import (
+    actions_direct_reference,
+    generated_groupoids,
+    morphism_violation,
+    naive_candidates,
+    renamed,
+)
 from groupoids import groupoid, morphism, relation, search
 from groupoids.action import quotient_groupoid
 from groupoids.builders import (
@@ -286,29 +293,22 @@ def _grid(catalog):
     return grid
 
 
-def test_structured_candidates_are_all_morphisms(catalog, monkeypatch):
-    """Facts (a) and (b) of enum_morphisms leave Morphism._checked no
-    reconstruction to refuse, on the catalog and on the 16-groupoid grid
-    (every pair with |G||G'| <= 600); the results agree with the naive
-    enumerator's wherever it runs within its default budget."""
-    decided, refused = [], []
-
-    def counted(cls, source, target, rows, memo=None):
-        decided.append(rows)
-        try:
-            return checked(source, target, rows, memo)
-        except AxiomViolation as err:
-            refused.append((source.name, target.name, err.law))
-            raise
-
-    checked = Morphism._checked
-    monkeypatch.setattr(Morphism, "_checked", classmethod(counted))
+def test_structured_candidates_are_all_morphisms(catalog):
+    """enum_morphisms holds its reconstructions unchecked, as facts (a)
+    and (b) make each one a morphism: on the catalog and on the
+    16-groupoid grid (every pair with |G||G'| <= 600), each result,
+    rebuilt by the checking constructor, is itself and keeps every
+    classical law; the results agree with the naive enumerator's
+    wherever it runs within its default budget."""
     grid = _grid(catalog)
     found, by_naive = Counter(), 0
     for (a, source), (b, target) in itertools.product(grid.items(), repeat=2):
         if len(source.elements) * len(target.elements) > 600:
             continue
         structured = enum_morphisms(source, target)
+        for h in structured:
+            assert Morphism(source, target, h.graph) == h, (a, b)
+            assert morphism_violation(h) is None, (a, b, h)
         found["grid"] += len(structured)
         found["catalog"] += len(structured) * (a in catalog and b in catalog)
         try:
@@ -317,27 +317,36 @@ def test_structured_candidates_are_all_morphisms(catalog, monkeypatch):
             continue
         assert structured == naive, (a, b)
         by_naive += 1
-    assert refused == []
-    assert found == {"grid": 1572, "catalog": 324} and len(decided) == 1572
+    assert found == {"grid": 1572, "catalog": 324}
     assert by_naive == 141
 
 
-def test_a_refused_reconstruction_is_left_out(monkeypatch):
-    """Morphism._checked decides every reconstruction, and one it refuses
-    is left out of the results, which keep their order."""
-    expected = enum_morphisms(Z4, Z4)
-    refused = expected[1]
-    checked = Morphism._checked
+def test_structured_enumerator_on_generated_groupoids():
+    """On generated pairs of groupoids, each a disjoint union of up to
+    three X x G x X, renamed and some indexed out of name order: every
+    result of enum_morphisms, rebuilt by the checking constructor, is
+    itself and keeps every classical law, and the results equal the
+    naive enumerator's wherever it runs within its default budget."""
+    seen = Counter()
 
-    def refusing(cls, source, target, rows, memo=None):
-        h = checked(source, target, rows, memo)
-        if h == refused:
-            raise AxiomViolation("hm=m'(hxh)", None)
-        return h
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(source=generated_groupoids(), target=generated_groupoids())
+    def check(source, target):
+        found = enum_morphisms(source, target)
+        for h in found:
+            assert Morphism(source, target, h.graph) == h
+            assert morphism_violation(h) is None, h
+        seen["pairs"] += 1
+        try:
+            naive = enum_morphisms_naive(source, target)
+        except BudgetExceeded:
+            return
+        assert found == naive
+        seen["by naive"] += 1
 
-    monkeypatch.setattr(Morphism, "_checked", classmethod(refusing))
-    assert enum_morphisms(Z4, Z4) == expected[:1] + expected[2:]
-    assert len(expected) == 4
+    check()
+    assert seen["pairs"] >= 50 and seen["by naive"] >= 10
 
 
 def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_indexed):
@@ -410,6 +419,30 @@ def test_fiber_tables_give_each_unit_of_a_row_one_arrow():
         }
         assert len(tables) == len(rows) == len(restrictions) > 1
         assert rows == restrictions
+
+
+def test_fiber_search_forces_a_product_from_either_factor():
+    """X x Z2 x X on two points, renamed so that the fiber over its least
+    unit lists the two arrows out of that unit before its isotropy
+    group.  A product g x with g one of those arrows is then set before
+    x, and only the rule fired by setting x holds it to T(g, -) T(x, -).
+    The renamed groupoid has the product form's 8 endomorphisms, into
+    the product form and into itself, and each is a morphism."""
+    pf = product_form(Universe("B", ("x", "y")), cyclic_table(2))
+
+    def label(name):  # x|g|y, from y to x, as "y a g x", or "y b g x" if x = y
+        x, g, y = name.split("|")
+        return f"{y}{'b' if x == y else 'a'}{g}{x}"
+
+    rename = {name: label(name) for name in pf.elements}
+    source = renamed(pf, rename, rename.values(), "R")
+    ((_, _, _, fiber_search),) = search._orbit_shapes(source)
+    assert fiber_search.iso == [2, 3]
+    for target in (pf, source):
+        found = enum_morphisms(source, target)
+        assert len(found) == len(enum_morphisms(pf, pf)) == 8
+        for h in found:
+            assert Morphism(source, target, h.graph) == h
 
 
 def test_s4_endomorphisms_by_image_order():
