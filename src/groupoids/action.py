@@ -148,18 +148,12 @@ class Action:
         return self._table.get((gamma, point))
 
     def __eq__(self, other) -> bool:
-        """Decided on the move rows, moved onto the other's indices."""
+        """Decided as relations, which reconcile index orders."""
         if not isinstance(other, Action):
             return False
         if (self.groupoid, self.carrier) != (other.groupoid, other.carrier):
             return False
-        moves, at = self._moves, _index_map(self.carrier, other.carrier)
-        back = _index_map(other.groupoid.elements, self.groupoid.elements)
-        if back is not None:
-            moves = list(map(moves.__getitem__, back))
-        if at is not None:
-            moves = [{at[x]: at[y] for x, y in row.items()} for row in moves]
-        return moves == other._moves
+        return self.rel == other.rel
 
     def __hash__(self) -> int:
         return hash((self.groupoid, self.carrier, self.domain))

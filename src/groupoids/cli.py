@@ -147,9 +147,7 @@ def resolve_groupoid(ref, text, base):
     """A groupoid named inline or by path inside another document."""
     if isinstance(ref, str):
         return _load(ref, "groupoid", base)[0]
-    if isinstance(ref, dict):
-        return groupoid_from_payload(ref, text)
-    raise DocumentError("groupoid reference must be a path or an object")
+    return groupoid_from_payload(ref, text)
 
 
 def morphism_from_payload(payload, text, base):

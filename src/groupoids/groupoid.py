@@ -91,14 +91,15 @@ multi-valued one compares the sides, built.  s s = id reads `_inv`.
 Boundary policy, for groupoids, morphisms and actions alike: the
 checking constructors Groupoid(...), Morphism(...) and Action(...) run
 only where data enters the package: documents, raw group tables,
-validate_groupoid, the naive enumerator's survivors, the classical
-data of classical_to_relational, functor_to_morphism and functor_to_zm,
-the output of right_commuting_to_morphism, and user calls.  What the
-package builds from structures it holds, the structured enumerator's
-morphisms among them, is valid by the paper's theorems and comes from
-the unchecked entries on rows,
-Groupoid._of_rows, Morphism._of_rows and Action._of_rows, which skip
-the axioms (the first and last still refuse ambiguous pair names).
+validate_groupoid, the classical data of classical_to_relational,
+functor_to_morphism and functor_to_zm, the output of
+right_commuting_to_morphism, and user calls.  What the package builds
+from structures it holds is valid by the paper's theorems, and so is
+what the enumerators decide: the naive enumerator's survivors, the
+structured enumerator's morphisms and the direct enumerator's actions.
+All of it comes from the unchecked entries on rows, Groupoid._of_rows,
+Morphism._of_rows and Action._of_rows, which skip the axioms (the
+first and last still refuse ambiguous pair names).
 Grids in the tests of the builders and of every unchecked build prove
 those builds.
 Derived constructions (kernels, quotients, cosets, factorizations,

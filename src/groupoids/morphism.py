@@ -13,10 +13,11 @@ A morphism is held as its mask rows, which are its relation's rows:
 its outputs, bit d for target index d, the one index form of a FinRel.
 Morphism._of_rows is the one unchecked set-up; every morphism the
 package builds computes its rows by index arithmetic and comes from it.
-The structured enumerator's reconstructions come from it too: they are
-morphisms by the argument in enum_morphisms.  The checked entry,
-Morphism(...), parses a named graph into a FinRel, decides the laws on
-its rows and holds them.
+The enumerators' morphisms come from it too: the structured one's are
+morphisms by the argument in enum_morphisms, and the naive one's
+survivors keep every law on the rows they were decided on.  The
+checked entry, Morphism(...), parses a named graph into a FinRel,
+decides the laws on its rows and holds them.
 A morphism names nothing until it is read.  On the first read of any
 of them, one pass over the rows names the base map on units (here
 rho, mapping units of the target to units of the source), the domain,
@@ -85,7 +86,8 @@ quotient map.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import (
     AxiomViolation,
@@ -172,22 +174,15 @@ def _hm_refutation(rows: dict, src: Groupoid, tgt: Groupoid, memo=None):
 def _check_laws(src: Groupoid, tgt: Groupoid, rows: dict):
     """Raise at the first of hm=m'(hxh), hs=s'h and he=e' that h, given
     by its mask rows, breaks; the offender is built on first access."""
+    # the units' masks, whose OR starts at 0: a source may have no units
+    on_units = (mx for x, mx in rows.items() if src._unit_mask >> x & 1)
     if _hm_refutation(rows, src, tgt) is not None:
         law = "hm=m'(hxh)"
+    elif _moved_rows(rows, src._inv, tgt._inv) != rows:  # h(s(x)) = s'(h(x))
+        law = "hs=s'h"
+    elif reduce(or_, on_units, 0) != tgt._unit_mask:
+        law = "he=e'"
     else:
-        law, he, t_inv = "he=e'", 0, tgt._inv
-        for x, mx in rows.items():
-            image, rest = 0, mx  # the s'-image of h(x), which h(s(x)) must be
-            while rest:
-                low = rest & -rest
-                image |= 1 << t_inv[low.bit_length() - 1]
-                rest ^= low
-            if rows.get(src._inv[x], 0) != image:
-                law = "hs=s'h"
-                break
-            if src._unit_mask >> x & 1:
-                he |= mx
-    if law == "he=e'" and he == tgt._unit_mask:
         return
 
     def sides():

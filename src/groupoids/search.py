@@ -15,19 +15,20 @@ candidate below the node, however the later choices are made:
 chronological backtracking.  So every candidate is counted against the
 budget, and each one is either refuted by a pair its prefix fixes or
 reaches its leaf, where the law is decided in full by
-morphism._hm_refutation, as Morphism(...) decides it.  Both share one
-memo per call of the target's products of output masks.  Only a
-survivor's rows are named, and validated in full by Morphism(...), from
-the names.  The structured one builds morphisms as mask rows from base
-maps and single-fiber tables, forced on index rows, and holds them
-unchecked (Morphism._of_rows).  It tries only base maps and tables that
-keep facts (a) and (b) of enum_morphisms, which every morphism keeps,
-and each table that keeps them is a morphism's, as argued there.  What
-it reads of one groupoid alone is kept on that groupoid on first use
-(_kept), as proof_probes keeps the probes: a source's orbit shapes
-(each orbit's units and least unit, its members' fiber positions and
-the source's half of its _FiberSearch) and a target's arrows by right
-unit.
+morphism._hm_refutation, the function the checked constructor decides
+it with.  Both share one memo per call of the target's products of
+output masks.  The lattice keeps hs = s'h and he = e' by construction,
+so each candidate is decided once: a survivor keeps all three laws and
+is held unchecked as the rows it was decided on (Morphism._of_rows).
+The structured one builds morphisms as mask rows from base maps and
+single-fiber tables, forced on index rows, and holds them unchecked
+too.  It tries only base maps and tables that keep facts (a) and (b)
+of enum_morphisms, which every morphism keeps, and each table that
+keeps them is a morphism's, as argued there.  What it reads of one
+groupoid alone is kept on that groupoid on first use (_kept), as
+proof_probes keeps the probes: a source's orbit shapes (each orbit's
+units and least unit, its members' fiber positions and the source's
+half of its _FiberSearch) and a target's arrows by right unit.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no name built: the sort key is the
 sorted (target rank, source rank) pairs of the rows, where an index's
@@ -43,11 +44,13 @@ groupoid's table.  The classical one searches each base map's
 evaluation table depth first with forward checking (Haralick and
 Elliott, Artificial Intelligence 14, 1980).  A compatibility
 constraint phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last
-slot is set.  So no table that breaks a law survives, and no lawful
-table is cut, since a cut needs a constraint that already fails on set
-slots.  Slots are set in sorted order, each trying its values in
-order, so the results come in the order of the full product of slot
-values that an exhaustive filter would give.
+slot is set, and the unit slot (rho(x), x) has the one value x.  So
+no table that breaks a law survives, and no lawful table is cut, since
+a cut needs a constraint that already fails on set slots; each lawful
+table is held unchecked as move rows (Action._of_rows).  Slots are set
+in sorted order, each trying its values in order, so the results come
+in the order of the full product of slot values that an exhaustive
+filter would give.
 """
 
 import itertools
@@ -55,7 +58,7 @@ import math
 from functools import reduce
 from operator import or_
 
-from .action import _pair_action, classical_to_relational
+from .action import Action, _pair_action
 from .builders import (
     group_groupoid,
     group_table_of,
@@ -68,7 +71,7 @@ from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
 from .morphism import CancellationWitness, Morphism, compose_morphisms
 from .morphism import _hm_refutation, _mask_product
-from .relation import FinRel, Universe, _bits
+from .relation import Universe, _bits
 
 
 class EnumBudget:
@@ -103,9 +106,10 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
     set of g).  All of them count against `max_candidates`, checked
     before the walk.  Each is refuted on mask rows by a pair (x, y) that
     a prefix of its choices fixes, or decided at its leaf by hm =
-    m'(hxh) with the function Morphism(...) uses; so a refused candidate
-    builds no relation, morphism or exception, and each survivor is
-    validated in full by Morphism(...).
+    m'(hxh) with the function the checked constructor uses; so a refused
+    candidate builds no relation, morphism or exception.  A survivor
+    keeps the two laws the lattice is built on as well, so it is a
+    morphism and is held as its mask rows, unchecked.
     """
     budget = budget or EnumBudget()
     pairs = len(target.elements) * len(source.elements)
@@ -187,8 +191,7 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
         rows = {**chunk, **above}
         if k == last:  # a candidate, decided in full
             if _hm_refutation(rows, source, target, memo) is None:
-                graph = FinRel._of_rows(source.elements, target.elements, rows).graph
-                found.append(Morphism(source, target, graph))
+                found.append(Morphism._of_rows(source, target, rows))
             continue
         for x, y, z in plan[k]:
             mx, my = rows.get(x), rows.get(y)
@@ -595,17 +598,20 @@ def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
     """Every action, by direct search over base maps and evaluation tables.
 
     Independent of the morphism enumerators: candidates are classical
-    (base map, partial evaluation) pairs checked against the unit and
-    compatibility laws, the latter over the composable pairs of the
-    groupoid's table only, then re-expressed relationally.  For each
-    base map the evaluation table is searched depth first with forward
-    checking (`_lawful_tables`): a compatibility constraint is tested
-    once its last slot is set, so no table that breaks a law survives
-    and no lawful table is cut, and the results come in the
-    lexicographic slot order of the full product of slot values.
+    (base map, partial evaluation) pairs that keep the unit law by
+    construction, since the unit slot (rho(x), x) takes only x, and the
+    compatibility law over the composable pairs of the groupoid's table.
+    For each base map the evaluation table is searched depth first with
+    forward checking (`_lawful_tables`): a compatibility constraint is
+    tested once its last slot is set, so no table that breaks a law
+    survives and no lawful table is cut, and the results come in the
+    lexicographic slot order of the full product of slot values.  Each
+    table is decided once: it is held as move rows on the groupoid's
+    and the carrier's indices, unchecked.
     """
     units = sorted(groupoid.units)
     points = sorted(carrier.elements)
+    g_at, x_at = groupoid._index, carrier.index
     # the left factors of each g2, as (g1, g1 g2): the composable pairs
     left_factors = {g: [] for g in groupoid.elements}
     for c, g1, g2 in groupoid.table:
@@ -629,11 +635,13 @@ def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
                 )
         if any(not c for c in cand):
             continue
+        # each slot's move row and carrier index; a table's values are names
+        place = [(g_at[g], x_at[x]) for g, x in slots]
         for values in _lawful_tables(slots, cand, left_factors):
-            phi = dict(zip(slots, values))
-            results.append(
-                classical_to_relational(groupoid, carrier, rho, phi)
-            )
+            moves = [{} for _ in groupoid._rows]
+            for (g, x), y in zip(place, values):
+                moves[g][x] = x_at[y]
+            results.append(Action._of_rows(groupoid, carrier, moves))
     return results
 
 

@@ -72,6 +72,9 @@ def test_dropped_product_row_fails_inverse_law():
         Groupoid("Z2", elements, units, inverse, table)
     assert err.value.law == "m(s(g),g)-in-units"
     assert err.value.offender == "1"
+    assert str(err.value) == (
+        "axiom 'm(s(g),g)-in-units' violated at '1': product undefined"
+    )
 
 
 def test_broken_involution_fails_s2():

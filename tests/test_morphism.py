@@ -163,6 +163,12 @@ def test_wide_inclusions_are_mono():
     assert is_mono(wi) and not is_surjective(wi)
 
 
+def test_wide_inclusion_reads_a_subgroupoid_given_as_a_groupoid():
+    sub = SubgroupoidRef(Z4, ("0", "2")).as_groupoid()
+    wi = wide_inclusion(Z4, sub)
+    assert wi == wide_inclusion(Z4, ("0", "2")) and wi.source == sub
+
+
 def test_mono_witness_kernel_branch():
     op = to_orbit_pair(Z4)
     assert not is_mono(op)

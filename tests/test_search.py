@@ -15,7 +15,7 @@ from oracles import (
     naive_candidates,
     renamed,
 )
-from groupoids import groupoid, morphism, relation, search
+from groupoids import action, groupoid, morphism, relation, search
 from groupoids.action import quotient_groupoid
 from groupoids.builders import (
     cyclic_table,
@@ -238,9 +238,9 @@ def test_naive_agrees_with_a_filter_over_every_candidate(catalog):
     assert checked == 94
 
 
-def test_naive_builds_morphisms_only_for_survivors(monkeypatch):
-    # a refused candidate is decided on index rows: it reaches neither
-    # Morphism(...) nor the public FinRel constructor
+def _count_builds(monkeypatch, unchecked):
+    """A counter of calls to Morphism(...), Action(...) and the public
+    FinRel constructor, and to the `unchecked` class's _of_rows."""
     built = Counter()
 
     def counted(cls, name):
@@ -253,15 +253,41 @@ def test_naive_builds_morphisms_only_for_survivors(monkeypatch):
         monkeypatch.setattr(cls, "__init__", wrapper)
 
     counted(morphism.Morphism, "Morphism")
+    counted(action.Action, "Action")
     counted(relation.FinRel, "FinRel")
+    of_rows = unchecked._of_rows.__func__
+
+    def trusted(cls, *args):
+        built["_of_rows"] += 1
+        return of_rows(cls, *args)
+
+    monkeypatch.setattr(unchecked, "_of_rows", classmethod(trusted))
+    return built
+
+
+def test_naive_builds_morphisms_only_for_survivors(monkeypatch):
+    # every candidate is decided once, on index rows: a refused one builds
+    # nothing, and a survivor is held as its rows, through neither
+    # Morphism(...) nor the public FinRel constructor
+    built = _count_builds(monkeypatch, morphism.Morphism)
     p3 = pair_groupoid(Universe("X3", ("1", "2", "3")))
     z3 = group_groupoid(cyclic_table(3))
-    built.clear()
     assert enum_morphisms_naive(p3, z3, EnumBudget(override=True)) == []
     assert built == Counter()
     found = enum_morphisms_naive(z3, z3, EnumBudget(override=True))
     assert len(found) == 3
-    assert built == Counter(Morphism=3, FinRel=3)
+    assert built == Counter(_of_rows=3)
+
+
+def test_direct_actions_are_held_as_their_move_rows(monkeypatch):
+    # a lawful table is decided once, by forward checking, and held as
+    # its move rows, through neither Action(...) nor the public FinRel
+    # constructor
+    built = _count_builds(monkeypatch, action.Action)
+    xs = Universe("W3", ("u", "v", "w"))
+    assert len(enum_actions_direct(Z4, xs)) == 4
+    assert len(enum_actions_direct(P2, Universe("one", ("x",)))) == 0
+    assert built == Counter(_of_rows=4)
 
 
 def test_structured_agrees_with_naive():

@@ -6,17 +6,27 @@ grid of groupoids.  Every structure they make is recorded with the
 function that made it, rebuilt by the checking constructor and held to
 the classical oracles.  The checked entry, Morphism(...), does not
 pass through Morphism._of_rows, so only unchecked builds are recorded.
-enum_morphisms is one of them: it holds its reconstructions unchecked,
-as morphisms by proof, and every pair of the grid with |G||G'| <= 24
-calls it directly, besides the calls enum_actions makes.
+The enumerators are among them.  enum_morphisms holds its
+reconstructions unchecked, as morphisms by proof, and every pair of the
+grid with |G||G'| <= 24 calls it directly, besides the calls
+enum_actions makes; enum_morphisms_naive holds the survivors it
+decided, on the same pairs within its default budget; and
+enum_actions_direct holds the tables it decided, on every carrier
+enum_actions runs on.  So this grid stands in for the checked
+constructor they no longer call, and a static check of the source keeps
+TRUSTED_SITES to exactly the functions that call an unchecked entry.
 """
 
+import ast
 import itertools
 import sys
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 from oracles import action_violation, morphism_violation
 
+import groupoids
 from groupoids.action import (
     Action,
     GammaSet,
@@ -44,7 +54,7 @@ from groupoids.builders import (
     set_groupoid,
     symmetric_table,
 )
-from groupoids.errors import AxiomViolation
+from groupoids.errors import AxiomViolation, BudgetExceeded
 from groupoids.morphism import (
     Morphism,
     component_projection,
@@ -66,7 +76,12 @@ from groupoids.morphism import (
     wide_inclusion,
 )
 from groupoids.relation import Universe
-from groupoids.search import enum_actions, enum_morphisms
+from groupoids.search import (
+    enum_actions,
+    enum_actions_direct,
+    enum_morphisms,
+    enum_morphisms_naive,
+)
 
 # the functions that call Morphism._of_rows or Action._of_rows
 TRUSTED_SITES = {
@@ -78,7 +93,7 @@ TRUSTED_SITES = {
     "action_to_pair_morphism", "_pair_action", "left_mult_action",
     "unit_action", "conjugation_action", "coset_space", "induced_action",
     "pullback_action", "product_form_action", "right_commuting_to_morphism",
-    "enum_morphisms",
+    "enum_morphisms", "enum_morphisms_naive", "enum_actions_direct",
 }
 
 
@@ -143,6 +158,7 @@ def run_grid(catalog):
             morphism_to_action(action_to_pair_morphism(a), a.carrier)
         for carrier in CARRIERS[: 3 if len(g.elements) <= 8 else 2]:
             enum_actions(g, carrier)
+            enum_actions_direct(g, carrier)
         if len(g.elements) <= 8:
             for b in all_bisections(g):
                 ad(b)
@@ -155,6 +171,8 @@ def run_grid(catalog):
     for g1, g2 in itertools.product(groupoids.values(), repeat=2):
         if len(g1.elements) * len(g2.elements) <= 24:
             enum_morphisms(g1, g2)
+            with suppress(BudgetExceeded):  # within its default budget
+                enum_morphisms_naive(g1, g2)
     for key in catalog:
         g = catalog[key]
         for h in (identity_morphism(g), to_orbit_pair(g), to_orbit_relation(g)):
@@ -185,6 +203,47 @@ def run_grid(catalog):
             base = Universe(f"E{n}", "xy"[:n])
             model = product_form_action(base, table, space, act)
             classify_transitive_action(base, table, model)
+
+
+class _UncheckedCallers(ast.NodeVisitor):
+    """The functions whose own bodies call Morphism._of_rows or
+    Action._of_rows, and the checked entries each module calls."""
+
+    CHECKED = {"Morphism", "Action", "FinRel", "classical_to_relational"}
+
+    def __init__(self):
+        self.scope, self.sites, self.checked = [], set(), set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in self.CHECKED:
+            self.checked.add(f.id)
+        elif (
+            isinstance(f, ast.Attribute)
+            and f.attr == "_of_rows"
+            and isinstance(f.value, ast.Name)
+            and f.value.id in ("Morphism", "Action")
+        ):
+            self.sites.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_trusted_sites_are_every_caller_of_the_unchecked_entries():
+    """Read from the source, so that a new site is named here even where
+    run_grid never calls it; search.py calls no checked entry."""
+    sites = set()
+    for path in sorted(Path(groupoids.__file__).parent.glob("*.py")):
+        visitor = _UncheckedCallers()
+        visitor.visit(ast.parse(path.read_text()))
+        sites |= visitor.sites
+        if path.name == "search.py":
+            assert visitor.checked == set()
+    assert sites == TRUSTED_SITES
 
 
 def record_trusted(monkeypatch):
@@ -230,5 +289,7 @@ def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
             assert getattr(checked, name) == getattr(s, name), (site, name)
         assert verdict is None, (site, s, verdict)
     # 229 of enum_morphisms's come from enum_actions's calls
-    assert len(built) == 2315
+    assert len(built) == 3083
     assert sum(site == "enum_morphisms" for site, _ in built) == 951
+    assert sum(site == "enum_morphisms_naive" for site, _ in built) == 539
+    assert sum(site == "enum_actions_direct" for site, _ in built) == 229
