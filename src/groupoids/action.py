@@ -10,12 +10,14 @@ to Action._of_rows, the one unchecked set-up.  Action(...) indexes its
 triples in one pass; when the rows hold every triple, phi is
 single-valued and groupoid.py's _check_composition decides both laws
 on the rows, with no relation built, and otherwise on the relation of
-the triples.  One pass over the rows names the triples and reads off
-the classical picture: a base map rho on X, a domain
-{(γ,x): e_R(γ)=rho(x)}, and a single-valued partial map.  That rho is
-well defined, the domain is that fiber product and the map is
-single-valued and inverted by s are theorems of the axioms; the tests
-check them against an oracle.  `rel` is built on first read.  On top of
+the triples.  One pass over the rows reads off the classical picture:
+a base map rho on X, a domain {(γ,x): e_R(γ)=rho(x)}, and a
+single-valued partial map.  That rho is well defined, the domain is
+that fiber product and the map is single-valued and inverted by s are
+theorems of the axioms; the tests check them against an oracle.
+`triples` and `rel` are made from the rows on first read, by
+groupoid.py's _named_triples and _moves_rel, which make a groupoid's
+`table` and `m_rel` from its `_rows`.  On top of
 that the module builds action groupoids (groupoid.py's _semidirect),
 coset spaces and quotient groupoids, homogeneous-space identification
 for transitive groupoids, induced actions along a subgroupoid, and the
@@ -30,7 +32,10 @@ g' = gn with n in N, g s(n)s(g) is in N by normality, so s is well
 defined on classes, and pi is onto.  homogeneous_identification: gamma
 marks gamma p(e_R(gamma)), and gamma, gamma' mark one point exactly when
 s(gamma)gamma' fixes the section, so psi is a bijection onto the cosets,
-and psi(delta x) = [delta gamma] = delta psi(x).
+and psi(delta x) = [delta gamma] = delta psi(x); a unit e marks p(e),
+so the marking subgroupoid is wide and _cosets reads its classes.
+action_groupoid_functor: the composite is into the pair groupoid on the
+target's units, so _pair_action reads it as an action unchecked.
 classify_transitive_action: fiber_act is the action restricted to the
 isotropy group at e0, e|1|e0 moves the fiber over e0 onto the fiber
 over e, and x|g|y = (x|1|e0)(e0|g|e0)(e0|1|y), so psi is an isomorphism
@@ -63,6 +68,8 @@ from .groupoid import (
     _check_composition,
     _generators,
     _index_pass,
+    _moves_rel,
+    _named_triples,
     _placed,
     _semidirect,
 )
@@ -76,8 +83,8 @@ from .builders import (
 )
 from .morphism import (
     Morphism,
-    _as_member_set,
     _pair_rows,
+    _subgroupoid,
     compose_morphisms,
     fiber_map_right,
     to_orbit_pair,
@@ -133,15 +140,12 @@ class Action:
     @cached_property
     def triples(self) -> tuple:
         """The (phi(g, x), g, x) triples by name, sorted."""
-        return tuple(sorted([(y, g, x) for (g, x), y in self._table.items()]))
+        return _named_triples(self.groupoid.elements, self.carrier, self._moves)
 
     @cached_property
     def rel(self) -> FinRel:
         """phi as the relation G x X -> X, built from the rows."""
-        n, moves = len(self.carrier), enumerate(self._moves)
-        rows = {g * n + x: 1 << y for g, row in moves for x, y in row.items()}
-        source = product_universe(self.groupoid.elements, self.carrier)
-        return FinRel._of_rows(source, self.carrier, rows)
+        return _moves_rel(self.groupoid.elements, self.carrier, self._moves)
 
     def apply(self, gamma, point):
         """The moved point, or None outside the domain."""
@@ -322,7 +326,7 @@ def action_groupoid(action: Action) -> Groupoid:
 def action_groupoid_functor(h: Morphism):
     """The unit action of a morphism plus its fiber-map functor."""
     composite = compose_morphisms(to_orbit_pair(h.target), h)
-    phi = morphism_to_action(composite, h.target.units_universe())
+    phi = _pair_action(composite, h.target.units_universe())  # into its pair groupoid
     functor = {}
     for f in h.target.units:
         fiber = fiber_map_right(h, f)
@@ -398,10 +402,7 @@ def _cosets(groupoid: Groupoid, members) -> tuple:
 
 def coset_space(groupoid: Groupoid, part) -> CosetSpace:
     """Quotient of a groupoid by a wide subgroupoid, with its action."""
-    members = _as_member_set(groupoid, part)
-    ref = SubgroupoidRef(groupoid, members)
-    if not ref.is_wide:
-        raise PreconditionFailed("coset space needs a wide subgroupoid")
+    members = _subgroupoid(groupoid, part, "coset space needs a wide subgroupoid").members
     classes, projection = _cosets(groupoid, members)
     carrier = Universe(
         f"{groupoid.elements.name}/~", tuple(projection[b[0]] for b in classes)
@@ -416,10 +417,7 @@ def coset_space(groupoid: Groupoid, part) -> CosetSpace:
 def quotient_groupoid(groupoid: Groupoid, part):
     """Quotient by a normal-per-unit wide subgroupoid of the isotropy
     bundle, together with the projection morphism."""
-    members = _as_member_set(groupoid, part)
-    ref = SubgroupoidRef(groupoid, members)
-    if not ref.is_wide:
-        raise PreconditionFailed("quotient needs a wide subgroupoid")
+    members = _subgroupoid(groupoid, part, "quotient needs a wide subgroupoid").members
     for g in sorted(members):
         if groupoid.e_left(g) != groupoid.e_right(g):
             raise PreconditionFailed(f"{g!r} is outside the isotropy bundle")
@@ -487,9 +485,9 @@ def homogeneous_identification(action: Action, section):
 
     wide = {g for g, x in mark.items() if x == section[groupoid.e_left(g)]}
     ref = SubgroupoidRef(groupoid, wide)
-    space = coset_space(groupoid, wide)
+    _, projection = _cosets(groupoid, wide)
     psi = {
-        x: space.projection[min(g for g, y in mark.items() if y == x)]
+        x: projection[min(g for g, y in mark.items() if y == x)]
         for x in action.carrier
     }
     return ref, psi
@@ -500,9 +498,8 @@ def induced_action(groupoid: Groupoid, part, action: Action):
 
     Returns the class universe and the action on it.
     """
-    members = _as_member_set(groupoid, part)
-    ref = SubgroupoidRef(groupoid, members)
-    delta = ref.as_groupoid()
+    ref = _subgroupoid(groupoid, part)
+    members, delta = ref.members, ref.as_groupoid()
     if not action.groupoid.same_structure(delta):
         raise PreconditionFailed("the action does not live on the subgroupoid")
     base_units = set(ref.units)

@@ -185,14 +185,7 @@ class Groupoid:
     @cached_property
     def table(self) -> tuple:
         """The (xy, x, y) triples of the product by name, sorted."""
-        names = self._names
-        return tuple(
-            sorted(
-                (names[c], names[a], names[b])
-                for a, row in enumerate(self._rows)
-                for b, c in row.items()
-            )
-        )
+        return _named_triples(self.elements, self.elements, self._rows)
 
     @cached_property
     def inverse(self) -> dict:
@@ -231,11 +224,7 @@ class Groupoid:
 
     @cached_property
     def m_rel(self) -> FinRel:
-        u, n = self.elements, len(self._rows)
-        rows = {
-            a * n + b: 1 << c for a, row in enumerate(self._rows) for b, c in row.items()
-        }
-        return FinRel._of_rows(product_universe(u, u), u, rows)
+        return _moves_rel(self.elements, self.elements, self._rows)
 
     @cached_property
     def s_rel(self) -> FinRel:
@@ -503,6 +492,23 @@ def _index_pass(acting: Universe, on: Universe, triples: set):
     for z, a, x in triples:
         rows[a_index[a]][x_index[x]] = x_index[z]
     return rows, sum(map(len, rows)) == len(triples)
+
+
+def _moves_rel(acting: Universe, on: Universe, moves) -> FinRel:
+    """phi : A x X -> X, A `acting` and X `on`, as the relation of its
+    move rows, moves[a][x] the index of phi(a, x): m for a groupoid's
+    `_rows`, an action's relation for its `_moves`."""
+    n = len(on)
+    rows = {a * n + x: 1 << y for a, row in enumerate(moves) for x, y in row.items()}
+    return FinRel._of_rows(product_universe(acting, on), on, rows)
+
+
+def _named_triples(acting: Universe, on: Universe, moves) -> tuple:
+    """The (phi(a, x), a, x) triples of move rows by name, sorted: a
+    groupoid's table, an action's triples."""
+    names, points = acting.names, on.names
+    moved = ((a, x, y) for a, row in enumerate(moves) for x, y in row.items())
+    return tuple(sorted([(points[y], names[a], points[x]) for a, x, y in moved]))
 
 
 def _moved(at, inv, rows):

@@ -28,8 +28,11 @@ equality work on the rows with relation.py's own kernels: k after h
 is _composed_rows of their rows, as in relation.compose, and two
 morphisms are equal when their groupoids are and _equal_rows, FinRel's
 equality, holds of their rows, also where two equal groupoids index
-their names apart.  The hash reads the number of inputs, which no
-index order changes and which needs no name.
+their names apart.  The hash reads relation._rank_key of the rows, the
+pairs in sorted(graph) order by rank, which no index order changes.
+The ranks are each universe's cached _ranks: on a product universe,
+the first read builds its names, once; the key itself is rebuilt on
+each call and stored nowhere.
 
 The laws are decided on the rows, with no side built.  Both groupoids
 are valid, so m and m' are single-valued and read off their `_rows`.
@@ -112,6 +115,7 @@ from .relation import (
     _equal_rows,
     _index_map,
     _moved_rows,
+    _rank_key,
     compose,
     first_difference,
     pair_name,
@@ -272,8 +276,8 @@ class Morphism:
         )
 
     def __hash__(self) -> int:
-        # the number of inputs, which no index order changes
-        return hash((self.source, self.target, len(self._rows)))
+        key = _rank_key(self._rows, self.source.elements, self.target.elements)
+        return hash((self.source, self.target, tuple(key)))
 
     def __repr__(self) -> str:
         pairs = sum(mx.bit_count() for mx in self._rows.values())
@@ -419,12 +423,7 @@ def mono_witness(h: Morphism) -> CancellationWitness:
 
 def left_regular(groupoid: Groupoid) -> Morphism:
     """Left translations, as a morphism into the pair groupoid on Γ."""
-    # a goes to each (ab, b), at ab * n + b in the pair groupoid
-    n = len(groupoid._rows)
-    rows = {
-        a: sum(1 << (ab * n + b) for b, ab in row.items())
-        for a, row in enumerate(groupoid._rows)
-    }
+    rows = _pair_rows(groupoid._rows, len(groupoid._rows))  # a goes to each (ab, b)
     return Morphism._of_rows(groupoid, pair_groupoid(groupoid.elements), rows)
 
 
@@ -436,6 +435,16 @@ def _as_member_set(groupoid: Groupoid, part) -> frozenset:
     if isinstance(part, Groupoid):
         return frozenset(part.elements)
     return frozenset(part)
+
+
+def _subgroupoid(groupoid: Groupoid, part, wide=None) -> SubgroupoidRef:
+    """`part`, a SubgroupoidRef, a Groupoid or a set of members, as a
+    subgroupoid of `groupoid`, checked once.  With `wide`, a part that
+    is not wide is refused with that message."""
+    ref = SubgroupoidRef(groupoid, _as_member_set(groupoid, part))
+    if wide is not None and not ref.is_wide:
+        raise PreconditionFailed(wide)
+    return ref
 
 
 def component_projection(groupoid: Groupoid, part) -> Morphism:
@@ -454,11 +463,7 @@ def component_projection(groupoid: Groupoid, part) -> Morphism:
 
 def wide_inclusion(groupoid: Groupoid, part) -> Morphism:
     """Inclusion of a wide subgroupoid as a morphism."""
-    members = _as_member_set(groupoid, part)
-    ref = SubgroupoidRef(groupoid, members)
-    if not ref.is_wide:
-        raise PreconditionFailed("subgroupoid is not wide")
-    sub = ref.as_groupoid()
+    sub = _subgroupoid(groupoid, part, "subgroupoid is not wide").as_groupoid()
     rows = {x: 1 << groupoid._index[g] for x, g in enumerate(sub._names)}
     return Morphism._of_rows(sub, groupoid, rows)
 
@@ -618,10 +623,8 @@ def separating_pair(groupoid: Groupoid, part):
     """
     from .bisection import Bisection, ad
 
-    members = _as_member_set(groupoid, part)
-    ref = SubgroupoidRef(groupoid, members)
-    if not ref.is_wide:
-        raise PreconditionFailed("separating_pair needs a wide subgroupoid")
+    wide = "separating_pair needs a wide subgroupoid"
+    members = _subgroupoid(groupoid, part, wide).members
     outside = sorted(set(groupoid.elements) - members)
     if not outside:
         raise PreconditionFailed("subgroupoid must be proper")

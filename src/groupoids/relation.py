@@ -18,7 +18,8 @@ work on those integers alone and never look at a name; morphisms hold
 these rows as their relation, and _bits and _moved_rows, which read
 and move them, live here, as do _composed_rows and _equal_rows, the
 row kernels of compose and of equality, with which morphisms compose
-and compare.
+and compare, and _rank_key, the rows' pairs in sorted(graph) order,
+which hashes relations and morphisms and sorts enumerator results.
 
 Names.  Pair universes name their elements by joining the component
 names with a comma.  A product builds its names, its sorted `elements`
@@ -78,6 +79,13 @@ class Universe:
     def _uniform(self) -> bool:
         """True when every name has the same number of commas."""
         return len({x.count(PAIR_SEP) for x in self.elements}) <= 1
+
+    @cached_property
+    def _ranks(self) -> list:
+        """The rank of each index: its name's place in sorted order.  On a
+    product this builds its names, once."""
+        rank = {name: r for r, name in enumerate(self.elements)}
+        return list(map(rank.__getitem__, self.names))
 
     def name_of(self, i: int) -> str:
         return self.names[i]
@@ -255,8 +263,8 @@ class FinRel:
         return _equal_rows(self._rows, u, other._rows, v)
 
     def __hash__(self) -> int:
-        # the number of inputs, which no index order changes
-        return hash((self.source, self.target, len(self._rows)))
+        key = _rank_key(self._rows, self.source, self.target)
+        return hash((self.source, self.target, tuple(key)))
 
     def __repr__(self) -> str:
         size = sum(mx.bit_count() for mx in self._rows.values())
@@ -303,6 +311,15 @@ def _composed_rows(s_rows: dict, r_rows: dict, at) -> dict:
         if out:
             rows[x] = out
     return rows
+
+
+def _rank_key(rows: dict, source: Universe, target: Universe) -> list:
+    """The sorted pairs (target rank, source rank) of mask rows, each as
+    the int t * |source| + s, which orders as the pair does: ranks order
+    as the names do, so the key is sorted(graph)'s order and the same
+    for every index order of equal universes."""
+    t_rank, s_rank, ns = target._ranks, source._ranks, len(source)
+    return sorted([t_rank[d] * ns + s_rank[x] for x, mx in rows.items() for d in _bits(mx)])
 
 
 def _preimages(r: FinRel) -> dict:

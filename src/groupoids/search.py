@@ -30,11 +30,12 @@ proof_probes keeps the probes: a source's orbit shapes (each orbit's
 units and least unit, its members' fiber positions and the source's
 half of its _FiberSearch) and a target's arrows by right unit.
 Tests require their outputs to agree.  Both return their morphisms in
-the order of sorted(h.graph), with no name built: the sort key is the
-sorted (target rank, source rank) pairs of the rows, where an index's
-rank is its name's place in sorted order.  Ranks order as the names
-do; indices need not, on a product universe whose index order is not
-its name order.
+the order of sorted(h.graph), with no graph named: the sort key is
+relation._rank_key, the sorted (target rank, source rank) pairs of the
+rows, where an index's rank is its name's place in sorted order
+(Universe._ranks, cached on the universe; a product universe builds its
+names once to rank them).  Ranks order as the names do; indices need not, on
+a product universe whose index order is not its name order.
 
 The two action enumerators are independent in the same way: one goes
 through morphisms into the pair groupoid, read back as actions by
@@ -71,7 +72,7 @@ from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid
 from .morphism import CancellationWitness, Morphism, compose_morphisms
 from .morphism import _hm_refutation, _mask_product
-from .relation import Universe, _bits
+from .relation import Universe, _bits, _rank_key
 
 
 class EnumBudget:
@@ -208,25 +209,12 @@ def enum_morphisms_naive(source: Groupoid, target: Groupoid, budget=None) -> lis
 
 
 def _name_sorted(found: list, source: Groupoid, target: Groupoid) -> list:
-    """The morphisms `found` in the order sorted(h.graph) gives, by a key
-    read off their rows: the sorted pairs (target rank, source rank),
-    each as the int t * |source| + s, which orders as the pair does."""
-    if len(found) > 1:
-        t_rank, s_rank = _ranks(target.elements), _ranks(source.elements)
-        ns = len(s_rank)
-
-        def key(h):
-            pairs = ((x, d) for x, mx in h._rows.items() for d in _bits(mx))
-            return sorted([t_rank[d] * ns + s_rank[x] for x, d in pairs])
-
-        found.sort(key=key)
+    """The morphisms `found` in the order sorted(h.graph) gives, by
+    relation._rank_key of their rows."""
+    if len(found) > 1:  # a cancellation hunt's probes often give one
+        u, v = source.elements, target.elements
+        found.sort(key=lambda h: _rank_key(h._rows, u, v))
     return found
-
-
-def _ranks(universe: Universe) -> list:
-    """The rank of each index: its name's place in sorted order."""
-    rank = {name: r for r, name in enumerate(universe.elements)}
-    return list(map(rank.__getitem__, universe.names))
 
 
 def _surjections(domain, codomain):

@@ -4,6 +4,8 @@ import gc
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings
+from oracles import generated_groupoids
 
 from groupoids import bisection
 from groupoids.bisection import (
@@ -67,6 +69,27 @@ def test_is_bisection_raises_when_its_two_tests_disagree(monkeypatch):
 
 def test_pair_groupoid_bisections_count_permutations():
     assert len(all_bisections(P3)) == 6
+
+
+def test_every_bisection_of_a_generated_groupoid_passes_both_tests():
+    """Each bisection all_bisections finds on a generated groupoid passes
+    is_bisection, which raises where its fiber test and its product test
+    disagree."""
+    seen = {"groupoids": 0, "bisections": 0}
+
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def check(groupoid):
+        found = all_bisections(groupoid)
+        assert found
+        for b in found:
+            assert is_bisection(groupoid, b.members), b
+        seen["groupoids"] += 1
+        seen["bisections"] += len(found)
+
+    check()
+    assert seen["groupoids"] >= 50 and seen["bisections"] >= 500, seen
 
 
 def test_all_bisections_agrees_with_subset_sweep():

@@ -34,13 +34,15 @@ from groupoids.action import (
     classify_transitive_action,
     coset_space,
     homogeneous_identification,
+    induced_action,
     left_mult_action,
     product_form_action,
     quotient_groupoid,
     unit_action,
 )
 from groupoids.bisection import ad, all_bisections
-from groupoids.builders import cyclic_table, product_form, symmetric_table
+from groupoids.builders import cyclic_table, group_groupoid, product_form, symmetric_table
+from groupoids.groupoid import SubgroupoidRef
 from groupoids.morphism import (
     Morphism,
     classify_into_group,
@@ -55,6 +57,7 @@ from groupoids.morphism import (
     separating_pair,
     to_orbit_pair,
     to_orbit_relation,
+    wide_inclusion,
 )
 from groupoids.relation import Universe, compose
 from groupoids.search import enum_morphisms
@@ -252,3 +255,38 @@ def test_only_named_checks_run_on_derived_data():
         sides = ("mono", "epi") if "{witness.side}" in law else ("",)
         laws |= {law.replace("{witness.side}", side) for side in sides}
     assert laws == NAMED_DERIVED_LAWS
+
+
+def test_each_construction_checks_its_subgroupoid_argument_once(monkeypatch):
+    """The five constructions that take a subgroupoid make one
+    SubgroupoidRef of it, whether it comes as a ref of the groupoid
+    itself, a ref of an equal but distinct groupoid or a set of members,
+    and give the same results; homogeneous_identification makes one for
+    its marking subgroupoid."""
+    z3, copy = group_groupoid(cyclic_table(3)), group_groupoid(cyclic_table(3))
+    assert z3 == copy and z3 is not copy
+    # the trivial subgroup: wide, proper, normal, and 1 is no involution
+    own, other = SubgroupoidRef(z3, {"0"}), SubgroupoidRef(copy, {"0"})
+    acting = left_mult_action(own.as_groupoid())
+    constructions = {
+        "wide_inclusion": lambda part: wide_inclusion(z3, part),
+        "separating_pair": lambda part: separating_pair(z3, part)[1:],
+        "coset_space": lambda part: coset_space(z3, part).action,
+        "quotient_groupoid": lambda part: quotient_groupoid(z3, part),
+        "induced_action": lambda part: induced_action(z3, part, acting),
+    }
+    made = []
+    init = SubgroupoidRef.__init__
+    monkeypatch.setattr(
+        SubgroupoidRef, "__init__", lambda ref, *args: made.append(args) or init(ref, *args)
+    )
+    for name, construct in constructions.items():
+        results = []
+        for part in (own, other, frozenset({"0"})):
+            made.clear()
+            results.append(construct(part))
+            assert made == [(z3, frozenset({"0"}))], (name, part)
+        assert results[1] == results[0] and results[2] == results[0], name
+    made.clear()
+    ref, _ = homogeneous_identification(left_mult_action(z3), {"0": "0"})
+    assert made == [(z3, {"0"})] and ref == own

@@ -1,8 +1,18 @@
-"""The names the package exports, and where each comes from."""
+"""The names the package exports, where each comes from, the names
+each module imports, and the reprs of the exported classes."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 import groupoids
+from groupoids.action import GammaSet, coset_space, left_mult_action
+from groupoids.bisection import all_bisections
+from groupoids.builders import cyclic_table, group_groupoid, pair_groupoid, trivial_table
+from groupoids.groupoid import SubgroupoidRef
+from groupoids.morphism import Morphism, kernel, left_regular, mono_witness
+from groupoids.relation import Universe, identity
 
 # defining module -> the names the package exports from it
 EXPORTS = {
@@ -69,3 +79,59 @@ def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError):
         exec("from groupoids import no_such_name", {})
 
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(groupoids.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_every_imported_name_is_read_in_its_module(path):
+    """No module imports a name it never reads: the check a linter's
+    unused-import rule makes, on the module's syntax tree."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read) == []
+
+
+Z2 = group_groupoid(cyclic_table(2))
+
+
+def _collapse():
+    """The morphism Z2 -> Z1, which is no monomorphism."""
+    return Morphism._of_rows(Z2, group_groupoid(trivial_table()), {0: 1, 1: 1})
+
+
+REPRS = [
+    (lambda: cyclic_table(2), "GroupTable('Z2', order 2)"),
+    (lambda: Z2, "Groupoid('Z2', 2 elements, 1 units)"),
+    (lambda: SubgroupoidRef(Z2, {"0"}), "SubgroupoidRef('Z2', 1 members)"),
+    (lambda: Z2.elements, "Universe('Z2', 2 elements)"),
+    (lambda: identity(Z2.elements), "FinRel('Z2' -> 'Z2', 2 pairs)"),
+    (lambda: left_regular(Z2), "Morphism('Z2' -> 'Pair(Z2)', 4 pairs)"),
+    (lambda: kernel(left_regular(Z2)), "Kernel(1 members)"),
+    (lambda: mono_witness(_collapse()), "CancellationWitness(mono, probe='Z2.ker@0')"),
+    (lambda: left_mult_action(Z2), "Action('Z2' on 'Z2', 4 triples)"),
+    (
+        lambda: GammaSet(Z2.elements, left_mult_action(Z2)),
+        "GammaSet(Action('Z2' on 'Z2', 4 triples))",
+    ),
+    (lambda: coset_space(Z2, {"0"}), "CosetSpace('Z2', 2 classes)"),
+    (
+        lambda: all_bisections(pair_groupoid(Universe("X2", ("x", "y"))))[0],
+        "Bisection({x,x+y,y})",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, text", REPRS, ids=[text.split("(")[0] for _, text in REPRS])
+def test_a_value_reprs_as_its_kind_name_and_size(make, text):
+    assert repr(make()) == text

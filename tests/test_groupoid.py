@@ -683,6 +683,19 @@ def test_subgroupoid_predicates(catalog):
     assert not p2.is_wide(("x,x",))
 
 
+def test_subgroupoid_refs_compare_and_hash_by_parent_and_members(catalog):
+    """Two refs are equal, and hash equal, when their parents are equal
+    groupoids, distinct or not, and their members are the same set."""
+    z2, z4 = catalog["Z2"], catalog["Z4"]
+    ref = SubgroupoidRef(z2, ["0"])
+    same = SubgroupoidRef(group_groupoid(cyclic_table(2)), ("0",))
+    assert ref == same and hash(ref) == hash(same)
+    assert len({ref, same, SubgroupoidRef(z2, z2.elements)}) == 2
+    assert ref != SubgroupoidRef(z4, ["0"])
+    assert ref != SubgroupoidRef(z2, z2.elements)
+    assert ref != frozenset(["0"])
+
+
 def test_is_subgroupoid_agrees_with_the_direct_loop(catalog):
     verdicts = []
     for g in catalog.values():

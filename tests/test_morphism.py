@@ -638,6 +638,17 @@ def test_morphisms_on_groupoids_indexed_apart_compare_and_hash_equal(apart_index
     assert cases[1][1] != identity_morphism(delta) != cases[2][1]
 
 
+def test_the_morphisms_between_two_groupoids_hash_apart(catalog):
+    """A morphism and its relation hash their pairs in sorted(graph)
+    order by rank, so the several morphisms between two groupoids, which
+    may have as many inputs each, hash apart."""
+    for a, b, count in (("V4", "P3", 10), ("PF", "PF", 8), ("BD", "P3", 14)):
+        found = enum_morphisms(catalog[a], catalog[b])
+        assert len(found) == count, (a, b)
+        assert len({hash(h) for h in found}) == count, (a, b)
+        assert len({hash(h.rel) for h in found}) == count, (a, b)
+
+
 def test_a_checked_morphism_that_holds_composes_no_relation(monkeypatch, catalog):
     """The three laws are decided on mask rows: a valid graph through
     Morphism(...) makes no compose or product call; a refused one makes

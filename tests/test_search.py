@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from oracles import (
+    action_violation,
     actions_direct_reference,
     generated_groupoids,
     morphism_violation,
@@ -373,6 +374,31 @@ def test_structured_enumerator_on_generated_groupoids():
 
     check()
     assert seen["pairs"] >= 50 and seen["by naive"] >= 10
+
+
+def test_action_enumerators_agree_on_generated_groupoids():
+    """On generated groupoids, the actions through morphisms into the
+    pair groupoid are the direct enumerator's, on carriers of one and
+    two points and, for groupoids of at most 8 elements, of three; the
+    direct ones keep the classical picture."""
+    carriers = [Universe(f"W{len(p)}", p) for p in (("a",), ("a", "a+"), ("a", "a+", "b"))]
+    seen = Counter()
+
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def check(groupoid):
+        for carrier in carriers[: 2 + (len(groupoid.elements) <= 8)]:
+            direct = enum_actions_direct(groupoid, carrier)
+            via = enum_actions(groupoid, carrier)
+            assert sorted(a.triples for a in via) == sorted(a.triples for a in direct)
+            for a in direct:
+                assert action_violation(a) is None, a
+            seen["actions"] += len(direct)
+        seen["groupoids"] += 1
+
+    check()
+    assert seen["groupoids"] >= 50 and seen["actions"] >= 100, seen
 
 
 def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_indexed):

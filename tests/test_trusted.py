@@ -15,6 +15,11 @@ enum_actions_direct holds the tables it decided, on every carrier
 enum_actions runs on.  So this grid stands in for the checked
 constructor they no longer call, and a static check of the source keeps
 TRUSTED_SITES to exactly the functions that call an unchecked entry.
+The grid also stands in for two checks skipped by proof: the unit
+action of action_groupoid_functor, read without morphism_to_action's
+pair-groupoid check, is recorded at _pair_action; and the marking
+subgroupoid of homogeneous_identification, taken without coset_space's
+wide check, is held to is_wide and to the homogeneous oracle.
 """
 
 import ast
@@ -24,16 +29,18 @@ from contextlib import suppress
 from pathlib import Path
 
 import pytest
-from oracles import action_violation, morphism_violation
+from oracles import action_violation, homogeneous_violation, morphism_violation
 
 import groupoids
 from groupoids.action import (
     Action,
     GammaSet,
+    action_groupoid_functor,
     action_to_pair_morphism,
     classify_transitive_action,
     conjugation_action,
     coset_space,
+    homogeneous_identification,
     induced_action,
     left_mult_action,
     morphism_to_action,
@@ -136,6 +143,11 @@ def run_grid(catalog):
             quotient_by_kernel(h)
             if not is_mono(h):
                 mono_witness(h)
+            # its unit action is read unchecked, by _pair_action; the
+            # bound, for time, leaves out the 5 left_regular into P9 to P24
+            if len(h.target.elements) <= 64:
+                phi, _ = action_groupoid_functor(h)
+                assert action_violation(phi) is None
         product_pairing(full[0], full[2])
         compose_morphisms(full[1], full[0])
         compose_morphisms(full[2], full[0])
@@ -166,8 +178,13 @@ def run_grid(catalog):
         induced_action(g, sub.elements, left_mult_action(sub))
         units = set_groupoid(g.units_universe())
         induced_action(g, g.units, unit_action(units))
-    # a small bound: morphisms of one pair with equal domain sizes hash
-    # equal, so the recorder compares them pairwise
+        if len(g.orbits()) == 1:  # its marking subgroupoid is wide unchecked
+            section = {e: e for e in g.units}
+            for action in (left_mult_action(g), unit_action(g)):
+                ref, psi = homogeneous_identification(action, section)
+                assert ref.is_wide
+                assert homogeneous_violation(action, section, ref, psi) is None
+    # a small bound, for time
     for g1, g2 in itertools.product(groupoids.values(), repeat=2):
         if len(g1.elements) * len(g2.elements) <= 24:
             enum_morphisms(g1, g2)
@@ -289,7 +306,9 @@ def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
             assert getattr(checked, name) == getattr(s, name), (site, name)
         assert verdict is None, (site, s, verdict)
     # 229 of enum_morphisms's come from enum_actions's calls
-    assert len(built) == 3083
+    # 135 come only from action_groupoid_functor's calls: 43 unit
+    # actions, their 43 composites and 49 to_orbit_pair morphisms
+    assert len(built) == 3218
     assert sum(site == "enum_morphisms" for site, _ in built) == 951
     assert sum(site == "enum_morphisms_naive" for site, _ in built) == 539
     assert sum(site == "enum_actions_direct" for site, _ in built) == 229
