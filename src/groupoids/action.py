@@ -421,14 +421,12 @@ def quotient_groupoid(groupoid: Groupoid, part):
     for g in sorted(members):
         if groupoid.e_left(g) != groupoid.e_right(g):
             raise PreconditionFailed(f"{g!r} is outside the isotropy bundle")
-    fibers = {e: [] for e in groupoid.units}  # the isotropy groups, on indices
-    for g, (left, right) in enumerate(zip(groupoid._left, groupoid._right)):
-        if left == right:
-            fibers[groupoid._names[left]].append(g)
-    inside = set(map(groupoid._index.__getitem__, members))
-    for e, fiber in fibers.items():
-        if not _normal(groupoid._rows, fiber, inside.intersection(fiber)):
-            raise PreconditionFailed(f"subgroup is not normal at unit {e!r}")
+    left, inside = groupoid._left, set(map(groupoid._index.__getitem__, members))
+    for e, fiber in groupoid._fibers.items():
+        group = [g for g in fiber if left[g] == e]  # the isotropy group at e
+        if not _normal(groupoid._rows, group, inside.intersection(group)):
+            unit = groupoid._names[e]
+            raise PreconditionFailed(f"subgroup is not normal at unit {unit!r}")
     return _quotient(groupoid, members)
 
 
@@ -506,11 +504,11 @@ def induced_action(groupoid: Groupoid, part, action: Action):
     if set(action.base_map.values()) != base_units:
         raise PreconditionFailed("base map is not onto the subgroupoid units")
 
+    names, at = groupoid._names, groupoid._index
     pre_carrier = sorted(
-        (gamma, x)
-        for gamma in groupoid.elements
+        (names[gamma], x)
         for x in action.carrier
-        if groupoid.e_right(gamma) == action.base_map[x]
+        for gamma in groupoid._fibers[at[action.base_map[x]]]
     )
     # the class of (gamma, x) is {(gamma s(delta), delta x) : delta in H
     # with delta x defined}, and then gamma s(delta) is defined; in sorted

@@ -101,37 +101,35 @@ class Bisection:
 
 
 def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
-    """The member sets of bisections, depth first, at most `limit`."""
-    units = groupoid.units
-    if not units:
+    """The member sets of bisections, depth first, at most `limit`: one
+    member from each right fiber, the units in name order, with no left
+    unit taken twice."""
+    fibers = list(groupoid._fibers.values())
+    if not fibers:
         return [frozenset()]
-    by_left = {e: [] for e in units}  # (member, right unit), by name
-    for g, left, right in sorted(groupoid._named_ends()):
-        by_left[left].append((g, right))
-    last = len(units) - 1
-    found, chosen, taken, used = [], [], [], set()
-    # a plain loop, so no closure holds itself: stack[i] iterates the pairs
-    # left on units[i], and chosen[i], taken[i] are the pair taken there
-    stack = [iter(by_left[units[0]])]
+    names, left = groupoid._names, groupoid._left
+    last = len(fibers) - 1
+    found, chosen, used = [], [], set()
+    # a plain loop, so no closure holds itself: stack[i] iterates the
+    # members left in fibers[i], and chosen[i] is the one taken there
+    stack = [iter(fibers[0])]
     while stack:
         level = len(stack) - 1
-        for g, r in stack[-1]:
-            if r in used:
+        for g in stack[-1]:
+            if left[g] in used:
                 continue
             if level < last:
-                used.add(r)
+                used.add(left[g])
                 chosen.append(g)
-                taken.append(r)
-                stack.append(iter(by_left[units[level + 1]]))
+                stack.append(iter(fibers[level + 1]))
                 break
-            found.append(frozenset([*chosen, g]))
+            found.append(frozenset(map(names.__getitem__, [*chosen, g])))
             if limit is not None and len(found) >= limit:
                 return found
         else:
             stack.pop()
             if chosen:
-                chosen.pop()
-                used.remove(taken.pop())
+                used.remove(left[chosen.pop()])
     return found
 
 

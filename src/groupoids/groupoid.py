@@ -33,6 +33,20 @@ single-valued.  Names appear only at the boundary: the data read in,
 those views, and mult, inv, e_left, e_right and composable, which
 translate.
 
+Arrows are grouped by unit once, in `_fibers`: for each unit index e,
+in name order, the indices of the elements whose right unit is e, in
+name order.  Every query that groups arrows by unit reads it: orbits,
+isotropy, the isotropy bundle, components, restriction and
+decompose_transitive here, and elsewhere the structured enumerator, the
+bisection enumerator, component_projection, induced_action and the
+isotropy groups of quotient_groupoid.  The relation "some arrow runs
+from y to x" is an equivalence: units make it reflexive, inverses
+symmetric and products transitive.  So the orbit of e is the set of
+left units of its right fiber, with no search, and an orbit met first
+at its least unit, in name order, is met in sorted order.  Name order
+makes decompose_transitive's p(y), the least arrow from y to e0, the
+first of y's fiber with left unit e0.
+
 For a single-valued m every law is decided on index rows, without
 building a relation; a multi-valued m, which no row can hold, is
 decided on relations.  Either way the offender comes from the law's
@@ -331,10 +345,15 @@ class Groupoid:
     def e_right(self, g):
         return self._names[self._right[self._index_of(g)]]
 
-    def _named_ends(self):
-        """(g, e_L(g), e_R(g)) by name, for every element g."""
-        at = self._names.__getitem__
-        return zip(self._names, map(at, self._left), map(at, self._right))
+    @cached_property
+    def _fibers(self) -> dict:
+        """fibers[e] lists the indices of the elements whose right unit is
+        e, in name order, for each unit index e, in name order."""
+        index, right = self._index, self._right
+        fibers = {index[e]: [] for e in self.units}
+        for g in map(index.__getitem__, self.elements.elements):
+            fibers[right[g]].append(g)
+        return fibers
 
     def composable(self) -> tuple:
         """All composable pairs, sorted."""
@@ -343,44 +362,40 @@ class Groupoid:
         return tuple(sorted(pairs))
 
     def orbits(self) -> tuple:
-        """Partition of the units into orbits."""
-        neighbours: dict = {e: set() for e in self.units}
-        for _, left, right in self._named_ends():
-            neighbours[left].add(right)
-            neighbours[right].add(left)
-        remaining = set(self.units)
-        blocks = []
-        while remaining:
-            start = min(remaining)
-            block, frontier = {start}, [start]
-            while frontier:
-                e = frontier.pop()
-                for f in neighbours[e]:
-                    if f not in block:
-                        block.add(f)
-                        frontier.append(f)
-            remaining -= block
-            blocks.append(tuple(sorted(block)))
-        return tuple(sorted(blocks))
+        """Partition of the units into orbits: the orbit of e is the set
+        of left units of its right fiber."""
+        names, left = self._names, self._left
+        blocks, placed = [], set()
+        for e, fiber in self._fibers.items():  # by least unit, so sorted
+            if e not in placed:
+                block = {left[g] for g in fiber}
+                placed |= block
+                blocks.append(tuple(sorted(map(names.__getitem__, block))))
+        return tuple(blocks)
+
+    def _arrows(self, units, lefts=None) -> set:
+        """The names of the elements whose right unit is in `units` and,
+        unless lefts is None, whose left unit is in `lefts`: unit indices."""
+        names, left, fibers = self._names, self._left, self._fibers
+        arrows = (g for e in units for g in fibers[e])
+        return {names[g] for g in arrows if lefts is None or left[g] in lefts}
 
     def isotropy(self, e) -> "SubgroupoidRef":
         """The group of elements with both units equal to e."""
         if e not in self._unit_set:
             raise UnknownElement(e, f"units of {self.name!r}")
-        members = {g for g, left, right in self._named_ends() if left == e == right}
-        return SubgroupoidRef(self, members)
+        i = self._index[e]
+        return SubgroupoidRef(self, self._arrows([i], {i}))
 
     def isotropy_bundle(self) -> "SubgroupoidRef":
-        members = {g for g, left, right in self._named_ends() if left == right}
-        return SubgroupoidRef(self, members)
+        groups = (self._arrows([e], {e}) for e in self._fibers)
+        return SubgroupoidRef(self, set().union(*groups))
 
     def transitive_components(self) -> tuple:
-        out = []
-        for block in self.orbits():
-            blockset = set(block)
-            members = {g for g, _, right in self._named_ends() if right in blockset}
-            out.append(SubgroupoidRef(self, members))
-        return tuple(out)
+        at = self._index.__getitem__
+        return tuple(
+            SubgroupoidRef(self, self._arrows(map(at, block))) for block in self.orbits()
+        )
 
     def units_universe(self) -> Universe:
         return Universe(f"{self.elements.name}.units", self.units)
@@ -395,9 +410,8 @@ class Groupoid:
             raise PreconditionFailed(
                 f"restrict: {stray[0]!r} is not a unit of {self.name!r}"
             )
-        members = {
-            g for g, left, right in self._named_ends() if left in fs and right in fs
-        }
+        units = set(map(self._index.__getitem__, fs))
+        members = self._arrows(units, units)
         name = self.name
         if fs != self._unit_set:
             name = f"{self.name}|{'+'.join(sorted(fs))}"
@@ -448,14 +462,13 @@ class Groupoid:
         e0 = min(self.units) if base_unit is None else base_unit
         if e0 not in self._unit_set:
             raise UnknownElement(e0, f"units of {self.name!r}")
+        # p(y), the least arrow from y to e0, is the first of y's right
+        # fiber with left unit e0
+        names, left, at = self._names, self._left, self._index[e0]
         p = {e0: e0}
-        for y in self.units:
-            if y != e0:
-                p[y] = min(
-                    g
-                    for g, left, right in self._named_ends()
-                    if left == e0 and right == y
-                )
+        for y, fiber in self._fibers.items():
+            if y != at:
+                p[names[y]] = names[next(g for g in fiber if left[g] == at)]
         g0 = group_table_of(self, self.isotropy(e0).members, f"{self.name}@{e0}")
         base = self.units_universe()
         phi = {

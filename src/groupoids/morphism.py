@@ -450,8 +450,7 @@ def _subgroupoid(groupoid: Groupoid, part, wide=None) -> SubgroupoidRef:
 def component_projection(groupoid: Groupoid, part) -> Morphism:
     """Transposed inclusion of a union of transitive components."""
     members = _as_member_set(groupoid, part)
-    base = {groupoid.e_right(g) for g in members}
-    full = {g for g in groupoid.elements if groupoid.e_right(g) in base}
+    full = groupoid._arrows({groupoid._right[groupoid._index_of(g)] for g in members})
     if members != full:
         raise PreconditionFailed(
             f"{min(members ^ full)!r} breaks the transitive-component condition"
@@ -633,7 +632,8 @@ def separating_pair(groupoid: Groupoid, part):
     if moved:
         gamma0 = min(moved)
         e0 = groupoid.e_left(gamma0)
-        h_set = sorted(g for g in members if groupoid.e_right(g) == e0)
+        into = map(groupoid._names.__getitem__, groupoid._fibers[groupoid._index[e0]])
+        h_set = [g for g in into if g in members]  # in name order
         sigma = {g: g for g in groupoid.elements}
         for g in h_set:  # swap g and g gamma0
             sigma[g] = groupoid.mult(g, gamma0)

@@ -24,11 +24,14 @@ The structured one builds morphisms as mask rows from base maps and
 single-fiber tables, forced on index rows, and holds them unchecked
 too.  It tries only base maps and tables that keep facts (a) and (b)
 of enum_morphisms, which every morphism keeps, and each table that
-keeps them is a morphism's, as argued there.  What it reads of one
-groupoid alone is kept on that groupoid on first use (_kept), as
-proof_probes keeps the probes: a source's orbit shapes (each orbit's
-units and least unit, its members' fiber positions and the source's
-half of its _FiberSearch) and a target's arrows by right unit.
+keeps them is a morphism's, as argued there.  It works on unit and
+element indices end to end: base maps send target unit indices to
+source unit indices, and fibers and tables hold element indices.  What
+it reads of one groupoid alone is kept on that groupoid.  A source's
+orbit shapes (each orbit's unit indices and least unit, its members'
+fiber positions and the source's half of its _FiberSearch) are kept on
+first use (_kept), as proof_probes keeps the probes; a target's arrows
+by right unit are its `_fibers`, the groupoid's own cached view.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no graph named: the sort key is
 relation._rank_key, the sorted (target rank, source rank) pairs of the
@@ -218,8 +221,8 @@ def _name_sorted(found: list, source: Groupoid, target: Groupoid) -> list:
 
 
 def _surjections(domain, codomain):
-    domain = sorted(domain)
-    codomain = sorted(codomain)
+    """The maps of the list `domain` onto the list `codomain`, in the
+    order of the product of their values, as dicts."""
     full = set(codomain)
     for combo in itertools.product(codomain, repeat=len(domain)):
         if set(combo) == full:
@@ -236,38 +239,39 @@ class _FiberSearch:
     (x^-1 x, f) is the unit slot (e0, f), preset to f, so once (x, f)
     and (x^-1, e_L T(x, f)) are both set the product rule holds the
     second to the inverse of the first.  What depends only on the source
-    is read here once, on element indices: the fiber positions of
-    products g x with x in the isotropy group.  The target's rows, left
-    units and arrows by right unit (`_ending`) are read per call.
+    is read here once, on element indices, and kept with the source's
+    orbit shapes: the fiber (the indices of the arrows into e0, in name
+    order), their left units and the fiber positions of products g x
+    with x in the isotropy group.  The target's rows, left units and
+    `_fibers` are read per call.
     """
 
     def __init__(self, source, e0, fiber):
         self.fiber = fiber
         if len(fiber) == 1:  # e0 alone: its one table is e0 -> f on F0
             return
-        s_index = source.elements.index
-        fpos = {s_index[g]: i for i, g in enumerate(fiber)}
+        fpos = {g: i for i, g in enumerate(fiber)}
         self.at_e0 = fiber.index(e0)
-        self.lefts = [source.e_left(g) for g in fiber]
+        self.lefts = list(map(source._left.__getitem__, fiber))
         self.iso = [i for i, eL in enumerate(self.lefts) if eL == e0]
         # times[g][x] is the fiber position of g x, x in the isotropy group
         s_rows = source._rows
-        self.times = [
-            {x: fpos[s_rows[s_index[g]][s_index[fiber[x]]]] for x in self.iso}
-            for g in fiber
-        ]
+        self.times = [{x: fpos[s_rows[g][fiber[x]]] for x in self.iso} for g in fiber]
 
     def tables(self, target, rho, F0):
         """The tables into target for base map rho, on the slots (g, f)
         for f in F0.
 
-        A table is a list of target element indices.  Slot (g, f) is
-        numbered g * len(F0) + f by the positions of g in the fiber and f
-        in `F0`, so slot order is sorted key order.  A newly set slot is
-        pushed on a worklist and, when popped, fires every forcing rule
-        it is a premise of whose other premise is set; the forced closure
-        is the same in any firing order, and so is a conflict.  The walk
-        undoes its trial values off a trail instead of copying the table.
+        rho maps target unit indices to source unit indices, and F0 lists
+        the target unit indices over e0, in name order.  A table is a
+        list of target element indices, read off the target's `_fibers`.
+        Slot (g, f) is numbered g * len(F0) + f by the positions of g in
+        the fiber and f in `F0`, so slot order is sorted key order.  A
+        newly set slot is pushed on a worklist and, when popped, fires
+        every forcing rule it is a premise of whose other premise is
+        set; the forced closure is the same in any firing order, and so
+        is a conflict.  The walk undoes its trial values off a trail
+        instead of copying the table.
 
         A slot takes no value whose left unit its row already holds,
         tried or forced: fact (b) of enum_morphisms.  That is the one
@@ -277,17 +281,14 @@ class _FiberSearch:
         before anything is forced.  Those unit values force only
         themselves, so the first force cannot fail.
         """
-        t_index = target.elements.index
         if len(self.fiber) == 1:
-            return [[t_index[f] for f in F0]]
-        ending = _kept(target, "_ending", _ending)
-        t_rows, t_left = target._rows, target._left
+            return [F0]
+        fibers, t_rows, t_left = target._fibers, target._rows, target._left
         lefts, e0, iso, times = self.lefts, self.fiber[self.at_e0], self.iso, self.times
         nf = len(F0)
         # the F0 position of each unit in F0; every value of an isotropy
         # slot has its left unit there
-        f_at = {t_index[f]: i for i, f in enumerate(F0)}
-        units = [t_index[f] for f in F0]
+        f_at = {f: i for i, f in enumerate(F0)}
         # the values of (g, f): f itself for g = e0, else the d from f to
         # a unit over e_L(g) in name order, found once per (e_L(g), f)
         by_ends = {}
@@ -295,12 +296,12 @@ class _FiberSearch:
         for g, eL in enumerate(self.lefts):
             for f in F0:
                 if g == self.at_e0:
-                    opts = (t_index[f],)
+                    opts = (f,)
                 else:
                     opts = by_ends.get((eL, f))
                     if opts is None:
                         opts = by_ends[(eL, f)] = tuple(
-                            d for d, e in ending[f] if rho[e] == eL
+                            d for d in fibers[f] if rho[t_left[d]] == eL
                         )
                 cands.append(opts)
         if not all(cands):  # a slot no value can fill, forced or tried
@@ -336,7 +337,7 @@ class _FiberSearch:
                         if dg >= 0 and not put(row[g] * nf + f, t_rows[dg][d]):
                             return False
                 # (g, f) as (g, f1): (g x, f2) from every set (x, f2) over f
-                row, unit = times[g], units[f]
+                row, unit = times[g], F0[f]
                 for x in iso:
                     for f2 in range(nf):
                         dx = asg[x * nf + f2]
@@ -359,7 +360,7 @@ class _FiberSearch:
                 idx += 1
             return idx
 
-        for f, unit in enumerate(units):
+        for f, unit in enumerate(F0):
             put(self.at_e0 * nf + f, unit)
         force()
         # the walk, depth first: each level is [its slot, the next value
@@ -415,14 +416,15 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     over its orbit, whose morphism the rows are.
     """
     shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
-    tgt_units = target.units  # sorted
+    s_units, tgt_units = list(source._fibers), list(target._fibers)  # name order
     t_rows, t_inv = target._rows, target._inv
     found = []
     # mask 0 chooses no orbit: the empty graph, which is a morphism
     # exactly when the target has no units
     for mask in range(2 ** len(shapes)):
         chosen = [shape for i, shape in enumerate(shapes) if mask >> i & 1]
-        pool = sorted(itertools.chain.from_iterable(c[0] for c in chosen))
+        inside = set(itertools.chain.from_iterable(c[0] for c in chosen))
+        pool = [e for e in s_units if e in inside]
         for rho in _surjections(tgt_units, pool):
             over = {e: [] for e in pool}  # each fiber of rho, sorted
             for f in tgt_units:
@@ -461,31 +463,22 @@ def _kept(groupoid: Groupoid, name: str, build):
 
 
 def _orbit_shapes(source: Groupoid) -> tuple:
-    """Per orbit of the source, in orbits() order: its units, its least
-    unit e0, each member's index with the fiber positions of g1 and g2,
-    and the source's half of the fiber search over e0."""
+    """Per orbit of the source, in orbits() order: its unit indices, its
+    least unit e0, each member's index with the fiber positions of g1
+    and g2, and the source's half of the fiber search over e0."""
+    fibers, left, rows = source._fibers, source._left, source._rows
     shapes = []
     for block in source.orbits():
+        block = list(map(source._index.__getitem__, block))
         e0 = block[0]
-        fiber = sorted(g for g, _, e in source._named_ends() if e == e0)
+        fiber = fibers[e0]
         pos = {g: p for p, g in enumerate(fiber)}
-        path = {source.e_left(g): g for g in reversed(fiber)}  # least per unit
+        path = {left[g]: g for g in reversed(fiber)}  # least per unit
         members = [
-            (source._index[g], pos[source.mult(g, path[e])], pos[path[e]])
-            for g, _, e in source._named_ends()
-            if e in path
+            (g, pos[rows[g][path[e]]], pos[path[e]]) for e in block for g in fibers[e]
         ]
         shapes.append((block, e0, members, _FiberSearch(source, e0, fiber)))
     return tuple(shapes)
-
-
-def _ending(target: Groupoid) -> dict:
-    """(index, left unit) of the target's arrows from each unit, in name
-    order."""
-    ending = {f: [] for f in target.units}
-    for d, left, right in sorted(target._named_ends()):
-        ending[right].append((target._index[d], left))
-    return ending
 
 
 def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:

@@ -8,6 +8,9 @@ records only frames of src/groupoids, and prints, per module, each
 statement no test ran (its first line and source), then each module's
 count of code lines: lines outside docstrings, comments and blank lines,
 and the total of all lines, as `wc -l src/groupoids/*.py` counts them.
+Statements are those of each module's source as read before the suite
+starts; a module whose file changed during the run is reported as stale,
+with no statements, since its traced lines need not match either text.
 The tracer is re-armed before each test, because Hypothesis replaces an
 installed tracer with its own and drops it.  Extra arguments go to
 pytest; with none, the whole suite under tests/ runs.  The file is not a
@@ -68,11 +71,10 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-def _statements(path: Path) -> list:
-    """(first line, lines owned) of each statement with executable code,
-    where a statement owns the lines of its span that no statement
-    nested in it spans."""
-    source = path.read_text()
+def _statements(path: Path, source: str) -> list:
+    """(first line, lines owned) of each statement with executable code
+    in `source`, the text of path, where a statement owns the lines of
+    its span that no statement nested in it spans."""
     executable = {
         line
         for code in _code_objects(compile(source, str(path), "exec"))
@@ -114,6 +116,9 @@ def run(args: list) -> int:
 
     hits: dict = {}
     tracer = _tracer(hits)
+    # the traced line numbers are those of the sources the suite imports,
+    # read here, before it starts
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
     class Rearm:
         @pytest.hookimpl(tryfirst=True)
@@ -134,11 +139,14 @@ def run(args: list) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, source in sources.items():
+        if path.read_text() != source:
+            print(f"{path.name}: stale, changed during the run; not reported")
+            continue
         seen = hits.get(str(path), set())
-        source = path.read_text().splitlines()
-        unrun = [(first, source[first - 1].strip())
-                 for first, lines in _statements(path) if not lines & seen]
+        text = source.splitlines()
+        unrun = [(first, text[first - 1].strip())
+                 for first, lines in _statements(path, source) if not lines & seen]
         print(f"{path.name}: {len(unrun)} statements not run")
         for first, text in unrun:
             print(f"  {first}: {text}")

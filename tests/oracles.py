@@ -14,6 +14,10 @@ references for the search: `actions_direct_reference`, the exhaustive
 direct action enumerator, kept for the order its pruned successor must
 give, and `naive_candidates`, the candidates of the naive morphism
 enumerator in its order, for a filter that checks every one.
+The `*_reference` functions are name-level references for the
+structure queries (orbits, isotropy, components, restriction, the
+decomposition's section and the number of bisections), read off e_L
+and e_R alone, never off an index view that groups arrows by unit.
 `relational_verdict` and `morphism_relational_verdict` decide the
 relational axioms of a groupoid and of a morphism on relations built in
 full, as references for the checked constructors' verdicts.
@@ -24,6 +28,7 @@ index order give every small groupoid and every presentation of it.
 """
 
 import itertools
+import math
 
 from hypothesis import strategies as st
 
@@ -514,6 +519,69 @@ def ad_violation(groupoid, members, h):
     if _kernel_of(h) != set(groupoid.units):
         return "ad-mono"
     return None
+
+
+def _ends(groupoid) -> list:
+    """(g, e_L(g), e_R(g)) for every element g, by name."""
+    return [(g, groupoid.e_left(g), groupoid.e_right(g)) for g in groupoid.elements]
+
+
+def orbits_reference(groupoid) -> tuple:
+    """The classes of the equivalence closure of the pairs (e_L(g),
+    e_R(g)) on the units, each sorted, in sorted order."""
+    block = {e: frozenset([e]) for e in groupoid.units}
+    for _, left, right in _ends(groupoid):
+        if block[left] is not block[right]:
+            merged = block[left] | block[right]
+            block.update(dict.fromkeys(merged, merged))
+    return tuple(sorted({tuple(sorted(b)) for b in block.values()}))
+
+
+def isotropy_reference(groupoid, e) -> frozenset:
+    return frozenset(g for g, left, right in _ends(groupoid) if left == e == right)
+
+
+def isotropy_bundle_reference(groupoid) -> frozenset:
+    return frozenset(g for g, left, right in _ends(groupoid) if left == right)
+
+
+def components_reference(groupoid) -> list:
+    """The members of each transitive component, in orbit order."""
+    return [
+        frozenset(g for g, _, right in _ends(groupoid) if right in block)
+        for block in orbits_reference(groupoid)
+    ]
+
+
+def restrict_reference(groupoid, units) -> frozenset:
+    """The elements with both units in `units`."""
+    units = set(units)
+    return frozenset(
+        g for g, left, right in _ends(groupoid) if left in units and right in units
+    )
+
+
+def section_reference(groupoid, e0) -> dict:
+    """p(y), the least arrow from y to e0 by name, for each unit y of
+    e0's orbit; p(e0) = e0."""
+    (block,) = [b for b in orbits_reference(groupoid) if e0 in b]
+    return {
+        y: e0 if y == e0 else min(
+            g for g, left, right in _ends(groupoid) if left == e0 and right == y
+        )
+        for y in block
+    }
+
+
+def bisection_count_reference(groupoid) -> int:
+    """|Bis| = prod |G_i|^|X_i| |X_i|! over the components X_i x G_i x
+    X_i: a bisection picks, over each orbit, a bijection of its units
+    and one arrow of each hom-set it uses."""
+    count = 1
+    for block in orbits_reference(groupoid):
+        group = len(isotropy_reference(groupoid, block[0]))
+        count *= group ** len(block) * math.factorial(len(block))
+    return count
 
 
 def actions_direct_reference(groupoid, carrier):

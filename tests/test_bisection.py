@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 from hypothesis import given, seed, settings
-from oracles import generated_groupoids
+from oracles import bisection_count_reference, generated_groupoids
 
 from groupoids import bisection
 from groupoids.bisection import (
@@ -90,6 +90,34 @@ def test_every_bisection_of_a_generated_groupoid_passes_both_tests():
 
     check()
     assert seen["groupoids"] >= 50 and seen["bisections"] >= 500, seen
+
+
+def test_bisections_number_the_product_over_components(catalog):
+    """|Bis| = prod |G_i|^|X_i| |X_i|! over the components X_i x G_i x
+    X_i, counted from the reference orbits: all_bisections finds that
+    many distinct member sets, and bisection_group has that order, on
+    the catalog and on generated groupoids."""
+    seen = {"groupoids": 0, "bisections": 0}
+
+    def holds(groupoid):
+        count = bisection_count_reference(groupoid)
+        found = all_bisections(groupoid)
+        distinct = {b.members for b in found}
+        assert len(found) == len(distinct) == len(bisection_group(groupoid)) == count
+        seen["groupoids"] += 1
+        seen["bisections"] += count
+
+    for groupoid in catalog.values():
+        holds(groupoid)
+
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def check(groupoid):
+        holds(groupoid)
+
+    check()
+    assert seen["groupoids"] >= 61 and seen["bisections"] >= 500, seen
 
 
 def test_all_bisections_agrees_with_subset_sweep():

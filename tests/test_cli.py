@@ -598,6 +598,36 @@ def test_algorithm_recursion_is_not_a_nesting_error(tmp_path, monkeypatch):
         sys.setrecursionlimit(limit)
 
 
+def test_a_value_formatted_near_the_stack_limit_is_a_nesting_error(tmp_path):
+    """JSON that parses just under the stack limit can overflow it later,
+    while a nested value is formatted into an error deeper in the stack
+    than the parse.  Here a morphism's inline source holds a unit nested
+    n deep, read under a recursion limit set from the current depth:
+    every n is refused with one DocumentError, and some n parses and
+    then overflows in _read, whose refusal is the parse's."""
+    z2 = group_groupoid(cyclic_table(2))
+    source = cli.payload_of_groupoid(z2)
+    doc = cli.payload_of_morphism(identity_morphism(z2), "id")
+    text = cli.serialize(dict(doc, source=dict(source, units=["@"])))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    overflowed = set()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        for n in range(1, 150):
+            path = write(tmp_path, "deep.json", text.replace('"@"', "[" * n + "]" * n))
+            with pytest.raises(cli.DocumentError) as err:
+                cli._load(path, "morphism")
+            if str(err.value) == cli.TOO_DEEP:
+                # where the RecursionError was caught: load_payload or _read
+                overflowed.add(err.value.__context__.__traceback__.tb_frame.f_code.co_name)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert overflowed == {"load_payload", "_read"}
+
+
 def _fuzz_documents():
     """Valid groupoid, morphism and action documents, all inline."""
     z2 = group_groupoid(cyclic_table(2))

@@ -3,13 +3,23 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 from oracles import (
+    components_reference,
+    decomposition_violation,
     edit_rows,
+    generated_groupoids,
     groupoid_violation,
+    isotropy_bundle_reference,
+    isotropy_reference,
+    orbits_reference,
     relational_verdict,
+    renamed,
+    restrict_reference,
+    section_reference,
     subgroupoid_loop,
 )
 
@@ -44,6 +54,7 @@ from groupoids.relation import (
     flip,
     identity,
     product,
+    product_universe,
     triples_rel,
 )
 from groupoids.search import find_groupoid_isomorphism
@@ -781,6 +792,67 @@ def test_decompose_transitive_shapes(catalog):
 def test_decompose_requires_transitive(catalog):
     with pytest.raises(PreconditionFailed):
         catalog["BD"].decompose_transitive()
+
+
+def test_structure_queries_agree_with_the_name_level_references():
+    """On generated groupoids, about half of them indexed out of name
+    order, orbits, isotropy groups, the isotropy bundle, components and
+    restrictions are the references' filters over e_L and e_R; and the
+    decomposition of each component, at its least and its greatest
+    unit, is lawful and uses the least arrow from y to e0 by name as
+    p(y)."""
+    seen = Counter()
+
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids(), data=st.data())
+    def check(groupoid, data):
+        orbits = groupoid.orbits()
+        assert orbits == orbits_reference(groupoid)
+        for e in groupoid.units:
+            assert groupoid.isotropy(e).members == isotropy_reference(groupoid, e)
+        assert groupoid.isotropy_bundle().members == isotropy_bundle_reference(groupoid)
+        components = [c.members for c in groupoid.transitive_components()]
+        assert components == components_reference(groupoid)
+        units = data.draw(st.sets(st.sampled_from(groupoid.units)))
+        for subset in (units, *orbits):
+            restricted = groupoid.restrict(subset)
+            assert set(restricted.elements) == restrict_reference(groupoid, subset)
+            assert restricted.units == tuple(sorted(subset))
+        for block in orbits:
+            # a restriction is on a plain universe; a transitive groupoid
+            # keeps its own, which may be indexed out of name order
+            component = groupoid if len(orbits) == 1 else groupoid.restrict(block)
+            for e0 in {block[0], block[-1]}:
+                base, table, phi = component.decompose_transitive(e0)
+                assert decomposition_violation(component, base, table, phi) is None
+                for y, p in section_reference(groupoid, e0).items():
+                    assert phi[f"{e0}|{e0}|{y}"] == p
+            seen["decompositions"] += 1
+        apart = list(groupoid.elements.names) != list(groupoid.elements)
+        seen["groupoids"] += 1
+        seen["apart"] += apart
+        seen["transitive apart"] += apart and len(orbits) == 1
+
+    check()
+    assert seen["groupoids"] >= 50 and seen["apart"] >= 15, seen
+    assert seen["decompositions"] >= 100, seen
+
+
+def test_the_decomposition_section_is_least_by_name_on_a_universe_indexed_apart():
+    """X x Z2 x X on two points, on a product universe where the two
+    arrows from y to x are "b,0" and "b+,0": "b,0" has the lower index,
+    but "b+,0" sorts first, so p(y) is "b+,0"."""
+    pf = product_form(Universe("B", ("x", "y")), cyclic_table(2))
+    labels = {
+        "x|0|x": "a", "x|1|x": "a+", "x|0|y": "b", "x|1|y": "b+",
+        "y|0|x": "c", "y|1|x": "c+", "y|0|y": "d", "y|1|y": "d+",
+    }
+    universe = product_universe(Universe("L", labels.values()), Universe("R", ("0",)))
+    apart = renamed(pf, {g: f"{x},0" for g, x in labels.items()}, universe, "PF")
+    base, table, phi = apart.decompose_transitive("a,0")
+    assert decomposition_violation(apart, base, table, phi) is None
+    assert phi["a,0|a,0|d,0"] == section_reference(apart, "a,0")["d,0"] == "b+,0"
 
 
 def test_subgroupoid_ref_as_groupoid(catalog):

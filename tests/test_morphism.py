@@ -191,6 +191,19 @@ def test_mono_witness_rejects_monos():
         mono_witness(identity_morphism(Z2))
 
 
+def test_built_witnesses_raise_when_they_fail_to_verify(monkeypatch):
+    """mono_witness and find_non_epi_witness verify the witness they
+    build, so one that failed would be refused as a derived law."""
+    monkeypatch.setattr(morphism_module.CancellationWitness, "verify", lambda *_: False)
+    for build, h, law in (
+        (mono_witness, to_orbit_pair(Z4), "derived:mono-witness"),
+        (find_non_epi_witness, wide_inclusion(Z2, Z2.units), "derived:epi-witness"),
+    ):
+        with pytest.raises(AxiomViolation) as err:
+            build(h)
+        assert err.value.law == law
+
+
 def test_surjectivity_examples():
     assert is_surjective(component_projection(Z4, Z4.elements))
     assert not is_surjective(wide_inclusion(Z2, Z2.units))

@@ -412,14 +412,14 @@ def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_in
         pair_groupoid(Universe("X2", ("1", "2"))),
     ]
     built = Counter()
-    for owner, name in (
-        (groupoid.Groupoid, "orbits"),
-        (search, "_FiberSearch"),
-        (search, "_ending"),
+    for owner, name, label in (
+        (groupoid.Groupoid, "orbits", "orbits"),
+        (search, "_FiberSearch", "_FiberSearch"),
+        (groupoid.Groupoid._fibers, "func", "_fibers"),
     ):
 
-        def counted(*args, made=getattr(owner, name), name=name):
-            built[name] += 1
+        def counted(*args, made=getattr(owner, name), label=label):
+            built[label] += 1
             return made(*args)
 
         monkeypatch.setattr(owner, name, counted)
@@ -427,7 +427,7 @@ def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_in
     def every_pair(groupoids):
         return [enum_morphisms(s, t) for s, t in itertools.product(groupoids, repeat=2)]
 
-    first, once = every_pair(fresh), {"orbits": 3, "_FiberSearch": 4, "_ending": 3}
+    first, once = every_pair(fresh), {"orbits": 3, "_FiberSearch": 4, "_fibers": 3}
     assert built == once
     assert every_pair(fresh) == first and built == once
     # (delta, delta), (delta, copy), (copy, delta) and (copy, copy)
@@ -451,19 +451,25 @@ def test_fiber_tables_give_each_unit_of_a_row_one_arrow():
         (s3, P2, dict.fromkeys(P2.units, s3.units[0])),
     ):
         ((_, e0, _, fiber_search),) = search._orbit_shapes(source)
-        F0 = sorted(f for f in target.units if rho[f] == e0)
-        tables = fiber_search.tables(target, rho, F0)
-        names, nf = target.elements.names, len(F0)
+        # rho and F0 on unit indices, F0 in name order
+        s_at, t_at, names = source._index, target._index, target._names
+        at_rho = {t_at[f]: s_at[e] for f, e in rho.items()}
+        F0 = [t_at[f] for f in target.units if at_rho[t_at[f]] == e0]
+        tables = fiber_search.tables(target, at_rho, F0)
+        nf = len(F0)
         rows = {
             tuple(tuple(names[d] for d in table[g : g + nf]) for g in range(0, len(table), nf))
             for table in tables
         }
         for row in itertools.chain.from_iterable(rows):
             assert len({target.e_left(d) for d in row}) == nf
-        fiber = fiber_search.fiber
+        fiber = [source._names[g] for g in fiber_search.fiber]
         restrictions = {
             tuple(
-                tuple(next(d for d in h.outputs(g) if target.e_right(d) == f) for f in F0)
+                tuple(
+                    next(d for d in h.outputs(g) if target.e_right(d) == names[f])
+                    for f in F0
+                )
                 for g in fiber
             )
             for h in enum_morphisms(source, target)
