@@ -38,12 +38,13 @@ in name order, the indices of the elements whose right unit is e, in
 name order.  Every query that groups arrows by unit reads it: orbits,
 isotropy, the isotropy bundle, components, restriction and
 decompose_transitive here, and elsewhere the structured enumerator, the
-bisection enumerator, component_projection, induced_action and the
-isotropy groups of quotient_groupoid.  The relation "some arrow runs
-from y to x" is an equivalence: units make it reflexive, inverses
-symmetric and products transitive.  So the orbit of e is the set of
-left units of its right fiber, with no search, and an orbit met first
-at its least unit, in name order, is met in sorted order.  Name order
+action generator, the bisection enumerator, component_projection,
+induced_action and the isotropy groups of quotient_groupoid.  The
+relation "some arrow runs from y to x" is an equivalence: units make it
+reflexive, inverses symmetric and products transitive.  So the orbit of
+e is the set of left units of its right fiber, with no search, and an
+orbit met first at its least unit, in name order, is met in sorted
+order.  Name order
 makes decompose_transitive's p(y), the least arrow from y to e0, the
 first of y's fiber with left unit e0.
 
@@ -110,7 +111,8 @@ functor_to_morphism and functor_to_zm, the output of
 right_commuting_to_morphism, and user calls.  What the package builds
 from structures it holds is valid by the paper's theorems, and so is
 what the enumerators decide: the naive enumerator's survivors, the
-structured enumerator's morphisms and the direct enumerator's actions.
+structured enumerator's morphisms, the generated actions and the direct
+enumerator's actions.
 All of it comes from the unchecked entries on rows, Groupoid._of_rows,
 Morphism._of_rows and Action._of_rows, which skip the axioms (the
 first and last still refuse ambiguous pair names).
@@ -494,6 +496,14 @@ class Groupoid:
             f"Groupoid({self.name!r}, {len(self.elements)} elements, "
             f"{len(self.units)} units)"
         )
+
+
+def _kept(groupoid: Groupoid, name: str, build):
+    """The groupoid's attribute `name`, built by build(groupoid) on first
+    use and kept on the groupoid, as its lazy index views are."""
+    if name not in vars(groupoid):
+        setattr(groupoid, name, build(groupoid))
+    return vars(groupoid)[name]
 
 
 def _index_pass(acting: Universe, on: Universe, triples: set):

@@ -98,7 +98,7 @@ from .errors import (
     PreconditionFailed,
     UniverseMismatch,
 )
-from .groupoid import Groupoid, SubgroupoidRef, cartesian_product, disjoint_union
+from .groupoid import Groupoid, SubgroupoidRef, _kept, cartesian_product, disjoint_union
 from .builders import (
     _group_moves,
     group_groupoid,
@@ -422,9 +422,11 @@ def mono_witness(h: Morphism) -> CancellationWitness:
 
 
 def left_regular(groupoid: Groupoid) -> Morphism:
-    """Left translations, as a morphism into the pair groupoid on Γ."""
+    """Left translations, as a morphism into the pair groupoid on Γ,
+    which is built on first use and kept on Γ."""
     rows = _pair_rows(groupoid._rows, len(groupoid._rows))  # a goes to each (ab, b)
-    return Morphism._of_rows(groupoid, pair_groupoid(groupoid.elements), rows)
+    pairs = _kept(groupoid, "_regular_pairs", lambda g: pair_groupoid(g.elements))
+    return Morphism._of_rows(groupoid, pairs, rows)
 
 
 def _as_member_set(groupoid: Groupoid, part) -> frozenset:

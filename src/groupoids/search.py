@@ -30,8 +30,9 @@ source unit indices, and fibers and tables hold element indices.  What
 it reads of one groupoid alone is kept on that groupoid.  A source's
 orbit shapes (each orbit's unit indices and least unit, its members'
 fiber positions and the source's half of its _FiberSearch) are kept on
-first use (_kept), as proof_probes keeps the probes; a target's arrows
-by right unit are its `_fibers`, the groupoid's own cached view.
+first use (groupoid.py's _kept), as are its isotropy views, the probes
+and a cancellation hunt's arrows; a target's arrows by right unit are
+its `_fibers`, the groupoid's own cached view.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no graph named: the sort key is
 relation._rank_key, the sorted (target rank, source rank) pairs of the
@@ -40,12 +41,21 @@ rows, where an index's rank is its name's place in sorted order
 names once to rank them).  Ranks order as the names do; indices need not, on
 a product universe whose index order is not its name order.
 
-The two action enumerators are independent in the same way: one goes
-through morphisms into the pair groupoid, read back as actions by
-action._pair_action, since each is into pair_groupoid(carrier) as
-morphism_to_action requires; the other is classical and reads only the
-groupoid's table.  The classical one searches each base map's
-evaluation table depth first with forward checking (Haralick and
+The two action enumerators are independent in the same way: one
+generates actions from coset spaces, the other is classical and reads
+only the groupoid's table.  The generator (enum_actions) builds each
+action from what fixes it: a moment map that keeps fact (a), and per
+component an action of the isotropy group G at the orbit's least unit
+on the fiber over it, a union of coset spaces G/K, with one bijection
+of fibers along each path from that unit.  Every such choice moves the
+points as an action, and every action gives back its own choice, so
+each action is built exactly once, unchecked (Action._of_rows).  The
+actions are the morphisms into pair_groupoid(carrier), and come in
+their order, with neither built; tests hold the generator to that
+route (action._pair_action of enum_morphisms) and to a count by the
+exponential formula for G-sets (Stanley, Enumerative Combinatorics 2,
+section 5.1).  The classical one searches each base map's evaluation
+table depth first with forward checking (Haralick and
 Elliott, Artificial Intelligence 14, 1980).  A compatibility
 constraint phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last
 slot is set, and the unit slot (rho(x), x) has the one value x.  So
@@ -62,20 +72,19 @@ import math
 from functools import reduce
 from operator import or_
 
-from .action import Action, _pair_action
+from .action import Action
 from .builders import (
     group_groupoid,
     group_table_of,
-    pair_groupoid,
     set_groupoid,
     subgroup_table,
     subgroups_of,
 )
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
-from .groupoid import Groupoid
+from .groupoid import Groupoid, _kept
 from .morphism import CancellationWitness, Morphism, compose_morphisms
 from .morphism import _hm_refutation, _mask_product
-from .relation import Universe, _bits, _rank_key
+from .relation import Universe, _bits, _rank_key, product_universe
 
 
 class EnumBudget:
@@ -218,15 +227,6 @@ def _name_sorted(found: list, source: Groupoid, target: Groupoid) -> list:
         u, v = source.elements, target.elements
         found.sort(key=lambda h: _rank_key(h._rows, u, v))
     return found
-
-
-def _surjections(domain, codomain):
-    """The maps of the list `domain` onto the list `codomain`, in the
-    order of the product of their values, as dicts."""
-    full = set(codomain)
-    for combo in itertools.product(codomain, repeat=len(domain)):
-        if set(combo) == full:
-            yield dict(zip(domain, combo))
 
 
 class _FiberSearch:
@@ -388,9 +388,10 @@ class _FiberSearch:
 def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     """Every morphism from source to target, assembled structurally.
 
-    Candidates are built from a choice of source orbits, a base map
-    onto their units, and one output table per component on the right
-    fiber over the least unit.  A member g, with g2 the path to e_R(g)
+    Candidates are built from a base map of the target units to the
+    source units that keeps (a) below (_moment_maps), and one output
+    table per component with target units over it, on the right fiber
+    over its least unit.  A member g, with g2 the path to e_R(g)
     and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the table's
     units, and the rows are held unchecked (Morphism._of_rows).
 
@@ -416,50 +417,41 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     over its orbit, whose morphism the rows are.
     """
     shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
-    s_units, tgt_units = list(source._fibers), list(target._fibers)  # name order
     t_rows, t_inv = target._rows, target._inv
     found = []
-    # mask 0 chooses no orbit: the empty graph, which is a morphism
-    # exactly when the target has no units
-    for mask in range(2 ** len(shapes)):
-        chosen = [shape for i, shape in enumerate(shapes) if mask >> i & 1]
-        inside = set(itertools.chain.from_iterable(c[0] for c in chosen))
-        pool = [e for e in s_units if e in inside]
-        for rho in _surjections(tgt_units, pool):
-            over = {e: [] for e in pool}  # each fiber of rho, sorted
-            for f in tgt_units:
-                over[rho[f]].append(f)
-            if any(len(over[e]) != len(over[e0]) for b, e0, *_ in chosen for e in b):
-                continue  # (a)
-            comp = []
-            for _, e0, members, search in chosen:
+    for rho, over in _moment_maps(shapes, list(source._fibers), list(target._fibers)):
+        comp = []  # per orbit with target units over it, its tables
+        for _, e0, members, search in shapes:
+            if over[e0]:
                 opts = search.tables(target, rho, over[e0])
                 if not opts:
                     break
                 comp.append((members, len(over[e0]), opts))
-            else:
-                for combo in itertools.product(*[c[2] for c in comp]):
-                    rows = {}
-                    for (members, nf, _), table in zip(comp, combo):
-                        for x, p1, p2 in members:
-                            mx = 0
-                            for f in range(nf):
-                                d1, d2 = table[p1 * nf + f], table[p2 * nf + f]
-                                mx |= 1 << t_rows[d1][t_inv[d2]]
-                            rows[x] = mx
-                    found.append(Morphism._of_rows(source, target, rows))
+        else:
+            for combo in itertools.product(*[c[2] for c in comp]):
+                rows = {}
+                for (members, nf, _), table in zip(comp, combo):
+                    for x, p1, p2 in members:
+                        mx = 0
+                        for f in range(nf):
+                            d1, d2 = table[p1 * nf + f], table[p2 * nf + f]
+                            mx |= 1 << t_rows[d1][t_inv[d2]]
+                        rows[x] = mx
+                found.append(Morphism._of_rows(source, target, rows))
     return _name_sorted(found, source, target)
 
 
-def _kept(groupoid: Groupoid, name: str, build):
-    """The groupoid's attribute `name`, built by build(groupoid) on first
-    use and kept on the groupoid, as its lazy index views are."""
-    try:
-        return getattr(groupoid, name)
-    except AttributeError:
-        value = build(groupoid)
-        setattr(groupoid, name, value)
-        return value
+def _moment_maps(shapes, units, points):
+    """The maps rho of the list `points` to the unit indices `units` that
+    keep fact (a) of enum_morphisms on the orbit shapes, each with the
+    lists of the points over each unit, in order; by the product of the
+    points' values."""
+    for combo in itertools.product(units, repeat=len(points)):
+        over = {e: [] for e in units}
+        for p, e in zip(points, combo):
+            over[e].append(p)
+        if all(len(over[e]) == len(over[b[0]]) for b, *_ in shapes for e in b):
+            yield dict(zip(points, combo)), over
 
 
 def _orbit_shapes(source: Groupoid) -> tuple:
@@ -482,12 +474,125 @@ def _orbit_shapes(source: Groupoid) -> tuple:
 
 
 def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
-    """Every action of the groupoid on the carrier, through the
-    correspondence with morphisms into the pair groupoid."""
-    # each h is into pair_groupoid(carrier), the precondition of
-    # morphism_to_action, which is not proved again
-    pairs = pair_groupoid(carrier)
-    return [_pair_action(h, carrier) for h in enum_morphisms(groupoid, pairs)]
+    """Every action of the groupoid on the carrier, generated per
+    component from coset spaces, in the order of their morphisms into
+    pair_groupoid(carrier).
+
+    An action is a moment map rho from the points to the units and, on
+    each component, an action on the points over its orbit; rho keeps
+    fact (a) of enum_morphisms, since a path moves the fiber over its
+    right unit one to one onto the fiber over its left unit, and a map
+    that breaks it is skipped before any group is read.  Let G be the
+    isotropy group at the orbit's least unit e0, F0 the k points over
+    e0, and c_b the least arrow from e0 to b, with c_e0 = e0.  An action
+    on the component is a pair: an action sigma of G on F0, and for each
+    unit b but e0 a bijection beta_b of F0 onto the fiber over b, the
+    move of c_b (beta_e0 is the identity).  The arrow g from b2 to b1 is
+    c_b1 x s(c_b2), x = s(c_b1) g c_b2 in G, and moves the points over
+    b2 by beta_b1 sigma(x) beta_b2^-1.  For every pair this is an action:
+    the units of G fix F0, and in a product g' g the betas between cancel
+    and the x multiply, as sigma does.  Every action is generated by
+    exactly one pair, the moves of G on F0 and of the paths c_b, which
+    it gives back.  sigma is built in turn from its orbits
+    (_point_actions): the orbit of the least point o not yet placed is
+    a coset space G/K, K the stabilizer of o, sent onto o and |G/K| - 1
+    further points in order, with G moving them as it moves the left
+    cosets.  That is an action on those points, and an orbit gives back
+    its K and its bijection, so each sigma is generated once.  Each
+    action is held unchecked as move rows (Action._of_rows), and the
+    list is sorted by relation._rank_key of the rows read as pair
+    morphisms, the order enum_morphisms gives them in.
+    """
+    shapes = _kept(groupoid, "_orbit_shapes", _orbit_shapes)
+    n, found, sigmas = len(carrier), [], {}  # sigmas: per (orbit, k), this call only
+    for _, over in _moment_maps(shapes, list(groupoid._fibers), range(n)):
+        parts = []  # per orbit with points over it, the rows of each choice
+        for i, (block, e0, *_) in enumerate(shapes):
+            k = len(over[e0])
+            if not k:
+                continue
+            _, _, cosets, members = _kept(groupoid, "_isotropy_views", _isotropy_views)[i]
+            if (i, k) not in sigmas:
+                blank = [[0] * k] * len(cosets[0])  # each row copied before it is set
+                sigmas[i, k] = list(_point_actions(cosets, range(k), blank))
+            # q[b] lists the images of F0 under beta_b, beta_e0 = F0 itself
+            fibers = [over[e] for e in block]
+            perms = map(itertools.permutations, fibers[1:])
+            parts.append([
+                [(g, dict(zip(q[b2], map(q[b1].__getitem__, sigma[x]))))
+                 for g, b1, b2, x in members]
+                for sigma, *q in itertools.product(sigmas[i, k], fibers[:1], *perms)
+            ])
+        for combo in itertools.product(*parts):
+            rows = dict(itertools.chain.from_iterable(combo))
+            moves = [rows.get(g, {}) for g in range(len(groupoid._rows))]
+            found.append(Action._of_rows(groupoid, carrier, moves))
+    if len(found) > 1:  # as relation._rank_key orders the pair morphisms
+        rank, s_rank = product_universe(carrier, carrier)._ranks, groupoid.elements._ranks
+        ns = len(s_rank)  # the pair (y, x) is at y * n + x
+        found.sort(key=lambda a: sorted(
+            rank[y * n + x] * ns + s_rank[g]
+            for g, row in enumerate(a._moves) for x, y in row.items()
+        ))
+    return found
+
+
+def _isotropy_views(groupoid: Groupoid) -> tuple:
+    """Per orbit, in orbits() order: the isotropy group G at its least
+    unit e0 as a group table, named for the probes; its subgroups
+    (subgroups_of); the left-coset map of each (_left_cosets); and each
+    member g of the component as (g, b1, b2, x), the block positions of
+    e_L(g) and e_R(g) and the table index of s(c_b1) g c_b2, where c_b is
+    the least arrow from e0 to b and c_e0 = e0."""
+    index, fibers, rows = groupoid._index, groupoid._fibers, groupoid._rows
+    inv, left, right = groupoid._inv, groupoid._left, groupoid._right
+    views = []
+    for block in groupoid.orbits():
+        name = f"{groupoid.name}.iso@{block[0]}"
+        table = group_table_of(groupoid, groupoid.isotropy(block[0]).members, name)
+        subgroups = subgroups_of(table)
+        block = list(map(index.__getitem__, block))
+        e0, pos = block[0], {b: p for p, b in enumerate(block)}
+        # the least arrow from e0 to each unit, and e0 itself to e0
+        path = {**{left[a]: a for a in reversed(fibers[e0])}, e0: e0}
+        at = {index[a]: i for i, a in enumerate(table.elements)}
+        members = []
+        for g in itertools.chain.from_iterable(map(fibers.__getitem__, block)):
+            x = rows[inv[path[left[g]]]][rows[g][path[right[g]]]]
+            members.append((g, pos[left[g]], pos[right[g]], at[x]))
+        cosets = [_left_cosets(table, sub) for sub in subgroups]
+        views.append((table, subgroups, cosets, members))
+    return tuple(views)
+
+
+def _left_cosets(table, members) -> list:
+    """acts[x][j], the index of the left coset x r_j K, where r_j K is
+    the j-th left coset of the subgroup K = members, K itself first and
+    the others by least representative, and x a table index."""
+    rows, inside = table.rows, [table._index[h] for h in members]
+    firsts = (table._index[table.unit], *range(len(rows)))
+    cosets = list(dict.fromkeys(frozenset(rows[r][h] for h in inside) for r in firsts))
+    at = {g: j for j, coset in enumerate(cosets) for g in coset}
+    return [[at[rows[x][min(c)]] for c in cosets] for x in range(len(rows))]
+
+
+def _point_actions(cosets, free, sigma):
+    """Every action of the group that extends sigma, where sigma[x][p]
+    is the point x moves p to, to the points `free`, from the left-coset
+    maps of its subgroups: the orbit of the least free point o is a
+    coset space G/K, K the stabilizer of o, sent onto o and |G/K| - 1
+    further free points in order by phi, so that x moves phi[j] to
+    phi[acts[x][j]]."""
+    if not free:
+        yield sigma
+        return
+    for acts in cosets:
+        for others in itertools.permutations(free[1:], len(acts[0]) - 1):
+            phi, placed = (free[0], *others), [row[:] for row in sigma]
+            for row, moved in zip(placed, acts):
+                for p, j in zip(phi, moved):
+                    row[p] = phi[j]
+            yield from _point_actions(cosets, [p for p in free if p not in phi], placed)
 
 
 def _lawful_tables(slots, cand, left_factors):
@@ -638,19 +743,12 @@ def proof_probes(groupoid: Groupoid) -> list:
 def _build_probes(groupoid: Groupoid) -> list:
     markers = sorted(min(block) for block in groupoid.orbits())
     probes = []
-    subsets = [c for c in _subsets(markers) if c]
-    subsets.sort(key=lambda t: (len(t), t))
-    for combo in subsets:
+    for combo in list(_subsets(markers))[1:]:  # by size, then in order
         space = Universe(f"{groupoid.name}.set({','.join(combo)})", combo)
         probes.append(set_groupoid(space))
-    for e in markers:
-        table = group_table_of(
-            groupoid, groupoid.isotropy(e).members, f"{groupoid.name}.iso@{e}"
-        )
-        for members in subgroups_of(table):
-            sub = subgroup_table(
-                table, members, f"{table.name}.sub({','.join(members)})"
-            )
+    for table, subgroups, *_ in _kept(groupoid, "_isotropy_views", _isotropy_views):
+        for members in subgroups:
+            sub = subgroup_table(table, members, f"{table.name}.sub({','.join(members)})")
             probes.append(group_groupoid(sub))
     return probes
 
@@ -663,20 +761,24 @@ def check_cancellation(h: Morphism, side: str, probes=None, budget=None):
     them; side "right" searches arrows out of the target.  Returns the
     first witness in probe-then-canonical order, or None.  A None on
     the right side is not a proof: no finite probe family is known to
-    be complete there.
+    be complete there.  With the default probes, the groupoid's own
+    (proof_probes), the arrows of each probe and side are enumerated on
+    the first hunt that reaches them and kept on that groupoid, since
+    they depend on nothing else; explicit probes keep nothing.
     """
     budget = budget or EnumBudget()
     if side not in ("left", "right"):
         raise PreconditionFailed(f"unknown cancellation side {side!r}")
+    kept = {}  # explicit probes keep their arrows for this call only
     if probes is None:
-        probes = proof_probes(h.source if side == "left" else h.target)
+        owner = h.source if side == "left" else h.target
+        probes, kept = proof_probes(owner), _kept(owner, "_hunted", lambda g: {})
     examined = 0
-    for probe in probes:
-        if side == "left":
-            arrows = enum_morphisms(probe, h.source)
-        else:
-            arrows = enum_morphisms(h.target, probe)
-        for w1, w2 in itertools.combinations(arrows, 2):
+    for k, probe in enumerate(probes):
+        if (side, k) not in kept:
+            ends = (probe, h.source) if side == "left" else (h.target, probe)
+            kept[side, k] = tuple(enum_morphisms(*ends))
+        for w1, w2 in itertools.combinations(kept[side, k], 2):
             examined += 1
             if examined > budget.max_candidates and not budget.override:
                 raise BudgetExceeded(

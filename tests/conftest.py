@@ -50,6 +50,12 @@ def catalog() -> dict:
     return build_catalog()
 
 
+@pytest.fixture
+def fresh_catalog() -> dict:
+    """The catalog built for one test, with nothing kept on it yet."""
+    return build_catalog()
+
+
 @pytest.fixture(scope="session")
 def apart_indexed():
     """Z4 x Z2 on a product universe, whose index order is not its name

@@ -18,6 +18,9 @@ The `*_reference` functions are name-level references for the
 structure queries (orbits, isotropy, components, restriction, the
 decomposition's section and the number of bisections), read off e_L
 and e_R alone, never off an index view that groups arrows by unit.
+`action_count_reference` counts the actions on k labelled points by
+the exponential formula, from subgroups found by brute force over
+subsets, so it shares nothing with the coset-space generator.
 `relational_verdict` and `morphism_relational_verdict` decide the
 relational axioms of a groupoid and of a morphism on relations built in
 full, as references for the checked constructors' verdicts.
@@ -29,6 +32,7 @@ index order give every small groupoid and every presentation of it.
 
 import itertools
 import math
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -582,6 +586,61 @@ def bisection_count_reference(groupoid) -> int:
         group = len(isotropy_reference(groupoid, block[0]))
         count *= group ** len(block) * math.factorial(len(block))
     return count
+
+
+def _set_partitions(points):
+    """Every partition of the list `points` into blocks."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for part in _set_partitions(rest):
+        yield [[first], *part]
+        for i, block in enumerate(part):
+            yield [*part[:i], [first, *block], *part[i + 1 :]]
+
+
+def _subgroups_by_index(groupoid, e) -> Counter:
+    """s_m, the number of subgroups of index m of the isotropy group at
+    e, counted over every subset that holds e and is closed under the
+    product."""
+    group = sorted(isotropy_reference(groupoid, e))
+    counts = Counter()
+    for r in range(1, len(group) + 1):
+        for sub in itertools.combinations(group, r):
+            if e in sub and all(groupoid.mult(a, b) in sub for a in sub for b in sub):
+                counts[len(group) // r] += 1
+    return counts
+
+
+def action_count_reference(groupoid, k) -> int:
+    """The number of actions on k labelled points, by the exponential
+    formula for G-sets: over the moment maps with equal fiber sizes k_i
+    over the units of each orbit X_i, the product of a_{G_i}(k_i)
+    (k_i!)^(|X_i| - 1), G_i the isotropy group at a unit of X_i.  Here
+    a_H(n), the number of actions of H on n labelled points, sums over
+    the set partitions of the points into orbits the product of s_m(H)
+    (m - 1)! over the blocks of m points: a transitive action on m
+    labelled points is a stabilizer of index m and a bijection of its
+    cosets that sends it to the block's least point."""
+    orbits = orbits_reference(groupoid)
+    counts = {block[0]: _subgroups_by_index(groupoid, block[0]) for block in orbits}
+
+    def transitive_sets(e, n):
+        return sum(
+            math.prod(counts[e][len(b)] * math.factorial(len(b) - 1) for b in part)
+            for part in _set_partitions(list(range(n)))
+        )
+
+    total = 0
+    for rho in itertools.product(sorted(groupoid.units), repeat=k):
+        size = Counter(rho)
+        if all(len({size[e] for e in block}) == 1 for block in orbits):
+            total += math.prod(
+                transitive_sets(b[0], size[b[0]]) * math.factorial(size[b[0]]) ** (len(b) - 1)
+                for b in orbits
+            )
+    return total
 
 
 def actions_direct_reference(groupoid, carrier):

@@ -325,10 +325,12 @@ def test_quotients_and_action_groupoids_build_on_rows():
         assert "table" not in vars(g) and "table" not in vars(q), label
 
 
-def test_separating_pair_builds_one_pair_groupoid(catalog, monkeypatch):
+def test_separating_pair_builds_one_pair_groupoid(monkeypatch):
     """The pair groupoid on PF's elements is both the probe and the
-    target of the left translations, built once and never named."""
-    pf, make, calls = catalog["PF"], morphism.pair_groupoid, []
+    target of the left translations, built once, kept on PF for later
+    separating pairs and never named."""
+    pf = product_form(Universe("B", ("x", "y")), cyclic_table(2), "PF")
+    make, calls = morphism.pair_groupoid, []
 
     def counted(*args):
         calls.append(args)
@@ -338,6 +340,9 @@ def test_separating_pair_builds_one_pair_groupoid(catalog, monkeypatch):
     probe, k1, k2 = morphism.separating_pair(pf, pf.units)
     assert len(calls) == 1
     assert probe is k1.target is k2.target
+    again = morphism.separating_pair(pf, pf.isotropy_bundle().members)
+    assert len(calls) == 1 and again[0] is probe
+    assert morphism.left_regular(pf).target is probe
     assert "table" not in vars(probe)
 
 

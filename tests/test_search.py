@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from oracles import (
+    action_count_reference,
     action_violation,
     actions_direct_reference,
     generated_groupoids,
@@ -16,7 +17,7 @@ from oracles import (
     naive_candidates,
     renamed,
 )
-from groupoids import action, groupoid, morphism, relation, search
+from groupoids import action, builders, groupoid, morphism, relation, search
 from groupoids.action import quotient_groupoid
 from groupoids.builders import (
     cyclic_table,
@@ -376,22 +377,45 @@ def test_structured_enumerator_on_generated_groupoids():
     assert seen["pairs"] >= 50 and seen["by naive"] >= 10
 
 
+def _morphism_route(groupoid, carrier) -> list:
+    """The actions read off the morphisms into the pair groupoid, in
+    their order: the route enum_actions generated them by before."""
+    pairs = pair_groupoid(carrier)
+    return [action._pair_action(h, carrier) for h in enum_morphisms(groupoid, pairs)]
+
+
+def _same_actions(found, expected):
+    """Equal lists of actions, order included, with equal move rows."""
+    assert found == expected
+    assert [a.triples for a in found] == [a.triples for a in expected]
+    assert [a._moves for a in found] == [a._moves for a in expected]
+
+
+# the carriers of the three routes; "a+,a" sorts before "a,a" in their
+# pair groupoids, so an order by point index is not their name order
+ROUTE_CARRIERS = [
+    Universe(f"W{len(p)}", p) for p in ((), ("a",), ("a", "a+"), ("a", "a+", "b"))
+]
+
+
 def test_action_enumerators_agree_on_generated_groupoids():
-    """On generated groupoids, the actions through morphisms into the
-    pair groupoid are the direct enumerator's, on carriers of one and
-    two points and, for groupoids of at most 8 elements, of three; the
-    direct ones keep the classical picture."""
-    carriers = [Universe(f"W{len(p)}", p) for p in (("a",), ("a", "a+"), ("a", "a+", "b"))]
+    """On generated groupoids, the three routes give the same actions:
+    enum_actions equals the morphism route, order included, and holds
+    the direct enumerator's actions, as many as the count oracle gives;
+    on carriers of up to two points and, for groupoids of at most 8
+    elements, of three.  The direct ones keep the classical picture."""
     seen = Counter()
 
     @seed(1311)
     @settings(max_examples=60, deadline=None)
     @given(groupoid=generated_groupoids())
     def check(groupoid):
-        for carrier in carriers[: 2 + (len(groupoid.elements) <= 8)]:
+        for carrier in ROUTE_CARRIERS[: 3 + (len(groupoid.elements) <= 8)]:
             direct = enum_actions_direct(groupoid, carrier)
-            via = enum_actions(groupoid, carrier)
-            assert sorted(a.triples for a in via) == sorted(a.triples for a in direct)
+            found = enum_actions(groupoid, carrier)
+            _same_actions(found, _morphism_route(groupoid, carrier))
+            assert sorted(a.triples for a in found) == sorted(a.triples for a in direct)
+            assert len(found) == action_count_reference(groupoid, len(carrier))
             for a in direct:
                 assert action_violation(a) is None, a
             seen["actions"] += len(direct)
@@ -399,6 +423,49 @@ def test_action_enumerators_agree_on_generated_groupoids():
 
     check()
     assert seen["groupoids"] >= 50 and seen["actions"] >= 100, seen
+
+
+def test_action_enumerators_agree_with_the_morphism_route(catalog):
+    """On the catalog, S3 and Z3, with 0-4 points: enum_actions gives the
+    morphism route's actions in its order, and both enumerators give as
+    many as the count oracle.  Four points put two over each unit of a
+    two-unit orbit, where the bijections of fibers along a path are more
+    than one."""
+    groupoids = [*catalog.values(), group_groupoid(symmetric_table(3))]
+    groupoids.append(group_groupoid(cyclic_table(3)))
+    counts = []
+    for g in groupoids:
+        for carrier in [*ROUTE_CARRIERS, Universe("W4", ("a", "a+", "b", "c"))]:
+            found = enum_actions(g, carrier)
+            _same_actions(found, _morphism_route(g, carrier))
+            count = action_count_reference(g, len(carrier))
+            assert len(found) == len(enum_actions_direct(g, carrier)) == count
+            counts.append(count)
+    assert (sum(counts), max(counts)) == (375, 52), counts
+
+
+def _refuse_everywhere(monkeypatch, names):
+    """Make each function in `names` raise, under every name a package
+    module binds it to."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumerator reached the morphism side")
+
+    for module in (action, builders, morphism, search):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_generated_actions_read_no_morphism(monkeypatch):
+    """enum_actions generates its actions without enum_morphisms, the
+    pair groupoid or _pair_action."""
+    s3, xs = group_groupoid(symmetric_table(3)), Universe("W3", ("u", "v", "w"))
+    expected = {g: _morphism_route(g, xs) for g in (Z4, s3, EQ)}
+    _refuse_everywhere(monkeypatch, ("enum_morphisms", "pair_groupoid", "_pair_action"))
+    for g, actions in expected.items():
+        _same_actions(enum_actions(g, xs), actions)
+    assert [len(a) for a in expected.values()] == [4, 10, 7]
 
 
 def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_indexed):
@@ -609,17 +676,8 @@ def test_direct_actions_agree_on_four_points(catalog):
 def test_direct_actions_read_no_morphism(monkeypatch):
     xs = Universe("W3", ("u", "v", "w"))
     expected = [a.triples for a in actions_direct_reference(Z4, xs)]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the direct enumerator reached the morphism side")
-
-    for module, name in (
-        (search, "enum_morphisms"),
-        (search, "pair_groupoid"),
-        (search, "_pair_action"),
-        (morphism, "Morphism"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+    names = ("enum_morphisms", "pair_groupoid", "_pair_action", "Morphism")
+    _refuse_everywhere(monkeypatch, names)
     assert [a.triples for a in enum_actions_direct(Z4, xs)] == expected
     assert len(expected) == 4
 
@@ -681,6 +739,59 @@ def test_cancellation_builds_the_probes_once_per_groupoid(monkeypatch):
         )
     probes = search.proof_probes(bundle)
     assert probes == fresh and probes is not search.proof_probes(bundle)
+
+
+def _outcome(h, side, **options):
+    """A hunt's witness as (probe, w1, w2, side), None, or the message of
+    the budget it exceeded."""
+    try:
+        w = check_cancellation(h, side, **options)
+    except BudgetExceeded as err:
+        return str(err)
+    return w and (w.probe, w.w1, w.w2, w.side)
+
+
+def test_cancellation_enumerates_each_probes_arrows_once(fresh_catalog, monkeypatch):
+    """The hunts on every morphism among pt, Z2, S2 and P2, on both sides:
+    each (groupoid, probe, side) has its arrows enumerated once, on its
+    first hunt, and kept on the groupoid.  The witnesses, and the budget
+    refusals of a one-pair budget, are those of the same probes passed
+    explicitly, which keeps nothing."""
+    cat = fresh_catalog
+    keys = ("pt", "Z2", "S2", "P2")
+    family = [h for a in keys for b in keys for h in enum_morphisms(cat[a], cat[b])]
+    hunts = [(h, side) for h in family for side in ("left", "right")]
+    tight = EnumBudget(max_candidates=1)
+    expected = []
+    for h, side in hunts:
+        probes = search._build_probes(h.source if side == "left" else h.target)
+        for budget in (None, tight):
+            expected.append(_outcome(h, side, probes=probes, budget=budget))
+    kept = ("_hunted", "_probes")
+    assert not any(name in vars(g) for g in cat.values() for name in kept)
+    calls, make = [], search.enum_morphisms
+
+    def counted(source, target):
+        calls.append((source, target))
+        return make(source, target)
+
+    monkeypatch.setattr(search, "enum_morphisms", counted)
+    for _ in range(2):
+        found = [
+            _outcome(h, side, budget=budget)
+            for h, side in hunts
+            for budget in (None, tight)
+        ]
+        assert found == expected
+        assert len(calls) == 24
+    owners = {id(g) for g in cat.values()}
+    triples = {
+        (id(t), id(s), "right") if id(s) in owners else (id(s), id(t), "left")
+        for s, t in calls
+    }
+    assert len(triples) == len(calls)
+    assert len(hunts) == 48 and expected.count(None) == 50
+    assert sum(isinstance(w, str) for w in expected) == 10
 
 
 def test_cancellation_on_partial_domain():

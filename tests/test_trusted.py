@@ -8,11 +8,10 @@ the classical oracles.  The checked entry, Morphism(...), does not
 pass through Morphism._of_rows, so only unchecked builds are recorded.
 The enumerators are among them.  enum_morphisms holds its
 reconstructions unchecked, as morphisms by proof, and every pair of the
-grid with |G||G'| <= 24 calls it directly, besides the calls
-enum_actions makes; enum_morphisms_naive holds the survivors it
-decided, on the same pairs within its default budget; and
-enum_actions_direct holds the tables it decided, on every carrier
-enum_actions runs on.  So this grid stands in for the checked
+grid with |G||G'| <= 24 calls it directly; enum_morphisms_naive holds
+the survivors it decided, on the same pairs within its default budget;
+enum_actions holds the actions it generated from coset spaces, and
+enum_actions_direct the tables it decided, on the same carriers.  So this grid stands in for the checked
 constructor they no longer call, and a static check of the source keeps
 TRUSTED_SITES to exactly the functions that call an unchecked entry.
 The grid also stands in for two checks skipped by proof: the unit
@@ -100,7 +99,8 @@ TRUSTED_SITES = {
     "action_to_pair_morphism", "_pair_action", "left_mult_action",
     "unit_action", "conjugation_action", "coset_space", "induced_action",
     "pullback_action", "product_form_action", "right_commuting_to_morphism",
-    "enum_morphisms", "enum_morphisms_naive", "enum_actions_direct",
+    "enum_morphisms", "enum_morphisms_naive", "enum_actions",
+    "enum_actions_direct",
 }
 
 
@@ -305,10 +305,11 @@ def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
         for name in read_off:
             assert getattr(checked, name) == getattr(s, name), (site, name)
         assert verdict is None, (site, s, verdict)
-    # 229 of enum_morphisms's come from enum_actions's calls
     # 135 come only from action_groupoid_functor's calls: 43 unit
-    # actions, their 43 composites and 49 to_orbit_pair morphisms
-    assert len(built) == 3218
-    assert sum(site == "enum_morphisms" for site, _ in built) == 951
+    # actions, their 43 composites and 49 to_orbit_pair morphisms;
+    # enum_actions generates the 229 actions enum_actions_direct finds
+    assert len(built) == 2989
+    assert sum(site == "enum_morphisms" for site, _ in built) == 722
     assert sum(site == "enum_morphisms_naive" for site, _ in built) == 539
+    assert sum(site == "enum_actions" for site, _ in built) == 229
     assert sum(site == "enum_actions_direct" for site, _ in built) == 229
