@@ -5,6 +5,13 @@ left translation, and conjugate it through the Ad construction.  For
 pair groupoids they are exactly the graphs of bijections of the base,
 and for groups they are the singletons.
 
+Subset multiplication is associative because the groupoid's product is,
+so the Cayley table follows from the rows of a generating set: the row
+of s.X is the row of s read along the row of X.  bisection_group
+computes only its generators' rows from the groupoid, and checks each
+of those to hold bisections only; induced_hom computes and checks every
+row, since it compares each product with its image.
+
 Ad(b) sends g to b_l g s(b_r), with b_l and b_r the members of b whose
 right units are the left and right units of g: a functor inverted by
 Ad(s(b)), so mono.  It is not re-checked; tests/test_derived.py checks
@@ -12,8 +19,6 @@ it over the Tier-1 grid against an independent oracle.
 """
 
 from __future__ import annotations
-
-from itertools import repeat
 
 from .errors import (
     AxiomViolation,
@@ -152,7 +157,8 @@ class _Sections:
     where b -> A.b is the left translation by A, tabulated once per A.
     A product then costs one lookup per unit, where subset_mult tries
     all |A| x |B| member pairs.  Everything is read off the groupoid's
-    index rows and unit lists.
+    index rows and unit lists, so a row made here is only as sound as
+    those rows: its callers check that every product is a bisection.
     """
 
     def __init__(self, groupoid: Groupoid):
@@ -164,24 +170,26 @@ class _Sections:
         section = map(self.index.__getitem__, members)
         return tuple(sorted(section, key=self.right.__getitem__))
 
-    def table(self, bs: list):
-        """Row by row, A.B for A and B in bs: one iterator per A, in order.
-
-        A slot whose pair does not compose holds None.
+    def products(self, a, columns):
+        """A.B for each B, as sections, where columns[j] holds the j-th
+        entries of every B.  A slot whose pair does not compose holds None.
         """
-        columns = list(zip(*bs))
+        if not columns:  # no units: the one bisection is empty, as is its square
+            return [()]
+        # ending[e] is the row of the member of A with right unit e, and
+        # translate[b] = A.b, that member times b
         ending = [None] * len(self.rows)
-        for a in bs:
-            # ending[e] is the row of the member of A with right unit e, and
-            # translate[b] = A.b, that member times b
-            for i in a:
-                ending[self.right[i]] = self.rows[i]
-            translate = list(
-                map(dict.get, map(ending.__getitem__, self.left), range(len(self.left)))
-            )
-            products = zip(*[map(translate.__getitem__, c) for c in columns])
-            # with no units, the one bisection is empty and so is its square
-            yield products if columns else repeat((), len(bs))
+        for i in a:
+            ending[self.right[i]] = self.rows[i]
+        translate = list(
+            map(dict.get, map(ending.__getitem__, self.left), range(len(self.left)))
+        )
+        return zip(*[map(translate.__getitem__, c) for c in columns])
+
+    def table(self, bs: list):
+        """Row by row, A.B for A and B in bs: one iterator per A, in order."""
+        columns = list(zip(*bs))
+        return (self.products(a, columns) for a in bs)
 
 
 def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
@@ -189,6 +197,13 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
 
     The table is made on positions in the sorted member lists, and
     GroupTable._of_group re-indexes it once into sorted label order.
+    Only the rows of a generating set are products of sections: each is
+    the least row not yet known, and each is checked to hold bisections
+    only (`derived:bisection-closure`).  Subset multiplication is
+    associative because the groupoid's product is, so (s.X).B = s.(X.B)
+    and the row of s.X is row_s read along row_X.  Every other row is
+    such a left translation of a known row by a generator, with one
+    lookup per entry, and holds only positions of checked rows.
     """
     sets = _enum_member_sets(groupoid, limit=guard)
     if len(sets) >= guard:
@@ -199,14 +214,26 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
     labels = ["{" + "+".join(m) + "}" for m in ordered]
     sections = _Sections(groupoid)
     bs = [sections.of(m) for m in ordered]
+    columns = list(zip(*bs))
     position = {b: k for k, b in enumerate(bs)}.get
-    rows = []
-    for l1, products in zip(labels, sections.table(bs)):
-        row = list(map(position, products))
+    rows, generators = [None] * len(bs), []
+    for k, a in enumerate(bs):
+        if rows[k] is not None:
+            continue
+        row = list(map(position, sections.products(a, columns)))
         if None in row:
             l2 = labels[row.index(None)]
-            raise AxiomViolation("derived:bisection-closure", (l1, l2))
-        rows.append(row)
+            raise AxiomViolation("derived:bisection-closure", (labels[k], l2))
+        rows[k] = row
+        generators.append(row)
+        # close the known rows under every generator s: s.X sits at s[x],
+        # and `known` grows while it is read
+        known = [x for x, r in enumerate(rows) if r is not None]
+        for x in known:
+            for s in generators:
+                if rows[s[x]] is None:
+                    rows[s[x]] = list(map(s.__getitem__, rows[x]))
+                    known.append(s[x])
     return GroupTable._of_group(f"Bis({groupoid.name})", labels, rows)
 
 

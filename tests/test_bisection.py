@@ -155,14 +155,56 @@ def _subset_mult_table(g):
 
 
 def test_bisection_group_matches_the_subset_mult_table(catalog):
-    pairs = [pair_groupoid(Universe(f"X{n}", "1234"[:n])) for n in range(1, 5)]
-    empty = set_groupoid(Universe("none", ()))
-    for g in pairs + list(catalog.values()) + [empty]:
-        assert all_bisections(g), g
+    """bisection_group computes only its generators' rows from the
+    groupoid and translates them into every other row; each of its
+    tables equals subset_mult's, on P1-P4, the catalog, the empty
+    groupoid and generated groupoids with at most 64 bisections."""
+    seen = {"groupoids": 0}
+
+    def holds(g):
         expected = _subset_mult_table(g)
         table = bisection_group(g)
         assert set(table.elements) == {l1 for l1, _ in expected}, g
         assert {(a, b): table.mult(a, b) for a, b in expected} == expected, g
+
+    pairs = [pair_groupoid(Universe(f"X{n}", "1234"[:n])) for n in range(1, 5)]
+    empty = set_groupoid(Universe("none", ()))
+    for g in pairs + list(catalog.values()) + [empty]:
+        assert all_bisections(g), g
+        holds(g)
+
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def check(groupoid):
+        if len(all_bisections(groupoid)) <= 64:
+            holds(groupoid)
+            seen["groupoids"] += 1
+
+    check()
+    assert seen["groupoids"] >= 40, seen
+
+
+def test_bisection_group_computes_only_its_generators_rows(catalog, monkeypatch):
+    """Each row bisection_group computes from the groupoid is the least
+    row not yet known, so Bis(P_n) = S_n computes n of its n! rows."""
+    computed = []
+    products = bisection._Sections.products
+
+    def counted(self, a, columns):
+        computed.append(a)
+        return products(self, a, columns)
+
+    def direct(g):
+        computed.clear()
+        bisection_group(g)
+        return len(computed)
+
+    monkeypatch.setattr(bisection._Sections, "products", counted)
+    pn = {n: pair_groupoid(Universe(f"X{n}", "123456"[:n])) for n in range(1, 7)}
+    assert {n: direct(g) for n, g in pn.items()} == {n: n for n in pn}
+    counts = {"pt": 1, "Z2": 2, "Z4": 2, "V4": 2, "P3": 3, "PF": 3}
+    assert {k: direct(catalog[k]) for k in counts} == counts
 
 
 def test_induced_hom_matches_images_and_subset_mult():
