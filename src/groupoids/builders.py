@@ -8,14 +8,29 @@ throughout the package: pair groupoids, set groupoids (units only),
 groups viewed as one-unit groupoids, bundles of groups, equivalence
 relations, the twisted product X x G x X, and transformation groupoids
 of a group action.  A raw group table is checked once; all else here is
-built unchecked, as groupoid.py says.  Each groupoid builder computes its
-index rows by arithmetic on positions, such as x * |X| + y for the pair
-(x, y), and hands them to Groupoid._of_rows, through _placed when its
-positions are not the universe's index order; a transformation groupoid
-is built from its action's move rows by groupoid.py's _semidirect, as
-action.py's action_groupoid is.  Only the element names
-are made: the product triples and the inverse map are named when
-`table` or `inverse` is read.
+built unchecked, as groupoid.py says.
+
+The builders compose the paper's pieces: a transitive groupoid is
+X x G x X, the pair groupoid on its units times its isotropy group, and
+every groupoid is the disjoint union of its transitive components.  The
+index arithmetic of each piece is written once, on (units, inv, rows)
+triples, the arguments of Groupoid._of_rows.  Two primitives live here:
+_pair_parts(n), the pair groupoid on n positions with (x, y) at
+x * n + y, and _group_parts(table), a table's one-unit groupoid on its
+indices.  Two combinators live in groupoid.py: _product, with (a1, a2)
+at a1 * n2 + a2, and _union, which places labelled parts from their
+offsets through _placed.  A builder keeps only its checks, names and
+labels.  pair_groupoid and group_groupoid are one primitive each, on
+their universes.  group_bundle is the union of its tables' groups, and
+equivalence_groupoid the union of the pair groupoids on its classes.
+product_form checks its names first, then takes the product of the pair
+rows on X with G's rows, its names listed in (x, y, g) order; it builds
+no pair groupoid, whose own name check would name X and not X|G|X.
+groupoid.py's disjoint_union and cartesian_product are the union and the
+product of two groupoids' triples.  A transformation groupoid is built
+from its action's move rows by groupoid.py's _semidirect, as action.py's
+action_groupoid is.  Only the element names are made: the product
+triples and the inverse map are named when `table` or `inverse` is read.
 
 Element naming is part of each builder's contract:
 
@@ -35,7 +50,9 @@ from .groupoid import (
     _composes_on_generators,
     _fixes,
     _placed,
+    _product,
     _semidirect,
+    _union,
 )
 from .relation import Universe, pair_name, product_universe
 
@@ -303,17 +320,30 @@ def _group_moves(group: Groupoid, space: Universe, act) -> list:
     return moves
 
 
-def pair_groupoid(space: Universe, name=None) -> Groupoid:
-    """All ordered pairs of points; (x,y) composes with (y,z) to (x,z)."""
-    # the pair (x, y) of point indices has index x * n + y
-    n = len(space)
+def _pair_parts(n: int) -> tuple:
+    """The pair groupoid on n positions as (units, inv, rows), the pair
+    (x, y) at x * n + y: (x, y)(y, z) = (x, z)."""
+    units = [x * n + x for x in range(n)]
+    inv = [y * n + x for x in range(n) for y in range(n)]
     rows = [
         {y * n + z: x * n + z for z in range(n)} for x in range(n) for y in range(n)
     ]
-    inv = [y * n + x for x in range(n) for y in range(n)]
-    units = [x * n + x for x in range(n)]
+    return units, inv, rows
+
+
+def _group_parts(table: GroupTable) -> tuple:
+    """A group table's one-unit groupoid as (units, inv, rows), on the
+    table's indices."""
+    index = table._index
+    inv = [index[table.inv[g]] for g in table.elements]
+    return [index[table.unit]], inv, [dict(enumerate(row)) for row in table.rows]
+
+
+def pair_groupoid(space: Universe, name=None) -> Groupoid:
+    """All ordered pairs of points; (x,y) composes with (y,z) to (x,z)."""
     label = name or f"Pair({space.name})"
-    return Groupoid._of_rows(label, product_universe(space, space), units, inv, rows)
+    pairs = product_universe(space, space)
+    return Groupoid._of_rows(label, pairs, *_pair_parts(len(space)))
 
 
 def set_groupoid(space: Universe, name=None) -> Groupoid:
@@ -325,22 +355,11 @@ def set_groupoid(space: Universe, name=None) -> Groupoid:
     )
 
 
-def _inverses(table: GroupTable) -> list:
-    """inv[g] is the index of the inverse of g, on the table's indices."""
-    return [table._index[table.inv[g]] for g in table.elements]
-
-
 def group_groupoid(table: GroupTable, name=None) -> Groupoid:
     """A group seen as a groupoid with one unit."""
     # the labels are sorted, so the universe indexes them as the table does
-    rows = [dict(enumerate(row)) for row in table.rows]
-    return Groupoid._of_rows(
-        name or table.name,
-        Universe(table.name, table.elements),
-        [table._index[table.unit]],
-        _inverses(table),
-        rows,
-    )
+    elements = Universe(table.name, table.elements)
+    return Groupoid._of_rows(name or table.name, elements, *_group_parts(table))
 
 
 def group_bundle(tables, name=None) -> Groupoid:
@@ -348,18 +367,9 @@ def group_bundle(tables, name=None) -> Groupoid:
     tables = list(tables)
     if not tables:
         raise PreconditionFailed("group bundle needs at least one fibre")
-    # fibre i takes the positions from its offset on, in table order
-    labels, units, inv, rows = [], [], [], []
-    for i, t in enumerate(tables):
-        offset = len(labels)
-        labels.extend(f"{i}:{g}" for g in t.elements)
-        units.append(offset + t._index[t.unit])
-        inv.extend(offset + j for j in _inverses(t))
-        rows.extend(
-            {offset + b: offset + c for b, c in enumerate(row)} for row in t.rows
-        )
     label = name or "+".join(t.name for t in tables)
-    return _placed(label, label, labels, units, inv, rows)
+    labels = ([f"{i}:{g}" for g in t.elements] for i, t in enumerate(tables))
+    return _union(label, label, zip(labels, map(_group_parts, tables)))
 
 
 def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
@@ -378,49 +388,25 @@ def equivalence_groupoid(space: Universe, blocks, name=None) -> Groupoid:
     if seen != set(space.elements):
         missing = min(set(space.elements) - seen)
         raise PreconditionFailed(f"{missing!r} belongs to no class")
-    # a class of k points takes k * k positions from its offset on, the
-    # pair of its x-th and y-th points at offset + x * k + y
-    labels, units, inv, rows = [], [], [], []
-    for b in blocks:
-        offset, k = len(labels), len(b)
-        labels.extend(pair_name(x, y) for x in b for y in b)
-        units.extend(offset + x * k + x for x in range(k))
-        inv.extend(offset + y * k + x for x in range(k) for y in range(k))
-        rows.extend(
-            {offset + y * k + z: offset + x * k + z for z in range(k)}
-            for x in range(k)
-            for y in range(k)
-        )
+    # each class is the pair groupoid on its points
+    labels = ([pair_name(x, y) for x in b for y in b] for b in blocks)
+    parts = zip(labels, map(_pair_parts, map(len, blocks)))
     elements = f"{space.name}*{space.name}"
-    return _placed(name or f"Equiv({space.name})", elements, labels, units, inv, rows)
+    return _union(name or f"Equiv({space.name})", elements, parts)
 
 
 def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
     """The groupoid X x G x X; (x|g|y)(y|h|z) = (x|gh|z)."""
-    elems = [
-        f"{x}|{g}|{y}" for x in space for g in table.elements for y in space
-    ]
-    if len(set(elems)) != len(elems):
+    # the pair groupoid on X times G: x|g|y is ((x, y), g), at
+    # (x * |X| + y) * |G| + g on point and group indices
+    labels = [f"{x}|{g}|{y}" for x in space for y in space for g in table.elements]
+    if len(set(labels)) != len(labels):
         raise PreconditionFailed(
             f"ambiguous names in product form over {space.name!r}"
         )
-    # x|g|y is at position (x * |G| + g) * |X| + y, on point and group indices
-    n, ng = len(space), len(table)
-    at = lambda x, g, y: (x * ng + g) * n + y
-    group_inv = _inverses(table)
-    units = [at(x, table._index[table.unit], x) for x in range(n)]
-    positions = [(x, g, y) for x in range(n) for g in range(ng) for y in range(n)]
-    inv = [at(y, group_inv[g], x) for x, g, y in positions]
-    rows = [
-        {
-            at(y, h, z): at(x, gh, z)
-            for h, gh in enumerate(table.rows[g])
-            for z in range(n)
-        }
-        for x, g, y in positions
-    ]
+    parts = _product(_pair_parts(len(space)), _group_parts(table))
     label = name or f"{space.name}|{table.name}|{space.name}"
-    return _placed(label, label, elems, units, inv, rows)
+    return _placed(label, label, labels, *parts)
 
 
 def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) -> Groupoid:

@@ -758,35 +758,55 @@ def _semidirect(name, elements_name, groupoid, carrier: Universe, moves, label):
     return _placed(name, elements_name, labels, units, inv, rows)
 
 
+def _parts(groupoid: Groupoid) -> tuple:
+    """A groupoid's (units, inv, rows), on its indices."""
+    units = list(map(groupoid._index.__getitem__, groupoid.units))
+    return units, groupoid._inv, groupoid._rows
+
+
+def _union(name, universe_name, parts) -> Groupoid:
+    """The disjoint union of labelled parts (labels, (units, inv, rows)),
+    placed as _placed places them: each part's positions follow those of
+    the parts before it, its position k at their count plus k."""
+    labels, units, inv, rows = [], [], [], []
+    for part_labels, (part_units, part_inv, part_rows) in parts:
+        offset = len(labels)
+        labels.extend(part_labels)
+        units.extend(offset + e for e in part_units)
+        inv.extend(offset + j for j in part_inv)
+        rows.extend(
+            {offset + b: offset + c for b, c in row.items()} for row in part_rows
+        )
+    return _placed(name, universe_name, labels, units, inv, rows)
+
+
+def _product(first, second) -> tuple:
+    """The product of two (units, inv, rows), the pair (a1, a2) at
+    a1 * n2 + a2, n2 the size of the second: (a1, a2)(b1, b2) =
+    (a1 b1, a2 b2) where both products are defined."""
+    (units1, inv1, rows1), (units2, inv2, rows2) = first, second
+    n = len(rows2)
+    units = [e1 * n + e2 for e1 in units1 for e2 in units2]
+    inv = [i1 * n + i2 for i1 in inv1 for i2 in inv2]
+    rows = [
+        {b1 * n + b2: c1 * n + c2 for b1, c1 in row1.items() for b2, c2 in row2.items()}
+        for row1 in rows1
+        for row2 in rows2
+    ]
+    return units, inv, rows
+
+
 def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Disjoint union; elements are tagged "L:x" and "R:y"."""
-    # g2's element of index i is at position |g1| + i
-    n = len(g1._rows)
-    labels = [f"L:{g}" for g in g1._names] + [f"R:{g}" for g in g2._names]
-    units = [g1._index[e] for e in g1.units]
-    units += [n + g2._index[e] for e in g2.units]
-    inv = g1._inv + [n + j for j in g2._inv]
-    rows = [dict(row) for row in g1._rows]
-    rows += [{n + b: n + c for b, c in row.items()} for row in g2._rows]
+    labels = [f"L:{g}" for g in g1._names], [f"R:{g}" for g in g2._names]
     elements = f"{g1.elements.name}+{g2.elements.name}"
-    return _placed(f"{g1.name}+{g2.name}", elements, labels, units, inv, rows)
+    parts = zip(labels, (_parts(g1), _parts(g2)))
+    return _union(f"{g1.name}+{g2.name}", elements, parts)
 
 
 def cartesian_product(g1: Groupoid, g2: Groupoid) -> Groupoid:
     """Product groupoid: (a1,a2)(b1,b2) = (a1 b1, a2 b2) where both
     products are defined."""
-    # the pair (a1, a2) has index a1 * |g2| + a2
-    n = len(g2._rows)
-    rows = [
-        {
-            b1 * n + b2: c1 * n + c2
-            for b1, c1 in row1.items()
-            for b2, c2 in row2.items()
-        }
-        for row1 in g1._rows
-        for row2 in g2._rows
-    ]
-    inv = [i1 * n + i2 for i1 in g1._inv for i2 in g2._inv]
-    units = [g1._index[e1] * n + g2._index[e2] for e1 in g1.units for e2 in g2.units]
     pu = product_universe(g1.elements, g2.elements)
-    return Groupoid._of_rows(f"{g1.name}x{g2.name}", pu, units, inv, rows)
+    parts = _product(_parts(g1), _parts(g2))
+    return Groupoid._of_rows(f"{g1.name}x{g2.name}", pu, *parts)

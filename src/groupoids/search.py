@@ -31,8 +31,11 @@ it reads of one groupoid alone is kept on that groupoid.  A source's
 orbit shapes (each orbit's unit indices and least unit, its members'
 fiber positions and the source's half of its _FiberSearch) are kept on
 first use (groupoid.py's _kept), as are its isotropy views, the probes
-and a cancellation hunt's arrows; a target's arrows by right unit are
-its `_fibers`, the groupoid's own cached view.
+and a cancellation hunt's arrows, kept as their mask rows: rows name no
+groupoid, so nothing kept puts the groupoid in a reference cycle, and a
+hunt compares the composites of h with two arrows' rows on one index
+space, making morphisms only of the two that witness.  A target's
+arrows by right unit are its `_fibers`, the groupoid's own cached view.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no graph named: the sort key is
 relation._rank_key, the sorted (target rank, source rank) pairs of the
@@ -82,9 +85,9 @@ from .builders import (
 )
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
 from .groupoid import Groupoid, _kept
-from .morphism import CancellationWitness, Morphism, compose_morphisms
+from .morphism import CancellationWitness, Morphism
 from .morphism import _hm_refutation, _mask_product
-from .relation import Universe, _bits, _rank_key, product_universe
+from .relation import Universe, _bits, _composed_rows, _rank_key, product_universe
 
 
 class EnumBudget:
@@ -763,8 +766,9 @@ def check_cancellation(h: Morphism, side: str, probes=None, budget=None):
     the right side is not a proof: no finite probe family is known to
     be complete there.  With the default probes, the groupoid's own
     (proof_probes), the arrows of each probe and side are enumerated on
-    the first hunt that reaches them and kept on that groupoid, since
-    they depend on nothing else; explicit probes keep nothing.
+    the first hunt that reaches them and kept on that groupoid as their
+    rows, since they depend on nothing else; explicit probes keep
+    nothing.
     """
     budget = budget or EnumBudget()
     if side not in ("left", "right"):
@@ -773,23 +777,28 @@ def check_cancellation(h: Morphism, side: str, probes=None, budget=None):
     if probes is None:
         owner = h.source if side == "left" else h.target
         probes, kept = proof_probes(owner), _kept(owner, "_hunted", lambda g: {})
+    # an arrow ends at h's source (left) or starts at h's target (right),
+    # so its rows and h's compose on one index space, and two composites
+    # are equal morphisms exactly when their rows are equal
+    if side == "left":
+        through = lambda rows: _composed_rows(h._rows, rows, None)
+    else:
+        through = lambda rows: _composed_rows(rows, h._rows, None)
     examined = 0
     for k, probe in enumerate(probes):
+        ends = (probe, h.source) if side == "left" else (h.target, probe)
         if (side, k) not in kept:
-            ends = (probe, h.source) if side == "left" else (h.target, probe)
-            kept[side, k] = tuple(enum_morphisms(*ends))
-        for w1, w2 in itertools.combinations(kept[side, k], 2):
+            kept[side, k] = tuple(w._rows for w in enum_morphisms(*ends))
+        for r1, r2 in itertools.combinations(kept[side, k], 2):
             examined += 1
             if examined > budget.max_candidates and not budget.override:
                 raise BudgetExceeded(
                     f"examined {examined} witness pairs, "
                     f"cap is {budget.max_candidates}"
                 )
-            if side == "left":
-                same = compose_morphisms(h, w1) == compose_morphisms(h, w2)
-            else:
-                same = compose_morphisms(w1, h) == compose_morphisms(w2, h)
-            if same:
+            if through(r1) == through(r2):
+                w1 = Morphism._of_rows(*ends, r1)
+                w2 = Morphism._of_rows(*ends, r2)
                 witness = CancellationWitness(
                     probe, w1, w2, "mono" if side == "left" else "epi"
                 )

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from oracles import groupoid_violation
+from oracles import SMALL_GROUPS, groupoid_violation, renamed
 
 from groupoids.action import (
     action_groupoid,
@@ -527,6 +527,26 @@ def test_product_form_shape():
         iso = pf.isotropy(e)
         table = group_table_of(pf, iso.members)
         assert len(table) == 2
+
+
+def test_product_forms_and_bundles_are_the_products_and_unions_they_name():
+    """X x G x X is the product of the pair groupoid on X with G, and a
+    bundle of two groups is their disjoint union: relabelled, and
+    rebuilt by the checked constructor, each has the other's every
+    product, inverse and unit, on 1-3 points and Z1-Z6, V4 and S3."""
+    for n, table in itertools.product((1, 2, 3), SMALL_GROUPS):
+        space = Universe(f"X{n}", "xyz"[:n])
+        pf = product_form(space, table)
+        product = cartesian_product(pair_groupoid(space), group_groupoid(table))
+        # x|g|y is named x,y,g in the product
+        rename = {g: "{0},{2},{1}".format(*g.split("|")) for g in pf.elements}
+        assert renamed(pf, rename, product.elements, pf.name) == product, pf.name
+    for first, second in itertools.product(SMALL_GROUPS, repeat=2):
+        bundle = group_bundle([first, second])
+        union = disjoint_union(group_groupoid(first), group_groupoid(second))
+        # fibre 0's i:g is L:g in the union, fibre 1's is R:g
+        rename = {g: "LR"[int(g[0])] + g[1:] for g in bundle.elements}
+        assert renamed(bundle, rename, union.elements, bundle.name) == union
 
 
 def test_transformation_groupoid_shape():

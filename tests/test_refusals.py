@@ -50,7 +50,12 @@ from groupoids.builders import (
     symmetric_table,
     transformation_groupoid,
 )
-from groupoids.errors import BudgetExceeded, PreconditionFailed, UnknownElement
+from groupoids.errors import (
+    BudgetExceeded,
+    PreconditionFailed,
+    UniverseError,
+    UnknownElement,
+)
 from groupoids.groupoid import Groupoid, SubgroupoidRef
 from groupoids.morphism import (
     CancellationWitness,
@@ -278,6 +283,31 @@ REFUSALS = [
         lambda: product_form(Universe("X", ("0", "0|0")), cyclic_table(2)),
         PreconditionFailed,
         "ambiguous names in product form over 'X'",
+    ),
+    (
+        "product_form, ambiguous pair names",
+        # its names are distinct, but the pairs (a|0|a, a,a|0|a) and
+        # (a|0|a,a, a|0|a) join to one name; no pair groupoid on X is built,
+        # whose own check would name 'X'
+        lambda: product_form(Universe("X", ("a", "a,a")), cyclic_table(1)),
+        UniverseError,
+        "ambiguous pair names in product of 'X|Z1|X' and 'X|Z1|X'",
+    ),
+    (
+        "equivalence_groupoid, duplicate pair names",
+        # the pairs (a, a,a) and (a,a, a) are both named "a,a,a"
+        lambda: equivalence_groupoid(Universe("N", ("a", "a,a")), [("a", "a,a")]),
+        UniverseError,
+        "duplicate element 'a,a,a' in universe 'N*N'",
+    ),
+    (
+        "equivalence_groupoid, ambiguous pair names",
+        # the pairs (a,a, a,a,a,a) and (a,a,a,a, a,a) join to one name
+        lambda: equivalence_groupoid(
+            Universe("N", ("a", "a,a")), [("a",), ("a,a",)]
+        ),
+        UniverseError,
+        "ambiguous pair names in product of 'N*N' and 'N*N'",
     ),
     (
         "transformation_groupoid, ambiguous names",

@@ -794,6 +794,29 @@ def test_cancellation_enumerates_each_probes_arrows_once(fresh_catalog, monkeypa
     assert sum(isinstance(w, str) for w in expected) == 10
 
 
+def test_cancellation_hunts_leave_no_reference_cycle(fresh_catalog):
+    """A hunt keeps its arrows on the groupoid as rows, which name no
+    groupoid, so the 48 hunts on the morphisms among pt, Z2, S2 and P2
+    leave nothing for the cyclic collector once the catalog is dropped."""
+    cat = fresh_catalog
+    keys = ("pt", "Z2", "S2", "P2")
+    family = [h for a in keys for b in keys for h in enum_morphisms(cat[a], cat[b])]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for h, side in itertools.product(family, ("left", "right")):
+            check_cancellation(h, side)
+        assert len(family) == 24 and "_hunted" in vars(cat["P2"])
+        del h
+        family.clear()
+        cat.clear()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_cancellation_on_partial_domain():
     members = frozenset(g for g in BD.elements if g.startswith("0:"))
     proj = component_projection(BD, members)

@@ -83,6 +83,7 @@ from groupoids.morphism import (
 )
 from groupoids.relation import Universe
 from groupoids.search import (
+    check_cancellation,
     enum_actions,
     enum_actions_direct,
     enum_morphisms,
@@ -100,7 +101,7 @@ TRUSTED_SITES = {
     "unit_action", "conjugation_action", "coset_space", "induced_action",
     "pullback_action", "product_form_action", "right_commuting_to_morphism",
     "enum_morphisms", "enum_morphisms_naive", "enum_actions",
-    "enum_actions_direct",
+    "enum_actions_direct", "check_cancellation",
 }
 
 
@@ -143,6 +144,7 @@ def run_grid(catalog):
             quotient_by_kernel(h)
             if not is_mono(h):
                 mono_witness(h)
+                check_cancellation(h, "left")
             # its unit action is read unchecked, by _pair_action; the
             # bound, for time, leaves out the 5 left_regular into P9 to P24
             if len(h.target.elements) <= 64:
@@ -308,8 +310,8 @@ def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
     # 135 come only from action_groupoid_functor's calls: 43 unit
     # actions, their 43 composites and 49 to_orbit_pair morphisms;
     # enum_actions generates the 229 actions enum_actions_direct finds
-    assert len(built) == 2989
-    assert sum(site == "enum_morphisms" for site, _ in built) == 722
+    assert len(built) == 3241
+    assert sum(site == "enum_morphisms" for site, _ in built) == 922
     assert sum(site == "enum_morphisms_naive" for site, _ in built) == 539
     assert sum(site == "enum_actions" for site, _ in built) == 229
     assert sum(site == "enum_actions_direct" for site, _ in built) == 229
