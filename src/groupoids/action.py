@@ -70,8 +70,8 @@ from .groupoid import (
     _index_pass,
     _moves_rel,
     _named_triples,
-    _placed,
     _semidirect,
+    _union,
 )
 from .builders import (
     GroupTable,
@@ -447,7 +447,8 @@ def _quotient(groupoid: Groupoid, members):
     units = {at[index[e]] for e in groupoid.units}
     labels = [projection[block[0]] for block in classes]
     elements = f"{groupoid.elements.name}/G"
-    quotient = _placed(f"{groupoid.name}/G", elements, labels, units, inv, rows)
+    parts = [(labels, (units, inv, rows))]
+    quotient = _union(f"{groupoid.name}/G", elements, parts)
     to = [quotient._index[label] for label in labels]  # the index of class k
     pi = {i: 1 << to[k] for i, k in enumerate(at)}
     return quotient, Morphism._of_rows(groupoid, quotient, pi)

@@ -8,8 +8,9 @@ and for groups they are the singletons.
 Subset multiplication is associative because the groupoid's product is,
 so the Cayley table follows from the rows of a generating set: the row
 of s.X is the row of s read along the row of X.  bisection_group
-computes only its generators' rows from the groupoid, and checks each
-of those to hold bisections only; induced_hom computes and checks every
+computes only its generators' rows from the groupoid, through
+builders.py's _translated_rows, and checks each of those to hold
+bisections only; induced_hom computes and checks every
 row, since it compares each product with its image.
 
 Ad(b) sends g to b_l g s(b_r), with b_l and b_r the members of b whose
@@ -26,7 +27,7 @@ from .errors import (
     PreconditionFailed,
     UnknownElement,
 )
-from .builders import GroupTable
+from .builders import GroupTable, _translated_rows
 from .groupoid import Groupoid
 from .morphism import Morphism
 from .relation import _bits
@@ -197,13 +198,11 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
 
     The table is made on positions in the sorted member lists, and
     GroupTable._of_group re-indexes it once into sorted label order.
-    Only the rows of a generating set are products of sections: each is
-    the least row not yet known, and each is checked to hold bisections
-    only (`derived:bisection-closure`).  Subset multiplication is
-    associative because the groupoid's product is, so (s.X).B = s.(X.B)
-    and the row of s.X is row_s read along row_X.  Every other row is
-    such a left translation of a known row by a generator, with one
-    lookup per entry, and holds only positions of checked rows.
+    builders.py's _translated_rows computes only the rows of a greedy
+    generating set as products of sections, each checked here to hold
+    bisections only (`derived:bisection-closure`), and every other row
+    as a left translation of a checked row, which holds only positions
+    of checked rows.
     """
     sets = _enum_member_sets(groupoid, limit=guard)
     if len(sets) >= guard:
@@ -216,24 +215,15 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
     bs = [sections.of(m) for m in ordered]
     columns = list(zip(*bs))
     position = {b: k for k, b in enumerate(bs)}.get
-    rows, generators = [None] * len(bs), []
-    for k, a in enumerate(bs):
-        if rows[k] is not None:
-            continue
-        row = list(map(position, sections.products(a, columns)))
+
+    def row_of(k):
+        row = list(map(position, sections.products(bs[k], columns)))
         if None in row:
             l2 = labels[row.index(None)]
             raise AxiomViolation("derived:bisection-closure", (labels[k], l2))
-        rows[k] = row
-        generators.append(row)
-        # close the known rows under every generator s: s.X sits at s[x],
-        # and `known` grows while it is read
-        known = [x for x, r in enumerate(rows) if r is not None]
-        for x in known:
-            for s in generators:
-                if rows[s[x]] is None:
-                    rows[s[x]] = list(map(s.__getitem__, rows[x]))
-                    known.append(s[x])
+        return row
+
+    rows = _translated_rows(len(bs), row_of)
     return GroupTable._of_group(f"Bis({groupoid.name})", labels, rows)
 
 

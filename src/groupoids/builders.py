@@ -18,19 +18,29 @@ triples, the arguments of Groupoid._of_rows.  Two primitives live here:
 _pair_parts(n), the pair groupoid on n positions with (x, y) at
 x * n + y, and _group_parts(table), a table's one-unit groupoid on its
 indices.  Two combinators live in groupoid.py: _product, with (a1, a2)
-at a1 * n2 + a2, and _union, which places labelled parts from their
-offsets through _placed.  A builder keeps only its checks, names and
-labels.  pair_groupoid and group_groupoid are one primitive each, on
-their universes.  group_bundle is the union of its tables' groups, and
-equivalence_groupoid the union of the pair groupoids on its classes.
-product_form checks its names first, then takes the product of the pair
-rows on X with G's rows, its names listed in (x, y, g) order; it builds
-no pair groupoid, whose own name check would name X and not X|G|X.
+at a1 * n2 + a2, and _union, which places labelled parts on the
+universe of their labels in one pass and takes a part already in place
+as it is; a single part, placed, is a union of one.  A builder keeps
+only its checks, names and labels.  pair_groupoid and group_groupoid
+are one primitive each, on their universes.  group_bundle is the union
+of its tables' groups, and equivalence_groupoid the union of the pair
+groupoids on its classes.  product_form checks its names first, then
+takes the product of the pair rows on X with G's rows, its names listed
+in (x, y, g) order; it builds no pair groupoid, whose own name check
+would name X and not X|G|X.
 groupoid.py's disjoint_union and cartesian_product are the union and the
 product of two groupoids' triples.  A transformation groupoid is built
 from its action's move rows by groupoid.py's _semidirect, as action.py's
 action_groupoid is.  Only the element names are made: the product
 triples and the inverse map are named when `table` or `inverse` is read.
+
+A stock table is a group by construction: Z_n adds mod n and S_n
+composes permutations.  So _translated_rows computes only the rows of a
+greedy generating set directly, 2 of Z_n's and n of S_n's n!, and reads
+every other row off them: the product is associative, so the row of sx
+is the row of s read along the row of x, one lookup per entry.
+bisection_group's table is made the same way; its rows are associative
+because the groupoid's product is.
 
 Element naming is part of each builder's contract:
 
@@ -49,7 +59,6 @@ from .groupoid import (
     Groupoid,
     _composes_on_generators,
     _fixes,
-    _placed,
     _product,
     _semidirect,
     _union,
@@ -144,8 +153,13 @@ class GroupTable:
 def cyclic_table(n: int, name=None) -> GroupTable:
     if n < 1:
         raise PreconditionFailed("cyclic group order must be positive")
-    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return GroupTable._of_group(name or f"Z{n}", [str(i) for i in range(n)], rows)
+    # the labels in sorted order, so _of_group re-indexes nothing; the row
+    # of a adds a to each element, and row 1 generates every other row
+    labels = sorted(map(str, range(n)))
+    value = list(map(int, labels))
+    at = {v: k for k, v in enumerate(value)}
+    row_of = lambda k: [at[(value[k] + v) % n] for v in value]
+    return GroupTable._of_group(name or f"Z{n}", labels, _translated_rows(n, row_of))
 
 
 def trivial_table(name=None) -> GroupTable:
@@ -162,13 +176,44 @@ def symmetric_table(n: int, name=None) -> GroupTable:
     """Symmetric group on 1..n in one-line notation ("231" etc.)."""
     if not 1 <= n <= 9:
         raise PreconditionFailed("symmetric group supported for 1 <= n <= 9")
-    perms = ["".join(p) for p in itertools.permutations("123456789"[:n])]
-    index = {p: i for i, p in enumerate(perms)}
-    rows = [
-        [index["".join(a[int(b[i]) - 1] for i in range(n))] for b in perms]
-        for a in perms
-    ]
-    return GroupTable._of_group(name or f"S{n}", perms, rows)
+    # index tuples in sorted order, as their labels sort; ab is a after b,
+    # and the rows of n of them generate every other row
+    perms = list(itertools.permutations(range(n)))
+    at = {p: k for k, p in enumerate(perms)}
+    labels = ["".join(map("123456789".__getitem__, p)) for p in perms]
+    row_of = lambda k: [at[tuple(map(perms[k].__getitem__, b))] for b in perms]
+    rows = _translated_rows(len(perms), row_of)
+    return GroupTable._of_group(name or f"S{n}", labels, rows)
+
+
+def _translated_rows(n: int, row_of) -> list:
+    """The n rows of a group's Cayley table on positions, rows[x][b] the
+    position of xb, with row_of(k) computing row k directly.
+
+    Only the least row not yet known is computed directly, and the
+    known rows are closed under it and those before it.  The product is
+    associative, so (sx)b = s(xb): the row of sx, at position s[x], is
+    the row of s read along the row of x, one lookup per entry.  Every
+    other row is such a left translation of a known row, and it is the
+    product's: the stock tables are groups by construction, and
+    bisection_group's rows, each checked by its row_of, multiply
+    subsets of a groupoid, associatively because its product is.
+    """
+    rows, generators = [None] * n, []
+    for k in range(n):
+        if rows[k] is not None:
+            continue
+        rows[k] = row_of(k)
+        generators.append(rows[k])
+        # close the known rows under every generator s: s.X sits at s[x],
+        # and `known` grows while it is read
+        known = [x for x, r in enumerate(rows) if r is not None]
+        for x in known:
+            for s in generators:
+                if rows[s[x]] is None:
+                    rows[s[x]] = list(map(s.__getitem__, rows[x]))
+                    known.append(s[x])
+    return rows
 
 
 def _check_members(table: GroupTable, members):
@@ -406,7 +451,7 @@ def product_form(space: Universe, table: GroupTable, name=None) -> Groupoid:
         )
     parts = _product(_pair_parts(len(space)), _group_parts(table))
     label = name or f"{space.name}|{table.name}|{space.name}"
-    return _placed(label, label, labels, *parts)
+    return _union(label, label, [(labels, parts)])
 
 
 def transformation_groupoid(table: GroupTable, space: Universe, act, name=None) -> Groupoid:

@@ -78,16 +78,24 @@ groupoid.  So h1h2 is in H: H is closed under defined products, and
 it is enough that H holds a generating set of G; for phi = m this is
 Light's associativity test (Clifford and Preston, The Algebraic Theory
 of Semigroups I, 1961, section 1.2).  The set is greedy: the least
-element not yet generated, then the closure under defined products,
-until every element is generated.  For each generator h and each g,
-phi(g, -) after phi(h, -), a partial map on X, must equal phi(gh, -),
-or be empty where gh is undefined: a comparison of two lists read off
-the move rows, or a disjointness test.  A multi-valued phi is decided
-by relation.py's two_sided_difference(phi, m): for each output w in
-name order, one pass over the phi-preimages (g, x) of w gives both
-preimages of w as sets of triple indices, the (g1, g2, x) with g1g2 = g
-and the (g, h, y) with phi(h, y) = x.  The first w where they differ
-has the least output name, and the least input name of their symmetric
+non-unit not yet generated, then the closure under defined products,
+until every non-unit is generated; then each unit not yet generated.
+A unit e with an arrow g != e at it is g s(g) or s(g) g, so only a
+unit alone in its fiber, as in a set groupoid, Z1 or a one-point
+class, is left ungenerated; it is still yielded, since H must hold a
+set that generates all of G.  Units are read off the rows as their
+idempotents, before any law is checked: that only orders the elements,
+and in any order each is yielded or generated.  So Z_n takes one
+generator, S4 three and the pair groupoid on n points 2(n - 1).  For
+each generator h and each g, phi(g, -) after phi(h, -), a partial map
+on X, must equal phi(gh, -), or be empty where gh is undefined: a
+comparison of two lists read off the move rows, or a disjointness
+test.  A multi-valued phi is decided by relation.py's
+two_sided_difference(phi, m): for each output w in name order, one
+pass over the phi-preimages (g, x) of w gives both preimages of w as
+sets of triple indices, the (g1, g2, x) with g1g2 = g and the
+(g, h, y) with phi(h, y) = x.  The first w where they differ has the
+least output name, and the least input name of their symmetric
 difference completes the sorted-least pair, the offender in both cases.
 
 s m = m flip (s x s).  It is checked after s s = id, so s is a total
@@ -133,6 +141,7 @@ is decided on index rows.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from contextlib import suppress
 from functools import cached_property
@@ -643,10 +652,12 @@ def _composes_on_generators(moves, groupoid: Groupoid) -> bool:
 
 
 def _generators(rows, cols):
-    """Greedy generators: the least element not yet generated, each
-    yielded before the generated set is closed under defined products."""
+    """Greedy generators: the least non-unit not yet generated, then each
+    unit not generated, each yielded before the generated set is closed
+    under defined products.  The units are read as the idempotents of
+    the rows, so the order needs no law checked yet."""
     generated = [False] * len(rows)
-    for g in range(len(rows)):
+    for g in sorted(range(len(rows)), key=lambda g: rows[g].get(g) == g):
         if generated[g]:
             continue
         yield g
@@ -728,16 +739,6 @@ class SubgroupoidRef(object):
         return f"SubgroupoidRef({self.parent.name!r}, {len(self.members)} members)"
 
 
-def _placed(name, universe_name, labels, units, inv, rows) -> Groupoid:
-    """The groupoid on Universe(universe_name, labels), given on
-    positions: units, inv and rows as for Groupoid._of_rows, position k
-    standing for labels[k], moved once onto the universe's indices."""
-    elements = Universe(universe_name, labels)
-    at = list(map(elements.index.__getitem__, labels))
-    inv, rows = _moved(at, inv, rows)
-    return Groupoid._of_rows(name, elements, [at[e] for e in units], inv, rows)
-
-
 def _semidirect(name, elements_name, groupoid, carrier: Universe, moves, label):
     """G x| X for an action of G on X, `carrier`, with move rows `moves`:
     the (g, x) with phi(g, x) defined, named label(g, x), from x to
@@ -755,7 +756,7 @@ def _semidirect(name, elements_name, groupoid, carrier: Universe, moves, label):
             k = at[g2][x]
             for g1, g1g2 in cols[g2].items():
                 rows[at[g1][y]][k] = at[g1g2][x]
-    return _placed(name, elements_name, labels, units, inv, rows)
+    return _union(name, elements_name, [(labels, (units, inv, rows))])
 
 
 def _parts(groupoid: Groupoid) -> tuple:
@@ -766,18 +767,26 @@ def _parts(groupoid: Groupoid) -> tuple:
 
 def _union(name, universe_name, parts) -> Groupoid:
     """The disjoint union of labelled parts (labels, (units, inv, rows)),
-    placed as _placed places them: each part's positions follow those of
-    the parts before it, its position k at their count plus k."""
-    labels, units, inv, rows = [], [], [], []
+    each given on its positions as for Groupoid._of_rows, position k
+    standing for labels[k], on Universe(universe_name, labels).  Each
+    part's rows are placed on the universe's indices in one pass; a part
+    whose position k is already index k is taken as it is, its rows
+    shared, as no groupoid's rows change once set up."""
+    parts = list(parts)
+    labels = [x for part_labels, _ in parts for x in part_labels]
+    elements = Universe(universe_name, labels)
+    at = iter(map(elements.index.__getitem__, labels))
+    units, inv, rows = [], [None] * len(labels), [None] * len(labels)
     for part_labels, (part_units, part_inv, part_rows) in parts:
-        offset = len(labels)
-        labels.extend(part_labels)
-        units.extend(offset + e for e in part_units)
-        inv.extend(offset + j for j in part_inv)
-        rows.extend(
-            {offset + b: offset + c for b, c in row.items()} for row in part_rows
-        )
-    return _placed(name, universe_name, labels, units, inv, rows)
+        place = list(itertools.islice(at, len(part_labels)))
+        units.extend(map(place.__getitem__, part_units))
+        if place == list(range(len(place))):
+            inv[: len(place)], rows[: len(place)] = part_inv, part_rows
+            continue
+        for k, j, row in zip(place, part_inv, part_rows):
+            inv[k] = place[j]
+            rows[k] = {place[b]: place[c] for b, c in row.items()}
+    return Groupoid._of_rows(name, elements, units, inv, rows)
 
 
 def _product(first, second) -> tuple:

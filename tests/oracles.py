@@ -21,6 +21,9 @@ and e_R alone, never off an index view that groups arrows by unit.
 `action_count_reference` counts the actions on k labelled points by
 the exponential formula, from subgroups found by brute force over
 subsets, so it shares nothing with the coset-space generator.
+`symmetric_reference` and `cyclic_reference` give the stock groups'
+labels and products by name, one product at a time, as references for
+the tables the builders make by left translation.
 `relational_verdict` and `morphism_relational_verdict` decide the
 relational axioms of a groupoid and of a morphism on relations built in
 full, as references for the checked constructors' verdicts.
@@ -106,6 +109,21 @@ def groupoid_violation(elements, units, inverse, table):
         if left != right:
             return "associativity"
     return None
+
+
+def symmetric_reference(n):
+    """S_n's labels, the permutations of 1..n in one-line notation, and
+    its product by name: position i of ab holds a's entry at b's i-th."""
+    perms = ["".join(p) for p in itertools.permutations("123456789"[:n])]
+    mult = {(a, b): "".join(a[int(i) - 1] for i in b) for a in perms for b in perms}
+    return perms, mult
+
+
+def cyclic_reference(n):
+    """Z_n's labels 0..n-1 and its product by name, addition mod n."""
+    labels = [str(i) for i in range(n)]
+    mult = {(a, b): str((int(a) + int(b)) % n) for a in labels for b in labels}
+    return labels, mult
 
 
 def relational_verdict(elements, units, inverse, table):

@@ -3,7 +3,13 @@
 import itertools
 
 import pytest
-from oracles import SMALL_GROUPS, groupoid_violation, renamed
+from oracles import (
+    SMALL_GROUPS,
+    cyclic_reference,
+    groupoid_violation,
+    renamed,
+    symmetric_reference,
+)
 
 from groupoids.action import (
     action_groupoid,
@@ -39,7 +45,7 @@ from groupoids.errors import (
     UniverseError,
     UnknownElement,
 )
-from groupoids import morphism
+from groupoids import builders, morphism
 from groupoids.groupoid import Groupoid, cartesian_product, disjoint_union
 from groupoids.relation import Universe
 from groupoids.search import find_groupoid_isomorphism
@@ -57,6 +63,39 @@ def test_stock_tables():
     v4, at = klein_table(), {g: str(i) for i, g in enumerate("eabc")}
     relabelled = {(at[a], at[b]): at[v4.mult(a, b)] for a in at for b in at}
     assert GroupTable("V4", "0123", relabelled) != z4
+
+
+def test_stock_tables_equal_the_checked_tables_of_their_name_level_products():
+    """symmetric_table(1..6) and cyclic_table(1..40), built by left
+    translation, equal the checked GroupTable of the references'
+    products by name: labels, rows, unit and inverses."""
+    references = [(symmetric_table, symmetric_reference, n) for n in range(1, 7)]
+    references += [(cyclic_table, cyclic_reference, n) for n in range(1, 41)]
+    for build, reference, n in references:
+        table = build(n)
+        checked = GroupTable(table.name, *reference(n))
+        assert table == checked, table.name
+        assert (table.unit, table.inv) == (checked.unit, checked.inv), table.name
+
+
+def test_stock_tables_compute_only_their_generators_rows(monkeypatch):
+    """Each row a stock table computes directly is the least row not yet
+    known: S_n computes n of its n! rows and Z_n 2 of its n, Z1 its one;
+    every other row is a left translation."""
+    computed = []
+    translated_rows = builders._translated_rows
+
+    def counted(n, row_of):
+        return translated_rows(n, lambda k: computed.append(k) or row_of(k))
+
+    def direct(build, n):
+        computed.clear()
+        build(n)
+        return len(computed)
+
+    monkeypatch.setattr(builders, "_translated_rows", counted)
+    assert [direct(symmetric_table, n) for n in range(1, 7)] == [1, 2, 3, 4, 5, 6]
+    assert [direct(cyclic_table, n) for n in range(1, 41)] == [1] + [2] * 39
 
 
 def test_group_table_rejects_bad_data():

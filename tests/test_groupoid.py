@@ -27,6 +27,7 @@ from groupoids import groupoid as groupoid_module
 from groupoids.builders import (
     GroupTable,
     cyclic_table,
+    equivalence_groupoid,
     group_bundle,
     group_groupoid,
     pair_groupoid,
@@ -338,9 +339,9 @@ def test_associativity_on_few_generators_agrees_with_the_materialized_sides():
     rng = random.Random(1311)
     checked = rejected = 0
     for g, generators in (
-        (group_groupoid(cyclic_table(12)), 2),
-        (group_groupoid(symmetric_table(4)), 4),
-        (pair_groupoid(Universe("X4", "abcd")), 7),
+        (group_groupoid(cyclic_table(12)), 1),
+        (group_groupoid(symmetric_table(4)), 3),
+        (pair_groupoid(Universe("X4", "abcd")), 6),
     ):
         assert len(list(_generators(g._rows, g._cols))) == generators
         u = g.elements
@@ -357,6 +358,65 @@ def test_associativity_on_few_generators_agrees_with_the_materialized_sides():
             rejected += at_law
     assert checked == 56  # the groups have no pair that does not compose
     assert rejected > 0
+
+
+def generated_by(groupoid, generators) -> set:
+    """The closure of the named generators under defined products, by
+    name."""
+    closure, grown = set(), set(generators)
+    while grown != closure:
+        closure = grown
+        grown = closure | {groupoid.mult(a, b) for a in closure for b in closure}
+        grown.discard(None)
+    return closure
+
+
+def yielded(groupoid) -> list:
+    indices = _generators(groupoid._rows, groupoid._cols)
+    return list(map(groupoid._names.__getitem__, indices))
+
+
+def test_greedy_generators_generate_every_element(catalog):
+    """Non-units come first, and a unit only where the non-units do not
+    generate it: in a set groupoid, a Z1, a bundle with a Z1 fibre, an
+    equivalence class of one point and the empty groupoid.  Whatever is
+    yielded generates every element."""
+    space = Universe("K", "abc")
+    ungenerated_units = [
+        set_groupoid(space),
+        group_groupoid(cyclic_table(1)),
+        group_bundle([cyclic_table(3), cyclic_table(1)]),
+        equivalence_groupoid(space, [("a", "b"), ("c",)]),
+        set_groupoid(Universe("E", ())),
+    ]
+    for g in [*catalog.values(), *ungenerated_units]:
+        assert generated_by(g, yielded(g)) == set(g.elements), g.name
+    assert yielded(ungenerated_units[2]) == ["0:1", "1:0"]
+    assert yielded(ungenerated_units[3]) == ["a,b", "b,a", "c,c"]
+    assert yielded(ungenerated_units[4]) == []
+    seen = []
+
+    @seed(1311)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def check(groupoid):
+        assert generated_by(groupoid, yielded(groupoid)) == set(groupoid.elements)
+        seen.append(groupoid)
+
+    check()
+    assert len(seen) == 60
+
+
+def test_greedy_generator_counts():
+    """Z_n takes 1 generator, the pair groupoid on n points 2(n - 1) and
+    the set groupoid on k points k; S4's 3 is pinned with its grid
+    above."""
+    assert {len(yielded(group_groupoid(cyclic_table(n)))) for n in range(1, 25)} == {1}
+    for n in range(2, 7):
+        pairs = pair_groupoid(Universe(f"X{n}", "abcdef"[:n]))
+        assert len(yielded(pairs)) == 2 * (n - 1)
+    for k in range(5):
+        assert len(yielded(set_groupoid(Universe(f"S{k}", "abcd"[:k])))) == k
 
 
 @st.composite
