@@ -66,6 +66,7 @@ from .groupoid import (
     SubgroupoidRef,
     _after,
     _check_composition,
+    _classes,
     _generators,
     _index_pass,
     _moves_rel,
@@ -383,35 +384,36 @@ class CosetSpace:
 
 
 def _cosets(groupoid: Groupoid, members) -> tuple:
-    """The classes aH of a wide subgroupoid H, each a sorted tuple, in the
-    order of their least elements, and the map from each element to the
-    label of its class."""
-    # the class of a is aH = {ah : h in H composable}; in name order, the
-    # first element met of each class is its least
+    """(classes, labels, at) of a wide subgroupoid H: the classes aH, each
+    a sorted name tuple, numbered by groupoid._classes in name order, so
+    by least element; the label [least] of each; and at[g], the number of
+    g's class."""
+    # the class of a is aH = {ah : h in H composable}
     u, rows = groupoid.elements, groupoid._rows
-    inside = [u.index[h] for h in members]
-    classes, projection = [], {}
-    for a in u:
-        if a not in projection:
-            row = rows[u.index[a]]
-            block = tuple(sorted(u.names[row[h]] for h in inside if h in row))
-            classes.append(block)
-            projection.update(dict.fromkeys(block, f"[{a}]"))
-    return tuple(classes), projection
+    index, names = u.index, u.names
+    inside = [index[h] for h in members]
+
+    def coset(a):
+        row = rows[index[a]]
+        return tuple(sorted([names[row[h]] for h in inside if h in row]))
+
+    at, classes = _classes(u, coset)
+    return classes, [f"[{block[0]}]" for block in classes], at
 
 
 def coset_space(groupoid: Groupoid, part) -> CosetSpace:
     """Quotient of a groupoid by a wide subgroupoid, with its action."""
     members = _subgroupoid(groupoid, part, "coset space needs a wide subgroupoid").members
-    classes, projection = _cosets(groupoid, members)
-    carrier = Universe(
-        f"{groupoid.elements.name}/~", tuple(projection[b[0]] for b in classes)
-    )
+    classes, labels, at = _cosets(groupoid, members)
+    carrier = Universe(f"{groupoid.elements.name}/~", labels)
+    # at is filled class by class, as the projection is kept
+    projection = dict(zip(at, map(labels.__getitem__, at.values())))
     # a moves the class of b to that of ab
-    at = [carrier.index[projection[g]] for g in groupoid._names]
+    index = carrier.index
+    at = list(map(index.__getitem__, map(projection.__getitem__, groupoid._names)))
     moves = [{at[b]: at[c] for b, c in row.items()} for row in groupoid._rows]
     action = Action._of_rows(groupoid, carrier, moves)
-    return CosetSpace(groupoid, members, classes, projection, action)
+    return CosetSpace(groupoid, members, tuple(classes), projection, action)
 
 
 def quotient_groupoid(groupoid: Groupoid, part):
@@ -432,20 +434,18 @@ def quotient_groupoid(groupoid: Groupoid, part):
 
 def _quotient(groupoid: Groupoid, members):
     """quotient_groupoid on members it need not check: a wide subgroupoid
-    of the isotropy bundle, normal at every unit, such as a kernel."""
-    classes, projection = _cosets(groupoid, members)
+    of the isotropy bundle, normal at every unit, such as a kernel.  Its
+    elements are the classes _cosets numbers with groupoid._classes, in
+    that order, and it reads their numbers from _cosets' at."""
+    classes, labels, of = _cosets(groupoid, members)
     # position k is the class classes[k]; at[i] is the class of element i,
     # and the products and inverses of a class's elements fall in one class
-    index, at = groupoid._index, [0] * len(groupoid._rows)
-    for k, block in enumerate(classes):
-        for g in block:
-            at[index[g]] = k
+    index, at = groupoid._index, list(map(of.__getitem__, groupoid._names))
     rows, class_of = [{} for _ in classes], at.__getitem__
     for i, row in enumerate(groupoid._rows):
         rows[at[i]].update(zip(map(class_of, row), map(class_of, row.values())))
     inv = [at[groupoid._inv[index[block[0]]]] for block in classes]
     units = {at[index[e]] for e in groupoid.units}
-    labels = [projection[block[0]] for block in classes]
     elements = f"{groupoid.elements.name}/G"
     parts = [(labels, (units, inv, rows))]
     quotient = _union(f"{groupoid.name}/G", elements, parts)
@@ -484,9 +484,9 @@ def homogeneous_identification(action: Action, section):
 
     wide = {g for g, x in mark.items() if x == section[groupoid.e_left(g)]}
     ref = SubgroupoidRef(groupoid, wide)
-    _, projection = _cosets(groupoid, wide)
+    _, labels, at = _cosets(groupoid, wide)
     psi = {
-        x: projection[min(g for g, y in mark.items() if y == x)]
+        x: labels[at[min(g for g, y in mark.items() if y == x)]]
         for x in action.carrier
     }
     return ref, psi
@@ -495,7 +495,9 @@ def homogeneous_identification(action: Action, section):
 def induced_action(groupoid: Groupoid, part, action: Action):
     """Extend an action of a subgroupoid to the whole groupoid.
 
-    Returns the class universe and the action on it.
+    Returns the class universe and the action on it.  The classes of
+    the pairs (gamma, x) are numbered by groupoid._classes, walking the
+    pairs in sorted order, and each is labelled by its least pair.
     """
     ref = _subgroupoid(groupoid, part)
     members, delta = ref.members, ref.as_groupoid()
@@ -505,39 +507,32 @@ def induced_action(groupoid: Groupoid, part, action: Action):
     if set(action.base_map.values()) != base_units:
         raise PreconditionFailed("base map is not onto the subgroupoid units")
 
-    names, at = groupoid._names, groupoid._index
+    names, index, inverse = groupoid._names, groupoid._index, groupoid.inverse
     pre_carrier = sorted(
         (names[gamma], x)
         for x in action.carrier
-        for gamma in groupoid._fibers[at[action.base_map[x]]]
+        for gamma in groupoid._fibers[index[action.base_map[x]]]
     )
-    # the class of (gamma, x) is {(gamma s(delta), delta x) : delta in H
-    # with delta x defined}, and then gamma s(delta) is defined; in sorted
-    # order, the first item met of each class is its least
-    classes, projection = [], {}
-    for gamma, x in pre_carrier:
-        if (gamma, x) not in projection:
-            moved = ((delta, action.apply(delta, x)) for delta in members)
-            block = tuple(
-                sorted(
-                    (groupoid.mult(gamma, groupoid.inverse[delta]), y)
-                    for delta, y in moved
-                    if y is not None
-                )
-            )
-            classes.append(block)
-            projection.update(dict.fromkeys(block, f"[{pair_name(gamma, x)}]"))
-    carrier = Universe(
-        f"{groupoid.elements.name}*{action.carrier.name}.induced",
-        tuple(projection[b[0]] for b in classes),
-    )
+
+    def orbit(item):
+        # the class of (gamma, x) is {(gamma s(delta), delta x) : delta in
+        # H with delta x defined}, and then gamma s(delta) is defined
+        gamma, x = item
+        moved = ((delta, action.apply(delta, x)) for delta in members)
+        return {(groupoid.mult(gamma, inverse[d]), y) for d, y in moved if y is not None}
+
+    # numbered by _classes in sorted order, so each class opens at its least
+    at, classes = _classes(pre_carrier, orbit)
+    labels = [f"[{pair_name(*min(block))}]" for block in classes]
+    name = f"{groupoid.elements.name}*{action.carrier.name}.induced"
+    carrier = Universe(name, labels)
     # gamma1 moves the class of (gamma, x) to that of (gamma1 gamma, x)
-    at, names, cols = carrier.index, groupoid._names, groupoid._cols
+    to, cols = list(map(carrier.index.__getitem__, labels)), groupoid._cols
     moves = [{} for _ in names]
     for gamma, x in pre_carrier:
-        k = at[projection[(gamma, x)]]
-        for gamma1, prod in cols[groupoid._index[gamma]].items():
-            moves[gamma1][k] = at[projection[(names[prod], x)]]
+        k = to[at[(gamma, x)]]
+        for gamma1, prod in cols[index[gamma]].items():
+            moves[gamma1][k] = to[at[(names[prod], x)]]
     return carrier, Action._of_rows(groupoid, carrier, moves)
 
 

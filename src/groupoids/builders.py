@@ -57,6 +57,7 @@ import itertools
 from .errors import PreconditionFailed, UnknownElement
 from .groupoid import (
     Groupoid,
+    _classes,
     _composes_on_generators,
     _fixes,
     _product,
@@ -271,28 +272,25 @@ def _normal(rows, group, sub) -> bool:
 def quotient_group_table(table: GroupTable, members, name=None):
     """Quotient by a normal subgroup.
 
-    Returns (quotient table, projection dict); cosets are named by
-    their sorted-least member in brackets.
+    Returns (quotient table, projection dict); the cosets are numbered
+    by groupoid._classes in index order and named by their sorted-least
+    member in brackets.
     """
     _check_members(table, members)
     rows, names, members = table.rows, table.elements, set(members)
-    ms = {table._index[h] for h in members}
+    ms, order = {table._index[h] for h in members}, range(len(rows))
     closed = all(rows[a][b] in ms for a in ms for b in ms)
-    if table.unit not in members or not closed or not is_normal(table, members):
+    if table.unit not in members or not closed or not _normal(rows, order, ms):
         raise PreconditionFailed(
             f"{sorted(members)} is not a normal subgroup of {table.name!r}"
         )
-    # in index order, which is label order, the first member met of each
-    # coset gN is its least
-    coset_of, reps = [None] * len(rows), []
-    for g, row in enumerate(rows):
-        if coset_of[g] is None:
-            for h in ms:
-                coset_of[row[h]] = len(reps)
-            reps.append(g)
+    # the cosets gN, numbered by _classes in index order, which is label
+    # order, so each is represented by its least member
+    at, cosets = _classes(order, lambda g: list(map(rows[g].__getitem__, ms)))
+    reps = list(map(min, cosets))
     labels = [f"[{names[g]}]" for g in reps]
-    proj = {g: labels[k] for g, k in zip(names, coset_of)}
-    quotient_rows = [[coset_of[rows[a][b]] for b in reps] for a in reps]
+    proj = dict(zip(names, map(labels.__getitem__, map(at.__getitem__, order))))
+    quotient_rows = [[at[rows[a][b]] for b in reps] for a in reps]
     quotient = GroupTable._of_group(
         name or f"{table.name}/{'+'.join(sorted(members))}", labels, quotient_rows
     )

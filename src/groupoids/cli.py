@@ -18,6 +18,7 @@ argparse dispatches to it.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,6 +28,10 @@ from .relation import Universe
 
 KINDS = ("groupoid", "morphism", "action")
 TOO_DEEP = "document nested too deeply"
+# the most products a cyclic:n or symmetric:n table may have: Z1024 and S6
+# build, and S7's 25,401,600 products would exhaust memory before any
+# law is checked
+MAX_TABLE_PRODUCTS = 2**20
 
 
 # -- documents --------------------------------------------------------
@@ -292,6 +297,14 @@ def _table_from_token(token):
             raise DocumentError(
                 f"group order in {token!r} is not an integer"
             ) from None
+        size = order
+        if head == "symmetric":  # symmetric_table refuses n outside 1..9
+            size = math.factorial(order) if 1 <= order <= 9 else 0
+        if size > 0 and size * size > MAX_TABLE_PRODUCTS:
+            raise DocumentError(
+                f"group {token!r} is too large: its table has more than "
+                f"{MAX_TABLE_PRODUCTS} products"
+            )
         make = builders.cyclic_table if head == "cyclic" else builders.symmetric_table
         return _argv(make, order, wrong=PreconditionFailed)
     if head == "klein":

@@ -42,11 +42,24 @@ action generator, the bisection enumerator, component_projection,
 induced_action and the isotropy groups of quotient_groupoid.  The
 relation "some arrow runs from y to x" is an equivalence: units make it
 reflexive, inverses symmetric and products transitive.  So the orbit of
-e is the set of left units of its right fiber, with no search, and an
-orbit met first at its least unit, in name order, is met in sorted
-order.  Name order
-makes decompose_transitive's p(y), the least arrow from y to e0, the
-first of y's fiber with left unit e0.
+e is the set of left units of its right fiber, with no search.  Name
+order makes decompose_transitive's p(y), the least arrow from y to e0,
+the first of y's fiber with left unit e0.
+
+Every class set is numbered by one kernel, _classes(order, class_of):
+it walks `order`, each element a not yet placed opens the class
+class_of(a), kept as given, and at[x] is the number of x's class.  Its
+readers are the orbits of the units here; in action.py the coset space
+of a wide subgroupoid and the quotient by a normal one (both through
+_cosets) and the classes of an induced action; builders.py's cosets of
+a normal subgroup; and search.py's left cosets, from which the action
+generator builds its points.  Each walks its elements in name order, or
+in index order where that is name order.  Then the element that opens
+a class is its least: every smaller element was met earlier and placed
+in its own class, so none lies in the new one.  That is why a class
+can be labelled [least] by the element that opened it, and why the
+orbits come out sorted.  search._left_cosets walks the unit first, so
+that the subgroup itself is coset 0.
 
 For a single-valued m every law is decided on index rows, without
 building a relation; a multi-valued m, which no row can hold, is
@@ -374,15 +387,13 @@ class Groupoid:
 
     def orbits(self) -> tuple:
         """Partition of the units into orbits: the orbit of e is the set
-        of left units of its right fiber."""
-        names, left = self._names, self._left
-        blocks, placed = [], set()
-        for e, fiber in self._fibers.items():  # by least unit, so sorted
-            if e not in placed:
-                block = {left[g] for g in fiber}
-                placed |= block
-                blocks.append(tuple(sorted(map(names.__getitem__, block))))
-        return tuple(blocks)
+        of left units of its right fiber, numbered by _classes."""
+        names, left, fibers, index = self._names, self._left, self._fibers, self._index
+
+        def orbit(e):
+            return tuple(sorted({names[left[g]] for g in fibers[index[e]]}))
+
+        return tuple(_classes(self.units, orbit)[1])
 
     def _arrows(self, units, lefts=None) -> set:
         """The names of the elements whose right unit is in `units` and,
@@ -513,6 +524,21 @@ def _kept(groupoid: Groupoid, name: str, build):
     if name not in vars(groupoid):
         setattr(groupoid, name, build(groupoid))
     return vars(groupoid)[name]
+
+
+def _classes(order, class_of) -> tuple:
+    """(at, classes) of an equivalence relation: walking `order`, each
+    element not yet placed opens its class class_of(a), which holds a and
+    is kept as given; at[x] is the number of x's class.  Walked in name
+    order, the element that opens a class is its least."""
+    at, classes = {}, []
+    for a in order:
+        if a not in at:
+            k, block = len(classes), class_of(a)
+            for x in block:
+                at[x] = k
+            classes.append(block)
+    return at, classes
 
 
 def _index_pass(acting: Universe, on: Universe, triples: set):

@@ -84,7 +84,7 @@ from .builders import (
     subgroups_of,
 )
 from .errors import AxiomViolation, BudgetExceeded, PreconditionFailed
-from .groupoid import Groupoid, _kept
+from .groupoid import Groupoid, _classes, _kept
 from .morphism import CancellationWitness, Morphism
 from .morphism import _hm_refutation, _mask_product
 from .relation import Universe, _bits, _composed_rows, _rank_key, product_universe
@@ -570,13 +570,15 @@ def _isotropy_views(groupoid: Groupoid) -> tuple:
 
 def _left_cosets(table, members) -> list:
     """acts[x][j], the index of the left coset x r_j K, where r_j K is
-    the j-th left coset of the subgroup K = members, K itself first and
-    the others by least representative, and x a table index."""
+    the j-th left coset of the subgroup K = members, numbered by
+    groupoid._classes from the unit, then in index order: so K itself is
+    coset 0, as _point_actions needs of the stabilizer of the point it
+    sends coset 0 to, and the others come by least representative; x is
+    a table index."""
     rows, inside = table.rows, [table._index[h] for h in members]
-    firsts = (table._index[table.unit], *range(len(rows)))
-    cosets = list(dict.fromkeys(frozenset(rows[r][h] for h in inside) for r in firsts))
-    at = {g: j for j, coset in enumerate(cosets) for g in coset}
-    return [[at[rows[x][min(c)]] for c in cosets] for x in range(len(rows))]
+    order = (table._index[table.unit], *range(len(rows)))
+    at, cosets = _classes(order, lambda r: list(map(rows[r].__getitem__, inside)))
+    return [[at[row[coset[0]]] for coset in cosets] for row in rows]
 
 
 def _point_actions(cosets, free, sigma):

@@ -18,6 +18,8 @@ The `*_reference` functions are name-level references for the
 structure queries (orbits, isotropy, components, restriction, the
 decomposition's section and the number of bisections), read off e_L
 and e_R alone, never off an index view that groups arrows by unit.
+`cosets_reference` gives the classes and labels of a coset space by
+their definition, for the readers of the class kernel.
 `action_count_reference` counts the actions on k labelled points by
 the exponential formula, from subgroups found by brute force over
 subsets, so it shares nothing with the coset-space generator.
@@ -593,6 +595,20 @@ def section_reference(groupoid, e0) -> dict:
         )
         for y in block
     }
+
+
+def cosets_reference(groupoid, members) -> list:
+    """(label, class) of each class of a ~ b iff s(a)b lies in
+    `members`, each class sorted, in the order of their least members,
+    labelled [least]: the classes are read off mult one pair at a time,
+    never numbered in a walk."""
+    members = set(members)
+    classes = {
+        tuple(b for b in sorted(groupoid.elements)
+              if groupoid.mult(groupoid.inverse[a], b) in members)
+        for a in groupoid.elements
+    }
+    return [(f"[{c[0]}]", c) for c in sorted(classes)]
 
 
 def bisection_count_reference(groupoid) -> int:

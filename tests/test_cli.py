@@ -506,6 +506,8 @@ def _unreadable_documents(tmp_path):
         ["build", "group", "cyclic:0"],
         ["build", "group", "symmetric:0"],
         ["build", "group", "symmetric:10"],
+        ["build", "group", "cyclic:99999999999999999999"],
+        ["build", "group", "symmetric:9"],
         ["enum", "morphisms", "@z2", "@z2", "--naive", "--max-pairs", "0"],
         ["enum", "morphisms", "@z2", "@z2", "--naive", "--max-candidates", "0"],
         ["validate", "@groupoid"],
@@ -534,6 +536,8 @@ def _unreadable_documents(tmp_path):
         "cyclic-order-0",
         "symmetric-order-0",
         "symmetric-order-10",
+        "cyclic-table-too-large",
+        "symmetric-table-too-large",
         "max-pairs-0",
         "max-candidates-0",
         "list-as-element",
@@ -567,6 +571,28 @@ def test_bad_input_exits_2_with_one_error_line(capsys, tmp_path, argv):
     assert out == ""
     assert "Traceback" not in err
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_group_tables_past_the_product_bound_are_refused_before_building(capsys):
+    """Z1025 and S7 are refused by the size of their tables, with no
+    builder called; Z1024 and S6 reach their builders."""
+    assert cli.MAX_TABLE_PRODUCTS == 2**20
+    with mock.patch("groupoids.builders.symmetric_table") as make:
+        code, out, err = run(capsys, ["build", "group", "symmetric:7"])
+    make.assert_not_called()
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: group 'symmetric:7' is too large: its table has more than "
+        "1048576 products\n"
+    )
+    code, _, err = run(capsys, ["build", "group", "cyclic:1025"])
+    assert code == 2 and "'cyclic:1025' is too large" in err
+    # the largest tables under the bound reach their builders
+    largest = (("cyclic:1024", "cyclic_table"), ("symmetric:6", "symmetric_table"))
+    for token, builder in largest:
+        with mock.patch(f"groupoids.builders.{builder}", return_value="made") as make:
+            assert cli._table_from_token(token) == "made"
+        make.assert_called_once()
 
 
 def test_algorithm_recursion_is_not_a_nesting_error(tmp_path, monkeypatch):

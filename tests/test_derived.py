@@ -15,11 +15,14 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
 from oracles import (
     ad_violation,
     classification_violation,
+    cosets_reference,
     decomposition_violation,
     factorization_violation,
+    generated_groupoids,
     group_classification_violation,
     homogeneous_violation,
     kernel_violation,
@@ -41,7 +44,18 @@ from groupoids.action import (
     unit_action,
 )
 from groupoids.bisection import ad, all_bisections
-from groupoids.builders import cyclic_table, group_groupoid, product_form, symmetric_table
+from groupoids.builders import (
+    cyclic_table,
+    group_groupoid,
+    is_normal,
+    klein_table,
+    product_form,
+    quotient_group_table,
+    subgroup_table,
+    subgroups_of,
+    symmetric_table,
+)
+from groupoids.errors import PreconditionFailed
 from groupoids.groupoid import SubgroupoidRef
 from groupoids.morphism import (
     Morphism,
@@ -60,7 +74,7 @@ from groupoids.morphism import (
     wide_inclusion,
 )
 from groupoids.relation import Universe, compose
-from groupoids.search import enum_morphisms
+from groupoids.search import _left_cosets, enum_morphisms
 
 # the derived-data checks the tests name: the witness verifications and
 # bisection.py's cross-checks
@@ -186,6 +200,96 @@ def test_quotient_groupoids_match_the_oracle(grid, morphisms):
     for g, members in cases:
         quotient, pi = quotient_groupoid(g, members)
         assert quotient_violation(g, members, quotient, pi) is None, (g, members)
+
+
+def check_coset_readers(g, members) -> bool:
+    """coset_space, and quotient_groupoid where `members` lie in the
+    isotropy bundle and are normal, against cosets_reference: classes,
+    labels and their order, the projection in class order, the carrier
+    and pi.  True when the quotient was checked too."""
+    ref = cosets_reference(g, members)
+    labels = [label for label, _ in ref]
+    of = {b: label for label, c in ref for b in c}
+    space = coset_space(g, members)
+    assert space.classes == tuple(c for _, c in ref), (g, members)
+    assert list(space.projection.items()) == list(of.items()), (g, members)
+    assert space.carrier.elements == tuple(sorted(labels)), (g, members)
+    try:
+        quotient, pi = quotient_groupoid(g, members)
+    except PreconditionFailed:
+        return False
+    assert sorted(quotient.elements) == sorted(labels), (g, members)
+    assert {b: label for label, b in pi.graph} == of, (g, members)
+    return True
+
+
+def test_coset_readers_agree_with_the_name_level_reference(catalog):
+    """On the catalog and on generated groupoids, about half of them
+    indexed out of name order, with H the whole groupoid, the isotropy
+    bundle and the unit set."""
+    seen = Counter()
+
+    def check(g):
+        for members in (frozenset(g.elements), g.isotropy_bundle().members, g.units):
+            seen["quotients"] += check_coset_readers(g, members)
+            seen["spaces"] += 1
+
+    for g in catalog.values():
+        check(g)
+
+    @seed(4343)
+    @settings(max_examples=60, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def generated(groupoid):
+        check(groupoid)
+        seen["generated"] += 1
+
+    generated()
+    assert seen["generated"] >= 50 and seen["spaces"] >= 180, seen
+    assert seen["quotients"] >= 120, seen
+
+
+def lattice_groups() -> list:
+    """S4, A4, D4, V4 and Z6; A4 and D4 are subgroup_tables of S4."""
+    s4 = symmetric_table(4)
+    subgroups = subgroups_of(s4)
+    a4 = subgroup_table(s4, next(s for s in subgroups if len(s) == 12), "A4")
+    d4 = subgroup_table(s4, next(s for s in subgroups if len(s) == 8), "D4")
+    return [s4, a4, d4, klein_table(), cyclic_table(6)]
+
+
+def test_subgroup_lattices_agree_with_the_coset_reference():
+    """For every subgroup K of S4, A4, D4, V4 and Z6, non-normal ones of
+    index up to 12 among them: the coset space and, for normal K, the
+    quotient groupoid and quotient_group_table hold to cosets_reference;
+    _left_cosets numbers K first and the other cosets by least member,
+    with acts[x][j] the coset of x r_j."""
+    seen = Counter()
+    for table in lattice_groups():
+        g = group_groupoid(table)
+        for members in subgroups_of(table):
+            ref = cosets_reference(g, members)
+            normal = check_coset_readers(g, members)
+            assert normal == is_normal(table, members), (table, members)
+            of = {b: label for label, c in ref for b in c}
+            if normal:
+                quotient, proj = quotient_group_table(table, members)
+                assert list(proj.items()) == [(b, of[b]) for b in table.elements]
+                assert quotient.elements == tuple(sorted(set(of.values())))
+                for a, b in itertools.product(table.elements, repeat=2):
+                    assert quotient.mult(of[a], of[b]) == of[table.mult(a, b)]
+            else:
+                seen[f"non-normal of index {len(ref)}"] += 1
+            # K first, then by least member, as _point_actions reads them
+            own = next(c for _, c in ref if table.unit in c)
+            classes = [own] + [c for _, c in ref if c != own]
+            number = {b: j for j, c in enumerate(classes) for b in c}
+            acts = _left_cosets(table, members)
+            for x, a in enumerate(table.elements):
+                assert acts[x] == [number[table.mult(a, c[0])] for c in classes]
+            seen["subgroups"] += 1
+    assert seen["subgroups"] == 30 + 10 + 10 + 5 + 4, seen
+    assert seen["non-normal of index 12"] == 9 and seen["non-normal of index 6"] > 0, seen
 
 
 def test_homogeneous_identifications_match_the_oracle(grid):
