@@ -1,6 +1,6 @@
 """Run the committed mutants, one at a time, each in a copy of the tree.
 
-    python3 mutants/run.py [--only ID ...] [--report PATH]
+    python3 mutants/run.py
 
 Run it from the repository root.  For each row of table.py it copies
 src/, tests/ and pyproject.toml into a temporary directory, replaces the
@@ -17,11 +17,10 @@ First it runs every named test once on an unmodified copy, and stops
 with exit code 2 unless they all pass there.
 
 An "equivalent" row is expected to survive; any other outcome of a row
-differs from its status and makes the exit code 1.  The report is a
-Markdown table, written to --report (default mutants/REPORT.md).
+differs from its status and makes the exit code 1.  The report of the
+run, a Markdown table of every row, is written to mutants/REPORT.md.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -79,14 +78,9 @@ def pytest_on_copy(tests, row=None) -> tuple:
     return {0: "survived", 1: "killed"}.get(done.returncode, "error"), seconds
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these rows")
-    parser.add_argument("--report", default=str(ROOT / "mutants" / "REPORT.md"))
-    args = parser.parse_args(argv)
-    rows = [r for r in MUTANTS if not args.only or r["id"] in args.only]
+def main() -> int:
     # a kill counts only if the named tests pass on the unmutated tree
-    tests = sorted({test for row in rows for test in row["tests"]})
+    tests = sorted({test for row in MUTANTS for test in row["tests"]})
     outcome, _ = pytest_on_copy(tests)
     if outcome != "survived":
         print(f"the named tests do not pass on the unmutated tree: {outcome}")
@@ -96,7 +90,7 @@ def main(argv=None) -> int:
         "| --- | --- | --- | --- | --- |",
     ]
     mismatches, total = 0, 0.0
-    for row in rows:
+    for row in MUTANTS:
         outcome, seconds = run_one(row)
         total += seconds
         mismatches += outcome != EXPECTED[row["status"]]
@@ -106,10 +100,10 @@ def main(argv=None) -> int:
         lines.append(line)
     lines.append("")
     lines.append(
-        f"{len(rows)} mutants, {mismatches} not as their status says, "
+        f"{len(MUTANTS)} mutants, {mismatches} not as their status says, "
         f"{total:.0f} s of pytest in all."
     )
-    Path(args.report).write_text(
+    (ROOT / "mutants" / "REPORT.md").write_text(
         "# Mutant run\n\n`python3 mutants/run.py`\n\n" + "\n".join(lines) + "\n",
         encoding="utf-8",
     )

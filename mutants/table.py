@@ -46,7 +46,7 @@ MUTANTS = [
     {
         "id": "cosets-labelled-by-greatest",
         "file": "src/groupoids/action.py",
-        "snippet": 'f"[{block[0]}]" for block in classes',
+        "snippet": 'f"[{a}]" for a in firsts',
         "replacement": 'f"[{block[-1]}]" for block in classes',
         "tests": [COSETS],
         "status": "killed",
@@ -72,16 +72,35 @@ MUTANTS = [
     {
         "id": "induced-labelled-by-greatest",
         "file": "src/groupoids/action.py",
-        "snippet": "pair_name(*min(block))",
-        "replacement": "pair_name(*max(block))",
+        "snippet": (
+            "at, _, firsts = _classes(pre_carrier, orbit)\n"
+            '    labels = [f"[{pair_name(*first)}]" for first in firsts]'
+        ),
+        "replacement": (
+            "at, classes, _ = _classes(pre_carrier, orbit)\n"
+            '    labels = [f"[{pair_name(*max(block))}]" for block in classes]'
+        ),
         "tests": [GOLDEN],
         "status": "killed",
     },
     {
         "id": "quotient-table-greatest-representatives",
         "file": "src/groupoids/builders.py",
-        "snippet": "reps = list(map(min, cosets))",
-        "replacement": "reps = list(map(max, cosets))",
+        "snippet": (
+            "at, _, reps = _classes(order, lambda g: list(map(rows[g].__getitem__, ms)))"
+        ),
+        "replacement": (
+            "at, cosets, _ = _classes(order, lambda g: list(map(rows[g].__getitem__, ms)))\n"
+            "    reps = list(map(max, cosets))"
+        ),
+        "tests": [LATTICE],
+        "status": "killed",
+    },
+    {
+        "id": "quotient-table-normal-at-the-unit-coset-only",
+        "file": "src/groupoids/builders.py",
+        "snippet": "not _normal(rows, reps, ms)",
+        "replacement": "not _normal(rows, reps[:1], ms)",
         "tests": [LATTICE],
         "status": "killed",
     },

@@ -397,8 +397,8 @@ def _cosets(groupoid: Groupoid, members) -> tuple:
         row = rows[index[a]]
         return tuple(sorted([names[row[h]] for h in inside if h in row]))
 
-    at, classes = _classes(u, coset)
-    return classes, [f"[{block[0]}]" for block in classes], at
+    at, classes, firsts = _classes(u, coset)
+    return classes, [f"[{a}]" for a in firsts], at
 
 
 def coset_space(groupoid: Groupoid, part) -> CosetSpace:
@@ -497,7 +497,8 @@ def induced_action(groupoid: Groupoid, part, action: Action):
 
     Returns the class universe and the action on it.  The classes of
     the pairs (gamma, x) are numbered by groupoid._classes, walking the
-    pairs in sorted order, and each is labelled by its least pair.
+    pairs in sorted order, and each is labelled by the pair that opens
+    it, its least.
     """
     ref = _subgroupoid(groupoid, part)
     members, delta = ref.members, ref.as_groupoid()
@@ -522,8 +523,8 @@ def induced_action(groupoid: Groupoid, part, action: Action):
         return {(groupoid.mult(gamma, inverse[d]), y) for d, y in moved if y is not None}
 
     # numbered by _classes in sorted order, so each class opens at its least
-    at, classes = _classes(pre_carrier, orbit)
-    labels = [f"[{pair_name(*min(block))}]" for block in classes]
+    at, _, firsts = _classes(pre_carrier, orbit)
+    labels = [f"[{pair_name(*first)}]" for first in firsts]
     name = f"{groupoid.elements.name}*{action.carrier.name}.induced"
     carrier = Universe(name, labels)
     # gamma1 moves the class of (gamma, x) to that of (gamma1 gamma, x)

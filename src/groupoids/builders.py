@@ -280,14 +280,15 @@ def quotient_group_table(table: GroupTable, members, name=None):
     rows, names, members = table.rows, table.elements, set(members)
     ms, order = {table._index[h] for h in members}, range(len(rows))
     closed = all(rows[a][b] in ms for a in ms for b in ms)
-    if table.unit not in members or not closed or not _normal(rows, order, ms):
+    # the cosets gN, numbered by _classes in index order, which is label
+    # order, so each is represented by the member that opens it, its least
+    at, _, reps = _classes(order, lambda g: list(map(rows[g].__getitem__, ms)))
+    # a subgroup N is normal when gN = Ng for each representative g: then
+    # for g' = gn, g'N = gN and Ng' = gNn = gN
+    if table.unit not in members or not closed or not _normal(rows, reps, ms):
         raise PreconditionFailed(
             f"{sorted(members)} is not a normal subgroup of {table.name!r}"
         )
-    # the cosets gN, numbered by _classes in index order, which is label
-    # order, so each is represented by its least member
-    at, cosets = _classes(order, lambda g: list(map(rows[g].__getitem__, ms)))
-    reps = list(map(min, cosets))
     labels = [f"[{names[g]}]" for g in reps]
     proj = dict(zip(names, map(labels.__getitem__, map(at.__getitem__, order))))
     quotient_rows = [[at[rows[a][b]] for b in reps] for a in reps]

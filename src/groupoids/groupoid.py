@@ -48,18 +48,19 @@ the first of y's fiber with left unit e0.
 
 Every class set is numbered by one kernel, _classes(order, class_of):
 it walks `order`, each element a not yet placed opens the class
-class_of(a), kept as given, and at[x] is the number of x's class.  Its
-readers are the orbits of the units here; in action.py the coset space
-of a wide subgroupoid and the quotient by a normal one (both through
-_cosets) and the classes of an induced action; builders.py's cosets of
-a normal subgroup; and search.py's left cosets, from which the action
-generator builds its points.  Each walks its elements in name order, or
+class_of(a), kept as given, and at[x] is the number of x's class; it
+also returns the element that opened each class.  Its readers are the
+orbits of the units here; in action.py the coset space of a wide
+subgroupoid and the quotient by a normal one (both through _cosets)
+and the classes of an induced action; builders.py's cosets of a normal
+subgroup; and search.py's left cosets, from which the action generator
+builds its points.  Each walks its elements in name order, or
 in index order where that is name order.  Then the element that opens
 a class is its least: every smaller element was met earlier and placed
 in its own class, so none lies in the new one.  That is why a class
-can be labelled [least] by the element that opened it, and why the
-orbits come out sorted.  search._left_cosets walks the unit first, so
-that the subgroup itself is coset 0.
+is labelled [least] by the element that opened it, with no min taken
+again, and why the orbits come out sorted.  search._left_cosets walks
+the unit first, so that the subgroup itself is coset 0.
 
 For a single-valued m every law is decided on index rows, without
 building a relation; a multi-valued m, which no row can hold, is
@@ -527,18 +528,20 @@ def _kept(groupoid: Groupoid, name: str, build):
 
 
 def _classes(order, class_of) -> tuple:
-    """(at, classes) of an equivalence relation: walking `order`, each
-    element not yet placed opens its class class_of(a), which holds a and
-    is kept as given; at[x] is the number of x's class.  Walked in name
-    order, the element that opens a class is its least."""
-    at, classes = {}, []
+    """(at, classes, firsts) of an equivalence relation: walking `order`,
+    each element a not yet placed opens its class class_of(a), which holds
+    a and is kept as given, and firsts holds a for it; at[x] is the number
+    of x's class.  Walked in name order, the element that opens a class is
+    its least."""
+    at, classes, firsts = {}, [], []
     for a in order:
         if a not in at:
             k, block = len(classes), class_of(a)
             for x in block:
                 at[x] = k
             classes.append(block)
-    return at, classes
+            firsts.append(a)
+    return at, classes, firsts
 
 
 def _index_pass(acting: Universe, on: Universe, triples: set):

@@ -577,7 +577,7 @@ def _left_cosets(table, members) -> list:
     a table index."""
     rows, inside = table.rows, [table._index[h] for h in members]
     order = (table._index[table.unit], *range(len(rows)))
-    at, cosets = _classes(order, lambda r: list(map(rows[r].__getitem__, inside)))
+    at, cosets, _ = _classes(order, lambda r: list(map(rows[r].__getitem__, inside)))
     return [[at[row[coset[0]]] for coset in cosets] for row in rows]
 
 

@@ -261,9 +261,10 @@ def lattice_groups() -> list:
 def test_subgroup_lattices_agree_with_the_coset_reference():
     """For every subgroup K of S4, A4, D4, V4 and Z6, non-normal ones of
     index up to 12 among them: the coset space and, for normal K, the
-    quotient groupoid and quotient_group_table hold to cosets_reference;
-    _left_cosets numbers K first and the other cosets by least member,
-    with acts[x][j] the coset of x r_j."""
+    quotient groupoid and quotient_group_table hold to cosets_reference,
+    and quotient_group_table refuses every other K; _left_cosets numbers
+    K first and the other cosets by least member, with acts[x][j] the
+    coset of x r_j."""
     seen = Counter()
     for table in lattice_groups():
         g = group_groupoid(table)
@@ -279,6 +280,8 @@ def test_subgroup_lattices_agree_with_the_coset_reference():
                 for a, b in itertools.product(table.elements, repeat=2):
                     assert quotient.mult(of[a], of[b]) == of[table.mult(a, b)]
             else:
+                with pytest.raises(PreconditionFailed, match="not a normal subgroup"):
+                    quotient_group_table(table, members)
                 seen[f"non-normal of index {len(ref)}"] += 1
             # K first, then by least member, as _point_actions reads them
             own = next(c for _, c in ref if table.unit in c)
