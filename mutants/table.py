@@ -20,12 +20,41 @@ TABLES = (
     "tests/test_builders.py::"
     "test_stock_tables_equal_the_checked_tables_of_their_name_level_products"
 )
+STRAY = "tests/test_groupoid.py::test_structure_check_names_the_first_stray_entry"
+GENERATORS = "tests/test_groupoid.py::test_greedy_generators_generate_every_element"
 VERDICTS = (
     "tests/test_groupoid.py::"
     "test_checked_constructor_agrees_with_the_relational_reference"
 )
 
+READ_TEST = "if len(inverse) != len(index) or not self._unit_set <= index.keys():"
+
 MUTANTS = [
+    # -- the checked constructor's one reading pass ----------------------
+    {
+        "id": "fused-read-no-inverse-count",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": READ_TEST,
+        "replacement": "if not self._unit_set <= index.keys():",
+        "tests": [STRAY],
+        "status": "killed",
+    },
+    {
+        "id": "fused-read-no-unit-test",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": READ_TEST,
+        "replacement": "if len(inverse) != len(index):",
+        "tests": [STRAY],
+        "status": "killed",
+    },
+    {
+        "id": "fused-read-value-error-uncaught",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": "except (KeyError, TypeError, ValueError):",
+        "replacement": "except (KeyError, TypeError):",
+        "tests": [STRAY],
+        "status": "killed",
+    },
     # -- the class kernel and its readers --------------------------------
     {
         "id": "classes-no-placed-test",
@@ -147,6 +176,30 @@ MUTANTS = [
         "snippet": "key=lambda g: rows[g].get(g) == g",
         "replacement": "key=lambda g: rows[g].get(g) != g",
         "tests": ["tests/test_groupoid.py::test_greedy_generator_counts"],
+        "status": "killed",
+    },
+    {
+        "id": "generators-closure-no-old-words-times-g",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": "            if generated[w] and not generated[wg]:\n",
+        "replacement": "            if False:\n",
+        "tests": [GENERATORS],
+        "status": "killed",
+    },
+    {
+        "id": "generators-closure-newest-generator-only",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": "            for h in gens:\n",
+        "replacement": "            for h in gens[-1:]:\n",
+        "tests": [GENERATORS],
+        "status": "killed",
+    },
+    {
+        "id": "generators-closure-marks-products-of-ungenerated-words",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": "            if generated[w] and not generated[wg]:\n",
+        "replacement": "            if not generated[wg]:\n",
+        "tests": [VERDICTS],
         "status": "killed",
     },
     {

@@ -27,6 +27,11 @@ and e_R.  Rows go in: the builders hand them to Groupoid._of_rows, the
 one unchecked set-up.  The checked constructor indexes named triples
 in one pass, and m is single-valued exactly when the rows hold as many
 products as there are triples; only then is no relation of them kept.
+That pass, with the inverse map's, is also the check that every name
+is an element: it is accepted when every lookup succeeds, the inverse
+map has as many entries as there are elements and the units are
+elements.  Only when it fails do the ordered loops of _check_structure
+run, to name the first stray entry.
 Names come out on first read: `table` and `inverse` are views of
 `_rows` and `_inv`, for every groupoid, as every accepted m is
 single-valued.  Names appear only at the boundary: the data read in,
@@ -92,10 +97,18 @@ groupoid.  So h1h2 is in H: H is closed under defined products, and
 it is enough that H holds a generating set of G; for phi = m this is
 Light's associativity test (Clifford and Preston, The Algebraic Theory
 of Semigroups I, 1961, section 1.2).  The set is greedy: the least
-non-unit not yet generated, then the closure under defined products,
-until every non-unit is generated; then each unit not yet generated.
-A unit e with an arrow g != e at it is g s(g) or s(g) g, so only a
-unit alone in its fiber, as in a set groupoid, Z1 or a one-point
+non-unit not yet generated, then the closure under defined products
+with the generators, until every non-unit is generated; then each unit
+not yet generated.  When g is yielded, every element generated so far
+is multiplied by g, and each newly generated element by every
+generator.  So each generated element is the product of one generated
+before it and a generator, both in H, and lies in H: the test stays
+exact whether or not m is associative.  On an associative m every
+product of generators is ((h1 h2) ...) hk, reached this way, so the
+generated set is the subgroupoid the generators so far generate, as
+under a closure by all defined products, and the generators are the
+same.  A unit e with an arrow g != e at it is g s(g) or s(g) g, so
+only a unit alone in its fiber, as in a set groupoid, Z1 or a one-point
 class, is left ungenerated; it is still yielded, since H must hold a
 set that generates all of G.  Units are read off the rows as their
 idempotents, before any law is checked: that only orders the elements,
@@ -157,7 +170,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from contextlib import suppress
 from functools import cached_property
 
 from .errors import AxiomViolation, PreconditionFailed, UnknownElement
@@ -187,16 +199,24 @@ class Groupoid:
         self.elements = elements
         self.units = tuple(sorted(set(units)))
         self._unit_set = frozenset(self.units)
-        # the data is read once, onto indices; only a multi-valued m,
-        # which rows cannot hold, is kept as the relation of its triples
+        # the data is read once, onto indices, and the read checks every
+        # name; a failed read runs the ordered check, which names the first
+        # stray entry.  Only a multi-valued m, which rows cannot hold, is
+        # kept as the relation of its triples
         inverse, triples = dict(inverse), set(table)
-        self._check_structure(inverse, triples)
-        self._inv = [elements.index[inverse[g]] for g in elements.names]
-        self._rows, single = _index_pass(elements, elements, triples)
+        index = elements.index
+        try:
+            self._inv = [index[inverse[g]] for g in elements.names]
+            self._rows, single = _index_pass(elements, elements, triples)
+            if len(inverse) != len(index) or not self._unit_set <= index.keys():
+                raise KeyError(None)  # a stray inverse key or unit
+        except (KeyError, TypeError, ValueError):
+            self._check_structure(inverse, triples)
+            raise
         if not single:
             self.m_rel = triples_rel(elements, elements, elements, triples)
         self._check_relational_axioms(single)
-        units = list(map(elements.index.__getitem__, self.units))
+        units = list(map(index.__getitem__, self.units))
         self._setup(name, elements, units, self._inv, self._rows)
 
     @classmethod
@@ -234,12 +254,10 @@ class Groupoid:
     # -- validation -------------------------------------------------
 
     def _check_structure(self, inverse, triples):
-        names = self.elements.index.keys()
-        with suppress(TypeError):  # an unhashable name is left to the loops
-            rows = (self.units, *inverse.items(), *triples)
-            if names <= inverse.keys() and names >= {x for r in rows for x in r}:
-                return
-        table = sorted(triples)  # the first stray entry in table order
+        """Raise at the first stray entry: a unit, an element with no
+        inverse, a name in the inverse map, then one in the table, in
+        table order.  Run only when the one reading pass fails."""
+        table = sorted(triples)
         for e in self.units:
             if e not in self.elements:
                 raise UnknownElement(e, f"units of {self.name!r}")
@@ -388,7 +406,12 @@ class Groupoid:
 
     def orbits(self) -> tuple:
         """Partition of the units into orbits: the orbit of e is the set
-        of left units of its right fiber, numbered by _classes."""
+        of left units of its right fiber, numbered by _classes.  Built on
+        first read and kept, as `_fibers` is."""
+        return self._orbits
+
+    @cached_property
+    def _orbits(self) -> tuple:
         names, left, fibers, index = self._names, self._left, self._fibers, self._index
 
         def orbit(e):
@@ -683,21 +706,30 @@ def _composes_on_generators(moves, groupoid: Groupoid) -> bool:
 def _generators(rows, cols):
     """Greedy generators: the least non-unit not yet generated, then each
     unit not generated, each yielded before the generated set is closed
-    under defined products.  The units are read as the idempotents of
-    the rows, so the order needs no law checked yet."""
-    generated = [False] * len(rows)
+    under defined products with the generators: every word generated so
+    far times the new generator g, read off cols[g], then each new word
+    times every generator, read off its row.  Each generated element is
+    a generated word times a generator.  The units are read as the
+    idempotents of the rows, so the order needs no law checked yet."""
+    generated, gens = [False] * len(rows), []
     for g in sorted(range(len(rows)), key=lambda g: rows[g].get(g) == g):
         if generated[g]:
             continue
         yield g
+        gens.append(g)
         generated[g] = True
         frontier = [g]
+        for w, wg in cols[g].items():
+            if generated[w] and not generated[wg]:
+                generated[wg] = True
+                frontier.append(wg)
         while frontier:
-            a = frontier.pop()
-            for b, c in [*rows[a].items(), *cols[a].items()]:
-                if generated[b] and not generated[c]:
-                    generated[c] = True
-                    frontier.append(c)
+            row = rows[frontier.pop()]
+            for h in gens:
+                wh = row.get(h)
+                if wh is not None and not generated[wh]:
+                    generated[wh] = True
+                    frontier.append(wh)
 
 
 def validate_groupoid(name, elements, units, inverse, table) -> Groupoid:

@@ -30,6 +30,7 @@ from groupoids.builders import (
     equivalence_groupoid,
     group_bundle,
     group_groupoid,
+    klein_table,
     pair_groupoid,
     product_form,
     set_groupoid,
@@ -376,11 +377,22 @@ def yielded(groupoid) -> list:
     return list(map(groupoid._names.__getitem__, indices))
 
 
+def greedy_reference(groupoid) -> list:
+    """The greedy generators by name: in index order, non-units first,
+    each element not in the closure of those taken before it."""
+    generators = []
+    for g in sorted(groupoid._names, key=lambda g: g in groupoid._unit_set):
+        if g not in generated_by(groupoid, generators):
+            generators.append(g)
+    return generators
+
+
 def test_greedy_generators_generate_every_element(catalog):
     """Non-units come first, and a unit only where the non-units do not
     generate it: in a set groupoid, a Z1, a bundle with a Z1 fibre, an
     equivalence class of one point and the empty groupoid.  Whatever is
-    yielded generates every element."""
+    yielded generates every element, and it is what the greedy name-level
+    reference takes."""
     space = Universe("K", "abc")
     ungenerated_units = [
         set_groupoid(space),
@@ -391,6 +403,7 @@ def test_greedy_generators_generate_every_element(catalog):
     ]
     for g in [*catalog.values(), *ungenerated_units]:
         assert generated_by(g, yielded(g)) == set(g.elements), g.name
+        assert yielded(g) == greedy_reference(g), g.name
     assert yielded(ungenerated_units[2]) == ["0:1", "1:0"]
     assert yielded(ungenerated_units[3]) == ["a,b", "b,a", "c,c"]
     assert yielded(ungenerated_units[4]) == []
@@ -401,6 +414,7 @@ def test_greedy_generators_generate_every_element(catalog):
     @given(groupoid=generated_groupoids())
     def check(groupoid):
         assert generated_by(groupoid, yielded(groupoid)) == set(groupoid.elements)
+        assert yielded(groupoid) == greedy_reference(groupoid)
         seen.append(groupoid)
 
     check()
@@ -541,6 +555,19 @@ def single_row_mutations(g):
                 yield elements, units, {**inverse, x: y}, table
 
 
+def two_product_changes(g):
+    """g's raw data with two of its products changed, each to another
+    element.  Some of these tables pass Light's test at a first generator
+    whose column holds every element, and fail at a later one."""
+    elements, units, inverse = tuple(g.elements), g.units, g.inverse
+    table = list(g.table)
+    for r1, r2 in itertools.combinations(table, 2):
+        rest = [r for r in table if r not in (r1, r2)]
+        for c1, c2 in itertools.product(elements, repeat=2):
+            if c1 != r1[0] and c2 != r2[0]:
+                yield elements, units, inverse, rest + [(c1, *r1[1:]), (c2, *r2[1:])]
+
+
 def _verdict(elements, units, inverse, table):
     """(law, offender, detail) of the checked constructor, or None."""
     err = _rejection(elements, units, inverse, table)
@@ -549,12 +576,13 @@ def _verdict(elements, units, inverse, table):
 
 def test_checked_constructor_agrees_with_the_relational_reference():
     """Every single-row mutation of P4 and S3, a seeded sample of those of
-    the product form over S3, S4 and a bundle, every structure on at most
-    two elements, and the double coset tables of S4 under their inverse
-    and other involutions: the checked constructor rejects at the law,
-    offender and detail that deciding each law on relations built in
-    full gives, or accepts as it does.  Every law is reached, and a
-    multi-valued table reaches the last two."""
+    the product form over S3, S4 and a bundle, every change of two
+    products of Z4 and of V4, every structure on at most two elements,
+    and the double coset tables of S4 under their inverse and other
+    involutions: the checked constructor rejects at the law, offender
+    and detail that deciding each law on relations built in full gives,
+    or accepts as it does.  Every law is reached, and a multi-valued
+    table reaches the last two."""
     rng = random.Random(1311)
     s3 = symmetric_table(3)
     grid = []
@@ -566,6 +594,8 @@ def test_checked_constructor_agrees_with_the_relational_reference():
         (group_bundle([cyclic_table(4), s3, cyclic_table(2)]), 120),
     ):
         grid += rng.sample(list(single_row_mutations(g)), k)
+    for table in (cyclic_table(4), klein_table()):
+        grid += two_product_changes(group_groupoid(table))
     for elements in ((), ("a",), ("a", "b")):
         rows = list(itertools.product(elements, repeat=3))
         for units, images, mask in itertools.product(
@@ -673,6 +703,8 @@ def test_orbits(catalog):
     assert catalog["BD"].orbits() == (("0:0",), ("1:0",))
     assert len(catalog["TR"].orbits()) == 1
     assert catalog["EQ"].orbits() == (("1,1", "2,2"), ("3,3",))
+    # built on first read and kept, as the fibers are
+    assert all(g.orbits() is g.orbits() for g in catalog.values())
 
 
 def test_isotropy(catalog):
@@ -941,6 +973,18 @@ def test_subgroupoid_ref_as_groupoid(catalog):
          "unknown element 'q' in inverse map of 'G'"),
         (["a"], {"a": ["a"]}, [], "TypeError", "unhashable type: 'list'"),
         (["a"], {"a": "a"}, [5], "TypeError", "cannot unpack non-iterable int object"),
+        # one fault alone, which the reading pass itself must refuse
+        (["a"], {"a": "a", "q": "a"}, [("a", "a", "a")], "UnknownElement",
+         "unknown element 'q' in inverse map of 'G'"),
+        (["a", "z"], {"a": "a"}, [("a", "a", "a")], "UnknownElement",
+         "unknown element 'z' in units of 'G'"),
+        (["a"], {"a": "z"}, [("a", "a", "a")], "UnknownElement",
+         "unknown element 'z' in inverse map of 'G'"),
+        # a row that is not a triple hides no earlier stray unit
+        (["a", "z"], {"a": "a"}, [("a", "a")], "UnknownElement",
+         "unknown element 'z' in units of 'G'"),
+        (["a"], {"a": "a"}, [("a", "a", "a", "a")], "ValueError",
+         "too many values to unpack (expected 3)"),
     ],
 )
 def test_structure_check_names_the_first_stray_entry(
