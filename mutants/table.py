@@ -21,10 +21,19 @@ TABLES = (
     "test_stock_tables_equal_the_checked_tables_of_their_name_level_products"
 )
 STRAY = "tests/test_groupoid.py::test_structure_check_names_the_first_stray_entry"
+ACTION_STRAY = (
+    "tests/test_action.py::test_action_refuses_the_first_stray_name_of_its_triples"
+)
 GENERATORS = "tests/test_groupoid.py::test_greedy_generators_generate_every_element"
 VERDICTS = (
     "tests/test_groupoid.py::"
     "test_checked_constructor_agrees_with_the_relational_reference"
+)
+
+MOMENTS = "tests/test_search.py::test_moment_maps_are_the_filtered_product"
+MADE = "tests/test_search.py::test_moment_maps_made_are_counted"
+KEPT = (
+    "tests/test_search.py::test_structured_enumerator_keeps_each_groupoids_shapes"
 )
 
 READ_TEST = "if len(inverse) != len(index) or not self._unit_set <= index.keys():"
@@ -208,6 +217,47 @@ MUTANTS = [
         "snippet": "[at[(value[k] + v) % n] for v in value]",
         "replacement": "[at[(v - value[k]) % n] for v in value]",
         "tests": [TABLES],
+        "status": "killed",
+    },
+    # -- the moment-map generator and the mixed-type stray scan ----------
+    {
+        "id": "moment-sizes-one-short",
+        "file": "src/groupoids/search.py",
+        "snippet": "range(n // len(b) + 1)",
+        "replacement": "range(n // len(b))",
+        "tests": [MOMENTS, MADE],
+        "status": "killed",
+    },
+    {
+        "id": "moment-room-not-given-back",
+        "file": "src/groupoids/search.py",
+        "snippet": "room[i] += 1",
+        "replacement": "room[i] += 0",
+        "tests": [MOMENTS, MADE],
+        "status": "killed",
+    },
+    {
+        "id": "moment-sizes-sum-untested",
+        "file": "src/groupoids/search.py",
+        "snippet": "if sum(map(mul, sizes, map(len, blocks))) != n:",
+        "replacement": "if False:",
+        "tests": [MOMENTS, MADE],
+        "status": "killed",
+    },
+    {
+        "id": "moment-combos-rebuilt-every-call",
+        "file": "src/groupoids/search.py",
+        "snippet": "    if n not in kept:\n",
+        "replacement": "    if True:\n",
+        "tests": [KEPT],
+        "status": "killed",
+    },
+    {
+        "id": "stray-scan-unsorted-on-unlike-types",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": "        return sorted(entries, key=repr)\n",
+        "replacement": "        raise\n",
+        "tests": [STRAY, ACTION_STRAY],
         "status": "killed",
     },
 ]

@@ -68,6 +68,7 @@ from .groupoid import (
     _check_composition,
     _classes,
     _generators,
+    _in_order,
     _index_pass,
     _moves_rel,
     _named_triples,
@@ -101,7 +102,7 @@ class Action:
         try:
             self._moves, single = _index_pass(u, carrier, triples)
         except KeyError:  # the first stray name, in sorted triple order
-            for triple in sorted(triples):
+            for triple in _in_order(triples):
                 for z, space in zip(triple, (carrier, u, carrier)):
                     if z not in space:
                         raise UnknownElement(z, f"universe {space.name!r}") from None

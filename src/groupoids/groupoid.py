@@ -256,8 +256,8 @@ class Groupoid:
     def _check_structure(self, inverse, triples):
         """Raise at the first stray entry: a unit, an element with no
         inverse, a name in the inverse map, then one in the table, in
-        table order.  Run only when the one reading pass fails."""
-        table = sorted(triples)
+        sorted order (_in_order).  Run only when the one reading pass
+        fails."""
         for e in self.units:
             if e not in self.elements:
                 raise UnknownElement(e, f"units of {self.name!r}")
@@ -269,7 +269,7 @@ class Groupoid:
                 raise UnknownElement(g, f"inverse map of {self.name!r}")
             if h not in self.elements:
                 raise UnknownElement(h, f"inverse map of {self.name!r}")
-        for c, a, b in table:
+        for c, a, b in _in_order(triples):
             for x in (c, a, b):
                 if x not in self.elements:
                     raise UnknownElement(x, f"table of {self.name!r}")
@@ -548,6 +548,16 @@ def _kept(groupoid: Groupoid, name: str, build):
     if name not in vars(groupoid):
         setattr(groupoid, name, build(groupoid))
     return vars(groupoid)[name]
+
+
+def _in_order(entries) -> list:
+    """sorted(entries), or, where names of unlike types cannot be
+    compared, the entries in the order of their reprs, so that the first
+    stray entry is still named."""
+    try:
+        return sorted(entries)
+    except TypeError:
+        return sorted(entries, key=repr)
 
 
 def _classes(order, class_of) -> tuple:

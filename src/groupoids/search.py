@@ -22,16 +22,17 @@ so each candidate is decided once: a survivor keeps all three laws and
 is held unchecked as the rows it was decided on (Morphism._of_rows).
 The structured one builds morphisms as mask rows from base maps and
 single-fiber tables, forced on index rows, and holds them unchecked
-too.  It tries only base maps and tables that keep facts (a) and (b)
-of enum_morphisms, which every morphism keeps, and each table that
-keeps them is a morphism's, as argued there.  It works on unit and
-element indices end to end: base maps send target unit indices to
-source unit indices, and fibers and tables hold element indices.  What
-it reads of one groupoid alone is kept on that groupoid.  A source's
-orbit shapes (each orbit's unit indices and least unit, its members'
-fiber positions and the source's half of its _FiberSearch) are kept on
-first use (groupoid.py's _kept), as are its isotropy views, the probes
-and a cancellation hunt's arrows, kept as their mask rows: rows name no
+too.  It makes only base maps that keep fact (a) of enum_morphisms
+and tries only tables that keep fact (b), which every morphism keeps,
+and each table that keeps both is a morphism's, as argued there.  It
+works on unit and element indices end to end: base maps send target
+unit indices to source unit indices, and fibers and tables hold element
+indices.  What it reads of one groupoid alone is kept on that groupoid.
+A source's orbit shapes (each orbit's unit indices and least unit, its
+members' fiber positions and the source's half of its _FiberSearch) are
+kept on first use (groupoid.py's _kept), as are its base-map combos per
+point count (_moment_maps), its isotropy views, the probes and a
+cancellation hunt's arrows, kept as their mask rows: rows name no
 groupoid, so nothing kept puts the groupoid in a reference cycle, and a
 hunt compares the composites of h with two arrows' rows on one index
 space, making morphisms only of the two that witness.  A target's
@@ -47,18 +48,19 @@ a product universe whose index order is not its name order.
 The two action enumerators are independent in the same way: one
 generates actions from coset spaces, the other is classical and reads
 only the groupoid's table.  The generator (enum_actions) builds each
-action from what fixes it: a moment map that keeps fact (a), and per
-component an action of the isotropy group G at the orbit's least unit
-on the fiber over it, a union of coset spaces G/K, with one bijection
-of fibers along each path from that unit.  Every such choice moves the
-points as an action, and every action gives back its own choice, so
-each action is built exactly once, unchecked (Action._of_rows).  The
-actions are the morphisms into pair_groupoid(carrier), and come in
-their order, with neither built; tests hold the generator to that
-route (action._pair_action of enum_morphisms) and to a count by the
-exponential formula for G-sets (Stanley, Enumerative Combinatorics 2,
-section 5.1).  The classical one searches each base map's evaluation
-table depth first with forward checking (Haralick and
+action from what fixes it: a moment map that keeps fact (a), the only
+kind it makes, and per component an action of the isotropy group G at
+the orbit's least unit on the fiber over it, a union of coset spaces
+G/K, with one bijection of fibers along each path from that unit.
+Every such choice moves the points as an action, and every action gives
+back its own choice, so each action is built exactly once, unchecked
+(Action._of_rows).  The actions are the morphisms into
+pair_groupoid(carrier), and come in their order, with neither built;
+tests hold the generator to that route (action._pair_action of
+enum_morphisms) and to a count by the exponential formula for G-sets
+(Stanley, Enumerative Combinatorics 2, section 5.1).  The classical one walks the full product of base maps,
+as the oracle for the maps the generator makes, and searches each base
+map's evaluation table depth first with forward checking (Haralick and
 Elliott, Artificial Intelligence 14, 1980).  A compatibility
 constraint phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last
 slot is set, and the unit slot (rho(x), x) has the one value x.  So
@@ -73,7 +75,7 @@ filter would give.
 import itertools
 import math
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 
 from .action import Action
 from .builders import (
@@ -392,11 +394,11 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     """Every morphism from source to target, assembled structurally.
 
     Candidates are built from a base map of the target units to the
-    source units that keeps (a) below (_moment_maps), and one output
-    table per component with target units over it, on the right fiber
-    over its least unit.  A member g, with g2 the path to e_R(g)
-    and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the table's
-    units, and the rows are held unchecked (Morphism._of_rows).
+    source units that keeps (a) below, the only kind made (_moment_maps),
+    and one output table per component with target units over it, on the
+    right fiber over its least unit.  A member g, with g2 the path to
+    e_R(g) and g1 = g g2, gets the mask of the h(g1) h(g2)^-1 over the
+    table's units, and the rows are held unchecked (Morphism._of_rows).
 
     A morphism h is an action of its domain on the target units over
     the base map, its moment map: g moves the fiber over e_R(g) one to
@@ -406,8 +408,10 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
           orbit, since a path joins any two of them;
       (b) the outputs of one g from the units of a fiber have distinct
           left units, since g moves the fiber one to one;
-    and a base map that breaks (a) is skipped before any table is built,
-    while (b) cuts each table search (_FiberSearch.tables).
+    and a base map that breaks (a) is never made: per orbit a fiber
+    size is chosen and each target unit placed on a source unit with
+    room left, and these combos are kept on the source per point count.
+    (b) cuts each table search (_FiberSearch.tables).
 
     Conversely, every table that keeps both is a morphism's, so no
     reconstruction is checked.  The forcing rule gives T(g x, f) =
@@ -422,7 +426,7 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
     t_rows, t_inv = target._rows, target._inv
     found = []
-    for rho, over in _moment_maps(shapes, list(source._fibers), list(target._fibers)):
+    for rho, over in _moment_maps(source, list(target._fibers)):
         comp = []  # per orbit with target units over it, its tables
         for _, e0, members, search in shapes:
             if over[e0]:
@@ -444,17 +448,51 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
     return _name_sorted(found, source, target)
 
 
-def _moment_maps(shapes, units, points):
-    """The maps rho of the list `points` to the unit indices `units` that
-    keep fact (a) of enum_morphisms on the orbit shapes, each with the
-    lists of the points over each unit, in order; by the product of the
-    points' values."""
-    for combo in itertools.product(units, repeat=len(points)):
-        over = {e: [] for e in units}
+def _moment_maps(source, points):
+    """The maps rho of the list `points` to the source's unit indices
+    that keep fact (a) of enum_morphisms, each with the lists of the
+    points over each unit, in order.  Only such maps are made: their
+    combos, each map's unit per point position (_combos), are kept on
+    the source per point count, and zipped here with `points`."""
+    kept, n = _kept(source, "_moment_combos", lambda g: {}), len(points)
+    if n not in kept:
+        shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
+        kept[n] = _combos([block for block, *_ in shapes], n)
+    for combo in kept[n]:
+        over = {e: [] for e in source._fibers}
         for p, e in zip(points, combo):
             over[e].append(p)
-        if all(len(over[e]) == len(over[b[0]]) for b, *_ in shapes for e in b):
-            yield dict(zip(points, combo)), over
+        yield dict(zip(points, combo)), over
+
+
+def _combos(blocks, n) -> tuple:
+    """Every tuple of n units of the orbits `blocks` whose fibers have
+    equal size over the units of one orbit: per choice of a fiber size
+    k for each orbit with sum |O| k = n, every placement of the
+    positions in turn on a unit that still has room, depth first in a
+    plain loop, so that no number of points deepens the stack."""
+    units, found = [e for b in blocks for e in b], []
+    for sizes in itertools.product(*(range(n // len(b) + 1) for b in blocks)):
+        if sum(map(mul, sizes, map(len, blocks))) != n:
+            continue
+        room = [k for b, k in zip(blocks, sizes) for _ in b]
+        placed, i = [], 0  # the unit positions placed, and the next to try
+        while True:
+            if len(placed) == n:
+                found.append(tuple(map(units.__getitem__, placed)))
+            while i < len(room) and not room[i]:
+                i += 1
+            if i < len(room):
+                room[i] -= 1
+                placed.append(i)
+                i = 0
+            elif placed:  # the last position again, on its next unit
+                i = placed.pop()
+                room[i] += 1
+                i += 1
+            else:
+                break
+    return tuple(found)
 
 
 def _orbit_shapes(source: Groupoid) -> tuple:
@@ -485,10 +523,11 @@ def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
     each component, an action on the points over its orbit; rho keeps
     fact (a) of enum_morphisms, since a path moves the fiber over its
     right unit one to one onto the fiber over its left unit, and a map
-    that breaks it is skipped before any group is read.  Let G be the
-    isotropy group at the orbit's least unit e0, F0 the k points over
-    e0, and c_b the least arrow from e0 to b, with c_e0 = e0.  An action
-    on the component is a pair: an action sigma of G on F0, and for each
+    that breaks it is never made (_moment_maps, whose combos are kept on
+    the groupoid per point count).  Let G be the isotropy group at the
+    orbit's least unit e0, F0 the k points over e0, and c_b the least
+    arrow from e0 to b, with c_e0 = e0.  An action on the component is
+    a pair: an action sigma of G on F0, and for each
     unit b but e0 a bijection beta_b of F0 onto the fiber over b, the
     move of c_b (beta_e0 is the identity).  The arrow g from b2 to b1 is
     c_b1 x s(c_b2), x = s(c_b1) g c_b2 in G, and moves the points over
@@ -508,7 +547,7 @@ def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
     """
     shapes = _kept(groupoid, "_orbit_shapes", _orbit_shapes)
     n, found, sigmas = len(carrier), [], {}  # sigmas: per (orbit, k), this call only
-    for _, over in _moment_maps(shapes, list(groupoid._fibers), range(n)):
+    for _, over in _moment_maps(groupoid, range(n)):
         parts = []  # per orbit with points over it, the rows of each choice
         for i, (block, e0, *_) in enumerate(shapes):
             k = len(over[e0])
@@ -688,7 +727,9 @@ def _lawful_tables(slots, cand, left_factors):
 def enum_actions_direct(groupoid: Groupoid, carrier: Universe) -> list:
     """Every action, by direct search over base maps and evaluation tables.
 
-    Independent of the morphism enumerators: candidates are classical
+    Independent of the morphism enumerators and of enum_actions: it
+    keeps the full product of base maps as the oracle for the maps
+    _moment_maps makes, and its candidates are classical
     (base map, partial evaluation) pairs that keep the unit law by
     construction, since the unit slot (rho(x), x) takes only x, and the
     compatibility law over the composable pairs of the groupoid's table.

@@ -13,7 +13,9 @@ Ad), which the package does not re-check.  Two more oracles are
 references for the search: `actions_direct_reference`, the exhaustive
 direct action enumerator, kept for the order its pruned successor must
 give, and `naive_candidates`, the candidates of the naive morphism
-enumerator in its order, for a filter that checks every one.
+enumerator in its order, for a filter that checks every one, and
+`moment_maps_reference`, the base maps that keep fact (a) of
+enum_morphisms, filtered out of the full product.
 The `*_reference` functions are name-level references for the
 structure queries (orbits, isotropy, components, restriction, the
 decomposition's section and the number of bisections), read off e_L
@@ -764,6 +766,22 @@ def naive_candidates(source, target):
         unit_pairs = [(d, e) for e, outs in zip(units, combo) for d in outs]
         for picks in itertools.product(*choices):
             yield list(itertools.chain(unit_pairs, *picks))
+
+
+def moment_maps_reference(groupoid, points) -> list:
+    """The maps of `points` to the unit names whose fibers have equal
+    size over the units of one orbit (orbits_reference), each as a dict,
+    by filtering the full product of unit names in its order."""
+    found = []
+    for combo in itertools.product(sorted(groupoid.units), repeat=len(points)):
+        size = Counter(combo)
+        if all(
+            size[e] == size[orbit[0]]
+            for orbit in orbits_reference(groupoid)
+            for e in orbit
+        ):
+            found.append(dict(zip(points, combo)))
+    return found
 
 
 def edit_rows(draw, rows, alphabets):

@@ -116,6 +116,9 @@ def test_action_refuses_the_first_stray_name_of_its_triples():
         ([("c", "zz", "c")], "zz", "G"),
         ([("c", "a,b", "c"), ("c", "a,b", "d"), ("b", "zz", "c")], "b", "X"),
         ([("c", "a,b", "c"), ("c", "a,b", "d")], "d", "X"),
+        # names of unlike types, which cannot be sorted together
+        ([("c", "a,b", "c"), (1, "a,b", "c")], 1, "X"),
+        ([("c", "a,b", "c"), ("c", 2, "c")], 2, "G"),
     ):
         with pytest.raises(UnknownElement) as err:
             Action(g, x, triples)

@@ -985,6 +985,14 @@ def test_subgroupoid_ref_as_groupoid(catalog):
          "unknown element 'z' in units of 'G'"),
         (["a"], {"a": "a"}, [("a", "a", "a", "a")], "ValueError",
          "too many values to unpack (expected 3)"),
+        # names of unlike types hide neither a stray unit nor the stray
+        # entry of the table
+        (["a", "z"], {"a": "a"}, [("a", "a", "a"), (1, 2, 3)], "UnknownElement",
+         "unknown element 'z' in units of 'G'"),
+        (["a"], {"a": "a"}, [("a", "a", "a"), (1, 2, 3)], "UnknownElement",
+         "unknown element 1 in table of 'G'"),
+        (["a"], {"a": "a"}, [("a", "a", "a"), ("a", 2, "a")], "UnknownElement",
+         "unknown element 2 in table of 'G'"),
     ],
 )
 def test_structure_check_names_the_first_stray_entry(

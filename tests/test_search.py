@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     action_violation,
     actions_direct_reference,
     generated_groupoids,
+    moment_maps_reference,
     morphism_violation,
     naive_candidates,
     renamed,
@@ -32,6 +34,7 @@ from groupoids.builders import (
     trivial_table,
 )
 from groupoids.errors import AxiomViolation, BudgetExceeded, PreconditionFailed
+from groupoids.groupoid import disjoint_union
 from groupoids.morphism import (
     CancellationWitness,
     Morphism,
@@ -377,6 +380,74 @@ def test_structured_enumerator_on_generated_groupoids():
     assert seen["pairs"] >= 50 and seen["by naive"] >= 10
 
 
+def _named_moment_maps(groupoid, points) -> list:
+    """search._moment_maps' maps of `points`, by unit name, sorted, with
+    each map's lists of points over every unit checked against it."""
+    names, found = groupoid._names, []
+    for rho, over in search._moment_maps(groupoid, points):
+        assert over == {e: [p for p in points if rho[p] == e] for e in groupoid._fibers}
+        found.append(sorted((p, names[e]) for p, e in rho.items()))
+    return sorted(found)
+
+
+def test_moment_maps_are_the_filtered_product(catalog):
+    """The base maps made are exactly those of the full product that
+    keep fact (a), each once, on 0-5 points: on the catalog, the empty
+    groupoid, unions whose orbits differ in size and generated
+    groupoids."""
+    z123 = group_bundle([cyclic_table(2), trivial_table(), cyclic_table(3)])
+    special = [EMPTY, z123, disjoint_union(catalog["P3"], EQ)]
+
+    def check(groupoid):
+        for n in range(6):
+            points = list(range(n))
+            reference = moment_maps_reference(groupoid, points)
+            assert _named_moment_maps(groupoid, points) == sorted(
+                sorted(rho.items()) for rho in reference
+            ), (groupoid.name, n)
+
+    for g in [*catalog.values(), *special]:
+        check(g)
+
+    @seed(1311)
+    @settings(max_examples=30, deadline=None)
+    @given(groupoid=generated_groupoids())
+    def generated(groupoid):
+        check(groupoid)
+
+    generated()
+
+
+def test_moment_maps_made_are_counted(monkeypatch):
+    """Only the maps that keep fact (a) are made: 90 of the 729 maps of
+    P6's units to P3's, where 6!/(2! 2! 2!) put two units over each,
+    and none for P5 -> P9 or for P4 on 7 points, whose fibers cannot be
+    equal.  A point count past the recursion limit makes its one map of
+    a single unit without a stack frame per point."""
+    made = {}
+
+    def counted(source, points, made_by=search._moment_maps):
+        key = source.name, len(points)
+        made.setdefault(key, 0)
+        for m in made_by(source, points):
+            made[key] += 1
+            yield m
+
+    monkeypatch.setattr(search, "_moment_maps", counted)
+    p = {n: pair_groupoid(Universe(f"X{n}", "123456789"[:n])) for n in (3, 4, 5, 6, 9)}
+    assert len(enum_morphisms(p[3], p[6])) == 360
+    assert enum_morphisms(p[5], p[9]) == []
+    assert enum_actions(p[4], Universe("W7", "abcdefg")) == []
+    many = Universe("many", [f"p{i}" for i in range(sys.getrecursionlimit() + 200)])
+    assert len(enum_morphisms(Z1, set_groupoid(many))) == 1
+    assert made == {
+        (p[3].name, 6): 90,
+        (p[5].name, 9): 0,
+        (p[4].name, 7): 0,
+        (Z1.name, len(many)): 1,
+    }
+
+
 def _morphism_route(groupoid, carrier) -> list:
     """The actions read off the morphisms into the pair groupoid, in
     their order: the route enum_actions generated them by before."""
@@ -470,9 +541,10 @@ def test_generated_actions_read_no_morphism(monkeypatch):
 
 def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_indexed):
     """A groupoid's orbit shapes and its arrows by right unit are read on
-    its first enumeration and kept on it: later calls, as source or as
-    target, recompute neither.  Groupoids indexed apart keep their own
-    and give equal results."""
+    its first enumeration and kept on it, and so are its base-map combos,
+    once per point count: later calls, as source or as target, recompute
+    none of them.  Groupoids indexed apart keep their own and give equal
+    results."""
     fresh = [
         pair_groupoid(Universe("X3", ("1", "2", "3"))),
         group_bundle([cyclic_table(2), trivial_table()]),
@@ -482,6 +554,7 @@ def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_in
     for owner, name, label in (
         (groupoid.Groupoid, "orbits", "orbits"),
         (search, "_FiberSearch", "_FiberSearch"),
+        (search, "_combos", "_combos"),
         (groupoid.Groupoid._fibers, "func", "_fibers"),
     ):
 
@@ -494,7 +567,9 @@ def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_in
     def every_pair(groupoids):
         return [enum_morphisms(s, t) for s, t in itertools.product(groupoids, repeat=2)]
 
-    first, once = every_pair(fresh), {"orbits": 3, "_FiberSearch": 4, "_fibers": 3}
+    # each source's combos for 3 and for 2 points
+    first = every_pair(fresh)
+    once = {"orbits": 3, "_FiberSearch": 4, "_combos": 6, "_fibers": 3}
     assert built == once
     assert every_pair(fresh) == first and built == once
     # (delta, delta), (delta, copy), (copy, delta) and (copy, copy)
