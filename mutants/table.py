@@ -223,32 +223,50 @@ MUTANTS = [
     {
         "id": "moment-sizes-one-short",
         "file": "src/groupoids/search.py",
-        "snippet": "range(n // len(b) + 1)",
-        "replacement": "range(n // len(b))",
+        "snippet": "range(left // size, -1, -1)",
+        "replacement": "range(left // size - 1, -1, -1)",
         "tests": [MOMENTS, MADE],
+        "status": "killed",
+    },
+    {
+        # every orbit tries every size up to n // |O|: the full product
+        "id": "moment-sizes-unpruned",
+        "file": "src/groupoids/search.py",
+        "snippet": "range(left // size, -1, -1)",
+        "replacement": "range(n // size, -1, -1)",
+        "tests": [MADE],
         "status": "killed",
     },
     {
         "id": "moment-room-not-given-back",
         "file": "src/groupoids/search.py",
-        "snippet": "room[i] += 1",
-        "replacement": "room[i] += 0",
+        "snippet": "room[placed[-1]] += 1",
+        "replacement": "room[placed[-1]] += 0",
         "tests": [MOMENTS, MADE],
         "status": "killed",
     },
     {
+        # sizes that fall short of n make no map, but their placements run
         "id": "moment-sizes-sum-untested",
         "file": "src/groupoids/search.py",
-        "snippet": "if sum(map(mul, sizes, map(len, blocks))) != n:",
-        "replacement": "if False:",
-        "tests": [MOMENTS, MADE],
+        "snippet": "        elif not left:\n",
+        "replacement": "        else:\n",
+        "tests": [MADE],
         "status": "killed",
     },
     {
         "id": "moment-combos-rebuilt-every-call",
         "file": "src/groupoids/search.py",
-        "snippet": "    if n not in kept:\n",
-        "replacement": "    if True:\n",
+        "snippet": "if (combos := kept.get(n)) is None:",
+        "replacement": "if (combos := None) is None:",
+        "tests": [KEPT],
+        "status": "killed",
+    },
+    {
+        "id": "moment-combos-kept-past-the-cap",
+        "file": "src/groupoids/search.py",
+        "snippet": "if len(source._fibers) ** n <= 2**10:",
+        "replacement": "if True:",
         "tests": [KEPT],
         "status": "killed",
     },

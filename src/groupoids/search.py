@@ -30,13 +30,14 @@ unit indices to source unit indices, and fibers and tables hold element
 indices.  What it reads of one groupoid alone is kept on that groupoid.
 A source's orbit shapes (each orbit's unit indices and least unit, its
 members' fiber positions and the source's half of its _FiberSearch) are
-kept on first use (groupoid.py's _kept), as are its base-map combos per
-point count (_moment_maps), its isotropy views, the probes and a
-cancellation hunt's arrows, kept as their mask rows: rows name no
-groupoid, so nothing kept puts the groupoid in a reference cycle, and a
-hunt compares the composites of h with two arrows' rows on one index
-space, making morphisms only of the two that witness.  A target's
-arrows by right unit are its `_fibers`, the groupoid's own cached view.
+kept on first use (groupoid.py's _kept), as are its base-map combos
+per point count where they are few (_moment_maps), its isotropy views,
+the probes and a cancellation hunt's arrows, kept as their mask rows:
+rows name no groupoid, so nothing kept puts the groupoid in a reference
+cycle, and a hunt compares the composites of h with two arrows' rows
+on one index space, making morphisms only of the two that witness.  A
+target's arrows by right unit are its `_fibers`, the groupoid's own
+cached view.
 Tests require their outputs to agree.  Both return their morphisms in
 the order of sorted(h.graph), with no graph named: the sort key is
 relation._rank_key, the sorted (target rank, source rank) pairs of the
@@ -58,24 +59,25 @@ back its own choice, so each action is built exactly once, unchecked
 pair_groupoid(carrier), and come in their order, with neither built;
 tests hold the generator to that route (action._pair_action of
 enum_morphisms) and to a count by the exponential formula for G-sets
-(Stanley, Enumerative Combinatorics 2, section 5.1).  The classical one walks the full product of base maps,
-as the oracle for the maps the generator makes, and searches each base
-map's evaluation table depth first with forward checking (Haralick and
-Elliott, Artificial Intelligence 14, 1980).  A compatibility
-constraint phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last
-slot is set, and the unit slot (rho(x), x) has the one value x.  So
-no table that breaks a law survives, and no lawful table is cut, since
-a cut needs a constraint that already fails on set slots; each lawful
-table is held unchecked as move rows (Action._of_rows).  Slots are set
-in sorted order, each trying its values in order, so the results come
-in the order of the full product of slot values that an exhaustive
-filter would give.
+(Stanley, Enumerative Combinatorics 2, section 5.1).  The classical one
+walks the full product of base maps, as the oracle for the maps the
+generator makes, and searches each base map's evaluation table depth
+first with forward checking (Haralick and Elliott, Artificial
+Intelligence 14, 1980).  A compatibility constraint
+phi(g1, phi(g2, x)) = phi(g1 g2, x) is tested once its last slot is
+set, and the unit slot (rho(x), x) has the one value x.  So no table
+that breaks a law survives, and no lawful table is cut, since a cut
+needs a constraint that already fails on set slots; each lawful table
+is held unchecked as move rows (Action._of_rows).  Slots are set in
+sorted order, each trying its values in order, so the results come in
+the order of the full product of slot values that an exhaustive filter
+would give.
 """
 
 import itertools
 import math
 from functools import reduce
-from operator import mul, or_
+from operator import or_
 
 from .action import Action
 from .builders import (
@@ -409,9 +411,10 @@ def enum_morphisms(source: Groupoid, target: Groupoid) -> list:
       (b) the outputs of one g from the units of a fiber have distinct
           left units, since g moves the fiber one to one;
     and a base map that breaks (a) is never made: per orbit a fiber
-    size is chosen and each target unit placed on a source unit with
-    room left, and these combos are kept on the source per point count.
-    (b) cuts each table search (_FiberSearch.tables).
+    size is chosen, never past the target units left, and each target
+    unit placed on a source unit with room left; these combos are kept
+    on the source per point count where they are few.  (b) cuts each
+    table search (_FiberSearch.tables).
 
     Conversely, every table that keeps both is a morphism's, so no
     reconstruction is checked.  The forcing rule gives T(g x, f) =
@@ -452,47 +455,56 @@ def _moment_maps(source, points):
     """The maps rho of the list `points` to the source's unit indices
     that keep fact (a) of enum_morphisms, each with the lists of the
     points over each unit, in order.  Only such maps are made: their
-    combos, each map's unit per point position (_combos), are kept on
-    the source per point count, and zipped here with `points`."""
+    combos, each map's unit per point position (_combos), are zipped here
+    with `points`, and kept on the source per point count where there
+    are at most 2^10 maps of the points to its units; more are made anew
+    on each call, so what is kept stays small."""
     kept, n = _kept(source, "_moment_combos", lambda g: {}), len(points)
-    if n not in kept:
+    if (combos := kept.get(n)) is None:
         shapes = _kept(source, "_orbit_shapes", _orbit_shapes)
-        kept[n] = _combos([block for block, *_ in shapes], n)
-    for combo in kept[n]:
+        combos = _combos([block for block, *_ in shapes], n)
+        if len(source._fibers) ** n <= 2**10:
+            kept[n] = combos = tuple(combos)
+    for combo in combos:
         over = {e: [] for e in source._fibers}
         for p, e in zip(points, combo):
             over[e].append(p)
         yield dict(zip(points, combo)), over
 
 
-def _combos(blocks, n) -> tuple:
+def _combos(blocks, n):
     """Every tuple of n units of the orbits `blocks` whose fibers have
-    equal size over the units of one orbit: per choice of a fiber size
-    k for each orbit with sum |O| k = n, every placement of the
-    positions in turn on a unit that still has room, depth first in a
-    plain loop, so that no number of points deepens the stack."""
-    units, found = [e for b in blocks for e in b], []
-    for sizes in itertools.product(*(range(n // len(b) + 1) for b in blocks)):
-        if sum(map(mul, sizes, map(len, blocks))) != n:
-            continue
-        room = [k for b, k in zip(blocks, sizes) for _ in b]
-        placed, i = [], 0  # the unit positions placed, and the next to try
-        while True:
-            if len(placed) == n:
-                found.append(tuple(map(units.__getitem__, placed)))
-            while i < len(room) and not room[i]:
-                i += 1
-            if i < len(room):
-                room[i] -= 1
-                placed.append(i)
-                i = 0
-            elif placed:  # the last position again, on its next unit
-                i = placed.pop()
-                room[i] += 1
-                i += 1
-            else:
-                break
-    return tuple(found)
+    equal size over the units of one orbit, depth first in plain loops,
+    so that no number of points or orbits deepens the stack.  The fiber
+    size k of each orbit is chosen in turn, at most the points left over
+    |O|, so no choice overshoots sum |O| k = n; for each choice that
+    meets it, every placement of the positions in turn on a unit that
+    still has room is made.  Only units given room are scanned, at most
+    n of them, so a source's other units cost a placement nothing."""
+    todo = [((), n)]  # (the fiber sizes of the first orbits, the points left)
+    while todo:
+        ks, left = todo.pop()
+        if len(ks) < len(blocks):
+            size = len(blocks[len(ks)])  # k is pushed from the top, so 0 comes first
+            todo.extend((ks + (k,), left - k * size) for k in range(left // size, -1, -1))
+        elif not left:
+            units = [e for b, k in zip(blocks, ks) if k for e in b]
+            room = [k for b, k in zip(blocks, ks) if k for _ in b]
+            placed, i = [], 0  # the unit positions placed, and the next to try
+            while True:
+                if len(placed) == n:
+                    yield tuple(map(units.__getitem__, placed))
+                while i < len(room) and not room[i]:
+                    i += 1
+                if i < len(room):
+                    room[i] -= 1
+                    placed.append(i)
+                    i = 0
+                elif placed:  # the last position again, on its next unit
+                    room[placed[-1]] += 1
+                    i = placed.pop() + 1
+                else:
+                    break
 
 
 def _orbit_shapes(source: Groupoid) -> tuple:
@@ -524,10 +536,10 @@ def enum_actions(groupoid: Groupoid, carrier: Universe) -> list:
     fact (a) of enum_morphisms, since a path moves the fiber over its
     right unit one to one onto the fiber over its left unit, and a map
     that breaks it is never made (_moment_maps, whose combos are kept on
-    the groupoid per point count).  Let G be the isotropy group at the
-    orbit's least unit e0, F0 the k points over e0, and c_b the least
-    arrow from e0 to b, with c_e0 = e0.  An action on the component is
-    a pair: an action sigma of G on F0, and for each
+    the groupoid per point count where they are few).  Let G be the
+    isotropy group at the orbit's least unit e0, F0 the k points over
+    e0, and c_b the least arrow from e0 to b, with c_e0 = e0.  An action
+    on the component is a pair: an action sigma of G on F0, and for each
     unit b but e0 a bijection beta_b of F0 onto the fiber over b, the
     move of c_b (beta_e0 is the identity).  The arrow g from b2 to b1 is
     c_b1 x s(c_b2), x = s(c_b1) g c_b2 in G, and moves the points over

@@ -1,8 +1,10 @@
 """Enumeration oracles and brute-force cross-checks."""
 
+import contextlib
 import gc
 import itertools
 import random
+import signal
 import sys
 from collections import Counter
 
@@ -423,7 +425,12 @@ def test_moment_maps_made_are_counted(monkeypatch):
     P6's units to P3's, where 6!/(2! 2! 2!) put two units over each,
     and none for P5 -> P9 or for P4 on 7 points, whose fibers cannot be
     equal.  A point count past the recursion limit makes its one map of
-    a single unit without a stack frame per point."""
+    a single unit without a stack frame per point.  The work is bounded
+    by the maps made: 20 one-unit orbits on 3 points make 20^3 maps and
+    12 on 4 make 12^4, where the product of every orbit's fiber sizes
+    would try 4^20 and 5^12 choices, and P12 on 13 points makes none
+    without placing points for the fiber size 1, which leaves one point
+    over (12! placements)."""
     made = {}
 
     def counted(source, points, made_by=search._moment_maps):
@@ -440,12 +447,40 @@ def test_moment_maps_made_are_counted(monkeypatch):
     assert enum_actions(p[4], Universe("W7", "abcdefg")) == []
     many = Universe("many", [f"p{i}" for i in range(sys.getrecursionlimit() + 200)])
     assert len(enum_morphisms(Z1, set_groupoid(many))) == 1
+    sets = {}
+    for n in (12, 20):
+        sets[n] = set_groupoid(Universe(f"U{n}", [f"u{i:02}" for i in range(n)]))
+    p[12] = pair_groupoid(Universe("X12", [f"{i:02}" for i in range(12)]))
+    with _deadline(20):
+        assert len(enum_actions(sets[20], Universe("W3", "abc"))) == 20**3
+        assert sum(1 for _ in search._moment_maps(sets[12], range(4))) == 12**4
+        assert list(search._moment_maps(p[12], range(13))) == []
     assert made == {
         (p[3].name, 6): 90,
         (p[5].name, 9): 0,
         (p[4].name, 7): 0,
         (Z1.name, len(many)): 1,
+        (sets[20].name, 3): 20**3,
+        (sets[12].name, 4): 12**4,
+        (p[12].name, 13): 0,
     }
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the block if it runs past `seconds` of wall time, so that a
+    search that would run for hours fails instead of hanging the suite."""
+
+    def late(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _morphism_route(groupoid, carrier) -> list:
@@ -544,7 +579,9 @@ def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_in
     its first enumeration and kept on it, and so are its base-map combos,
     once per point count: later calls, as source or as target, recompute
     none of them.  Groupoids indexed apart keep their own and give equal
-    results."""
+    results.  Combos are kept only where there are at most 2^10 maps of
+    the points to the units: P3's for 6 points (3^6) are made once, its
+    for 7 points (3^7) on every call."""
     fresh = [
         pair_groupoid(Universe("X3", ("1", "2", "3"))),
         group_bundle([cyclic_table(2), trivial_table()]),
@@ -577,6 +614,10 @@ def test_structured_enumerator_keeps_each_groupoids_shapes(monkeypatch, apart_in
     counts = Counter(built)
     assert every_pair(apart_indexed) == apart and built == counts
     assert all(r == apart[0] for r in apart) and len(apart[0]) > 1
+    # P3 made its combos for 3 and 2 points above
+    for points, maps in ((6, 90), (7, 0), (6, 90), (7, 0)):
+        assert len(list(search._moment_maps(fresh[0], range(points)))) == maps
+    assert built["_combos"] == counts["_combos"] + 3
 
 
 def test_fiber_tables_give_each_unit_of_a_row_one_arrow():
