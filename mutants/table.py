@@ -36,6 +36,14 @@ KEPT = (
     "tests/test_search.py::test_structured_enumerator_keeps_each_groupoids_shapes"
 )
 
+HUNT = "tests/test_derived.py::test_non_epi_witnesses_match_the_object_level_hunt"
+BOUND = "tests/test_derived.py::test_non_epi_twists_are_kept_up_to_the_bound"
+ALL_ELEMENT = (
+    "tests/test_derived.py::"
+    "test_quotient_groupoid_refuses_what_the_all_element_test_refuses"
+)
+ACTIONS = "tests/test_search.py::test_action_enumerators_agree_on_generated_groupoids"
+
 READ_TEST = "if len(inverse) != len(index) or not self._unit_set <= index.keys():"
 
 MUTANTS = [
@@ -55,6 +63,23 @@ MUTANTS = [
         "replacement": "if len(inverse) != len(index):",
         "tests": [STRAY],
         "status": "killed",
+    },
+    {
+        "id": "failed-read-not-reraised",
+        "file": "src/groupoids/groupoid.py",
+        "snippet": (
+            "            # here; the raise keeps it from building half a groupoid\n"
+            "            raise\n"
+        ),
+        "replacement": "            # here; the raise keeps it from building half a groupoid\n",
+        "tests": [STRAY, VERDICTS],
+        "status": "equivalent",
+        "argument": (
+            "_check_structure repeats every lookup of the failed read on the "
+            "same dicts (inverse keys and values, each triple's unpacking and "
+            "names, the units), so it raises before the raise is reached; only "
+            "a name whose hash changes while held could pass it after failing"
+        ),
     },
     {
         "id": "fused-read-value-error-uncaught",
@@ -268,6 +293,55 @@ MUTANTS = [
         "snippet": "if len(source._fibers) ** n <= 2**10:",
         "replacement": "if True:",
         "tests": [KEPT],
+        "status": "killed",
+    },
+    # -- the non-epi hunt on kept twists, and the quotient's normality ----
+    {
+        "id": "twist-identity-not-skipped",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "        if twist != same:\n            yield twist\n",
+        "replacement": "        yield twist\n",
+        "tests": [HUNT],
+        "status": "killed",
+    },
+    {
+        "id": "twists-kept-below-the-bound-only",
+        "file": "src/groupoids/morphism.py",
+        "snippet": "len(target._rows) <= 2**12:",
+        "replacement": "len(target._rows) < 2**12:",
+        "tests": [BOUND],
+        "status": "killed",
+    },
+    {
+        "id": "twists-out-of-bisection-order",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "    for section in _sections(groupoid):\n",
+        "replacement": "    for section in _enum_member_sets(groupoid):\n",
+        "tests": [BOUND],
+        "status": "killed",
+    },
+    {
+        "id": "surjective-mask-one-bit-short",
+        "file": "src/groupoids/morphism.py",
+        "snippet": "(1 << len(h.target._rows)) - 1",
+        "replacement": "(1 << len(h.target._rows) - 1) - 1",
+        "tests": [HUNT],
+        "status": "killed",
+    },
+    {
+        "id": "quotient-normal-at-the-unit-coset-only",
+        "file": "src/groupoids/action.py",
+        "snippet": "if not _normal(rows, reps, sub):",
+        "replacement": "if not _normal(rows, reps[:1], sub):",
+        "tests": [ALL_ELEMENT],
+        "status": "killed",
+    },
+    {
+        "id": "point-actions-reuse-the-orbit-point",
+        "file": "src/groupoids/search.py",
+        "snippet": "itertools.permutations(free[1:], len(acts[0]) - 1)",
+        "replacement": "itertools.permutations(free, len(acts[0]) - 1)",
+        "tests": [ACTIONS],
         "status": "killed",
     },
     {

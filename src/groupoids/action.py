@@ -424,10 +424,15 @@ def quotient_groupoid(groupoid: Groupoid, part):
     for g in sorted(members):
         if groupoid.e_left(g) != groupoid.e_right(g):
             raise PreconditionFailed(f"{g!r} is outside the isotropy bundle")
-    left, inside = groupoid._left, set(map(groupoid._index.__getitem__, members))
+    rows, left = groupoid._rows, groupoid._left
+    inside = set(map(groupoid._index.__getitem__, members))
     for e, fiber in groupoid._fibers.items():
         group = [g for g in fiber if left[g] == e]  # the isotropy group at e
-        if not _normal(groupoid._rows, group, inside.intersection(group)):
+        sub = inside.intersection(group)
+        # the checked subgroupoid meets it in a subgroup N, so the cosets
+        # gN partition it, and N is normal when gN = Ng for one g of each
+        _, _, reps = _classes(group, lambda g: [rows[g][n] for n in sub])
+        if not _normal(rows, reps, sub):
             unit = groupoid._names[e]
             raise PreconditionFailed(f"subgroup is not normal at unit {unit!r}")
     return _quotient(groupoid, members)

@@ -16,10 +16,15 @@ row, since it compares each product with its image.
 Ad(b) sends g to b_l g s(b_r), with b_l and b_r the members of b whose
 right units are the left and right units of g: a functor inverted by
 Ad(s(b)), so mono.  It is not re-checked; tests/test_derived.py checks
-it over the Tier-1 grid against an independent oracle.
+it over the Tier-1 grid against an independent oracle.  _twists makes
+each Ad(b) as mask rows straight from the groupoid's rows, for
+morphism.find_non_epi_witness, which tests/test_derived.py holds to the
+hunt on Bisection and ad objects.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     AxiomViolation,
@@ -107,13 +112,13 @@ class Bisection:
 
 
 def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
-    """The member sets of bisections, depth first, at most `limit`: one
-    member from each right fiber, the units in name order, with no left
-    unit taken twice."""
+    """The bisections, depth first, at most `limit`, each as the tuple of
+    its members' indices: one member from each right fiber, the units in
+    name order (the order of `_fibers`), with no left unit taken twice."""
     fibers = list(groupoid._fibers.values())
     if not fibers:
-        return [frozenset()]
-    names, left = groupoid._names, groupoid._left
+        return [()]
+    left = groupoid._left
     last = len(fibers) - 1
     found, chosen, used = [], [], set()
     # a plain loop, so no closure holds itself: stack[i] iterates the
@@ -129,7 +134,7 @@ def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
                 chosen.append(g)
                 stack.append(iter(fibers[level + 1]))
                 break
-            found.append(frozenset(map(names.__getitem__, [*chosen, g])))
+            found.append((*chosen, g))
             if limit is not None and len(found) >= limit:
                 return found
         else:
@@ -139,10 +144,42 @@ def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
     return found
 
 
+def _sections(groupoid: Groupoid) -> list:
+    """Every bisection as _enum_member_sets gives it, in canonical member
+    order: by its sorted member names."""
+    names = groupoid._names.__getitem__
+    return sorted(_enum_member_sets(groupoid), key=lambda s: sorted(map(names, s)))
+
+
 def all_bisections(groupoid: Groupoid) -> list:
     """Every bisection, in canonical member order."""
-    sets = _enum_member_sets(groupoid)
-    return [Bisection(groupoid, m) for m in sorted(sets, key=sorted)]
+    names = groupoid._names.__getitem__
+    return [Bisection(groupoid, map(names, s)) for s in _sections(groupoid)]
+
+
+def _bisection_count(groupoid: Groupoid) -> int:
+    """The number of bisections, from the orbit shapes alone: an orbit O
+    with isotropy group G_O has |G_O|^|O| |O|! sections over it."""
+    count, fibers, index = 1, groupoid._fibers, groupoid._index
+    for orbit in groupoid.orbits():
+        k = len(orbit)
+        count *= (len(fibers[index[orbit[0]]]) // k) ** k * math.factorial(k)
+    return count
+
+
+def _twists(groupoid: Groupoid):
+    """Ad(b) for each bisection b, in all_bisections order, as its mask
+    rows, but the twists that are the identity: g goes to b_l g s(b_r),
+    with b_l and b_r the members over e_L(g) and e_R(g), read off the
+    rows.  No Bisection or Morphism is made, and rows name no groupoid."""
+    rows, inv, units = groupoid._rows, groupoid._inv, list(groupoid._fibers)
+    ends = list(zip(range(len(rows)), groupoid._left, groupoid._right))
+    same = {g: 1 << g for g in range(len(rows))}
+    for section in _sections(groupoid):
+        over = dict(zip(units, section))  # the member over each right unit
+        twist = {g: 1 << rows[rows[over[l]][g]][inv[over[r]]] for g, l, r in ends}
+        if twist != same:
+            yield twist
 
 
 class _Sections:
@@ -209,7 +246,7 @@ def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
         raise BudgetExceeded(
             f"{groupoid.name!r} has {guard} or more bisections"
         )
-    ordered = sorted(map(sorted, sets))
+    ordered = sorted(sorted(map(groupoid._names.__getitem__, s)) for s in sets)
     labels = ["{" + "+".join(m) + "}" for m in ordered]
     sections = _Sections(groupoid)
     bs = [sections.of(m) for m in ordered]

@@ -212,6 +212,11 @@ class Groupoid:
                 raise KeyError(None)  # a stray inverse key or unit
         except (KeyError, TypeError, ValueError):
             self._check_structure(inverse, triples)
+            # no input reaches this raise: _check_structure repeats every
+            # lookup of the read on the same dicts, so the one that failed
+            # fails there and raises first.  Only a name whose hash changed
+            # between the two, against Python's hash contract, would get
+            # here; the raise keeps it from building half a groupoid
             raise
         if not single:
             self.m_rel = triples_rel(elements, elements, elements, triples)

@@ -376,7 +376,8 @@ def is_mono(h: Morphism) -> bool:
 
 
 def is_surjective(h: Morphism) -> bool:
-    return h.image_elements == frozenset(h.target.elements)
+    """Every target element is an output: h's masks OR to the full mask."""
+    return reduce(or_, h._rows.values(), 0) == (1 << len(h.target._rows)) - 1
 
 
 def mono_witness(h: Morphism) -> CancellationWitness:
@@ -665,9 +666,19 @@ def separating_pair(groupoid: Groupoid, part):
 def find_non_epi_witness(h: Morphism):
     """A verified right-cancellation witness, or None when none is found.
 
+    A non-surjective h has one from separating_pair.  For a surjective
+    h, it is a twist Ad(b), b a bisection of the target, that is not the
+    identity and has Ad(b) h = h, with the identity.  The twists,
+    bisection._twists, come in all_bisections order as mask rows, each
+    tested by one composition with h's rows.  They depend on the target
+    alone, so they are kept on it where they are few, at most 2^12
+    image entries (bisections times elements), as counted from the orbit
+    shapes before any is made; past that, they are made anew on each
+    call, up to the first witness.
+
     None is not a proof that h is an epimorphism.
     """
-    from .bisection import ad, all_bisections
+    from .bisection import _bisection_count, _twists
 
     if not is_surjective(h):
         probe, k1, k2 = separating_pair(h.target, h.image_elements)
@@ -675,14 +686,13 @@ def find_non_epi_witness(h: Morphism):
         if not witness.verify(h):
             raise AxiomViolation("derived:epi-witness", None, "composites differ")
         return witness
-    ident = identity_morphism(h.target)
-    unit_set = frozenset(h.target.units)
-    for b in all_bisections(h.target):
-        if b.members == unit_set:
-            continue
-        twisted = ad(b)
-        if twisted == ident:
-            continue
-        if compose_morphisms(twisted, h) == h:
-            return CancellationWitness(h.target, twisted, ident, "epi")
+    target, rows = h.target, h._rows
+    if "_twists" in vars(target) or _bisection_count(target) * len(target._rows) <= 2**12:
+        twists = _kept(target, "_twists", lambda g: tuple(_twists(g)))
+    else:
+        twists = _twists(target)
+    for twist in twists:
+        if _composed_rows(twist, rows, None) == rows:
+            twisted = Morphism._of_rows(target, target, dict(twist))
+            return CancellationWitness(target, twisted, identity_morphism(target), "epi")
     return None

@@ -638,17 +638,32 @@ def _point_actions(cosets, free, sigma):
     maps of its subgroups: the orbit of the least free point o is a
     coset space G/K, K the stabilizer of o, sent onto o and |G/K| - 1
     further free points in order by phi, so that x moves phi[j] to
-    phi[acts[x][j]]."""
+    phi[acts[x][j]].  Depth first, in a plain loop, as _combos is, so no
+    number of orbits deepens the stack."""
+
+    def orbits(free):  # each choice (acts, the further points) for free[0]
+        for acts in cosets:
+            for others in itertools.permutations(free[1:], len(acts[0]) - 1):
+                yield acts, others
+
     if not free:
         yield sigma
         return
-    for acts in cosets:
-        for others in itertools.permutations(free[1:], len(acts[0]) - 1):
+    stack = [(free, sigma, orbits(free))]
+    while stack:
+        free, sigma, choices = stack[-1]
+        for acts, others in choices:
             phi, placed = (free[0], *others), [row[:] for row in sigma]
             for row, moved in zip(placed, acts):
                 for p, j in zip(phi, moved):
                     row[p] = phi[j]
-            yield from _point_actions(cosets, [p for p in free if p not in phi], placed)
+            rest = [p for p in free if p not in phi]
+            if rest:
+                stack.append((rest, placed, orbits(rest)))
+                break
+            yield placed
+        else:
+            stack.pop()
 
 
 def _lawful_tables(slots, cand, left_factors):

@@ -15,7 +15,9 @@ direct action enumerator, kept for the order its pruned successor must
 give, and `naive_candidates`, the candidates of the naive morphism
 enumerator in its order, for a filter that checks every one, and
 `moment_maps_reference`, the base maps that keep fact (a) of
-enum_morphisms, filtered out of the full product.
+enum_morphisms, filtered out of the full product, and
+`non_epi_reference`, find_non_epi_witness's hunt on objects: a
+Bisection, an Ad morphism and two morphism equalities per bisection.
 The `*_reference` functions are name-level references for the
 structure queries (orbits, isotropy, components, restriction, the
 decomposition's section and the number of bisections), read off e_L
@@ -46,7 +48,15 @@ from hypothesis import strategies as st
 from groupoids.action import classical_to_relational
 from groupoids.builders import cyclic_table, klein_table, product_form, symmetric_table
 from groupoids.groupoid import Groupoid, disjoint_union, validate_groupoid
-from groupoids.morphism import fiber_map_left, fiber_map_right
+from groupoids.bisection import ad, all_bisections
+from groupoids.morphism import (
+    CancellationWitness,
+    compose_morphisms,
+    fiber_map_left,
+    fiber_map_right,
+    identity_morphism,
+    separating_pair,
+)
 from groupoids.relation import (
     ONE,
     FinRel,
@@ -782,6 +792,29 @@ def moment_maps_reference(groupoid, points) -> list:
         ):
             found.append(dict(zip(points, combo)))
     return found
+
+
+def non_epi_reference(h):
+    """The right-cancellation witness find_non_epi_witness should give,
+    or None.  Surjectivity is read off the image by name.  A surjective
+    h gets the first ad(b), over the target's bisections in
+    all_bisections order, that is not the identity and has ad(b) h = h,
+    with the identity; any other h gets separating_pair's pair."""
+    target = h.target
+    if h.image_elements != frozenset(target.elements):
+        probe, k1, k2 = separating_pair(target, h.image_elements)
+        return CancellationWitness(probe, k1, k2, "epi")
+    ident = identity_morphism(target)
+    unit_set = frozenset(target.units)
+    for b in all_bisections(target):
+        if b.members == unit_set:
+            continue
+        twisted = ad(b)
+        if twisted == ident:
+            continue
+        if compose_morphisms(twisted, h) == h:
+            return CancellationWitness(target, twisted, ident, "epi")
+    return None
 
 
 def edit_rows(draw, rows, alphabets):

@@ -407,6 +407,20 @@ def test_enum_exit_codes(capsys, tmp_path, z2_path, catalog):
     assert code == 0 and out.startswith("2 bisections\n")
 
 
+def test_enum_actions_on_more_points_than_the_recursion_limit(capsys, tmp_path):
+    """The trivial group has one action on 1,200 points: one orbit per
+    point, placed by _point_actions in a plain loop, so the stack does
+    not deepen with the orbits."""
+    z1 = str(tmp_path / "z1.json")
+    assert run(capsys, ["build", "group", "cyclic:1", "--output", z1])[0] == 0
+    points = [f"p{i}" for i in range(1200)]
+    assert len(points) > sys.getrecursionlimit()
+    code, out, err = run(capsys, ["enum", "actions", z1, "--carrier", *points])
+    head, *rows = out.splitlines()
+    assert (code, err, head, len(rows)) == (0, "", "1 action", 1)
+    assert sorted(json.loads(rows[0])) == sorted([p, "0", p] for p in points)
+
+
 def test_enum_actions_direct_on_four_points(capsys, tmp_path):
     s3 = str(tmp_path / "s3.json")
     assert run(capsys, ["build", "group", "symmetric:3", "--output", s3])[0] == 0

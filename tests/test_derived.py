@@ -9,6 +9,7 @@ element by element.  The last test keeps the checks that do run on
 derived data to the ones the tests name.
 """
 
+import gc
 import itertools
 import re
 from collections import Counter
@@ -26,6 +27,7 @@ from oracles import (
     group_classification_violation,
     homogeneous_violation,
     kernel_violation,
+    non_epi_reference,
     pairing_violation,
     quotient_violation,
     separating_violation,
@@ -43,10 +45,13 @@ from groupoids.action import (
     quotient_groupoid,
     unit_action,
 )
-from groupoids.bisection import ad, all_bisections
+from groupoids import bisection
+from groupoids.bisection import _bisection_count, ad, all_bisections
 from groupoids.builders import (
     cyclic_table,
+    group_bundle,
     group_groupoid,
+    pair_groupoid,
     is_normal,
     klein_table,
     product_form,
@@ -63,7 +68,10 @@ from groupoids.morphism import (
     component_projection,
     compose_morphisms,
     epi_mono_factorization,
+    find_non_epi_witness,
+    group_action_morphism,
     identity_morphism,
+    is_surjective,
     kernel,
     left_regular,
     product_pairing,
@@ -295,6 +303,54 @@ def test_subgroup_lattices_agree_with_the_coset_reference():
     assert seen["non-normal of index 12"] == 9 and seen["non-normal of index 6"] > 0, seen
 
 
+def normal_at_every_element(g, members) -> bool:
+    """The all-element test, by name: xN = Nx for every x of each
+    isotropy group, N the members in it."""
+    for e in g.units:
+        group = g.isotropy(e).members
+        sub = members & group
+        for x in group:
+            if {g.mult(x, n) for n in sub} != {g.mult(n, x) for n in sub}:
+                return False
+    return True
+
+
+def wide_sub_bundles(g) -> list:
+    """The units with one subgroup of each isotropy group, every way."""
+    per_unit = []
+    for e in g.units:
+        rest = sorted(g.isotropy(e).members - {e})
+        subsets = (
+            {e, *c} for r in range(len(rest) + 1) for c in itertools.combinations(rest, r)
+        )
+        per_unit.append([c for c in subsets if g.is_subgroupoid(c)])
+    return [frozenset().union(*choice) for choice in itertools.product(*per_unit)]
+
+
+def test_quotient_groupoid_refuses_what_the_all_element_test_refuses(catalog):
+    """quotient_groupoid tests normality on one element per coset; it
+    refuses exactly the parts the all-element test refuses, over every
+    subgroup of S4, A4, D4, V4 and Z6 and every wide sub-bundle of the
+    isotropy bundles of the catalog, of S3 over two points and of the
+    bundle S3 + Z2."""
+    seen = Counter()
+    cases = [(group_groupoid(t), s) for t in lattice_groups() for s in subgroups_of(t)]
+    s3 = symmetric_table(3)
+    bundles = [*catalog.values(), product_form(Universe("B2", "xy"), s3)]
+    bundles.append(group_bundle([s3, cyclic_table(2)]))
+    cases += [(g, members) for g in bundles for members in wide_sub_bundles(g)]
+    for g, members in cases:
+        normal = normal_at_every_element(g, frozenset(members))
+        try:
+            quotient_groupoid(g, members)
+        except PreconditionFailed as err:
+            assert not normal and "not normal" in str(err), (g, members)
+        else:
+            assert normal, (g, members)
+        seen[normal] += 1
+    assert seen == {True: 59, False: 70}, seen
+
+
 def test_homogeneous_identifications_match_the_oracle(grid):
     """Over left multiplication, the unit action and the coset spaces of
     the transitive grid members, by every wide subgroupoid of those of
@@ -347,6 +403,99 @@ def test_ad_matches_the_oracle(grid):
         if len(g.elements) <= 8:
             for b in all_bisections(g):
                 assert ad_violation(g, b.members, ad(b)) is None, b
+
+
+def same_witness(found, ref) -> bool:
+    """Both None, or the same side, probe and rows of w1 and w2."""
+    if found is None or ref is None:
+        return found is ref
+    ours = (found.side, found.probe, found.w1._rows, found.w2._rows)
+    return ours == (ref.side, ref.probe, ref.w1._rows, ref.w2._rows)
+
+
+def test_non_epi_witnesses_match_the_object_level_hunt(catalog):
+    """find_non_epi_witness gives the witness of non_epi_reference, or
+    None with it, on every morphism between catalog members and between
+    generated groupoids, some indexed out of name order; is_surjective
+    agrees with the image read by name."""
+    seen = Counter()
+
+    def check(h):
+        found, ref = find_non_epi_witness(h), non_epi_reference(h)
+        assert same_witness(found, ref), h
+        surjective = h.image_elements == frozenset(h.target.elements)
+        assert is_surjective(h) == surjective, h
+        seen["twists" if surjective and found else "none" if surjective else "pairs"] += 1
+
+    pool = catalog.values()
+    for h in (h for a in pool for b in pool for h in enum_morphisms(a, b)):
+        check(h)
+    assert seen == {"twists": 27, "none": 71, "pairs": 226}, seen
+
+    @seed(4747)
+    @settings(max_examples=40, deadline=None)
+    @given(source=generated_groupoids(), target=generated_groupoids(max_size=12))
+    def generated(source, target):
+        for h in enum_morphisms(source, target)[:24]:
+            check(h)
+        seen["generated"] += 1
+
+    generated()
+    assert seen["generated"] >= 30 and seen["twists"] >= 30, seen
+
+
+def test_non_epi_twists_are_made_once_per_target(fresh_catalog, monkeypatch):
+    """Three passes of hunts into pt, Z2, S2 and P2 make each target's
+    twists once, keep them on the target as rows, give the same witnesses
+    each pass, and leave nothing for the cyclic collector."""
+    cat, made, make = fresh_catalog, [], bisection._twists
+
+    def counted(groupoid):
+        made.append(groupoid)
+        return make(groupoid)
+
+    monkeypatch.setattr(bisection, "_twists", counted)
+    keys = ("pt", "Z2", "S2", "P2")
+    family = [h for a in keys for b in keys for h in enum_morphisms(cat[a], cat[b])]
+    hunts = [h for h in family if is_surjective(h)]
+    passes = [[find_non_epi_witness(h) for h in hunts] for _ in range(3)]
+    assert len(hunts) == 14 and sum(w is not None for w in passes[0]) == 1
+    assert all(map(same_witness, passes[0], passes[1]))
+    assert all(map(same_witness, passes[0], passes[2]))
+    assert sorted(g.name for g in made) == sorted(keys)
+    assert [len(vars(cat[k])["_twists"]) for k in keys] == [0, 0, 0, 1]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del passes, made
+        family.clear(), hunts.clear(), cat.clear()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_non_epi_twists_are_kept_up_to_the_bound(grid):
+    """Twists are kept where bisections times elements is at most 2^12:
+    on P5 (120 x 25) and Z64 (64 x 64), not on Z65 or P6 (720 x 36),
+    which keep nothing and give the object-level hunt's witness.  The
+    bound is counted from the orbit shapes, which count the bisections."""
+    for g in grid.values():
+        assert _bisection_count(g) == len(all_bisections(g)), g
+    p5, p6 = (pair_groupoid(Universe(f"X{n}", "123456"[:n])) for n in (5, 6))
+    z64, z65 = (group_groupoid(cyclic_table(n)) for n in (64, 65))
+    for g, kept in ((p5, 119), (z64, 0), (z65, None), (p6, None)):
+        assert find_non_epi_witness(identity_morphism(g)) is None
+        assert len(vars(g)["_twists"]) == kept if kept is not None else "_twists" not in vars(g)
+    assert (_bisection_count(p5), _bisection_count(p6)) == (120, 720)
+    turn = {(g, x): str((int(g) + int(x) - 1) % 6 + 1) for g in "012345" for x in "123456"}
+    space = p6.elements.factors[0]
+    h = group_action_morphism(cyclic_table(6), space, turn)
+    assert h.target == p6 and is_surjective(h)
+    found = find_non_epi_witness(h)
+    assert found is not None and same_witness(found, non_epi_reference(h))
+    assert "_twists" not in vars(h.target)
 
 
 def test_only_named_checks_run_on_derived_data():

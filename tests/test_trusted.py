@@ -11,7 +11,10 @@ reconstructions unchecked, as morphisms by proof, and every pair of the
 grid with |G||G'| <= 24 calls it directly; enum_morphisms_naive holds
 the survivors it decided, on the same pairs within its default budget;
 enum_actions holds the actions it generated from coset spaces, and
-enum_actions_direct the tables it decided, on the same carriers.  So this grid stands in for the checked
+enum_actions_direct the tables it decided, on the same carriers.
+find_non_epi_witness holds the twist of its witness, made on the
+target's rows with no Bisection or ad, and is called on every surjective
+result of enum_morphisms on those pairs.  So this grid stands in for the checked
 constructor they no longer call, and a static check of the source keeps
 TRUSTED_SITES to exactly the functions that call an unchecked entry.
 The grid also stands in for two checks skipped by proof: the unit
@@ -66,9 +69,11 @@ from groupoids.morphism import (
     component_projection,
     compose_morphisms,
     epi_mono_factorization,
+    find_non_epi_witness,
     group_action_morphism,
     identity_morphism,
     is_mono,
+    is_surjective,
     left_regular,
     mono_witness,
     product_injections,
@@ -101,7 +106,7 @@ TRUSTED_SITES = {
     "unit_action", "conjugation_action", "coset_space", "induced_action",
     "pullback_action", "product_form_action", "right_commuting_to_morphism",
     "enum_morphisms", "enum_morphisms_naive", "enum_actions",
-    "enum_actions_direct", "check_cancellation",
+    "enum_actions_direct", "check_cancellation", "find_non_epi_witness",
 }
 
 
@@ -189,7 +194,9 @@ def run_grid(catalog):
     # a small bound, for time
     for g1, g2 in itertools.product(groupoids.values(), repeat=2):
         if len(g1.elements) * len(g2.elements) <= 24:
-            enum_morphisms(g1, g2)
+            for h in enum_morphisms(g1, g2):
+                if is_surjective(h):  # the twist hunt; separating_pair runs above
+                    find_non_epi_witness(h)
             with suppress(BudgetExceeded):  # within its default budget
                 enum_morphisms_naive(g1, g2)
     for key in catalog:
@@ -309,8 +316,10 @@ def test_trusted_builds_pass_the_checked_constructor_and_the_oracle(
         assert verdict is None, (site, s, verdict)
     # 135 come only from action_groupoid_functor's calls: 43 unit
     # actions, their 43 composites and 49 to_orbit_pair morphisms;
-    # enum_actions generates the 229 actions enum_actions_direct finds
-    assert len(built) == 3241
+    # enum_actions generates the 229 actions enum_actions_direct finds;
+    # the hunts' witnesses hold 3 distinct twists
+    assert len(built) == 3244
+    assert sum(site == "find_non_epi_witness" for site, _ in built) == 3
     assert sum(site == "enum_morphisms" for site, _ in built) == 922
     assert sum(site == "enum_morphisms_naive" for site, _ in built) == 539
     assert sum(site == "enum_actions" for site, _ in built) == 229
