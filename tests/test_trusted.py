@@ -13,10 +13,11 @@ the survivors it decided, on the same pairs within its default budget;
 enum_actions holds the actions it generated from coset spaces, and
 enum_actions_direct the tables it decided, on the same carriers.
 find_non_epi_witness holds the twist of its witness, made on the
-target's rows with no Bisection or ad, and is called on every surjective
-result of enum_morphisms on those pairs.  So this grid stands in for the checked
-constructor they no longer call, and a static check of the source keeps
-TRUSTED_SITES to exactly the functions that call an unchecked entry.
+target's rows with no Bisection or ad, and is called on every
+surjective result of enum_morphisms on those pairs.  So this grid
+stands in for the checked constructor they no longer call, and a
+static check of the source keeps TRUSTED_SITES to exactly the
+functions that call an unchecked entry.
 The grid also stands in for two checks skipped by proof: the unit
 action of action_groupoid_functor, read without morphism_to_action's
 pair-groupoid check, is recorded at _pair_action; and the marking
