@@ -44,6 +44,11 @@ ALL_ELEMENT = (
 )
 ACTIONS = "tests/test_search.py::test_action_enumerators_agree_on_generated_groupoids"
 
+PARSERS = "tests/test_cli.py::test_a_run_makes_only_the_parsers_on_its_dispatch_path"
+MODULES = "tests/test_cli.py::test_a_command_loads_only_its_own_modules"
+BUILD_BOUND = "tests/test_cli.py::test_builds_past_the_bound_are_refused_before_building"
+BUILD_COUNTS = "tests/test_cli.py::test_each_build_family_counts_its_composable_pairs"
+
 READ_TEST = "if len(inverse) != len(index) or not self._unit_set <= index.keys():"
 
 MUTANTS = [
@@ -317,7 +322,7 @@ MUTANTS = [
         "file": "src/groupoids/bisection.py",
         "snippet": "    for section in _sections(groupoid):\n",
         "replacement": "    for section in _enum_member_sets(groupoid):\n",
-        "tests": [BOUND],
+        "tests": [BOUND, HUNT],
         "status": "killed",
     },
     {
@@ -350,6 +355,38 @@ MUTANTS = [
         "snippet": "        return sorted(entries, key=repr)\n",
         "replacement": "        raise\n",
         "tests": [STRAY, ACTION_STRAY],
+        "status": "killed",
+    },
+    # -- what a CLI process makes and loads --------------------------------
+    {
+        "id": "subcommand-parsers-made-eagerly",
+        "file": "src/groupoids/cli.py",
+        "snippet": (
+            "        parsers[name] = None\n"
+            "        parsers.makers[name] = functools.partial(make, prog=prog)\n"
+        ),
+        "replacement": "        parsers[name] = make(prog=prog)\n",
+        "tests": [PARSERS],
+        "status": "killed",
+    },
+    {
+        "id": "payload-algebra-imported-before-shape-checks",
+        "file": "src/groupoids/cli.py",
+        "snippet": '    name = _document_name(payload, "groupoid", "G")\n',
+        "replacement": (
+            "    from .groupoid import Groupoid\n"
+            "    from .relation import Universe\n"
+            '    name = _document_name(payload, "groupoid", "G")\n'
+        ),
+        "tests": [MODULES],
+        "status": "killed",
+    },
+    {
+        "id": "build-bound-off-by-one",
+        "file": "src/groupoids/cli.py",
+        "snippet": "    if pairs > MAX_TABLE_PRODUCTS:\n",
+        "replacement": "    if pairs >= MAX_TABLE_PRODUCTS:\n",
+        "tests": [BUILD_BOUND, BUILD_COUNTS],
         "status": "killed",
     },
 ]

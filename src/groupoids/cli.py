@@ -8,29 +8,40 @@ indent, trailing newline.  Exit codes: 0 for success or a true answer,
 1 for well-formed input that fails validation or a false answer, 2 for
 usage, IO, or parse problems.
 
-A process loads only what its command uses: at module level this file
-imports the relation kernel and the groupoid, and each handler or
-loader imports the rest of the package it needs (the builders, the
-morphism, action, bisection or search module).  `build_parser`
-registers every subcommand, but a leaf adds its arguments only when
-argparse dispatches to it.
+A process compiles and makes only what its command reaches.  At
+module level this file imports the standard library and errors.py
+alone.  Input is checked before the algebra is imported:
+- a document's shape by `load_payload`, `_names`, `_need`, `_rows` and
+  `_check_name`; relation.py and groupoid.py are imported where the
+  structure is built, and morphism.py or action.py after its rows;
+- argv's group tokens by `_group_order`, its point lists by `_universe`
+  (which imports relation.py), and a `build`'s size by its count of
+  composable pairs; builders.py is imported after these;
+- each handler imports the morphism, action, bisection or search module
+  it uses after its documents have loaded.
+So a malformed document or argv loads only the package, this module and
+errors.py, and relation.py where a `Universe` refuses.
+
+`build_parser` makes the top-level parser and registers each command's
+name and help line.  A command's parser, and a group's subcommands, are
+made when argparse looks them up: `validate` makes two parsers, and
+`enum morphisms` three.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 
 from .errors import AlgebraError, DocumentError, PreconditionFailed, UniverseError
-from .groupoid import Groupoid, cartesian_product, disjoint_union
-from .relation import Universe
 
 KINDS = ("groupoid", "morphism", "action")
 TOO_DEEP = "document nested too deeply"
-# the most products a cyclic:n or symmetric:n table may have: Z1024 and S6
-# build, and S7's 25,401,600 products would exhaust memory before any
-# law is checked
+# the most products a cyclic:n or symmetric:n table, or composable pairs
+# a built groupoid, may have: Z1024 and S6 build, and S7's 25,401,600
+# products would exhaust memory before any law is checked
 MAX_TABLE_PRODUCTS = 2**20
 
 
@@ -129,7 +140,7 @@ def _document_name(payload, kind, default):
     return name
 
 
-def groupoid_from_payload(payload, text) -> Groupoid:
+def groupoid_from_payload(payload, text):
     name = _document_name(payload, "groupoid", "G")
     elements = _names(payload, "elements", "elements", name)
     known = set(elements)
@@ -145,6 +156,9 @@ def groupoid_from_payload(payload, text) -> Groupoid:
     columns = [(label, known, "element") for label in ("a", "b", "ab")]
     rows = _rows(payload, "compose", "compose table", columns, text, name)
     table = [(ab, a, b) for a, b, ab in rows]
+    from .groupoid import Groupoid
+    from .relation import Universe
+
     return Groupoid(name, Universe(name, tuple(elements)), units, inverse, table)
 
 
@@ -156,8 +170,6 @@ def resolve_groupoid(ref, text, base):
 
 
 def morphism_from_payload(payload, text, base):
-    from .morphism import Morphism
-
     name = _document_name(payload, "morphism", "h")
     source = resolve_groupoid(_need(payload, "source", (str, dict), name), text, base)
     target = resolve_groupoid(_need(payload, "target", (str, dict), name), text, base)
@@ -165,21 +177,25 @@ def morphism_from_payload(payload, text, base):
         ("output", target.elements, "element"), ("input", source.elements, "element"),
     ]
     graph = _rows(payload, "graph", "graph", columns, text, name)
+    from .morphism import Morphism
+
     return Morphism(source, target, graph), name
 
 
 def action_from_payload(payload, text, base):
-    from .action import Action
-
     name = _document_name(payload, "action", "phi")
     groupoid = resolve_groupoid(
         _need(payload, "groupoid", (str, dict), name), text, base
     )
     points = _names(payload, "carrier", "carrier points", name)
+    from .relation import Universe
+
     carrier = Universe(f"{name}.carrier", tuple(points))
     element = ("element", groupoid.elements, "element")
     columns = [("output", carrier, "point"), element, ("input", carrier, "point")]
     triples = _rows(payload, "graph", "graph", columns, text, name)
+    from .action import Action
+
     return Action(groupoid, carrier, triples), name
 
 
@@ -213,7 +229,7 @@ def _wire(rows) -> list:
     return sorted(list(row) for row in rows)
 
 
-def payload_of_groupoid(g: Groupoid) -> dict:
+def payload_of_groupoid(g) -> dict:
     return {
         "kind": "groupoid",
         "name": str(g.name),
@@ -275,6 +291,8 @@ def _print_rows(word, rows) -> int:
 
 
 def _valid_line(s) -> str:
+    from .groupoid import Groupoid  # loaded already with s
+
     if isinstance(s, Groupoid):
         sizes = [(s.elements, "element"), (s.units, "unit"), (s.orbits(), "orbit")]
         return "valid: " + ", ".join(_plural(len(x), word) for x, word in sizes)
@@ -285,33 +303,43 @@ def _valid_line(s) -> str:
     return f"valid: action, {_plural(len(s.triples), 'triple')}"
 
 
+def _group_order(token) -> int:
+    """The order of the group a spec like cyclic:4, symmetric:3, klein or
+    trivial names, from the spec alone.  A DocumentError for an unknown
+    family, an order that is not an integer, or a table past the bound;
+    an order the family's builder refuses counts 0."""
+    head, _, tail = token.partition(":")
+    if head == "klein":
+        return 4
+    if head == "trivial":
+        return 1
+    if head not in ("cyclic", "symmetric"):
+        raise DocumentError(f"unknown group family {token!r}")
+    try:
+        order = int(tail)
+    except ValueError:
+        raise DocumentError(f"group order in {token!r} is not an integer") from None
+    if head == "symmetric":  # symmetric_table refuses n outside 1..9
+        order = math.factorial(order) if 1 <= order <= 9 else 0
+    order = max(order, 0)  # cyclic_table refuses n < 1
+    if order * order > MAX_TABLE_PRODUCTS:
+        raise DocumentError(
+            f"group {token!r} is too large: its table has more than "
+            f"{MAX_TABLE_PRODUCTS} products"
+        )
+    return order
+
+
 def _table_from_token(token):
     """A group table from a spec like cyclic:4, symmetric:3, klein, trivial."""
+    _group_order(token)
     from . import builders
 
     head, _, tail = token.partition(":")
     if head in ("cyclic", "symmetric"):
-        try:
-            order = int(tail)
-        except ValueError:
-            raise DocumentError(
-                f"group order in {token!r} is not an integer"
-            ) from None
-        size = order
-        if head == "symmetric":  # symmetric_table refuses n outside 1..9
-            size = math.factorial(order) if 1 <= order <= 9 else 0
-        if size > 0 and size * size > MAX_TABLE_PRODUCTS:
-            raise DocumentError(
-                f"group {token!r} is too large: its table has more than "
-                f"{MAX_TABLE_PRODUCTS} products"
-            )
         make = builders.cyclic_table if head == "cyclic" else builders.symmetric_table
-        return _argv(make, order, wrong=PreconditionFailed)
-    if head == "klein":
-        return builders.klein_table()
-    if head == "trivial":
-        return builders.trivial_table()
-    raise DocumentError(f"unknown group family {token!r}")
+        return _argv(make, int(tail), wrong=PreconditionFailed)
+    return builders.klein_table() if head == "klein" else builders.trivial_table()
 
 
 def _argv(make, *args, wrong=UniverseError):
@@ -322,6 +350,13 @@ def _argv(make, *args, wrong=UniverseError):
         raise DocumentError(str(err)) from None
 
 
+def _universe(name, points):
+    """The Universe of command-line points; a duplicate is a usage error."""
+    from .relation import Universe
+
+    return _argv(Universe, name, tuple(points))
+
+
 # -- command handlers ---------------------------------------------------
 
 
@@ -329,38 +364,53 @@ def cmd_build(args) -> int:
     return emit(args, payload_of_groupoid(_argv(_build, args)))
 
 
-def _build(args) -> Groupoid:
-    from . import builders
-
-    family = args.family
-    if family == "pair":
-        name = args.name or f"P{len(args.points)}"
-        return builders.pair_groupoid(Universe(name, tuple(args.points)), name)
-    if family == "set":
-        name = args.name or f"S{len(args.points)}"
-        return builders.set_groupoid(Universe(name, tuple(args.points)), name)
-    if family == "group":
-        return builders.group_groupoid(_table_from_token(args.group), args.name)
-    if family == "bundle":
-        tables = [_table_from_token(tok) for tok in args.groups]
-        return builders.group_bundle(tables, args.name)
-    if family == "equiv":
+def _build(args):
+    """The groupoid of a `build` command.  Its universe and group specs are
+    checked, and its composable pairs counted, from argv before the
+    builders are imported; `make` then builds it from the builders."""
+    family, name = args.family, args.name
+    if family == "group":  # _group_order bounds a group's table
+        pairs = _group_order(args.group) ** 2
+        make = lambda b: b.group_groupoid(_table_from_token(args.group), name)
+    elif family == "bundle":
+        pairs = sum(_group_order(tok) ** 2 for tok in args.groups)
+        make = lambda b: b.group_bundle(list(map(_table_from_token, args.groups)), name)
+    elif family == "pair":
+        space = _universe(name or f"P{len(args.points)}", args.points)
+        pairs, make = len(space) ** 3, lambda b: b.pair_groupoid(space, space.name)
+    elif family == "set":
+        space = _universe(name or f"S{len(args.points)}", args.points)
+        pairs, make = len(space), lambda b: b.set_groupoid(space, space.name)
+    elif family == "equiv":
         blocks = [tuple(block.split(",")) for block in args.block]
         points = tuple(dict.fromkeys(x for block in blocks for x in block))
-        name = args.name or f"E{len(points)}"
-        return builders.equivalence_groupoid(Universe(name, points), blocks, name)
-    if family == "product-form":
-        space = Universe(args.name or "base", tuple(args.points))
-        return builders.product_form(space, _table_from_token(args.group), args.name)
-    space = Universe("space", tuple(args.points))
-    act = {}
-    for g, x, y in args.move:
-        if act.setdefault((g, x), y) != y:
-            raise DocumentError(
-                f"--move gives ({g!r}, {x!r}) two images, {act[g, x]!r} and {y!r}"
-            )
-    table = _table_from_token(args.group)
-    return builders.transformation_groupoid(table, space, act, args.name)
+        space = _universe(name or f"E{len(points)}", points)
+        pairs = sum(len(block) ** 3 for block in blocks)
+        make = lambda b: b.equivalence_groupoid(space, blocks, space.name)
+    elif family == "product-form":
+        space = _universe(name or "base", args.points)
+        pairs = len(space) ** 3 * _group_order(args.group) ** 2
+        make = lambda b: b.product_form(space, _table_from_token(args.group), name)
+    else:
+        space = _universe("space", args.points)
+        act = {}
+        for g, x, y in args.move:
+            if act.setdefault((g, x), y) != y:
+                raise DocumentError(
+                    f"--move gives ({g!r}, {x!r}) two images, {act[g, x]!r} and {y!r}"
+                )
+        pairs = _group_order(args.group) ** 2 * len(space)
+        make = lambda b: b.transformation_groupoid(
+            _table_from_token(args.group), space, act, name
+        )
+    if pairs > MAX_TABLE_PRODUCTS:
+        raise DocumentError(
+            f"{family} groupoid is too large: it has {pairs} composable pairs, "
+            f"more than {MAX_TABLE_PRODUCTS}"
+        )
+    from . import builders
+
+    return make(builders)
 
 
 def cmd_validate(args) -> int:
@@ -378,6 +428,8 @@ def cmd_validate(args) -> int:
 
 def cmd_info(args) -> int:
     s, name = _read(*load_payload(args.path))
+    from .groupoid import Groupoid  # loaded already with s
+
     print(f"name: {name}")
     if isinstance(s, Groupoid):
         blocks = s.orbits()
@@ -419,6 +471,8 @@ def cmd_combine(args) -> int:
     """The disjoint union or the cartesian product of two groupoids."""
     left, _ = _load(args.left, "groupoid")
     right, _ = _load(args.right, "groupoid")
+    from .groupoid import cartesian_product, disjoint_union
+
     combine = disjoint_union if args.command == "union" else cartesian_product
     return emit(args, payload_of_groupoid(combine(left, right)))
 
@@ -439,15 +493,17 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_morphism(args) -> int:
-    from . import morphism as morphism_ops
-
     op = args.op
     if op == "compose":
         outer, oname = _load(args.outer, "morphism")
         inner, iname = _load(args.inner, "morphism")
+    else:
+        h, name = _load(args.path, "morphism")
+    from . import morphism as morphism_ops  # loaded already with the documents
+
+    if op == "compose":
         composite = morphism_ops.compose_morphisms(outer, inner)
         return emit(args, payload_of_morphism(composite, f"{oname}.{iname}"))
-    h, name = _load(args.path, "morphism")
     if op == "validate":
         print(_valid_line(h))
         return 0
@@ -499,9 +555,9 @@ def _list_bisections(g) -> int:
 
 
 def cmd_bisections(args) -> int:
+    g, _ = _load(args.path, "groupoid")
     from . import bisection as bisection_ops
 
-    g, _ = _load(args.path, "groupoid")
     if args.op == "list":
         return _list_bisections(g)
     if args.op == "group":
@@ -516,16 +572,19 @@ def cmd_bisections(args) -> int:
 
 
 def cmd_action(args) -> int:
-    from . import action as action_ops
-
     op = args.op
     if op == "from-morphism":
         h, name = _load(args.path, "morphism")
-        carrier = _argv(Universe, f"{name}.carrier", tuple(args.carrier))
+    elif op in ("coset", "quotient", "induce"):
+        g, _ = _load(args.path, "groupoid")
+    else:
+        a, name = _load(args.path, "action")
+    from . import action as action_ops
+
+    if op == "from-morphism":
+        carrier = _universe(f"{name}.carrier", args.carrier)
         a = action_ops.morphism_to_action(h, carrier)
         return emit(args, payload_of_action(a, name))
-    if op not in ("coset", "quotient", "induce"):
-        a, name = _load(args.path, "action")
     if op == "validate":
         print(_valid_line(a))
         return 0
@@ -535,7 +594,7 @@ def cmd_action(args) -> int:
     if op == "groupoid":
         return emit(args, payload_of_groupoid(action_ops.action_groupoid(a)))
     if op == "classify":
-        space = _argv(Universe, "base", tuple(args.points))
+        space = _universe("base", args.points)
         table = _table_from_token(args.group)
         fiber, fiber_act, psi = action_ops.classify_transitive_action(
             space, table, a, args.basepoint
@@ -553,7 +612,6 @@ def cmd_action(args) -> int:
         for x in sorted(psi):
             print(f"psi {x} -> {psi[x]}")
         return 0
-    g, _ = _load(args.path, "groupoid")
     if op == "coset":
         space = action_ops.coset_space(g, frozenset(args.members))
         return emit(args, payload_of_action(space.action, "coset"))
@@ -566,11 +624,13 @@ def cmd_action(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    from . import search as search_ops
-
     src, _ = _load(args.source, "groupoid")
+    if args.what == "bisections":
+        return _list_bisections(src)
     if args.what == "morphisms":
         tgt, _ = _load(args.target, "groupoid")
+        from . import search as search_ops
+
         if args.naive:
             budget = _argv(
                 search_ops.EnumBudget, args.max_pairs, args.max_candidates,
@@ -580,14 +640,14 @@ def cmd_enum(args) -> int:
         else:
             found = search_ops.enum_morphisms(src, tgt)
         return _print_rows("morphism", [_wire(h.graph) for h in found])
-    if args.what == "actions":
-        carrier = _argv(Universe, "carrier", tuple(args.carrier))
-        if args.direct:
-            found = search_ops.enum_actions_direct(src, carrier)
-        else:
-            found = search_ops.enum_actions(src, carrier)
-        return _print_rows("action", [_wire(a.triples) for a in found])
-    return _list_bisections(src)
+    carrier = _universe("carrier", args.carrier)
+    from . import search as search_ops
+
+    if args.direct:
+        found = search_ops.enum_actions_direct(src, carrier)
+    else:
+        found = search_ops.enum_actions(src, carrier)
+    return _print_rows("action", [_wire(a.triples) for a in found])
 
 
 # -- parser -------------------------------------------------------------
@@ -684,20 +744,57 @@ COMMANDS = [
 ]
 
 
-class _LeafParser(argparse.ArgumentParser):
-    """A subcommand's parser.  It adds its arguments, (flags, options)
-    pairs of a COMMANDS row, when argparse first hands it argv, so a run
-    builds the arguments of its own command only."""
+class _Subcommands(argparse._SubParsersAction):
+    """A subcommand action whose parsers are made when argparse looks one
+    up.  `add` registers a name, and its help line if it has one, at once:
+    usage, help and an unknown-choice error read only those.  It uses
+    argparse's private `_name_parser_map`, `_choices_actions` and
+    `_prog_prefix`; the golden help and usage tests pin what they give."""
 
-    def __init__(self, *args, arguments=(), **kwargs):
+    class _Parsers(dict):
+        """name -> parser.  A name's maker waits in `makers` until argparse
+        looks the name up; the lookup makes its parser and keeps it."""
+
+        def __init__(self):
+            super().__init__()
+            self.makers = {}
+
+        def __getitem__(self, name):
+            if name in self.makers:
+                self[name] = self.makers.pop(name)()
+            return super().__getitem__(name)
+
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._pending = arguments
+        self.choices = self._name_parser_map = self._Parsers()
 
-    def parse_known_args(self, args=None, namespace=None):
-        for flags, options in self._pending:
-            self.add_argument(*flags, **options)
-        self._pending = ()
-        return super().parse_known_args(args, namespace)
+    def add(self, name, make, help=None):
+        """Register name; make(prog=...) makes its parser on lookup."""
+        if help is not None:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        parsers, prog = self._name_parser_map, f"{self._prog_prefix} {name}"
+        parsers[name] = None
+        parsers.makers[name] = functools.partial(make, prog=prog)
+
+
+def _leaf(func, arguments, prog):
+    """A command's parser: its handler and its arguments, the (flags,
+    options) pairs of its COMMANDS row."""
+    leaf = argparse.ArgumentParser(prog=prog)
+    for flags, options in arguments:
+        leaf.add_argument(*flags, **options)
+    leaf.set_defaults(func=func)
+    return leaf
+
+
+def _group(dest, rows, prog):
+    """A command group's parser, whose subcommand word goes to dest; rows
+    holds (word, handler, arguments) of each subcommand."""
+    group = argparse.ArgumentParser(prog=prog)
+    sub = group.add_subparsers(dest=dest, required=True, action=_Subcommands)
+    for word, func, arguments in rows:
+        sub.add(word, functools.partial(_leaf, func, arguments))
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -705,19 +802,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="groupoids",
         description="Finite groupoids as relations: build, validate, analyze.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_LeafParser)
-    groups = {}
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    rows = {}  # group word -> its rows, all gathered before a parser is made
     for words, func, help_, arguments in COMMANDS:
         if len(words) == 1:
-            leaf = sub.add_parser(words[0], help=help_, arguments=arguments)
-        else:
-            head, word = words
-            if head not in groups:
-                dest, group_help = GROUPS[head]
-                group = sub.add_parser(head, help=group_help)
-                groups[head] = group.add_subparsers(dest=dest, required=True)
-            leaf = groups[head].add_parser(word, arguments=arguments)
-        leaf.set_defaults(func=func)
+            sub.add(words[0], functools.partial(_leaf, func, arguments), help_)
+            continue
+        head, word = words
+        if head not in rows:
+            dest, group_help = GROUPS[head]
+            rows[head] = []
+            sub.add(head, functools.partial(_group, dest, rows[head]), group_help)
+        rows[head].append((word, func, arguments))
     return parser
 
 

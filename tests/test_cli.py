@@ -1,5 +1,6 @@
 """Document round trips and exit codes for the command line front end."""
 
+import argparse
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ from record_cli_golden import (
     write_files,
 )
 
-from groupoids import cli
+from groupoids import builders, cli
 from groupoids.action import classical_to_relational
 from groupoids.builders import (
     cyclic_table,
@@ -609,6 +610,79 @@ def test_group_tables_past_the_product_bound_are_refused_before_building(capsys)
         make.assert_called_once()
 
 
+def test_builds_past_the_bound_are_refused_before_building(capsys):
+    """A `build` whose groupoid would have more than 2^20 composable pairs
+    is refused from argv, with its count and the bound, and no builder is
+    called: a pair groupoid on 102 points has 102^3, and X x S3 x X on two
+    points 2^3 x 720^2.  At the bound exactly, Z1024 as a bundle of one
+    fibre reaches its builder; with one more fibre it is refused."""
+    past = [
+        (["pair", *POINTS_102], "pair groupoid", 1061208),
+        (["product-form", "x", "y", "--group", "symmetric:6"], "product-form groupoid",
+         4147200),
+        (["bundle", "cyclic:1024", "trivial"], "bundle groupoid", 2**20 + 1),
+    ]
+    makers = dict.fromkeys(
+        ["pair_groupoid", "product_form", "group_bundle", "symmetric_table",
+         "cyclic_table", "trivial_table"], mock.DEFAULT,
+    )
+    for argv, what, pairs in past:
+        with mock.patch.multiple(builders, **makers) as called:
+            code, out, err = run(capsys, ["build", *argv])
+        assert not any(make.called for make in called.values())
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {what} is too large: it has {pairs} composable pairs, "
+            "more than 1048576\n"
+        )
+    parse = cli.build_parser().parse_args
+    made = mock.patch.multiple(
+        builders, cyclic_table=mock.DEFAULT, group_bundle=mock.DEFAULT,
+        pair_groupoid=mock.DEFAULT,
+    )
+    with made as mocks:
+        mocks["group_bundle"].return_value = "bundle"
+        mocks["pair_groupoid"].return_value = "pairs"
+        assert cli._build(parse(["build", "bundle", "cyclic:1024"])) == "bundle"
+        assert cli._build(parse(["build", "pair", *POINTS_102[:101]])) == "pairs"
+    mocks["cyclic_table"].assert_called_once_with(1024)
+
+
+def _moves(points):
+    return [token for x in points for token in ("--move", "0", x, x)]
+
+
+# a build of each bounded family with exactly 8 composable pairs, the same
+# family one step past 8, and that step's count
+SMALL_BUILDS = [
+    (["pair", "a", "b"], ["pair", "a", "b", "c"], 27),
+    (["set", *"abcdefgh"], ["set", *"abcdefghi"], 9),
+    (["equiv", "--block", "a,b"], ["equiv", "--block", "a,b", "--block", "c"], 9),
+    (["bundle", *["trivial"] * 8], ["bundle", *["trivial"] * 9], 9),
+    (["product-form", "x", "y", "--group", "trivial"],
+     ["product-form", "x", "y", "--group", "cyclic:2"], 32),
+    (["transformation", *"abcdefgh", "--group", "trivial", *_moves("abcdefgh")],
+     ["transformation", *"abcdefghi", "--group", "trivial", *_moves("abcdefghi")], 9),
+]
+
+
+@pytest.mark.parametrize(
+    "at, past, pairs", SMALL_BUILDS, ids=[at[0] for at, _, _ in SMALL_BUILDS]
+)
+def test_each_build_family_counts_its_composable_pairs(monkeypatch, at, past, pairs):
+    """Under a bound of 8, each family's count from argv is the count of
+    the groupoid built at exactly 8, and one step past 8 is refused."""
+    monkeypatch.setattr(cli, "MAX_TABLE_PRODUCTS", 8)
+    parse = cli.build_parser().parse_args
+    assert len(cli._build(parse(["build", *at])).table) == 8
+    with pytest.raises(cli.DocumentError) as err:
+        cli._build(parse(["build", *past]))
+    family = past[0]
+    assert str(err.value) == (
+        f"{family} groupoid is too large: it has {pairs} composable pairs, more than 8"
+    )
+
+
 def test_algorithm_recursion_is_not_a_nesting_error(tmp_path, monkeypatch):
     """A stack overflow in the algorithm, after the document has loaded,
     must not be reported as a document nested too deeply.  The bisection
@@ -1011,25 +1085,42 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = stop.code
 print(code, *sorted(n for n in sys.modules if n.partition(".")[0] == "groupoids"))
 """
-EVERY_COMMAND_LOADS = {"groupoids", "groupoids.cli", "groupoids.errors",
-                       "groupoids.relation", "groupoids.groupoid"}
+EVERY_COMMAND_LOADS = {"groupoids", "groupoids.cli", "groupoids.errors"}
+BUILT = ["relation", "groupoid"]
+POINTS_102 = [f"p{i}" for i in range(102)]
 
 
 @pytest.mark.parametrize(
     "argv, code, more",
     [
-        (["validate", "@p3"], 0, []),
-        (["build", "pair", "1", "2"], 0, ["builders"]),
+        (["validate", "@p3"], 0, BUILT),
+        (["build", "pair", "1", "2"], 0, [*BUILT, "builders"]),
         (["enum", "morphisms", "@p3"], 2, []),
-        (["bisections", "group", "@p3"], 0, ["builders", "morphism", "bisection"]),
+        (["bisections", "group", "@p3"], 0, [*BUILT, "builders", "morphism", "bisection"]),
         (["enum", "morphisms", "@p3", "@p3"], 0,
-         ["builders", "morphism", "action", "search"]),
+         [*BUILT, "builders", "morphism", "action", "search"]),
+        (["enum", "bisections", "@p3"], 0, [*BUILT, "builders", "morphism", "bisection"]),
+        (["validate", "@no-compose"], 2, []),
+        (["build", "group", "quaternion"], 2, []),
+        (["build", "pair", "a", "a"], 2, ["relation"]),
+        (["build", "pair", *POINTS_102], 2, ["relation"]),
+        (["build", "product-form", "x", "y", "--group", "symmetric:6"], 2, ["relation"]),
     ],
-    ids=["validate", "build-pair", "parse-error", "bisections-group", "enum-morphisms"],
+    ids=[
+        "validate", "build-pair", "parse-error", "bisections-group", "enum-morphisms",
+        "enum-bisections", "malformed-document", "unknown-group-family",
+        "duplicate-point", "pair-past-the-bound", "product-form-past-the-bound",
+    ],
 )
 def test_a_command_loads_only_its_own_modules(tmp_path, argv, code, more):
+    """Malformed input is refused before the algebra is imported: by the
+    document's shape checks, a group spec's check, a Universe, or the
+    size bound of `build`."""
     p3 = groupoid_doc(tmp_path, pair_groupoid(Universe("X", ("1", "2", "3")), "P3"))
-    argv = [p3 if a == "@p3" else a for a in argv]
+    payload = json.loads(Path(p3).read_text(encoding="utf-8"))
+    del payload["compose"]
+    docs = {"@p3": p3, "@no-compose": write(tmp_path, "bad.json", cli.serialize(payload))}
+    argv = [docs.get(a, a) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *argv],
         capture_output=True, text=True, env=src_env(), cwd=tmp_path,
@@ -1038,6 +1129,37 @@ def test_a_command_loads_only_its_own_modules(tmp_path, argv, code, more):
     got_code, *loaded = proc.stdout.split()
     assert int(got_code) == code
     assert set(loaded) == EVERY_COMMAND_LOADS | {f"groupoids.{m}" for m in more}
+
+
+@pytest.mark.parametrize(
+    "argv, made",
+    [
+        (["validate", "@p3"], ["groupoids", "groupoids validate"]),
+        (["enum", "morphisms", "@p3", "@p3"],
+         ["groupoids", "groupoids enum", "groupoids enum morphisms"]),
+        (["bisections"], ["groupoids", "groupoids bisections"]),
+        (["--help"], ["groupoids"]),
+    ],
+    ids=["validate", "enum-morphisms", "group-usage-error", "help"],
+)
+def test_a_run_makes_only_the_parsers_on_its_dispatch_path(
+    capsys, tmp_path, monkeypatch, argv, made
+):
+    """The top-level parser, then each parser that argparse looks up."""
+    p3 = groupoid_doc(tmp_path, pair_groupoid(Universe("X", ("1", "2", "3")), "P3"))
+    progs, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        cli.main([p3 if a == "@p3" else a for a in argv])
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert progs == made
 
 
 @pytest.mark.parametrize(

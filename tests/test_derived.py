@@ -415,9 +415,10 @@ def same_witness(found, ref) -> bool:
 
 def test_non_epi_witnesses_match_the_object_level_hunt(catalog):
     """find_non_epi_witness gives the witness of non_epi_reference, or
-    None with it, on every morphism between catalog members and between
-    generated groupoids, some indexed out of name order; is_surjective
-    agrees with the image read by name."""
+    None with it, on every morphism between catalog members, on Z3 and Z4
+    turning the points of P3 and P4, and between generated groupoids,
+    some indexed out of name order; is_surjective agrees with the image
+    read by name."""
     seen = Counter()
 
     def check(h):
@@ -431,6 +432,15 @@ def test_non_epi_witnesses_match_the_object_level_hunt(catalog):
     for h in (h for a in pool for b in pool for h in enum_morphisms(a, b)):
         check(h)
     assert seen == {"twists": 27, "none": 71, "pairs": 226}, seen
+    # every turn but the identity is a twist witness, and the first in
+    # all_bisections order is not the first that the depth-first walk
+    # of the sections meets, so the witness pins the order too
+    for n in (3, 4):
+        points = "1234"[:n]
+        turn = {(str(g), x): points[(int(x) - 1 + g) % n] for g in range(n) for x in points}
+        h = group_action_morphism(cyclic_table(n), Universe(f"X{n}", points), turn)
+        check(h)
+    assert seen["twists"] == 29, seen
 
     @seed(4747)
     @settings(max_examples=40, deadline=None)
