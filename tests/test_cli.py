@@ -610,6 +610,9 @@ def test_group_tables_past_the_product_bound_are_refused_before_building(capsys)
         make.assert_called_once()
 
 
+POINTS_102 = [f"p{i}" for i in range(102)]
+
+
 def test_builds_past_the_bound_are_refused_before_building(capsys):
     """A `build` whose groupoid would have more than 2^20 composable pairs
     is refused from argv, with its count and the bound, and no builder is
@@ -1087,7 +1090,6 @@ print(code, *sorted(n for n in sys.modules if n.partition(".")[0] == "groupoids"
 """
 EVERY_COMMAND_LOADS = {"groupoids", "groupoids.cli", "groupoids.errors"}
 BUILT = ["relation", "groupoid"]
-POINTS_102 = [f"p{i}" for i in range(102)]
 
 
 @pytest.mark.parametrize(
