@@ -38,6 +38,20 @@ KEPT = (
 
 HUNT = "tests/test_derived.py::test_non_epi_witnesses_match_the_object_level_hunt"
 BOUND = "tests/test_derived.py::test_non_epi_twists_are_kept_up_to_the_bound"
+API_GRID = "tests/test_api_grid.py::test_api_grid_matches_golden"
+SUBSET_TABLE = "tests/test_bisection.py::test_bisection_group_matches_the_subset_mult_table"
+FIBER_ORDER = "tests/test_derived.py::test_bisections_where_fiber_order_is_not_index_order"
+AD_ORACLE = "tests/test_derived.py::test_ad_matches_the_oracle"
+RIGHT_UNITS = (
+    "tests/test_bisection.py::"
+    "test_a_section_has_distinct_left_units_and_distinct_right_units"
+)
+GUARD = "tests/test_bisection.py::test_bisection_group_guard_at_the_count"
+LEAST_UNKNOWN = "tests/test_bisection.py::test_unknown_members_are_refused_by_the_least_name"
+LEAST_UNKNOWN_CLI = (
+    "tests/test_cli.py::"
+    "test_bisections_ad_names_the_least_unknown_member_in_every_process"
+)
 ALL_ELEMENT = (
     "tests/test_derived.py::"
     "test_quotient_groupoid_refuses_what_the_all_element_test_refuses"
@@ -323,6 +337,47 @@ MUTANTS = [
         "snippet": "    for section in _sections(groupoid):\n",
         "replacement": "    for section in _enum_member_sets(groupoid):\n",
         "tests": [BOUND, HUNT],
+        "status": "killed",
+    },
+    # -- bisections in one section form ------------------------------------
+    {
+        "id": "products-ending-by-left-unit",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "        ending[right[i]] = rows[i]\n",
+        "replacement": "        ending[left[i]] = rows[i]\n",
+        "tests": [SUBSET_TABLE, FIBER_ORDER],
+        "status": "killed",
+    },
+    {
+        "id": "ad-rows-ends-swapped",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "rows[rows[over[l]][g]][inv[over[r]]]",
+        "replacement": "rows[rows[over[r]][g]][inv[over[l]]]",
+        "tests": [AD_ORACLE, HUNT],
+        "status": "killed",
+    },
+    {
+        "id": "section-without-right-unit-count",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "== len(lefts) == len(rights)",
+        "replacement": "== len(lefts)",
+        "tests": [RIGHT_UNITS, API_GRID],
+        "status": "killed",
+    },
+    {
+        "id": "bisection-guard-strict",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "if _bisection_count(groupoid) >= guard:",
+        "replacement": "if _bisection_count(groupoid) > guard:",
+        "tests": [GUARD, API_GRID],
+        "status": "killed",
+    },
+    {
+        "id": "unknown-member-greatest-named",
+        "file": "src/groupoids/bisection.py",
+        "snippet": "_in_order(g for g in members if g not in index)[0]",
+        "replacement": "_in_order(g for g in members if g not in index)[-1]",
+        "tests": [LEAST_UNKNOWN, LEAST_UNKNOWN_CLI],
         "status": "killed",
     },
     {

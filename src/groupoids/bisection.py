@@ -5,21 +5,33 @@ left translation, and conjugate it through the Ad construction.  For
 pair groupoids they are exactly the graphs of bijections of the base,
 and for groups they are the singletons.
 
+Every bisection the layer computes with is held in one form, its
+section: the tuple of its members' indices, one per unit, the member
+over each right unit in `_fibers` order (the units in name order).
+_enum_member_sets makes them, _sections puts them in all_bisections
+order, and induced_hom reads a Bisection's off its `_by_right`.
+_is_section decides on indices whether names form one, and is the one
+place that refuses a name that is not an element, the least first.
+
 Subset multiplication is associative because the groupoid's product is,
 so the Cayley table follows from the rows of a generating set: the row
-of s.X is the row of s read along the row of X.  bisection_group
-computes only its generators' rows from the groupoid, through
-builders.py's _translated_rows, and checks each of those to hold
-bisections only; induced_hom computes and checks every
-row, since it compares each product with its image.
+of s.X is the row of s read along the row of X.  _products makes A.B
+for every section B with one lookup per unit, and keeps B's unit order.
+bisection_group refuses a groupoid with `guard` or more bisections from
+their count (_bisection_count, read off the orbits) before it makes any
+section, then computes only its generators' rows from the groupoid,
+through builders.py's _translated_rows, and checks each of those to
+hold bisections only; induced_hom computes and checks every row, since
+it compares each product with its image.
 
 Ad(b) sends g to b_l g s(b_r), with b_l and b_r the members of b whose
 right units are the left and right units of g: a functor inverted by
-Ad(s(b)), so mono.  It is not re-checked; tests/test_derived.py checks
-it over the Tier-1 grid against an independent oracle.  _twists makes
-each Ad(b) as mask rows straight from the groupoid's rows, for
-morphism.find_non_epi_witness, which tests/test_derived.py holds to the
-hunt on Bisection and ad objects.
+Ad(s(b)), so mono.  One kernel, _ad_rows, makes its mask rows straight
+from the groupoid's rows, for ad and for _twists, which gives every
+Ad(b) but the identity to morphism.find_non_epi_witness.  It is not
+re-checked; tests/test_derived.py checks ad over the Tier-1 grid
+against an independent oracle, and holds the twists to the hunt on
+Bisection and ad objects.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from .errors import (
     UnknownElement,
 )
 from .builders import GroupTable, _translated_rows
-from .groupoid import Groupoid
+from .groupoid import Groupoid, _in_order
 from .morphism import Morphism
 from .relation import _bits
 
@@ -50,24 +62,24 @@ def subset_mult(groupoid: Groupoid, a, b) -> frozenset:
 
 
 def _is_section(groupoid: Groupoid, members) -> bool:
-    left_seen = set()
-    right_seen = set()
-    for g in members:
-        el, er = groupoid.e_left(g), groupoid.e_right(g)
-        if el in left_seen or er in right_seen:
-            return False
-        left_seen.add(el)
-        right_seen.add(er)
-    units = set(groupoid.units)
-    return left_seen == units and right_seen == units
+    """Whether the names `members` hold one element over each unit on
+    both sides: as many members as units, with distinct left units and
+    distinct right units.  A name that is not an element is refused, the
+    least such name first."""
+    index = groupoid._index
+    try:
+        at = [index[g] for g in members]
+    except KeyError:
+        stray = _in_order(g for g in members if g not in index)[0]
+        raise UnknownElement(stray, groupoid.name) from None
+    left, right = groupoid._left, groupoid._right
+    lefts, rights = {left[i] for i in at}, {right[i] for i in at}
+    return len(at) == len(groupoid._fibers) == len(lefts) == len(rights)
 
 
 def is_bisection(groupoid: Groupoid, subset) -> bool:
     """Fiber-section test, cross-checked against s(A)A = As(A) = E."""
     members = frozenset(subset)
-    for g in members:
-        if g not in groupoid.elements:
-            raise UnknownElement(g, groupoid.name)
     by_fibers = _is_section(groupoid, members)
     units = frozenset(groupoid.units)
     inverted = frozenset(groupoid.inverse[g] for g in members)
@@ -84,9 +96,6 @@ class Bisection:
     def __init__(self, groupoid: Groupoid, members):
         self.groupoid = groupoid
         self.members = frozenset(members)
-        for g in self.members:
-            if g not in groupoid.elements:
-                raise UnknownElement(g, groupoid.name)
         if not _is_section(groupoid, self.members):
             raise AxiomViolation("bisection-section", min(self.members, default=None))
         # the member over each right unit, on indices
@@ -111,10 +120,15 @@ class Bisection:
         return f"Bisection({self.label})"
 
 
-def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
-    """The bisections, depth first, at most `limit`, each as the tuple of
-    its members' indices: one member from each right fiber, the units in
-    name order (the order of `_fibers`), with no left unit taken twice."""
+def _section(bisection: Bisection) -> tuple:
+    """The bisection's section: its member over each unit, in `_fibers`
+    order."""
+    return tuple(map(bisection._by_right.__getitem__, bisection.groupoid._fibers))
+
+
+def _enum_member_sets(groupoid: Groupoid) -> list:
+    """Every bisection, depth first, as its section: one member from each
+    right fiber, in `_fibers` order, with no left unit taken twice."""
     fibers = list(groupoid._fibers.values())
     if not fibers:
         return [()]
@@ -135,8 +149,6 @@ def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
                 stack.append(iter(fibers[level + 1]))
                 break
             found.append((*chosen, g))
-            if limit is not None and len(found) >= limit:
-                return found
         else:
             stack.pop()
             if chosen:
@@ -145,8 +157,8 @@ def _enum_member_sets(groupoid: Groupoid, limit=None) -> list:
 
 
 def _sections(groupoid: Groupoid) -> list:
-    """Every bisection as _enum_member_sets gives it, in canonical member
-    order: by its sorted member names."""
+    """Every bisection's section, in canonical member order: by its
+    sorted member names."""
     names = groupoid._names.__getitem__
     return sorted(_enum_member_sets(groupoid), key=lambda s: sorted(map(names, s)))
 
@@ -167,94 +179,74 @@ def _bisection_count(groupoid: Groupoid) -> int:
     return count
 
 
+def _ad_rows(groupoid: Groupoid, over) -> dict:
+    """Ad(b) as mask rows, over[e] the member of b with right unit e: g
+    goes to b_l g s(b_r), with b_l and b_r over e_L(g) and e_R(g)."""
+    rows, inv = groupoid._rows, groupoid._inv
+    ends = zip(range(len(rows)), groupoid._left, groupoid._right)
+    return {g: 1 << rows[rows[over[l]][g]][inv[over[r]]] for g, l, r in ends}
+
+
 def _twists(groupoid: Groupoid):
     """Ad(b) for each bisection b, in all_bisections order, as its mask
-    rows, but the twists that are the identity: g goes to b_l g s(b_r),
-    with b_l and b_r the members over e_L(g) and e_R(g), read off the
-    rows.  No Bisection or Morphism is made, and rows name no groupoid."""
-    rows, inv, units = groupoid._rows, groupoid._inv, list(groupoid._fibers)
-    ends = list(zip(range(len(rows)), groupoid._left, groupoid._right))
-    same = {g: 1 << g for g in range(len(rows))}
+    rows, but the twists that are the identity.  No Bisection or Morphism
+    is made, and rows name no groupoid."""
+    units = list(groupoid._fibers)
+    same = {g: 1 << g for g in range(len(groupoid._rows))}
     for section in _sections(groupoid):
-        over = dict(zip(units, section))  # the member over each right unit
-        twist = {g: 1 << rows[rows[over[l]][g]][inv[over[r]]] for g, l, r in ends}
+        twist = _ad_rows(groupoid, dict(zip(units, section)))
         if twist != same:
             yield twist
 
 
-class _Sections:
-    """A groupoid's bisections as sections over its right units.
+def _products(groupoid: Groupoid, a, columns):
+    """A.B for each section B, as sections, where columns[j] holds the
+    j-th entries of every B.  A slot whose pair does not compose holds
+    None.
 
-    A section is a tuple of element indices, one per unit, ordered by the
-    index of their right units.  Each b in B composes with exactly one
-    member of A, the one whose right unit is b's left unit, and the
-    product keeps b's right unit, so
-
-        (A.B)[j] = A.(B[j])
-
-    where b -> A.b is the left translation by A, tabulated once per A.
-    A product then costs one lookup per unit, where subset_mult tries
-    all |A| x |B| member pairs.  Everything is read off the groupoid's
-    index rows and unit lists, so a row made here is only as sound as
-    those rows: its callers check that every product is a bisection.
+    Each b in B composes with exactly one member of A, the one whose
+    right unit is b's left unit, and the product keeps b's right unit, so
+    (A.B)[j] = A.(B[j]), with b -> A.b the left translation by A,
+    tabulated once.  A product costs one lookup per unit, where
+    subset_mult tries all |A| x |B| member pairs, and keeps B's unit
+    order.  It is only as sound as the groupoid's rows: its callers check
+    that every product is a bisection.
     """
-
-    def __init__(self, groupoid: Groupoid):
-        self.index = groupoid.elements.index
-        self.left, self.right = groupoid._left, groupoid._right
-        self.rows = groupoid._rows  # rows[a][b] is the index of a.b
-
-    def of(self, members) -> tuple:
-        section = map(self.index.__getitem__, members)
-        return tuple(sorted(section, key=self.right.__getitem__))
-
-    def products(self, a, columns):
-        """A.B for each B, as sections, where columns[j] holds the j-th
-        entries of every B.  A slot whose pair does not compose holds None.
-        """
-        if not columns:  # no units: the one bisection is empty, as is its square
-            return [()]
-        # ending[e] is the row of the member of A with right unit e, and
-        # translate[b] = A.b, that member times b
-        ending = [None] * len(self.rows)
-        for i in a:
-            ending[self.right[i]] = self.rows[i]
-        translate = list(
-            map(dict.get, map(ending.__getitem__, self.left), range(len(self.left)))
-        )
-        return zip(*[map(translate.__getitem__, c) for c in columns])
-
-    def table(self, bs: list):
-        """Row by row, A.B for A and B in bs: one iterator per A, in order."""
-        columns = list(zip(*bs))
-        return (self.products(a, columns) for a in bs)
+    if not columns:  # no units: the one bisection is empty, as is its square
+        return [()]
+    rows, left, right = groupoid._rows, groupoid._left, groupoid._right
+    # ending[e] is the row of the member of A with right unit e, and
+    # translate[b] = A.b, that member times b
+    ending = [None] * len(rows)
+    for i in a:
+        ending[right[i]] = rows[i]
+    translate = list(map(dict.get, map(ending.__getitem__, left), range(len(left))))
+    return zip(*[map(translate.__getitem__, c) for c in columns])
 
 
 def bisection_group(groupoid: Groupoid, guard: int = 10000) -> GroupTable:
     """Cayley table of the bisections under subset multiplication.
 
-    The table is made on positions in the sorted member lists, and
-    GroupTable._of_group re-indexes it once into sorted label order.
-    builders.py's _translated_rows computes only the rows of a greedy
-    generating set as products of sections, each checked here to hold
-    bisections only (`derived:bisection-closure`), and every other row
-    as a left translation of a checked row, which holds only positions
-    of checked rows.
+    The guard is read from the bisection count, before any section is
+    made.  The table is made on positions in all_bisections order, by
+    the sorted member lists, and GroupTable._of_group re-indexes it once
+    into sorted label order.  builders.py's _translated_rows computes
+    only the rows of a greedy generating set as products of sections,
+    each checked here to hold bisections only
+    (`derived:bisection-closure`), and every other row as a left
+    translation of a checked row, which holds only positions of checked
+    rows.
     """
-    sets = _enum_member_sets(groupoid, limit=guard)
-    if len(sets) >= guard:
-        raise BudgetExceeded(
-            f"{groupoid.name!r} has {guard} or more bisections"
-        )
-    ordered = sorted(sorted(map(groupoid._names.__getitem__, s)) for s in sets)
-    labels = ["{" + "+".join(m) + "}" for m in ordered]
-    sections = _Sections(groupoid)
-    bs = [sections.of(m) for m in ordered]
+    if _bisection_count(groupoid) >= guard:
+        raise BudgetExceeded(f"{groupoid.name!r} has {guard} or more bisections")
+    names = groupoid._names.__getitem__
+    bs = _sections(groupoid)
+    labels = ["{" + "+".join(sorted(map(names, s))) + "}" for s in bs]
     columns = list(zip(*bs))
     position = {b: k for k, b in enumerate(bs)}.get
 
     def row_of(k):
-        row = list(map(position, sections.products(bs[k], columns)))
+        row = list(map(position, _products(groupoid, bs[k], columns)))
         if None in row:
             l2 = labels[row.index(None)]
             raise AxiomViolation("derived:bisection-closure", (labels[k], l2))
@@ -277,13 +269,7 @@ def act(bisection: Bisection, g):
 def ad(bisection: Bisection) -> Morphism:
     """Conjugation by a bisection, as a morphism of the groupoid."""
     groupoid = bisection.groupoid
-    rows, inv = groupoid._rows, groupoid._inv
-    by_right = bisection._by_right
-    # g -> b_l g s(b_r), with b_l and b_r over e_L(g) and e_R(g)
-    moved = {
-        i: 1 << rows[rows[by_right[left]][i]][inv[by_right[right]]]
-        for i, (left, right) in enumerate(zip(groupoid._left, groupoid._right))
-    }
+    moved = _ad_rows(groupoid, bisection._by_right)
     return Morphism._of_rows(groupoid, groupoid, moved)
 
 
@@ -301,13 +287,14 @@ def induced_hom(h: Morphism) -> dict:
     """Tabulated group homomorphism from source to target bisections."""
     source_bs = all_bisections(h.source)
     hom = {b: image_bisection(h, b) for b in source_bs}
-    src, tgt = _Sections(h.source), _Sections(h.target)
-    bs = [src.of(b.members) for b in source_bs]
-    images = [tgt.of(hom[b].members) for b in source_bs]
+    bs = [_section(b) for b in source_bs]
+    images = [_section(hom[b]) for b in source_bs]
     position = {b: k for k, b in enumerate(bs)}.get
-    rows = zip(source_bs, src.table(bs), tgt.table(images))
-    for b1, products, image_products in rows:
-        for b2, k, rhs in zip(source_bs, map(position, products), image_products):
+    columns, image_columns = list(zip(*bs)), list(zip(*images))
+    for b1, a, image in zip(source_bs, bs, images):
+        products = map(position, _products(h.source, a, columns))
+        image_products = _products(h.target, image, image_columns)
+        for b2, k, rhs in zip(source_bs, products, image_products):
             if k is None:
                 raise AxiomViolation(
                     "derived:bisection-closure", (b1.label, b2.label)

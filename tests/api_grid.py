@@ -24,7 +24,8 @@ generated groupoids with at most 64 bisections, it records:
 - induced_hom of the identity;
 - is_bisection on every bisection, and on each change of one member of
   the first bisection to another element;
-- the guard's refusal at the bisection count.
+- the guard's refusal at the bisection count;
+- Bisection and is_bisection on a set of names that are not elements.
 """
 
 import hashlib
@@ -38,6 +39,7 @@ GOLDEN = os.path.join(HERE, "api_grid.json")
 
 GENERATED = 20
 MAX_BISECTIONS = 64
+UNKNOWN = frozenset(f"{c}{c}" for c in "zyxwvu")
 
 
 def _refusal(err) -> str:
@@ -171,6 +173,8 @@ def outputs():
                     )
         count = len(bs)
         yield f"{key}/guard", _outcome(lambda: bisection_group(g, guard=count))
+        for call in (Bisection, is_bisection):
+            yield f"{key}/unknown/{call.__name__}", _outcome(lambda: call(g, UNKNOWN))
 
 
 def digests() -> dict:

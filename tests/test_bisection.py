@@ -26,8 +26,8 @@ from groupoids.builders import (
     set_groupoid,
     symmetric_table,
 )
-from groupoids.errors import AxiomViolation, BudgetExceeded
-from groupoids.groupoid import Groupoid
+from groupoids.errors import AxiomViolation, BudgetExceeded, UnknownElement
+from groupoids.groupoid import Groupoid, disjoint_union
 from groupoids.morphism import (
     compose_morphisms,
     identity_morphism,
@@ -189,18 +189,18 @@ def test_bisection_group_computes_only_its_generators_rows(catalog, monkeypatch)
     """Each row bisection_group computes from the groupoid is the least
     row not yet known, so Bis(P_n) = S_n computes n of its n! rows."""
     computed = []
-    products = bisection._Sections.products
+    products = bisection._products
 
-    def counted(self, a, columns):
+    def counted(groupoid, a, columns):
         computed.append(a)
-        return products(self, a, columns)
+        return products(groupoid, a, columns)
 
     def direct(g):
         computed.clear()
         bisection_group(g)
         return len(computed)
 
-    monkeypatch.setattr(bisection._Sections, "products", counted)
+    monkeypatch.setattr(bisection, "_products", counted)
     pn = {n: pair_groupoid(Universe(f"X{n}", "123456"[:n])) for n in range(1, 7)}
     assert {n: direct(g) for n, g in pn.items()} == {n: n for n in pn}
     counts = {"pt": 1, "Z2": 2, "Z4": 2, "V4": 2, "P3": 3, "PF": 3}
@@ -298,6 +298,20 @@ def test_bisection_group_inverse_is_s():
 def test_bisection_group_guard():
     with pytest.raises(BudgetExceeded):
         bisection_group(P3, guard=3)
+
+
+def test_bisection_group_guard_at_the_count(monkeypatch):
+    """A groupoid is refused when its bisections number `guard` or more,
+    from their count, before any section is made: P3 (6 bisections) at 6
+    and not at 7, and P3 + Z2, of two orbits (12), at 12 and not at 13."""
+    two_orbits = disjoint_union(P3, Z2)
+    for g, count in ((P3, 6), (two_orbits, 12)):
+        assert len(bisection_group(g, guard=count + 1)) == count
+        with monkeypatch.context() as patch:
+            patch.setattr(bisection, "_enum_member_sets", None)
+            with pytest.raises(BudgetExceeded) as err:
+                bisection_group(g, guard=count)
+        assert str(err.value) == f"{g.name!r} has {count} or more bisections"
 
 
 def test_act_neutral_and_translation():
@@ -412,6 +426,31 @@ def test_bisection_rejects_non_sections():
         Bisection(Z2, frozenset(("0", "1")))
     with pytest.raises(AxiomViolation):
         Bisection(P3, frozenset(("1,2",)))
+
+
+def test_a_section_has_distinct_left_units_and_distinct_right_units():
+    """One member over each unit on both sides: P3's arrows into 1 have
+    distinct left units, and its arrows out of 1 distinct right units,
+    and neither is a bisection, by either test."""
+    for members in (("1,1", "2,1", "3,1"), ("1,1", "1,2", "1,3")):
+        assert not is_bisection(P3, members)
+        with pytest.raises(AxiomViolation) as err:
+            Bisection(P3, members)
+        assert (err.value.law, err.value.offender) == ("bisection-section", "1,1")
+
+
+def test_unknown_members_are_refused_by_the_least_name():
+    """Bisection and is_bisection refuse the least name that is not an
+    element, whatever the set's hash order; the names that are elements
+    are not named."""
+    unknown = [f"{c}{c}" for c in "zyxwvutsrq"]
+    for members in (unknown[:3], unknown, ["1,2", "zz", "3,3", "qq"]):
+        least = min(m for m in members if m not in P3.elements)
+        for call in (Bisection, is_bisection):
+            with pytest.raises(UnknownElement) as err:
+                call(P3, frozenset(members))
+            assert err.value.element == least
+            assert str(err.value) == f"unknown element {least!r} in {P3.name}"
 
 
 def test_bisection_enumeration_leaves_no_reference_cycle():

@@ -342,6 +342,25 @@ def test_action_quotient_names_one_offender_in_every_process(tmp_path, catalog):
         assert proc.stderr == "error: '1,2' is outside the isotropy bundle\n"
 
 
+def test_bisections_ad_names_the_least_unknown_member_in_every_process(
+    tmp_path, catalog
+):
+    # the members form a set; the unknown name refused is the least, not
+    # the first in hash order, which changes with PYTHONHASHSEED
+    doc = groupoid_doc(tmp_path, catalog["P3"], "p3.json")
+    lines = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoids.cli", "bisections", "ad", doc,
+             "zz", "yy", "xx"],
+            capture_output=True, text=True,
+            env={**src_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines.add(proc.stderr)
+    assert lines == {"error: unknown element 'xx' in P3\n"}
+
+
 def test_action_document_pipeline(capsys, tmp_path, catalog):
     z4 = groupoid_doc(tmp_path, catalog["Z4"], "z4.json")
     code, out, _ = run(capsys, ["action", "quotient", z4, "0", "2"])
@@ -694,10 +713,10 @@ def test_algorithm_recursion_is_not_a_nesting_error(tmp_path, monkeypatch):
     limit it overflows the stack."""
     from groupoids import bisection
 
-    def recurse(groupoid, limit=None, depth=0):
+    def recurse(groupoid, depth=0):
         if depth == len(groupoid.units):
             return [frozenset(groupoid.units)]
-        return recurse(groupoid, limit, depth + 1)
+        return recurse(groupoid, depth + 1)
 
     monkeypatch.setattr(bisection, "_enum_member_sets", recurse)
     g = set_groupoid(Universe("S", tuple(str(i) for i in range(200))), "S")

@@ -32,6 +32,7 @@ from oracles import (
     quotient_violation,
     separating_violation,
 )
+from test_bisection import _subset_mult_table
 from test_trusted import grid_groupoids, wide_parts
 
 import groupoids
@@ -46,7 +47,13 @@ from groupoids.action import (
     quotient_groupoid,
     unit_action,
 )
-from groupoids.bisection import _bisection_count, ad, all_bisections
+from groupoids.bisection import (
+    _bisection_count,
+    ad,
+    all_bisections,
+    bisection_group,
+    induced_hom,
+)
 from groupoids.builders import (
     cyclic_table,
     group_bundle,
@@ -61,7 +68,7 @@ from groupoids.builders import (
     symmetric_table,
 )
 from groupoids.errors import PreconditionFailed
-from groupoids.groupoid import SubgroupoidRef
+from groupoids.groupoid import SubgroupoidRef, cartesian_product
 from groupoids.morphism import (
     Morphism,
     classify_into_group,
@@ -452,6 +459,35 @@ def test_non_epi_witnesses_match_the_object_level_hunt(catalog):
 
     generated()
     assert seen["generated"] >= 30 and seen["twists"] >= 30, seen
+
+
+def test_bisections_where_fiber_order_is_not_index_order():
+    """Pair(W) on the points a, a+ and b has its units in name order
+    a+,a+, a,a, b,b, at indices 4, 0 and 8, so a section in `_fibers`
+    order is not in right-unit index order; so has Pair(W) x Z2.  On
+    both, bisection_group is subset_mult's table, induced_hom of the
+    identity is the images, and find_non_epi_witness is the object-level
+    hunt on every morphism from a source that gives twist witnesses."""
+    pw = pair_groupoid(Universe("W", ("a", "a+", "b")), "PW")
+    pwz = cartesian_product(pw, group_groupoid(cyclic_table(2)))
+    assert list(pw._fibers) == [4, 0, 8] and list(pwz._fibers) == [8, 0, 16]
+    seen = Counter()
+    s3 = group_groupoid(symmetric_table(3))
+    for g, count, sources in (
+        (pw, 6, (group_groupoid(cyclic_table(3)), s3, pw)),
+        (pwz, 48, (group_groupoid(cyclic_table(6)), s3, pwz)),
+    ):
+        assert len(all_bisections(g)) == count
+        expected = _subset_mult_table(g)
+        table = bisection_group(g)
+        assert {(a, b): table.mult(a, b) for a, b in expected} == expected
+        hom = induced_hom(identity_morphism(g))
+        assert list(hom.items()) == [(b, b) for b in all_bisections(g)]
+        for h in (h for src in sources for h in enum_morphisms(src, g)):
+            found = find_non_epi_witness(h)
+            assert same_witness(found, non_epi_reference(h)), h
+            seen[g.name, found is not None and found.probe == g] += 1
+    assert seen[pw.name, True] >= 2 and seen[pwz.name, True] >= 8, seen
 
 
 def test_non_epi_twists_are_made_once_per_target(fresh_catalog, monkeypatch):
