@@ -109,12 +109,18 @@ def groupoids() -> list:
     from conftest import build_catalog
     from oracles import bisection_count_reference
 
-    from groupoids.builders import cyclic_table, group_groupoid, pair_groupoid, set_groupoid
+    from groupoids.builders import (
+        cyclic_table,
+        group_groupoid,
+        pair_groupoid,
+        set_groupoid,
+    )
     from groupoids.groupoid import cartesian_product
     from groupoids.relation import Universe
 
     out = list(build_catalog().items())
-    out += [(f"pair{n}", pair_groupoid(Universe(f"X{n}", "12345"[:n]))) for n in range(1, 6)]
+    for n in range(1, 6):
+        out.append((f"pair{n}", pair_groupoid(Universe(f"X{n}", "12345"[:n]))))
     pair_w = pair_groupoid(Universe("W", ("a", "a+", "b")), "PW")
     out.append(("PW", pair_w))
     out.append(("PWxZ2", cartesian_product(pair_w, group_groupoid(cyclic_table(2)))))
@@ -152,16 +158,19 @@ def outputs():
     for key, g in groupoids():
         bs = all_bisections(g)
         yield f"{key}/all_bisections", "\n".join(b.label for b in bs)
-        yield f"{key}/bisection_group", _outcome(lambda: _group_text(bisection_group(g)))
+        table = _outcome(lambda: _group_text(bisection_group(g)))
+        yield f"{key}/bisection_group", table
         for k, twist in enumerate(bisection._twists(g)):
             yield f"{key}/twist/{k}", _named_rows(g, g, twist)
         for b in bs:
             h = ad(b)
             yield f"{key}/ad/{b.label}", _named_rows(h.source, h.target, h._rows)
         hom = induced_hom(identity_morphism(g))
-        yield f"{key}/induced_hom", "\n".join(f"{b.label} -> {v.label}" for b, v in hom.items())
+        images = (f"{b.label} -> {v.label}" for b, v in hom.items())
+        yield f"{key}/induced_hom", "\n".join(images)
         for b in bs:
-            yield f"{key}/is_bisection/{b.label}", _outcome(lambda: is_bisection(g, b.members))
+            verdict = _outcome(lambda: is_bisection(g, b.members))
+            yield f"{key}/is_bisection/{b.label}", verdict
         first = sorted(bs[0].members)
         for m in first:
             for x in g.elements:
@@ -174,7 +183,8 @@ def outputs():
         count = len(bs)
         yield f"{key}/guard", _outcome(lambda: bisection_group(g, guard=count))
         for call in (Bisection, is_bisection):
-            yield f"{key}/unknown/{call.__name__}", _outcome(lambda: call(g, UNKNOWN))
+            refusal = _outcome(lambda: call(g, UNKNOWN))
+            yield f"{key}/unknown/{call.__name__}", refusal
 
 
 def digests() -> dict:

@@ -47,7 +47,10 @@ def main() -> int:
         differ += [label for label in first if got[label] != first[label]]
     if differ:
         labels = sorted(set(differ), key=list(first).index)
-        print("digests differ between hash seeds:", *labels[:10], sep="\n  ", file=sys.stderr)
+        print(
+            "digests differ between hash seeds:", *labels[:10],
+            sep="\n  ", file=sys.stderr,
+        )
         return 1
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({"seeds": list(SEEDS), "digests": first}, fh, indent=0)
